@@ -17,8 +17,6 @@ from .energy import (
     EnergyBreakdown,
     EnergyEvaluationError,
     FarFieldLinearization,
-    NeighborList,
-    build_neighbor_list,
     delta_energy_atom_move,
     energy_and_gradient,
     energy_bend,
@@ -32,7 +30,6 @@ from .energy import (
     gradient_total,
     linearize_farfield_coulomb,
 )
-from .kernels import get_backend
 from .linesearch import (
     LineSearchResult,
     LsHConfig,

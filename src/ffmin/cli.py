@@ -16,8 +16,12 @@ import numpy as np
 
 from . import __version__
 from .bench import bench_quadratic_rows, worstcase_report
-from .energy import EnergyEvaluationError, energy_total, gradient_total
-from .kernels import NUMBA_BACKEND, get_backend
+from .energy import (
+    EnergyEvaluationError,
+    energy_and_gradient,
+    energy_total,
+    gradient_total,
+)
 from .model import ModelError
 from .oracle import MolecularOracle
 from .optimizers import (
@@ -116,11 +120,6 @@ def _add_method_options(p):
                    help="absolute gradient-norm tolerance (default: %(default)s)")
     p.add_argument("--rtol", type=float, default=1e-6,
                    help="relative gradient-norm tolerance (default: %(default)s)")
-    p.add_argument("--precision", choices=("f32", "f64"), default="f64",
-                   help="kernel precision (default: %(default)s)")
-    p.add_argument("--backend", choices=("numba", "numpy"), default=None,
-                   help="kernel backend (default: FFMIN_BACKEND or numba "
-                        "when available)")
     p.add_argument("--seed", type=int, default=0,
                    help="seed for stochastic methods, echoed into traces "
                         "(default: %(default)s)")
@@ -148,7 +147,7 @@ def _build_linesearch(args):
     )
 
 
-def _run_method(args, system, dtype, backend):
+def _run_method(args, system):
     stop = _build_stop(args)
     if args.method == "wiggle":
         cfg = WiggleConfig(
@@ -159,7 +158,7 @@ def _run_method(args, system, dtype, backend):
             cutoff=args.wiggle_cutoff,
         )
         return atom_wiggle(system, cfg, stop)
-    oracle = MolecularOracle(system, dtype=dtype, backend=backend)
+    oracle = MolecularOracle(system)
     x0 = system.coords.ravel()
     m = args.method
     if m == "gd":
@@ -211,22 +210,18 @@ def _print_breakdown(bd, grad_max, out=None):
 
 def cmd_energy(args):
     system = load_system(args.file)
-    dtype = np.float32 if args.precision == "f32" else np.float64
-    backend = get_backend(args.backend)
-    bd = energy_total(system, dtype, backend)
-    g = gradient_total(system, dtype, backend)
+    bd = energy_total(system)
+    g = gradient_total(system)
     _print_breakdown(bd, float(np.max(np.abs(g))))
     return EXIT_OK
 
 
 def cmd_minimize(args):
     system = load_system(args.file)
-    dtype = np.float32 if args.precision == "f32" else np.float64
-    backend = get_backend(args.backend)
-    result = _run_method(args, system, dtype, backend)
+    result = _run_method(args, system)
     final = system.with_coords(result.x)
-    bd = energy_total(final, dtype, backend)
-    g = gradient_total(final, dtype, backend)
+    bd = energy_total(final)
+    g = gradient_total(final)
     print(f"method   {args.method}")
     print(f"status   {result.status}")
     print(f"iters    {result.trace.iterations}")
@@ -234,15 +229,12 @@ def cmd_minimize(args):
     if args.out:
         save_system(final, args.out)
     if args.trace:
-        write_trace(args.trace, result.trace, seed=args.seed,
-                    precision=args.precision)
+        write_trace(args.trace, result.trace, seed=args.seed)
     return _STATUS_EXIT.get(result.status, EXIT_BUDGET)
 
 
 def cmd_batch_rank(args):
     ref = load_system(args.ref)
-    dtype = np.float32 if args.precision == "f32" else np.float64
-    backend = get_backend(args.backend)
     paths = sorted(p for p in Path(args.dir).iterdir() if p.is_file())
     if not paths:
         _fail(f"no candidate files in {args.dir}")
@@ -256,7 +248,7 @@ def cmd_batch_rank(args):
                     f"{path}: candidate has {cand.natoms} atoms, "
                     f"reference has {ref.natoms}"
                 )
-            res = _run_method(args, cand, dtype, backend)
+            res = _run_method(args, cand)
             final = cand.with_coords(res.x)
             results.append(CandidateResult(
                 id=cid,
@@ -265,7 +257,7 @@ def cmd_batch_rank(args):
                 status=res.status,
             ))
         except (SystemFileError, ModelError, EnergyEvaluationError,
-                DivergenceError, ValueError) as exc:
+                DivergenceError) as exc:
             results.append(CandidateResult(
                 id=cid, energy=math.inf, rmsd=math.inf,
                 status=f"error: {exc}",
@@ -319,30 +311,16 @@ def cmd_worstcase(args):
 
 def cmd_bench_kernels(args):
     sizes = tuple(int(s) for s in args.sizes.split(","))
-    from .energy import energy_and_gradient
-    backends = []
-    if NUMBA_BACKEND is not None:
-        backends.append(NUMBA_BACKEND)
-    backends.append(get_backend("numpy"))
-    print("n," + ",".join(f"{b.name}_ms" for b in backends) +
-          (",speedup" if len(backends) == 2 else ""))
+    print("n,energy_grad_ms")
     for n in sizes:
         system = make_chain_system(n, seed=1, strain=0.2)
-        times = []
-        for b in backends:
-            energy_and_gradient(system, backend=b)  # warmup / jit compile
-            best = math.inf
-            for _ in range(args.repeats):
-                t0 = time.perf_counter()
-                energy_and_gradient(system, backend=b)
-                best = min(best, time.perf_counter() - t0)
-            times.append(best * 1e3)
-        row = f"{n}," + ",".join(f"{t:.3f}" for t in times)
-        if len(times) == 2:
-            row += f",{times[1] / times[0]:.2f}x"
-        print(row)
-    if NUMBA_BACKEND is None:
-        print("# numba unavailable; numpy fallback only")
+        energy_and_gradient(system)  # warmup
+        best = math.inf
+        for _ in range(args.repeats):
+            t0 = time.perf_counter()
+            energy_and_gradient(system)
+            best = min(best, time.perf_counter() - t0)
+        print(f"{n},{best * 1e3:.3f}")
     return EXIT_OK
 
 
@@ -372,8 +350,6 @@ def build_parser():
 
     p = sub.add_parser("energy", help="print the energy breakdown of a system file")
     p.add_argument("file")
-    p.add_argument("--precision", choices=("f32", "f64"), default="f64")
-    p.add_argument("--backend", choices=("numba", "numpy"), default=None)
     p.set_defaults(fn=cmd_energy)
 
     p = sub.add_parser("minimize", help="minimize a system and report the result")
@@ -415,7 +391,8 @@ def build_parser():
     p.set_defaults(fn=cmd_worstcase)
 
     p = sub.add_parser("bench-kernels",
-                       help="time the energy/gradient kernels per backend")
+                       help="time one fused energy+gradient call on chain "
+                            "systems of each size")
     p.add_argument("--sizes", default="100,300")
     p.add_argument("--repeats", type=int, default=5)
     p.set_defaults(fn=cmd_bench_kernels)

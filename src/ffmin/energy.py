@@ -6,7 +6,7 @@ The objective is the OPLS-style sum
 
 over a MolecularSystem, in kJ/mol with distances in angstrom. All functions
 here are pure in (system, coords); summation order is fixed, so repeated
-calls are bit-identical on the same backend.
+calls are bit-identical.
 
 Degenerate geometry raises EnergyEvaluationError naming the term instead of
 propagating NaNs.
@@ -18,8 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import COULOMB_KJ_ANGSTROM
-from .kernels import get_backend
+from . import kernels
 from .model import MolecularSystem
 
 
@@ -42,14 +41,6 @@ class EnergyBreakdown:
 
 
 @dataclass(frozen=True)
-class NeighborList:
-    """Symmetric within-cutoff adjacency from a brute-force pair scan."""
-
-    cutoff: float
-    neighbors: tuple  # tuple of int64 arrays, one per atom
-
-
-@dataclass(frozen=True)
 class FarFieldLinearization:
     """First-order model of one atom's far-field Coulomb sum.
 
@@ -68,10 +59,6 @@ class FarFieldLinearization:
     near_idx: np.ndarray
 
 
-def _coords(system, dtype):
-    return np.ascontiguousarray(system.coords, dtype=dtype)
-
-
 def _bond_name(system, row):
     b = system.bonds[row]
     return f"stretch term {row} (atoms {b.i}-{b.j})"
@@ -87,82 +74,77 @@ def _dihedral_name(system, row):
     return f"torsion term {row} (atoms {d.i}-{d.j}-{d.k}-{d.l})"
 
 
-def energy_stretch(system: MolecularSystem, dtype=np.float64, backend=None) -> float:
-    p = system.arrays(dtype)
-    kb = get_backend(backend)
-    return float(kb.bond_energy(_coords(system, dtype), p["bond_idx"], p["bond_K"], p["bond_r0"]))
+def energy_stretch(system: MolecularSystem) -> float:
+    p = system.arrays()
+    return float(kernels.bond_energy(system.coords, p["bond_idx"], p["bond_K"], p["bond_r0"]))
 
 
-def energy_bend(system: MolecularSystem, dtype=np.float64, backend=None) -> float:
-    p = system.arrays(dtype)
-    kb = get_backend(backend)
-    e, bad = kb.angle_energy(_coords(system, dtype), p["ang_idx"], p["ang_K"], p["ang_t0"])
+def energy_bend(system: MolecularSystem) -> float:
+    p = system.arrays()
+    e, bad = kernels.angle_energy(system.coords, p["ang_idx"], p["ang_K"], p["ang_t0"])
     if bad >= 0:
         raise EnergyEvaluationError(f"{_angle_name(system, bad)}: zero-length arm")
     return float(e)
 
 
-def energy_torsion(system: MolecularSystem, dtype=np.float64, backend=None) -> float:
-    p = system.arrays(dtype)
-    kb = get_backend(backend)
-    e, bad = kb.dihedral_energy(_coords(system, dtype), p["dih_idx"], p["dih_V"])
+def energy_torsion(system: MolecularSystem) -> float:
+    p = system.arrays()
+    e, bad = kernels.dihedral_energy(system.coords, p["dih_idx"], p["dih_V"])
     if bad >= 0:
         raise EnergyEvaluationError(f"{_dihedral_name(system, bad)}: degenerate plane")
     return float(e)
 
 
-def _nb_energies(system, dtype, backend):
-    p = system.arrays(dtype)
-    kb = get_backend(backend)
-    ec, ev, bi, bj = kb.nb_energy(
-        _coords(system, dtype), p["q"], p["sigma"], p["epsilon"], p["scale"], p["cutoff"]
+def _nb_energies(system):
+    p = system.arrays()
+    ec, ev, bi, bj = kernels.nb_energy(
+        system.coords, p["q"], p["sigma"], p["epsilon"], p["scale"], p["cutoff"]
     )
     if bi >= 0:
         raise EnergyEvaluationError(f"nonbonded pair ({bi},{bj}): coincident atoms")
     return float(ec), float(ev)
 
 
-def energy_coulomb(system: MolecularSystem, dtype=np.float64, backend=None) -> float:
-    return _nb_energies(system, dtype, backend)[0]
+def energy_coulomb(system: MolecularSystem) -> float:
+    return _nb_energies(system)[0]
 
 
-def energy_vdw(system: MolecularSystem, dtype=np.float64, backend=None) -> float:
-    return _nb_energies(system, dtype, backend)[1]
+def energy_vdw(system: MolecularSystem) -> float:
+    return _nb_energies(system)[1]
 
 
-def energy_total(system: MolecularSystem, dtype=np.float64, backend=None) -> EnergyBreakdown:
-    ec, ev = _nb_energies(system, dtype, backend)
+def energy_total(system: MolecularSystem) -> EnergyBreakdown:
+    ec, ev = _nb_energies(system)
     return EnergyBreakdown(
-        stretch=energy_stretch(system, dtype, backend),
-        bend=energy_bend(system, dtype, backend),
-        torsion=energy_torsion(system, dtype, backend),
+        stretch=energy_stretch(system),
+        bend=energy_bend(system),
+        torsion=energy_torsion(system),
         coulomb=ec,
         vdw=ev,
     )
 
 
-def energy_and_gradient(system: MolecularSystem, dtype=np.float64, backend=None):
+def energy_and_gradient(system: MolecularSystem):
     """One fused sweep: (EnergyBreakdown, flattened analytic gradient).
 
     Callers needing both quantities should use this instead of two separate
     calls; the gradient kernels produce the term energies as a byproduct.
     """
-    p = system.arrays(dtype)
-    kb = get_backend(backend)
-    c = _coords(system, dtype)
-    gout = np.zeros_like(c)
-    e_bond, bad = kb.bond_grad(c, p["bond_idx"], p["bond_K"], p["bond_r0"], gout)
+    p = system.arrays()
+    c = system.coords
+    gout = np.zeros(c.shape)
+    e_bond, bad = kernels.bond_grad(c, p["bond_idx"], p["bond_K"], p["bond_r0"], gout)
     if bad >= 0:
         raise EnergyEvaluationError(f"{_bond_name(system, bad)}: coincident endpoints")
-    e_ang, bad = kb.angle_grad(c, p["ang_idx"], p["ang_K"], p["ang_t0"], gout)
+    e_ang, bad = kernels.angle_grad(c, p["ang_idx"], p["ang_K"], p["ang_t0"], gout)
     if bad >= 0:
         raise EnergyEvaluationError(
             f"{_angle_name(system, bad)}: zero-length arm or collinear geometry"
         )
-    e_dih, bad = kb.dihedral_grad(c, p["dih_idx"], p["dih_V"], gout)
+    e_dih, bad = kernels.dihedral_grad(c, p["dih_idx"], p["dih_V"], gout)
     if bad >= 0:
         raise EnergyEvaluationError(f"{_dihedral_name(system, bad)}: degenerate plane")
-    ec, ev, bi, bj = kb.nb_grad(
+    ec, ev, bi, bj = kernels.nb_grad(
         c, p["q"], p["sigma"], p["epsilon"], p["scale"], p["cutoff"], gout
     )
     if bi >= 0:
@@ -174,13 +156,12 @@ def energy_and_gradient(system: MolecularSystem, dtype=np.float64, backend=None)
     return breakdown, gout.reshape(-1)
 
 
-def gradient_total(system: MolecularSystem, dtype=np.float64, backend=None):
+def gradient_total(system: MolecularSystem):
     """Analytic gradient of the total energy, flattened to length 3n."""
-    return energy_and_gradient(system, dtype, backend)[1]
+    return energy_and_gradient(system)[1]
 
 
-def finite_difference_gradient(system: MolecularSystem, step=1e-5, dtype=np.float64,
-                               backend=None):
+def finite_difference_gradient(system: MolecularSystem, step=1e-5):
     """Central-difference gradient of energy_total, flattened to 3n."""
     if not step > 0:
         raise ValueError(f"FD step must be > 0, got {step}")
@@ -190,26 +171,12 @@ def finite_difference_gradient(system: MolecularSystem, step=1e-5, dtype=np.floa
     for k in range(flat.size):
         orig = flat[k]
         flat[k] = orig + step
-        ep = energy_total(system.with_coords(base), dtype, backend).total
+        ep = energy_total(system.with_coords(base)).total
         flat[k] = orig - step
-        em = energy_total(system.with_coords(base), dtype, backend).total
+        em = energy_total(system.with_coords(base)).total
         flat[k] = orig
         g[k] = (ep - em) / (2.0 * step)
     return g
-
-
-def build_neighbor_list(system: MolecularSystem, cutoff: float) -> NeighborList:
-    """Brute-force O(n^2) within-cutoff adjacency (no spatial index)."""
-    if not cutoff > 0:
-        raise ValueError(f"cutoff must be > 0, got {cutoff}")
-    c = system.coords
-    n = system.natoms
-    d = c[:, None, :] - c[None, :, :]
-    r = np.sqrt(np.einsum("ijk,ijk->ij", d, d))
-    np.fill_diagonal(r, np.inf)
-    mask = r <= cutoff
-    neighbors = tuple(np.nonzero(mask[i])[0].astype(np.int64) for i in range(n))
-    return NeighborList(cutoff=float(cutoff), neighbors=neighbors)
 
 
 def linearize_farfield_coulomb(system: MolecularSystem, atom: int,
@@ -223,9 +190,8 @@ def linearize_farfield_coulomb(system: MolecularSystem, atom: int,
         raise ValueError(f"atom index {atom} out of range for {system.natoms} atoms")
     if not cutoff > 0:
         raise ValueError(f"cutoff must be > 0, got {cutoff}")
-    p = system.arrays(np.float64)
-    kb = get_backend()
-    e0, cx, cy, cz, near_mask, bad = kb.farfield_build(
+    p = system.arrays()
+    e0, cx, cy, cz, near_mask, bad = kernels.farfield_build(
         system.coords, p["q"], p["scale"], atom, float(cutoff)
     )
     if bad >= 0:
@@ -258,22 +224,21 @@ def delta_energy_atom_move(system: MolecularSystem, lin: FarFieldLinearization,
     delta = np.asarray(delta, dtype=np.float64).reshape(3)
     atom = lin.atom
     newpos = system.coords[atom] + delta
-    p = system.arrays(np.float64)
-    kb = get_backend()
+    p = system.arrays()
     c = system.coords
 
-    dec, dev, bad = kb.near_nb_delta(
+    dec, dev, bad = kernels.near_nb_delta(
         c, p["q"], p["sigma"], p["epsilon"], p["scale"], atom, newpos, lin.near_idx
     )
     if bad >= 0:
         raise EnergyEvaluationError(f"nonbonded pair ({atom},{bad}): coincident atoms")
 
     bond_rows, ang_rows, dih_rows = system.atom_terms(atom)
-    de = kb.bond_delta(c, atom, newpos, p["bond_idx"], p["bond_K"], p["bond_r0"], bond_rows)
-    dea, bad = kb.angle_delta(c, atom, newpos, p["ang_idx"], p["ang_K"], p["ang_t0"], ang_rows)
+    de = kernels.bond_delta(c, atom, newpos, p["bond_idx"], p["bond_K"], p["bond_r0"], bond_rows)
+    dea, bad = kernels.angle_delta(c, atom, newpos, p["ang_idx"], p["ang_K"], p["ang_t0"], ang_rows)
     if bad >= 0:
         raise EnergyEvaluationError(f"{_angle_name(system, bad)}: zero-length arm")
-    ded, bad = kb.dihedral_delta(c, atom, newpos, p["dih_idx"], p["dih_V"], dih_rows)
+    ded, bad = kernels.dihedral_delta(c, atom, newpos, p["dih_idx"], p["dih_V"], dih_rows)
     if bad >= 0:
         raise EnergyEvaluationError(f"{_dihedral_name(system, bad)}: degenerate plane")
 
@@ -281,8 +246,7 @@ def delta_energy_atom_move(system: MolecularSystem, lin: FarFieldLinearization,
     return float(de) + float(dea) + float(ded) + float(dec) + float(dev) + far
 
 
-def exact_delta_atom_move(system: MolecularSystem, atom: int, delta,
-                          dtype=np.float64, backend=None) -> float:
+def exact_delta_atom_move(system: MolecularSystem, atom: int, delta) -> float:
     """Exact O(n) energy change for moving one atom (no linearization).
 
     Used to confirm candidate moves and as the oracle for the far-field
@@ -290,28 +254,19 @@ def exact_delta_atom_move(system: MolecularSystem, atom: int, delta,
     """
     delta = np.asarray(delta, dtype=np.float64).reshape(3)
     newpos = system.coords[atom] + delta
-    p = system.arrays(dtype)
-    kb = get_backend(backend)
-    c = _coords(system, dtype)
-    dec, dev, bad = kb.nb_atom_delta(
-        c, p["q"], p["sigma"], p["epsilon"], p["scale"], p["cutoff"], atom,
-        newpos.astype(dtype)
+    p = system.arrays()
+    c = system.coords
+    dec, dev, bad = kernels.nb_atom_delta(
+        c, p["q"], p["sigma"], p["epsilon"], p["scale"], p["cutoff"], atom, newpos
     )
     if bad >= 0:
         raise EnergyEvaluationError(f"nonbonded pair ({atom},{bad}): coincident atoms")
     bond_rows, ang_rows, dih_rows = system.atom_terms(atom)
-    de = kb.bond_delta(c, atom, newpos.astype(dtype), p["bond_idx"], p["bond_K"],
-                       p["bond_r0"], bond_rows)
-    dea, bad = kb.angle_delta(c, atom, newpos.astype(dtype), p["ang_idx"], p["ang_K"],
-                              p["ang_t0"], ang_rows)
+    de = kernels.bond_delta(c, atom, newpos, p["bond_idx"], p["bond_K"], p["bond_r0"], bond_rows)
+    dea, bad = kernels.angle_delta(c, atom, newpos, p["ang_idx"], p["ang_K"], p["ang_t0"], ang_rows)
     if bad >= 0:
         raise EnergyEvaluationError(f"{_angle_name(system, bad)}: zero-length arm")
-    ded, bad = kb.dihedral_delta(c, atom, newpos.astype(dtype), p["dih_idx"],
-                                 p["dih_V"], dih_rows)
+    ded, bad = kernels.dihedral_delta(c, atom, newpos, p["dih_idx"], p["dih_V"], dih_rows)
     if bad >= 0:
         raise EnergyEvaluationError(f"{_dihedral_name(system, bad)}: degenerate plane")
     return float(de) + float(dea) + float(ded) + float(dec) + float(dev)
-
-
-# re-export the constant under its conventional name
-C_COULOMB = COULOMB_KJ_ANGSTROM

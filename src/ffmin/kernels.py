@@ -1,655 +1,54 @@
-"""Numerical kernels, in two interchangeable backends.
+"""Vectorized NumPy kernels for the force-field terms, in float64.
 
-The numba backend compiles the hot loops (the O(n^2) nonbonded sums, the
-bonded term sweeps, the far-field linearization and the single-atom delta
-paths). The numpy backend is a vectorized fallback with identical signatures
-and semantics, used when numba is unavailable or when FFMIN_BACKEND=numpy.
-
-Within one backend results are bit-identical across repeated calls (fixed
-accumulation order). Across backends agreement is to roundoff, not bitwise.
+Every kernel takes the (n, 3) coordinate array c and the parameter arrays
+of MolecularSystem.arrays(). Summation order is fixed, so repeated calls on
+the same inputs are bit-identical.
 
 Kernels do not raise. Degenerate geometry is reported through returned
 term/pair indices (-1 means clean); the energy layer turns those into typed
-errors naming the term. Energies accumulate in float64 regardless of the
-coordinate dtype; gradients are written in the coordinate dtype.
+errors naming the term. Gradient kernels return the term energy and add
+their gradient into gout in place.
 """
 
 from __future__ import annotations
 
-import math
-import os
-
 import numpy as np
 
 from .constants import COULOMB_KJ_ANGSTROM, DEGENERATE_EPS, MIN_PAIR_DISTANCE
-
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        if args and callable(args[0]):
-            return args[0]
-
-        def wrap(fn):
-            return fn
-
-        return wrap
-
 
 _C = COULOMB_KJ_ANGSTROM
 _EPS = DEGENERATE_EPS
 _RMIN = MIN_PAIR_DISTANCE
 
 
-# ======================================================================
-# loop implementations (compiled by numba when available)
-# ======================================================================
-
-def _loop_bond_energy(coords, bidx, K, r0):
-    e = 0.0
-    for t in range(bidx.shape[0]):
-        i = bidx[t, 0]
-        j = bidx[t, 1]
-        dx = coords[i, 0] - coords[j, 0]
-        dy = coords[i, 1] - coords[j, 1]
-        dz = coords[i, 2] - coords[j, 2]
-        r = math.sqrt(dx * dx + dy * dy + dz * dz)
-        d = r - r0[t]
-        e += K[t] * d * d
-    return e
-
-
-def _loop_bond_grad(coords, bidx, K, r0, gout):
-    e = 0.0
-    for t in range(bidx.shape[0]):
-        i = bidx[t, 0]
-        j = bidx[t, 1]
-        dx = coords[i, 0] - coords[j, 0]
-        dy = coords[i, 1] - coords[j, 1]
-        dz = coords[i, 2] - coords[j, 2]
-        r = math.sqrt(dx * dx + dy * dy + dz * dz)
-        if r < _RMIN:
-            return e, t
-        d = r - r0[t]
-        e += K[t] * d * d
-        c = 2.0 * K[t] * d / r
-        gout[i, 0] += c * dx
-        gout[i, 1] += c * dy
-        gout[i, 2] += c * dz
-        gout[j, 0] -= c * dx
-        gout[j, 1] -= c * dy
-        gout[j, 2] -= c * dz
-    return e, -1
-
-
-def _loop_angle_energy(coords, aidx, K, t0):
-    e = 0.0
-    for t in range(aidx.shape[0]):
-        i = aidx[t, 0]
-        j = aidx[t, 1]
-        k = aidx[t, 2]
-        ax = coords[i, 0] - coords[j, 0]
-        ay = coords[i, 1] - coords[j, 1]
-        az = coords[i, 2] - coords[j, 2]
-        bx = coords[k, 0] - coords[j, 0]
-        by = coords[k, 1] - coords[j, 1]
-        bz = coords[k, 2] - coords[j, 2]
-        na = math.sqrt(ax * ax + ay * ay + az * az)
-        nb = math.sqrt(bx * bx + by * by + bz * bz)
-        if na < _EPS or nb < _EPS:
-            return e, t
-        u = (ax * bx + ay * by + az * bz) / (na * nb)
-        if u > 1.0:
-            u = 1.0
-        elif u < -1.0:
-            u = -1.0
-        th = math.acos(u)
-        d = th - t0[t]
-        e += K[t] * d * d
-    return e, -1
-
-
-def _loop_angle_grad(coords, aidx, K, t0, gout):
-    e = 0.0
-    for t in range(aidx.shape[0]):
-        i = aidx[t, 0]
-        j = aidx[t, 1]
-        k = aidx[t, 2]
-        ax = coords[i, 0] - coords[j, 0]
-        ay = coords[i, 1] - coords[j, 1]
-        az = coords[i, 2] - coords[j, 2]
-        bx = coords[k, 0] - coords[j, 0]
-        by = coords[k, 1] - coords[j, 1]
-        bz = coords[k, 2] - coords[j, 2]
-        na = math.sqrt(ax * ax + ay * ay + az * az)
-        nb = math.sqrt(bx * bx + by * by + bz * bz)
-        if na < _EPS or nb < _EPS:
-            return e, t
-        u = (ax * bx + ay * by + az * bz) / (na * nb)
-        if u > 1.0:
-            u = 1.0
-        elif u < -1.0:
-            u = -1.0
-        sin_th = math.sqrt(1.0 - u * u)
-        if sin_th < _EPS:
-            # collinear geometry: arccos derivative is singular
-            return e, t
-        th = math.acos(u)
-        d = th - t0[t]
-        e += K[t] * d * d
-        pref = -2.0 * K[t] * d / sin_th  # dE/dtheta * dtheta/du
-        # du/d(arm endpoints)
-        gix = pref * (bx / (na * nb) - u * ax / (na * na))
-        giy = pref * (by / (na * nb) - u * ay / (na * na))
-        giz = pref * (bz / (na * nb) - u * az / (na * na))
-        gkx = pref * (ax / (na * nb) - u * bx / (nb * nb))
-        gky = pref * (ay / (na * nb) - u * by / (nb * nb))
-        gkz = pref * (az / (na * nb) - u * bz / (nb * nb))
-        gout[i, 0] += gix
-        gout[i, 1] += giy
-        gout[i, 2] += giz
-        gout[k, 0] += gkx
-        gout[k, 1] += gky
-        gout[k, 2] += gkz
-        gout[j, 0] -= gix + gkx
-        gout[j, 1] -= giy + gky
-        gout[j, 2] -= giz + gkz
-    return e, -1
-
-
-def _loop_dihedral_energy(coords, didx, V):
-    e = 0.0
-    for t in range(didx.shape[0]):
-        i = didx[t, 0]
-        j = didx[t, 1]
-        k = didx[t, 2]
-        l = didx[t, 3]
-        b1x = coords[j, 0] - coords[i, 0]
-        b1y = coords[j, 1] - coords[i, 1]
-        b1z = coords[j, 2] - coords[i, 2]
-        b2x = coords[k, 0] - coords[j, 0]
-        b2y = coords[k, 1] - coords[j, 1]
-        b2z = coords[k, 2] - coords[j, 2]
-        b3x = coords[l, 0] - coords[k, 0]
-        b3y = coords[l, 1] - coords[k, 1]
-        b3z = coords[l, 2] - coords[k, 2]
-        n1x = b1y * b2z - b1z * b2y
-        n1y = b1z * b2x - b1x * b2z
-        n1z = b1x * b2y - b1y * b2x
-        n2x = b2y * b3z - b2z * b3y
-        n2y = b2z * b3x - b2x * b3z
-        n2z = b2x * b3y - b2y * b3x
-        n1n = math.sqrt(n1x * n1x + n1y * n1y + n1z * n1z)
-        n2n = math.sqrt(n2x * n2x + n2y * n2y + n2z * n2z)
-        b2n = math.sqrt(b2x * b2x + b2y * b2y + b2z * b2z)
-        if n1n < _EPS or n2n < _EPS or b2n < _EPS:
-            return e, t
-        # signed dihedral via atan2 for stability near 0 and pi
-        mx = n1y * n2z - n1z * n2y
-        my = n1z * n2x - n1x * n2z
-        mz = n1x * n2y - n1y * n2x
-        y = (mx * b2x + my * b2y + mz * b2z) / b2n
-        x = n1x * n2x + n1y * n2y + n1z * n2z
-        phi = math.atan2(y, x)
-        e += 0.5 * (
-            V[t, 0] * (1.0 + math.cos(phi))
-            + V[t, 1] * (1.0 - math.cos(2.0 * phi))
-            + V[t, 2] * (1.0 + math.cos(3.0 * phi))
-            + V[t, 3] * (1.0 - math.cos(4.0 * phi))
-        )
-    return e, -1
-
-
-def _loop_dihedral_grad(coords, didx, V, gout):
-    e = 0.0
-    for t in range(didx.shape[0]):
-        i = didx[t, 0]
-        j = didx[t, 1]
-        k = didx[t, 2]
-        l = didx[t, 3]
-        b1x = coords[j, 0] - coords[i, 0]
-        b1y = coords[j, 1] - coords[i, 1]
-        b1z = coords[j, 2] - coords[i, 2]
-        b2x = coords[k, 0] - coords[j, 0]
-        b2y = coords[k, 1] - coords[j, 1]
-        b2z = coords[k, 2] - coords[j, 2]
-        b3x = coords[l, 0] - coords[k, 0]
-        b3y = coords[l, 1] - coords[k, 1]
-        b3z = coords[l, 2] - coords[k, 2]
-        n1x = b1y * b2z - b1z * b2y
-        n1y = b1z * b2x - b1x * b2z
-        n1z = b1x * b2y - b1y * b2x
-        n2x = b2y * b3z - b2z * b3y
-        n2y = b2z * b3x - b2x * b3z
-        n2z = b2x * b3y - b2y * b3x
-        n1sq = n1x * n1x + n1y * n1y + n1z * n1z
-        n2sq = n2x * n2x + n2y * n2y + n2z * n2z
-        n1n = math.sqrt(n1sq)
-        n2n = math.sqrt(n2sq)
-        b2sq = b2x * b2x + b2y * b2y + b2z * b2z
-        b2n = math.sqrt(b2sq)
-        if n1n < _EPS or n2n < _EPS or b2n < _EPS:
-            return e, t
-        mx = n1y * n2z - n1z * n2y
-        my = n1z * n2x - n1x * n2z
-        mz = n1x * n2y - n1y * n2x
-        y = (mx * b2x + my * b2y + mz * b2z) / b2n
-        x = n1x * n2x + n1y * n2y + n1z * n2z
-        phi = math.atan2(y, x)
-        e += 0.5 * (
-            V[t, 0] * (1.0 + math.cos(phi))
-            + V[t, 1] * (1.0 - math.cos(2.0 * phi))
-            + V[t, 2] * (1.0 + math.cos(3.0 * phi))
-            + V[t, 3] * (1.0 - math.cos(4.0 * phi))
-        )
-        dedphi = 0.5 * (
-            -V[t, 0] * math.sin(phi)
-            + 2.0 * V[t, 1] * math.sin(2.0 * phi)
-            - 3.0 * V[t, 2] * math.sin(3.0 * phi)
-            + 4.0 * V[t, 3] * math.sin(4.0 * phi)
-        )
-        # dphi/dr_i and dphi/dr_l point along the plane normals
-        cix = -(b2n / n1sq) * n1x
-        ciy = -(b2n / n1sq) * n1y
-        ciz = -(b2n / n1sq) * n1z
-        clx = (b2n / n2sq) * n2x
-        cly = (b2n / n2sq) * n2y
-        clz = (b2n / n2sq) * n2z
-        p = (b1x * b2x + b1y * b2y + b1z * b2z) / b2sq
-        s = (b3x * b2x + b3y * b2y + b3z * b2z) / b2sq
-        cjx = -(1.0 + p) * cix + s * clx
-        cjy = -(1.0 + p) * ciy + s * cly
-        cjz = -(1.0 + p) * ciz + s * clz
-        ckx = -(1.0 + s) * clx + p * cix
-        cky = -(1.0 + s) * cly + p * ciy
-        ckz = -(1.0 + s) * clz + p * ciz
-        gout[i, 0] += dedphi * cix
-        gout[i, 1] += dedphi * ciy
-        gout[i, 2] += dedphi * ciz
-        gout[j, 0] += dedphi * cjx
-        gout[j, 1] += dedphi * cjy
-        gout[j, 2] += dedphi * cjz
-        gout[k, 0] += dedphi * ckx
-        gout[k, 1] += dedphi * cky
-        gout[k, 2] += dedphi * ckz
-        gout[l, 0] += dedphi * clx
-        gout[l, 1] += dedphi * cly
-        gout[l, 2] += dedphi * clz
-    return e, -1
-
-
-def _loop_nb_energy(coords, q, sigma, epsilon, scale, cutoff):
-    ec = 0.0
-    ev = 0.0
-    n = coords.shape[0]
-    for i in range(n):
-        # partial sums per outer index; combined associatively
-        eci = 0.0
-        evi = 0.0
-        for j in range(i + 1, n):
-            s = scale[i, j]
-            if s == 0.0:
-                continue
-            dx = coords[i, 0] - coords[j, 0]
-            dy = coords[i, 1] - coords[j, 1]
-            dz = coords[i, 2] - coords[j, 2]
-            r = math.sqrt(dx * dx + dy * dy + dz * dz)
-            if r < _RMIN:
-                return 0.0, 0.0, i, j
-            if cutoff > 0.0 and r > cutoff:
-                continue
-            eci += s * q[i] * q[j] / r
-            eps_ij = math.sqrt(epsilon[i] * epsilon[j])
-            if eps_ij > 0.0:
-                sig_ij = math.sqrt(sigma[i] * sigma[j])
-                x6 = (sig_ij / r) ** 6
-                evi += s * eps_ij * (x6 * x6 - x6)
-        ec += eci
-        ev += evi
-    return _C * ec, 4.0 * ev, -1, -1
-
-
-def _loop_nb_grad(coords, q, sigma, epsilon, scale, cutoff, gout):
-    ec = 0.0
-    ev = 0.0
-    n = coords.shape[0]
-    for i in range(n):
-        eci = 0.0
-        evi = 0.0
-        for j in range(i + 1, n):
-            s = scale[i, j]
-            if s == 0.0:
-                continue
-            dx = coords[i, 0] - coords[j, 0]
-            dy = coords[i, 1] - coords[j, 1]
-            dz = coords[i, 2] - coords[j, 2]
-            r = math.sqrt(dx * dx + dy * dy + dz * dz)
-            if r < _RMIN:
-                return 0.0, 0.0, i, j
-            if cutoff > 0.0 and r > cutoff:
-                continue
-            qq = s * q[i] * q[j]
-            eci += qq / r
-            # d(1/r)/dr = -1/r^2; radial chain rule uses (dE/dr)/r
-            dedr_over_r = -_C * qq / (r * r * r)
-            eps_ij = math.sqrt(epsilon[i] * epsilon[j])
-            if eps_ij > 0.0:
-                sig_ij = math.sqrt(sigma[i] * sigma[j])
-                x6 = (sig_ij / r) ** 6
-                evi += s * eps_ij * (x6 * x6 - x6)
-                dedr_over_r += 4.0 * s * eps_ij * (-12.0 * x6 * x6 + 6.0 * x6) / (r * r)
-            gx = dedr_over_r * dx
-            gy = dedr_over_r * dy
-            gz = dedr_over_r * dz
-            gout[i, 0] += gx
-            gout[i, 1] += gy
-            gout[i, 2] += gz
-            gout[j, 0] -= gx
-            gout[j, 1] -= gy
-            gout[j, 2] -= gz
-        ec += eci
-        ev += evi
-    return _C * ec, 4.0 * ev, -1, -1
-
-
-def _loop_farfield_build(coords, q, scale, atom, cutoff):
-    n = coords.shape[0]
-    near = np.zeros(n, dtype=np.uint8)
-    e0 = 0.0
-    cx = 0.0
-    cy = 0.0
-    cz = 0.0
-    bad = -1
-    for j in range(n):
-        if j == atom:
-            continue
-        dx = coords[atom, 0] - coords[j, 0]
-        dy = coords[atom, 1] - coords[j, 1]
-        dz = coords[atom, 2] - coords[j, 2]
-        r = math.sqrt(dx * dx + dy * dy + dz * dz)
-        # excluded and 1-4 pairs always go to the exact near set
-        if r <= cutoff or scale[atom, j] != 1.0:
-            near[j] = 1
-            continue
-        if r < _RMIN:
-            bad = j
-            break
-        qq = q[atom] * q[j]
-        e0 += _C * qq / r
-        g = -_C * qq / (r * r * r)
-        cx += g * dx
-        cy += g * dy
-        cz += g * dz
-    return e0, cx, cy, cz, near, bad
-
-
-def _loop_near_nb_delta(coords, q, sigma, epsilon, scale, atom, newpos, near_idx):
-    dec = 0.0
-    dev = 0.0
-    for t in range(near_idx.shape[0]):
-        j = near_idx[t]
-        s = scale[atom, j]
-        if s == 0.0:
-            continue
-        ox = coords[atom, 0] - coords[j, 0]
-        oy = coords[atom, 1] - coords[j, 1]
-        oz = coords[atom, 2] - coords[j, 2]
-        ro = math.sqrt(ox * ox + oy * oy + oz * oz)
-        nx = newpos[0] - coords[j, 0]
-        ny = newpos[1] - coords[j, 1]
-        nz = newpos[2] - coords[j, 2]
-        rn = math.sqrt(nx * nx + ny * ny + nz * nz)
-        if ro < _RMIN or rn < _RMIN:
-            return 0.0, 0.0, j
-        qq = s * q[atom] * q[j]
-        dec += _C * qq * (1.0 / rn - 1.0 / ro)
-        eps_ij = math.sqrt(epsilon[atom] * epsilon[j])
-        if eps_ij > 0.0:
-            sig_ij = math.sqrt(sigma[atom] * sigma[j])
-            xo = (sig_ij / ro) ** 6
-            xn = (sig_ij / rn) ** 6
-            dev += 4.0 * s * eps_ij * ((xn * xn - xn) - (xo * xo - xo))
-    return dec, dev, -1
-
-
-def _loop_nb_atom_delta(coords, q, sigma, epsilon, scale, cutoff, atom, newpos):
-    dec = 0.0
-    dev = 0.0
-    n = coords.shape[0]
-    for j in range(n):
-        if j == atom:
-            continue
-        s = scale[atom, j]
-        if s == 0.0:
-            continue
-        ox = coords[atom, 0] - coords[j, 0]
-        oy = coords[atom, 1] - coords[j, 1]
-        oz = coords[atom, 2] - coords[j, 2]
-        ro = math.sqrt(ox * ox + oy * oy + oz * oz)
-        nx = newpos[0] - coords[j, 0]
-        ny = newpos[1] - coords[j, 1]
-        nz = newpos[2] - coords[j, 2]
-        rn = math.sqrt(nx * nx + ny * ny + nz * nz)
-        if ro < _RMIN or rn < _RMIN:
-            return 0.0, 0.0, j
-        qq = s * q[atom] * q[j]
-        eps_ij = math.sqrt(epsilon[atom] * epsilon[j])
-        sig_ij = math.sqrt(sigma[atom] * sigma[j])
-        in_old = cutoff <= 0.0 or ro <= cutoff
-        in_new = cutoff <= 0.0 or rn <= cutoff
-        if in_old:
-            dec -= _C * qq / ro
-            if eps_ij > 0.0:
-                xo = (sig_ij / ro) ** 6
-                dev -= 4.0 * s * eps_ij * (xo * xo - xo)
-        if in_new:
-            dec += _C * qq / rn
-            if eps_ij > 0.0:
-                xn = (sig_ij / rn) ** 6
-                dev += 4.0 * s * eps_ij * (xn * xn - xn)
-    return dec, dev, -1
-
-
-def _loop_bond_delta(coords, atom, newpos, bidx, K, r0, rows):
-    de = 0.0
-    for t in range(rows.shape[0]):
-        row = rows[t]
-        i = bidx[row, 0]
-        j = bidx[row, 1]
-        dx = coords[i, 0] - coords[j, 0]
-        dy = coords[i, 1] - coords[j, 1]
-        dz = coords[i, 2] - coords[j, 2]
-        d_old = math.sqrt(dx * dx + dy * dy + dz * dz) - r0[row]
-        ix, iy, iz = _pick(coords, atom, newpos, i)
-        jx, jy, jz = _pick(coords, atom, newpos, j)
-        dx = ix - jx
-        dy = iy - jy
-        dz = iz - jz
-        d_new = math.sqrt(dx * dx + dy * dy + dz * dz) - r0[row]
-        de += K[row] * (d_new * d_new - d_old * d_old)
-    return de
-
-
-def _pick(coords, atom, newpos, i):
-    if i == atom:
-        return newpos[0], newpos[1], newpos[2]
-    return coords[i, 0], coords[i, 1], coords[i, 2]
-
-
-def _angle_value(ix, iy, iz, jx, jy, jz, kx, ky, kz):
-    ax = ix - jx
-    ay = iy - jy
-    az = iz - jz
-    bx = kx - jx
-    by = ky - jy
-    bz = kz - jz
-    na = math.sqrt(ax * ax + ay * ay + az * az)
-    nb = math.sqrt(bx * bx + by * by + bz * bz)
-    if na < _EPS or nb < _EPS:
-        return -1.0, 1
-    u = (ax * bx + ay * by + az * bz) / (na * nb)
-    if u > 1.0:
-        u = 1.0
-    elif u < -1.0:
-        u = -1.0
-    return math.acos(u), 0
-
-
-def _loop_angle_delta(coords, atom, newpos, aidx, K, t0, rows):
-    de = 0.0
-    for t in range(rows.shape[0]):
-        row = rows[t]
-        i = aidx[row, 0]
-        j = aidx[row, 1]
-        k = aidx[row, 2]
-        th_old, bad = _angle_value(
-            coords[i, 0], coords[i, 1], coords[i, 2],
-            coords[j, 0], coords[j, 1], coords[j, 2],
-            coords[k, 0], coords[k, 1], coords[k, 2],
-        )
-        if bad != 0:
-            return de, row
-        ix, iy, iz = _pick(coords, atom, newpos, i)
-        jx, jy, jz = _pick(coords, atom, newpos, j)
-        kx, ky, kz = _pick(coords, atom, newpos, k)
-        th_new, bad = _angle_value(ix, iy, iz, jx, jy, jz, kx, ky, kz)
-        if bad != 0:
-            return de, row
-        do = th_old - t0[row]
-        dn = th_new - t0[row]
-        de += K[row] * (dn * dn - do * do)
-    return de, -1
-
-
-def _dihedral_value(
-    ix, iy, iz, jx, jy, jz, kx, ky, kz, lx, ly, lz
-):
-    b1x = jx - ix
-    b1y = jy - iy
-    b1z = jz - iz
-    b2x = kx - jx
-    b2y = ky - jy
-    b2z = kz - jz
-    b3x = lx - kx
-    b3y = ly - ky
-    b3z = lz - kz
-    n1x = b1y * b2z - b1z * b2y
-    n1y = b1z * b2x - b1x * b2z
-    n1z = b1x * b2y - b1y * b2x
-    n2x = b2y * b3z - b2z * b3y
-    n2y = b2z * b3x - b2x * b3z
-    n2z = b2x * b3y - b2y * b3x
-    n1n = math.sqrt(n1x * n1x + n1y * n1y + n1z * n1z)
-    n2n = math.sqrt(n2x * n2x + n2y * n2y + n2z * n2z)
-    b2n = math.sqrt(b2x * b2x + b2y * b2y + b2z * b2z)
-    if n1n < _EPS or n2n < _EPS or b2n < _EPS:
-        return 0.0, 1
-    mx = n1y * n2z - n1z * n2y
-    my = n1z * n2x - n1x * n2z
-    mz = n1x * n2y - n1y * n2x
-    y = (mx * b2x + my * b2y + mz * b2z) / b2n
-    x = n1x * n2x + n1y * n2y + n1z * n2z
-    return math.atan2(y, x), 0
-
-
-def _cosine_series(phi, v1, v2, v3, v4):
-    return 0.5 * (
-        v1 * (1.0 + math.cos(phi))
-        + v2 * (1.0 - math.cos(2.0 * phi))
-        + v3 * (1.0 + math.cos(3.0 * phi))
-        + v4 * (1.0 - math.cos(4.0 * phi))
-    )
-
-
-def _loop_dihedral_delta(coords, atom, newpos, didx, V, rows):
-    de = 0.0
-    for t in range(rows.shape[0]):
-        row = rows[t]
-        i = didx[row, 0]
-        j = didx[row, 1]
-        k = didx[row, 2]
-        l = didx[row, 3]
-        phi_old, bad = _dihedral_value(
-            coords[i, 0], coords[i, 1], coords[i, 2],
-            coords[j, 0], coords[j, 1], coords[j, 2],
-            coords[k, 0], coords[k, 1], coords[k, 2],
-            coords[l, 0], coords[l, 1], coords[l, 2],
-        )
-        if bad != 0:
-            return de, row
-        ix, iy, iz = _pick(coords, atom, newpos, i)
-        jx, jy, jz = _pick(coords, atom, newpos, j)
-        kx, ky, kz = _pick(coords, atom, newpos, k)
-        lx, ly, lz = _pick(coords, atom, newpos, l)
-        phi_new, bad = _dihedral_value(ix, iy, iz, jx, jy, jz, kx, ky, kz, lx, ly, lz)
-        if bad != 0:
-            return de, row
-        de += _cosine_series(phi_new, V[row, 0], V[row, 1], V[row, 2], V[row, 3])
-        de -= _cosine_series(phi_old, V[row, 0], V[row, 1], V[row, 2], V[row, 3])
-    return de, -1
-
-
-_LOOP_FNS = {
-    "bond_energy": _loop_bond_energy,
-    "bond_grad": _loop_bond_grad,
-    "angle_energy": _loop_angle_energy,
-    "angle_grad": _loop_angle_grad,
-    "dihedral_energy": _loop_dihedral_energy,
-    "dihedral_grad": _loop_dihedral_grad,
-    "nb_energy": _loop_nb_energy,
-    "nb_grad": _loop_nb_grad,
-    "farfield_build": _loop_farfield_build,
-    "near_nb_delta": _loop_near_nb_delta,
-    "nb_atom_delta": _loop_nb_atom_delta,
-    "bond_delta": _loop_bond_delta,
-    "angle_delta": _loop_angle_delta,
-    "dihedral_delta": _loop_dihedral_delta,
-}
-
-
-# ======================================================================
-# numpy backend (vectorized, same signatures and return conventions)
-# ======================================================================
-
-def _f64(a):
-    return np.asarray(a, dtype=np.float64)
-
-
-def _np_bond_energy(coords, bidx, K, r0):
+def bond_energy(c, bidx, K, r0):
     if bidx.shape[0] == 0:
         return 0.0
-    c = _f64(coords)
     d = c[bidx[:, 0]] - c[bidx[:, 1]]
     r = np.sqrt(np.einsum("ij,ij->i", d, d))
-    dev = r - _f64(r0)
-    return float(np.sum(_f64(K) * dev * dev))
+    dev = r - r0
+    return float(np.sum(K * dev * dev))
 
 
-def _np_bond_grad(coords, bidx, K, r0, gout):
+def bond_grad(c, bidx, K, r0, gout):
     if bidx.shape[0] == 0:
         return 0.0, -1
-    c = _f64(coords)
     d = c[bidx[:, 0]] - c[bidx[:, 1]]
     r = np.sqrt(np.einsum("ij,ij->i", d, d))
     bad = np.nonzero(r < _RMIN)[0]
     if bad.size:
         return 0.0, int(bad[0])
-    dev = r - _f64(r0)
-    e = float(np.sum(_f64(K) * dev * dev))
-    g = (2.0 * _f64(K) * dev / r)[:, None] * d
+    dev = r - r0
+    e = float(np.sum(K * dev * dev))
+    g = (2.0 * K * dev / r)[:, None] * d
     acc = np.zeros_like(c)
     np.add.at(acc, bidx[:, 0], g)
     np.add.at(acc, bidx[:, 1], -g)
-    gout += acc.astype(gout.dtype)
+    gout += acc
     return e, -1
 
 
-def _np_angle_core(coords, aidx):
-    c = _f64(coords)
+def _angle_core(c, aidx):
     a = c[aidx[:, 0]] - c[aidx[:, 1]]
     b = c[aidx[:, 2]] - c[aidx[:, 1]]
     na = np.sqrt(np.einsum("ij,ij->i", a, a))
@@ -657,22 +56,22 @@ def _np_angle_core(coords, aidx):
     return a, b, na, nb
 
 
-def _np_angle_energy(coords, aidx, K, t0):
+def angle_energy(c, aidx, K, t0):
     if aidx.shape[0] == 0:
         return 0.0, -1
-    a, b, na, nb = _np_angle_core(coords, aidx)
+    a, b, na, nb = _angle_core(c, aidx)
     bad = np.nonzero((na < _EPS) | (nb < _EPS))[0]
     if bad.size:
         return 0.0, int(bad[0])
     u = np.clip(np.einsum("ij,ij->i", a, b) / (na * nb), -1.0, 1.0)
-    dev = np.arccos(u) - _f64(t0)
-    return float(np.sum(_f64(K) * dev * dev)), -1
+    dev = np.arccos(u) - t0
+    return float(np.sum(K * dev * dev)), -1
 
 
-def _np_angle_grad(coords, aidx, K, t0, gout):
+def angle_grad(c, aidx, K, t0, gout):
     if aidx.shape[0] == 0:
         return 0.0, -1
-    a, b, na, nb = _np_angle_core(coords, aidx)
+    a, b, na, nb = _angle_core(c, aidx)
     bad = np.nonzero((na < _EPS) | (nb < _EPS))[0]
     if bad.size:
         return 0.0, int(bad[0])
@@ -681,21 +80,20 @@ def _np_angle_grad(coords, aidx, K, t0, gout):
     bad = np.nonzero(sin_th < _EPS)[0]
     if bad.size:
         return 0.0, int(bad[0])
-    dev = np.arccos(u) - _f64(t0)
-    e = float(np.sum(_f64(K) * dev * dev))
-    pref = (-2.0 * _f64(K) * dev / sin_th)[:, None]
+    dev = np.arccos(u) - t0
+    e = float(np.sum(K * dev * dev))
+    pref = (-2.0 * K * dev / sin_th)[:, None]
     gi = pref * (b / (na * nb)[:, None] - (u / (na * na))[:, None] * a)
     gk = pref * (a / (na * nb)[:, None] - (u / (nb * nb))[:, None] * b)
-    acc = np.zeros_like(_f64(coords))
+    acc = np.zeros_like(c)
     np.add.at(acc, aidx[:, 0], gi)
     np.add.at(acc, aidx[:, 2], gk)
     np.add.at(acc, aidx[:, 1], -(gi + gk))
-    gout += acc.astype(gout.dtype)
+    gout += acc
     return e, -1
 
 
-def _np_dihedral_core(coords, didx):
-    c = _f64(coords)
+def _dihedral_core(c, didx):
     b1 = c[didx[:, 1]] - c[didx[:, 0]]
     b2 = c[didx[:, 2]] - c[didx[:, 1]]
     b3 = c[didx[:, 3]] - c[didx[:, 2]]
@@ -707,50 +105,48 @@ def _np_dihedral_core(coords, didx):
     return b1, b2, b3, n1, n2, n1n, n2n, b2n
 
 
-def _np_dihedral_phi(b2, n1, n2, b2n):
+def _dihedral_phi(b2, n1, n2, b2n):
     y = np.einsum("ij,ij->i", np.cross(n1, n2), b2) / b2n
     x = np.einsum("ij,ij->i", n1, n2)
     return np.arctan2(y, x)
 
 
-def _np_dihedral_energy(coords, didx, V):
+def dihedral_energy(c, didx, V):
     if didx.shape[0] == 0:
         return 0.0, -1
-    b1, b2, b3, n1, n2, n1n, n2n, b2n = _np_dihedral_core(coords, didx)
+    b1, b2, b3, n1, n2, n1n, n2n, b2n = _dihedral_core(c, didx)
     bad = np.nonzero((n1n < _EPS) | (n2n < _EPS) | (b2n < _EPS))[0]
     if bad.size:
         return 0.0, int(bad[0])
-    phi = _np_dihedral_phi(b2, n1, n2, b2n)
-    Vf = _f64(V)
+    phi = _dihedral_phi(b2, n1, n2, b2n)
     e = 0.5 * (
-        Vf[:, 0] * (1.0 + np.cos(phi))
-        + Vf[:, 1] * (1.0 - np.cos(2.0 * phi))
-        + Vf[:, 2] * (1.0 + np.cos(3.0 * phi))
-        + Vf[:, 3] * (1.0 - np.cos(4.0 * phi))
+        V[:, 0] * (1.0 + np.cos(phi))
+        + V[:, 1] * (1.0 - np.cos(2.0 * phi))
+        + V[:, 2] * (1.0 + np.cos(3.0 * phi))
+        + V[:, 3] * (1.0 - np.cos(4.0 * phi))
     )
     return float(np.sum(e)), -1
 
 
-def _np_dihedral_grad(coords, didx, V, gout):
+def dihedral_grad(c, didx, V, gout):
     if didx.shape[0] == 0:
         return 0.0, -1
-    b1, b2, b3, n1, n2, n1n, n2n, b2n = _np_dihedral_core(coords, didx)
+    b1, b2, b3, n1, n2, n1n, n2n, b2n = _dihedral_core(c, didx)
     bad = np.nonzero((n1n < _EPS) | (n2n < _EPS) | (b2n < _EPS))[0]
     if bad.size:
         return 0.0, int(bad[0])
-    phi = _np_dihedral_phi(b2, n1, n2, b2n)
-    Vf = _f64(V)
+    phi = _dihedral_phi(b2, n1, n2, b2n)
     e = 0.5 * (
-        Vf[:, 0] * (1.0 + np.cos(phi))
-        + Vf[:, 1] * (1.0 - np.cos(2.0 * phi))
-        + Vf[:, 2] * (1.0 + np.cos(3.0 * phi))
-        + Vf[:, 3] * (1.0 - np.cos(4.0 * phi))
+        V[:, 0] * (1.0 + np.cos(phi))
+        + V[:, 1] * (1.0 - np.cos(2.0 * phi))
+        + V[:, 2] * (1.0 + np.cos(3.0 * phi))
+        + V[:, 3] * (1.0 - np.cos(4.0 * phi))
     )
     dedphi = 0.5 * (
-        -Vf[:, 0] * np.sin(phi)
-        + 2.0 * Vf[:, 1] * np.sin(2.0 * phi)
-        - 3.0 * Vf[:, 2] * np.sin(3.0 * phi)
-        + 4.0 * Vf[:, 3] * np.sin(4.0 * phi)
+        -V[:, 0] * np.sin(phi)
+        + 2.0 * V[:, 1] * np.sin(2.0 * phi)
+        - 3.0 * V[:, 2] * np.sin(3.0 * phi)
+        + 4.0 * V[:, 3] * np.sin(4.0 * phi)
     )
     ci = -(b2n / (n1n * n1n))[:, None] * n1
     cl = (b2n / (n2n * n2n))[:, None] * n2
@@ -759,31 +155,30 @@ def _np_dihedral_grad(coords, didx, V, gout):
     s = (np.einsum("ij,ij->i", b3, b2) / b2sq)[:, None]
     cj = -(1.0 + p) * ci + s * cl
     ck = -(1.0 + s) * cl + p * ci
-    acc = np.zeros_like(_f64(coords))
+    acc = np.zeros_like(c)
     w = dedphi[:, None]
     np.add.at(acc, didx[:, 0], w * ci)
     np.add.at(acc, didx[:, 1], w * cj)
     np.add.at(acc, didx[:, 2], w * ck)
     np.add.at(acc, didx[:, 3], w * cl)
-    gout += acc.astype(gout.dtype)
+    gout += acc
     return float(np.sum(e)), -1
 
 
-def _np_pair_tables(coords, scale):
-    n = coords.shape[0]
+def _pair_tables(c, scale):
+    n = c.shape[0]
     iu, ju = np.triu_indices(n, 1)
-    c = _f64(coords)
     d = c[iu] - c[ju]
     r = np.sqrt(np.einsum("ij,ij->i", d, d))
-    s = _f64(scale)[iu, ju]
+    s = scale[iu, ju]
     return iu, ju, d, r, s
 
 
-def _np_nb_energy(coords, q, sigma, epsilon, scale, cutoff):
-    n = coords.shape[0]
+def nb_energy(c, q, sigma, epsilon, scale, cutoff):
+    n = c.shape[0]
     if n < 2:
         return 0.0, 0.0, -1, -1
-    iu, ju, d, r, s = _np_pair_tables(coords, scale)
+    iu, ju, d, r, s = _pair_tables(c, scale)
     act = s != 0.0
     bad = np.nonzero(act & (r < _RMIN))[0]
     if bad.size:
@@ -791,21 +186,20 @@ def _np_nb_energy(coords, q, sigma, epsilon, scale, cutoff):
         return 0.0, 0.0, int(iu[k]), int(ju[k])
     if cutoff > 0.0:
         act = act & (r <= cutoff)
-    qf, sf, ef = _f64(q), _f64(sigma), _f64(epsilon)
-    qq = s * qf[iu] * qf[ju]
+    qq = s * q[iu] * q[ju]
     ec = _C * np.sum(np.where(act, qq / np.where(act, r, 1.0), 0.0))
-    eps_ij = np.sqrt(ef[iu] * ef[ju])
-    sig_ij = np.sqrt(sf[iu] * sf[ju])
+    eps_ij = np.sqrt(epsilon[iu] * epsilon[ju])
+    sig_ij = np.sqrt(sigma[iu] * sigma[ju])
     x6 = np.where(act, (sig_ij / np.where(act, r, 1.0)) ** 6, 0.0)
     ev = 4.0 * np.sum(s * eps_ij * (x6 * x6 - x6))
     return float(ec), float(ev), -1, -1
 
 
-def _np_nb_grad(coords, q, sigma, epsilon, scale, cutoff, gout):
-    n = coords.shape[0]
+def nb_grad(c, q, sigma, epsilon, scale, cutoff, gout):
+    n = c.shape[0]
     if n < 2:
         return 0.0, 0.0, -1, -1
-    iu, ju, d, r, s = _np_pair_tables(coords, scale)
+    iu, ju, d, r, s = _pair_tables(c, scale)
     act = s != 0.0
     bad = np.nonzero(act & (r < _RMIN))[0]
     if bad.size:
@@ -813,12 +207,11 @@ def _np_nb_grad(coords, q, sigma, epsilon, scale, cutoff, gout):
         return 0.0, 0.0, int(iu[k]), int(ju[k])
     if cutoff > 0.0:
         act = act & (r <= cutoff)
-    qf, sf, ef = _f64(q), _f64(sigma), _f64(epsilon)
     rsafe = np.where(act, r, 1.0)
-    qq = np.where(act, s * qf[iu] * qf[ju], 0.0)
+    qq = np.where(act, s * q[iu] * q[ju], 0.0)
     ec = _C * np.sum(qq / rsafe)
-    eps_ij = np.sqrt(ef[iu] * ef[ju])
-    sig_ij = np.sqrt(sf[iu] * sf[ju])
+    eps_ij = np.sqrt(epsilon[iu] * epsilon[ju])
+    sig_ij = np.sqrt(sigma[iu] * sigma[ju])
     x6 = np.where(act, (sig_ij / rsafe) ** 6, 0.0)
     sca = np.where(act, s, 0.0)
     ev = 4.0 * np.sum(sca * eps_ij * (x6 * x6 - x6))
@@ -826,19 +219,17 @@ def _np_nb_grad(coords, q, sigma, epsilon, scale, cutoff, gout):
         -12.0 * x6 * x6 + 6.0 * x6
     ) / rsafe**2
     g = dedr_over_r[:, None] * d
-    acc = np.zeros_like(_f64(coords))
+    acc = np.zeros_like(c)
     np.add.at(acc, iu, g)
     np.add.at(acc, ju, -g)
-    gout += acc.astype(gout.dtype)
+    gout += acc
     return float(ec), float(ev), -1, -1
 
 
-def _np_farfield_build(coords, q, scale, atom, cutoff):
-    n = coords.shape[0]
-    c = _f64(coords)
+def farfield_build(c, q, scale, atom, cutoff):
     d = c[atom] - c
     r = np.sqrt(np.einsum("ij,ij->i", d, d))
-    srow = _f64(scale)[atom]
+    srow = scale[atom]
     near = ((r <= cutoff) | (srow != 1.0)).astype(np.uint8)
     near[atom] = 0
     far = ~near.astype(bool)
@@ -846,36 +237,33 @@ def _np_farfield_build(coords, q, scale, atom, cutoff):
     bad = np.nonzero(far & (r < _RMIN))[0]
     if bad.size:
         return 0.0, 0.0, 0.0, 0.0, near, int(bad[0])
-    qf = _f64(q)
     rf = np.where(far, r, 1.0)
-    qq = np.where(far, qf[atom] * qf, 0.0)
+    qq = np.where(far, q[atom] * q, 0.0)
     e0 = _C * np.sum(qq / rf)
     g = -_C * qq / rf**3
     coef = np.sum(g[:, None] * d, axis=0)
     return float(e0), float(coef[0]), float(coef[1]), float(coef[2]), near, -1
 
 
-def _np_near_nb_delta(coords, q, sigma, epsilon, scale, atom, newpos, near_idx):
+def near_nb_delta(c, q, sigma, epsilon, scale, atom, newpos, near_idx):
     if near_idx.shape[0] == 0:
         return 0.0, 0.0, -1
-    c = _f64(coords)
     j = near_idx
-    s = _f64(scale)[atom, j]
+    s = scale[atom, j]
     do = c[atom] - c[j]
     ro = np.sqrt(np.einsum("ij,ij->i", do, do))
-    dn = _f64(newpos)[None, :] - c[j]
+    dn = newpos[None, :] - c[j]
     rn = np.sqrt(np.einsum("ij,ij->i", dn, dn))
     act = s != 0.0
     bad = np.nonzero(act & ((ro < _RMIN) | (rn < _RMIN)))[0]
     if bad.size:
         return 0.0, 0.0, int(j[bad[0]])
-    qf, sf, ef = _f64(q), _f64(sigma), _f64(epsilon)
     ros = np.where(act, ro, 1.0)
     rns = np.where(act, rn, 1.0)
-    qq = np.where(act, s * qf[atom] * qf[j], 0.0)
+    qq = np.where(act, s * q[atom] * q[j], 0.0)
     dec = _C * np.sum(qq * (1.0 / rns - 1.0 / ros))
-    eps_ij = np.sqrt(ef[atom] * ef[j])
-    sig_ij = np.sqrt(sf[atom] * sf[j])
+    eps_ij = np.sqrt(epsilon[atom] * epsilon[j])
+    sig_ij = np.sqrt(sigma[atom] * sigma[j])
     xo = np.where(act, (sig_ij / ros) ** 6, 0.0)
     xn = np.where(act, (sig_ij / rns) ** 6, 0.0)
     sca = np.where(act, s, 0.0)
@@ -883,27 +271,24 @@ def _np_near_nb_delta(coords, q, sigma, epsilon, scale, atom, newpos, near_idx):
     return float(dec), float(dev), -1
 
 
-def _np_nb_atom_delta(coords, q, sigma, epsilon, scale, cutoff, atom, newpos):
-    n = coords.shape[0]
-    c = _f64(coords)
-    s = _f64(scale)[atom].copy()
+def nb_atom_delta(c, q, sigma, epsilon, scale, cutoff, atom, newpos):
+    s = scale[atom].copy()
     s[atom] = 0.0
     do = c[atom] - c
     ro = np.sqrt(np.einsum("ij,ij->i", do, do))
-    dn = _f64(newpos)[None, :] - c
+    dn = newpos[None, :] - c
     rn = np.sqrt(np.einsum("ij,ij->i", dn, dn))
     act = s != 0.0
     bad = np.nonzero(act & ((ro < _RMIN) | (rn < _RMIN)))[0]
     if bad.size:
         return 0.0, 0.0, int(bad[0])
-    qf, sf, ef = _f64(q), _f64(sigma), _f64(epsilon)
     ros = np.where(act, ro, 1.0)
     rns = np.where(act, rn, 1.0)
     in_old = act & ((cutoff <= 0.0) | (ro <= cutoff))
     in_new = act & ((cutoff <= 0.0) | (rn <= cutoff))
-    qq = s * qf[atom] * qf
-    eps_ij = np.sqrt(ef[atom] * ef)
-    sig_ij = np.sqrt(sf[atom] * sf)
+    qq = s * q[atom] * q
+    eps_ij = np.sqrt(epsilon[atom] * epsilon)
+    sig_ij = np.sqrt(sigma[atom] * sigma)
     xo = np.where(in_old, (sig_ij / ros) ** 6, 0.0)
     xn = np.where(in_new, (sig_ij / rns) ** 6, 0.0)
     dec = _C * (
@@ -916,109 +301,44 @@ def _np_nb_atom_delta(coords, q, sigma, epsilon, scale, cutoff, atom, newpos):
     return float(dec), float(dev), -1
 
 
-def _np_with_moved(coords, atom, newpos):
-    c = _f64(coords).copy()
-    c[atom] = _f64(newpos)
-    return c
+def _with_moved(c, atom, newpos):
+    moved = c.copy()
+    moved[atom] = newpos
+    return moved
 
 
-def _np_bond_delta(coords, atom, newpos, bidx, K, r0, rows):
+def bond_delta(c, atom, newpos, bidx, K, r0, rows):
     if rows.shape[0] == 0:
         return 0.0
     sub = bidx[rows]
-    e_old = _np_bond_energy(coords, sub, K[rows], r0[rows])
-    e_new = _np_bond_energy(_np_with_moved(coords, atom, newpos), sub, K[rows], r0[rows])
+    e_old = bond_energy(c, sub, K[rows], r0[rows])
+    e_new = bond_energy(_with_moved(c, atom, newpos), sub, K[rows], r0[rows])
     return e_new - e_old
 
 
-def _np_angle_delta(coords, atom, newpos, aidx, K, t0, rows):
+def angle_delta(c, atom, newpos, aidx, K, t0, rows):
     if rows.shape[0] == 0:
         return 0.0, -1
     sub = aidx[rows]
-    e_old, bad = _np_angle_energy(coords, sub, K[rows], t0[rows])
+    e_old, bad = angle_energy(c, sub, K[rows], t0[rows])
     if bad >= 0:
         return 0.0, int(rows[bad])
-    e_new, bad = _np_angle_energy(
-        _np_with_moved(coords, atom, newpos), sub, K[rows], t0[rows]
+    e_new, bad = angle_energy(
+        _with_moved(c, atom, newpos), sub, K[rows], t0[rows]
     )
     if bad >= 0:
         return 0.0, int(rows[bad])
     return e_new - e_old, -1
 
 
-def _np_dihedral_delta(coords, atom, newpos, didx, V, rows):
+def dihedral_delta(c, atom, newpos, didx, V, rows):
     if rows.shape[0] == 0:
         return 0.0, -1
     sub = didx[rows]
-    e_old, bad = _np_dihedral_energy(coords, sub, V[rows])
+    e_old, bad = dihedral_energy(c, sub, V[rows])
     if bad >= 0:
         return 0.0, int(rows[bad])
-    e_new, bad = _np_dihedral_energy(_np_with_moved(coords, atom, newpos), sub, V[rows])
+    e_new, bad = dihedral_energy(_with_moved(c, atom, newpos), sub, V[rows])
     if bad >= 0:
         return 0.0, int(rows[bad])
     return e_new - e_old, -1
-
-
-_NUMPY_FNS = {
-    "bond_energy": _np_bond_energy,
-    "bond_grad": _np_bond_grad,
-    "angle_energy": _np_angle_energy,
-    "angle_grad": _np_angle_grad,
-    "dihedral_energy": _np_dihedral_energy,
-    "dihedral_grad": _np_dihedral_grad,
-    "nb_energy": _np_nb_energy,
-    "nb_grad": _np_nb_grad,
-    "farfield_build": _np_farfield_build,
-    "near_nb_delta": _np_near_nb_delta,
-    "nb_atom_delta": _np_nb_atom_delta,
-    "bond_delta": _np_bond_delta,
-    "angle_delta": _np_angle_delta,
-    "dihedral_delta": _np_dihedral_delta,
-}
-
-
-# ======================================================================
-# backend selection
-# ======================================================================
-
-class KernelBackend:
-    def __init__(self, name, fns):
-        self.name = name
-        for key, fn in fns.items():
-            setattr(self, key, fn)
-
-
-NUMPY_BACKEND = KernelBackend("numpy", _NUMPY_FNS)
-
-if HAVE_NUMBA:
-    _jit = njit(cache=True)
-    _pick = _jit(_pick)
-    _angle_value = _jit(_angle_value)
-    _dihedral_value = _jit(_dihedral_value)
-    _cosine_series = _jit(_cosine_series)
-    NUMBA_BACKEND = KernelBackend(
-        "numba", {key: _jit(fn) for key, fn in _LOOP_FNS.items()}
-    )
-else:  # pragma: no cover
-    NUMBA_BACKEND = None
-
-
-def get_backend(name=None) -> KernelBackend:
-    """Resolve the kernel backend.
-
-    Order: explicit name argument, FFMIN_BACKEND env var, then numba if
-    importable, else numpy. An already-resolved backend passes through.
-    """
-    if isinstance(name, KernelBackend):
-        return name
-    if name is None:
-        name = os.environ.get("FFMIN_BACKEND", "").strip().lower() or None
-    if name is None:
-        name = "numba" if NUMBA_BACKEND is not None else "numpy"
-    if name == "numpy":
-        return NUMPY_BACKEND
-    if name == "numba":
-        if NUMBA_BACKEND is None:
-            raise RuntimeError("FFMIN_BACKEND=numba but numba is not importable")
-        return NUMBA_BACKEND
-    raise ValueError(f"unknown kernel backend {name!r} (use 'numba' or 'numpy')")

@@ -256,8 +256,8 @@ class MolecularSystem:
                 new._cache[key] = self._cache[key]
         return new
 
-    def arrays(self, dtype=np.float64):
-        """Kernel-ready parameter arrays, cached per system.
+    def arrays(self):
+        """Kernel-ready float64 parameter arrays, cached per system.
 
         Returns a dict with charges q, LJ sigma/epsilon, bonded index and
         parameter tables, and the dense (n, n) pair scale matrix with zeros
@@ -306,17 +306,7 @@ class MolecularSystem:
                 if isinstance(v, np.ndarray):
                     v.setflags(write=False)
             self._cache["params"] = cached
-        if dtype == np.float64:
-            return cached
-        key = ("params", np.dtype(dtype).name)
-        out = self._cache.get(key)
-        if out is None:
-            out = {
-                k: (v.astype(dtype) if isinstance(v, np.ndarray) and v.dtype == np.float64 else v)
-                for k, v in cached.items()
-            }
-            self._cache[key] = out
-        return out
+        return cached
 
     def atom_terms(self, atom):
         """Row indices of the bonded terms that involve the given atom."""

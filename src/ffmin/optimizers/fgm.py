@@ -30,7 +30,6 @@ class FgmState:
     theta: float
     x_prev: np.ndarray
     x: np.ndarray
-    x_best: np.ndarray
 
 
 def fgm(oracle, x0, linesearch: LineSearcher, stop=None) -> OptimizeResult:
@@ -41,7 +40,7 @@ def fgm(oracle, x0, linesearch: LineSearcher, stop=None) -> OptimizeResult:
     run, x, f, g, gn = _start(
         oracle, x0, stop, {"method": "fgm", "linesearch": linesearch.describe()}
     )
-    st = FgmState(theta_prev=1.0, theta=1.0, x_prev=x.copy(), x=x, x_best=x.copy())
+    st = FgmState(theta_prev=1.0, theta=1.0, x_prev=x.copy(), x=x)
     status = CONVERGED if gn <= run.threshold else None
     k = 0
     while status is None:
@@ -80,7 +79,6 @@ def fgm(oracle, x0, linesearch: LineSearcher, stop=None) -> OptimizeResult:
         st.theta_prev, st.theta = theta, theta
         k += 1
         run.update_best(x_new, f)
-        st.x_best = run.best_x
         run.record(k, f, gn, res.h)
     return run.finish_best(status, st.x, f, gn)
 

@@ -77,27 +77,23 @@ class MolecularOracle(ObjectiveOracle):
     """Total force-field energy as a function of flattened coordinates.
 
     Coordinates are in angstrom, values in kJ/mol, gradient in
-    kJ/(mol*angstrom). dtype selects the kernel precision; float32 results
-    are still reported as python floats / float64 arrays at the oracle
-    boundary so the optimizers stay precision-agnostic.
+    kJ/(mol*angstrom).
     """
 
-    def __init__(self, system, dtype=np.float64, backend=None):
+    def __init__(self, system):
         super().__init__(3 * system.natoms)
         self.system = system
-        self.dtype = np.dtype(dtype)
-        self.backend = backend
 
     def system_at(self, x):
         return self.system.with_coords(np.asarray(x, dtype=np.float64))
 
     def _value(self, x):
-        return energy_total(self.system_at(x), self.dtype, self.backend).total
+        return energy_total(self.system_at(x)).total
 
     def _gradient(self, x):
-        _, g = energy_and_gradient(self.system_at(x), self.dtype, self.backend)
+        _, g = energy_and_gradient(self.system_at(x))
         return g
 
     def _value_and_gradient(self, x):
-        bd, g = energy_and_gradient(self.system_at(x), self.dtype, self.backend)
+        bd, g = energy_and_gradient(self.system_at(x))
         return bd.total, g

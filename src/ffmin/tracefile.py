@@ -1,5 +1,5 @@
 """CSV trace emission: one row per optimizer iteration plus a commented
-header carrying method, config, seed and precision.
+header carrying method, config, seed and status.
 
 Reruns with identical inputs produce byte-identical files except for the
 wall_seconds column; strip_wall_column gives the comparable body.
@@ -26,7 +26,7 @@ def _fmt(x):
     return format(float(x), ".17g")
 
 
-def trace_text(trace, seed=None, precision="f64") -> str:
+def trace_text(trace, seed=None) -> str:
     """Render an OptimizerTrace as the trace-file text."""
     meta = dict(trace.meta)
     method = meta.pop("method", "unknown")
@@ -34,7 +34,6 @@ def trace_text(trace, seed=None, precision="f64") -> str:
     out.write(f"# method: {method}\n")
     out.write(f"# config: {json.dumps(meta, sort_keys=True, default=str)}\n")
     out.write(f"# seed: {seed if seed is not None else 'none'}\n")
-    out.write(f"# precision: {precision}\n")
     out.write(f"# status: {trace.status}\n")
     w = csv.writer(out, lineterminator="\n")
     w.writerow(COLUMNS)
@@ -51,13 +50,17 @@ def trace_text(trace, seed=None, precision="f64") -> str:
     return out.getvalue()
 
 
-def write_trace(path, trace, seed=None, precision="f64"):
+def write_trace(path, trace, seed=None):
     with open(path, "w") as fh:
-        fh.write(trace_text(trace, seed=seed, precision=precision))
+        fh.write(trace_text(trace, seed=seed))
 
 
 def read_trace(path):
-    """Parse a trace file back into (header dict, list of row dicts)."""
+    """Parse a trace file back into (header dict, list of row dicts).
+
+    Every "# key: value" line lands in the header dict, so files written
+    before the "# precision:" line was dropped still parse.
+    """
     header = {}
     rows = []
     with open(path) as fh:

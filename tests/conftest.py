@@ -1,16 +1,7 @@
 import numpy as np
 import pytest
 
-from ffmin.energy import energy_and_gradient
 from ffmin.synth import make_chain_system
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _warm_kernels():
-    # compile the jit kernels once so their one-time cost never lands
-    # inside a timed test
-    system = make_chain_system(6, seed=0)
-    energy_and_gradient(system)
 
 
 @pytest.fixture

@@ -4,6 +4,7 @@ import subprocess
 import numpy as np
 import pytest
 
+import ffmin.cli
 from ffmin.cli import main
 from ffmin.energy import energy_total
 from ffmin.model import AtomSpec, BondTerm, MolecularSystem, NonbondedPolicy
@@ -222,6 +223,27 @@ def test_batch_rank_sinks_bad_candidate(tmp_path, capsys):
     assert last[1] == "cand_99"
     assert float(last[2]) == float("inf")
     assert "error:" in body[-1]
+
+
+def test_batch_rank_does_not_hide_programming_errors(tmp_path, capsys, monkeypatch):
+    demo = tmp_path / "demo"
+    assert main(["make-demo", str(demo), "--candidates", "2",
+                 "--atoms", "6", "--seed", "1"]) == 0
+    grab(capsys)
+
+    def broken_solve(args, system):
+        raise ValueError("solver bug")
+
+    # only typed input/geometry errors may turn into failed-candidate rows
+    monkeypatch.setattr(ffmin.cli, "_run_method", broken_solve)
+    code = main([
+        "batch-rank", str(demo / "candidates"),
+        "--ref", str(demo / "reference.ffs"),
+    ])
+    out, err = grab(capsys)
+    assert code == 2
+    assert "ffmin: error: solver bug" in err
+    assert "rank,id" not in out
 
 
 # ---------------------------------------------------------------- bench

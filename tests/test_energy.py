@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 import naive_oracles as naive
+from conftest import two_cluster_system
+from ffmin.constants import COULOMB_KJ_ANGSTROM
 from ffmin.energy import (
-    C_COULOMB,
     EnergyEvaluationError,
     energy_and_gradient,
     energy_bend,
@@ -178,7 +179,7 @@ def test_torsion_matches_naive_oracle():
 def test_coulomb_unit_charges_at_one_angstrom():
     s = pair_system(1.0, q=1.0, epsilon=0.0)
     assert energy_coulomb(s) == pytest.approx(1389.38757, abs=1e-5)
-    assert C_COULOMB == 1389.38757
+    assert COULOMB_KJ_ANGSTROM == 1389.38757
 
 
 def test_excluded_pair_contributes_nothing():
@@ -224,7 +225,7 @@ def test_cutoff_omits_far_pairs():
     s = pair_system(8.0, q=1.0, cutoff=7.0)
     assert energy_coulomb(s) == 0.0
     s = pair_system(5.0, q=1.0, cutoff=7.0)
-    assert energy_coulomb(s) == pytest.approx(C_COULOMB / 5.0, rel=1e-12)
+    assert energy_coulomb(s) == pytest.approx(COULOMB_KJ_ANGSTROM / 5.0, rel=1e-12)
 
 
 def test_coincident_included_pair_is_error():
@@ -258,6 +259,74 @@ def test_total_bit_identical_across_calls():
     s = make_chain_system(15, seed=10)
     assert energy_total(s).total == energy_total(s).total
     assert np.array_equal(gradient_total(s), gradient_total(s))
+
+
+# ------------------------------------------------- differential vs naive
+
+TERMS = ("stretch", "bend", "torsion", "coulomb", "vdw")
+
+
+def with_cutoff(system, cutoff):
+    nb = system.nonbonded
+    return MolecularSystem(
+        atoms=system.atoms, coords=system.coords, bonds=system.bonds,
+        angles=system.angles, dihedrals=system.dihedrals,
+        nonbonded=NonbondedPolicy(nb.excluded, nb.scaled14, nb.s14, cutoff),
+    )
+
+
+DIFFERENTIAL_SYSTEMS = {
+    "chain": lambda: make_chain_system(14, seed=3, strain=0.3),
+    "cloud": lambda: two_cluster_system(seed=5, n=24, gap=12.0),
+    "cloud-cutoff7": lambda: with_cutoff(two_cluster_system(seed=5, n=24, gap=12.0), 7.0),
+}
+
+
+def naive_breakdown(system):
+    ec, ev = naive.nonbonded_energies(system)
+    return {
+        "stretch": naive.stretch_energy(system),
+        "bend": naive.bend_energy(system),
+        "torsion": naive.torsion_energy(system),
+        "coulomb": ec,
+        "vdw": ev,
+    }
+
+
+@pytest.mark.parametrize("name", sorted(DIFFERENTIAL_SYSTEMS))
+def test_breakdown_matches_naive_oracle(name):
+    s = DIFFERENTIAL_SYSTEMS[name]()
+    want = naive_breakdown(s)
+    for bd in (energy_total(s), energy_and_gradient(s)[0]):
+        for term in TERMS:
+            assert getattr(bd, term) == pytest.approx(want[term], rel=1e-11), term
+
+
+@pytest.mark.parametrize("name", sorted(DIFFERENTIAL_SYSTEMS))
+def test_gradient_matches_fd_of_naive_energy_on_fixtures(name):
+    s = DIFFERENTIAL_SYSTEMS[name]()
+
+    def f(flat):
+        return naive.total_energy(s.with_coords(flat))
+
+    fd = naive.fd_gradient(f, s.coords.ravel(), step=1e-5)
+    g = gradient_total(s)
+    assert np.linalg.norm(g - fd) <= 1e-6 * max(1.0, np.linalg.norm(fd))
+
+
+@pytest.mark.parametrize("r,counted", [
+    (7.0, True),
+    (np.nextafter(7.0, np.inf), False),
+], ids=["at-cutoff", "one-ulp-beyond"])
+def test_pair_on_cutoff_boundary_matches_naive_oracle(r, counted):
+    s = pair_system(r, q=1.0, sigma=3.0, epsilon=0.4, cutoff=7.0)
+    ec, ev = naive.nonbonded_energies(s)
+    assert (ec != 0.0, ev != 0.0) == (counted, counted)
+    assert energy_coulomb(s) == pytest.approx(ec, rel=1e-12)
+    assert energy_vdw(s) == pytest.approx(ev, rel=1e-12)
+    bd, g = energy_and_gradient(s)
+    assert (bd.coulomb, bd.vdw) == (energy_coulomb(s), energy_vdw(s))
+    assert np.any(g != 0.0) == counted
 
 
 # --------------------------------------------------------------- gradient

@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 
 from conftest import two_cluster_system
+from ffmin.constants import COULOMB_KJ_ANGSTROM
 from ffmin.energy import (
-    C_COULOMB,
     EnergyEvaluationError,
-    build_neighbor_list,
     delta_energy_atom_move,
     exact_delta_atom_move,
     linearize_farfield_coulomb,
@@ -19,35 +18,6 @@ def cloud(coords, q=0.3, cutoff=None):
     atoms = tuple(AtomSpec(i, f"A{i}", q, 3.0, 0.2) for i in range(len(coords)))
     return MolecularSystem(atoms=atoms, coords=coords,
                            nonbonded=NonbondedPolicy.no_exclusions(cutoff))
-
-
-# ----------------------------------------------------------- neighbor list
-
-def test_neighbor_list_hand_case():
-    s = cloud([[0, 0, 0], [3, 0, 0], [9, 0, 0]])
-    nl = build_neighbor_list(s, 5.0)
-    assert [list(v) for v in nl.neighbors] == [[1], [0], []]
-    nl = build_neighbor_list(s, 8.0)
-    assert [list(v) for v in nl.neighbors] == [[1], [0, 2], [1]]
-    assert nl.cutoff == 8.0
-
-
-def test_neighbor_list_matches_bruteforce():
-    rng = np.random.default_rng(21)
-    s = cloud(rng.uniform(0, 12, (30, 3)))
-    nl = build_neighbor_list(s, 6.0)
-    for i in range(30):
-        want = sorted(
-            j for j in range(30)
-            if j != i and np.linalg.norm(s.coords[i] - s.coords[j]) <= 6.0
-        )
-        assert list(nl.neighbors[i]) == want
-
-
-def test_neighbor_list_rejects_bad_cutoff():
-    s = cloud([[0, 0, 0], [3, 0, 0]])
-    with pytest.raises(ValueError):
-        build_neighbor_list(s, 0.0)
 
 
 # ----------------------------------------------------------- linearization
@@ -66,13 +36,13 @@ def test_single_far_neighbor_coefficient_magnitude():
     # axis, pointing so that shrinking the separation raises the energy
     minus = cloud([[0, 0, 0], [-10, 0, 0]], q=1.0)
     lin = linearize_farfield_coulomb(minus, 0, 7.0)
-    assert lin.e_far0 == pytest.approx(C_COULOMB / 10.0, rel=1e-12)
-    assert lin.coef[0] == pytest.approx(-C_COULOMB / 100.0, rel=1e-12)
+    assert lin.e_far0 == pytest.approx(COULOMB_KJ_ANGSTROM / 10.0, rel=1e-12)
+    assert lin.coef[0] == pytest.approx(-COULOMB_KJ_ANGSTROM / 100.0, rel=1e-12)
     assert lin.coef[1] == lin.coef[2] == 0.0
 
     plus = cloud([[0, 0, 0], [10, 0, 0]], q=1.0)
     lin = linearize_farfield_coulomb(plus, 0, 7.0)
-    assert lin.coef[0] == pytest.approx(C_COULOMB / 100.0, rel=1e-12)
+    assert lin.coef[0] == pytest.approx(COULOMB_KJ_ANGSTROM / 100.0, rel=1e-12)
 
 
 def test_scaled_and_excluded_partners_are_always_near():
@@ -91,7 +61,7 @@ def test_scaled_and_excluded_partners_are_always_near():
 def far_sum(s, atom, far_idx, pos):
     qa = s.atoms[atom].q
     return sum(
-        C_COULOMB * qa * s.atoms[j].q / np.linalg.norm(pos - s.coords[j])
+        COULOMB_KJ_ANGSTROM * qa * s.atoms[j].q / np.linalg.norm(pos - s.coords[j])
         for j in far_idx
     )
 

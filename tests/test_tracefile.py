@@ -18,16 +18,15 @@ def small_trace():
 
 
 def test_trace_header_lines():
-    text = trace_text(small_trace(), seed=17, precision="f32")
+    text = trace_text(small_trace(), seed=17)
     lines = text.splitlines()
     assert lines[0] == "# method: gd"
     assert lines[1].startswith("# config: {")
     assert '"L":' in lines[1]
     assert lines[2] == "# seed: 17"
-    assert lines[3] == "# precision: f32"
-    assert lines[4] == "# status: iteration_budget"
-    assert lines[5] == ",".join(COLUMNS)
-    assert len(lines) == 6 + 7  # header + column row + 7 records
+    assert lines[3] == "# status: iteration_budget"
+    assert lines[4] == ",".join(COLUMNS)
+    assert len(lines) == 5 + 7  # header + column row + 7 records
 
 
 def test_trace_round_trip(tmp_path):
@@ -46,6 +45,17 @@ def test_trace_round_trip(tmp_path):
         assert row["step"] == rec.step
         assert row["oracle_value_calls"] == rec.value_calls
         assert row["oracle_grad_calls"] == rec.grad_calls
+
+
+def test_read_trace_accepts_legacy_precision_header(tmp_path):
+    # older files carry a "# precision:" line between seed and status
+    lines = trace_text(small_trace(), seed=3).splitlines(keepends=True)
+    path = tmp_path / "old.trace"
+    path.write_text("".join(lines[:3] + ["# precision: f64\n"] + lines[3:]))
+    header, rows = read_trace(path)
+    assert header["precision"] == "f64"
+    assert header["status"] == "iteration_budget"
+    assert len(rows) == 7
 
 
 def test_read_trace_rejects_unknown_columns(tmp_path):
@@ -68,7 +78,7 @@ def test_strip_wall_column_makes_reruns_byte_identical():
     # wall clock makes raw texts differ almost surely; stripped they match
     assert strip_wall_column(ta) == strip_wall_column(tb)
     stripped = strip_wall_column(ta)
-    assert "wall_seconds" not in stripped.splitlines()[5]
+    assert "wall_seconds" not in stripped.splitlines()[4]
     assert stripped.endswith("\n")
 
 
