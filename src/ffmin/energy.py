@@ -8,6 +8,10 @@ over a MolecularSystem, in kJ/mol with distances in angstrom. All functions
 here are pure in (system, coords); summation order is fixed, so repeated
 calls are bit-identical.
 
+energy_total(system, x) and energy_and_gradient(system, x) evaluate the
+system's plan (MolecularSystem.arrays()) at flat coordinates x, or at
+system.coords when x is omitted, without building a new system.
+
 Degenerate geometry raises EnergyEvaluationError naming the term instead of
 propagating NaNs.
 """
@@ -74,78 +78,103 @@ def _dihedral_name(system, row):
     return f"torsion term {row} (atoms {d.i}-{d.j}-{d.k}-{d.l})"
 
 
-def energy_stretch(system: MolecularSystem) -> float:
-    p = system.arrays()
-    return float(kernels.bond_energy(system.coords, p["bond_idx"], p["bond_K"], p["bond_r0"]))
+def _stretch(p, c):
+    return float(kernels.bond_energy(c, p["bond_idx"], p["bond_K"], p["bond_r0"]))
 
 
-def energy_bend(system: MolecularSystem) -> float:
-    p = system.arrays()
-    e, bad = kernels.angle_energy(system.coords, p["ang_idx"], p["ang_K"], p["ang_t0"])
+def _bend(system, p, c):
+    e, bad = kernels.angle_energy(c, p["ang_idx"], p["ang_K"], p["ang_t0"])
     if bad >= 0:
         raise EnergyEvaluationError(f"{_angle_name(system, bad)}: zero-length arm")
     return float(e)
 
 
-def energy_torsion(system: MolecularSystem) -> float:
-    p = system.arrays()
-    e, bad = kernels.dihedral_energy(system.coords, p["dih_idx"], p["dih_V"])
+def _torsion(system, p, c):
+    e, bad = kernels.dihedral_energy(c, p["dih_idx"], p["dih_V"])
     if bad >= 0:
         raise EnergyEvaluationError(f"{_dihedral_name(system, bad)}: degenerate plane")
     return float(e)
 
 
-def _nb_energies(system):
-    p = system.arrays()
+def _nonbonded(p, c):
     ec, ev, bi, bj = kernels.nb_energy(
-        system.coords, p["q"], p["sigma"], p["epsilon"], p["scale"], p["cutoff"]
+        c, p["pair_idx"], p["pair_act"], p["pair_qq"], p["pair_sig"], p["pair_eps"],
+        p["pair_scale"], p["cutoff"],
     )
     if bi >= 0:
         raise EnergyEvaluationError(f"nonbonded pair ({bi},{bj}): coincident atoms")
     return float(ec), float(ev)
 
 
+def energy_stretch(system: MolecularSystem) -> float:
+    return _stretch(system.arrays(), system.coords)
+
+
+def energy_bend(system: MolecularSystem) -> float:
+    return _bend(system, system.arrays(), system.coords)
+
+
+def energy_torsion(system: MolecularSystem) -> float:
+    return _torsion(system, system.arrays(), system.coords)
+
+
 def energy_coulomb(system: MolecularSystem) -> float:
-    return _nb_energies(system)[0]
+    return _nonbonded(system.arrays(), system.coords)[0]
 
 
 def energy_vdw(system: MolecularSystem) -> float:
-    return _nb_energies(system)[1]
+    return _nonbonded(system.arrays(), system.coords)[1]
 
 
-def energy_total(system: MolecularSystem) -> EnergyBreakdown:
-    ec, ev = _nb_energies(system)
+def _coords(system, x):
+    return system.coords if x is None else system.coords_at(x)
+
+
+def energy_total(system: MolecularSystem, x=None) -> EnergyBreakdown:
+    """Per-term energies at flat coordinates x (default: system.coords).
+
+    Raises ModelError for an x of the wrong size or with a non-finite entry.
+    """
+    c = _coords(system, x)
+    p = system.arrays()
+    ec, ev = _nonbonded(p, c)
     return EnergyBreakdown(
-        stretch=energy_stretch(system),
-        bend=energy_bend(system),
-        torsion=energy_torsion(system),
+        stretch=_stretch(p, c),
+        bend=_bend(system, p, c),
+        torsion=_torsion(system, p, c),
         coulomb=ec,
         vdw=ev,
     )
 
 
-def energy_and_gradient(system: MolecularSystem):
+def energy_and_gradient(system: MolecularSystem, x=None):
     """One fused sweep: (EnergyBreakdown, flattened analytic gradient).
 
+    Evaluates at flat coordinates x, or at system.coords when x is None.
     Callers needing both quantities should use this instead of two separate
     calls; the gradient kernels produce the term energies as a byproduct.
     """
+    c = _coords(system, x)
     p = system.arrays()
-    c = system.coords
     gout = np.zeros(c.shape)
-    e_bond, bad = kernels.bond_grad(c, p["bond_idx"], p["bond_K"], p["bond_r0"], gout)
+    e_bond, bad = kernels.bond_grad(
+        c, p["bond_idx"], p["bond_K"], p["bond_r0"], p["bond_scatter"], gout
+    )
     if bad >= 0:
         raise EnergyEvaluationError(f"{_bond_name(system, bad)}: coincident endpoints")
-    e_ang, bad = kernels.angle_grad(c, p["ang_idx"], p["ang_K"], p["ang_t0"], gout)
+    e_ang, bad = kernels.angle_grad(
+        c, p["ang_idx"], p["ang_K"], p["ang_t0"], p["ang_scatter"], gout
+    )
     if bad >= 0:
         raise EnergyEvaluationError(
             f"{_angle_name(system, bad)}: zero-length arm or collinear geometry"
         )
-    e_dih, bad = kernels.dihedral_grad(c, p["dih_idx"], p["dih_V"], gout)
+    e_dih, bad = kernels.dihedral_grad(c, p["dih_idx"], p["dih_V"], p["dih_scatter"], gout)
     if bad >= 0:
         raise EnergyEvaluationError(f"{_dihedral_name(system, bad)}: degenerate plane")
     ec, ev, bi, bj = kernels.nb_grad(
-        c, p["q"], p["sigma"], p["epsilon"], p["scale"], p["cutoff"], gout
+        c, p["pair_idx"], p["pair_act"], p["pair_qq"], p["pair_sig"], p["pair_eps"],
+        p["pair_scale"], p["cutoff"], p["pair_scatter"], gout,
     )
     if bi >= 0:
         raise EnergyEvaluationError(f"nonbonded pair ({bi},{bj}): coincident atoms")
@@ -171,9 +200,9 @@ def finite_difference_gradient(system: MolecularSystem, step=1e-5):
     for k in range(flat.size):
         orig = flat[k]
         flat[k] = orig + step
-        ep = energy_total(system.with_coords(base)).total
+        ep = energy_total(system, flat).total
         flat[k] = orig - step
-        em = energy_total(system.with_coords(base)).total
+        em = energy_total(system, flat).total
         flat[k] = orig
         g[k] = (ep - em) / (2.0 * step)
     return g
@@ -192,7 +221,7 @@ def linearize_farfield_coulomb(system: MolecularSystem, atom: int,
         raise ValueError(f"cutoff must be > 0, got {cutoff}")
     p = system.arrays()
     e0, cx, cy, cz, near_mask, bad = kernels.farfield_build(
-        system.coords, p["q"], p["scale"], atom, float(cutoff)
+        system.coords, p["q"], system.scale_row(atom), atom, float(cutoff)
     )
     if bad >= 0:
         raise EnergyEvaluationError(f"nonbonded pair ({atom},{bad}): coincident atoms")
@@ -228,7 +257,8 @@ def delta_energy_atom_move(system: MolecularSystem, lin: FarFieldLinearization,
     c = system.coords
 
     dec, dev, bad = kernels.near_nb_delta(
-        c, p["q"], p["sigma"], p["epsilon"], p["scale"], atom, newpos, lin.near_idx
+        c, p["q"], p["sigma"], p["epsilon"], system.scale_row(atom), atom, newpos,
+        lin.near_idx,
     )
     if bad >= 0:
         raise EnergyEvaluationError(f"nonbonded pair ({atom},{bad}): coincident atoms")
@@ -252,12 +282,15 @@ def exact_delta_atom_move(system: MolecularSystem, atom: int, delta) -> float:
     Used to confirm candidate moves and as the oracle for the far-field
     approximation error.
     """
+    if not 0 <= atom < system.natoms:
+        raise ValueError(f"atom index {atom} out of range for {system.natoms} atoms")
     delta = np.asarray(delta, dtype=np.float64).reshape(3)
     newpos = system.coords[atom] + delta
     p = system.arrays()
     c = system.coords
     dec, dev, bad = kernels.nb_atom_delta(
-        c, p["q"], p["sigma"], p["epsilon"], p["scale"], p["cutoff"], atom, newpos
+        c, p["q"], p["sigma"], p["epsilon"], system.scale_row(atom), p["cutoff"], atom,
+        newpos,
     )
     if bad >= 0:
         raise EnergyEvaluationError(f"nonbonded pair ({atom},{bad}): coincident atoms")

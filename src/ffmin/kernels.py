@@ -1,13 +1,17 @@
 """Vectorized NumPy kernels for the force-field terms, in float64.
 
-Every kernel takes the (n, 3) coordinate array c and the parameter arrays
-of MolecularSystem.arrays(). Summation order is fixed, so repeated calls on
-the same inputs are bit-identical.
+Every kernel takes the (n, 3) coordinate array c and arrays of the
+system's evaluation plan, MolecularSystem.arrays(): term tables with one
+contiguous row of atom indices per term column, scatter indices, and the
+i<j pair tables with their precomputed scale, charge product and combined
+LJ parameters. Summation order is fixed, so repeated calls on the same
+inputs are bit-identical.
 
 Kernels do not raise. Degenerate geometry is reported through returned
 term/pair indices (-1 means clean); the energy layer turns those into typed
 errors naming the term. Gradient kernels return the term energy and add
-their gradient into gout in place.
+their gradient into gout in place, accumulating each atom's rows in the
+order of the scatter index, starting from zero.
 """
 
 from __future__ import annotations
@@ -21,43 +25,82 @@ _EPS = DEGENERATE_EPS
 _RMIN = MIN_PAIR_DISTANCE
 
 
+def _cross(a, b):
+    """np.cross of (m, 3) rows, with its multiply-then-subtract arithmetic.
+
+    The result is C-ordered like np.cross's: einsum sums an F-ordered
+    operand in another order.
+    """
+    a0, a1, a2 = a.T
+    b0, b1, b2 = b.T
+    out = np.empty(a.shape)
+    out[:, 0] = a1 * b2 - a2 * b1
+    out[:, 1] = a2 * b0 - a0 * b2
+    out[:, 2] = a0 * b1 - a1 * b0
+    return out
+
+
+def _scatter_add(gout, scatter, blocks):
+    """Add the rows of the (m, 3) blocks, stacked in order, to gout[scatter].
+
+    One np.bincount per axis sums each atom's rows in scatter order from
+    zero, as np.add.at would; only one axis of the stacked weights exists
+    at a time.
+    """
+    n = gout.shape[0]
+    for axis in range(3):
+        w = np.concatenate([b[:, axis] for b in blocks])
+        gout[:, axis] += np.bincount(scatter, weights=w, minlength=n)
+
+
+def _scatter_pairs(gout, scatter, coef, d):
+    """gout[i] += coef * d and gout[j] -= coef * d for scatter = [i..., j...].
+
+    Same sums as _scatter_add(gout, scatter, (g, -g)) with
+    g = coef[:, None] * d, built one axis at a time.
+    """
+    n = gout.shape[0]
+    for axis in range(3):
+        g = coef * d[:, axis]
+        gout[:, axis] += np.bincount(scatter, weights=np.concatenate((g, -g)), minlength=n)
+
+
 def bond_energy(c, bidx, K, r0):
-    if bidx.shape[0] == 0:
+    if bidx.shape[1] == 0:
         return 0.0
-    d = c[bidx[:, 0]] - c[bidx[:, 1]]
+    i, j = bidx
+    d = c[i] - c[j]
     r = np.sqrt(np.einsum("ij,ij->i", d, d))
     dev = r - r0
     return float(np.sum(K * dev * dev))
 
 
-def bond_grad(c, bidx, K, r0, gout):
-    if bidx.shape[0] == 0:
+def bond_grad(c, bidx, K, r0, scatter, gout):
+    if bidx.shape[1] == 0:
         return 0.0, -1
-    d = c[bidx[:, 0]] - c[bidx[:, 1]]
+    i, j = bidx
+    d = c[i] - c[j]
     r = np.sqrt(np.einsum("ij,ij->i", d, d))
     bad = np.nonzero(r < _RMIN)[0]
     if bad.size:
         return 0.0, int(bad[0])
     dev = r - r0
     e = float(np.sum(K * dev * dev))
-    g = (2.0 * K * dev / r)[:, None] * d
-    acc = np.zeros_like(c)
-    np.add.at(acc, bidx[:, 0], g)
-    np.add.at(acc, bidx[:, 1], -g)
-    gout += acc
+    _scatter_pairs(gout, scatter, 2.0 * K * dev / r, d)
     return e, -1
 
 
 def _angle_core(c, aidx):
-    a = c[aidx[:, 0]] - c[aidx[:, 1]]
-    b = c[aidx[:, 2]] - c[aidx[:, 1]]
+    i, j, k = aidx
+    a = c[i] - c[j]
+    b = c[k] - c[j]
     na = np.sqrt(np.einsum("ij,ij->i", a, a))
     nb = np.sqrt(np.einsum("ij,ij->i", b, b))
     return a, b, na, nb
 
 
 def angle_energy(c, aidx, K, t0):
-    if aidx.shape[0] == 0:
+    if aidx.shape[1] == 0:
         return 0.0, -1
     a, b, na, nb = _angle_core(c, aidx)
     bad = np.nonzero((na < _EPS) | (nb < _EPS))[0]
@@ -68,8 +111,8 @@ def angle_energy(c, aidx, K, t0):
     return float(np.sum(K * dev * dev)), -1
 
 
-def angle_grad(c, aidx, K, t0, gout):
-    if aidx.shape[0] == 0:
+def angle_grad(c, aidx, K, t0, scatter, gout):
+    if aidx.shape[1] == 0:
         return 0.0, -1
     a, b, na, nb = _angle_core(c, aidx)
     bad = np.nonzero((na < _EPS) | (nb < _EPS))[0]
@@ -85,20 +128,17 @@ def angle_grad(c, aidx, K, t0, gout):
     pref = (-2.0 * K * dev / sin_th)[:, None]
     gi = pref * (b / (na * nb)[:, None] - (u / (na * na))[:, None] * a)
     gk = pref * (a / (na * nb)[:, None] - (u / (nb * nb))[:, None] * b)
-    acc = np.zeros_like(c)
-    np.add.at(acc, aidx[:, 0], gi)
-    np.add.at(acc, aidx[:, 2], gk)
-    np.add.at(acc, aidx[:, 1], -(gi + gk))
-    gout += acc
+    _scatter_add(gout, scatter, (gi, gk, -(gi + gk)))
     return e, -1
 
 
 def _dihedral_core(c, didx):
-    b1 = c[didx[:, 1]] - c[didx[:, 0]]
-    b2 = c[didx[:, 2]] - c[didx[:, 1]]
-    b3 = c[didx[:, 3]] - c[didx[:, 2]]
-    n1 = np.cross(b1, b2)
-    n2 = np.cross(b2, b3)
+    i, j, k, l = didx
+    b1 = c[j] - c[i]
+    b2 = c[k] - c[j]
+    b3 = c[l] - c[k]
+    n1 = _cross(b1, b2)
+    n2 = _cross(b2, b3)
     n1n = np.sqrt(np.einsum("ij,ij->i", n1, n1))
     n2n = np.sqrt(np.einsum("ij,ij->i", n2, n2))
     b2n = np.sqrt(np.einsum("ij,ij->i", b2, b2))
@@ -106,13 +146,13 @@ def _dihedral_core(c, didx):
 
 
 def _dihedral_phi(b2, n1, n2, b2n):
-    y = np.einsum("ij,ij->i", np.cross(n1, n2), b2) / b2n
+    y = np.einsum("ij,ij->i", _cross(n1, n2), b2) / b2n
     x = np.einsum("ij,ij->i", n1, n2)
     return np.arctan2(y, x)
 
 
 def dihedral_energy(c, didx, V):
-    if didx.shape[0] == 0:
+    if didx.shape[1] == 0:
         return 0.0, -1
     b1, b2, b3, n1, n2, n1n, n2n, b2n = _dihedral_core(c, didx)
     bad = np.nonzero((n1n < _EPS) | (n2n < _EPS) | (b2n < _EPS))[0]
@@ -128,8 +168,8 @@ def dihedral_energy(c, didx, V):
     return float(np.sum(e)), -1
 
 
-def dihedral_grad(c, didx, V, gout):
-    if didx.shape[0] == 0:
+def dihedral_grad(c, didx, V, scatter, gout):
+    if didx.shape[1] == 0:
         return 0.0, -1
     b1, b2, b3, n1, n2, n1n, n2n, b2n = _dihedral_core(c, didx)
     bad = np.nonzero((n1n < _EPS) | (n2n < _EPS) | (b2n < _EPS))[0]
@@ -155,52 +195,38 @@ def dihedral_grad(c, didx, V, gout):
     s = (np.einsum("ij,ij->i", b3, b2) / b2sq)[:, None]
     cj = -(1.0 + p) * ci + s * cl
     ck = -(1.0 + s) * cl + p * ci
-    acc = np.zeros_like(c)
     w = dedphi[:, None]
-    np.add.at(acc, didx[:, 0], w * ci)
-    np.add.at(acc, didx[:, 1], w * cj)
-    np.add.at(acc, didx[:, 2], w * ck)
-    np.add.at(acc, didx[:, 3], w * cl)
-    gout += acc
+    _scatter_add(gout, scatter, (w * ci, w * cj, w * ck, w * cl))
     return float(np.sum(e)), -1
 
 
-def _pair_tables(c, scale):
-    n = c.shape[0]
-    iu, ju = np.triu_indices(n, 1)
+def _pair_geometry(c, pidx):
+    iu, ju = pidx
     d = c[iu] - c[ju]
     r = np.sqrt(np.einsum("ij,ij->i", d, d))
-    s = scale[iu, ju]
-    return iu, ju, d, r, s
+    return iu, ju, d, r
 
 
-def nb_energy(c, q, sigma, epsilon, scale, cutoff):
-    n = c.shape[0]
-    if n < 2:
+def nb_energy(c, pidx, act, qq, sig_ij, eps_ij, s, cutoff):
+    if pidx.shape[1] == 0:
         return 0.0, 0.0, -1, -1
-    iu, ju, d, r, s = _pair_tables(c, scale)
-    act = s != 0.0
+    iu, ju, d, r = _pair_geometry(c, pidx)
     bad = np.nonzero(act & (r < _RMIN))[0]
     if bad.size:
         k = int(bad[0])
         return 0.0, 0.0, int(iu[k]), int(ju[k])
     if cutoff > 0.0:
         act = act & (r <= cutoff)
-    qq = s * q[iu] * q[ju]
     ec = _C * np.sum(np.where(act, qq / np.where(act, r, 1.0), 0.0))
-    eps_ij = np.sqrt(epsilon[iu] * epsilon[ju])
-    sig_ij = np.sqrt(sigma[iu] * sigma[ju])
     x6 = np.where(act, (sig_ij / np.where(act, r, 1.0)) ** 6, 0.0)
     ev = 4.0 * np.sum(s * eps_ij * (x6 * x6 - x6))
     return float(ec), float(ev), -1, -1
 
 
-def nb_grad(c, q, sigma, epsilon, scale, cutoff, gout):
-    n = c.shape[0]
-    if n < 2:
+def nb_grad(c, pidx, act, qq, sig_ij, eps_ij, s, cutoff, scatter, gout):
+    if pidx.shape[1] == 0:
         return 0.0, 0.0, -1, -1
-    iu, ju, d, r, s = _pair_tables(c, scale)
-    act = s != 0.0
+    iu, ju, d, r = _pair_geometry(c, pidx)
     bad = np.nonzero(act & (r < _RMIN))[0]
     if bad.size:
         k = int(bad[0])
@@ -208,28 +234,21 @@ def nb_grad(c, q, sigma, epsilon, scale, cutoff, gout):
     if cutoff > 0.0:
         act = act & (r <= cutoff)
     rsafe = np.where(act, r, 1.0)
-    qq = np.where(act, s * q[iu] * q[ju], 0.0)
+    qq = np.where(act, qq, 0.0)
     ec = _C * np.sum(qq / rsafe)
-    eps_ij = np.sqrt(epsilon[iu] * epsilon[ju])
-    sig_ij = np.sqrt(sigma[iu] * sigma[ju])
     x6 = np.where(act, (sig_ij / rsafe) ** 6, 0.0)
     sca = np.where(act, s, 0.0)
     ev = 4.0 * np.sum(sca * eps_ij * (x6 * x6 - x6))
     dedr_over_r = -_C * qq / rsafe**3 + 4.0 * sca * eps_ij * (
         -12.0 * x6 * x6 + 6.0 * x6
     ) / rsafe**2
-    g = dedr_over_r[:, None] * d
-    acc = np.zeros_like(c)
-    np.add.at(acc, iu, g)
-    np.add.at(acc, ju, -g)
-    gout += acc
+    _scatter_pairs(gout, scatter, dedr_over_r, d)
     return float(ec), float(ev), -1, -1
 
 
-def farfield_build(c, q, scale, atom, cutoff):
+def farfield_build(c, q, srow, atom, cutoff):
     d = c[atom] - c
     r = np.sqrt(np.einsum("ij,ij->i", d, d))
-    srow = scale[atom]
     near = ((r <= cutoff) | (srow != 1.0)).astype(np.uint8)
     near[atom] = 0
     far = ~near.astype(bool)
@@ -245,11 +264,11 @@ def farfield_build(c, q, scale, atom, cutoff):
     return float(e0), float(coef[0]), float(coef[1]), float(coef[2]), near, -1
 
 
-def near_nb_delta(c, q, sigma, epsilon, scale, atom, newpos, near_idx):
+def near_nb_delta(c, q, sigma, epsilon, srow, atom, newpos, near_idx):
     if near_idx.shape[0] == 0:
         return 0.0, 0.0, -1
     j = near_idx
-    s = scale[atom, j]
+    s = srow[j]
     do = c[atom] - c[j]
     ro = np.sqrt(np.einsum("ij,ij->i", do, do))
     dn = newpos[None, :] - c[j]
@@ -271,9 +290,8 @@ def near_nb_delta(c, q, sigma, epsilon, scale, atom, newpos, near_idx):
     return float(dec), float(dev), -1
 
 
-def nb_atom_delta(c, q, sigma, epsilon, scale, cutoff, atom, newpos):
-    s = scale[atom].copy()
-    s[atom] = 0.0
+def nb_atom_delta(c, q, sigma, epsilon, srow, cutoff, atom, newpos):
+    s = srow
     do = c[atom] - c
     ro = np.sqrt(np.einsum("ij,ij->i", do, do))
     dn = newpos[None, :] - c
@@ -310,7 +328,7 @@ def _with_moved(c, atom, newpos):
 def bond_delta(c, atom, newpos, bidx, K, r0, rows):
     if rows.shape[0] == 0:
         return 0.0
-    sub = bidx[rows]
+    sub = bidx[:, rows]
     e_old = bond_energy(c, sub, K[rows], r0[rows])
     e_new = bond_energy(_with_moved(c, atom, newpos), sub, K[rows], r0[rows])
     return e_new - e_old
@@ -319,7 +337,7 @@ def bond_delta(c, atom, newpos, bidx, K, r0, rows):
 def angle_delta(c, atom, newpos, aidx, K, t0, rows):
     if rows.shape[0] == 0:
         return 0.0, -1
-    sub = aidx[rows]
+    sub = aidx[:, rows]
     e_old, bad = angle_energy(c, sub, K[rows], t0[rows])
     if bad >= 0:
         return 0.0, int(rows[bad])
@@ -334,7 +352,7 @@ def angle_delta(c, atom, newpos, aidx, K, t0, rows):
 def dihedral_delta(c, atom, newpos, didx, V, rows):
     if rows.shape[0] == 0:
         return 0.0, -1
-    sub = didx[rows]
+    sub = didx[:, rows]
     e_old, bad = dihedral_energy(c, sub, V[rows])
     if bad >= 0:
         return 0.0, int(rows[bad])

@@ -7,13 +7,21 @@ shares every parameter array, so concurrent evaluations never race.
 
 Validation happens at construction time: indices in range, positive force
 constants where required, angle rest values strictly inside (0, pi), policy
-pair sets disjoint and canonically ordered.
+pair sets disjoint and canonically ordered. ``with_coords`` checks only the
+new coordinates, since the topology it shares was checked already.
+
+``MolecularSystem.arrays()`` is the system's evaluation plan: every array the
+kernels read, built once on first use and shared by every system that
+``with_coords`` derives, so energies evaluate on flat coordinates without
+building a new system per call.
 """
 
 from __future__ import annotations
 
+import copy
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -162,6 +170,11 @@ class NonbondedPolicy:
         return NonbondedPolicy(frozenset(), frozenset(), 0.5, cutoff)
 
 
+def _pair_index(n, i, j):
+    """Position of the pair (i, j), i < j, in np.triu_indices(n, 1) order."""
+    return i * (2 * n - i - 1) // 2 + (j - i - 1)
+
+
 def build_default_exclusions(natoms, bonds, s14=0.5, cutoff=None):
     """Derive the standard policy from the bond graph.
 
@@ -204,9 +217,9 @@ def build_default_exclusions(natoms, bonds, s14=0.5, cutoff=None):
 class MolecularSystem:
     """Immutable system: atoms, coordinates and interaction terms.
 
-    coords has shape (natoms, 3) in angstrom. The arrays handed to kernels
-    (charges, LJ parameters, term index tables, the dense pair-scale matrix)
-    are derived once and cached on first use.
+    coords has shape (natoms, 3) in angstrom. The evaluation plan handed to
+    kernels (charges, term index tables, the i<j pair tables) is derived
+    once, on first use, and cached.
     """
 
     atoms: tuple
@@ -215,21 +228,22 @@ class MolecularSystem:
     angles: tuple = ()
     dihedrals: tuple = ()
     nonbonded: NonbondedPolicy = field(default_factory=NonbondedPolicy)
-    _cache: dict = field(default_factory=dict, compare=False, repr=False)
+    # not an init field, so dataclasses.replace() starts from an empty cache
+    # instead of sharing a plan built for other parameters
+    _cache: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
+        self._check_topology()
+        coords = np.asarray(self.coords, dtype=np.float64)
+        if coords.shape != (self.natoms, 3):
+            raise ModelError(f"coords shape {coords.shape} does not match {self.natoms} atoms")
+        self._set_coords(coords)
+
+    def _check_topology(self):
         n = len(self.atoms)
         for idx, a in enumerate(self.atoms):
             if a.id != idx:
                 raise ModelError(f"atom ids must be 0..n-1 in order; position {idx} has id {a.id}")
-        coords = np.asarray(self.coords, dtype=np.float64)
-        if coords.shape != (n, 3):
-            raise ModelError(f"coords shape {coords.shape} does not match {n} atoms")
-        if not np.all(np.isfinite(coords)):
-            raise ModelError("coords must be finite")
-        object.__setattr__(self, "coords", coords)
-        coords.setflags(write=False)
-
         for b in self.bonds:
             if not (0 <= b.i < n and 0 <= b.j < n):
                 raise ModelError(f"bond ({b.i},{b.j}): index out of range")
@@ -242,71 +256,137 @@ class MolecularSystem:
         _canonical_pairs(self.nonbonded.excluded, n, "excluded")
         _canonical_pairs(self.nonbonded.scaled14, n, "scaled14")
 
+    def _set_coords(self, coords):
+        coords = self.coords_at(coords)
+        coords.setflags(write=False)
+        object.__setattr__(self, "coords", coords)
+
     @property
     def natoms(self):
         return len(self.atoms)
 
+    def coords_at(self, x):
+        """x as an (natoms, 3) float64 array of coordinates for this system.
+
+        x may be flat (length 3n) or already (n, 3). Raises ModelError when
+        it does not hold 3n values or holds a non-finite one.
+        """
+        c = np.asarray(x, dtype=np.float64)
+        if c.size != 3 * self.natoms:
+            raise ModelError(f"coordinates of size {c.size} do not match {self.natoms} atoms")
+        c = c.reshape(self.natoms, 3)
+        if not np.isfinite(c).all():
+            raise ModelError("coords must be finite")
+        return c
+
     def with_coords(self, coords):
-        """New system sharing all parameters, with replaced coordinates."""
-        coords = np.array(coords, dtype=np.float64).reshape(self.natoms, 3)
-        new = replace(self, coords=coords, _cache={})
+        """New system sharing all parameters, with replaced coordinates.
+
+        Only the coordinates are checked; the topology is this system's.
+        """
+        new = copy.copy(self)
         # parameter-side caches stay valid when only coordinates change
-        for key in ("params", "atom_terms"):
-            if key in self._cache:
-                new._cache[key] = self._cache[key]
+        object.__setattr__(new, "_cache", {
+            key: self._cache[key] for key in ("params", "atom_terms") if key in self._cache
+        })
+        new._set_coords(np.array(coords, dtype=np.float64))
         return new
 
     def arrays(self):
-        """Kernel-ready float64 parameter arrays, cached per system.
+        """The evaluation plan: kernel-ready parameter arrays, cached per system.
 
-        Returns a dict with charges q, LJ sigma/epsilon, bonded index and
-        parameter tables, and the dense (n, n) pair scale matrix with zeros
-        on the diagonal and on excluded pairs.
+        Returns a dict with
+          - charges q and LJ sigma/epsilon per atom;
+          - per-term tables bond_idx (2, m), ang_idx (3, m) and dih_idx
+            (4, m), one contiguous row of atom indices per term column, with
+            their parameter vectors;
+          - bond_scatter, ang_scatter, dih_scatter: the atom of each gradient
+            row in the order the gradient kernels accumulate them;
+          - pair_idx (2, P): every i<j pair in np.triu_indices order, scale-0
+            pairs included; its flattened view pair_scatter is the gradient
+            scatter index;
+          - per pair: pair_scale (0 excluded, s14 for 1-4, else 1), pair_act
+            (pair_scale != 0), pair_qq = pair_scale*q_i*q_j, and the
+            combined pair_sig = sqrt(sigma_i*sigma_j) and
+            pair_eps = sqrt(epsilon_i*epsilon_j);
+          - cutoff, -1.0 when the policy has none.
         """
         cached = self._cache.get("params")
         if cached is None:
-            n = self.natoms
-            q = np.array([a.q for a in self.atoms], dtype=np.float64)
-            sigma = np.array([a.sigma for a in self.atoms], dtype=np.float64)
-            epsilon = np.array([a.epsilon for a in self.atoms], dtype=np.float64)
-
-            bond_idx = np.array([(b.i, b.j) for b in self.bonds], dtype=np.int64).reshape(-1, 2)
-            bond_K = np.array([b.K for b in self.bonds], dtype=np.float64)
-            bond_r0 = np.array([b.r0 for b in self.bonds], dtype=np.float64)
-
-            ang_idx = np.array(
-                [(a.i, a.j, a.k) for a in self.angles], dtype=np.int64
-            ).reshape(-1, 3)
-            ang_K = np.array([a.K for a in self.angles], dtype=np.float64)
-            ang_t0 = np.array([a.theta0 for a in self.angles], dtype=np.float64)
-
-            dih_idx = np.array(
-                [(d.i, d.j, d.k, d.l) for d in self.dihedrals], dtype=np.int64
-            ).reshape(-1, 4)
-            dih_V = np.array(
-                [(d.V1, d.V2, d.V3, d.V4) for d in self.dihedrals], dtype=np.float64
-            ).reshape(-1, 4)
-
-            scale = np.ones((n, n), dtype=np.float64)
-            np.fill_diagonal(scale, 0.0)
-            for (i, j) in self.nonbonded.excluded:
-                scale[i, j] = scale[j, i] = 0.0
-            for (i, j) in self.nonbonded.scaled14:
-                scale[i, j] = scale[j, i] = self.nonbonded.s14
-            cutoff = -1.0 if self.nonbonded.cutoff is None else float(self.nonbonded.cutoff)
-
-            cached = {
-                "q": q, "sigma": sigma, "epsilon": epsilon,
-                "bond_idx": bond_idx, "bond_K": bond_K, "bond_r0": bond_r0,
-                "ang_idx": ang_idx, "ang_K": ang_K, "ang_t0": ang_t0,
-                "dih_idx": dih_idx, "dih_V": dih_V,
-                "scale": scale, "cutoff": cutoff,
-            }
+            cached = self._build_plan()
             for v in cached.values():
                 if isinstance(v, np.ndarray):
                     v.setflags(write=False)
             self._cache["params"] = cached
         return cached
+
+    def _build_plan(self):
+        n = self.natoms
+        q = np.array([a.q for a in self.atoms], dtype=np.float64)
+        sigma = np.array([a.sigma for a in self.atoms], dtype=np.float64)
+        epsilon = np.array([a.epsilon for a in self.atoms], dtype=np.float64)
+
+        def table(rows, width):
+            return np.ascontiguousarray(np.array(rows, dtype=np.intp).reshape(-1, width).T)
+
+        bond_idx = table([(b.i, b.j) for b in self.bonds], 2)
+        ang_idx = table([(a.i, a.j, a.k) for a in self.angles], 3)
+        dih_idx = table([(d.i, d.j, d.k, d.l) for d in self.dihedrals], 4)
+
+        # every i<j pair in np.triu_indices(n, 1) order, built without its n x n mask
+        first = np.arange(n, dtype=np.intp)
+        counts = n - 1 - first
+        pair_idx = np.empty((2, counts.sum()), dtype=np.intp)
+        iu, ju = pair_idx
+        iu[:] = np.repeat(first, counts)
+        # within row i, j runs from i + 1 up
+        ju[:] = np.arange(iu.size) - np.repeat(_pair_index(n, first, first + 1) - first - 1, counts)
+        pair_scale = np.ones(iu.size, dtype=np.float64)
+        # scaled14 goes second, so a pair listed in both sets (reversed in
+        # one, which the policy's overlap check misses) is scaled
+        for pairs, value in ((self.nonbonded.excluded, 0.0),
+                             (self.nonbonded.scaled14, self.nonbonded.s14)):
+            ij = np.fromiter(chain.from_iterable(pairs), dtype=np.intp,
+                             count=2 * len(pairs)).reshape(-1, 2)
+            lo, hi = ij.min(axis=1), ij.max(axis=1)
+            pair_scale[_pair_index(n, lo, hi)] = value
+
+        return {
+            "q": q, "sigma": sigma, "epsilon": epsilon,
+            "bond_idx": bond_idx,
+            "bond_K": np.array([b.K for b in self.bonds], dtype=np.float64),
+            "bond_r0": np.array([b.r0 for b in self.bonds], dtype=np.float64),
+            "bond_scatter": bond_idx.reshape(-1),
+            "ang_idx": ang_idx,
+            "ang_K": np.array([a.K for a in self.angles], dtype=np.float64),
+            "ang_t0": np.array([a.theta0 for a in self.angles], dtype=np.float64),
+            # the bend gradient accumulates the i arms, then k, then the apex j
+            "ang_scatter": ang_idx[[0, 2, 1]].reshape(-1),
+            "dih_idx": dih_idx,
+            "dih_V": np.array(
+                [(d.V1, d.V2, d.V3, d.V4) for d in self.dihedrals], dtype=np.float64
+            ).reshape(-1, 4),
+            "dih_scatter": dih_idx.reshape(-1),
+            "pair_idx": pair_idx,
+            "pair_scatter": pair_idx.reshape(-1),
+            "pair_scale": pair_scale,
+            "pair_act": pair_scale != 0.0,
+            "pair_qq": pair_scale * q[iu] * q[ju],
+            "pair_sig": np.sqrt(sigma[iu] * sigma[ju]),
+            "pair_eps": np.sqrt(epsilon[iu] * epsilon[ju]),
+            "cutoff": -1.0 if self.nonbonded.cutoff is None else float(self.nonbonded.cutoff),
+        }
+
+    def scale_row(self, atom):
+        """Pair scales of atom with every atom, 0.0 at atom itself."""
+        n = self.natoms
+        s = self.arrays()["pair_scale"]
+        row = np.zeros(n)
+        lo = np.arange(atom)
+        row[:atom] = s[_pair_index(n, lo, atom)]
+        start = _pair_index(n, atom, atom + 1)
+        row[atom + 1:] = s[start:start + n - atom - 1]
+        return row
 
     def atom_terms(self, atom):
         """Row indices of the bonded terms that involve the given atom."""

@@ -28,6 +28,7 @@ from ..energy import (
     linearize_farfield_coulomb,
 )
 from ..linesearch import parabola_min
+from ..model import ModelError
 from .common import OptimizerTrace, Run, StopCriteria
 
 # accepted moves must beat the current energy by this margin so the
@@ -79,7 +80,7 @@ _AXIS_OFFSETS = ((0, -1.0), (0, 1.0), (1, -1.0), (1, 1.0), (2, -1.0), (2, 1.0))
 
 def atom_wiggle(system, config: WiggleConfig, stop=None) -> WiggleResult:
     if config.use_incremental_coulomb and system.nonbonded.cutoff is not None:
-        raise ValueError(
+        raise ModelError(
             "incremental probes require a system without a nonbonded cutoff"
         )
     stop = stop or StopCriteria()
@@ -113,7 +114,7 @@ def atom_wiggle(system, config: WiggleConfig, stop=None) -> WiggleResult:
         moved = sys_cur.coords.copy()
         moved[atom] += delta
         try:
-            e = energy_total(sys_cur.with_coords(moved)).total
+            e = energy_total(sys_cur, moved).total
         except EnergyEvaluationError:
             return math.inf
         finally:

@@ -77,23 +77,21 @@ class MolecularOracle(ObjectiveOracle):
     """Total force-field energy as a function of flattened coordinates.
 
     Coordinates are in angstrom, values in kJ/mol, gradient in
-    kJ/(mol*angstrom).
+    kJ/(mol*angstrom). Every call evaluates the system's plan at x directly;
+    an x of the wrong length or with a non-finite entry raises ModelError.
     """
 
     def __init__(self, system):
         super().__init__(3 * system.natoms)
         self.system = system
 
-    def system_at(self, x):
-        return self.system.with_coords(np.asarray(x, dtype=np.float64))
-
     def _value(self, x):
-        return energy_total(self.system_at(x)).total
+        return energy_total(self.system, x).total
 
     def _gradient(self, x):
-        _, g = energy_and_gradient(self.system_at(x))
+        _, g = energy_and_gradient(self.system, x)
         return g
 
     def _value_and_gradient(self, x):
-        bd, g = energy_and_gradient(self.system_at(x))
+        bd, g = energy_and_gradient(self.system, x)
         return bd.total, g

@@ -225,6 +225,32 @@ def test_batch_rank_sinks_bad_candidate(tmp_path, capsys):
     assert "error:" in body[-1]
 
 
+def test_batch_rank_wiggle_sinks_candidate_with_cutoff(tmp_path, capsys):
+    demo = tmp_path / "demo"
+    assert main(["make-demo", str(demo), "--candidates", "2",
+                 "--atoms", "6", "--seed", "1"]) == 0
+    grab(capsys)
+    # incremental wiggle probes reject a system cutoff; that must sink only
+    # this candidate, not end the batch
+    cut = demo / "candidates" / "cand_01.ffs"
+    text = cut.read_text()
+    assert "cutoff: none" in text
+    cut.write_text(text.replace("cutoff: none", "cutoff: 9"))
+    code = main([
+        "batch-rank", str(demo / "candidates"),
+        "--ref", str(demo / "reference.ffs"),
+        "--method", "wiggle", "--max-iters", "50",
+    ])
+    out, _ = grab(capsys)
+    assert code == 0
+    body = out.splitlines()[3:]
+    assert len(body) == 2
+    first, last = (row.split(",") for row in body)
+    assert first[1] == "cand_00" and float(first[2]) < float("inf")
+    assert last[1] == "cand_01" and float(last[2]) == float("inf")
+    assert "error:" in body[-1]
+
+
 def test_batch_rank_does_not_hide_programming_errors(tmp_path, capsys, monkeypatch):
     demo = tmp_path / "demo"
     assert main(["make-demo", str(demo), "--candidates", "2",

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import naive_oracles as naive
 from conftest import two_cluster_system
@@ -15,17 +17,21 @@ from ffmin.energy import (
     energy_torsion,
     energy_total,
     energy_vdw,
+    exact_delta_atom_move,
     finite_difference_gradient,
     gradient_total,
+    linearize_farfield_coulomb,
 )
 from ffmin.model import (
     AngleTerm,
     AtomSpec,
     BondTerm,
     DihedralTerm,
+    ModelError,
     MolecularSystem,
     NonbondedPolicy,
 )
+from ffmin.oracle import MolecularOracle
 from ffmin.synth import make_chain_system
 
 
@@ -327,6 +333,110 @@ def test_pair_on_cutoff_boundary_matches_naive_oracle(r, counted):
     bd, g = energy_and_gradient(s)
     assert (bd.coulomb, bd.vdw) == (energy_coulomb(s), energy_vdw(s))
     assert np.any(g != 0.0) == counted
+
+
+# ------------------------------------------- flat-coordinate evaluation
+
+PLAN_SYSTEMS = {
+    **DIFFERENTIAL_SYSTEMS,
+    "chain-cutoff7": lambda: with_cutoff(make_chain_system(14, seed=3, strain=0.3), 7.0),
+}
+_plan_systems = {name: make() for name, make in PLAN_SYSTEMS.items()}
+
+
+def perturbed(system, seed, scale):
+    rng = np.random.default_rng(seed)
+    return system.coords.ravel() + scale * rng.standard_normal(3 * system.natoms)
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(sorted(PLAN_SYSTEMS)), seed=st.integers(0, 2**32 - 1),
+       scale=st.sampled_from([1e-3, 0.05, 0.3]))
+def test_flat_x_is_bit_identical_to_with_coords(name, seed, scale):
+    s = _plan_systems[name]
+    x = perturbed(s, seed, scale)
+    moved = s.with_coords(x)
+    assert energy_total(s, x) == energy_total(moved)
+    bd, g = energy_and_gradient(s, x)
+    bd_ref, g_ref = energy_and_gradient(moved)
+    assert bd == bd_ref
+    assert g.tobytes() == g_ref.tobytes()
+
+
+@settings(max_examples=25, deadline=None)
+@given(name=st.sampled_from(sorted(PLAN_SYSTEMS)), seed=st.integers(0, 2**32 - 1),
+       scale=st.sampled_from([1e-3, 0.05, 0.3]))
+def test_flat_x_matches_naive_oracle(name, seed, scale):
+    s = _plan_systems[name]
+    x = perturbed(s, seed, scale)
+    want = naive_breakdown(s.with_coords(x))
+    for bd in (energy_total(s, x), energy_and_gradient(s, x)[0]):
+        for term in TERMS:
+            assert getattr(bd, term) == pytest.approx(want[term], rel=1e-11, abs=1e-11), term
+
+
+@pytest.mark.parametrize("r,counted", [
+    (7.0, True),
+    (np.nextafter(7.0, np.inf), False),
+], ids=["at-cutoff", "one-ulp-beyond"])
+def test_flat_x_pair_on_cutoff_boundary(r, counted):
+    s = pair_system(3.0, q=1.0, sigma=3.0, epsilon=0.4, cutoff=7.0)
+    x = np.array([0.0, 0.0, 0.0, r, 0.0, 0.0])
+    ec, ev = naive.nonbonded_energies(s.with_coords(x))
+    assert (ec != 0.0, ev != 0.0) == (counted, counted)
+    for bd in (energy_total(s, x), energy_and_gradient(s, x)[0]):
+        assert bd.coulomb == pytest.approx(ec, rel=1e-12)
+        assert bd.vdw == pytest.approx(ev, rel=1e-12)
+
+
+def test_flat_x_degenerate_geometry_raises_named_error():
+    s = make_chain_system(6, seed=1)
+    for a, b in ((0, 1), (0, 4)):  # a bonded pair, then a full-scale pair
+        x = s.coords.copy()
+        x[b] = x[a]
+        for fn in (energy_total, energy_and_gradient):
+            with pytest.raises(EnergyEvaluationError) as flat:
+                fn(s, x.ravel())
+            with pytest.raises(EnergyEvaluationError) as moved:
+                fn(s.with_coords(x))
+            assert str(flat.value) == str(moved.value)
+
+
+def test_oracle_rejects_bad_x():
+    s = make_chain_system(6, seed=1)
+    oracle = MolecularOracle(s)
+    x = s.coords.ravel().copy()
+    x[4] = np.nan
+    for call in (oracle.value, oracle.gradient, oracle.value_and_gradient):
+        with pytest.raises(ModelError):
+            call(x)
+        with pytest.raises(ModelError):
+            call(s.coords.ravel()[:-1])
+
+
+def test_atom_deltas_with_scaled_and_excluded_partners_match_naive():
+    # a charged chain: every atom has excluded (1-2, 1-3) and scaled (1-4)
+    # partners, and the end atoms exercise both edges of the pair-row gather
+    s = make_chain_system(12, seed=4, strain=0.2)
+    pol = s.nonbonded
+    e0 = naive.total_energy(s)
+    step = np.array([0.04, -0.03, 0.05])
+    for atom in (0, 1, 6, 11):
+        moved = s.coords.copy()
+        moved[atom] += step
+        want = naive.total_energy(s.with_coords(moved)) - e0
+        assert exact_delta_atom_move(s, atom, step) == pytest.approx(want, rel=1e-9, abs=1e-9)
+
+        lin = linearize_farfield_coulomb(s, atom, 3.0)
+        r = np.linalg.norm(s.coords - s.coords[atom], axis=1)
+        near = [j for j in range(s.natoms)
+                if j != atom and (r[j] <= 3.0 or pol.pair_scale(atom, j) != 1.0)]
+        assert lin.near_idx.tolist() == near
+        # some partners are near only through their scale
+        assert any(pol.pair_scale(atom, j) != 1.0 and r[j] > 3.0 for j in near)
+        far = [j for j in range(s.natoms) if j != atom and j not in near]
+        e_far = sum(COULOMB_KJ_ANGSTROM * s.atoms[atom].q * s.atoms[j].q / r[j] for j in far)
+        assert lin.e_far0 == pytest.approx(e_far, rel=1e-12)
 
 
 # --------------------------------------------------------------- gradient

@@ -91,6 +91,13 @@ def test_linearize_input_validation():
         linearize_farfield_coulomb(s, 0, -1.0)
 
 
+@pytest.mark.parametrize("atom", [-1, 2])
+def test_exact_delta_rejects_atom_out_of_range(atom):
+    s = cloud([[0, 0, 0], [3, 0, 0]])
+    with pytest.raises(ValueError, match="out of range"):
+        exact_delta_atom_move(s, atom, [0.1, 0.0, 0.0])
+
+
 # ------------------------------------------------------------ delta moves
 
 def test_zero_delta_is_zero():

@@ -156,6 +156,63 @@ def test_with_coords_shares_parameters():
     assert np.array_equal(flat.coords, sys0.coords)
 
 
+def test_with_coords_checks_only_coordinates(monkeypatch):
+    from ffmin.synth import make_chain_system
+    sys0 = make_chain_system(6, seed=1)
+
+    def fail():
+        raise AssertionError("topology re-checked")
+
+    monkeypatch.setattr(MolecularSystem, "_check_topology", lambda self: fail())
+    moved = sys0.with_coords(sys0.coords + 1.0)
+    assert np.array_equal(moved.coords, sys0.coords + 1.0)
+    with pytest.raises(ModelError):
+        sys0.with_coords(np.zeros(3 * sys0.natoms + 3))
+    bad = sys0.coords.copy()
+    bad[2, 1] = np.inf
+    with pytest.raises(ModelError):
+        sys0.with_coords(bad)
+
+
+def test_replace_does_not_share_the_plan():
+    from dataclasses import replace
+
+    from ffmin.energy import energy_total
+    from ffmin.synth import make_chain_system
+    sys0 = make_chain_system(30, seed=0, strain=0.3)
+    assert energy_total(sys0).coulomb != 0.0  # builds and caches the plan
+    nb = sys0.nonbonded
+    policy = NonbondedPolicy(nb.excluded, nb.scaled14, nb.s14, cutoff=3.0)
+    cut = replace(sys0, nonbonded=policy)
+    fresh = MolecularSystem(atoms=sys0.atoms, coords=sys0.coords, bonds=sys0.bonds,
+                            angles=sys0.angles, dihedrals=sys0.dihedrals, nonbonded=policy)
+    assert cut.arrays() is not sys0.arrays()
+    assert energy_total(cut) == energy_total(fresh)
+
+
+def test_plan_pair_tables_follow_the_policy():
+    # pairs listed as (j, i) count like (i, j)
+    pol = NonbondedPolicy(excluded=frozenset({(0, 1), (3, 1)}),
+                          scaled14=frozenset({(2, 0), (3, 4)}), s14=0.25)
+    scale = {(0, 1): 0.0, (1, 3): 0.0, (0, 2): 0.25, (3, 4): 0.25}
+    atoms = tuple(atom(i, q=0.1 * (i + 1), sigma=2.0 + i, epsilon=0.05 * i) for i in range(5))
+    sys0 = MolecularSystem(atoms=atoms, coords=np.arange(15.0).reshape(5, 3), nonbonded=pol)
+    p = sys0.arrays()
+    iu, ju = np.triu_indices(5, 1)
+    assert np.array_equal(p["pair_idx"], np.stack((iu, ju)))
+    assert np.array_equal(p["pair_scatter"], np.concatenate((iu, ju)))
+    for k, (i, j) in enumerate(zip(iu, ju)):
+        s = scale.get((i, j), 1.0)
+        assert p["pair_scale"][k] == s
+        assert p["pair_act"][k] == (s != 0.0)
+        assert p["pair_qq"][k] == s * atoms[i].q * atoms[j].q
+        assert p["pair_sig"][k] == np.sqrt(atoms[i].sigma * atoms[j].sigma)
+        assert p["pair_eps"][k] == np.sqrt(atoms[i].epsilon * atoms[j].epsilon)
+    for a in range(5):
+        want = [0.0 if b == a else scale.get((min(a, b), max(a, b)), 1.0) for b in range(5)]
+        assert sys0.scale_row(a).tolist() == want
+
+
 def test_coords_are_immutable():
     sys0 = MolecularSystem(atoms=(atom(0),), coords=np.zeros((1, 3)))
     with pytest.raises(ValueError):
