@@ -12,13 +12,14 @@ energy_total(system, x) and energy_and_gradient(system, x) evaluate the
 system's plan (MolecularSystem.arrays()) at flat coordinates x, or at
 system.coords when x is omitted, without building a new system.
 
-Degenerate geometry raises EnergyEvaluationError naming the term instead of
-propagating NaNs.
+Degenerate geometry and non-finite energies or gradients raise
+EnergyEvaluationError, naming the term, instead of propagating NaNs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -126,6 +127,18 @@ def energy_vdw(system: MolecularSystem) -> float:
     return _nonbonded(system.arrays(), system.coords)[1]
 
 
+def _finite(bd, g=None):
+    """bd, after checking that its total (and the gradient g) is finite."""
+    if math.isfinite(bd.total) and (g is None or np.isfinite(g).all()):
+        return bd
+    for term in fields(bd):
+        value = getattr(bd, term.name)
+        if not math.isfinite(value):
+            raise EnergyEvaluationError(f"{term.name} energy is not finite: {value!r}")
+    what = "gradient" if math.isfinite(bd.total) else "total energy"
+    raise EnergyEvaluationError(f"{what} is not finite")
+
+
 def _coords(system, x):
     return system.coords if x is None else system.coords_at(x)
 
@@ -138,13 +151,13 @@ def energy_total(system: MolecularSystem, x=None) -> EnergyBreakdown:
     c = _coords(system, x)
     p = system.arrays()
     ec, ev = _nonbonded(p, c)
-    return EnergyBreakdown(
+    return _finite(EnergyBreakdown(
         stretch=_stretch(p, c),
         bend=_bend(system, p, c),
         torsion=_torsion(system, p, c),
         coulomb=ec,
         vdw=ev,
-    )
+    ))
 
 
 def energy_and_gradient(system: MolecularSystem, x=None):
@@ -182,7 +195,7 @@ def energy_and_gradient(system: MolecularSystem, x=None):
         stretch=float(e_bond), bend=float(e_ang), torsion=float(e_dih),
         coulomb=float(ec), vdw=float(ev),
     )
-    return breakdown, gout.reshape(-1)
+    return _finite(breakdown, gout), gout.reshape(-1)
 
 
 def gradient_total(system: MolecularSystem):

@@ -120,16 +120,13 @@ class DihedralTerm:
             )
 
 
-def _canonical_pairs(pairs, natoms, what):
-    """Validate and canonicalize a set of (i, j) pairs with i < j."""
+def _canonical_pairs(pairs, what):
+    """The set of (i, j) pairs with each stored as (min, max); i == j is an error."""
     out = set()
     for i, j in pairs:
         if i == j:
             raise ModelError(f"{what} pair ({i},{j}): indices must differ")
-        a, b = (i, j) if i < j else (j, i)
-        if a < 0 or b >= natoms:
-            raise ModelError(f"{what} pair ({i},{j}): index out of range for {natoms} atoms")
-        out.add((a, b))
+        out.add((i, j) if i < j else (j, i))
     return frozenset(out)
 
 
@@ -139,7 +136,8 @@ class NonbondedPolicy:
 
     excluded pairs contribute nothing; scaled14 pairs are multiplied by s14;
     every other distinct pair has scale 1. cutoff is a hard truncation radius
-    in angstrom, or None for no cutoff.
+    in angstrom, or None for no cutoff. Both pair sets are stored as
+    (min, max) pairs, so (j, i) means the same pair as (i, j).
     """
 
     excluded: frozenset = frozenset()
@@ -148,6 +146,8 @@ class NonbondedPolicy:
     cutoff: float | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "excluded", _canonical_pairs(self.excluded, "excluded"))
+        object.__setattr__(self, "scaled14", _canonical_pairs(self.scaled14, "scaled14"))
         if self.excluded & self.scaled14:
             raise ModelError("nonbonded policy: excluded and scaled14 pair sets overlap")
         if not (0.0 <= self.s14 <= 1.0):
@@ -253,8 +253,10 @@ class MolecularSystem:
         for d in self.dihedrals:
             if not all(0 <= t < n for t in (d.i, d.j, d.k, d.l)):
                 raise ModelError(f"dihedral ({d.i},{d.j},{d.k},{d.l}): index out of range")
-        _canonical_pairs(self.nonbonded.excluded, n, "excluded")
-        _canonical_pairs(self.nonbonded.scaled14, n, "scaled14")
+        for what in ("excluded", "scaled14"):
+            for i, j in getattr(self.nonbonded, what):
+                if i < 0 or j >= n:
+                    raise ModelError(f"{what} pair ({i},{j}): index out of range for {n} atoms")
 
     def _set_coords(self, coords):
         coords = self.coords_at(coords)
@@ -342,13 +344,10 @@ class MolecularSystem:
         # within row i, j runs from i + 1 up
         ju[:] = np.arange(iu.size) - np.repeat(_pair_index(n, first, first + 1) - first - 1, counts)
         pair_scale = np.ones(iu.size, dtype=np.float64)
-        # scaled14 goes second, so a pair listed in both sets (reversed in
-        # one, which the policy's overlap check misses) is scaled
         for pairs, value in ((self.nonbonded.excluded, 0.0),
                              (self.nonbonded.scaled14, self.nonbonded.s14)):
-            ij = np.fromiter(chain.from_iterable(pairs), dtype=np.intp,
-                             count=2 * len(pairs)).reshape(-1, 2)
-            lo, hi = ij.min(axis=1), ij.max(axis=1)
+            lo, hi = np.fromiter(chain.from_iterable(pairs), dtype=np.intp,
+                                 count=2 * len(pairs)).reshape(-1, 2).T
             pair_scale[_pair_index(n, lo, hi)] = value
 
         return {

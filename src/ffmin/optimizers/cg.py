@@ -14,34 +14,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .common import (
-    CONVERGED,
-    LINESEARCH_FAILURE,
-    NO_RELAXATION,
-    LineSearcher,
-    OptimizeResult,
-    check_finite,
-)
-from .gradient import _start
+from .common import DescentRule, LineSearcher, OptimizeResult, descend
 
 VARIANTS = ("fr", "prp", "prp+", "hs", "cd", "ls", "dy")
 
-_ALIASES = {
+_NAMES = {
     "fletcher-reeves": "fr",
-    "fletcherreeves": "fr",
     "polak-ribiere-polyak": "prp",
-    "polakribierepolyak": "prp",
     "polak-ribiere-plus": "prp+",
-    "polakribiereplus": "prp+",
     "hestenes-stiefel": "hs",
-    "hestenesstiefel": "hs",
     "conjugate-descent": "cd",
-    "conjugatedescent": "cd",
     "liu-storey": "ls",
-    "liustorey": "ls",
     "dai-yuan": "dy",
-    "daiyuan": "dy",
 }
+# each full name is accepted with or without its hyphens
+_ALIASES = {**_NAMES, **{name.replace("-", ""): kind for name, kind in _NAMES.items()}}
 
 
 def canonical_variant(kind: str) -> str:
@@ -92,61 +79,43 @@ def cg_beta(kind, g_new, g_old, p):
     return num / den
 
 
+class _CgRule(DescentRule):
+    """The running direction p, its restarts and the retry after one failure."""
+
+    def __init__(self, variant: CgVariant):
+        self.variant = variant
+        self.p = None
+        self.since_restart = 0
+        self.failures = 0
+
+    def direction(self, oracle, k, x, f, g, gn):
+        if self.p is None or float(np.linalg.norm(self.p)) == 0.0:
+            self.p, self.since_restart = -g, 0
+        return x, f, g, gn, self.p
+
+    def retry(self, g):
+        self.p, self.since_restart = -g, 0
+        self.failures += 1
+        if self.failures < 2:
+            return True
+        self.failures = 0
+        return False
+
+    def advance(self, x, g, x_new, g_new):
+        self.failures = 0
+        self.since_restart += 1
+        beta = (cg_beta(self.variant.kind, g_new, g, self.p)
+                if self.since_restart < self.variant.restart_period else math.nan)
+        p = -g_new + beta * self.p if math.isfinite(beta) else None
+        if p is None or float(p @ -g_new) <= 0.0:
+            p, self.since_restart = -g_new, 0
+        self.p = p
+
+
 def cg(oracle, x0, variant: CgVariant, linesearch: LineSearcher, stop=None) -> OptimizeResult:
     if isinstance(variant, str):
         variant = CgVariant(kind=variant)
-    run, x, f, g, gn = _start(
-        oracle, x0, stop,
-        {"method": "cg", "variant": variant.kind,
-         "restart_period": variant.restart_period,
-         "linesearch": linesearch.describe()},
-    )
-    status = CONVERGED if gn <= run.threshold else None
-    p = -g
-    since_restart = 0
-    ls_failures = 0
-    k = 0
-    while status is None:
-        status = run.budget_status(k)
-        if status:
-            break
-        pn = float(np.linalg.norm(p))
-        if pn == 0.0:
-            p, pn = -g, gn
-            since_restart = 0
-        r = p / pn
-        res = linesearch.search(oracle, x, r, f, g)
-        if res.status == NO_RELAXATION:
-            ls_failures += 1
-            if ls_failures >= 2:
-                if run.stop.stop_on_linesearch_failure:
-                    status = LINESEARCH_FAILURE
-                    break
-                k += 1
-                run.record(k, f, gn, 0.0)
-                ls_failures = 0
-            p = -g
-            since_restart = 0
-            continue
-        ls_failures = 0
-        x_new = x + res.h * r
-        g_new = oracle.gradient(x_new)
-        check_finite(res.f_at_step, g_new, f"iteration {k + 1}")
-        since_restart += 1
-        if since_restart >= variant.restart_period:
-            p_new = -g_new
-            since_restart = 0
-        else:
-            beta = cg_beta(variant.kind, g_new, g, p)
-            p_new = -g_new + beta * p if math.isfinite(beta) else -g_new
-            if not math.isfinite(beta) or float(p_new @ -g_new) <= 0.0:
-                p_new = -g_new
-                since_restart = 0
-        x, f, g, p = x_new, res.f_at_step, g_new, p_new
-        gn = float(np.linalg.norm(g))
-        k += 1
-        run.update_best(x, f)
-        run.record(k, f, gn, res.h)
-        if gn <= run.threshold:
-            status = CONVERGED
-    return run.finish_best(status, x, f, gn)
+    meta = {"method": "cg", "variant": variant.kind,
+            "restart_period": variant.restart_period,
+            "linesearch": linesearch.describe()}
+    return descend(oracle, x0, stop, meta, _CgRule(variant), linesearch)

@@ -1,4 +1,5 @@
-"""Shared optimizer plumbing: stop criteria, traces, line-search adapters.
+"""Shared optimizer plumbing: stop criteria, traces, line-search adapters,
+and the two loops of the gradient methods, descend() and iterate().
 
 Every driver in this package follows the same bookkeeping contract:
 
@@ -6,14 +7,16 @@ Every driver in this package follows the same bookkeeping contract:
   * the record's cumulative oracle-call counts are snapshots of the
     oracle's own counters at the moment the record is appended,
   * best-so-far f is non-increasing along the records,
-  * identical inputs give identical traces except for wall-clock columns.
+  * identical inputs give identical traces except for wall-clock columns,
+  * max_oracle_calls is hard: the oracle refuses any call past it, and the
+    run ends with status oracle_budget.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -26,6 +29,7 @@ from ..linesearch import (
     ls_h,
     ls_par,
 )
+from ..oracle import _BudgetExhausted
 
 CONVERGED = "converged"
 ITERATION_BUDGET = "iteration_budget"
@@ -36,6 +40,9 @@ HORIZON_COMPLETE = "horizon_complete"
 
 # statuses that mean "the run ended the way the method intended"
 SUCCESS_STATUSES = (CONVERGED, HORIZON_COMPLETE)
+
+# fixed-step runs abort once f exceeds this multiple of max(1, |f(x0)|)
+DIVERGENCE_FACTOR = 1e3
 
 
 class DivergenceError(RuntimeError):
@@ -49,6 +56,8 @@ class StopCriteria:
     The gradient test is ||g|| <= max(gradient_norm_tol,
     gradient_norm_rtol * max(1, ||g(x0)||)); pass gradient_norm_rtol=0 to
     disable the relative part (useful when running to a fixed horizon).
+    max_oracle_calls counts value plus gradient calls (a fused call is two)
+    and must be at least 2, the cost of the start point.
     """
 
     max_iterations: int | None = 10_000
@@ -65,6 +74,8 @@ class StopCriteria:
             and self.max_wall_time is None
         ):
             raise ValueError("at least one of the iteration/oracle/time budgets must be set")
+        if self.max_oracle_calls is not None and self.max_oracle_calls < 2:
+            raise ValueError("max_oracle_calls must be >= 2 (the start point costs 2 calls)")
         if self.gradient_norm_tol < 0 or self.gradient_norm_rtol < 0:
             raise ValueError("gradient tolerances must be >= 0")
 
@@ -89,9 +100,6 @@ class OptimizerTrace:
     meta: dict = field(default_factory=dict)
     records: list = field(default_factory=list)
     status: str | None = None
-
-    def append(self, rec: TraceRecord):
-        self.records.append(rec)
 
     @property
     def iterations(self):
@@ -126,16 +134,13 @@ class Run:
     def elapsed(self):
         return time.perf_counter() - self.t0
 
-    def init_threshold(self, g0_norm):
-        self.threshold = self.stop.threshold(g0_norm)
-
     def update_best(self, x, f):
         if f < self.best_f:
             self.best_f = f
             self.best_x = np.array(x, dtype=np.float64, copy=True)
 
     def record(self, iteration, f, grad_norm, step):
-        self.trace.append(
+        self.trace.records.append(
             TraceRecord(
                 iteration=int(iteration),
                 f=float(f),
@@ -217,13 +222,9 @@ class LineSearcher:
         return {"kind": self.kind, **vars(self.config)}
 
     def _invoke(self, oracle, x, r, f0, g0, h0):
+        cfg = replace(self.config, h0=h0)
         if self.kind == "h":
-            cfg = LsHConfig(h0=h0, eps_h=self.config.eps_h,
-                            k_plus=self.config.k_plus, k_minus=self.config.k_minus)
             return ls_h(oracle, x, r, cfg, f0)
-        cfg = LsParConfig(h0=h0, K=self.config.K,
-                          use_gradient_start=self.config.use_gradient_start,
-                          trust=self.config.trust)
         return ls_par(oracle, x, r, cfg, f0, g0)
 
     def search(self, oracle, x, r, f0, g0=None) -> LineSearchResult:
@@ -243,8 +244,135 @@ class LineSearcher:
 
 def make_linesearch(kind: str, **overrides) -> LineSearcher:
     """Build a LineSearcher from a kind string and config field overrides."""
-    if kind == "h":
-        return LineSearcher("h", LsHConfig(**overrides))
-    if kind == "par":
-        return LineSearcher("par", LsParConfig(**overrides))
-    raise ValueError(f"unknown line search kind {kind!r}")
+    configs = {"h": LsHConfig, "par": LsParConfig}
+    if kind not in configs:
+        raise ValueError(f"unknown line search kind {kind!r}")
+    return LineSearcher(kind, configs[kind](**overrides))
+
+
+def start(oracle, x0, stop, meta):
+    """Record the start point, then arm oracle.call_limit (the caller clears it)."""
+    x = np.array(x0, dtype=np.float64).reshape(-1)
+    if x.size != oracle.n:
+        raise ValueError(f"x0 has {x.size} entries, oracle expects {oracle.n}")
+    run = Run(oracle, stop or StopCriteria(), meta)
+    f, g = oracle.value_and_gradient(x)
+    check_finite(f, g, "the start point")
+    gn = float(np.linalg.norm(g))
+    run.threshold = run.stop.threshold(gn)
+    run.update_best(x, f)
+    run.record(0, f, gn, 0.0)
+    oracle.call_limit = run.stop.max_oracle_calls
+    return run, x, f, g, gn
+
+
+class DescentRule:
+    """Steepest descent's direction rule, and the defaults other rules keep."""
+
+    # False: an accepted step is recorded without a gradient at the new point
+    takes_gradient = True
+
+    def direction(self, oracle, k, x, f, g, gn):
+        """(origin, f, g, |g| at the origin, d) for iteration k + 1.
+
+        descend() searches from the origin along d / |d|; it stops as
+        converged when |g| meets the tolerance or d is zero.
+        """
+        return x, f, g, gn, -g
+
+    def retry(self, g):
+        """True to retry a failed search at once, without a record."""
+        return False
+
+    def advance(self, x, g, x_new, g_new):
+        """Update the rule's state after an accepted step from x to x_new."""
+
+
+def descend(oracle, x0, stop, meta, rule, linesearch) -> OptimizeResult:
+    """The line-search loop: direction, search, failure policy, record.
+
+    A failed search that the rule does not retry ends the run, or with
+    stop_on_linesearch_failure=False is recorded as a step of 0 from the
+    search origin. Returns the best point seen unless the run converged.
+    """
+    run, x, f, g, gn = start(oracle, x0, stop, meta)
+    status = CONVERGED if gn <= run.threshold else None
+    k = 0
+    try:
+        while status is None:
+            status = run.budget_status(k)
+            if status:
+                break
+            y, f_y, g_y, gn, d = rule.direction(oracle, k, x, f, g, gn)
+            run.update_best(y, f_y)
+            dn = float(np.linalg.norm(d))
+            if gn <= run.threshold or dn == 0.0:
+                status = CONVERGED
+                break
+            r = d / dn
+            res = linesearch.search(oracle, y, r, f_y, g_y)
+            if res.status == NO_RELAXATION:
+                if rule.retry(g_y):
+                    continue
+                if run.stop.stop_on_linesearch_failure:
+                    status = LINESEARCH_FAILURE
+                    break
+                x, f = y, f_y
+            else:
+                x_new, f_new = y + res.h * r, res.f_at_step
+                if rule.takes_gradient:
+                    g_new = oracle.gradient(x_new)
+                    check_finite(f_new, g_new, f"iteration {k + 1}")
+                    rule.advance(x, g, x_new, g_new)
+                    g, gn = g_new, float(np.linalg.norm(g_new))
+                x, f = x_new, f_new
+            k += 1
+            run.update_best(x, f)
+            run.record(k, f, gn, res.h)
+            if gn <= run.threshold:
+                status = CONVERGED
+    except _BudgetExhausted:
+        status = ORACLE_BUDGET
+    finally:
+        oracle.call_limit = None
+    return run.finish_best(status, x, f, gn)
+
+
+def iterate(oracle, x0, stop, meta, step, horizon=None, diverged=None) -> OptimizeResult:
+    """The fixed-schedule loop: x_{k+1} from step(k, x_k, x_{k-1}, g_k).
+
+    step returns (x_new, f_new, g_new, step_size); the trace reports |g_new|
+    and the next step receives g_new. DivergenceError is raised for
+    non-finite values, and with a message template diverged ({k}, {f},
+    {f0}) also once f exceeds DIVERGENCE_FACTOR * max(1, |f0|). Returns the
+    final iterate, after at most horizon steps when one is given.
+    """
+    run, x, f, g, gn = start(oracle, x0, stop, meta)
+    f0, x_prev = f, x
+    status = CONVERGED if gn <= run.threshold else None
+    k = 0
+    try:
+        while status is None:
+            status = (HORIZON_COMPLETE if horizon is not None and k >= horizon
+                      else run.budget_status(k))
+            if status:
+                break
+            x_new, f_new, g_new, h = step(k, x, x_prev, g)
+            if diverged is None:
+                check_finite(f_new, g_new, f"iteration {k + 1}")
+            elif (not math.isfinite(f_new)
+                  or f_new > DIVERGENCE_FACTOR * max(1.0, abs(f0))
+                  or not np.all(np.isfinite(g_new))):
+                raise DivergenceError(diverged.format(k=k + 1, f=f_new, f0=f0))
+            x_prev, x, f, g = x, x_new, f_new, g_new
+            gn = float(np.linalg.norm(g))
+            k += 1
+            run.update_best(x, f)
+            run.record(k, f, gn, h)
+            if gn <= run.threshold:
+                status = CONVERGED
+    except _BudgetExhausted:
+        status = ORACLE_BUDGET
+    finally:
+        oracle.call_limit = None
+    return run.finish(status, x, f, gn)

@@ -5,31 +5,38 @@ variant driven by a weighted running gradient sum.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .common import (
-    CONVERGED,
-    HORIZON_COMPLETE,
-    LINESEARCH_FAILURE,
     NO_RELAXATION,
-    DivergenceError,
+    DescentRule,
     LineSearcher,
     OptimizeResult,
-    Run,
-    StopCriteria,
     check_finite,
+    descend,
+    iterate,
 )
-from .gradient import DIVERGENCE_FACTOR, _start
 
 
-@dataclass
-class FgmState:
-    theta_prev: float
-    theta: float
-    x_prev: np.ndarray
-    x: np.ndarray
+class _FgmRule(DescentRule):
+    """Theta recurrence; the search starts at the extrapolated point w_k."""
+
+    takes_gradient = False
+    theta_prev = 1.0
+    x_prev = None
+
+    def direction(self, oracle, k, x, f, g, gn):
+        tp = self.theta_prev
+        theta = 0.5 * tp * (math.sqrt(tp * tp + 4.0) - tp)
+        assert 0.0 < theta < 1.0 and theta < tp
+        beta = tp * (1.0 - tp) / (tp * tp + theta)
+        w = x + beta * (x - (x if self.x_prev is None else self.x_prev))
+        # the next iterate is either the searched point or w itself
+        self.x_prev, self.theta_prev = x, theta
+        f_w, g_w = (f, g) if k == 0 else oracle.value_and_gradient(w)
+        check_finite(f_w, g_w, f"iteration {k}")
+        return w, f_w, g_w, float(np.linalg.norm(g_w)), -g_w
 
 
 def fgm(oracle, x0, linesearch: LineSearcher, stop=None) -> OptimizeResult:
@@ -37,59 +44,8 @@ def fgm(oracle, x0, linesearch: LineSearcher, stop=None) -> OptimizeResult:
     normalized antigradient at the extrapolated point w_k. Iterates may be
     non-monotone; the best observed point is returned.
     """
-    run, x, f, g, gn = _start(
-        oracle, x0, stop, {"method": "fgm", "linesearch": linesearch.describe()}
-    )
-    st = FgmState(theta_prev=1.0, theta=1.0, x_prev=x.copy(), x=x)
-    status = CONVERGED if gn <= run.threshold else None
-    k = 0
-    while status is None:
-        status = run.budget_status(k)
-        if status:
-            break
-        tp = st.theta_prev
-        theta = 0.5 * tp * (math.sqrt(tp * tp + 4.0) - tp)
-        assert 0.0 < theta < 1.0 and theta < tp
-        beta = tp * (1.0 - tp) / (tp * tp + theta)
-        w = st.x + beta * (st.x - st.x_prev)
-        if k == 0:
-            f_w, g_w = f, g
-        else:
-            f_w, g_w = oracle.value_and_gradient(w)
-        check_finite(f_w, g_w, f"iteration {k}")
-        run.update_best(w, f_w)
-        gn = float(np.linalg.norm(g_w))
-        if gn <= run.threshold:
-            status = CONVERGED
-            break
-        r = -g_w / gn
-        res = linesearch.search(oracle, w, r, f_w, g_w)
-        if res.status == NO_RELAXATION:
-            if run.stop.stop_on_linesearch_failure:
-                status = LINESEARCH_FAILURE
-                break
-            k += 1
-            run.record(k, f_w, gn, 0.0)
-            st.x_prev, st.x = st.x, w
-            st.theta_prev, st.theta = theta, theta
-            continue
-        x_new = w + res.h * r
-        f = res.f_at_step
-        st.x_prev, st.x = st.x, x_new
-        st.theta_prev, st.theta = theta, theta
-        k += 1
-        run.update_best(x_new, f)
-        run.record(k, f, gn, res.h)
-    return run.finish_best(status, st.x, f, gn)
-
-
-@dataclass
-class OfgmState:
-    horizon: int
-    t: np.ndarray
-    theta: np.ndarray
-    anchor: np.ndarray
-    grad_sum: np.ndarray = field(default=None)
+    meta = {"method": "fgm", "linesearch": linesearch.describe()}
+    return descend(oracle, x0, stop, meta, _FgmRule(), linesearch)
 
 
 def ofgm_schedule(N: int):
@@ -103,8 +59,7 @@ def ofgm_schedule(N: int):
         raise ValueError("horizon N must be >= 1")
     t = np.empty(N + 1)
     theta = np.empty(N + 1)
-    t[0] = 1.0
-    theta[0] = 1.0
+    t[0] = theta[0] = 1.0
     for k in range(N):
         theta[k + 1] = 0.5 * (1.0 + math.sqrt(8.0 * theta[k] ** 2 + 1.0))
     for k in range(N - 1):
@@ -126,59 +81,34 @@ def ofgm(oracle, x0, N, L=None, linesearch=None, stop=None) -> OptimizeResult:
         raise ValueError("pass exactly one of L or linesearch")
     if L is not None and not L > 0:
         raise ValueError("L must be positive")
-    t, theta = ofgm_schedule(N)
+    t, _ = ofgm_schedule(N)
     meta = {"method": "ofgm", "N": N}
     if L is not None:
         meta["L"] = L
     else:
         meta["linesearch"] = linesearch.describe()
-    run, x, f, g, gn = _start(oracle, x0, stop, meta)
-    f_init = f
-    st = OfgmState(horizon=N, t=t, theta=theta, anchor=x.copy(),
-                   grad_sum=np.zeros_like(x))
-    status = CONVERGED if gn <= run.threshold else None
-    k = 0
-    while status is None:
-        if k >= N:
-            status = HORIZON_COMPLETE
-            break
-        status = run.budget_status(k)
-        if status:
-            break
-        st.grad_sum += t[k] * g
+    anchor = np.array(x0, dtype=np.float64).reshape(-1)
+    grad_sum = np.zeros_like(anchor)
+
+    def step(k, x, x_prev, g):
+        nonlocal grad_sum
+        grad_sum += t[k] * g
         tk1 = t[k + 1]
-        d = (1.0 - 1.0 / tk1) * g + (2.0 / tk1) * st.grad_sum
-        y = (1.0 - 1.0 / tk1) * x + (1.0 / tk1) * st.anchor
+        d = (1.0 - 1.0 / tk1) * g + (2.0 / tk1) * grad_sum
+        y = (1.0 - 1.0 / tk1) * x + (1.0 / tk1) * anchor
         if L is not None:
             x = y - (1.0 / L) * d
-            f, g = oracle.value_and_gradient(x)
-            step = 1.0 / L
-        else:
-            dn = float(np.linalg.norm(d))
-            if dn == 0.0:
-                x, step = y, 0.0
-                f = oracle.value(x)
-            else:
-                r = -d / dn
-                f_y = oracle.value(y)
-                g_y = oracle.gradient(y) if linesearch.needs_gradient else None
-                res = linesearch.search(oracle, y, r, f_y, g_y)
-                if res.status == NO_RELAXATION:
-                    x, step, f = y, 0.0, f_y
-                else:
-                    x = y + res.h * r
-                    step, f = res.h, res.f_at_step
-            g = oracle.gradient(x)
-        if (
-            not math.isfinite(f)
-            or f > DIVERGENCE_FACTOR * max(1.0, abs(f_init))
-            or not np.all(np.isfinite(g))
-        ):
-            raise DivergenceError(f"ofgm diverged at iteration {k + 1}: f={f!r}")
-        gn = float(np.linalg.norm(g))
-        k += 1
-        run.update_best(x, f)
-        run.record(k, f, gn, step)
-        if gn <= run.threshold:
-            status = CONVERGED
-    return run.finish(status, x, f, gn)
+            return (x, *oracle.value_and_gradient(x), 1.0 / L)
+        # a zero d or a failed search keeps x_{k+1} = y_k
+        x, h, f = y, 0.0, oracle.value(y)
+        dn = float(np.linalg.norm(d))
+        if dn != 0.0:
+            r = -d / dn
+            g_y = oracle.gradient(y) if linesearch.needs_gradient else None
+            res = linesearch.search(oracle, y, r, f, g_y)
+            if res.status != NO_RELAXATION:
+                x, h, f = y + res.h * r, res.h, res.f_at_step
+        return x, f, oracle.gradient(x), h
+
+    return iterate(oracle, x0, stop, meta, step, horizon=N,
+                   diverged="ofgm diverged at iteration {k}: f={f!r}")

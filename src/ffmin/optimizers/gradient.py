@@ -4,96 +4,25 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
-from .common import (
-    CONVERGED,
-    LINESEARCH_FAILURE,
-    NO_RELAXATION,
-    DivergenceError,
-    LineSearcher,
-    OptimizeResult,
-    Run,
-    StopCriteria,
-    check_finite,
-)
-
-# fixed-step runs abort once f exceeds this multiple of max(1, |f(x0)|)
-DIVERGENCE_FACTOR = 1e3
-
-
-def _start(oracle, x0, stop, meta):
-    x = np.array(x0, dtype=np.float64).reshape(-1).copy()
-    if x.size != oracle.n:
-        raise ValueError(f"x0 has {x.size} entries, oracle expects {oracle.n}")
-    run = Run(oracle, stop or StopCriteria(), meta)
-    f, g = oracle.value_and_gradient(x)
-    check_finite(f, g, "the start point")
-    gn = float(np.linalg.norm(g))
-    run.init_threshold(gn)
-    run.update_best(x, f)
-    run.record(0, f, gn, 0.0)
-    return run, x, f, g, gn
-
-
-def _diverged(f, f0):
-    return not math.isfinite(f) or f > DIVERGENCE_FACTOR * max(1.0, abs(f0))
+from .common import DescentRule, LineSearcher, OptimizeResult, descend, iterate
 
 
 def gradient_descent_fixed(oracle, x0, L, stop=None) -> OptimizeResult:
     """x_{k+1} = x_k - (1/L) grad f(x_k)."""
     if not L > 0:
         raise ValueError("L must be positive")
-    run, x, f, g, gn = _start(oracle, x0, stop, {"method": "gd", "L": L})
-    status = CONVERGED if gn <= run.threshold else None
-    k = 0
-    while status is None:
-        status = run.budget_status(k)
-        if status:
-            break
-        x = x - (1.0 / L) * g
-        f, g = oracle.value_and_gradient(x)
-        check_finite(f, g, f"iteration {k + 1}")
-        gn = float(np.linalg.norm(g))
-        k += 1
-        run.update_best(x, f)
-        run.record(k, f, gn, 1.0 / L)
-        if gn <= run.threshold:
-            status = CONVERGED
-    return run.finish(status, x, f, gn)
+
+    def step(k, x, x_prev, g):
+        x_new = x - (1.0 / L) * g
+        return (x_new, *oracle.value_and_gradient(x_new), 1.0 / L)
+
+    return iterate(oracle, x0, stop, {"method": "gd", "L": L}, step)
 
 
 def steepest_descent(oracle, x0, linesearch: LineSearcher, stop=None) -> OptimizeResult:
     """Line search along the normalized antigradient each iteration."""
-    run, x, f, g, gn = _start(
-        oracle, x0, stop, {"method": "sd", "linesearch": linesearch.describe()}
-    )
-    status = CONVERGED if gn <= run.threshold else None
-    k = 0
-    while status is None:
-        status = run.budget_status(k)
-        if status:
-            break
-        r = -g / gn
-        res = linesearch.search(oracle, x, r, f, g)
-        if res.status == NO_RELAXATION:
-            if run.stop.stop_on_linesearch_failure:
-                status = LINESEARCH_FAILURE
-                break
-            k += 1
-            run.record(k, f, gn, 0.0)
-            continue
-        x = x + res.h * r
-        f = res.f_at_step
-        g = oracle.gradient(x)
-        check_finite(f, g, f"iteration {k + 1}")
-        gn = float(np.linalg.norm(g))
-        k += 1
-        run.update_best(x, f)
-        run.record(k, f, gn, res.h)
-        if gn <= run.threshold:
-            status = CONVERGED
-    return run.finish_best(status, x, f, gn)
+    meta = {"method": "sd", "linesearch": linesearch.describe()}
+    return descend(oracle, x0, stop, meta, DescentRule(), linesearch)
 
 
 def heavy_ball(oracle, x0, alpha, beta, stop=None) -> OptimizeResult:
@@ -102,32 +31,32 @@ def heavy_ball(oracle, x0, alpha, beta, stop=None) -> OptimizeResult:
         raise ValueError("alpha must be positive")
     if not 0.0 <= beta < 1.0:
         raise ValueError("beta must lie in [0, 1)")
-    run, x, f, g, gn = _start(
-        oracle, x0, stop, {"method": "hb", "alpha": alpha, "beta": beta}
-    )
-    f0 = f
-    x_prev = x.copy()
-    status = CONVERGED if gn <= run.threshold else None
-    k = 0
-    while status is None:
-        status = run.budget_status(k)
-        if status:
-            break
+
+    def step(k, x, x_prev, g):
         x_new = x - alpha * g + beta * (x - x_prev)
-        x_prev, x = x, x_new
-        f, g = oracle.value_and_gradient(x)
-        if _diverged(f, f0) or not np.all(np.isfinite(g)):
-            raise DivergenceError(
-                f"heavy ball diverged at iteration {k + 1}: f={f!r} "
-                f"(start f={f0!r}); reduce alpha or beta"
-            )
-        gn = float(np.linalg.norm(g))
-        k += 1
-        run.update_best(x, f)
-        run.record(k, f, gn, alpha)
-        if gn <= run.threshold:
-            status = CONVERGED
-    return run.finish(status, x, f, gn)
+        return (x_new, *oracle.value_and_gradient(x_new), alpha)
+
+    return iterate(
+        oracle, x0, stop, {"method": "hb", "alpha": alpha, "beta": beta}, step,
+        diverged="heavy ball diverged at iteration {k}: f={f!r} (start f={f0!r}); "
+                 "reduce alpha or beta",
+    )
+
+
+def _nesterov_step(oracle, L, momentum):
+    """One step shared by both Nesterov variants; momentum(k) is the schedule.
+
+    The gradient is taken at the extrapolated point w_k (at k = 0, where
+    w_0 = x_0, the start gradient is reused) and is what the step reports.
+    """
+
+    def step(k, x, x_prev, g):
+        w = x + momentum(k) * (x - x_prev)
+        gw = g if k == 0 else oracle.gradient(w)
+        x_new = w - (1.0 / L) * gw
+        return x_new, oracle.value(x_new), gw, 1.0 / L
+
+    return step
 
 
 def nesterov_momentum(oracle, x0, L, stop=None) -> OptimizeResult:
@@ -139,32 +68,9 @@ def nesterov_momentum(oracle, x0, L, stop=None) -> OptimizeResult:
     """
     if not L > 0:
         raise ValueError("L must be positive")
-    run, x, f, g, gn = _start(oracle, x0, stop, {"method": "nag", "L": L})
-    f0 = f
-    x_prev = x.copy()
-    status = CONVERGED if gn <= run.threshold else None
-    k = 0
-    while status is None:
-        status = run.budget_status(k)
-        if status:
-            break
-        m = (k - 1.0) / (k + 2.0)
-        w = x + m * (x - x_prev)
-        gw = g if k == 0 else oracle.gradient(w)
-        x_prev = x
-        x = w - (1.0 / L) * gw
-        f = oracle.value(x)
-        if _diverged(f, f0) or not np.all(np.isfinite(gw)):
-            raise DivergenceError(
-                f"nesterov momentum diverged at iteration {k + 1}: f={f!r}"
-            )
-        gn = float(np.linalg.norm(gw))
-        k += 1
-        run.update_best(x, f)
-        run.record(k, f, gn, 1.0 / L)
-        if gn <= run.threshold:
-            status = CONVERGED
-    return run.finish(status, x, f, gn)
+    step = _nesterov_step(oracle, L, lambda k: (k - 1.0) / (k + 2.0))
+    return iterate(oracle, x0, stop, {"method": "nag", "L": L}, step,
+                   diverged="nesterov momentum diverged at iteration {k}: f={f!r}")
 
 
 def nesterov_strongly_convex(oracle, x0, L, mu, stop=None) -> OptimizeResult:
@@ -174,30 +80,8 @@ def nesterov_strongly_convex(oracle, x0, L, mu, stop=None) -> OptimizeResult:
     if mu > L:
         raise ValueError("mu must not exceed L")
     m = (math.sqrt(L) - math.sqrt(mu)) / (math.sqrt(L) + math.sqrt(mu))
-    run, x, f, g, gn = _start(
-        oracle, x0, stop, {"method": "nag-sc", "L": L, "mu": mu}
+    step = _nesterov_step(oracle, L, lambda k: m)
+    return iterate(
+        oracle, x0, stop, {"method": "nag-sc", "L": L, "mu": mu}, step,
+        diverged="strongly convex nesterov diverged at iteration {k}: f={f!r}",
     )
-    f0 = f
-    x_prev = x.copy()
-    status = CONVERGED if gn <= run.threshold else None
-    k = 0
-    while status is None:
-        status = run.budget_status(k)
-        if status:
-            break
-        w = x + m * (x - x_prev)
-        gw = g if k == 0 else oracle.gradient(w)
-        x_prev = x
-        x = w - (1.0 / L) * gw
-        f = oracle.value(x)
-        if _diverged(f, f0) or not np.all(np.isfinite(gw)):
-            raise DivergenceError(
-                f"strongly convex nesterov diverged at iteration {k + 1}: f={f!r}"
-            )
-        gn = float(np.linalg.norm(gw))
-        k += 1
-        run.update_best(x, f)
-        run.record(k, f, gn, 1.0 / L)
-        if gn <= run.threshold:
-            status = CONVERGED
-    return run.finish(status, x, f, gn)

@@ -2,39 +2,29 @@
 
 from __future__ import annotations
 
+from collections import deque
+
 import numpy as np
 
-from .common import (
-    CONVERGED,
-    LINESEARCH_FAILURE,
-    NO_RELAXATION,
-    LineSearcher,
-    OptimizeResult,
-    check_finite,
-)
-from .gradient import _start
+from .common import DescentRule, LineSearcher, OptimizeResult, descend
 
 CURVATURE_RTOL = 1e-12
 
 
 class LbfgsMemory:
-    """Ring buffer of the last m curvature pairs (s, y, rho)."""
+    """Ring buffer of the last m curvature pairs (s, y, rho), oldest first."""
 
     def __init__(self, m: int):
         if m < 1:
             raise ValueError("memory depth m must be >= 1")
         self.m = m
-        self.s = []
-        self.y = []
-        self.rho = []
+        self.pairs = deque(maxlen=m)
 
     def __len__(self):
-        return len(self.s)
+        return len(self.pairs)
 
     def clear(self):
-        self.s.clear()
-        self.y.clear()
-        self.rho.clear()
+        self.pairs.clear()
 
     def push(self, s, y) -> bool:
         """Store the pair unless its curvature is too small; True if stored."""
@@ -42,13 +32,8 @@ class LbfgsMemory:
         guard = CURVATURE_RTOL * float(np.linalg.norm(s)) * float(np.linalg.norm(y))
         if sy <= guard:
             return False
-        if len(self.s) == self.m:
-            self.s.pop(0)
-            self.y.pop(0)
-            self.rho.pop(0)
-        self.s.append(np.array(s, dtype=np.float64, copy=True))
-        self.y.append(np.array(y, dtype=np.float64, copy=True))
-        self.rho.append(1.0 / sy)
+        self.pairs.append((np.array(s, dtype=np.float64, copy=True),
+                           np.array(y, dtype=np.float64, copy=True), 1.0 / sy))
         return True
 
 
@@ -57,72 +42,47 @@ def lbfgs_direction(memory: LbfgsMemory, g) -> np.ndarray:
     otherwise the raw (unscaled) quasi-Newton direction is returned.
     """
     g = np.asarray(g, dtype=np.float64)
-    n_pairs = len(memory)
-    if n_pairs == 0:
+    if len(memory) == 0:
         gn = float(np.linalg.norm(g))
-        if gn == 0.0:
-            return -g
-        return -g / gn
+        return -g if gn == 0.0 else -g / gn
     q = g.copy()
-    alpha = np.empty(n_pairs)
-    for i in range(n_pairs - 1, -1, -1):
-        alpha[i] = memory.rho[i] * float(memory.s[i] @ q)
-        q -= alpha[i] * memory.y[i]
-    s_last, y_last = memory.s[-1], memory.y[-1]
+    alphas = []
+    for s, y, rho in reversed(memory.pairs):
+        alphas.append(rho * float(s @ q))
+        q -= alphas[-1] * y
+    s_last, y_last, _ = memory.pairs[-1]
     q *= float(s_last @ y_last) / float(y_last @ y_last)
-    for i in range(n_pairs):
-        beta = memory.rho[i] * float(memory.y[i] @ q)
-        q += (alpha[i] - beta) * memory.s[i]
+    for (s, y, rho), alpha in zip(memory.pairs, reversed(alphas)):
+        beta = rho * float(y @ q)
+        q += (alpha - beta) * s
     return -q
+
+
+class _LbfgsRule(DescentRule):
+    """Two-loop direction; on a failed search the memory is dropped once."""
+
+    def __init__(self, m: int):
+        self.memory = LbfgsMemory(m)
+
+    def direction(self, oracle, k, x, f, g, gn):
+        return x, f, g, gn, lbfgs_direction(self.memory, g)
+
+    def retry(self, g):
+        # a stale metric can produce a bad direction; drop it and retry from
+        # the plain antigradient (an empty memory cannot be dropped again)
+        if len(self.memory) == 0:
+            return False
+        self.memory.clear()
+        return True
+
+    def advance(self, x, g, x_new, g_new):
+        self.memory.push(x_new - x, g_new - g)
 
 
 def lbfgs(oracle, x0, m: int = 3, linesearch: LineSearcher | None = None,
           stop=None) -> OptimizeResult:
     if linesearch is None:
         raise ValueError("lbfgs requires a configured line search")
-    memory = LbfgsMemory(m)
-    run, x, f, g, gn = _start(
-        oracle, x0, stop,
-        {"method": "lbfgs", "m": m, "linesearch": linesearch.describe()},
-    )
-    status = CONVERGED if gn <= run.threshold else None
-    cleared_once = False
-    k = 0
-    while status is None:
-        status = run.budget_status(k)
-        if status:
-            break
-        d = lbfgs_direction(memory, g)
-        dn = float(np.linalg.norm(d))
-        if dn == 0.0:
-            status = CONVERGED
-            break
-        r = d / dn
-        res = linesearch.search(oracle, x, r, f, g)
-        if res.status == NO_RELAXATION:
-            if len(memory) > 0 and not cleared_once:
-                # a stale metric can produce a bad direction; drop it and
-                # retry from the plain antigradient
-                memory.clear()
-                cleared_once = True
-                continue
-            if run.stop.stop_on_linesearch_failure:
-                status = LINESEARCH_FAILURE
-                break
-            k += 1
-            run.record(k, f, gn, 0.0)
-            cleared_once = False
-            continue
-        cleared_once = False
-        x_new = x + res.h * r
-        g_new = oracle.gradient(x_new)
-        check_finite(res.f_at_step, g_new, f"iteration {k + 1}")
-        memory.push(x_new - x, g_new - g)
-        x, f, g = x_new, res.f_at_step, g_new
-        gn = float(np.linalg.norm(g))
-        k += 1
-        run.update_best(x, f)
-        run.record(k, f, gn, res.h)
-        if gn <= run.threshold:
-            status = CONVERGED
-    return run.finish_best(status, x, f, gn)
+    rule = _LbfgsRule(m)
+    meta = {"method": "lbfgs", "m": m, "linesearch": linesearch.describe()}
+    return descend(oracle, x0, stop, meta, rule, linesearch)

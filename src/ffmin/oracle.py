@@ -4,6 +4,10 @@ An oracle owns the call counters. Every optimizer trace snapshots
 value_calls/grad_calls, so the accounting must flow through value(),
 gradient() and value_and_gradient() and nothing else. A fused
 value_and_gradient call increments both counters by one.
+
+While an optimizer runs, call_limit caps value_calls + grad_calls: a call
+that would pass it raises before evaluating, and the optimizer ends the run
+with status oracle_budget.
 """
 
 from __future__ import annotations
@@ -13,8 +17,15 @@ import numpy as np
 from .energy import energy_and_gradient, energy_total
 
 
+class _BudgetExhausted(Exception):
+    """A call would take the oracle past its call_limit."""
+
+
 class ObjectiveOracle:
     """Base class; subclasses implement _value/_gradient/_value_and_gradient."""
+
+    # total calls allowed, or None; set for the span of one optimizer run
+    call_limit = None
 
     def __init__(self, n):
         self.n = int(n)
@@ -25,17 +36,23 @@ class ObjectiveOracle:
         self.value_calls = 0
         self.grad_calls = 0
 
+    def _count(self, values, grads):
+        if (self.call_limit is not None
+                and self.value_calls + self.grad_calls + values + grads > self.call_limit):
+            raise _BudgetExhausted
+        self.value_calls += values
+        self.grad_calls += grads
+
     def value(self, x) -> float:
-        self.value_calls += 1
+        self._count(1, 0)
         return float(self._value(np.asarray(x, dtype=np.float64)))
 
     def gradient(self, x):
-        self.grad_calls += 1
+        self._count(0, 1)
         return np.asarray(self._gradient(np.asarray(x, dtype=np.float64)), dtype=np.float64)
 
     def value_and_gradient(self, x):
-        self.value_calls += 1
-        self.grad_calls += 1
+        self._count(1, 1)
         f, g = self._value_and_gradient(np.asarray(x, dtype=np.float64))
         return float(f), np.asarray(g, dtype=np.float64)
 

@@ -525,3 +525,18 @@ def test_rotation_invariance():
         q[:, 0] = -q[:, 0]  # keep it proper
     assert energy_total(s.with_coords(s.coords @ q.T)).total == pytest.approx(
         e0, rel=1e-9)
+
+
+@pytest.mark.parametrize("scale,term", [(1e100, "torsion"), (1e160, "stretch")])
+def test_huge_finite_coordinates_raise_named_error(scale, term):
+    # finite x whose cross products or squares overflow: NaN/inf terms
+    system = make_chain_system(6, seed=1)
+    x = system.coords.ravel() * scale
+    oracle = MolecularOracle(system)
+    calls = (lambda: energy_total(system, x), lambda: energy_and_gradient(system, x),
+             lambda: oracle.value(x), lambda: oracle.gradient(x),
+             lambda: oracle.value_and_gradient(x))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for call in calls:
+            with pytest.raises(EnergyEvaluationError, match=f"{term} energy is not finite"):
+                call()

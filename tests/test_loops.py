@@ -1,0 +1,148 @@
+"""The two optimizer loops: the hard oracle-call budget and the failure
+branches of the line-search methods."""
+
+import numpy as np
+import pytest
+
+from ffmin.oracle import FunctionOracle, MolecularOracle
+from ffmin.optimizers import (
+    HORIZON_COMPLETE,
+    ITERATION_BUDGET,
+    LINESEARCH_FAILURE,
+    ORACLE_BUDGET,
+    StopCriteria,
+    cg,
+    fgm,
+    gradient_descent_fixed,
+    heavy_ball,
+    lbfgs,
+    make_linesearch,
+    nesterov_momentum,
+    nesterov_strongly_convex,
+    ofgm,
+    steepest_descent,
+)
+from ffmin.synth import make_chain_system
+
+NO_TOL = dict(gradient_norm_rtol=0.0)
+
+# ------------------------------------------------------ hard oracle budget
+
+LS_METHODS = {
+    "sd": lambda o, x0, ls, stop: steepest_descent(o, x0, ls, stop),
+    "lbfgs": lambda o, x0, ls, stop: lbfgs(o, x0, m=3, linesearch=ls, stop=stop),
+    "cg": lambda o, x0, ls, stop: cg(o, x0, "prp", ls, stop),
+    "fgm": lambda o, x0, ls, stop: fgm(o, x0, ls, stop),
+    "ofgm": lambda o, x0, ls, stop: ofgm(o, x0, 100, linesearch=ls, stop=stop),
+}
+L_CHAIN = 2000.0
+FIXED_METHODS = {
+    "gd": lambda o, x0, stop: gradient_descent_fixed(o, x0, L_CHAIN, stop),
+    "hb": lambda o, x0, stop: heavy_ball(o, x0, 1.0 / L_CHAIN, 0.5, stop),
+    "nag": lambda o, x0, stop: nesterov_momentum(o, x0, L_CHAIN, stop),
+    "nag-sc": lambda o, x0, stop: nesterov_strongly_convex(o, x0, L_CHAIN, 1.0, stop),
+    "ofgm-L": lambda o, x0, stop: ofgm(o, x0, 100, L=L_CHAIN, stop=stop),
+}
+CASES = ([(name, ls) for name in LS_METHODS for ls in ("h", "par")]
+         + [(name, None) for name in FIXED_METHODS])
+
+
+@pytest.mark.parametrize("name,ls", CASES, ids=[f"{n}-{ls}" if ls else n for n, ls in CASES])
+def test_oracle_budget_is_never_exceeded(name, ls):
+    system = make_chain_system(12, seed=0, strain=0.3)
+    x0 = system.coords.ravel()
+    for cap in range(2, 61):
+        oracle = MolecularOracle(system)
+        stop = StopCriteria(max_iterations=None, max_oracle_calls=cap, **NO_TOL)
+        if ls is None:
+            res = FIXED_METHODS[name](oracle, x0, stop)
+        else:
+            res = LS_METHODS[name](oracle, x0, make_linesearch(ls), stop)
+        assert res.status == ORACLE_BUDGET, cap
+        assert oracle.value_calls + oracle.grad_calls <= cap, cap
+        last = res.trace.records[-1]
+        assert last.value_calls + last.grad_calls <= cap, cap
+        assert oracle.call_limit is None
+        # the reused oracle is unlimited again
+        oracle.value_and_gradient(x0)
+
+
+def test_oracle_budget_below_two_calls_is_rejected():
+    with pytest.raises(ValueError, match="max_oracle_calls"):
+        StopCriteria(max_oracle_calls=1)
+
+
+def test_oracle_budget_returns_best_point_seen():
+    system = make_chain_system(12, seed=0, strain=0.3)
+    oracle = MolecularOracle(system)
+    stop = StopCriteria(max_iterations=None, max_oracle_calls=37, **NO_TOL)
+    res = lbfgs(oracle, system.coords.ravel(), m=3, linesearch=make_linesearch("par"),
+                stop=stop)
+    assert res.status == ORACLE_BUDGET
+    assert res.f == min(r.f for r in res.trace.records)
+    assert res.f == MolecularOracle(system).value(res.x)
+
+
+# --------------------------------------------- line searches that always fail
+
+def uphill_oracle():
+    """f = |x|^2 / 2 with a gradient that points uphill: every search fails."""
+    return FunctionOracle(3, lambda x: 0.5 * float(x @ x), lambda x: -x)
+
+
+X0 = np.array([1.0, -2.0, 0.5])
+F0 = 0.5 * float(X0 @ X0)
+# ls_h from h0 = 1 halves down to eps_h = 1e-12: 40 value calls
+LS_H_FAIL_CALLS = 40
+
+
+def counts(res):
+    return [(r.value_calls, r.grad_calls) for r in res.trace.records]
+
+
+def test_sd_stops_at_first_failed_search():
+    oracle = uphill_oracle()
+    res = steepest_descent(oracle, X0, make_linesearch("h"))
+    assert res.status == LINESEARCH_FAILURE
+    assert res.iterations == 0
+    assert np.array_equal(res.x, X0)
+    assert counts(res) == [(1, 1)]
+    assert (oracle.value_calls, oracle.grad_calls) == (1 + LS_H_FAIL_CALLS, 1)
+
+
+def test_sd_records_failed_searches_as_zero_steps():
+    oracle = uphill_oracle()
+    stop = StopCriteria(max_iterations=3, stop_on_linesearch_failure=False, **NO_TOL)
+    res = steepest_descent(oracle, X0, make_linesearch("h"), stop)
+    assert res.status == ITERATION_BUDGET
+    assert res.iterations == 3
+    assert np.array_equal(res.x, X0)
+    assert all(r.step == 0.0 and r.f == F0 for r in res.trace.records)
+    assert counts(res) == [(1 + LS_H_FAIL_CALLS * k, 1) for k in range(4)]
+
+
+def test_fgm_records_failed_searches_at_w():
+    oracle = uphill_oracle()
+    stop = StopCriteria(max_iterations=3, stop_on_linesearch_failure=False, **NO_TOL)
+    res = fgm(oracle, X0, make_linesearch("h"), stop)
+    assert res.status == ITERATION_BUDGET
+    assert res.iterations == 3
+    # every x_{k+1} = w_k = x0; each w after the first costs a fused call
+    assert np.array_equal(res.x, X0)
+    assert all(r.step == 0.0 and r.f == F0 for r in res.trace.records)
+    assert counts(res) == [(1, 1)] + [((1 + LS_H_FAIL_CALLS) * k, k) for k in (1, 2, 3)]
+
+
+def test_ofgm_failed_searches_keep_y_and_finish_the_horizon():
+    oracle = uphill_oracle()
+    N = 3
+    res = ofgm(oracle, X0, N, linesearch=make_linesearch("h"),
+               stop=StopCriteria(max_iterations=100, **NO_TOL))
+    assert res.status == HORIZON_COMPLETE
+    assert res.iterations == N
+    assert all(r.step == 0.0 for r in res.trace.records)
+    # y_k mixes x_k and the anchor x0, which are equal up to rounding
+    assert np.allclose(res.x, X0, rtol=0.0, atol=1e-15)
+    assert res.f == 0.5 * float(res.x @ res.x)
+    # per step: f(y), the failed search, then the gradient at x_{k+1} = y
+    assert counts(res) == [(1 + (1 + LS_H_FAIL_CALLS) * k, 1 + k) for k in range(N + 1)]

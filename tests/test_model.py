@@ -230,3 +230,23 @@ def test_atom_terms_rows():
             assert (t in arows) == (a in (ang.i, ang.j, ang.k))
         for t, d in enumerate(sys0.dihedrals):
             assert (t in drows) == (a in (d.i, d.j, d.k, d.l))
+
+
+def test_policy_stores_reversed_pairs_canonically():
+    pol = NonbondedPolicy(excluded=frozenset({(3, 1)}), scaled14=frozenset({(4, 0)}))
+    assert pol.excluded == frozenset({(1, 3)})
+    assert pol.scaled14 == frozenset({(0, 4)})
+    assert pol.pair_scale(1, 3) == pol.pair_scale(3, 1) == 0.0
+    assert pol.pair_scale(0, 4) == pol.pair_scale(4, 0) == 0.5
+    sys0 = MolecularSystem(atoms=tuple(atom(i, q=0.1) for i in range(5)),
+                           coords=np.arange(15.0).reshape(5, 3), nonbonded=pol)
+    p = sys0.arrays()
+    for k, (i, j) in enumerate(p["pair_idx"].T):
+        assert p["pair_scale"][k] == pol.pair_scale(i, j)
+    with pytest.raises(ModelError, match="must differ"):
+        NonbondedPolicy(excluded=frozenset({(2, 2)}))
+
+
+def test_policy_overlap_check_sees_reversed_pairs():
+    with pytest.raises(ModelError, match="overlap"):
+        NonbondedPolicy(excluded=frozenset({(1, 3)}), scaled14=frozenset({(3, 1)}))
