@@ -64,67 +64,84 @@ class FarFieldLinearization:
     near_idx: np.ndarray
 
 
-def _bond_name(system, row):
-    b = system.bonds[row]
-    return f"stretch term {row} (atoms {b.i}-{b.j})"
+# no NumPy floating-point warning leaves this layer: huge coordinates give
+# non-finite terms, and _finite turns those into named errors
+_QUIET = np.errstate(all="ignore")
+
+_BONDED = {  # plan section, kernel, parameter keys, edges per term, what a bad row means
+    "stretch": ("bond", kernels.stretch, ("bond_K", "bond_r0"), 1, "coincident endpoints"),
+    "bend": ("angle", kernels.bend, ("ang_K", "ang_t0"), 2, "zero-length arm"),
+    "torsion": ("torsion", kernels.torsion, ("dih_V",), 3, "degenerate plane"),
+}
 
 
-def _angle_name(system, row):
-    a = system.angles[row]
-    return f"bend term {row} (atoms {a.i}-{a.j}-{a.k})"
-
-
-def _dihedral_name(system, row):
+def _term_name(system, term, row):
+    if term == "stretch":
+        b = system.bonds[row]
+        return f"stretch term {row} (atoms {b.i}-{b.j})"
+    if term == "bend":
+        a = system.angles[row]
+        return f"bend term {row} (atoms {a.i}-{a.j}-{a.k})"
     d = system.dihedrals[row]
     return f"torsion term {row} (atoms {d.i}-{d.j}-{d.k}-{d.l})"
 
 
-def _stretch(p, c):
-    return float(kernels.bond_energy(c, p["bond_idx"], p["bond_K"], p["bond_r0"]))
-
-
-def _bend(system, p, c):
-    e, bad = kernels.angle_energy(c, p["ang_idx"], p["ang_K"], p["ang_t0"])
+def _bonded(system, p, term, D, R, G=None, rows=None):
+    """One bonded term over its edge rows D, R: those of every term, or of rows."""
+    _, kernel, keys, _, what = _BONDED[term]
+    e, bad = kernel(D, R, *(p[k] if rows is None else p[k][rows] for k in keys), G)
     if bad >= 0:
-        raise EnergyEvaluationError(f"{_angle_name(system, bad)}: zero-length arm")
-    return float(e)
+        if term == "bend" and G is not None:
+            what = "zero-length arm or collinear geometry"
+        row = bad if rows is None else int(rows[bad])
+        raise EnergyEvaluationError(f"{_term_name(system, term, row)}: {what}")
+    return e
 
 
-def _torsion(system, p, c):
-    e, bad = kernels.dihedral_energy(c, p["dih_idx"], p["dih_V"])
+def _nonbonded(p, D, R, G=None):
+    ec, ev, bad = kernels.nonbonded(D, R, p["pair_qq"], p["pair_sig"], p["pair_eps"],
+                                    p["pair_scale"], p["cutoff"], G)
     if bad >= 0:
-        raise EnergyEvaluationError(f"{_dihedral_name(system, bad)}: degenerate plane")
-    return float(e)
-
-
-def _nonbonded(p, c):
-    ec, ev, bi, bj = kernels.nb_energy(
-        c, p["pair_idx"], p["pair_act"], p["pair_qq"], p["pair_sig"], p["pair_eps"],
-        p["pair_scale"], p["cutoff"],
-    )
-    if bi >= 0:
+        bi, bj = p["edge_idx"][:, p["pair"]][:, bad]
         raise EnergyEvaluationError(f"nonbonded pair ({bi},{bj}): coincident atoms")
     return float(ec), float(ev)
 
 
+def _one_term(system, term):
+    """One bonded term at system.coords, gathering only its own edges."""
+    p = system.arrays()
+    D, R = kernels.edges(system.coords, p["edge_idx"][:, p[_BONDED[term][0]]])
+    return float(_bonded(system, p, term, D, R))
+
+
+def _pairs_only(system):
+    p = system.arrays()
+    return _nonbonded(p, *kernels.edges(system.coords, p["edge_idx"][:, p["pair"]]))
+
+
+@_QUIET
 def energy_stretch(system: MolecularSystem) -> float:
-    return _stretch(system.arrays(), system.coords)
+    return _one_term(system, "stretch")
 
 
+@_QUIET
 def energy_bend(system: MolecularSystem) -> float:
-    return _bend(system, system.arrays(), system.coords)
+    return _one_term(system, "bend")
 
 
+@_QUIET
 def energy_torsion(system: MolecularSystem) -> float:
-    return _torsion(system, system.arrays(), system.coords)
+    return _one_term(system, "torsion")
 
 
+@_QUIET
 def energy_coulomb(system: MolecularSystem) -> float:
-    return _nonbonded(system.arrays(), system.coords)[0]
+    return _pairs_only(system)[0]
 
 
+@_QUIET
 def energy_vdw(system: MolecularSystem) -> float:
-    return _nonbonded(system.arrays(), system.coords)[1]
+    return _pairs_only(system)[1]
 
 
 def _finite(bd, g=None):
@@ -143,23 +160,23 @@ def _coords(system, x):
     return system.coords if x is None else system.coords_at(x)
 
 
+@_QUIET
 def energy_total(system: MolecularSystem, x=None) -> EnergyBreakdown:
     """Per-term energies at flat coordinates x (default: system.coords).
 
     Raises ModelError for an x of the wrong size or with a non-finite entry.
     """
-    c = _coords(system, x)
     p = system.arrays()
-    ec, ev = _nonbonded(p, c)
-    return _finite(EnergyBreakdown(
-        stretch=_stretch(p, c),
-        bend=_bend(system, p, c),
-        torsion=_torsion(system, p, c),
-        coulomb=ec,
-        vdw=ev,
-    ))
+    D, R = kernels.edges(_coords(system, x), p["edge_idx"])
+    pair = p["pair"]
+    # pairs first: a coincident pair is named before any degenerate bonded term
+    ec, ev = _nonbonded(p, D[pair], R[pair])
+    bonded = {term: float(_bonded(system, p, term, D[p[sec]], R[p[sec]]))
+              for term, (sec, *_) in _BONDED.items()}
+    return _finite(EnergyBreakdown(**bonded, coulomb=ec, vdw=ev))
 
 
+@_QUIET
 def energy_and_gradient(system: MolecularSystem, x=None):
     """One fused sweep: (EnergyBreakdown, flattened analytic gradient).
 
@@ -169,33 +186,15 @@ def energy_and_gradient(system: MolecularSystem, x=None):
     """
     c = _coords(system, x)
     p = system.arrays()
-    gout = np.zeros(c.shape)
-    e_bond, bad = kernels.bond_grad(
-        c, p["bond_idx"], p["bond_K"], p["bond_r0"], p["bond_scatter"], gout
-    )
-    if bad >= 0:
-        raise EnergyEvaluationError(f"{_bond_name(system, bad)}: coincident endpoints")
-    e_ang, bad = kernels.angle_grad(
-        c, p["ang_idx"], p["ang_K"], p["ang_t0"], p["ang_scatter"], gout
-    )
-    if bad >= 0:
-        raise EnergyEvaluationError(
-            f"{_angle_name(system, bad)}: zero-length arm or collinear geometry"
-        )
-    e_dih, bad = kernels.dihedral_grad(c, p["dih_idx"], p["dih_V"], p["dih_scatter"], gout)
-    if bad >= 0:
-        raise EnergyEvaluationError(f"{_dihedral_name(system, bad)}: degenerate plane")
-    ec, ev, bi, bj = kernels.nb_grad(
-        c, p["pair_idx"], p["pair_act"], p["pair_qq"], p["pair_sig"], p["pair_eps"],
-        p["pair_scale"], p["cutoff"], p["pair_scatter"], gout,
-    )
-    if bi >= 0:
-        raise EnergyEvaluationError(f"nonbonded pair ({bi},{bj}): coincident atoms")
-    breakdown = EnergyBreakdown(
-        stretch=float(e_bond), bend=float(e_ang), torsion=float(e_dih),
-        coulomb=float(ec), vdw=float(ev),
-    )
-    return _finite(breakdown, gout), gout.reshape(-1)
+    D, R = kernels.edges(c, p["edge_idx"])
+    # the edge gradients G = W[:M]; scatter() fills W[M:] with -G
+    W = np.empty((2 * R.size, 3))
+    bonded = {term: float(_bonded(system, p, term, D[p[sec]], R[p[sec]], W[p[sec]]))
+              for term, (sec, *_) in _BONDED.items()}
+    pair = p["pair"]
+    ec, ev = _nonbonded(p, D[pair], R[pair], W[pair])
+    g = kernels.scatter(W, p["edge_scatter"], c.shape[0])
+    return _finite(EnergyBreakdown(**bonded, coulomb=ec, vdw=ev), g), g.reshape(-1)
 
 
 def gradient_total(system: MolecularSystem):
@@ -221,6 +220,7 @@ def finite_difference_gradient(system: MolecularSystem, step=1e-5):
     return g
 
 
+@_QUIET
 def linearize_farfield_coulomb(system: MolecularSystem, atom: int,
                                cutoff: float) -> FarFieldLinearization:
     """Split atom's Coulomb sum at cutoff and linearize the far part.
@@ -248,6 +248,40 @@ def linearize_farfield_coulomb(system: MolecularSystem, atom: int,
     )
 
 
+def _atom_delta(system, atom, delta, partners=None):
+    """Exact energy change of moving atom by delta, over its bonded terms and
+    its nonbonded partners (all of them when partners is None).
+
+    The term kernels evaluate the current and the moved coordinates at once,
+    as two coordinate sets.
+    """
+    p = system.arrays()
+    both = np.array((system.coords, system.coords))
+    both[1, atom] += delta
+    row = system.scale_row(atom)
+    j = np.flatnonzero(row) if partners is None else partners[row[partners] != 0.0]
+    s = row[j]
+    q, sigma, epsilon = p["q"], p["sigma"], p["epsilon"]
+    D, R = kernels.edges(both, np.stack((np.full_like(j, atom), j)))
+    ec, ev, bad = kernels.nonbonded(
+        D, R, s * q[atom] * q[j], np.sqrt(sigma[atom] * sigma[j]),
+        np.sqrt(epsilon[atom] * epsilon[j]), s, p["cutoff"],
+    )
+    if bad >= 0:
+        raise EnergyEvaluationError(f"nonbonded pair ({atom},{j[bad]}): coincident atoms")
+    total = (ec[1] - ec[0]) + (ev[1] - ev[0])
+    for term, rows in zip(_BONDED, system.atom_terms(atom)):
+        sec, _, _, width, _ = _BONDED[term]
+        start, stop = p[sec].start, p[sec].stop
+        # the rows' edges, in the section's layout
+        ids = (start + rows + (stop - start) // width * np.arange(width)[:, None]).ravel()
+        D, R = kernels.edges(both, p["edge_idx"][:, ids])
+        e_old, e_new = _bonded(system, p, term, D, R, rows=rows)
+        total += e_new - e_old
+    return float(total)
+
+
+@_QUIET
 def delta_energy_atom_move(system: MolecularSystem, lin: FarFieldLinearization,
                            delta) -> float:
     """Energy change for moving lin.atom by delta, using the far-field model.
@@ -264,31 +298,10 @@ def delta_energy_atom_move(system: MolecularSystem, lin: FarFieldLinearization,
     if system.nonbonded.cutoff is not None:
         raise ValueError("incremental delta requires a system nonbonded cutoff of none")
     delta = np.asarray(delta, dtype=np.float64).reshape(3)
-    atom = lin.atom
-    newpos = system.coords[atom] + delta
-    p = system.arrays()
-    c = system.coords
-
-    dec, dev, bad = kernels.near_nb_delta(
-        c, p["q"], p["sigma"], p["epsilon"], system.scale_row(atom), atom, newpos,
-        lin.near_idx,
-    )
-    if bad >= 0:
-        raise EnergyEvaluationError(f"nonbonded pair ({atom},{bad}): coincident atoms")
-
-    bond_rows, ang_rows, dih_rows = system.atom_terms(atom)
-    de = kernels.bond_delta(c, atom, newpos, p["bond_idx"], p["bond_K"], p["bond_r0"], bond_rows)
-    dea, bad = kernels.angle_delta(c, atom, newpos, p["ang_idx"], p["ang_K"], p["ang_t0"], ang_rows)
-    if bad >= 0:
-        raise EnergyEvaluationError(f"{_angle_name(system, bad)}: zero-length arm")
-    ded, bad = kernels.dihedral_delta(c, atom, newpos, p["dih_idx"], p["dih_V"], dih_rows)
-    if bad >= 0:
-        raise EnergyEvaluationError(f"{_dihedral_name(system, bad)}: degenerate plane")
-
-    far = float(lin.coef @ delta)
-    return float(de) + float(dea) + float(ded) + float(dec) + float(dev) + far
+    return _atom_delta(system, lin.atom, delta, lin.near_idx) + float(lin.coef @ delta)
 
 
+@_QUIET
 def exact_delta_atom_move(system: MolecularSystem, atom: int, delta) -> float:
     """Exact O(n) energy change for moving one atom (no linearization).
 
@@ -297,22 +310,4 @@ def exact_delta_atom_move(system: MolecularSystem, atom: int, delta) -> float:
     """
     if not 0 <= atom < system.natoms:
         raise ValueError(f"atom index {atom} out of range for {system.natoms} atoms")
-    delta = np.asarray(delta, dtype=np.float64).reshape(3)
-    newpos = system.coords[atom] + delta
-    p = system.arrays()
-    c = system.coords
-    dec, dev, bad = kernels.nb_atom_delta(
-        c, p["q"], p["sigma"], p["epsilon"], system.scale_row(atom), p["cutoff"], atom,
-        newpos,
-    )
-    if bad >= 0:
-        raise EnergyEvaluationError(f"nonbonded pair ({atom},{bad}): coincident atoms")
-    bond_rows, ang_rows, dih_rows = system.atom_terms(atom)
-    de = kernels.bond_delta(c, atom, newpos, p["bond_idx"], p["bond_K"], p["bond_r0"], bond_rows)
-    dea, bad = kernels.angle_delta(c, atom, newpos, p["ang_idx"], p["ang_K"], p["ang_t0"], ang_rows)
-    if bad >= 0:
-        raise EnergyEvaluationError(f"{_angle_name(system, bad)}: zero-length arm")
-    ded, bad = kernels.dihedral_delta(c, atom, newpos, p["dih_idx"], p["dih_V"], dih_rows)
-    if bad >= 0:
-        raise EnergyEvaluationError(f"{_dihedral_name(system, bad)}: degenerate plane")
-    return float(de) + float(dea) + float(ded) + float(dec) + float(dev)
+    return _atom_delta(system, atom, np.asarray(delta, dtype=np.float64).reshape(3))

@@ -1,17 +1,26 @@
 """Vectorized NumPy kernels for the force-field terms, in float64.
 
-Every kernel takes the (n, 3) coordinate array c and arrays of the
-system's evaluation plan, MolecularSystem.arrays(): term tables with one
-contiguous row of atom indices per term column, scatter indices, and the
-i<j pair tables with their precomputed scale, charge product and combined
-LJ parameters. Summation order is fixed, so repeated calls on the same
-inputs are bit-identical.
+The evaluation plan, MolecularSystem.arrays(), lists every difference vector
+any term needs in one edge table: edge e is c[ea[e]] - c[eb[e]]. edges()
+gathers them and their lengths in one pass, and each term kernel reads its
+own section of those rows and gathers nothing itself:
 
-Kernels do not raise. Degenerate geometry is reported through returned
-term/pair indices (-1 means clean); the energy layer turns those into typed
-errors naming the term. Gradient kernels return the term energy and add
-their gradient into gout in place, accumulating each atom's rows in the
-order of the scatter index, starting from zero.
+  stretch    d = c_i - c_j for each bond;
+  bend       a = c_i - c_j for each angle, then b = c_k - c_j for each;
+  torsion    b1 = c_j - c_i for each dihedral, then every b2 = c_k - c_j,
+             then every b3 = c_l - c_k;
+  nonbonded  d = c_i - c_j for each interacting pair.
+
+Given an output block G, a kernel also writes dE/d(edge vector) into its
+rows, and scatter() turns the whole table into the atom gradient by adding
++G at ea and -G at eb. Leading axes of D and R hold independent coordinate
+sets (a single-atom delta evaluates the current and the moved position in
+one call); energies are summed over the rows only. Summation order is fixed,
+so repeated calls on the same inputs are bit-identical.
+
+Kernels do not raise. Degenerate geometry is reported as the first bad row
+of the section, counting a row bad when it is bad in any coordinate set (-1
+means clean); the energy layer turns it into a typed error naming the term.
 """
 
 from __future__ import annotations
@@ -24,226 +33,157 @@ _C = COULOMB_KJ_ANGSTROM
 _EPS = DEGENERATE_EPS
 _RMIN = MIN_PAIR_DISTANCE
 
+# the torsion is sum_k 0.5*V_k*(1 + sign_k*cos(k*phi)) over k = 1..4
+_K = np.arange(1.0, 5.0)
+_SIGN = np.array([1.0, -1.0, 1.0, -1.0])
+# and its derivative sum_k V_k*_DPHI_k*sin(k*phi)
+_DPHI = -0.5 * _K * _SIGN
+# x[..., _ROT1] and x[..., _ROT2]: the components of a cross product's terms
+_ROT1 = np.array([1, 2, 0])
+_ROT2 = np.array([2, 0, 1])
+_sum = np.add.reduce  # np.sum without its Python-level dispatch
 
-def _cross(a, b):
-    """np.cross of (m, 3) rows, with its multiply-then-subtract arithmetic.
 
-    The result is C-ordered like np.cross's: einsum sums an F-ordered
-    operand in another order.
+def _dot(a, b):
+    """Row dot products over the last axis.
+
+    The operands must be C-ordered rows: einsum sums an F-ordered operand
+    in another order.
     """
-    a0, a1, a2 = a.T
-    b0, b1, b2 = b.T
-    out = np.empty(a.shape)
-    out[:, 0] = a1 * b2 - a2 * b1
-    out[:, 1] = a2 * b0 - a0 * b2
-    out[:, 2] = a0 * b1 - a1 * b0
-    return out
+    return np.einsum("...j,...j->...", a, b)
 
 
-def _scatter_add(gout, scatter, blocks):
-    """Add the rows of the (m, 3) blocks, stacked in order, to gout[scatter].
+def _first(bad):
+    """-1 when no entry of bad is set, else the first row (last axis) set."""
+    if not bad.any():
+        return -1
+    return int(np.flatnonzero(bad.reshape(-1, bad.shape[-1]).any(axis=0))[0])
 
-    One np.bincount per axis sums each atom's rows in scatter order from
-    zero, as np.add.at would; only one axis of the stacked weights exists
-    at a time.
+
+def edges(c, idx):
+    """Difference vectors D = c[idx[0]] - c[idx[1]] and their lengths R."""
+    d = np.take(c, idx[0], axis=-2)
+    d -= np.take(c, idx[1], axis=-2)
+    return d, np.sqrt(_dot(d, d))
+
+
+def scatter(w, index, n):
+    """The (n, 3) atom gradient of an edge-gradient table.
+
+    w is (2M, 3) with dE/d(edge) in its first M rows; the last M rows are
+    overwritten with their negatives, and index = [ea..., eb...] places
+    each row. One np.bincount per axis sums each atom's rows in index
+    order from zero.
     """
-    n = gout.shape[0]
+    m = w.shape[0] // 2
+    np.negative(w[:m], out=w[m:])
+    g = np.empty((n, 3))
     for axis in range(3):
-        w = np.concatenate([b[:, axis] for b in blocks])
-        gout[:, axis] += np.bincount(scatter, weights=w, minlength=n)
+        g[:, axis] = np.bincount(index, weights=w[:, axis], minlength=n)
+    return g
 
 
-def _scatter_pairs(gout, scatter, coef, d):
-    """gout[i] += coef * d and gout[j] -= coef * d for scatter = [i..., j...].
-
-    Same sums as _scatter_add(gout, scatter, (g, -g)) with
-    g = coef[:, None] * d, built one axis at a time.
-    """
-    n = gout.shape[0]
-    for axis in range(3):
-        g = coef * d[:, axis]
-        gout[:, axis] += np.bincount(scatter, weights=np.concatenate((g, -g)), minlength=n)
-
-
-def bond_energy(c, bidx, K, r0):
-    if bidx.shape[1] == 0:
-        return 0.0
-    i, j = bidx
-    d = c[i] - c[j]
-    r = np.sqrt(np.einsum("ij,ij->i", d, d))
-    dev = r - r0
-    return float(np.sum(K * dev * dev))
+def stretch(D, R, K, r0, G=None):
+    """Harmonic bonds: (energy, bad). Only the gradient checks for r = 0."""
+    if G is not None:
+        bad = _first(R < _RMIN)
+        if bad >= 0:
+            return 0.0, bad
+    dev = R - r0
+    kdev = K * dev
+    if G is not None:
+        np.multiply((2.0 * kdev / R)[..., None], D, out=G)
+    return _sum(kdev * dev, axis=-1), -1
 
 
-def bond_grad(c, bidx, K, r0, scatter, gout):
-    if bidx.shape[1] == 0:
-        return 0.0, -1
-    i, j = bidx
-    d = c[i] - c[j]
-    r = np.sqrt(np.einsum("ij,ij->i", d, d))
-    bad = np.nonzero(r < _RMIN)[0]
-    if bad.size:
-        return 0.0, int(bad[0])
-    dev = r - r0
-    e = float(np.sum(K * dev * dev))
-    _scatter_pairs(gout, scatter, 2.0 * K * dev / r, d)
+def bend(D, R, K, t0, G=None):
+    """Harmonic angles: (energy, bad) for zero arms, or, with G, collinear arms."""
+    m = K.size
+    D = D.reshape(D.shape[:-2] + (2, m, 3))
+    R = R.reshape(R.shape[:-1] + (2, m))
+    bad = _first(R < _EPS)
+    if bad >= 0:
+        return 0.0, bad
+    a, b = D[..., 0, :, :], D[..., 1, :, :]
+    nab = R[..., 0, :] * R[..., 1, :]
+    u = _dot(a, b) / nab
+    np.minimum(np.maximum(u, -1.0, out=u), 1.0, out=u)
+    dev = np.arccos(u) - t0
+    kdev = K * dev
+    if G is not None:
+        sin_th = np.sqrt(1.0 - u * u)
+        bad = _first(sin_th < _EPS)
+        if bad >= 0:
+            return 0.0, bad
+        pref = -2.0 * kdev / sin_th
+        # dE/da = pref*(b/(|a||b|) - u*a/|a|^2), and the same with a, b swapped
+        G = G.reshape(2, m, 3)
+        np.multiply((pref / nab)[:, None], D[::-1], out=G)
+        G -= ((pref * u) / (R * R))[..., None] * D
+    return _sum(kdev * dev, axis=-1), -1
+
+
+def torsion(D, R, V, G=None):
+    """OPLS torsions: (energy, bad) for a vanishing plane normal or central bond."""
+    m = V.shape[0]
+    D = D.reshape(D.shape[:-2] + (3, m, 3))
+    b2n = R.reshape(R.shape[:-1] + (3, m))[..., 1, :]
+    # plane normals n1 = b1 x b2 and n2 = b2 x b3, with np.cross's arithmetic
+    P, Q = np.take(D, _ROT1, axis=-1), np.take(D, _ROT2, axis=-1)
+    N = P[..., :2, :, :] * Q[..., 1:, :, :] - Q[..., :2, :, :] * P[..., 1:, :, :]
+    nn = _dot(N, N)
+    bad = _first((nn < _EPS * _EPS) | (b2n < _EPS)[..., None, :])
+    if bad >= 0:
+        return 0.0, bad
+    n1, n2 = N[..., 0, :, :], N[..., 1, :, :]
+    phi = np.arctan2(b2n * _dot(D[..., 0, :, :], n2), _dot(n1, n2))
+    kphi = phi[..., None] * _K
+    e = 0.5 * _sum(V + (V * _SIGN) * np.cos(kphi), axis=(-2, -1))
+    if G is not None:
+        dedphi = _dot(V * _DPHI, np.sin(kphi))
+        G = G.reshape(3, m, 3)
+        # dE/db1 = w*|b2|/|n1|^2 n1 and dE/db3 = w*|b2|/|n2|^2 n2, w = dE/dphi
+        np.multiply((dedphi * b2n / nn)[..., None], N, out=G[::2])
+        # dE/db2 = -(p dE/db1 + s dE/db3), p = b1.b2/|b2|^2, s = b3.b2/|b2|^2
+        ps = _dot(D[::2], D[1]) / (b2n * b2n)
+        np.einsum("km,kmj->mj", ps, G[::2], out=G[1])
+        np.negative(G[1], out=G[1])
     return e, -1
 
 
-def _angle_core(c, aidx):
-    i, j, k = aidx
-    a = c[i] - c[j]
-    b = c[k] - c[j]
-    na = np.sqrt(np.einsum("ij,ij->i", a, a))
-    nb = np.sqrt(np.einsum("ij,ij->i", b, b))
-    return a, b, na, nb
+def nonbonded(D, R, qq, sig, eps, s, cutoff, G=None):
+    """Coulomb and LJ over interacting pairs: (coulomb, vdw, bad) for r = 0.
 
-
-def angle_energy(c, aidx, K, t0):
-    if aidx.shape[1] == 0:
-        return 0.0, -1
-    a, b, na, nb = _angle_core(c, aidx)
-    bad = np.nonzero((na < _EPS) | (nb < _EPS))[0]
-    if bad.size:
-        return 0.0, int(bad[0])
-    u = np.clip(np.einsum("ij,ij->i", a, b) / (na * nb), -1.0, 1.0)
-    dev = np.arccos(u) - t0
-    return float(np.sum(K * dev * dev)), -1
-
-
-def angle_grad(c, aidx, K, t0, scatter, gout):
-    if aidx.shape[1] == 0:
-        return 0.0, -1
-    a, b, na, nb = _angle_core(c, aidx)
-    bad = np.nonzero((na < _EPS) | (nb < _EPS))[0]
-    if bad.size:
-        return 0.0, int(bad[0])
-    u = np.clip(np.einsum("ij,ij->i", a, b) / (na * nb), -1.0, 1.0)
-    sin_th = np.sqrt(1.0 - u * u)
-    bad = np.nonzero(sin_th < _EPS)[0]
-    if bad.size:
-        return 0.0, int(bad[0])
-    dev = np.arccos(u) - t0
-    e = float(np.sum(K * dev * dev))
-    pref = (-2.0 * K * dev / sin_th)[:, None]
-    gi = pref * (b / (na * nb)[:, None] - (u / (na * na))[:, None] * a)
-    gk = pref * (a / (na * nb)[:, None] - (u / (nb * nb))[:, None] * b)
-    _scatter_add(gout, scatter, (gi, gk, -(gi + gk)))
-    return e, -1
-
-
-def _dihedral_core(c, didx):
-    i, j, k, l = didx
-    b1 = c[j] - c[i]
-    b2 = c[k] - c[j]
-    b3 = c[l] - c[k]
-    n1 = _cross(b1, b2)
-    n2 = _cross(b2, b3)
-    n1n = np.sqrt(np.einsum("ij,ij->i", n1, n1))
-    n2n = np.sqrt(np.einsum("ij,ij->i", n2, n2))
-    b2n = np.sqrt(np.einsum("ij,ij->i", b2, b2))
-    return b1, b2, b3, n1, n2, n1n, n2n, b2n
-
-
-def _dihedral_phi(b2, n1, n2, b2n):
-    y = np.einsum("ij,ij->i", _cross(n1, n2), b2) / b2n
-    x = np.einsum("ij,ij->i", n1, n2)
-    return np.arctan2(y, x)
-
-
-def dihedral_energy(c, didx, V):
-    if didx.shape[1] == 0:
-        return 0.0, -1
-    b1, b2, b3, n1, n2, n1n, n2n, b2n = _dihedral_core(c, didx)
-    bad = np.nonzero((n1n < _EPS) | (n2n < _EPS) | (b2n < _EPS))[0]
-    if bad.size:
-        return 0.0, int(bad[0])
-    phi = _dihedral_phi(b2, n1, n2, b2n)
-    e = 0.5 * (
-        V[:, 0] * (1.0 + np.cos(phi))
-        + V[:, 1] * (1.0 - np.cos(2.0 * phi))
-        + V[:, 2] * (1.0 + np.cos(3.0 * phi))
-        + V[:, 3] * (1.0 - np.cos(4.0 * phi))
-    )
-    return float(np.sum(e)), -1
-
-
-def dihedral_grad(c, didx, V, scatter, gout):
-    if didx.shape[1] == 0:
-        return 0.0, -1
-    b1, b2, b3, n1, n2, n1n, n2n, b2n = _dihedral_core(c, didx)
-    bad = np.nonzero((n1n < _EPS) | (n2n < _EPS) | (b2n < _EPS))[0]
-    if bad.size:
-        return 0.0, int(bad[0])
-    phi = _dihedral_phi(b2, n1, n2, b2n)
-    e = 0.5 * (
-        V[:, 0] * (1.0 + np.cos(phi))
-        + V[:, 1] * (1.0 - np.cos(2.0 * phi))
-        + V[:, 2] * (1.0 + np.cos(3.0 * phi))
-        + V[:, 3] * (1.0 - np.cos(4.0 * phi))
-    )
-    dedphi = 0.5 * (
-        -V[:, 0] * np.sin(phi)
-        + 2.0 * V[:, 1] * np.sin(2.0 * phi)
-        - 3.0 * V[:, 2] * np.sin(3.0 * phi)
-        + 4.0 * V[:, 3] * np.sin(4.0 * phi)
-    )
-    ci = -(b2n / (n1n * n1n))[:, None] * n1
-    cl = (b2n / (n2n * n2n))[:, None] * n2
-    b2sq = b2n * b2n
-    p = (np.einsum("ij,ij->i", b1, b2) / b2sq)[:, None]
-    s = (np.einsum("ij,ij->i", b3, b2) / b2sq)[:, None]
-    cj = -(1.0 + p) * ci + s * cl
-    ck = -(1.0 + s) * cl + p * ci
-    w = dedphi[:, None]
-    _scatter_add(gout, scatter, (w * ci, w * cj, w * ck, w * cl))
-    return float(np.sum(e)), -1
-
-
-def _pair_geometry(c, pidx):
-    iu, ju = pidx
-    d = c[iu] - c[ju]
-    r = np.sqrt(np.einsum("ij,ij->i", d, d))
-    return iu, ju, d, r
-
-
-def nb_energy(c, pidx, act, qq, sig_ij, eps_ij, s, cutoff):
-    if pidx.shape[1] == 0:
-        return 0.0, 0.0, -1, -1
-    iu, ju, d, r = _pair_geometry(c, pidx)
-    bad = np.nonzero(act & (r < _RMIN))[0]
-    if bad.size:
-        k = int(bad[0])
-        return 0.0, 0.0, int(iu[k]), int(ju[k])
+    With cutoff > 0 only pairs with r <= cutoff count.
+    """
+    bad = _first(R < _RMIN)
+    if bad >= 0:
+        return 0.0, 0.0, bad
+    # in place where it saves a pair-sized temporary
+    inv = 1.0 / R
     if cutoff > 0.0:
-        act = act & (r <= cutoff)
-    ec = _C * np.sum(np.where(act, qq / np.where(act, r, 1.0), 0.0))
-    x6 = np.where(act, (sig_ij / np.where(act, r, 1.0)) ** 6, 0.0)
-    ev = 4.0 * np.sum(s * eps_ij * (x6 * x6 - x6))
-    return float(ec), float(ev), -1, -1
-
-
-def nb_grad(c, pidx, act, qq, sig_ij, eps_ij, s, cutoff, scatter, gout):
-    if pidx.shape[1] == 0:
-        return 0.0, 0.0, -1, -1
-    iu, ju, d, r = _pair_geometry(c, pidx)
-    bad = np.nonzero(act & (r < _RMIN))[0]
-    if bad.size:
-        k = int(bad[0])
-        return 0.0, 0.0, int(iu[k]), int(ju[k])
-    if cutoff > 0.0:
-        act = act & (r <= cutoff)
-    rsafe = np.where(act, r, 1.0)
-    qq = np.where(act, qq, 0.0)
-    ec = _C * np.sum(qq / rsafe)
-    x6 = np.where(act, (sig_ij / rsafe) ** 6, 0.0)
-    sca = np.where(act, s, 0.0)
-    ev = 4.0 * np.sum(sca * eps_ij * (x6 * x6 - x6))
-    dedr_over_r = -_C * qq / rsafe**3 + 4.0 * sca * eps_ij * (
-        -12.0 * x6 * x6 + 6.0 * x6
-    ) / rsafe**2
-    _scatter_pairs(gout, scatter, dedr_over_r, d)
-    return float(ec), float(ev), -1, -1
+        # a zero 1/r zeroes every energy and gradient term of the pair
+        inv[R > cutoff] = 0.0
+    qinv = qq * inv
+    x6 = sig * inv
+    x6 **= 6
+    lj = x6 * x6
+    lj -= x6
+    seps = s * eps
+    ec = _C * _sum(qinv, axis=-1)
+    if G is not None:
+        # dE/dr / r = -(C qq/r + 24 s eps (2 x12 - x6)) / r^2, 2 x12 - x6 = 2 lj + x6
+        f = lj + lj
+        f += x6
+        f *= seps
+        f *= -24.0
+        qinv *= -_C
+        f += qinv
+        f *= inv
+        f *= inv
+        np.multiply(f[..., None], D, out=G)
+    lj *= seps
+    return ec, 4.0 * _sum(lj, axis=-1), -1
 
 
 def farfield_build(c, q, srow, atom, cutoff):
@@ -262,101 +202,3 @@ def farfield_build(c, q, srow, atom, cutoff):
     g = -_C * qq / rf**3
     coef = np.sum(g[:, None] * d, axis=0)
     return float(e0), float(coef[0]), float(coef[1]), float(coef[2]), near, -1
-
-
-def near_nb_delta(c, q, sigma, epsilon, srow, atom, newpos, near_idx):
-    if near_idx.shape[0] == 0:
-        return 0.0, 0.0, -1
-    j = near_idx
-    s = srow[j]
-    do = c[atom] - c[j]
-    ro = np.sqrt(np.einsum("ij,ij->i", do, do))
-    dn = newpos[None, :] - c[j]
-    rn = np.sqrt(np.einsum("ij,ij->i", dn, dn))
-    act = s != 0.0
-    bad = np.nonzero(act & ((ro < _RMIN) | (rn < _RMIN)))[0]
-    if bad.size:
-        return 0.0, 0.0, int(j[bad[0]])
-    ros = np.where(act, ro, 1.0)
-    rns = np.where(act, rn, 1.0)
-    qq = np.where(act, s * q[atom] * q[j], 0.0)
-    dec = _C * np.sum(qq * (1.0 / rns - 1.0 / ros))
-    eps_ij = np.sqrt(epsilon[atom] * epsilon[j])
-    sig_ij = np.sqrt(sigma[atom] * sigma[j])
-    xo = np.where(act, (sig_ij / ros) ** 6, 0.0)
-    xn = np.where(act, (sig_ij / rns) ** 6, 0.0)
-    sca = np.where(act, s, 0.0)
-    dev = 4.0 * np.sum(sca * eps_ij * ((xn * xn - xn) - (xo * xo - xo)))
-    return float(dec), float(dev), -1
-
-
-def nb_atom_delta(c, q, sigma, epsilon, srow, cutoff, atom, newpos):
-    s = srow
-    do = c[atom] - c
-    ro = np.sqrt(np.einsum("ij,ij->i", do, do))
-    dn = newpos[None, :] - c
-    rn = np.sqrt(np.einsum("ij,ij->i", dn, dn))
-    act = s != 0.0
-    bad = np.nonzero(act & ((ro < _RMIN) | (rn < _RMIN)))[0]
-    if bad.size:
-        return 0.0, 0.0, int(bad[0])
-    ros = np.where(act, ro, 1.0)
-    rns = np.where(act, rn, 1.0)
-    in_old = act & ((cutoff <= 0.0) | (ro <= cutoff))
-    in_new = act & ((cutoff <= 0.0) | (rn <= cutoff))
-    qq = s * q[atom] * q
-    eps_ij = np.sqrt(epsilon[atom] * epsilon)
-    sig_ij = np.sqrt(sigma[atom] * sigma)
-    xo = np.where(in_old, (sig_ij / ros) ** 6, 0.0)
-    xn = np.where(in_new, (sig_ij / rns) ** 6, 0.0)
-    dec = _C * (
-        np.sum(np.where(in_new, qq / rns, 0.0)) - np.sum(np.where(in_old, qq / ros, 0.0))
-    )
-    dev = 4.0 * (
-        np.sum(np.where(in_new, s, 0.0) * eps_ij * (xn * xn - xn))
-        - np.sum(np.where(in_old, s, 0.0) * eps_ij * (xo * xo - xo))
-    )
-    return float(dec), float(dev), -1
-
-
-def _with_moved(c, atom, newpos):
-    moved = c.copy()
-    moved[atom] = newpos
-    return moved
-
-
-def bond_delta(c, atom, newpos, bidx, K, r0, rows):
-    if rows.shape[0] == 0:
-        return 0.0
-    sub = bidx[:, rows]
-    e_old = bond_energy(c, sub, K[rows], r0[rows])
-    e_new = bond_energy(_with_moved(c, atom, newpos), sub, K[rows], r0[rows])
-    return e_new - e_old
-
-
-def angle_delta(c, atom, newpos, aidx, K, t0, rows):
-    if rows.shape[0] == 0:
-        return 0.0, -1
-    sub = aidx[:, rows]
-    e_old, bad = angle_energy(c, sub, K[rows], t0[rows])
-    if bad >= 0:
-        return 0.0, int(rows[bad])
-    e_new, bad = angle_energy(
-        _with_moved(c, atom, newpos), sub, K[rows], t0[rows]
-    )
-    if bad >= 0:
-        return 0.0, int(rows[bad])
-    return e_new - e_old, -1
-
-
-def dihedral_delta(c, atom, newpos, didx, V, rows):
-    if rows.shape[0] == 0:
-        return 0.0, -1
-    sub = didx[:, rows]
-    e_old, bad = dihedral_energy(c, sub, V[rows])
-    if bad >= 0:
-        return 0.0, int(rows[bad])
-    e_new, bad = dihedral_energy(_with_moved(c, atom, newpos), sub, V[rows])
-    if bad >= 0:
-        return 0.0, int(rows[bad])
-    return e_new - e_old, -1

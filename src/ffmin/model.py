@@ -10,10 +10,11 @@ constants where required, angle rest values strictly inside (0, pi), policy
 pair sets disjoint and canonically ordered. ``with_coords`` checks only the
 new coordinates, since the topology it shares was checked already.
 
-``MolecularSystem.arrays()`` is the system's evaluation plan: every array the
-kernels read, built once on first use and shared by every system that
-``with_coords`` derives, so energies evaluate on flat coordinates without
-building a new system per call.
+``MolecularSystem.arrays()`` is the system's evaluation plan: one edge table
+of every difference vector a term needs, with the term and pair parameters,
+built once on first use and shared by every system that ``with_coords``
+derives, so energies evaluate on flat coordinates without building a new
+system per call.
 """
 
 from __future__ import annotations
@@ -218,8 +219,8 @@ class MolecularSystem:
     """Immutable system: atoms, coordinates and interaction terms.
 
     coords has shape (natoms, 3) in angstrom. The evaluation plan handed to
-    kernels (charges, term index tables, the i<j pair tables) is derived
-    once, on first use, and cached.
+    kernels (charges, the edge table and its term and pair parameters) is
+    derived once, on first use, and cached.
     """
 
     atoms: tuple
@@ -295,22 +296,22 @@ class MolecularSystem:
         return new
 
     def arrays(self):
-        """The evaluation plan: kernel-ready parameter arrays, cached per system.
+        """The evaluation plan: one edge table and its parameters, cached per system.
 
         Returns a dict with
           - charges q and LJ sigma/epsilon per atom;
-          - per-term tables bond_idx (2, m), ang_idx (3, m) and dih_idx
-            (4, m), one contiguous row of atom indices per term column, with
-            their parameter vectors;
-          - bond_scatter, ang_scatter, dih_scatter: the atom of each gradient
-            row in the order the gradient kernels accumulate them;
-          - pair_idx (2, P): every i<j pair in np.triu_indices order, scale-0
-            pairs included; its flattened view pair_scatter is the gradient
-            scatter index;
-          - per pair: pair_scale (0 excluded, s14 for 1-4, else 1), pair_act
-            (pair_scale != 0), pair_qq = pair_scale*q_i*q_j, and the
-            combined pair_sig = sqrt(sigma_i*sigma_j) and
-            pair_eps = sqrt(epsilon_i*epsilon_j);
+          - edge_idx (2, M): edge e is the difference vector
+            c[edge_idx[0, e]] - c[edge_idx[1, e]]; its flattened view
+            edge_scatter is the gradient scatter index;
+          - the edge sections, as slices: bond (d = c_i - c_j per bond),
+            angle (every a = c_i - c_j, then every b = c_k - c_j), torsion
+            (every b1 = c_j - c_i, then b2 = c_k - c_j, then b3 = c_l - c_k)
+            and pair (c_i - c_j for every interacting i<j pair, that is
+            every pair of nonzero scale, in np.triu_indices order);
+          - per term bond_K, bond_r0, ang_K, ang_t0 and dih_V (m, 4);
+          - per pair pair_scale (s14 for 1-4 pairs, else 1), pair_qq =
+            pair_scale*q_i*q_j, and the combined pair_sig =
+            sqrt(sigma_i*sigma_j) and pair_eps = sqrt(epsilon_i*epsilon_j);
           - cutoff, -1.0 when the policy has none.
         """
         cached = self._cache.get("params")
@@ -329,48 +330,45 @@ class MolecularSystem:
         epsilon = np.array([a.epsilon for a in self.atoms], dtype=np.float64)
 
         def table(rows, width):
-            return np.ascontiguousarray(np.array(rows, dtype=np.intp).reshape(-1, width).T)
+            return np.array(rows, dtype=np.intp).reshape(-1, width).T
 
-        bond_idx = table([(b.i, b.j) for b in self.bonds], 2)
-        ang_idx = table([(a.i, a.j, a.k) for a in self.angles], 3)
-        dih_idx = table([(d.i, d.j, d.k, d.l) for d in self.dihedrals], 4)
+        bi, bj = table([(b.i, b.j) for b in self.bonds], 2)
+        ai, aj, ak = table([(a.i, a.j, a.k) for a in self.angles], 3)
+        di, dj, dk, dl = table([(d.i, d.j, d.k, d.l) for d in self.dihedrals], 4)
 
         # every i<j pair in np.triu_indices(n, 1) order, built without its n x n mask
         first = np.arange(n, dtype=np.intp)
         counts = n - 1 - first
-        pair_idx = np.empty((2, counts.sum()), dtype=np.intp)
-        iu, ju = pair_idx
-        iu[:] = np.repeat(first, counts)
+        iu = np.repeat(first, counts)
         # within row i, j runs from i + 1 up
-        ju[:] = np.arange(iu.size) - np.repeat(_pair_index(n, first, first + 1) - first - 1, counts)
-        pair_scale = np.ones(iu.size, dtype=np.float64)
+        ju = np.arange(iu.size) - np.repeat(_pair_index(n, first, first + 1) - first - 1, counts)
+        scale = np.ones(iu.size, dtype=np.float64)
         for pairs, value in ((self.nonbonded.excluded, 0.0),
                              (self.nonbonded.scaled14, self.nonbonded.s14)):
             lo, hi = np.fromiter(chain.from_iterable(pairs), dtype=np.intp,
                                  count=2 * len(pairs)).reshape(-1, 2).T
-            pair_scale[_pair_index(n, lo, hi)] = value
+            scale[_pair_index(n, lo, hi)] = value
+        keep = scale != 0.0
+        iu, ju, scale = iu[keep], ju[keep], scale[keep]
 
+        edge_idx = np.stack((np.concatenate((bi, ai, ak, dj, dk, dl, iu)),
+                             np.concatenate((bj, aj, aj, di, dj, dk, ju))))
+        ends = np.cumsum((0, bi.size, 2 * ai.size, 3 * di.size, iu.size))
         return {
             "q": q, "sigma": sigma, "epsilon": epsilon,
-            "bond_idx": bond_idx,
+            "edge_idx": edge_idx,
+            "edge_scatter": edge_idx.reshape(-1),
+            **{name: slice(int(a), int(b)) for name, a, b in
+               zip(("bond", "angle", "torsion", "pair"), ends, ends[1:])},
             "bond_K": np.array([b.K for b in self.bonds], dtype=np.float64),
             "bond_r0": np.array([b.r0 for b in self.bonds], dtype=np.float64),
-            "bond_scatter": bond_idx.reshape(-1),
-            "ang_idx": ang_idx,
             "ang_K": np.array([a.K for a in self.angles], dtype=np.float64),
             "ang_t0": np.array([a.theta0 for a in self.angles], dtype=np.float64),
-            # the bend gradient accumulates the i arms, then k, then the apex j
-            "ang_scatter": ang_idx[[0, 2, 1]].reshape(-1),
-            "dih_idx": dih_idx,
             "dih_V": np.array(
                 [(d.V1, d.V2, d.V3, d.V4) for d in self.dihedrals], dtype=np.float64
             ).reshape(-1, 4),
-            "dih_scatter": dih_idx.reshape(-1),
-            "pair_idx": pair_idx,
-            "pair_scatter": pair_idx.reshape(-1),
-            "pair_scale": pair_scale,
-            "pair_act": pair_scale != 0.0,
-            "pair_qq": pair_scale * q[iu] * q[ju],
+            "pair_scale": scale,
+            "pair_qq": scale * q[iu] * q[ju],
             "pair_sig": np.sqrt(sigma[iu] * sigma[ju]),
             "pair_eps": np.sqrt(epsilon[iu] * epsilon[ju]),
             "cutoff": -1.0 if self.nonbonded.cutoff is None else float(self.nonbonded.cutoff),
@@ -378,39 +376,41 @@ class MolecularSystem:
 
     def scale_row(self, atom):
         """Pair scales of atom with every atom, 0.0 at atom itself."""
-        n = self.natoms
-        s = self.arrays()["pair_scale"]
-        row = np.zeros(n)
-        lo = np.arange(atom)
-        row[:atom] = s[_pair_index(n, lo, atom)]
-        start = _pair_index(n, atom, atom + 1)
-        row[atom + 1:] = s[start:start + n - atom - 1]
+        partners, scales = self._atom_table()["scaled"][atom]
+        row = np.ones(self.natoms)
+        row[atom] = 0.0
+        row[partners] = scales
         return row
 
     def atom_terms(self, atom):
         """Row indices of the bonded terms that involve the given atom."""
+        table = self._atom_table()
+        return table["bonds"][atom], table["angles"][atom], table["dihedrals"][atom]
+
+    def _atom_table(self):
+        """Per atom: its bonded term rows, and its partners of scale other than 1."""
         table = self._cache.get("atom_terms")
         if table is None:
             n = self.natoms
-            table = {
-                "bonds": [[] for _ in range(n)],
-                "angles": [[] for _ in range(n)],
-                "dihedrals": [[] for _ in range(n)],
-            }
-            for row, b in enumerate(self.bonds):
-                for t in (b.i, b.j):
-                    table["bonds"][t].append(row)
-            for row, a in enumerate(self.angles):
-                for t in (a.i, a.j, a.k):
-                    table["angles"][t].append(row)
-            for row, d in enumerate(self.dihedrals):
-                for t in (d.i, d.j, d.k, d.l):
-                    table["dihedrals"][t].append(row)
-            for k in table:
-                table[k] = [np.array(rows, dtype=np.int64) for rows in table[k]]
+            table = {key: [[] for _ in range(n)]
+                     for key in ("bonds", "angles", "dihedrals", "scaled")}
+            for key, terms, attrs in (("bonds", self.bonds, "ij"),
+                                      ("angles", self.angles, "ijk"),
+                                      ("dihedrals", self.dihedrals, "ijkl")):
+                for row, term in enumerate(terms):
+                    for a in attrs:
+                        table[key][getattr(term, a)].append(row)
+            for pairs, value in ((self.nonbonded.excluded, 0.0),
+                                 (self.nonbonded.scaled14, self.nonbonded.s14)):
+                for i, j in pairs:
+                    table["scaled"][i].append((j, value))
+                    table["scaled"][j].append((i, value))
+            for key in ("bonds", "angles", "dihedrals"):
+                table[key] = [np.array(rows, dtype=np.int64) for rows in table[key]]
+            table["scaled"] = [
+                (np.array([j for j, _ in row], dtype=np.intp),
+                 np.array([v for _, v in row], dtype=np.float64))
+                for row in table["scaled"]
+            ]
             self._cache["atom_terms"] = table
-        return (
-            table["bonds"][atom],
-            table["angles"][atom],
-            table["dihedrals"][atom],
-        )
+        return table

@@ -288,14 +288,33 @@ class DescentRule:
         """Update the rule's state after an accepted step from x to x_new."""
 
 
+class _LowestProbe:
+    """The value calls of the line searches, remembering the lowest probe."""
+
+    def __init__(self, oracle):
+        self.oracle = oracle
+        self.f = math.inf
+        self.x = None
+
+    def value(self, x):
+        f = self.oracle.value(x)
+        if f < self.f:
+            self.f, self.x = f, x
+        return f
+
+
 def descend(oracle, x0, stop, meta, rule, linesearch) -> OptimizeResult:
     """The line-search loop: direction, search, failure policy, record.
 
     A failed search that the rule does not retry ends the run, or with
     stop_on_linesearch_failure=False is recorded as a step of 0 from the
     search origin. Returns the best point seen unless the run converged.
+    When the oracle budget interrupts iteration k + 1 after a search probed
+    below every recorded f, the lowest probe is recorded as that iteration,
+    with no gradient (nan), and returned.
     """
     run, x, f, g, gn = start(oracle, x0, stop, meta)
+    probes = _LowestProbe(oracle)
     status = CONVERGED if gn <= run.threshold else None
     k = 0
     try:
@@ -310,7 +329,7 @@ def descend(oracle, x0, stop, meta, rule, linesearch) -> OptimizeResult:
                 status = CONVERGED
                 break
             r = d / dn
-            res = linesearch.search(oracle, y, r, f_y, g_y)
+            res = linesearch.search(probes, y, r, f_y, g_y)
             if res.status == NO_RELAXATION:
                 if rule.retry(g_y):
                     continue
@@ -333,6 +352,9 @@ def descend(oracle, x0, stop, meta, rule, linesearch) -> OptimizeResult:
                 status = CONVERGED
     except _BudgetExhausted:
         status = ORACLE_BUDGET
+        if probes.f < run.best_f:
+            run.update_best(probes.x, probes.f)
+            run.record(k + 1, probes.f, math.nan, float((probes.x - y) @ r))
     finally:
         oracle.call_limit = None
     return run.finish_best(status, x, f, gn)

@@ -1,8 +1,9 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import naive_oracles as naive
@@ -10,6 +11,7 @@ from conftest import two_cluster_system
 from ffmin.constants import COULOMB_KJ_ANGSTROM
 from ffmin.energy import (
     EnergyEvaluationError,
+    delta_energy_atom_move,
     energy_and_gradient,
     energy_bend,
     energy_coulomb,
@@ -540,3 +542,178 @@ def test_huge_finite_coordinates_raise_named_error(scale, term):
         for call in calls:
             with pytest.raises(EnergyEvaluationError, match=f"{term} energy is not finite"):
                 call()
+
+
+@pytest.mark.parametrize("scale,term", [(1e100, "torsion"), (1e160, "stretch")])
+def test_huge_finite_coordinates_warn_nothing(scale, term):
+    # the named error is the only signal: no NumPy RuntimeWarning escapes
+    system = make_chain_system(6, seed=1)
+    x = system.coords.ravel() * scale
+    huge = system.with_coords(x)
+    oracle = MolecularOracle(system)
+    named = (lambda: energy_total(system, x), lambda: energy_and_gradient(system, x),
+             lambda: oracle.value(x), lambda: oracle.gradient(x),
+             lambda: oracle.value_and_gradient(x))
+    unchecked = (lambda: energy_stretch(huge), lambda: energy_bend(huge),
+                 lambda: energy_torsion(huge), lambda: energy_coulomb(huge),
+                 lambda: energy_vdw(huge), lambda: exact_delta_atom_move(huge, 2, [1.0, 0, 0]),
+                 lambda: linearize_farfield_coulomb(huge, 2, 7.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in named:
+            with pytest.raises(EnergyEvaluationError, match=f"{term} energy is not finite"):
+                call()
+        for call in unchecked:
+            call()
+
+
+# ----------------------------------------------------- the edge-table plan
+
+def with_pair_on_cutoff(system, x, cutoff=7.0):
+    """x with atom 1 moved to exactly cutoff from atom 0 along x."""
+    c = np.round(x.reshape(-1, 3) * 2.0**20) / 2.0**20  # dyadic: the sums below are exact
+    c[1] = c[0] + np.array([cutoff, 0.0, 0.0])
+    return c.ravel()
+
+
+@settings(max_examples=30, deadline=None)
+@given(name=st.sampled_from(sorted(PLAN_SYSTEMS)), seed=st.integers(0, 2**32 - 1),
+       scale=st.sampled_from([1e-3, 0.05, 0.3]), on_cutoff=st.booleans())
+def test_plan_terms_match_naive_oracle(name, seed, scale, on_cutoff):
+    s = _plan_systems[name]
+    x = perturbed(s, seed, scale)
+    if on_cutoff:
+        x = with_pair_on_cutoff(s, x)
+    moved = s.with_coords(x)
+    want = naive_breakdown(moved)
+    terms = {"stretch": energy_stretch, "bend": energy_bend, "torsion": energy_torsion,
+             "coulomb": energy_coulomb, "vdw": energy_vdw}
+    for term, fn in terms.items():
+        assert fn(moved) == pytest.approx(want[term], rel=1e-11, abs=1e-11), term
+    for bd in (energy_total(s, x), energy_and_gradient(s, x)[0]):
+        for term in TERMS:
+            assert getattr(bd, term) == pytest.approx(want[term], rel=1e-11, abs=1e-11), term
+
+
+@settings(max_examples=8, deadline=None)
+@given(name=st.sampled_from(sorted(PLAN_SYSTEMS)), seed=st.integers(0, 2**32 - 1),
+       scale=st.sampled_from([1e-3, 0.05, 0.3]))
+def test_plan_gradient_matches_fd_of_naive_energy(name, seed, scale):
+    s = _plan_systems[name]
+    x = perturbed(s, seed, scale)
+    if s.nonbonded.cutoff is not None:
+        # the energy jumps where a pair crosses the cutoff: keep FD steps off it
+        c = x.reshape(-1, 3)
+        r = np.linalg.norm(c[:, None, :] - c[None, :, :], axis=-1)
+        assume(np.abs(r - s.nonbonded.cutoff).min() > 1e-3)
+    fd = naive.fd_gradient(lambda flat: naive.total_energy(s.with_coords(flat)), x, step=1e-5)
+    g = energy_and_gradient(s, x)[1]
+    assert np.linalg.norm(g - fd) <= 1e-6 * max(1.0, np.linalg.norm(fd))
+
+
+def test_plan_gradient_counts_a_pair_on_the_cutoff():
+    # the cloud has no exclusions, so atoms 0 and 1 interact, exactly at the cutoff
+    s = _plan_systems["cloud-cutoff7"]
+    x = with_pair_on_cutoff(s, s.coords.ravel())
+    g_on = energy_and_gradient(s, x)[1].reshape(-1, 3)
+    g_below = energy_and_gradient(with_cutoff(s, np.nextafter(7.0, 0.0)), x)[1].reshape(-1, 3)
+    pair = MolecularSystem(atoms=s.atoms[:2], coords=x.reshape(-1, 3)[:2],
+                           nonbonded=NonbondedPolicy.no_exclusions())
+    g_pair = gradient_total(pair).reshape(-1, 3)
+    assert np.all(g_pair[:, 0] != 0.0)  # the pair lies along x
+    # the pair adds its whole gradient to its atoms and nothing elsewhere
+    scale = np.abs(g_on).max()
+    np.testing.assert_allclose(g_on[:2] - g_below[:2], g_pair, rtol=0.0, atol=1e-12 * scale)
+    assert np.array_equal(g_on[2:], g_below[2:])
+
+
+CHAIN6 = make_chain_system(6, seed=1)
+DEGENERATE = {
+    # (atom moved onto, atom moved): the parent's message for each call, None for no error
+    (0, 1): dict(total="bend term 0 (atoms 0-1-2): zero-length arm",
+                 fused="stretch term 0 (atoms 0-1): coincident endpoints",
+                 stretch=None, bend="bend term 0 (atoms 0-1-2): zero-length arm",
+                 torsion="torsion term 0 (atoms 0-1-2-3): degenerate plane", coulomb=None,
+                 exact="bend term 0 (atoms 0-1-2): zero-length arm",
+                 delta="bend term 0 (atoms 0-1-2): zero-length arm"),
+    (0, 4): dict(total="nonbonded pair (0,4): coincident atoms",
+                 fused="nonbonded pair (0,4): coincident atoms",
+                 stretch=None, bend=None, torsion=None,
+                 coulomb="nonbonded pair (0,4): coincident atoms",
+                 exact="nonbonded pair (4,0): coincident atoms", delta=None),
+    (2, 3): dict(total="bend term 1 (atoms 1-2-3): zero-length arm",
+                 fused="stretch term 2 (atoms 2-3): coincident endpoints",
+                 stretch=None, bend="bend term 1 (atoms 1-2-3): zero-length arm",
+                 torsion="torsion term 0 (atoms 0-1-2-3): degenerate plane", coulomb=None,
+                 exact="bend term 1 (atoms 1-2-3): zero-length arm",
+                 delta="bend term 1 (atoms 1-2-3): zero-length arm"),
+    (0, 5): dict(total="nonbonded pair (0,5): coincident atoms",
+                 fused="nonbonded pair (0,5): coincident atoms",
+                 stretch=None, bend=None, torsion=None,
+                 coulomb="nonbonded pair (0,5): coincident atoms",
+                 exact="nonbonded pair (5,0): coincident atoms", delta=None),
+}
+
+
+def raised(call):
+    try:
+        call()
+    except EnergyEvaluationError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("onto,atom", sorted(DEGENERATE))
+def test_degenerate_geometry_raises_the_same_messages(onto, atom):
+    x = CHAIN6.coords.copy()
+    x[atom] = x[onto]
+    moved = CHAIN6.with_coords(x)
+    step = CHAIN6.coords[onto] - CHAIN6.coords[atom]
+    lin = linearize_farfield_coulomb(CHAIN6, atom, 2.0)
+    calls = dict(total=lambda: energy_total(moved), fused=lambda: energy_and_gradient(moved),
+                 stretch=lambda: energy_stretch(moved), bend=lambda: energy_bend(moved),
+                 torsion=lambda: energy_torsion(moved), coulomb=lambda: energy_coulomb(moved),
+                 exact=lambda: exact_delta_atom_move(CHAIN6, atom, step),
+                 delta=lambda: delta_energy_atom_move(CHAIN6, lin, step))
+    assert {name: raised(call) for name, call in calls.items()} == DEGENERATE[(onto, atom)]
+
+
+def test_collinear_planar_and_coincident_bond_messages():
+    atoms = tuple(atom(i) for i in range(4))
+    line = MolecularSystem(
+        atoms=atoms[:3], coords=np.array([[-1.5, 0.0, 0.0], [0.0, 0.0, 0.0], [1.5, 0.0, 0.0]]),
+        angles=(AngleTerm(0, 1, 2, K=1.0, theta0=1.9),),
+        nonbonded=NonbondedPolicy(excluded=frozenset({(0, 1), (0, 2), (1, 2)})))
+    planar = MolecularSystem(
+        atoms=atoms, coords=np.array([[0.0, 0, 0], [1.0, 0, 0], [2.0, 0, 0], [2.0, 1.0, 0]]),
+        dihedrals=(DihedralTerm(0, 1, 2, 3, 1.0, 2.0, 3.0, 0.5),),
+        nonbonded=NonbondedPolicy(excluded=frozenset(
+            {(0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (2, 3)})))
+    diatomic = pair_system(0.0, excluded=True, bonds=(BondTerm(0, 1, 300.0, 1.5),))
+    assert raised(lambda: energy_total(line)) is None
+    assert raised(lambda: energy_and_gradient(line)) == (
+        "bend term 0 (atoms 0-1-2): zero-length arm or collinear geometry")
+    for fn in (energy_total, energy_and_gradient):
+        assert raised(lambda: fn(planar)) == "torsion term 0 (atoms 0-1-2-3): degenerate plane"
+    assert energy_total(diatomic).stretch == 300.0 * 1.5**2
+    assert raised(lambda: energy_and_gradient(diatomic)) == (
+        "stretch term 0 (atoms 0-1): coincident endpoints")
+
+
+def test_repeated_calls_are_bit_identical_across_allocations():
+    s = make_chain_system(30, seed=0, strain=0.3)
+    x = perturbed(s, 7, 0.05)
+    lin = linearize_farfield_coulomb(s, 11, 7.0)
+    step = np.array([0.03, -0.02, 0.01])
+
+    def evaluate():
+        bd, g = energy_and_gradient(s, x)
+        return (energy_total(s, x), bd, g.tobytes(), energy_torsion(s), energy_coulomb(s),
+                exact_delta_atom_move(s, 11, step), delta_energy_atom_move(s, lin, step))
+
+    first = evaluate()
+    for size in (1, 3, 17, 1001):
+        # shift where the next arrays land
+        junk = [np.empty(size), np.ones((size, 3))]
+        assert evaluate() == first
+        del junk

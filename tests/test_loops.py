@@ -4,6 +4,7 @@ branches of the line-search methods."""
 import numpy as np
 import pytest
 
+from ffmin.energy import energy_total
 from ffmin.oracle import FunctionOracle, MolecularOracle
 from ffmin.optimizers import (
     HORIZON_COMPLETE,
@@ -146,3 +147,35 @@ def test_ofgm_failed_searches_keep_y_and_finish_the_horizon():
     assert res.f == 0.5 * float(res.x @ res.x)
     # per step: f(y), the failed search, then the gradient at x_{k+1} = y
     assert counts(res) == [(1 + (1 + LS_H_FAIL_CALLS) * k, 1 + k) for k in range(N + 1)]
+
+
+class LowestValueOracle(MolecularOracle):
+    """Tracks the lowest energy any value or fused call computed."""
+
+    lowest = np.inf
+
+    def _value(self, x):
+        f = super()._value(x)
+        self.lowest = min(self.lowest, f)
+        return f
+
+    def _value_and_gradient(self, x):
+        f, g = super()._value_and_gradient(x)
+        self.lowest = min(self.lowest, f)
+        return f, g
+
+
+@pytest.mark.parametrize("name,ls", [(n, ls) for n in ("sd", "lbfgs", "cg", "fgm")
+                                     for ls in ("h", "par")])
+def test_oracle_budget_keeps_the_lowest_probe(name, ls):
+    system = make_chain_system(12, seed=0, strain=0.3)
+    x0 = system.coords.ravel()
+    for cap in range(2, 61):
+        oracle = LowestValueOracle(system)
+        stop = StopCriteria(max_iterations=None, max_oracle_calls=cap, **NO_TOL)
+        res = LS_METHODS[name](oracle, x0, make_linesearch(ls), stop)
+        assert res.status == ORACLE_BUDGET, cap
+        assert res.f <= oracle.lowest, cap
+        assert energy_total(system, res.x).total == res.f, cap
+        best = [r.best_f for r in res.trace.records]
+        assert all(b2 <= b1 for b1, b2 in zip(best, best[1:])), cap

@@ -198,13 +198,13 @@ def test_plan_pair_tables_follow_the_policy():
     atoms = tuple(atom(i, q=0.1 * (i + 1), sigma=2.0 + i, epsilon=0.05 * i) for i in range(5))
     sys0 = MolecularSystem(atoms=atoms, coords=np.arange(15.0).reshape(5, 3), nonbonded=pol)
     p = sys0.arrays()
-    iu, ju = np.triu_indices(5, 1)
-    assert np.array_equal(p["pair_idx"], np.stack((iu, ju)))
-    assert np.array_equal(p["pair_scatter"], np.concatenate((iu, ju)))
-    for k, (i, j) in enumerate(zip(iu, ju)):
+    # the interacting pairs, in np.triu_indices order, are the plan's pair edges
+    interacting = [(i, j) for i, j in zip(*np.triu_indices(5, 1)) if scale.get((i, j), 1.0)]
+    pairs = p["edge_idx"][:, p["pair"]]
+    assert pairs.T.tolist() == [list(ij) for ij in interacting]
+    for k, (i, j) in enumerate(interacting):
         s = scale.get((i, j), 1.0)
         assert p["pair_scale"][k] == s
-        assert p["pair_act"][k] == (s != 0.0)
         assert p["pair_qq"][k] == s * atoms[i].q * atoms[j].q
         assert p["pair_sig"][k] == np.sqrt(atoms[i].sigma * atoms[j].sigma)
         assert p["pair_eps"][k] == np.sqrt(atoms[i].epsilon * atoms[j].epsilon)
@@ -241,7 +241,9 @@ def test_policy_stores_reversed_pairs_canonically():
     sys0 = MolecularSystem(atoms=tuple(atom(i, q=0.1) for i in range(5)),
                            coords=np.arange(15.0).reshape(5, 3), nonbonded=pol)
     p = sys0.arrays()
-    for k, (i, j) in enumerate(p["pair_idx"].T):
+    pairs = p["edge_idx"][:, p["pair"]].T.tolist()
+    assert [1, 3] not in pairs and [0, 4] in pairs
+    for k, (i, j) in enumerate(pairs):
         assert p["pair_scale"][k] == pol.pair_scale(i, j)
     with pytest.raises(ModelError, match="must differ"):
         NonbondedPolicy(excluded=frozenset({(2, 2)}))
@@ -250,3 +252,29 @@ def test_policy_stores_reversed_pairs_canonically():
 def test_policy_overlap_check_sees_reversed_pairs():
     with pytest.raises(ModelError, match="overlap"):
         NonbondedPolicy(excluded=frozenset({(1, 3)}), scaled14=frozenset({(3, 1)}))
+
+
+@pytest.mark.parametrize("n,seed,cutoff", [(8, 2, None), (12, 4, 7.0)])
+def test_plan_edge_table_layout(n, seed, cutoff):
+    from ffmin.synth import make_chain_system
+    s = make_chain_system(n, seed=seed, cutoff=cutoff)
+    p = s.arrays()
+    ea, eb = p["edge_idx"]
+    assert np.array_equal(p["edge_scatter"], np.concatenate((ea, eb)))
+
+    def section(name):
+        return list(zip(ea[p[name]].tolist(), eb[p[name]].tolist()))
+
+    assert section("bond") == [(b.i, b.j) for b in s.bonds]
+    assert section("angle") == [(a.i, a.j) for a in s.angles] + [(a.k, a.j) for a in s.angles]
+    d = s.dihedrals
+    assert section("torsion") == ([(t.j, t.i) for t in d] + [(t.k, t.j) for t in d]
+                                  + [(t.l, t.k) for t in d])
+    # each nonzero-scale i<j pair exactly once, in np.triu_indices order, and no other
+    pairs = section("pair")
+    assert pairs == [(i, j) for i, j in zip(*np.triu_indices(n, 1))
+                     if s.nonbonded.pair_scale(i, j) != 0.0]
+    assert len(pairs) < n * (n - 1) // 2
+    assert [k for k, (i, j) in enumerate(pairs) if p["pair_scale"][k] != 1.0] == [
+        k for k, (i, j) in enumerate(pairs) if (i, j) in s.nonbonded.scaled14]
+    assert p["pair"].stop == ea.size

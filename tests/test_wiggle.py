@@ -130,3 +130,33 @@ def test_wiggle_trace_bookkeeping():
     assert calls == sorted(calls)
     assert all(np.isnan(r.grad_norm) for r in res.trace.records)
     assert np.array_equal(res.x, res.system.coords.ravel())
+
+
+@pytest.mark.parametrize("incremental", [True, False], ids=["incremental", "full"])
+def test_oracle_budget_is_never_exceeded(incremental, monkeypatch):
+    import ffmin.optimizers.wiggle as wiggle
+
+    made = []
+
+    def counted(fn):
+        def call(*args, **kwargs):
+            made.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return call
+
+    for name in ("energy_total", "delta_energy_atom_move", "exact_delta_atom_move"):
+        monkeypatch.setattr(wiggle, name, counted(getattr(wiggle, name)))
+    s = make_chain_system(12, seed=0, strain=0.3)
+    # epoch 3: some caps fall on a resync
+    config = WiggleConfig(seed=1, epoch_iterations=3, use_incremental_coulomb=incremental)
+    for cap in range(2, 61):
+        made.clear()
+        res = atom_wiggle(s, config, StopCriteria(max_iterations=None, max_oracle_calls=cap,
+                                                  **NO_TOL))
+        assert res.status == "oracle_budget", cap
+        assert len(made) <= cap, cap
+        assert res.trace.records[-1].value_calls <= cap, cap
+        # the run ends at its last accepted configuration
+        assert np.array_equal(res.x, res.system.coords.ravel()), cap
+        assert res.f == res.trace.records[-1].f, cap
+        assert res.f == pytest.approx(energy_total(res.system).total, rel=1e-12, abs=1e-9), cap
