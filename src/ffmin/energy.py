@@ -8,23 +8,28 @@ over a MolecularSystem, in kJ/mol with distances in angstrom. All functions
 here are pure in (system, coords); summation order is fixed, so repeated
 calls are bit-identical.
 
-energy_total(system, x) and energy_and_gradient(system, x) evaluate the
-system's plan (MolecularSystem.arrays()) at flat coordinates x, or at
-system.coords when x is omitted, without building a new system.
+_term evaluates each term (pairs, stretch, bend, torsion: the check order)
+with its kernels.py kernel over given edge rows: a section of the plan,
+MolecularSystem.arrays(), from the one gather that energy_total and
+energy_and_gradient share (at flat x, or at system.coords); one section
+alone (energy_stretch ...); one atom's rows (the single-atom deltas); or
+its far partners (linearize_farfield_coulomb).
 
-Degenerate geometry and non-finite energies or gradients raise
-EnergyEvaluationError, naming the term, instead of propagating NaNs.
+Every public function leaves through one exit: no NumPy warning escapes,
+and degenerate geometry or a NaN or inf result raises EnergyEvaluationError
+naming the term row, the term, the delta or the far-field coefficient.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import kernels
-from .model import MolecularSystem
+from .model import MolecularSystem, pair_parameters
 
 
 class EnergyEvaluationError(ValueError):
@@ -47,13 +52,9 @@ class EnergyBreakdown:
 
 @dataclass(frozen=True)
 class FarFieldLinearization:
-    """First-order model of one atom's far-field Coulomb sum.
-
-    e_far0 is the exact far-field energy at the reference position and coef
-    its gradient there, so moving the atom by delta changes the far-field
-    part by approximately coef . delta. near_idx lists the atoms handled
-    exactly (within cutoff, plus every excluded/scaled partner regardless of
-    distance).
+    """First-order model of one atom's far-field Coulomb sum: e_far0 at
+    ref_pos, and its gradient coef there, so moving the atom by delta changes
+    it by about coef . delta. near_idx lists the partners evaluated exactly.
     """
 
     atom: int
@@ -64,119 +65,142 @@ class FarFieldLinearization:
     near_idx: np.ndarray
 
 
-# no NumPy floating-point warning leaves this layer: huge coordinates give
-# non-finite terms, and _finite turns those into named errors
-_QUIET = np.errstate(all="ignore")
-
-_BONDED = {  # plan section, kernel, parameter keys, edges per term, what a bad row means
-    "stretch": ("bond", kernels.stretch, ("bond_K", "bond_r0"), 1, "coincident endpoints"),
-    "bend": ("angle", kernels.bend, ("ang_K", "ang_t0"), 2, "zero-length arm"),
-    "torsion": ("torsion", kernels.torsion, ("dih_V",), 3, "degenerate plane"),
+# in check order: kernel, plan section, its parameter keys, edges per row,
+# what a bad row means
+_TERMS = {
+    "pairs": (kernels.nonbonded, "pair",
+              ("pair_qq", "pair_sig", "pair_eps", "pair_scale", "cutoff"), 1, "coincident atoms"),
+    "stretch": (kernels.stretch, "bond", ("bond_K", "bond_r0"), 1, "coincident endpoints"),
+    "bend": (kernels.bend, "angle", ("ang_K", "ang_t0"), 2, "zero-length arm"),
+    "torsion": (kernels.torsion, "torsion", ("dih_V",), 3, "degenerate plane"),
 }
 
 
-def _term_name(system, term, row):
-    if term == "stretch":
-        b = system.bonds[row]
-        return f"stretch term {row} (atoms {b.i}-{b.j})"
-    if term == "bend":
-        a = system.angles[row]
-        return f"bend term {row} (atoms {a.i}-{a.j}-{a.k})"
-    d = system.dihedrals[row]
-    return f"torsion term {row} (atoms {d.i}-{d.j}-{d.k}-{d.l})"
+def _plan_rows(p, term, rows=None):
+    """The edge endpoints (2, k) and kernel parameters of a term's rows in the
+    plan p: its whole section, or the given bonded term rows."""
+    _, sec, keys, width, _ = _TERMS[term]
+    if rows is None:
+        return p["edge_idx"][:, p[sec]], [p[k] for k in keys]
+    start, stop = p[sec].start, p[sec].stop
+    # the rows' edges, in the section's layout
+    ids = (start + rows + (stop - start) // width * np.arange(width)[:, None]).ravel()
+    return p["edge_idx"][:, ids], [p[k][rows] for k in keys]
 
 
-def _bonded(system, p, term, D, R, G=None, rows=None):
-    """One bonded term over its edge rows D, R: those of every term, or of rows."""
-    _, kernel, keys, _, what = _BONDED[term]
-    e, bad = kernel(D, R, *(p[k] if rows is None else p[k][rows] for k in keys), G)
-    if bad >= 0:
-        if term == "bend" and G is not None:
-            what = "zero-length arm or collinear geometry"
-        row = bad if rows is None else int(rows[bad])
-        raise EnergyEvaluationError(f"{_term_name(system, term, row)}: {what}")
-    return e
+def _term(system, term, D, R, args, G=None, rows=None):
+    """The energies ([coulomb, vdw] for pairs) of a term's edge rows D, R
+    with kernel parameters args, raising for the first bad row; rows names
+    rows other than the whole plan section: (2, k) pair atoms, or term rows."""
+    kernel, _, _, _, what = _TERMS[term]
+    *energies, bad = kernel(D, R, *args, G)
+    if bad < 0:
+        return energies
+    if term == "pairs":
+        p = system.arrays()
+        i, j = (p["edge_idx"][:, p["pair"]] if rows is None else rows)[:, bad]
+        raise EnergyEvaluationError(f"nonbonded pair ({i},{j}): {what}")
+    if term == "bend" and G is not None:
+        what = "zero-length arm or collinear geometry"
+    row = bad if rows is None else int(rows[bad])
+    t = {"stretch": system.bonds, "bend": system.angles, "torsion": system.dihedrals}[term][row]
+    atoms = "-".join(str(getattr(t, a)) for a in "ijkl" if hasattr(t, a))
+    raise EnergyEvaluationError(f"{term} term {row} (atoms {atoms}): {what}")
 
 
-def _nonbonded(p, D, R, G=None):
-    ec, ev, bad = kernels.nonbonded(D, R, p["pair_qq"], p["pair_sig"], p["pair_eps"],
-                                    p["pair_scale"], p["cutoff"], G)
-    if bad >= 0:
-        bi, bj = p["edge_idx"][:, p["pair"]][:, bad]
-        raise EnergyEvaluationError(f"nonbonded pair ({bi},{bj}): coincident atoms")
-    return float(ec), float(ev)
+def _nonfinite(out, what):
+    """The first non-finite part of a result, named, or None; what names a
+    scalar result or a breakdown's total."""
+    if isinstance(out, tuple):  # energy_and_gradient's (breakdown, gradient)
+        return _nonfinite(out[0], what) or _nonfinite(out[1], "gradient")
+    if isinstance(out, FarFieldLinearization):
+        return _nonfinite(out.e_far0, what) or _nonfinite(out.coef, "far-field coefficient")
+    if isinstance(out, EnergyBreakdown):
+        if math.isfinite(out.total):  # then every term is finite too
+            return None
+        terms = [_nonfinite(getattr(out, t.name), f"{t.name} energy") for t in fields(out)]
+        return next(filter(None, terms), None) or _nonfinite(out.total, what)
+    if np.isfinite(out).all():
+        return None
+    return f"{what} is not finite" + (f": {out!r}" if np.ndim(out) == 0 else "")
+
+
+def _checked(what):
+    """The one exit of every public function here: NumPy warnings silenced,
+    a non-finite result part raised as EnergyEvaluationError (see _nonfinite)."""
+    def decorate(fn):
+        @functools.wraps(fn)
+        def checked(*args, **kwargs):
+            with np.errstate(all="ignore"):
+                out = fn(*args, **kwargs)
+                bad = _nonfinite(out, what)
+            if bad:
+                raise EnergyEvaluationError(bad)
+            return out
+        return checked
+    return decorate
 
 
 def _one_term(system, term):
-    """One bonded term at system.coords, gathering only its own edges."""
-    p = system.arrays()
-    D, R = kernels.edges(system.coords, p["edge_idx"][:, p[_BONDED[term][0]]])
-    return float(_bonded(system, p, term, D, R))
+    """One term's energies at system.coords, gathering only its own edges."""
+    idx, args = _plan_rows(system.arrays(), term)
+    return [float(e) for e in _term(system, term, *kernels.edges(system.coords, idx), args)]
 
 
-def _pairs_only(system):
-    p = system.arrays()
-    return _nonbonded(p, *kernels.edges(system.coords, p["edge_idx"][:, p["pair"]]))
-
-
-@_QUIET
+@_checked("stretch energy")
 def energy_stretch(system: MolecularSystem) -> float:
-    return _one_term(system, "stretch")
+    return _one_term(system, "stretch")[0]
 
 
-@_QUIET
+@_checked("bend energy")
 def energy_bend(system: MolecularSystem) -> float:
-    return _one_term(system, "bend")
+    return _one_term(system, "bend")[0]
 
 
-@_QUIET
+@_checked("torsion energy")
 def energy_torsion(system: MolecularSystem) -> float:
-    return _one_term(system, "torsion")
+    return _one_term(system, "torsion")[0]
 
 
-@_QUIET
+@_checked("coulomb energy")
 def energy_coulomb(system: MolecularSystem) -> float:
-    return _pairs_only(system)[0]
+    return _one_term(system, "pairs")[0]
 
 
-@_QUIET
+@_checked("vdw energy")
 def energy_vdw(system: MolecularSystem) -> float:
-    return _pairs_only(system)[1]
+    return _one_term(system, "pairs")[1]
 
 
-def _finite(bd, g=None):
-    """bd, after checking that its total (and the gradient g) is finite."""
-    if math.isfinite(bd.total) and (g is None or np.isfinite(g).all()):
+def _sweep(system, x, gradient):
+    """The breakdown at x from one gather, and with gradient the flat
+    gradient from one scatter."""
+    c = system.coords if x is None else system.coords_at(x)
+    p = system.arrays()
+    D, R = kernels.edges(c, p["edge_idx"])
+    # the edge gradients G = W[:M]; scatter() fills W[M:] with -G
+    W = np.empty((2 * R.size, 3)) if gradient else None
+    (ec, ev), (es,), (eb,), (et,) = (
+        _term(system, term, D[p[sec]], R[p[sec]], [p[k] for k in keys],
+              None if W is None else W[p[sec]])
+        for term, (_, sec, keys, _, _) in _TERMS.items()
+    )
+    bd = EnergyBreakdown(float(es), float(eb), float(et), float(ec), float(ev))
+    if W is None:
         return bd
-    for term in fields(bd):
-        value = getattr(bd, term.name)
-        if not math.isfinite(value):
-            raise EnergyEvaluationError(f"{term.name} energy is not finite: {value!r}")
-    what = "gradient" if math.isfinite(bd.total) else "total energy"
-    raise EnergyEvaluationError(f"{what} is not finite")
+    return bd, kernels.scatter(W, p["edge_scatter"], c.shape[0]).reshape(-1)
 
 
-def _coords(system, x):
-    return system.coords if x is None else system.coords_at(x)
-
-
-@_QUIET
+@_checked("total energy")
 def energy_total(system: MolecularSystem, x=None) -> EnergyBreakdown:
     """Per-term energies at flat coordinates x (default: system.coords).
 
     Raises ModelError for an x of the wrong size or with a non-finite entry.
     """
-    p = system.arrays()
-    D, R = kernels.edges(_coords(system, x), p["edge_idx"])
-    pair = p["pair"]
-    # pairs first: a coincident pair is named before any degenerate bonded term
-    ec, ev = _nonbonded(p, D[pair], R[pair])
-    bonded = {term: float(_bonded(system, p, term, D[p[sec]], R[p[sec]]))
-              for term, (sec, *_) in _BONDED.items()}
-    return _finite(EnergyBreakdown(**bonded, coulomb=ec, vdw=ev))
+    return _sweep(system, x, gradient=False)
 
 
-@_QUIET
+@_checked("total energy")
 def energy_and_gradient(system: MolecularSystem, x=None):
     """One fused sweep: (EnergyBreakdown, flattened analytic gradient).
 
@@ -184,17 +208,7 @@ def energy_and_gradient(system: MolecularSystem, x=None):
     Callers needing both quantities should use this instead of two separate
     calls; the gradient kernels produce the term energies as a byproduct.
     """
-    c = _coords(system, x)
-    p = system.arrays()
-    D, R = kernels.edges(c, p["edge_idx"])
-    # the edge gradients G = W[:M]; scatter() fills W[M:] with -G
-    W = np.empty((2 * R.size, 3))
-    bonded = {term: float(_bonded(system, p, term, D[p[sec]], R[p[sec]], W[p[sec]]))
-              for term, (sec, *_) in _BONDED.items()}
-    pair = p["pair"]
-    ec, ev = _nonbonded(p, D[pair], R[pair], W[pair])
-    g = kernels.scatter(W, p["edge_scatter"], c.shape[0])
-    return _finite(EnergyBreakdown(**bonded, coulomb=ec, vdw=ev), g), g.reshape(-1)
+    return _sweep(system, x, gradient=True)
 
 
 def gradient_total(system: MolecularSystem):
@@ -202,6 +216,7 @@ def gradient_total(system: MolecularSystem):
     return energy_and_gradient(system)[1]
 
 
+@_checked("finite-difference gradient")
 def finite_difference_gradient(system: MolecularSystem, step=1e-5):
     """Central-difference gradient of energy_total, flattened to 3n."""
     if not step > 0:
@@ -220,68 +235,57 @@ def finite_difference_gradient(system: MolecularSystem, step=1e-5):
     return g
 
 
-@_QUIET
+@_checked("far-field energy")
 def linearize_farfield_coulomb(system: MolecularSystem, atom: int,
                                cutoff: float) -> FarFieldLinearization:
     """Split atom's Coulomb sum at cutoff and linearize the far part.
 
-    Excluded and 1-4 scaled partners always land in the near set, whatever
-    their distance, so the far sum is a plain unscaled charge sum.
+    Partners at r <= cutoff are near, and so are excluded and 1-4 scaled
+    ones at any distance; the far rows go through the nonbonded kernel at
+    scale 1 with LJ off (epsilon 0), and their edge gradients sum to coef.
     """
     if not 0 <= atom < system.natoms:
         raise ValueError(f"atom index {atom} out of range for {system.natoms} atoms")
     if not cutoff > 0:
         raise ValueError(f"cutoff must be > 0, got {cutoff}")
     p = system.arrays()
-    e0, cx, cy, cz, near_mask, bad = kernels.farfield_build(
-        system.coords, p["q"], system.scale_row(atom), atom, float(cutoff)
-    )
-    if bad >= 0:
-        raise EnergyEvaluationError(f"nonbonded pair ({atom},{bad}): coincident atoms")
+    pairs = np.stack((np.full(system.natoms, atom), np.arange(system.natoms)))
+    D, R = kernels.edges(system.coords, pairs)
+    # the atom's own row has scale 0: near, and dropped from near_idx below
+    near = (R <= cutoff) | (system.scale_row(atom) != 1.0)
+    far = np.flatnonzero(~near)
+    near[atom] = False
+    qq, sig, _, s = pair_parameters(p, atom, far, 1.0)
+    G = np.empty((far.size, 3))
+    e_far0, _ = _term(system, "pairs", D[far], R[far], (qq, sig, 0.0, s, -1.0), G,
+                      rows=pairs[:, far])
     return FarFieldLinearization(
-        atom=atom,
-        cutoff=float(cutoff),
-        ref_pos=system.coords[atom].copy(),
-        e_far0=float(e0),
-        coef=np.array([cx, cy, cz], dtype=np.float64),
-        near_idx=np.nonzero(near_mask)[0].astype(np.int64),
-    )
+        atom=atom, cutoff=float(cutoff), ref_pos=system.coords[atom].copy(),
+        e_far0=float(e_far0), coef=G.sum(axis=0), near_idx=np.flatnonzero(near))
 
 
 def _atom_delta(system, atom, delta, partners=None):
-    """Exact energy change of moving atom by delta, over its bonded terms and
-    its nonbonded partners (all of them when partners is None).
-
-    The term kernels evaluate the current and the moved coordinates at once,
-    as two coordinate sets.
-    """
+    """Exact energy change of moving atom by delta over its nonbonded partners
+    (all of them when partners is None) and its bonded terms, each term at
+    the current and the moved coordinates at once, as two coordinate sets."""
     p = system.arrays()
     both = np.array((system.coords, system.coords))
     both[1, atom] += delta
-    row = system.scale_row(atom)
-    j = np.flatnonzero(row) if partners is None else partners[row[partners] != 0.0]
-    s = row[j]
-    q, sigma, epsilon = p["q"], p["sigma"], p["epsilon"]
-    D, R = kernels.edges(both, np.stack((np.full_like(j, atom), j)))
-    ec, ev, bad = kernels.nonbonded(
-        D, R, s * q[atom] * q[j], np.sqrt(sigma[atom] * sigma[j]),
-        np.sqrt(epsilon[atom] * epsilon[j]), s, p["cutoff"],
-    )
-    if bad >= 0:
-        raise EnergyEvaluationError(f"nonbonded pair ({atom},{j[bad]}): coincident atoms")
-    total = (ec[1] - ec[0]) + (ev[1] - ev[0])
-    for term, rows in zip(_BONDED, system.atom_terms(atom)):
-        sec, _, _, width, _ = _BONDED[term]
-        start, stop = p[sec].start, p[sec].stop
-        # the rows' edges, in the section's layout
-        ids = (start + rows + (stop - start) // width * np.arange(width)[:, None]).ravel()
-        D, R = kernels.edges(both, p["edge_idx"][:, ids])
-        e_old, e_new = _bonded(system, p, term, D, R, rows=rows)
-        total += e_new - e_old
+    scale = system.scale_row(atom)
+    j = np.flatnonzero(scale) if partners is None else partners[scale[partners] != 0.0]
+    total = 0.0
+    for term, rows in zip(_TERMS, (np.stack((np.full_like(j, atom), j)),
+                                   *system.atom_terms(atom))):
+        if term == "pairs":
+            idx, args = rows, (*pair_parameters(p, atom, j, scale[j]), p["cutoff"])
+        else:
+            idx, args = _plan_rows(p, term, rows)
+        for old, new in _term(system, term, *kernels.edges(both, idx), args, rows=rows):
+            total += new - old
     return float(total)
 
 
-@_QUIET
+@_checked("energy delta")
 def delta_energy_atom_move(system: MolecularSystem, lin: FarFieldLinearization,
                            delta) -> float:
     """Energy change for moving lin.atom by delta, using the far-field model.
@@ -301,7 +305,7 @@ def delta_energy_atom_move(system: MolecularSystem, lin: FarFieldLinearization,
     return _atom_delta(system, lin.atom, delta, lin.near_idx) + float(lin.coef @ delta)
 
 
-@_QUIET
+@_checked("energy delta")
 def exact_delta_atom_move(system: MolecularSystem, atom: int, delta) -> float:
     """Exact O(n) energy change for moving one atom (no linearization).
 

@@ -9,7 +9,9 @@ own section of those rows and gathers nothing itself:
   bend       a = c_i - c_j for each angle, then b = c_k - c_j for each;
   torsion    b1 = c_j - c_i for each dihedral, then every b2 = c_k - c_j,
              then every b3 = c_l - c_k;
-  nonbonded  d = c_i - c_j for each interacting pair.
+  nonbonded  d = c_i - c_j for each interacting pair; the package's only
+             Coulomb and LJ formula, also for a single-atom delta's pairs
+             and, with epsilon 0, the far-field linearization's.
 
 Given an output block G, a kernel also writes dE/d(edge vector) into its
 rows, and scatter() turns the whole table into the atom gradient by adding
@@ -185,20 +187,3 @@ def nonbonded(D, R, qq, sig, eps, s, cutoff, G=None):
     lj *= seps
     return ec, 4.0 * _sum(lj, axis=-1), -1
 
-
-def farfield_build(c, q, srow, atom, cutoff):
-    d = c[atom] - c
-    r = np.sqrt(np.einsum("ij,ij->i", d, d))
-    near = ((r <= cutoff) | (srow != 1.0)).astype(np.uint8)
-    near[atom] = 0
-    far = ~near.astype(bool)
-    far[atom] = False
-    bad = np.nonzero(far & (r < _RMIN))[0]
-    if bad.size:
-        return 0.0, 0.0, 0.0, 0.0, near, int(bad[0])
-    rf = np.where(far, r, 1.0)
-    qq = np.where(far, q[atom] * q, 0.0)
-    e0 = _C * np.sum(qq / rf)
-    g = -_C * qq / rf**3
-    coef = np.sum(g[:, None] * d, axis=0)
-    return float(e0), float(coef[0]), float(coef[1]), float(coef[2]), near, -1

@@ -171,6 +171,15 @@ class NonbondedPolicy:
         return NonbondedPolicy(frozenset(), frozenset(), 0.5, cutoff)
 
 
+def pair_parameters(p, i, j, scale):
+    """The combination rule: kernels.nonbonded's (qq, sig, eps, scale) for the
+    pairs (i, j) from the per-atom q, sigma, epsilon in p, qq = scale*q_i*q_j,
+    sig = sqrt(sigma_i*sigma_j) and eps = sqrt(epsilon_i*epsilon_j)."""
+    q, sigma, epsilon = p["q"], p["sigma"], p["epsilon"]
+    return (scale * q[i] * q[j], np.sqrt(sigma[i] * sigma[j]),
+            np.sqrt(epsilon[i] * epsilon[j]), scale)
+
+
 def _pair_index(n, i, j):
     """Position of the pair (i, j), i < j, in np.triu_indices(n, 1) order."""
     return i * (2 * n - i - 1) // 2 + (j - i - 1)
@@ -309,9 +318,8 @@ class MolecularSystem:
             and pair (c_i - c_j for every interacting i<j pair, that is
             every pair of nonzero scale, in np.triu_indices order);
           - per term bond_K, bond_r0, ang_K, ang_t0 and dih_V (m, 4);
-          - per pair pair_scale (s14 for 1-4 pairs, else 1), pair_qq =
-            pair_scale*q_i*q_j, and the combined pair_sig =
-            sqrt(sigma_i*sigma_j) and pair_eps = sqrt(epsilon_i*epsilon_j);
+          - per pair pair_scale (s14 for 1-4 pairs, else 1) and the
+            pair_qq, pair_sig and pair_eps of pair_parameters;
           - cutoff, -1.0 when the policy has none.
         """
         cached = self._cache.get("params")
@@ -325,9 +333,8 @@ class MolecularSystem:
 
     def _build_plan(self):
         n = self.natoms
-        q = np.array([a.q for a in self.atoms], dtype=np.float64)
-        sigma = np.array([a.sigma for a in self.atoms], dtype=np.float64)
-        epsilon = np.array([a.epsilon for a in self.atoms], dtype=np.float64)
+        per_atom = {key: np.array([getattr(a, key) for a in self.atoms], dtype=np.float64)
+                    for key in ("q", "sigma", "epsilon")}
 
         def table(rows, width):
             return np.array(rows, dtype=np.intp).reshape(-1, width).T
@@ -355,7 +362,7 @@ class MolecularSystem:
                              np.concatenate((bj, aj, aj, di, dj, dk, ju))))
         ends = np.cumsum((0, bi.size, 2 * ai.size, 3 * di.size, iu.size))
         return {
-            "q": q, "sigma": sigma, "epsilon": epsilon,
+            **per_atom,
             "edge_idx": edge_idx,
             "edge_scatter": edge_idx.reshape(-1),
             **{name: slice(int(a), int(b)) for name, a, b in
@@ -367,10 +374,8 @@ class MolecularSystem:
             "dih_V": np.array(
                 [(d.V1, d.V2, d.V3, d.V4) for d in self.dihedrals], dtype=np.float64
             ).reshape(-1, 4),
-            "pair_scale": scale,
-            "pair_qq": scale * q[iu] * q[ju],
-            "pair_sig": np.sqrt(sigma[iu] * sigma[ju]),
-            "pair_eps": np.sqrt(epsilon[iu] * epsilon[ju]),
+            **dict(zip(("pair_qq", "pair_sig", "pair_eps", "pair_scale"),
+                       pair_parameters(per_atom, iu, ju, scale))),
             "cutoff": -1.0 if self.nonbonded.cutoff is None else float(self.nonbonded.cutoff),
         }
 

@@ -128,16 +128,16 @@ class Run:
         self.trace = OptimizerTrace(meta=dict(meta))
         self.t0 = time.perf_counter()
         self.best_f = math.inf
-        self.best_x = None
+        self.best = None  # (x, |g| at x or nan, the step that reached x)
         self.threshold = 0.0
 
     def elapsed(self):
         return time.perf_counter() - self.t0
 
-    def update_best(self, x, f):
+    def update_best(self, x, f, grad_norm=math.nan, step=0.0):
         if f < self.best_f:
             self.best_f = f
-            self.best_x = np.array(x, dtype=np.float64, copy=True)
+            self.best = (np.array(x, dtype=np.float64, copy=True), grad_norm, step)
 
     def record(self, iteration, f, grad_norm, step):
         self.trace.records.append(
@@ -178,14 +178,19 @@ class Run:
         )
 
     def finish_best(self, status, fallback_x, fallback_f, grad_norm) -> OptimizeResult:
-        """Like finish, but report the best-so-far point.
+        """Like finish, but report the best-so-far point and |g| there, after
+        recording it as one more iteration if it lies below every record (a
+        search's lowest probe, fgm's extrapolated point).
 
         A converged run returns the final iterate: that is the point whose
         gradient satisfied the stop test, and near machine precision the
         lowest recorded f can belong to an earlier, less stationary point.
         """
-        if status != CONVERGED and self.best_x is not None and self.best_f <= fallback_f:
-            return self.finish(status, self.best_x, self.best_f, grad_norm)
+        if status != CONVERGED and self.best is not None and self.best_f <= fallback_f:
+            x, best_grad_norm, step = self.best
+            if self.best_f < min(r.f for r in self.trace.records):
+                self.record(self.trace.iterations + 1, self.best_f, best_grad_norm, step)
+            return self.finish(status, x, self.best_f, best_grad_norm)
         return self.finish(status, fallback_x, fallback_f, grad_norm)
 
 
@@ -260,7 +265,7 @@ def start(oracle, x0, stop, meta):
     check_finite(f, g, "the start point")
     gn = float(np.linalg.norm(g))
     run.threshold = run.stop.threshold(gn)
-    run.update_best(x, f)
+    run.update_best(x, f, gn)
     run.record(0, f, gn, 0.0)
     oracle.call_limit = run.stop.max_oracle_calls
     return run, x, f, g, gn
@@ -309,9 +314,8 @@ def descend(oracle, x0, stop, meta, rule, linesearch) -> OptimizeResult:
     A failed search that the rule does not retry ends the run, or with
     stop_on_linesearch_failure=False is recorded as a step of 0 from the
     search origin. Returns the best point seen unless the run converged.
-    When the oracle budget interrupts iteration k + 1 after a search probed
-    below every recorded f, the lowest probe is recorded as that iteration,
-    with no gradient (nan), and returned.
+    When the oracle budget interrupts a search that probed below every point
+    seen, the lowest probe is that best point, with no gradient (nan).
     """
     run, x, f, g, gn = start(oracle, x0, stop, meta)
     probes = _LowestProbe(oracle)
@@ -323,7 +327,7 @@ def descend(oracle, x0, stop, meta, rule, linesearch) -> OptimizeResult:
             if status:
                 break
             y, f_y, g_y, gn, d = rule.direction(oracle, k, x, f, g, gn)
-            run.update_best(y, f_y)
+            run.update_best(y, f_y, gn)
             dn = float(np.linalg.norm(d))
             if gn <= run.threshold or dn == 0.0:
                 status = CONVERGED
@@ -346,15 +350,16 @@ def descend(oracle, x0, stop, meta, rule, linesearch) -> OptimizeResult:
                     g, gn = g_new, float(np.linalg.norm(g_new))
                 x, f = x_new, f_new
             k += 1
-            run.update_best(x, f)
+            # gn is |g| at x unless the rule stepped there without a gradient
+            at_x = rule.takes_gradient or res.status == NO_RELAXATION
+            run.update_best(x, f, gn if at_x else math.nan, res.h)
             run.record(k, f, gn, res.h)
             if gn <= run.threshold:
                 status = CONVERGED
     except _BudgetExhausted:
         status = ORACLE_BUDGET
         if probes.f < run.best_f:
-            run.update_best(probes.x, probes.f)
-            run.record(k + 1, probes.f, math.nan, float((probes.x - y) @ r))
+            run.update_best(probes.x, probes.f, step=float((probes.x - y) @ r))
     finally:
         oracle.call_limit = None
     return run.finish_best(status, x, f, gn)

@@ -96,6 +96,32 @@ def nonbonded_energies(system):
     return ec, ev
 
 
+def farfield_linearization(system, atom, cutoff):
+    """(e_far0, coef, near) of atom's Coulomb sum split at cutoff.
+
+    near lists the partners at r <= cutoff or with a scale other than 1, in
+    index order; the far sum is C q_a q_j / r over the rest, and coef its
+    closed-form gradient, the sum of -C q_a q_j d / r^3 with d = c_a - c_j.
+    """
+    e = 0.0
+    coef = [0.0, 0.0, 0.0]
+    near = []
+    qa = system.atoms[atom].q
+    for j in range(system.natoms):
+        if j == atom:
+            continue
+        r = math.dist(system.coords[atom], system.coords[j])
+        if r <= cutoff or pair_scale(system.nonbonded, atom, j) != 1.0:
+            near.append(j)
+            continue
+        qq = qa * system.atoms[j].q
+        e += C_REF * qq / r
+        for k in range(3):
+            d = system.coords[atom][k] - system.coords[j][k]
+            coef[k] -= C_REF * qq * d / r**3
+    return e, np.array(coef), near
+
+
 def total_energy(system):
     ec, ev = nonbonded_energies(system)
     return (

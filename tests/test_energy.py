@@ -529,6 +529,10 @@ def test_rotation_invariance():
         e0, rel=1e-9)
 
 
+TERM_FUNCTIONS = {"stretch": energy_stretch, "bend": energy_bend, "torsion": energy_torsion,
+                  "coulomb": energy_coulomb, "vdw": energy_vdw}
+
+
 @pytest.mark.parametrize("scale,term", [(1e100, "torsion"), (1e160, "stretch")])
 def test_huge_finite_coordinates_raise_named_error(scale, term):
     # finite x whose cross products or squares overflow: NaN/inf terms
@@ -537,7 +541,8 @@ def test_huge_finite_coordinates_raise_named_error(scale, term):
     oracle = MolecularOracle(system)
     calls = (lambda: energy_total(system, x), lambda: energy_and_gradient(system, x),
              lambda: oracle.value(x), lambda: oracle.gradient(x),
-             lambda: oracle.value_and_gradient(x))
+             lambda: oracle.value_and_gradient(x),
+             lambda: TERM_FUNCTIONS[term](system.with_coords(x)))
     with np.errstate(over="ignore", invalid="ignore"):
         for call in calls:
             with pytest.raises(EnergyEvaluationError, match=f"{term} energy is not finite"):
@@ -554,17 +559,37 @@ def test_huge_finite_coordinates_warn_nothing(scale, term):
     named = (lambda: energy_total(system, x), lambda: energy_and_gradient(system, x),
              lambda: oracle.value(x), lambda: oracle.gradient(x),
              lambda: oracle.value_and_gradient(x))
-    unchecked = (lambda: energy_stretch(huge), lambda: energy_bend(huge),
-                 lambda: energy_torsion(huge), lambda: energy_coulomb(huge),
-                 lambda: energy_vdw(huge), lambda: exact_delta_atom_move(huge, 2, [1.0, 0, 0]),
-                 lambda: linearize_farfield_coulomb(huge, 2, 7.0))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
+        # the far field vanishes at these scales (r overflows, 1/r = 0)
+        lin = linearize_farfield_coulomb(huge, 2, 7.0)
+        assert math.isfinite(lin.e_far0) and np.isfinite(lin.coef).all()
+        deltas = (lambda: exact_delta_atom_move(huge, 2, [1.0, 0, 0]),
+                  lambda: delta_energy_atom_move(huge, lin, [1.0, 0, 0]))
         for call in named:
             with pytest.raises(EnergyEvaluationError, match=f"{term} energy is not finite"):
                 call()
-        for call in unchecked:
-            call()
+        for call in deltas:
+            with pytest.raises(EnergyEvaluationError, match="energy delta is not finite"):
+                call()
+        # each per-term value is finite or raises its named error
+        for name, fn in TERM_FUNCTIONS.items():
+            try:
+                assert math.isfinite(fn(huge)), name
+            except EnergyEvaluationError as exc:
+                assert str(exc).startswith(f"{name} energy is not finite"), name
+
+
+def test_far_field_overflow_raises_named_error():
+    # a far partner across the whole float range: the difference vector
+    # overflows to inf while 1/r is 0, so the edge gradient is 0 * inf
+    pair = MolecularSystem(atoms=(atom(0, q=0.5), atom(1, q=-0.5)),
+                           coords=np.array([[-1.5e308, 0.0, 0.0], [1.5e308, 0.0, 0.0]]),
+                           nonbonded=NonbondedPolicy.no_exclusions())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(EnergyEvaluationError, match="far-field coefficient is not finite"):
+            linearize_farfield_coulomb(pair, 0, 7.0)
 
 
 # ----------------------------------------------------- the edge-table plan

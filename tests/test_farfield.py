@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import naive_oracles as naive
 from conftest import two_cluster_system
 from ffmin.constants import COULOMB_KJ_ANGSTROM
 from ffmin.energy import (
@@ -81,6 +84,34 @@ def test_coefficients_match_fd_of_exact_far_sum():
         fd = (far_sum(s, atom, far_idx, ref + e)
               - far_sum(s, atom, far_idx, ref - e)) / (2 * step)
         assert lin.coef[ax] == pytest.approx(fd, rel=1e-6, abs=1e-10)
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(["chain", "clusters"]), seed=st.integers(0, 2**16),
+       data=st.data())
+def test_linearization_matches_plain_loop_far_sum(kind, seed, data):
+    if kind == "chain":
+        s = make_chain_system(data.draw(st.integers(2, 30), label="n"), seed=seed, strain=0.3)
+    else:
+        s = two_cluster_system(seed % 8)
+    atom = data.draw(st.integers(0, s.natoms - 1), label="atom")
+    # a dyadic cutoff and coordinates: the on-cutoff distance below is exact
+    cutoff = data.draw(st.integers(8, 320), label="cutoff16") / 16.0
+    c = np.round(s.coords * 2.0**20) / 2.0**20
+    full = [j for j in range(s.natoms) if j != atom and s.nonbonded.pair_scale(atom, j) == 1.0]
+    on = data.draw(st.sampled_from(full), label="on_cutoff") if full else None
+    if on is not None:
+        c[on] = c[atom] + np.array([cutoff, 0.0, 0.0])
+        d = np.linalg.norm(c - c[on], axis=1)
+        assume(np.delete(d, on).min() > 0.5)  # no partner lands on the moved one
+    s = s.with_coords(c)
+    e_far0, coef, near = naive.farfield_linearization(s, atom, cutoff)
+    lin = linearize_farfield_coulomb(s, atom, cutoff)
+    assert lin.near_idx.tolist() == near
+    if on is not None:
+        assert on in near  # r == cutoff is near
+    assert lin.e_far0 == pytest.approx(e_far0, rel=1e-12, abs=1e-12)
+    np.testing.assert_allclose(lin.coef, coef, rtol=1e-10, atol=1e-12)
 
 
 def test_linearize_input_validation():

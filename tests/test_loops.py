@@ -1,10 +1,12 @@
 """The two optimizer loops: the hard oracle-call budget and the failure
 branches of the line-search methods."""
 
+import math
+
 import numpy as np
 import pytest
 
-from ffmin.energy import energy_total
+from ffmin.energy import energy_total, gradient_total
 from ffmin.oracle import FunctionOracle, MolecularOracle
 from ffmin.optimizers import (
     HORIZON_COMPLETE,
@@ -82,6 +84,32 @@ def test_oracle_budget_returns_best_point_seen():
     assert res.status == ORACLE_BUDGET
     assert res.f == min(r.f for r in res.trace.records)
     assert res.f == MolecularOracle(system).value(res.x)
+
+
+def test_oracle_budget_reports_the_gradient_norm_of_the_returned_point():
+    # |g| at the returned point, or nan where the run evaluated no gradient
+    # there; never the norm of another iterate
+    system = make_chain_system(12, seed=0, strain=0.3)
+    kinds = set()
+    for cap in range(2, 61):
+        stop = StopCriteria(max_iterations=None, max_oracle_calls=cap, **NO_TOL)
+        res = lbfgs(MolecularOracle(system), system.coords.ravel(), m=3,
+                    linesearch=make_linesearch("par"), stop=stop)
+        assert res.status == ORACLE_BUDGET, cap
+        if math.isnan(res.grad_norm):
+            kinds.add("probe")
+        else:
+            kinds.add("iterate")
+            assert res.grad_norm == np.linalg.norm(
+                gradient_total(system.with_coords(res.x))), cap
+        # the returned point's record carries the same norm
+        last = [r for r in res.trace.records if r.f == res.f][-1]
+        assert np.array_equal(last.grad_norm, res.grad_norm, equal_nan=True), cap
+        if cap == 37:
+            # the lowest probe of a search the cap interrupted; the last
+            # iterate, recorded before it, has |g| = 226.6 and the probe 182.2
+            assert math.isnan(res.grad_norm)
+    assert kinds == {"probe", "iterate"}
 
 
 # --------------------------------------------- line searches that always fail
@@ -177,5 +205,7 @@ def test_oracle_budget_keeps_the_lowest_probe(name, ls):
         assert res.status == ORACLE_BUDGET, cap
         assert res.f <= oracle.lowest, cap
         assert energy_total(system, res.x).total == res.f, cap
+        # the returned point is always a recorded one
+        assert res.f == min(r.f for r in res.trace.records), cap
         best = [r.best_f for r in res.trace.records]
         assert all(b2 <= b1 for b1, b2 in zip(best, best[1:])), cap
