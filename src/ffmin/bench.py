@@ -119,9 +119,6 @@ class ExactQuadraticLineSearch:
     def __init__(self, instance: QuadraticInstance):
         self.instance = instance
 
-    def reset(self):
-        pass
-
     def describe(self):
         return {"kind": "exact-quadratic"}
 

@@ -16,12 +16,7 @@ import numpy as np
 
 from . import __version__
 from .bench import bench_quadratic_rows, worstcase_report
-from .energy import (
-    EnergyEvaluationError,
-    energy_and_gradient,
-    energy_total,
-    gradient_total,
-)
+from .energy import EnergyEvaluationError, energy_and_gradient
 from .model import ModelError
 from .oracle import MolecularOracle
 from .optimizers import (
@@ -210,8 +205,7 @@ def _print_breakdown(bd, grad_max, out=None):
 
 def cmd_energy(args):
     system = load_system(args.file)
-    bd = energy_total(system)
-    g = gradient_total(system)
+    bd, g = energy_and_gradient(system)
     _print_breakdown(bd, float(np.max(np.abs(g))))
     return EXIT_OK
 
@@ -220,8 +214,7 @@ def cmd_minimize(args):
     system = load_system(args.file)
     result = _run_method(args, system)
     final = system.with_coords(result.x)
-    bd = energy_total(final)
-    g = gradient_total(final)
+    bd, g = energy_and_gradient(final)
     print(f"method   {args.method}")
     print(f"status   {result.status}")
     print(f"iters    {result.trace.iterations}")

@@ -38,9 +38,6 @@ TIME_BUDGET = "time_budget"
 ORACLE_BUDGET = "oracle_budget"
 HORIZON_COMPLETE = "horizon_complete"
 
-# statuses that mean "the run ended the way the method intended"
-SUCCESS_STATUSES = (CONVERGED, HORIZON_COMPLETE)
-
 # fixed-step runs abort once f exceeds this multiple of max(1, |f(x0)|)
 DIVERGENCE_FACTOR = 1e3
 
@@ -154,17 +151,16 @@ class Run:
         )
 
     def budget_status(self, iterations_done):
-        """Status if some budget is already exhausted, else None."""
+        """Status if the iteration or time budget is exhausted, else None.
+
+        The oracle budget needs no check here: the oracle's call_limit (or
+        wiggle's counter) refuses the call that would pass it.
+        """
         s = self.stop
         if s.max_iterations is not None and iterations_done >= s.max_iterations:
             return ITERATION_BUDGET
         if s.max_wall_time is not None and self.elapsed() >= s.max_wall_time:
             return TIME_BUDGET
-        if (
-            s.max_oracle_calls is not None
-            and self.oracle.value_calls + self.oracle.grad_calls >= s.max_oracle_calls
-        ):
-            return ORACLE_BUDGET
         return None
 
     def finish(self, status, x, f, grad_norm) -> OptimizeResult:
@@ -313,9 +309,12 @@ def descend(oracle, x0, stop, meta, rule, linesearch) -> OptimizeResult:
 
     A failed search that the rule does not retry ends the run, or with
     stop_on_linesearch_failure=False is recorded as a step of 0 from the
-    search origin. Returns the best point seen unless the run converged.
-    When the oracle budget interrupts a search that probed below every point
-    seen, the lowest probe is that best point, with no gradient (nan).
+    search origin. Returns the best point seen unless the run converged; a
+    run that converges at a search origin other than its iterate (fgm's
+    extrapolated point) records that origin as one more iteration, with step
+    0, and returns it. When the oracle budget interrupts a search that probed
+    below every point seen, the lowest probe is that best point, with no
+    gradient (nan).
     """
     run, x, f, g, gn = start(oracle, x0, stop, meta)
     probes = _LowestProbe(oracle)
@@ -331,6 +330,10 @@ def descend(oracle, x0, stop, meta, rule, linesearch) -> OptimizeResult:
             dn = float(np.linalg.norm(d))
             if gn <= run.threshold or dn == 0.0:
                 status = CONVERGED
+                if not np.array_equal(y, x):
+                    k += 1
+                    x, f = y, f_y
+                    run.record(k, f, gn, 0.0)
                 break
             r = d / dn
             res = linesearch.search(probes, y, r, f_y, g_y)

@@ -70,11 +70,10 @@ class ObjectiveOracle:
 class FunctionOracle(ObjectiveOracle):
     """Wrap plain callables f(x) and optionally g(x) as an oracle."""
 
-    def __init__(self, n, f, grad=None, value_and_grad=None):
+    def __init__(self, n, f, grad=None):
         super().__init__(n)
         self._f = f
         self._g = grad
-        self._fg = value_and_grad
 
     def _value(self, x):
         return self._f(x)
@@ -83,11 +82,6 @@ class FunctionOracle(ObjectiveOracle):
         if self._g is None:
             raise NotImplementedError("no gradient supplied for this oracle")
         return self._g(x)
-
-    def _value_and_gradient(self, x):
-        if self._fg is not None:
-            return self._fg(x)
-        return super()._value_and_gradient(x)
 
 
 class MolecularOracle(ObjectiveOracle):

@@ -3,53 +3,30 @@
 Plain text, line oriented. A file opens with ``format_version: 1`` and then
 holds ``section <name>`` blocks: atoms, coords, bonds, angles, dihedrals,
 nonbonded, and (for mode: explicit) excluded_pairs / scaled14_pairs. Blank
-lines and ``#`` comments are ignored. Angles carry theta0 in degrees on disk
-and radians in memory. Coordinates are written with 17 significant digits so
-a save/load round trip reproduces float64 bit for bit.
+lines and ``#`` comments are ignored. The nonbonded section holds ``key:
+value`` lines; every other section is a table of whitespace-separated rows.
 
-Example::
-
-    format_version: 1
-    section atoms
-    0 CT -0.18 3.5 0.276
-    1 HC 0.06 2.5 0.1255
-    section coords
-    0.0 0.0 0.0
-    1.09 0.0 0.0
-    section bonds
-    0 1 1422.56 1.09
-    section angles
-    section dihedrals
-    section nonbonded
-    mode: auto
-    s14: 0.5
-    cutoff: none
+``TABLES`` declares each table once, for the reader and the writer alike: the
+row it builds and its columns in file order, each with its field, its kind
+and its name in messages. A kind is int, str, float, or deg (degrees on disk,
+radians in memory, as for an angle's theta0). Floats are written with 17
+significant digits, so a save/load round trip reproduces float64 bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 import os
+from operator import attrgetter, itemgetter
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .model import (
-    AngleTerm,
-    AtomSpec,
-    BondTerm,
-    DihedralTerm,
-    ModelError,
-    MolecularSystem,
-    NonbondedPolicy,
-    build_default_exclusions,
-)
+from .model import (AngleTerm, AtomSpec, BondTerm, DihedralTerm, ModelError,
+                    MolecularSystem, NonbondedPolicy, build_default_exclusions)
 
 FORMAT_VERSION = 1
-
-_SECTIONS = (
-    "atoms", "coords", "bonds", "angles", "dihedrals",
-    "nonbonded", "excluded_pairs", "scaled14_pairs",
-)
+_PAIR_SECTIONS = ("excluded_pairs", "scaled14_pairs")
 
 
 class SystemFileError(ValueError):
@@ -60,21 +37,111 @@ def _fail(path, lineno, msg):
     raise SystemFileError(f"{path}:{lineno}: {msg}")
 
 
-def _parse_float(tok, path, lineno, what):
-    try:
-        v = float(tok)
-    except ValueError:
-        _fail(path, lineno, f"bad {what} value {tok!r}")
-    if not math.isfinite(v):
-        _fail(path, lineno, f"{what} must be finite, got {tok!r}")
-    return v
+class Kind(NamedTuple):
+    """How a column's tokens become values in memory, and back."""
+    convert: Callable  # token -> value; raises ValueError on a bad token
+    bad: str  # "index" or "value", as in "bad bond index 'x'"
+    spec: str  # %-format of a value on disk
+    finite: bool = False  # nan and inf are bad values
+    to_memory: Callable | None = None  # applied after convert
+    to_disk: Callable | None = None  # applied before spec
+    suffix: str = ""  # ends the column's name on disk
 
 
-def _parse_int(tok, path, lineno, what):
+INT = Kind(int, "index", "%s")
+STR = Kind(str, "value", "%s")
+FLOAT = Kind(float, "value", "%.17g", finite=True)
+DEG = Kind(float, "value", "%.17g", True, math.radians, math.degrees, "_deg")
+
+
+class Column(NamedTuple):
+    field: str
+    kind: Kind
+    what: str  # the value's name in messages
+
+
+class Table(NamedTuple):
+    make: Callable | None  # called with a row's values in column order; None: the tuple
+    noun: str  # the row's name in messages
+    columns: tuple
+
+
+def _columns(kind, what, *fields):
+    return tuple(Column(f, kind, what) for f in fields)
+
+
+TABLES = {
+    "atoms": Table(AtomSpec, "atom", (
+        Column("id", INT, "atom"), Column("label", STR, "label"), Column("q", FLOAT, "charge"),
+        Column("sigma", FLOAT, "sigma"), Column("epsilon", FLOAT, "epsilon"))),
+    "coords": Table(None, "coordinate", _columns(FLOAT, "coordinate", "x", "y", "z")),
+    "bonds": Table(BondTerm, "bond", _columns(INT, "bond", "i", "j")
+                   + (Column("K", FLOAT, "bond K"), Column("r0", FLOAT, "bond r0"))),
+    "angles": Table(AngleTerm, "angle", _columns(INT, "angle", "i", "j", "k")
+                    + (Column("K", FLOAT, "angle K"), Column("theta0", DEG, "theta0_deg"))),
+    "dihedrals": Table(DihedralTerm, "dihedral", _columns(INT, "dihedral", "i", "j", "k", "l")
+                       + tuple(Column(v, FLOAT, v) for v in ("V1", "V2", "V3", "V4"))),
+    **{name: Table(None, name, _columns(INT, name, "i", "j")) for name in _PAIR_SECTIONS},
+}
+_SECTIONS = ("nonbonded", *TABLES)
+# the writer's view of each table: the %-format of a line, each column's getter and to_disk
+_LAYOUT = {name: (" ".join(c.kind.spec for c in columns),
+                  [(attrgetter(c.field) if make else itemgetter(k), c.kind.to_disk)
+                   for k, c in enumerate(columns)])
+           for name, (make, _, columns) in TABLES.items()}
+
+
+def _parse(kind, tok, what):
+    """The value of one token; the ValueError for a bad one names it."""
     try:
-        return int(tok)
+        v = kind.convert(tok)
     except ValueError:
-        _fail(path, lineno, f"bad {what} index {tok!r}")
+        raise ValueError(f"bad {what} {kind.bad} {tok!r}") from None
+    if kind.finite and not math.isfinite(v):
+        raise ValueError(f"{what} must be finite, got {tok!r}")
+    return kind.to_memory(v) if kind.to_memory else v
+
+
+def _parse_column(kind, toks):
+    """_parse over a whole column, with a bare ValueError for any bad token."""
+    values = list(map(kind.convert, toks))
+    if kind.finite and not all(map(math.isfinite, values)):
+        raise ValueError
+    return list(map(kind.to_memory, values)) if kind.to_memory else values
+
+
+def _read_table(path, sections, name):
+    """The rows of table section name, parsed a column at a time; a table with
+    any fault goes through the row loop, which reports the first bad line."""
+    make, noun, columns = TABLES[name]
+    rows = sections.get(name, ())  # (lineno, text)
+    toks = [text.split() for _, text in rows]
+    try:
+        if toks and all(len(t) == len(columns) for t in toks):
+            cells = [_parse_column(c.kind, col) for c, col in zip(columns, zip(*toks))]
+            return list(zip(*cells)) if make is None else list(map(make, *cells))
+    except ValueError:  # a bad token, or some row's ModelError
+        pass
+    out = []
+    for (lineno, _), row in zip(rows, toks):
+        if len(row) != len(columns):
+            names = " ".join(c.field + c.kind.suffix for c in columns)
+            _fail(path, lineno, f"{noun} rows need: {names}")
+        try:
+            values = [_parse(c.kind, tok, c.what) for c, tok in zip(columns, row)]
+            out.append(tuple(values) if make is None else make(*values))
+        except ValueError as exc:
+            _fail(path, lineno, str(exc))
+    return out
+
+
+def _write_table(out, name, rows):
+    """Append section name to the lines out, one line per row."""
+    line, getters = _LAYOUT[name]
+    cells = [map(to_disk, map(get, rows)) if to_disk else map(get, rows)
+             for get, to_disk in getters]
+    out.append(f"section {name}")
+    out += [line % row for row in zip(*cells)]
 
 
 def load_system(path) -> MolecularSystem:
@@ -83,11 +150,8 @@ def load_system(path) -> MolecularSystem:
     with open(path, "r", encoding="utf-8") as fh:
         raw = fh.readlines()
 
-    lines = []  # (lineno, text) with comments and blanks stripped
-    for idx, line in enumerate(raw, start=1):
-        text = line.split("#", 1)[0].strip()
-        if text:
-            lines.append((idx, text))
+    # (lineno, text) with comments and blanks stripped
+    lines = [(i, t) for i, t in enumerate((ln.split("#", 1)[0].strip() for ln in raw), 1) if t]
 
     if not lines:
         _fail(path, 1, "empty file")
@@ -105,193 +169,81 @@ def load_system(path) -> MolecularSystem:
             parts = text.split()
             if len(parts) != 2:
                 _fail(path, lineno, f"malformed section header {text!r}")
-            name = parts[1]
-            if name not in _SECTIONS:
-                _fail(path, lineno, f"unknown section {name!r}")
-            if name in sections:
-                _fail(path, lineno, f"duplicate section {name!r}")
-            sections[name] = []
-            current = name
+            current = parts[1]
+            if current not in _SECTIONS:
+                _fail(path, lineno, f"unknown section {current!r}")
+            if current in sections:
+                _fail(path, lineno, f"duplicate section {current!r}")
+            sections[current] = []
+        elif current is None:
+            _fail(path, lineno, f"data before any section header: {text!r}")
         else:
-            if current is None:
-                _fail(path, lineno, f"data before any section header: {text!r}")
             sections[current].append((lineno, text))
 
     for required in ("atoms", "coords", "nonbonded"):
         if required not in sections:
             _fail(path, len(raw), f"missing required section {required!r}")
 
-    atoms = []
-    for lineno, text in sections["atoms"]:
-        toks = text.split()
-        if len(toks) != 5:
-            _fail(path, lineno, "atom rows need: id label q sigma epsilon")
-        aid = _parse_int(toks[0], path, lineno, "atom")
-        try:
-            atoms.append(AtomSpec(
-                id=aid, label=toks[1],
-                q=_parse_float(toks[2], path, lineno, "charge"),
-                sigma=_parse_float(toks[3], path, lineno, "sigma"),
-                epsilon=_parse_float(toks[4], path, lineno, "epsilon"),
-            ))
-        except ModelError as exc:
-            _fail(path, lineno, str(exc))
-
-    coords = []
-    for lineno, text in sections["coords"]:
-        toks = text.split()
-        if len(toks) != 3:
-            _fail(path, lineno, "coordinate rows need: x y z")
-        coords.append([_parse_float(t, path, lineno, "coordinate") for t in toks])
+    atoms, coords = (_read_table(path, sections, name) for name in ("atoms", "coords"))
     if len(coords) != len(atoms):
         _fail(path, len(raw), f"{len(atoms)} atoms but {len(coords)} coordinate rows")
-
-    bonds = []
-    for lineno, text in sections.get("bonds", []):
-        toks = text.split()
-        if len(toks) != 4:
-            _fail(path, lineno, "bond rows need: i j K r0")
-        try:
-            bonds.append(BondTerm(
-                i=_parse_int(toks[0], path, lineno, "bond"),
-                j=_parse_int(toks[1], path, lineno, "bond"),
-                K=_parse_float(toks[2], path, lineno, "bond K"),
-                r0=_parse_float(toks[3], path, lineno, "bond r0"),
-            ))
-        except ModelError as exc:
-            _fail(path, lineno, str(exc))
-
-    angles = []
-    for lineno, text in sections.get("angles", []):
-        toks = text.split()
-        if len(toks) != 5:
-            _fail(path, lineno, "angle rows need: i j k K theta0_deg")
-        try:
-            angles.append(AngleTerm(
-                i=_parse_int(toks[0], path, lineno, "angle"),
-                j=_parse_int(toks[1], path, lineno, "angle"),
-                k=_parse_int(toks[2], path, lineno, "angle"),
-                K=_parse_float(toks[3], path, lineno, "angle K"),
-                theta0=math.radians(_parse_float(toks[4], path, lineno, "theta0_deg")),
-            ))
-        except ModelError as exc:
-            _fail(path, lineno, str(exc))
-
-    dihedrals = []
-    for lineno, text in sections.get("dihedrals", []):
-        toks = text.split()
-        if len(toks) != 8:
-            _fail(path, lineno, "dihedral rows need: i j k l V1 V2 V3 V4")
-        try:
-            dihedrals.append(DihedralTerm(
-                i=_parse_int(toks[0], path, lineno, "dihedral"),
-                j=_parse_int(toks[1], path, lineno, "dihedral"),
-                k=_parse_int(toks[2], path, lineno, "dihedral"),
-                l=_parse_int(toks[3], path, lineno, "dihedral"),
-                V1=_parse_float(toks[4], path, lineno, "V1"),
-                V2=_parse_float(toks[5], path, lineno, "V2"),
-                V3=_parse_float(toks[6], path, lineno, "V3"),
-                V4=_parse_float(toks[7], path, lineno, "V4"),
-            ))
-        except ModelError as exc:
-            _fail(path, lineno, str(exc))
+    bonds, angles, dihedrals = (_read_table(path, sections, name)
+                                for name in ("bonds", "angles", "dihedrals"))
 
     nb = {"mode": None, "s14": 0.5, "cutoff": None}
     nb_line = sections["nonbonded"][0][0] if sections["nonbonded"] else len(raw)
     for lineno, text in sections["nonbonded"]:
-        if ":" not in text:
-            _fail(path, lineno, f"nonbonded rows are key: value, got {text!r}")
-        key, _, val = text.partition(":")
-        key = key.strip()
-        val = val.strip()
-        if key == "mode":
-            if val not in ("auto", "explicit"):
-                _fail(path, lineno, f"nonbonded mode must be auto or explicit, got {val!r}")
-            nb["mode"] = val
-        elif key == "s14":
-            nb["s14"] = _parse_float(val, path, lineno, "s14")
-        elif key == "cutoff":
-            nb["cutoff"] = None if val == "none" else _parse_float(val, path, lineno, "cutoff")
-        else:
-            _fail(path, lineno, f"unknown nonbonded key {key!r}")
+        key, colon, val = (t.strip() for t in text.partition(":"))
+        try:
+            if not colon:
+                raise ValueError(f"nonbonded rows are key: value, got {text!r}")
+            if key == "mode":
+                if val not in ("auto", "explicit"):
+                    raise ValueError(f"nonbonded mode must be auto or explicit, got {val!r}")
+                nb["mode"] = val
+            elif key in ("s14", "cutoff"):
+                nb[key] = None if key == "cutoff" and val == "none" else _parse(FLOAT, val, key)
+            else:
+                raise ValueError(f"unknown nonbonded key {key!r}")
+        except ValueError as exc:
+            _fail(path, lineno, str(exc))
     if nb["mode"] is None:
         _fail(path, nb_line, "nonbonded section must set mode")
 
-    def read_pairs(name):
-        pairs = []
-        for lineno, text in sections.get(name, []):
-            toks = text.split()
-            if len(toks) != 2:
-                _fail(path, lineno, f"{name} rows need: i j")
-            pairs.append((
-                _parse_int(toks[0], path, lineno, name),
-                _parse_int(toks[1], path, lineno, name),
-            ))
-        return pairs
-
     try:
         if nb["mode"] == "auto":
-            for name in ("excluded_pairs", "scaled14_pairs"):
+            for name in _PAIR_SECTIONS:
                 if name in sections:
                     _fail(path, sections[name][0][0] if sections[name] else len(raw),
                           f"section {name!r} is only valid with mode: explicit")
-            policy = build_default_exclusions(
-                len(atoms), bonds, s14=nb["s14"], cutoff=nb["cutoff"]
-            )
+            policy = build_default_exclusions(len(atoms), bonds, nb["s14"], nb["cutoff"])
         else:
-            excl = frozenset(tuple(sorted(p)) for p in read_pairs("excluded_pairs"))
-            sc14 = frozenset(tuple(sorted(p)) for p in read_pairs("scaled14_pairs"))
-            policy = NonbondedPolicy(excl, sc14, nb["s14"], nb["cutoff"])
-        system = MolecularSystem(
-            atoms=tuple(atoms),
-            coords=np.array(coords, dtype=np.float64).reshape(len(atoms), 3),
-            bonds=tuple(bonds),
-            angles=tuple(angles),
-            dihedrals=tuple(dihedrals),
-            nonbonded=policy,
-        )
+            policy = NonbondedPolicy(*(frozenset(_read_table(path, sections, name))
+                                       for name in _PAIR_SECTIONS), nb["s14"], nb["cutoff"])
+        return MolecularSystem(
+            atoms=tuple(atoms), coords=np.array(coords, dtype=np.float64).reshape(len(atoms), 3),
+            bonds=tuple(bonds), angles=tuple(angles), dihedrals=tuple(dihedrals),
+            nonbonded=policy)
     except ModelError as exc:
         raise SystemFileError(f"{path}: {exc}") from exc
-    return system
 
 
 def save_system(system: MolecularSystem, path, mode="explicit"):
-    """Write a system file. mode: explicit lists the pair sets verbatim.
-
-    mode: auto writes only s14/cutoff and relies on the loader to rebuild
-    the exclusions from the bond graph; only safe when the policy actually
-    came from build_default_exclusions.
-    """
+    """Write a system file. mode: explicit lists the pair sets verbatim; mode: auto
+    writes only s14/cutoff for the loader to rebuild the exclusions from the bond
+    graph, which is only safe when the policy came from build_default_exclusions."""
     if mode not in ("auto", "explicit"):
         raise ValueError(f"save mode must be auto or explicit, got {mode!r}")
-    g = lambda v: format(float(v), ".17g")
-    out = [f"format_version: {FORMAT_VERSION}"]
-    out.append("section atoms")
-    for a in system.atoms:
-        out.append(f"{a.id} {a.label} {g(a.q)} {g(a.sigma)} {g(a.epsilon)}")
-    out.append("section coords")
-    for row in system.coords:
-        out.append(f"{g(row[0])} {g(row[1])} {g(row[2])}")
-    out.append("section bonds")
-    for b in system.bonds:
-        out.append(f"{b.i} {b.j} {g(b.K)} {g(b.r0)}")
-    out.append("section angles")
-    for a in system.angles:
-        out.append(f"{a.i} {a.j} {a.k} {g(a.K)} {g(math.degrees(a.theta0))}")
-    out.append("section dihedrals")
-    for d in system.dihedrals:
-        out.append(f"{d.i} {d.j} {d.k} {d.l} {g(d.V1)} {g(d.V2)} {g(d.V3)} {g(d.V4)}")
     nb = system.nonbonded
-    out.append("section nonbonded")
-    out.append(f"mode: {mode}")
-    out.append(f"s14: {g(nb.s14)}")
-    out.append("cutoff: none" if nb.cutoff is None else f"cutoff: {g(nb.cutoff)}")
+    out = [f"format_version: {FORMAT_VERSION}"]
+    for name, rows in (("atoms", system.atoms), ("coords", system.coords.tolist()),
+                       ("bonds", system.bonds), ("angles", system.angles),
+                       ("dihedrals", system.dihedrals)):
+        _write_table(out, name, rows)
+    out += ["section nonbonded", f"mode: {mode}", "s14: " + FLOAT.spec % nb.s14,
+            "cutoff: " + ("none" if nb.cutoff is None else FLOAT.spec % nb.cutoff)]
     if mode == "explicit":
-        out.append("section excluded_pairs")
-        for i, j in sorted(nb.excluded):
-            out.append(f"{i} {j}")
-        out.append("section scaled14_pairs")
-        for i, j in sorted(nb.scaled14):
-            out.append(f"{i} {j}")
+        _write_table(out, "excluded_pairs", sorted(nb.excluded))
+        _write_table(out, "scaled14_pairs", sorted(nb.scaled14))
     with open(os.fspath(path), "w", encoding="utf-8") as fh:
         fh.write("\n".join(out) + "\n")

@@ -205,9 +205,6 @@ def test_single_failure_recovers_by_restarting():
             self.failed = False
             self.directions = []
 
-        def reset(self):
-            pass
-
         def describe(self):
             return {"kind": "fail-once"}
 

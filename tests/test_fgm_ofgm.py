@@ -80,6 +80,18 @@ def test_fgm_stationary_start_converges_immediately():
     assert res.iterations == 0
 
 
+def test_fgm_converged_run_returns_the_point_that_met_the_tolerance():
+    # the run converges at an extrapolated point w, not at an iterate: it
+    # returns w, recorded as one more iteration of step 0, with |g(w)|
+    inst = QuadraticInstance.random(8, 10.0, seed=1)
+    res = fgm(inst.oracle(), inst.x0, inst.exact_linesearch())
+    assert res.status == CONVERGED
+    assert res.grad_norm == np.linalg.norm(inst.gradient(res.x))
+    last = res.trace.records[-1]
+    assert (last.f, last.grad_norm, last.step) == (res.f, res.grad_norm, 0.0)
+    assert res.f == inst.value(res.x)
+
+
 # -------------------------------------------------------------- schedule
 
 def test_ofgm_schedule_known_prefix():

@@ -151,9 +151,6 @@ def test_lbfgs_clears_memory_once_then_reports_failure():
             self.calls = 0
             self.directions = []
 
-        def reset(self):
-            pass
-
         def describe(self):
             return {"kind": "stub"}
 
