@@ -16,7 +16,7 @@ import numpy as np
 
 from . import __version__
 from .bench import bench_quadratic_rows, worstcase_report
-from .energy import EnergyEvaluationError, energy_and_gradient
+from .energy import EnergyEvaluationError, energy_and_gradient, energy_total
 from .model import ModelError
 from .oracle import MolecularOracle
 from .optimizers import (
@@ -203,9 +203,19 @@ def _print_breakdown(bd, grad_max, out=None):
     print(f"{'grad_max':<8} {grad_max:.10g}", file=out)
 
 
+def _breakdown_and_gradient(system):
+    """energy_and_gradient(system), naming a fault of the energy before one of
+    the gradient, which the sweep can meet first (coincident bond endpoints)."""
+    try:
+        return energy_and_gradient(system)
+    except EnergyEvaluationError:
+        energy_total(system)
+        raise
+
+
 def cmd_energy(args):
     system = load_system(args.file)
-    bd, g = energy_and_gradient(system)
+    bd, g = _breakdown_and_gradient(system)
     _print_breakdown(bd, float(np.max(np.abs(g))))
     return EXIT_OK
 
@@ -214,7 +224,7 @@ def cmd_minimize(args):
     system = load_system(args.file)
     result = _run_method(args, system)
     final = system.with_coords(result.x)
-    bd, g = energy_and_gradient(final)
+    bd, g = _breakdown_and_gradient(final)
     print(f"method   {args.method}")
     print(f"status   {result.status}")
     print(f"iters    {result.trace.iterations}")

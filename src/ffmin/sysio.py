@@ -6,11 +6,15 @@ nonbonded, and (for mode: explicit) excluded_pairs / scaled14_pairs. Blank
 lines and ``#`` comments are ignored. The nonbonded section holds ``key:
 value`` lines; every other section is a table of whitespace-separated rows.
 
-``TABLES`` declares each table once, for the reader and the writer alike: the
-row it builds and its columns in file order, each with its field, its kind
-and its name in messages. A kind is int, str, float, or deg (degrees on disk,
-radians in memory, as for an angle's theta0). Floats are written with 17
-significant digits, so a save/load round trip reproduces float64 bit for bit.
+``TABLES`` declares each table section once, for the reader and the writer
+alike: the row it builds and its columns in file order, each with its field,
+its kind and its name in messages. A kind is INT, STR, FLOAT, or DEG (degrees
+on disk, radians in memory, as for an angle's theta0). Floats are written
+with 17 significant digits, so a save/load round trip reproduces every
+float64 bit for bit, except that theta0 can move in its last digit on the
+first trip through degrees.
+
+README.md (System files) shows the layout of a file with its columns.
 """
 
 from __future__ import annotations
@@ -22,8 +26,23 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .model import (AngleTerm, AtomSpec, BondTerm, DihedralTerm, ModelError,
-                    MolecularSystem, NonbondedPolicy, build_default_exclusions)
+from .model import (
+    AngleTerm,
+    AtomSpec,
+    BondTerm,
+    DihedralTerm,
+    ModelError,
+    MolecularSystem,
+    NonbondedPolicy,
+    build_default_exclusions,
+)
+
+try:
+    from operator import call as _call  # Python 3.11+
+except ImportError:
+    def _call(f, *args):
+        return f(*args)
+
 
 FORMAT_VERSION = 1
 _PAIR_SECTIONS = ("excluded_pairs", "scaled14_pairs")
@@ -37,21 +56,34 @@ def _fail(path, lineno, msg):
     raise SystemFileError(f"{path}:{lineno}: {msg}")
 
 
+def _int(tok, what):
+    try:
+        return int(tok)
+    except ValueError:
+        raise ValueError(f"bad {what} index {tok!r}") from None
+
+
+def _float(tok, what):
+    try:
+        v = float(tok)
+    except ValueError:
+        raise ValueError(f"bad {what} value {tok!r}") from None
+    if not math.isfinite(v):
+        raise ValueError(f"{what} must be finite, got {tok!r}")
+    return v
+
+
 class Kind(NamedTuple):
     """How a column's tokens become values in memory, and back."""
-    convert: Callable  # token -> value; raises ValueError on a bad token
-    bad: str  # "index" or "value", as in "bad bond index 'x'"
+    parse: Callable  # (token, name in messages) -> value; ValueError for a bad token
     spec: str  # %-format of a value on disk
-    finite: bool = False  # nan and inf are bad values
-    to_memory: Callable | None = None  # applied after convert
-    to_disk: Callable | None = None  # applied before spec
-    suffix: str = ""  # ends the column's name on disk
+    to_disk: Callable | None = None  # the value on disk, where its unit differs
 
 
-INT = Kind(int, "index", "%s")
-STR = Kind(str, "value", "%s")
-FLOAT = Kind(float, "value", "%.17g", finite=True)
-DEG = Kind(float, "value", "%.17g", True, math.radians, math.degrees, "_deg")
+INT = Kind(_int, "%s")
+STR = Kind(lambda tok, what: tok, "%s")
+FLOAT = Kind(_float, "%.17g")
+DEG = Kind(lambda tok, what: math.radians(_float(tok, what)), "%.17g", math.degrees)
 
 
 class Column(NamedTuple):
@@ -72,72 +104,71 @@ def _columns(kind, what, *fields):
 
 TABLES = {
     "atoms": Table(AtomSpec, "atom", (
-        Column("id", INT, "atom"), Column("label", STR, "label"), Column("q", FLOAT, "charge"),
-        Column("sigma", FLOAT, "sigma"), Column("epsilon", FLOAT, "epsilon"))),
+        Column("id", INT, "atom"),
+        Column("label", STR, "label"),
+        Column("q", FLOAT, "charge"),
+        Column("sigma", FLOAT, "sigma"),
+        Column("epsilon", FLOAT, "epsilon"),
+    )),
     "coords": Table(None, "coordinate", _columns(FLOAT, "coordinate", "x", "y", "z")),
-    "bonds": Table(BondTerm, "bond", _columns(INT, "bond", "i", "j")
-                   + (Column("K", FLOAT, "bond K"), Column("r0", FLOAT, "bond r0"))),
-    "angles": Table(AngleTerm, "angle", _columns(INT, "angle", "i", "j", "k")
-                    + (Column("K", FLOAT, "angle K"), Column("theta0", DEG, "theta0_deg"))),
-    "dihedrals": Table(DihedralTerm, "dihedral", _columns(INT, "dihedral", "i", "j", "k", "l")
-                       + tuple(Column(v, FLOAT, v) for v in ("V1", "V2", "V3", "V4"))),
+    "bonds": Table(BondTerm, "bond", (
+        *_columns(INT, "bond", "i", "j"),
+        Column("K", FLOAT, "bond K"),
+        Column("r0", FLOAT, "bond r0"),
+    )),
+    "angles": Table(AngleTerm, "angle", (
+        *_columns(INT, "angle", "i", "j", "k"),
+        Column("K", FLOAT, "angle K"),
+        Column("theta0", DEG, "theta0_deg"),
+    )),
+    "dihedrals": Table(DihedralTerm, "dihedral", (
+        *_columns(INT, "dihedral", "i", "j", "k", "l"),
+        *(Column(v, FLOAT, v) for v in ("V1", "V2", "V3", "V4")),
+    )),
     **{name: Table(None, name, _columns(INT, name, "i", "j")) for name in _PAIR_SECTIONS},
 }
 _SECTIONS = ("nonbonded", *TABLES)
-# the writer's view of each table: the %-format of a line, each column's getter and to_disk
-_LAYOUT = {name: (" ".join(c.kind.spec for c in columns),
-                  [(attrgetter(c.field) if make else itemgetter(k), c.kind.to_disk)
-                   for k, c in enumerate(columns)])
-           for name, (make, _, columns) in TABLES.items()}
 
 
-def _parse(kind, tok, what):
-    """The value of one token; the ValueError for a bad one names it."""
-    try:
-        v = kind.convert(tok)
-    except ValueError:
-        raise ValueError(f"bad {what} {kind.bad} {tok!r}") from None
-    if kind.finite and not math.isfinite(v):
-        raise ValueError(f"{what} must be finite, got {tok!r}")
-    return kind.to_memory(v) if kind.to_memory else v
-
-
-def _parse_column(kind, toks):
-    """_parse over a whole column, with a bare ValueError for any bad token."""
-    values = list(map(kind.convert, toks))
-    if kind.finite and not all(map(math.isfinite, values)):
-        raise ValueError
-    return list(map(kind.to_memory, values)) if kind.to_memory else values
+# each table as the row loops read it, derived once from TABLES (deriving it
+# on every call costs about a tenth of a save): the reader's parse function
+# and message name of each column, and the writer's %-format of a line and
+# getter and to_disk of each column
+_LAYOUT = {
+    name: (
+        [c.kind.parse for c in columns],
+        [c.what for c in columns],
+        " ".join(c.kind.spec for c in columns),
+        [(attrgetter(c.field) if make else itemgetter(k), c.kind.to_disk)
+         for k, c in enumerate(columns)],
+    )
+    for name, (make, _, columns) in TABLES.items()
+}
 
 
 def _read_table(path, sections, name):
-    """The rows of table section name, parsed a column at a time; a table with
-    any fault goes through the row loop, which reports the first bad line."""
+    """The rows of table section name, in file order."""
     make, noun, columns = TABLES[name]
-    rows = sections.get(name, ())  # (lineno, text)
-    toks = [text.split() for _, text in rows]
-    try:
-        if toks and all(len(t) == len(columns) for t in toks):
-            cells = [_parse_column(c.kind, col) for c, col in zip(columns, zip(*toks))]
-            return list(zip(*cells)) if make is None else list(map(make, *cells))
-    except ValueError:  # a bad token, or some row's ModelError
-        pass
-    out = []
-    for (lineno, _), row in zip(rows, toks):
-        if len(row) != len(columns):
-            names = " ".join(c.field + c.kind.suffix for c in columns)
+    parses, whats, _, _ = _LAYOUT[name]
+    rows = []
+    for lineno, text in sections.get(name, ()):
+        toks = text.split()
+        if len(toks) != len(columns):
+            # a column in degrees goes by its name on disk, as theta0_deg
+            names = " ".join(c.what if c.kind is DEG else c.field for c in columns)
             _fail(path, lineno, f"{noun} rows need: {names}")
         try:
-            values = [_parse(c.kind, tok, c.what) for c, tok in zip(columns, row)]
-            out.append(tuple(values) if make is None else make(*values))
-        except ValueError as exc:
+            values = map(_call, parses, toks, whats)  # parse(tok, what) per column
+            rows.append(tuple(values) if make is None else make(*values))
+        except ValueError as exc:  # a bad token, or the row's ModelError
             _fail(path, lineno, str(exc))
-    return out
+    return rows
 
 
 def _write_table(out, name, rows):
-    """Append section name to the lines out, one line per row."""
-    line, getters = _LAYOUT[name]
+    """Append table section name to the lines out, one line per row of the
+    list rows; the values are gathered a column at a time."""
+    _, _, line, getters = _LAYOUT[name]
     cells = [map(to_disk, map(get, rows)) if to_disk else map(get, rows)
              for get, to_disk in getters]
     out.append(f"section {name}")
@@ -150,8 +181,11 @@ def load_system(path) -> MolecularSystem:
     with open(path, "r", encoding="utf-8") as fh:
         raw = fh.readlines()
 
-    # (lineno, text) with comments and blanks stripped
-    lines = [(i, t) for i, t in enumerate((ln.split("#", 1)[0].strip() for ln in raw), 1) if t]
+    lines = []  # (lineno, text) with comments and blanks stripped
+    for idx, line in enumerate(raw, start=1):
+        text = line.split("#", 1)[0].strip()
+        if text:
+            lines.append((idx, text))
 
     if not lines:
         _fail(path, 1, "empty file")
@@ -184,29 +218,33 @@ def load_system(path) -> MolecularSystem:
         if required not in sections:
             _fail(path, len(raw), f"missing required section {required!r}")
 
-    atoms, coords = (_read_table(path, sections, name) for name in ("atoms", "coords"))
+    atoms = _read_table(path, sections, "atoms")
+    coords = _read_table(path, sections, "coords")
     if len(coords) != len(atoms):
         _fail(path, len(raw), f"{len(atoms)} atoms but {len(coords)} coordinate rows")
-    bonds, angles, dihedrals = (_read_table(path, sections, name)
-                                for name in ("bonds", "angles", "dihedrals"))
+    bonds = _read_table(path, sections, "bonds")
+    angles = _read_table(path, sections, "angles")
+    dihedrals = _read_table(path, sections, "dihedrals")
 
     nb = {"mode": None, "s14": 0.5, "cutoff": None}
     nb_line = sections["nonbonded"][0][0] if sections["nonbonded"] else len(raw)
     for lineno, text in sections["nonbonded"]:
-        key, colon, val = (t.strip() for t in text.partition(":"))
-        try:
-            if not colon:
-                raise ValueError(f"nonbonded rows are key: value, got {text!r}")
-            if key == "mode":
-                if val not in ("auto", "explicit"):
-                    raise ValueError(f"nonbonded mode must be auto or explicit, got {val!r}")
-                nb["mode"] = val
-            elif key in ("s14", "cutoff"):
-                nb[key] = None if key == "cutoff" and val == "none" else _parse(FLOAT, val, key)
-            else:
-                raise ValueError(f"unknown nonbonded key {key!r}")
-        except ValueError as exc:
-            _fail(path, lineno, str(exc))
+        if ":" not in text:
+            _fail(path, lineno, f"nonbonded rows are key: value, got {text!r}")
+        key, _, val = text.partition(":")
+        key = key.strip()
+        val = val.strip()
+        if key == "mode":
+            if val not in ("auto", "explicit"):
+                _fail(path, lineno, f"nonbonded mode must be auto or explicit, got {val!r}")
+            nb["mode"] = val
+        elif key in ("s14", "cutoff"):
+            try:
+                nb[key] = None if key == "cutoff" and val == "none" else _float(val, key)
+            except ValueError as exc:
+                _fail(path, lineno, str(exc))
+        else:
+            _fail(path, lineno, f"unknown nonbonded key {key!r}")
     if nb["mode"] is None:
         _fail(path, nb_line, "nonbonded section must set mode")
 
@@ -216,32 +254,45 @@ def load_system(path) -> MolecularSystem:
                 if name in sections:
                     _fail(path, sections[name][0][0] if sections[name] else len(raw),
                           f"section {name!r} is only valid with mode: explicit")
-            policy = build_default_exclusions(len(atoms), bonds, nb["s14"], nb["cutoff"])
+            policy = build_default_exclusions(
+                len(atoms), bonds, s14=nb["s14"], cutoff=nb["cutoff"]
+            )
         else:
-            policy = NonbondedPolicy(*(frozenset(_read_table(path, sections, name))
-                                       for name in _PAIR_SECTIONS), nb["s14"], nb["cutoff"])
+            excl = frozenset(_read_table(path, sections, "excluded_pairs"))
+            sc14 = frozenset(_read_table(path, sections, "scaled14_pairs"))
+            policy = NonbondedPolicy(excl, sc14, nb["s14"], nb["cutoff"])
         return MolecularSystem(
-            atoms=tuple(atoms), coords=np.array(coords, dtype=np.float64).reshape(len(atoms), 3),
-            bonds=tuple(bonds), angles=tuple(angles), dihedrals=tuple(dihedrals),
-            nonbonded=policy)
+            atoms=tuple(atoms),
+            coords=np.array(coords, dtype=np.float64).reshape(len(atoms), 3),
+            bonds=tuple(bonds),
+            angles=tuple(angles),
+            dihedrals=tuple(dihedrals),
+            nonbonded=policy,
+        )
     except ModelError as exc:
         raise SystemFileError(f"{path}: {exc}") from exc
 
 
 def save_system(system: MolecularSystem, path, mode="explicit"):
-    """Write a system file. mode: explicit lists the pair sets verbatim; mode: auto
-    writes only s14/cutoff for the loader to rebuild the exclusions from the bond
-    graph, which is only safe when the policy came from build_default_exclusions."""
+    """Write a system file. mode: explicit lists the pair sets verbatim.
+
+    mode: auto writes only s14/cutoff and relies on the loader to rebuild
+    the exclusions from the bond graph; only safe when the policy actually
+    came from build_default_exclusions.
+    """
     if mode not in ("auto", "explicit"):
         raise ValueError(f"save mode must be auto or explicit, got {mode!r}")
     nb = system.nonbonded
     out = [f"format_version: {FORMAT_VERSION}"]
-    for name, rows in (("atoms", system.atoms), ("coords", system.coords.tolist()),
-                       ("bonds", system.bonds), ("angles", system.angles),
-                       ("dihedrals", system.dihedrals)):
-        _write_table(out, name, rows)
-    out += ["section nonbonded", f"mode: {mode}", "s14: " + FLOAT.spec % nb.s14,
-            "cutoff: " + ("none" if nb.cutoff is None else FLOAT.spec % nb.cutoff)]
+    _write_table(out, "atoms", system.atoms)
+    _write_table(out, "coords", system.coords.tolist())
+    _write_table(out, "bonds", system.bonds)
+    _write_table(out, "angles", system.angles)
+    _write_table(out, "dihedrals", system.dihedrals)
+    out.append("section nonbonded")
+    out.append(f"mode: {mode}")
+    out.append(f"s14: {FLOAT.spec % nb.s14}")
+    out.append("cutoff: none" if nb.cutoff is None else f"cutoff: {FLOAT.spec % nb.cutoff}")
     if mode == "explicit":
         _write_table(out, "excluded_pairs", sorted(nb.excluded))
         _write_table(out, "scaled14_pairs", sorted(nb.scaled14))

@@ -62,6 +62,30 @@ def test_energy_matches_library(tmp_path, capsys):
     assert float(lines["vdw"]) == pytest.approx(bd.vdw, rel=1e-9)
 
 
+@pytest.mark.parametrize("src,dst,msg", [
+    # coincident bonded atoms: the energy's bend fault, not the gradient's stretch fault
+    (0, 1, "bend term 0 (atoms 0-1-2): zero-length arm"),
+    (2, 3, "bend term 1 (atoms 1-2-3): zero-length arm"),
+    # coincident atoms of a pair that interacts
+    (0, 5, "nonbonded pair (0,5): coincident atoms"),
+])
+def test_energy_names_the_fault_of_degenerate_geometry(tmp_path, capsys, src, dst, msg):
+    system = make_chain_system(6, seed=1)
+    coords = system.coords.copy()
+    coords[dst] = coords[src]
+    path = tmp_path / "degenerate.ffs"
+    save_system(system.with_coords(coords), path)
+    assert main(["energy", str(path)]) == 2
+    assert grab(capsys) == ("", f"ffmin: error: {msg}\n")
+
+
+def test_energy_names_the_gradient_fault_when_the_energy_has_none(tmp_path, capsys):
+    # a bond of length 0 has a finite energy but no gradient
+    path = write_diatomic(tmp_path, r=0.0)
+    assert main(["energy", str(path)]) == 2
+    assert grab(capsys) == ("", "ffmin: error: stretch term 0 (atoms 0-1): coincident endpoints\n")
+
+
 def test_malformed_file_exits_2(tmp_path, capsys):
     path = tmp_path / "junk.ffs"
     path.write_text("this is not a system file\n")
