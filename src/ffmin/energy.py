@@ -8,12 +8,18 @@ over a MolecularSystem, in kJ/mol with distances in angstrom. All functions
 here are pure in (system, coords); summation order is fixed, so repeated
 calls are bit-identical.
 
-_term evaluates each term (pairs, stretch, bend, torsion: the check order)
-with its kernels.py kernel over given edge rows: a section of the plan,
-MolecularSystem.arrays(), from the one gather that energy_total and
-energy_and_gradient share (at flat x, or at system.coords); one section
-alone (energy_stretch ...); one atom's rows (the single-atom deltas); or
-its far partners (linearize_farfield_coulomb).
+The value sweep (_Sweep) gathers every edge of the plan,
+MolecularSystem.arrays(), at flat x (or at system.coords) and runs each
+term's kernels.py energy half on its section, in check order (pairs,
+stretch, bend, torsion). energy_total is the value sweep; energy_and_gradient
+is the value sweep finished by each term's gradient half and one scatter,
+so a fault is named in the same order either way. A KeptSweeps lets a
+caller that values several points and then wants the gradient at one of
+them (an oracle under a line search) keep the sweeps: the gradient at a
+kept x then runs only the gradient halves, with the same bits. _term runs
+one term's energy half over other edge rows: one section alone
+(energy_stretch ...), one atom's rows (the single-atom deltas) or its far
+partners (linearize_farfield_coulomb).
 
 Every public function leaves through one exit: no NumPy warning escapes,
 and degenerate geometry or a NaN or inf result raises EnergyEvaluationError
@@ -65,21 +71,24 @@ class FarFieldLinearization:
     near_idx: np.ndarray
 
 
-# in check order: kernel, plan section, its parameter keys, edges per row,
-# what a bad row means
+# in check order: energy half, gradient half, plan section, its parameter
+# keys, edges per row, what a bad row means
 _TERMS = {
-    "pairs": (kernels.nonbonded, "pair",
-              ("pair_qq", "pair_sig", "pair_eps", "pair_scale", "cutoff"), 1, "coincident atoms"),
-    "stretch": (kernels.stretch, "bond", ("bond_K", "bond_r0"), 1, "coincident endpoints"),
-    "bend": (kernels.bend, "angle", ("ang_K", "ang_t0"), 2, "zero-length arm"),
-    "torsion": (kernels.torsion, "torsion", ("dih_V",), 3, "degenerate plane"),
+    "pairs": (kernels.nonbonded, kernels.nonbonded_grad, "pair",
+              ("pair_qq", "pair_sig", "pair_seps", "cutoff"), 1, "coincident atoms"),
+    "stretch": (kernels.stretch, kernels.stretch_grad, "bond", ("bond_K", "bond_r0"), 1,
+                "coincident endpoints"),
+    "bend": (kernels.bend, kernels.bend_grad, "angle", ("ang_K", "ang_t0"), 2,
+             "zero-length arm"),
+    "torsion": (kernels.torsion, kernels.torsion_grad, "torsion",
+                ("dih_V", "dih_VS", "dih_VD"), 3, "degenerate plane"),
 }
 
 
 def _plan_rows(p, term, rows=None):
     """The edge endpoints (2, k) and kernel parameters of a term's rows in the
     plan p: its whole section, or the given bonded term rows."""
-    _, sec, keys, width, _ = _TERMS[term]
+    _, _, sec, keys, width, _ = _TERMS[term]
     if rows is None:
         return p["edge_idx"][:, p[sec]], [p[k] for k in keys]
     start, stop = p[sec].start, p[sec].stop
@@ -88,24 +97,95 @@ def _plan_rows(p, term, rows=None):
     return p["edge_idx"][:, ids], [p[k][rows] for k in keys]
 
 
-def _term(system, term, D, R, args, G=None, rows=None):
-    """The energies ([coulomb, vdw] for pairs) of a term's edge rows D, R
-    with kernel parameters args, raising for the first bad row; rows names
+def _raise(system, term, bad, rows=None, gradient=False):
+    """Raise the EnergyEvaluationError naming a term's bad row; rows names
     rows other than the whole plan section: (2, k) pair atoms, or term rows."""
-    kernel, _, _, _, what = _TERMS[term]
-    *energies, bad = kernel(D, R, *args, G)
-    if bad < 0:
-        return energies
+    what = _TERMS[term][-1]
     if term == "pairs":
         p = system.arrays()
         i, j = (p["edge_idx"][:, p["pair"]] if rows is None else rows)[:, bad]
         raise EnergyEvaluationError(f"nonbonded pair ({i},{j}): {what}")
-    if term == "bend" and G is not None:
+    if term == "bend" and gradient:
         what = "zero-length arm or collinear geometry"
     row = bad if rows is None else int(rows[bad])
     t = {"stretch": system.bonds, "bend": system.angles, "torsion": system.dihedrals}[term][row]
     atoms = "-".join(str(getattr(t, a)) for a in "ijkl" if hasattr(t, a))
     raise EnergyEvaluationError(f"{term} term {row} (atoms {atoms}): {what}")
+
+
+def _term(system, term, D, R, args, rows=None):
+    """A term's energy half on edge rows D, R with kernel parameters args and
+    every length check on: (its energies, [coulomb, vdw] for pairs, and the
+    intermediates of its gradient half), raising for the first bad row."""
+    *energies, bad, mid = _TERMS[term][0](D, R, *args, True)
+    if bad >= 0:
+        _raise(system, term, bad, rows)
+    return energies, mid
+
+
+class _Sweep:
+    """The value sweep at x (default: system.coords): one gather of the plan's
+    edges and each term's energy half on its section, in check order.
+
+    parts holds each term's (energies..., bad row, intermediates); the
+    breakdown is read before any bad row is raised.
+    """
+
+    __slots__ = ("natoms", "D", "R", "short", "parts", "breakdown")
+
+    def __init__(self, system, x):
+        c = system.coords if x is None else system.coords_at(x)
+        p = system.arrays()
+        self.natoms = c.shape[0]
+        self.D, self.R = D, R = kernels.edges(c, p["edge_idx"])
+        self.short = short = kernels.too_short(R)
+        self.parts = [energy(D[p[sec]], R[p[sec]], *[p[k] for k in keys], short)
+                      for energy, _, sec, keys, _, _ in _TERMS.values()]
+        (ec, ev, *_), (es, *_), (eb, *_), (et, *_) = self.parts
+        self.breakdown = EnergyBreakdown(float(es), float(eb), float(et), float(ec), float(ev))
+
+    def finish(self, system):
+        """The breakdown and flat gradient: each term's gradient half, in
+        check order, then one scatter. Consumes the sweep."""
+        p = system.arrays()
+        D, R = self.D, self.R
+        # the edge gradients G = W[:M]; scatter() fills W[M:] with -G
+        W = np.empty((2 * R.size, 3))
+        for term, (_, grad, sec, *_) in _TERMS.items():
+            # popped, so each term's intermediates are freed once used
+            *_, bad, mid = self.parts.pop(0)
+            if bad < 0:
+                bad = grad(D[p[sec]], R[p[sec]], mid, W[p[sec]], self.short)
+            if bad >= 0:
+                _raise(system, term, bad, gradient=True)
+        return self.breakdown, kernels.scatter(W, p["edge_scatter"], self.natoms).reshape(-1)
+
+
+class KeptSweeps:
+    """Value sweeps kept for a gradient at the same coordinates.
+
+    Holds the sweeps tied at the lowest total kept since the store was last
+    emptied, one per x, keyed on a copy of x's bytes: an x edited in place
+    afterwards no longer matches. energy_total keeps its sweep here, and
+    energy_and_gradient takes the sweep kept at its x, if any, and empties
+    the store.
+    """
+
+    def __init__(self):
+        self.total = math.inf
+        self.by_x = {}
+
+    def keep(self, x, sweep):
+        total = sweep.breakdown.total
+        if total < self.total:
+            self.total, self.by_x = total, {}
+        if total == self.total:
+            self.by_x[np.asarray(x, dtype=np.float64).tobytes()] = sweep
+
+    def take(self, x):
+        """The sweep kept at x, or None; empties the store either way."""
+        by_x, self.total, self.by_x = self.by_x, math.inf, {}
+        return by_x.get(np.asarray(x, dtype=np.float64).tobytes()) if by_x else None
 
 
 def _nonfinite(out, what):
@@ -144,7 +224,8 @@ def _checked(what):
 def _one_term(system, term):
     """One term's energies at system.coords, gathering only its own edges."""
     idx, args = _plan_rows(system.arrays(), term)
-    return [float(e) for e in _term(system, term, *kernels.edges(system.coords, idx), args)]
+    energies, _ = _term(system, term, *kernels.edges(system.coords, idx), args)
+    return [float(e) for e in energies]
 
 
 @_checked("stretch energy")
@@ -172,43 +253,38 @@ def energy_vdw(system: MolecularSystem) -> float:
     return _one_term(system, "pairs")[1]
 
 
-def _sweep(system, x, gradient):
-    """The breakdown at x from one gather, and with gradient the flat
-    gradient from one scatter."""
-    c = system.coords if x is None else system.coords_at(x)
-    p = system.arrays()
-    D, R = kernels.edges(c, p["edge_idx"])
-    # the edge gradients G = W[:M]; scatter() fills W[M:] with -G
-    W = np.empty((2 * R.size, 3)) if gradient else None
-    (ec, ev), (es,), (eb,), (et,) = (
-        _term(system, term, D[p[sec]], R[p[sec]], [p[k] for k in keys],
-              None if W is None else W[p[sec]])
-        for term, (_, sec, keys, _, _) in _TERMS.items()
-    )
-    bd = EnergyBreakdown(float(es), float(eb), float(et), float(ec), float(ev))
-    if W is None:
-        return bd
-    return bd, kernels.scatter(W, p["edge_scatter"], c.shape[0]).reshape(-1)
+@_checked("total energy")
+def energy_total(system: MolecularSystem, x=None, kept=None) -> EnergyBreakdown:
+    """Per-term energies at flat coordinates x (default: system.coords): the
+    value sweep.
+
+    With a KeptSweeps kept, the sweep is kept there for a gradient at the
+    same x. Raises ModelError for an x of the wrong size or with a
+    non-finite entry.
+    """
+    sweep = _Sweep(system, x)
+    for term, (*_, bad, _) in zip(_TERMS, sweep.parts):
+        if bad >= 0:
+            _raise(system, term, bad)
+    if kept is not None:
+        kept.keep(x, sweep)
+    return sweep.breakdown
 
 
 @_checked("total energy")
-def energy_total(system: MolecularSystem, x=None) -> EnergyBreakdown:
-    """Per-term energies at flat coordinates x (default: system.coords).
+def energy_and_gradient(system: MolecularSystem, x=None, kept=None):
+    """(EnergyBreakdown, flattened analytic gradient) at flat coordinates x,
+    or at system.coords when x is None: the value sweep finished by its
+    gradient halves.
 
-    Raises ModelError for an x of the wrong size or with a non-finite entry.
+    With a KeptSweeps kept, a sweep kept at this x is finished in place of a
+    new one (the same bits), and the store is emptied. Callers needing both
+    quantities should use this instead of two separate calls.
     """
-    return _sweep(system, x, gradient=False)
-
-
-@_checked("total energy")
-def energy_and_gradient(system: MolecularSystem, x=None):
-    """One fused sweep: (EnergyBreakdown, flattened analytic gradient).
-
-    Evaluates at flat coordinates x, or at system.coords when x is None.
-    Callers needing both quantities should use this instead of two separate
-    calls; the gradient kernels produce the term energies as a byproduct.
-    """
-    return _sweep(system, x, gradient=True)
+    sweep = None if kept is None else kept.take(x)
+    if sweep is None:
+        sweep = _Sweep(system, x)
+    return sweep.finish(system)
 
 
 def gradient_total(system: MolecularSystem):
@@ -255,10 +331,11 @@ def linearize_farfield_coulomb(system: MolecularSystem, atom: int,
     near = (R <= cutoff) | (system.scale_row(atom) != 1.0)
     far = np.flatnonzero(~near)
     near[atom] = False
-    qq, sig, _, s = pair_parameters(p, atom, far, 1.0)
+    qq, sig, _, _ = pair_parameters(p, atom, far, 1.0)
+    D, R = D[far], R[far]
+    (e_far0, _), mid = _term(system, "pairs", D, R, (qq, sig, 0.0, -1.0), rows=pairs[:, far])
     G = np.empty((far.size, 3))
-    e_far0, _ = _term(system, "pairs", D[far], R[far], (qq, sig, 0.0, s, -1.0), G,
-                      rows=pairs[:, far])
+    kernels.nonbonded_grad(D, R, mid, G, True)
     return FarFieldLinearization(
         atom=atom, cutoff=float(cutoff), ref_pos=system.coords[atom].copy(),
         e_far0=float(e_far0), coef=G.sum(axis=0), near_idx=np.flatnonzero(near))
@@ -277,10 +354,12 @@ def _atom_delta(system, atom, delta, partners=None):
     for term, rows in zip(_TERMS, (np.stack((np.full_like(j, atom), j)),
                                    *system.atom_terms(atom))):
         if term == "pairs":
-            idx, args = rows, (*pair_parameters(p, atom, j, scale[j]), p["cutoff"])
+            qq, sig, eps, s = pair_parameters(p, atom, j, scale[j])
+            idx, args = rows, (qq, sig, s * eps, p["cutoff"])
         else:
             idx, args = _plan_rows(p, term, rows)
-        for old, new in _term(system, term, *kernels.edges(both, idx), args, rows=rows):
+        energies, _ = _term(system, term, *kernels.edges(both, idx), args, rows=rows)
+        for old, new in energies:
             total += new - old
     return float(total)
 

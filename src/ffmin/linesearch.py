@@ -109,19 +109,26 @@ def parabola_min(points):
     return fit_parabola(points).vertex
 
 
+def norm(v):
+    """|v| of a 1-D float64 vector: the float np.linalg.norm gives, without
+    its dispatch."""
+    return math.sqrt(float(v @ v))
+
+
 def _check_direction(r):
     r = np.asarray(r, dtype=np.float64)
-    nrm = float(np.linalg.norm(r))
+    nrm = norm(r.reshape(-1))
     if abs(nrm - 1.0) > 1e-8:
         raise ValueError(f"direction must be unit length, got norm {nrm}")
     return r
 
 
-def ls_h(oracle, x0, r, config: LsHConfig, f0: float) -> LineSearchResult:
+def ls_h(oracle, x0, r, config: LsHConfig, f0: float, h0=None) -> LineSearchResult:
     """Step-halving search: probe h0, expand once if it relaxes, else contract.
 
     Contraction keeps halving (factor k_minus) until a strictly relaxing
     step appears or the step falls to eps_h, which reports no_relaxation.
+    h0 (default config.h0) is a warm start's first step.
     """
     r = _check_direction(r)
     x0 = np.asarray(x0, dtype=np.float64)
@@ -132,7 +139,7 @@ def ls_h(oracle, x0, r, config: LsHConfig, f0: float) -> LineSearchResult:
         calls += 1
         return oracle.value(x0 + h * r)
 
-    h0 = config.h0
+    h0 = config.h0 if h0 is None else h0
     f_probe = phi(h0)
     if f_probe < f0:
         h_up = config.k_plus * h0
@@ -151,7 +158,8 @@ def ls_h(oracle, x0, r, config: LsHConfig, f0: float) -> LineSearchResult:
     return LineSearchResult(h, f_c, calls, FOUND)
 
 
-def ls_par(oracle, x0, r, config: LsParConfig, f0: float, g0=None) -> LineSearchResult:
+def ls_par(oracle, x0, r, config: LsParConfig, f0: float, g0=None,
+           h0=None) -> LineSearchResult:
     """Parabolic-interpolation search with at most K + 2 oracle calls.
 
     With use_gradient_start the first parabola comes from the directional
@@ -159,7 +167,8 @@ def ls_par(oracle, x0, r, config: LsParConfig, f0: float, g0=None) -> LineSearch
     Without it the search samples +-h0/2 and may return a negative step.
     Each refinement fits the current best three points and evaluates the
     clamped vertex; a degenerate fit stops refining and the best sampled
-    point decides the outcome.
+    point decides the outcome. h0 (default config.h0) is a warm start's
+    first step; the trust interval scales with it.
     """
     r = _check_direction(r)
     x0 = np.asarray(x0, dtype=np.float64)
@@ -170,7 +179,7 @@ def ls_par(oracle, x0, r, config: LsParConfig, f0: float, g0=None) -> LineSearch
         calls += 1
         return oracle.value(x0 + h * r)
 
-    h0 = config.h0
+    h0 = config.h0 if h0 is None else h0
     lo = 0.0 if config.use_gradient_start else -config.trust * h0
     hi = config.trust * h0
     points = [(0.0, f0)]

@@ -26,6 +26,8 @@ from itertools import chain
 
 import numpy as np
 
+from .kernels import TORSION_DPHI, TORSION_SIGN
+
 
 class ModelError(ValueError):
     """Raised when a system or term fails validation."""
@@ -172,9 +174,10 @@ class NonbondedPolicy:
 
 
 def pair_parameters(p, i, j, scale):
-    """The combination rule: kernels.nonbonded's (qq, sig, eps, scale) for the
-    pairs (i, j) from the per-atom q, sigma, epsilon in p, qq = scale*q_i*q_j,
-    sig = sqrt(sigma_i*sigma_j) and eps = sqrt(epsilon_i*epsilon_j)."""
+    """The combination rule: (qq, sig, eps, scale) for the pairs (i, j) from
+    the per-atom q, sigma, epsilon in p, qq = scale*q_i*q_j, sig =
+    sqrt(sigma_i*sigma_j) and eps = sqrt(epsilon_i*epsilon_j);
+    kernels.nonbonded takes qq, sig and scale*eps."""
     q, sigma, epsilon = p["q"], p["sigma"], p["epsilon"]
     return (scale * q[i] * q[j], np.sqrt(sigma[i] * sigma[j]),
             np.sqrt(epsilon[i] * epsilon[j]), scale)
@@ -317,9 +320,11 @@ class MolecularSystem:
             (every b1 = c_j - c_i, then b2 = c_k - c_j, then b3 = c_l - c_k)
             and pair (c_i - c_j for every interacting i<j pair, that is
             every pair of nonzero scale, in np.triu_indices order);
-          - per term bond_K, bond_r0, ang_K, ang_t0 and dih_V (m, 4);
-          - per pair pair_scale (s14 for 1-4 pairs, else 1) and the
-            pair_qq, pair_sig and pair_eps of pair_parameters;
+          - per term bond_K, bond_r0, ang_K, ang_t0 and dih_V (m, 4), with
+            dih_VS = dih_V*TORSION_SIGN and dih_VD = dih_V*TORSION_DPHI;
+          - per pair pair_scale (s14 for 1-4 pairs, else 1), the pair_qq,
+            pair_sig and pair_eps of pair_parameters, and pair_seps =
+            pair_scale*pair_eps;
           - cutoff, -1.0 when the policy has none.
         """
         cached = self._cache.get("params")
@@ -361,6 +366,10 @@ class MolecularSystem:
         edge_idx = np.stack((np.concatenate((bi, ai, ak, dj, dk, dl, iu)),
                              np.concatenate((bj, aj, aj, di, dj, dk, ju))))
         ends = np.cumsum((0, bi.size, 2 * ai.size, 3 * di.size, iu.size))
+        dih_V = np.array([(d.V1, d.V2, d.V3, d.V4) for d in self.dihedrals],
+                         dtype=np.float64).reshape(-1, 4)
+        pairs = dict(zip(("pair_qq", "pair_sig", "pair_eps", "pair_scale"),
+                         pair_parameters(per_atom, iu, ju, scale)))
         return {
             **per_atom,
             "edge_idx": edge_idx,
@@ -371,11 +380,11 @@ class MolecularSystem:
             "bond_r0": np.array([b.r0 for b in self.bonds], dtype=np.float64),
             "ang_K": np.array([a.K for a in self.angles], dtype=np.float64),
             "ang_t0": np.array([a.theta0 for a in self.angles], dtype=np.float64),
-            "dih_V": np.array(
-                [(d.V1, d.V2, d.V3, d.V4) for d in self.dihedrals], dtype=np.float64
-            ).reshape(-1, 4),
-            **dict(zip(("pair_qq", "pair_sig", "pair_eps", "pair_scale"),
-                       pair_parameters(per_atom, iu, ju, scale))),
+            "dih_V": dih_V,
+            "dih_VS": dih_V * TORSION_SIGN,
+            "dih_VD": dih_V * TORSION_DPHI,
+            **pairs,
+            "pair_seps": pairs["pair_scale"] * pairs["pair_eps"],
             "cutoff": -1.0 if self.nonbonded.cutoff is None else float(self.nonbonded.cutoff),
         }
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,6 +28,7 @@ from ..linesearch import (
     LsParConfig,
     ls_h,
     ls_par,
+    norm,
 )
 from ..oracle import _BudgetExhausted
 
@@ -223,10 +224,9 @@ class LineSearcher:
         return {"kind": self.kind, **vars(self.config)}
 
     def _invoke(self, oracle, x, r, f0, g0, h0):
-        cfg = replace(self.config, h0=h0)
         if self.kind == "h":
-            return ls_h(oracle, x, r, cfg, f0)
-        return ls_par(oracle, x, r, cfg, f0, g0)
+            return ls_h(oracle, x, r, self.config, f0, h0=h0)
+        return ls_par(oracle, x, r, self.config, f0, g0, h0=h0)
 
     def search(self, oracle, x, r, f0, g0=None) -> LineSearchResult:
         res = self._invoke(oracle, x, r, f0, g0, self.h)
@@ -327,7 +327,7 @@ def descend(oracle, x0, stop, meta, rule, linesearch) -> OptimizeResult:
                 break
             y, f_y, g_y, gn, d = rule.direction(oracle, k, x, f, g, gn)
             run.update_best(y, f_y, gn)
-            dn = float(np.linalg.norm(d))
+            dn = norm(d)
             if gn <= run.threshold or dn == 0.0:
                 status = CONVERGED
                 if not np.array_equal(y, x):
@@ -350,7 +350,7 @@ def descend(oracle, x0, stop, meta, rule, linesearch) -> OptimizeResult:
                     g_new = oracle.gradient(x_new)
                     check_finite(f_new, g_new, f"iteration {k + 1}")
                     rule.advance(x, g, x_new, g_new)
-                    g, gn = g_new, float(np.linalg.norm(g_new))
+                    g, gn = g_new, norm(g_new)
                 x, f = x_new, f_new
             k += 1
             # gn is |g| at x unless the rule stepped there without a gradient

@@ -43,6 +43,12 @@ def fgm(oracle, x0, linesearch: LineSearcher, stop=None) -> OptimizeResult:
     """Extrapolation with the theta recurrence, line search along the
     normalized antigradient at the extrapolated point w_k. Iterates may be
     non-monotone; the best observed point is returned.
+
+    The method takes no gradient at its iterates x_k, so the trace's
+    grad_norm column reports, in record k, |grad f(w)| at the origin of
+    search k (x0 for the first search), beside f(x_k): the gradient the
+    method evaluated. A run that converges at w records w itself, with
+    step 0.
     """
     meta = {"method": "fgm", "linesearch": linesearch.describe()}
     return descend(oracle, x0, stop, meta, _FgmRule(), linesearch)

@@ -8,13 +8,17 @@ value_and_gradient call increments both counters by one.
 While an optimizer runs, call_limit caps value_calls + grad_calls: a call
 that would pass it raises before evaluating, and the optimizer ends the run
 with status oracle_budget.
+
+An oracle may reuse work between calls (MolecularOracle finishes the value
+sweep of a point it has just valued when asked for the gradient there), but
+never so that a result, a count or a refusal differs from plain evaluation.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .energy import energy_and_gradient, energy_total
+from .energy import KeptSweeps, energy_and_gradient, energy_total
 
 
 class _BudgetExhausted(Exception):
@@ -90,19 +94,26 @@ class MolecularOracle(ObjectiveOracle):
     Coordinates are in angstrom, values in kJ/mol, gradient in
     kJ/(mol*angstrom). Every call evaluates the system's plan at x directly;
     an x of the wrong length or with a non-finite entry raises ModelError.
+
+    A line search values several probes and then asks for the gradient at
+    the one it accepts, its lowest. So the oracle keeps the value sweeps
+    tied at its lowest value since its last gradient call (KeptSweeps), and
+    a gradient at exactly such an x only finishes that sweep; every other
+    call sweeps afresh. Counts and results are the same either way.
     """
 
     def __init__(self, system):
         super().__init__(3 * system.natoms)
         self.system = system
+        self._kept = KeptSweeps()
 
     def _value(self, x):
-        return energy_total(self.system, x).total
+        return energy_total(self.system, x, self._kept).total
 
     def _gradient(self, x):
-        _, g = energy_and_gradient(self.system, x)
+        _, g = energy_and_gradient(self.system, x, self._kept)
         return g
 
     def _value_and_gradient(self, x):
-        bd, g = energy_and_gradient(self.system, x)
+        bd, g = energy_and_gradient(self.system, x, self._kept)
         return bd.total, g

@@ -725,6 +725,35 @@ def test_collinear_planar_and_coincident_bond_messages():
         "stretch term 0 (atoms 0-1): coincident endpoints")
 
 
+def test_oracle_value_then_gradient_names_the_fused_fault():
+    # a value call keeps its sweep for the gradient at the same x; finishing
+    # it must name the fused call's fault, in the fused call's check order
+    atoms = tuple(atom(i) for i in range(4))
+    line = MolecularSystem(
+        atoms=atoms[:3], coords=np.array([[-1.5, 0.0, 0.0], [0.0, 0.0, 0.0], [1.5, 0.0, 0.0]]),
+        angles=(AngleTerm(0, 1, 2, K=1.0, theta0=1.9),),
+        nonbonded=NonbondedPolicy(excluded=frozenset({(0, 1), (0, 2), (1, 2)})))
+    diatomic = pair_system(0.0, excluded=True, bonds=(BondTerm(0, 1, 300.0, 1.5),))
+    # the collinear angle 0-1-2 also flattens the plane of torsion 0-1-2-3
+    flat = MolecularSystem(
+        atoms=atoms,
+        coords=np.array([[-1.5, 0.0, 0.0], [0.0, 0.0, 0.0], [1.5, 0.0, 0.0], [1.5, 1.5, 0.0]]),
+        angles=(AngleTerm(0, 1, 2, K=1.0, theta0=1.9), AngleTerm(1, 2, 3, K=1.0, theta0=1.9)),
+        dihedrals=(DihedralTerm(0, 1, 2, 3, 1.0, 2.0, 3.0, 0.5),),
+        nonbonded=NonbondedPolicy(excluded=frozenset(
+            {(0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (2, 3)})))
+    collinear = "bend term 0 (atoms 0-1-2): zero-length arm or collinear geometry"
+    cases = [(line, None, collinear),
+             (diatomic, None, "stretch term 0 (atoms 0-1): coincident endpoints"),
+             (flat, "torsion term 0 (atoms 0-1-2-3): degenerate plane", collinear)]
+    for system, value_message, fused_message in cases:
+        assert raised(lambda: energy_and_gradient(system)) == fused_message
+        oracle = MolecularOracle(system)
+        x = system.coords.ravel()
+        assert raised(lambda: oracle.value(x)) == value_message
+        assert raised(lambda: oracle.gradient(x)) == fused_message
+
+
 def test_repeated_calls_are_bit_identical_across_allocations():
     s = make_chain_system(30, seed=0, strain=0.3)
     x = perturbed(s, 7, 0.05)

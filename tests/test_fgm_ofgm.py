@@ -92,6 +92,28 @@ def test_fgm_converged_run_returns_the_point_that_met_the_tolerance():
     assert res.f == inst.value(res.x)
 
 
+def test_fgm_records_the_gradient_norm_at_each_search_origin():
+    # fgm takes no gradient at its iterates: record k's grad_norm is |g(w)|
+    # at the origin w of search k, the point of the k-th fused call (the
+    # first is the start point); the converged run's last record is w itself
+    inst = QuadraticInstance.random(8, 10.0, seed=1)
+    origins = []
+
+    def value_and_gradient(x):
+        origins.append(np.array(x, copy=True))
+        return inst.value(x), inst.gradient(x)
+
+    oracle = inst.oracle()
+    oracle._value_and_gradient = value_and_gradient
+    res = fgm(oracle, inst.x0, inst.exact_linesearch())
+    assert res.status == CONVERGED
+    records = res.trace.records[1:]
+    assert len(records) == len(origins) >= 10
+    for rec, w in zip(records, origins):
+        assert rec.grad_norm == np.linalg.norm(inst.gradient(w))
+    assert records[-1].f == inst.value(origins[-1])
+
+
 # -------------------------------------------------------------- schedule
 
 def test_ofgm_schedule_known_prefix():
