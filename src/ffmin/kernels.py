@@ -57,6 +57,12 @@ TORSION_DPHI = -0.5 * _K * TORSION_SIGN
 _ROT1 = np.array([1, 2, 0])
 _ROT2 = np.array([2, 0, 1])
 _sum = np.add.reduce  # np.sum without its Python-level dispatch
+try:
+    # np.einsum without its Python-level dispatch: what it calls when
+    # optimize is off, as here
+    from numpy._core.multiarray import c_einsum as _einsum
+except ImportError:  # a NumPy that keeps it elsewhere
+    _einsum = np.einsum
 
 
 def _dot(a, b):
@@ -65,7 +71,7 @@ def _dot(a, b):
     The operands must be C-ordered rows: einsum sums an F-ordered operand
     in another order.
     """
-    return np.einsum("...j,...j->...", a, b)
+    return _einsum("...j,...j->...", a, b)
 
 
 def _first(bad):
@@ -77,8 +83,8 @@ def _first(bad):
 
 def edges(c, idx):
     """Difference vectors D = c[idx[0]] - c[idx[1]] and their lengths R."""
-    d = np.take(c, idx[0], axis=-2)
-    d -= np.take(c, idx[1], axis=-2)
+    d = c.take(idx[0], axis=-2)
+    d -= c.take(idx[1], axis=-2)
     return d, np.sqrt(_dot(d, d))
 
 
@@ -164,7 +170,7 @@ def torsion(D, R, V, VS, VD, short):
     D = D.reshape(D.shape[:-2] + (3, m, 3))
     b2n = R.reshape(R.shape[:-1] + (3, m))[..., 1, :]
     # plane normals n1 = b1 x b2 and n2 = b2 x b3, with np.cross's arithmetic
-    P, Q = np.take(D, _ROT1, axis=-1), np.take(D, _ROT2, axis=-1)
+    P, Q = D.take(_ROT1, axis=-1), D.take(_ROT2, axis=-1)
     N = P[..., :2, :, :] * Q[..., 1:, :, :] - Q[..., :2, :, :] * P[..., 1:, :, :]
     nn = _dot(N, N)
     bad = nn < _EPS * _EPS
@@ -191,7 +197,7 @@ def torsion_grad(D, R, mid, G, short):
     np.multiply((dedphi * b2n / nn)[..., None], N, out=G[::2])
     # dE/db2 = -(p dE/db1 + s dE/db3), p = b1.b2/|b2|^2, s = b3.b2/|b2|^2
     ps = _dot(D[::2], D[1]) / (b2n * b2n)
-    np.einsum("km,kmj->mj", ps, G[::2], out=G[1])
+    _einsum("km,kmj->mj", ps, G[::2], out=G[1])
     np.negative(G[1], out=G[1])
     return -1
 
