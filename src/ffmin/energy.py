@@ -10,16 +10,17 @@ calls are bit-identical.
 
 The value sweep (_Sweep) gathers every edge of the plan,
 MolecularSystem.arrays(), at flat x (or at system.coords) and runs each
-term's kernels.py energy half on its section, in check order (pairs,
-stretch, bend, torsion). energy_total is the value sweep; energy_and_gradient
-is the value sweep finished by each term's gradient half and one scatter,
-so a fault is named in the same order either way. A KeptSweeps lets a
-caller that values several points and then wants the gradient at one of
-them (an oracle under a line search) keep the sweeps: the gradient at a
-kept x then runs only the gradient halves, with the same bits. _term runs
-one term's energy half over other edge rows: one section alone
-(energy_stretch ...), one atom's rows (the single-atom deltas) or its far
-partners (linearize_farfield_coulomb).
+term's kernels.py energy half on its section, in the check order of the
+plan's term table (pairs, stretch, bend, torsion): energy_total.
+energy_and_gradient finishes it with each term's gradient half, which
+reuses the pair terms, and one scatter, so a fault is named in the same
+order either way. A KeptSweeps lets a caller that values several points and
+then wants the gradient at one of them (an oracle under a line search) keep
+the sweeps, without their pair terms: the gradient at a kept x then runs
+only the gradient halves, with the same bits. _term runs one term's energy
+half over other edge rows: one section alone (energy_stretch ...), one
+atom's rows (the single-atom deltas) or its far partners
+(linearize_farfield_coulomb).
 
 Every public function leaves through one exit: no NumPy warning escapes,
 and degenerate geometry or a NaN or inf result raises EnergyEvaluationError
@@ -71,36 +72,31 @@ class FarFieldLinearization:
     near_idx: np.ndarray
 
 
-# in check order: energy half, gradient half, plan section, its parameter
-# keys, edges per row, what a bad row means
+# per term of the plan's term table: edges per row, what a bad row means
 _TERMS = {
-    "pairs": (kernels.nonbonded, kernels.nonbonded_grad, "pair",
-              ("pair_qq", "pair_sig", "pair_seps", "cutoff"), 1, "coincident atoms"),
-    "stretch": (kernels.stretch, kernels.stretch_grad, "bond", ("bond_K", "bond_r0"), 1,
-                "coincident endpoints"),
-    "bend": (kernels.bend, kernels.bend_grad, "angle", ("ang_K", "ang_t0"), 2,
-             "zero-length arm"),
-    "torsion": (kernels.torsion, kernels.torsion_grad, "torsion",
-                ("dih_V", "dih_VS", "dih_VD"), 3, "degenerate plane"),
+    "pairs": (1, "coincident atoms"),
+    "stretch": (1, "coincident endpoints"),
+    "bend": (2, "zero-length arm"),
+    "torsion": (3, "degenerate plane"),
 }
 
 
 def _plan_rows(p, term, rows=None):
     """The edge endpoints (2, k) and kernel parameters of a term's rows in the
     plan p: its whole section, or the given bonded term rows."""
-    _, _, sec, keys, width, _ = _TERMS[term]
+    _, _, sec, args = p["terms"][term]
     if rows is None:
-        return p["edge_idx"][:, p[sec]], [p[k] for k in keys]
-    start, stop = p[sec].start, p[sec].stop
+        return p["edge_idx"][:, sec], args
     # the rows' edges, in the section's layout
-    ids = (start + rows + (stop - start) // width * np.arange(width)[:, None]).ravel()
-    return p["edge_idx"][:, ids], [p[k][rows] for k in keys]
+    width = _TERMS[term][0]
+    ids = (sec.start + rows + (sec.stop - sec.start) // width * np.arange(width)[:, None]).ravel()
+    return p["edge_idx"][:, ids], [a[rows] for a in args]
 
 
 def _raise(system, term, bad, rows=None, gradient=False):
     """Raise the EnergyEvaluationError naming a term's bad row; rows names
     rows other than the whole plan section: (2, k) pair atoms, or term rows."""
-    what = _TERMS[term][-1]
+    what = _TERMS[term][1]
     if term == "pairs":
         p = system.arrays()
         i, j = (p["edge_idx"][:, p["pair"]] if rows is None else rows)[:, bad]
@@ -117,7 +113,7 @@ def _term(system, term, D, R, args, rows=None):
     """A term's energy half on edge rows D, R with kernel parameters args and
     every length check on: (its energies, [coulomb, vdw] for pairs, and the
     intermediates of its gradient half), raising for the first bad row."""
-    *energies, bad, mid = _TERMS[term][0](D, R, *args, True)
+    *energies, bad, mid = system.arrays()["terms"][term][0](D, R, *args, True)
     if bad >= 0:
         _raise(system, term, bad, rows)
     return energies, mid
@@ -131,34 +127,35 @@ class _Sweep:
     breakdown is read before any bad row is raised.
     """
 
-    __slots__ = ("natoms", "D", "R", "short", "parts", "breakdown")
+    __slots__ = ("D", "R", "short", "parts", "breakdown")
 
     def __init__(self, system, x):
         c = system.coords if x is None else system.coords_at(x)
         p = system.arrays()
-        self.natoms = c.shape[0]
         self.D, self.R = D, R = kernels.edges(c, p["edge_idx"])
         self.short = short = kernels.too_short(R)
-        self.parts = [energy(D[p[sec]], R[p[sec]], *[p[k] for k in keys], short)
-                      for energy, _, sec, keys, _, _ in _TERMS.values()]
-        (ec, ev, *_), (es, *_), (eb, *_), (et, *_) = self.parts
+        self.parts = parts = [energy(D[sec], R[sec], *args, short)
+                              for energy, _, sec, args in p["terms"].values()]
+        (ec, ev, *_), (es, *_), (eb, *_), (et, *_) = parts
         self.breakdown = EnergyBreakdown(float(es), float(eb), float(et), float(ec), float(ev))
 
     def finish(self, system):
         """The breakdown and flat gradient: each term's gradient half, in
         check order, then one scatter. Consumes the sweep."""
         p = system.arrays()
-        D, R = self.D, self.R
-        # the edge gradients G = W[:M]; scatter() fills W[M:] with -G
-        W = np.empty((2 * R.size, 3))
-        for term, (_, grad, sec, *_) in _TERMS.items():
+        D, R, short, parts = self.D, self.R, self.short, self.parts
+        # the edge gradients G = W.T[:M]; scatter() fills W[:, M:] with -G
+        W = np.empty((3, 2 * R.size))
+        G = W.T
+        for term, (_, grad, sec, _) in p["terms"].items():
             # popped, so each term's intermediates are freed once used
-            *_, bad, mid = self.parts.pop(0)
+            part = parts.pop(0)
+            bad = part[-2]
             if bad < 0:
-                bad = grad(D[p[sec]], R[p[sec]], mid, W[p[sec]], self.short)
+                bad = grad(D[sec], R[sec], part[-1], G[sec], short)
             if bad >= 0:
                 _raise(system, term, bad, gradient=True)
-        return self.breakdown, kernels.scatter(W, p["edge_scatter"], self.natoms).reshape(-1)
+        return self.breakdown, kernels.scatter(W, p["edge_scatter"], system.natoms).reshape(-1)
 
 
 class KeptSweeps:
@@ -180,6 +177,7 @@ class KeptSweeps:
         if total < self.total:
             self.total, self.by_x = total, {}
         if total == self.total:
+            sweep.parts[0] = kernels.without_pair_terms(sweep.parts[0])
             self.by_x[np.asarray(x, dtype=np.float64).tobytes()] = sweep
 
     def take(self, x):
@@ -191,16 +189,16 @@ class KeptSweeps:
 def _nonfinite(out, what):
     """The first non-finite part of a result, named, or None; what names a
     scalar result or a breakdown's total."""
-    if isinstance(out, tuple):  # energy_and_gradient's (breakdown, gradient)
-        return _nonfinite(out[0], what) or _nonfinite(out[1], "gradient")
-    if isinstance(out, FarFieldLinearization):
-        return _nonfinite(out.e_far0, what) or _nonfinite(out.coef, "far-field coefficient")
     if isinstance(out, EnergyBreakdown):
         if math.isfinite(out.total):  # then every term is finite too
             return None
         terms = [_nonfinite(getattr(out, t.name), f"{t.name} energy") for t in fields(out)]
         return next(filter(None, terms), None) or _nonfinite(out.total, what)
-    if np.isfinite(out).all():
+    if isinstance(out, tuple):  # energy_and_gradient's (breakdown, gradient)
+        return _nonfinite(out[0], what) or _nonfinite(out[1], "gradient")
+    if isinstance(out, FarFieldLinearization):
+        return _nonfinite(out.e_far0, what) or _nonfinite(out.coef, "far-field coefficient")
+    if math.isfinite(out) if isinstance(out, float) else kernels.all_finite(out):
         return None
     return f"{what} is not finite" + (f": {out!r}" if np.ndim(out) == 0 else "")
 
@@ -209,11 +207,12 @@ def _checked(what):
     """The one exit of every public function here: NumPy warnings silenced,
     a non-finite result part raised as EnergyEvaluationError (see _nonfinite)."""
     def decorate(fn):
+        quiet = np.errstate(all="ignore")(fn)
+
         @functools.wraps(fn)
         def checked(*args, **kwargs):
-            with np.errstate(all="ignore"):
-                out = fn(*args, **kwargs)
-                bad = _nonfinite(out, what)
+            out = quiet(*args, **kwargs)
+            bad = _nonfinite(out, what)
             if bad:
                 raise EnergyEvaluationError(bad)
             return out
@@ -263,9 +262,9 @@ def energy_total(system: MolecularSystem, x=None, kept=None) -> EnergyBreakdown:
     non-finite entry.
     """
     sweep = _Sweep(system, x)
-    for term, (*_, bad, _) in zip(_TERMS, sweep.parts):
-        if bad >= 0:
-            _raise(system, term, bad)
+    for term, part in zip(_TERMS, sweep.parts):
+        if part[-2] >= 0:
+            _raise(system, term, part[-2])
     if kept is not None:
         kept.keep(x, sweep)
     return sweep.breakdown

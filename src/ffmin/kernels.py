@@ -17,10 +17,11 @@ Each term has two halves. The energy half (stretch, bend, torsion,
 nonbonded) returns the term energies, a bad row, and the intermediates its
 derivative needs; the gradient half (stretch_grad ...) takes those
 intermediates and writes dE/d(edge vector) into the term's rows of an
-output block G, so each formula exists once. nonbonded hands on only its
-parameters: nonbonded_grad recomputes the pair terms, so a value sweep kept
-for a later gradient holds no pair-sized array but D and R. scatter() turns
-the whole table into the atom gradient by adding +G at ea and -G at eb.
+output block G, so each formula exists once. nonbonded hands on its pair
+terms too, and a value sweep kept for a later gradient drops them
+(without_pair_terms), so it holds no pair-sized array but D and R. G is the
+transpose of a (3, 2M) block W: scatter() reads each axis's weights
+contiguously and adds +G at ea and -G at eb to give the atom gradient.
 Leading axes of D and R hold independent coordinate sets (a single-atom
 delta evaluates the current and the moved position in one call; gradient
 halves take one set); energies are summed over the rows only. Summation
@@ -30,7 +31,7 @@ Kernels do not raise. Degenerate geometry is reported as the first bad row
 of the section, counting a row bad when it is bad in any coordinate set (-1
 means clean); the energy layer turns it into a typed error naming the term.
 Length checks run only when short is true: too_short(R) is false when no
-gathered length could trip one, so a clean sweep pays one R.min() for all
+gathered length could trip one, so a clean sweep pays one argmin for all
 of them. The energy at a zero-length bond exists, so only stretch_grad
 checks for it; collinear bend arms are likewise checked by bend_grad.
 """
@@ -53,16 +54,16 @@ _LMIN = max(_RMIN, _EPS)
 _K = np.arange(1.0, 5.0)
 TORSION_SIGN = np.array([1.0, -1.0, 1.0, -1.0])
 TORSION_DPHI = -0.5 * _K * TORSION_SIGN
-# x[..., _ROT1] and x[..., _ROT2]: the components of a cross product's terms
-_ROT1 = np.array([1, 2, 0])
-_ROT2 = np.array([2, 0, 1])
+# x[..., _ROT] = (x[..., [1, 2, 0]], x[..., [2, 0, 1]]): a cross product's terms
+_ROT = np.array([1, 2, 0, 2, 0, 1])
 _sum = np.add.reduce  # np.sum without its Python-level dispatch
 try:
-    # np.einsum without its Python-level dispatch: what it calls when
-    # optimize is off, as here
-    from numpy._core.multiarray import c_einsum as _einsum
-except ImportError:  # a NumPy that keeps it elsewhere
-    _einsum = np.einsum
+    # np.einsum (as it runs with optimize off, as here), np.count_nonzero and np.clip
+    # without the Python-level dispatch that at desk scale outweighs the arithmetic
+    from numpy._core.multiarray import c_einsum as _einsum, count_nonzero as _count
+    from numpy._core.umath import clip as _clip
+except ImportError:  # a NumPy that keeps them elsewhere
+    _einsum, _count, _clip = np.einsum, np.count_nonzero, np.clip
 
 
 def _dot(a, b):
@@ -74,9 +75,14 @@ def _dot(a, b):
     return _einsum("...j,...j->...", a, b)
 
 
+def all_finite(a):
+    """np.isfinite(a).all(), without its dispatch."""
+    return _count(np.isfinite(a)) == a.size
+
+
 def _first(bad):
     """-1 when no entry of bad is set, else the first row (last axis) set."""
-    if not bad.any():
+    if not _count(bad):
         return -1
     return int(np.flatnonzero(bad.reshape(-1, bad.shape[-1]).any(axis=0))[0])
 
@@ -89,23 +95,24 @@ def edges(c, idx):
 
 
 def too_short(R):
-    """True when some length in R could trip a kernel's length check."""
-    return R.size > 0 and R.min() < _LMIN
+    """True when some length in R could trip a kernel's length check: R.min(),
+    read where argmin finds it, is below _LMIN."""
+    return R.size > 0 and R.ravel()[R.argmin()] < _LMIN
 
 
-def scatter(w, index, n):
+def scatter(W, index, n):
     """The (n, 3) atom gradient of an edge-gradient table.
 
-    w is (2M, 3) with dE/d(edge) in its first M rows; the last M rows are
-    overwritten with their negatives, and index = [ea..., eb...] places
-    each row. One np.bincount per axis sums each atom's rows in index
-    order from zero.
+    W is (3, 2M) with dE/d(edge) transposed in its first M columns; the
+    last M are overwritten with their negatives, and index = [ea..., eb...]
+    places each column. One np.bincount per axis, on contiguous weights,
+    sums each atom's rows in index order from zero.
     """
-    m = w.shape[0] // 2
-    np.negative(w[:m], out=w[m:])
+    m = W.shape[1] // 2
+    np.negative(W[:, :m], out=W[:, m:])
     g = np.empty((n, 3))
     for axis in range(3):
-        g[:, axis] = np.bincount(index, weights=w[:, axis], minlength=n)
+        g[:, axis] = np.bincount(index, weights=W[axis], minlength=n)
     return g
 
 
@@ -130,35 +137,30 @@ def bend(D, R, K, t0, short):
     """Harmonic angles: (energy, bad for a zero-length arm, intermediates)."""
     m = K.size
     D = D.reshape(D.shape[:-2] + (2, m, 3))
-    R = R.reshape(R.shape[:-1] + (2, m))
     if short:
-        bad = _first(R < _EPS)
+        bad = _first(R.reshape(R.shape[:-1] + (2, m)) < _EPS)
         if bad >= 0:
             return 0.0, bad, None
-    a, b = D[..., 0, :, :], D[..., 1, :, :]
-    nab = R[..., 0, :] * R[..., 1, :]
-    u = _dot(a, b) / nab
-    np.minimum(np.maximum(u, -1.0, out=u), 1.0, out=u)
+    nab = R[..., :m] * R[..., m:]
+    u = _dot(D[..., 0, :, :], D[..., 1, :, :]) / nab
+    _clip(u, -1.0, 1.0, out=u)
     dev = np.arccos(u) - t0
     kdev = K * dev
-    return _sum(kdev * dev, axis=-1), -1, (nab, u, kdev)
+    return _sum(kdev * dev, axis=-1), -1, (D, R, nab, u, kdev)
 
 
 def bend_grad(D, R, mid, G, short):
     """dE/d(arm) into G; the bad row for collinear arms, else -1."""
-    nab, u, kdev = mid
-    m = u.size
+    D, R, nab, u, kdev = mid
     sin_th = np.sqrt(1.0 - u * u)
     bad = _first(sin_th < _EPS)
     if bad >= 0:
         return bad
     pref = -2.0 * kdev / sin_th
-    D = D.reshape(2, m, 3)
-    R = R.reshape(2, m)
     # dE/da = pref*(b/(|a||b|) - u*a/|a|^2), and the same with a, b swapped
-    G = G.reshape(2, m, 3)
+    G = G.reshape(D.shape)
     np.multiply((pref / nab)[:, None], D[::-1], out=G)
-    G -= ((pref * u) / (R * R))[..., None] * D
+    G -= ((pref * u) / (R * R).reshape(D.shape[:2]))[..., None] * D
     return -1
 
 
@@ -168,10 +170,11 @@ def torsion(D, R, V, VS, VD, short):
     V*TORSION_DPHI."""
     m = V.shape[0]
     D = D.reshape(D.shape[:-2] + (3, m, 3))
-    b2n = R.reshape(R.shape[:-1] + (3, m))[..., 1, :]
+    b2n = R[..., m:2 * m]
     # plane normals n1 = b1 x b2 and n2 = b2 x b3, with np.cross's arithmetic
-    P, Q = D.take(_ROT1, axis=-1), D.take(_ROT2, axis=-1)
-    N = P[..., :2, :, :] * Q[..., 1:, :, :] - Q[..., :2, :, :] * P[..., 1:, :, :]
+    PQ = D.take(_ROT, axis=-1)
+    N = PQ[..., :2, :, :3] * PQ[..., 1:, :, 3:]
+    N -= PQ[..., :2, :, 3:] * PQ[..., 1:, :, :3]
     nn = _dot(N, N)
     bad = nn < _EPS * _EPS
     if short:
@@ -179,20 +182,18 @@ def torsion(D, R, V, VS, VD, short):
     bad = _first(bad)
     if bad >= 0:
         return 0.0, bad, None
-    n1, n2 = N[..., 0, :, :], N[..., 1, :, :]
-    phi = np.arctan2(b2n * _dot(D[..., 0, :, :], n2), _dot(n1, n2))
+    n2 = N[..., 1, :, :]
+    phi = np.arctan2(b2n * _dot(D[..., 0, :, :], n2), _dot(N[..., 0, :, :], n2))
     kphi = phi[..., None] * _K
     e = 0.5 * _sum(V + VS * np.cos(kphi), axis=(-2, -1))
-    return e, -1, (N, nn, b2n, kphi, VD)
+    return e, -1, (D, N, nn, b2n, kphi, VD)
 
 
 def torsion_grad(D, R, mid, G, short):
     """dE/d(b1, b2, b3) into G; always -1."""
-    N, nn, b2n, kphi, VD = mid
-    m = nn.shape[-1]
+    D, N, nn, b2n, kphi, VD = mid
     dedphi = _dot(VD, np.sin(kphi))
-    D = D.reshape(3, m, 3)
-    G = G.reshape(3, m, 3)
+    G = G.reshape(D.shape)
     # dE/db1 = w*|b2|/|n1|^2 n1 and dE/db3 = w*|b2|/|n2|^2 n2, w = dE/dphi
     np.multiply((dedphi * b2n / nn)[..., None], N, out=G[::2])
     # dE/db2 = -(p dE/db1 + s dE/db3), p = b1.b2/|b2|^2, s = b3.b2/|b2|^2
@@ -219,7 +220,7 @@ def _pair_terms(R, qq, sig, cutoff):
 
 def nonbonded(D, R, qq, sig, seps, cutoff, short):
     """Coulomb and LJ over interacting pairs: (coulomb, vdw, bad for r = 0,
-    the parameters); seps is scale*epsilon.
+    the parameters and pair terms); seps is scale*epsilon.
 
     With cutoff > 0 only pairs with r <= cutoff count.
     """
@@ -227,15 +228,22 @@ def nonbonded(D, R, qq, sig, seps, cutoff, short):
         bad = _first(R < _RMIN)
         if bad >= 0:
             return 0.0, 0.0, bad, None
-    _, qinv, _, lj = _pair_terms(R, qq, sig, cutoff)
-    lj *= seps
-    return _C * _sum(qinv, axis=-1), 4.0 * _sum(lj, axis=-1), -1, (qq, sig, seps, cutoff)
+    terms = _pair_terms(R, qq, sig, cutoff)
+    return (_C * _sum(terms[1], axis=-1), 4.0 * _sum(terms[3] * seps, axis=-1), -1,
+            (qq, sig, seps, cutoff, terms))
+
+
+def without_pair_terms(out):
+    """nonbonded's result with no pair-sized array: nonbonded_grad then
+    recomputes the pair terms."""
+    coulomb, vdw, bad, mid = out
+    return coulomb, vdw, bad, mid[:4] + (None,)
 
 
 def nonbonded_grad(D, R, mid, G, short):
     """dE/d(pair) into G; always -1."""
-    qq, sig, seps, cutoff = mid
-    inv, qinv, x6, f = _pair_terms(R, qq, sig, cutoff)
+    qq, sig, seps, cutoff, terms = mid
+    inv, qinv, x6, f = terms or _pair_terms(R, qq, sig, cutoff)
     # dE/dr / r = -(C qq/r + 24 s eps (2 x12 - x6)) / r^2, 2 x12 - x6 = 2 lj + x6
     f += f
     f += x6

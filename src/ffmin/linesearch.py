@@ -5,7 +5,8 @@ Two procedures with hard oracle-call budgets:
   ls_h    probe/expand/contract on raw function values. At most
           2 + ceil(log_{1/k_minus}(h0/eps_h)) calls.
   ls_par  parabolic interpolation, optionally seeded with the directional
-          derivative at the start point. At most K + 2 calls.
+          derivative at the start point. At most K + 2 calls. Its refits
+          run fit_parabola's arithmetic (_fit) without building its record.
 
 Both either find a strictly relaxing step or report no_relaxation with
 h = 0. The step returned by ls_par may be negative when the search sampled
@@ -83,21 +84,26 @@ class ParabolaFit:
     curvature_positive: bool
 
 
-def fit_parabola(points) -> ParabolaFit:
-    """Interpolating parabola through three points with distinct abscissae."""
-    (x0, f0), (x1, f1), (x2, f2) = points
-    if x0 == x1 or x0 == x2 or x1 == x2:
-        raise ValueError("parabola fit needs pairwise distinct abscissae")
+def _fit(x0, f0, x1, f1, x2, f2):
+    """fit_parabola's (vertex, a) without its checks and record."""
     # Newton divided differences: a is half the second derivative
     d01 = (f1 - f0) / (x1 - x0)
     d12 = (f2 - f1) / (x2 - x1)
     a = (d12 - d01) / (x2 - x0)
     tol = 1e-12 * max(abs(f0), abs(f1), abs(f2))
     if a <= 0.0 or abs(a) < tol:
-        return ParabolaFit(tuple(points), None, a > 0.0)
+        return None, a
     # vertex of f0 + d01 (x-x0) + a (x-x0)(x-x1)
-    vertex = (x0 + x1) / 2.0 - d01 / (2.0 * a)
-    return ParabolaFit(tuple(points), vertex, True)
+    return (x0 + x1) / 2.0 - d01 / (2.0 * a), a
+
+
+def fit_parabola(points) -> ParabolaFit:
+    """Interpolating parabola through three points with distinct abscissae."""
+    (x0, f0), (x1, f1), (x2, f2) = points
+    if x0 == x1 or x0 == x2 or x1 == x2:
+        raise ValueError("parabola fit needs pairwise distinct abscissae")
+    vertex, a = _fit(x0, f0, x1, f1, x2, f2)
+    return ParabolaFit(tuple(points), vertex, vertex is not None or a > 0.0)
 
 
 def parabola_min(points):
@@ -112,7 +118,7 @@ def parabola_min(points):
 def norm(v):
     """|v| of a 1-D float64 vector: the float np.linalg.norm gives, without
     its dispatch."""
-    return math.sqrt(float(v @ v))
+    return math.sqrt(float(v.dot(v)))
 
 
 def _check_direction(r):
@@ -173,24 +179,25 @@ def ls_par(oracle, x0, r, config: LsParConfig, f0: float, g0=None,
     r = _check_direction(r)
     x0 = np.asarray(x0, dtype=np.float64)
     calls = 0
+    points = [(0.0, f0)]
 
     def phi(h):
         nonlocal calls
         calls += 1
-        return oracle.value(x0 + h * r)
+        f = oracle.value(x0 + h * r)
+        points.append((h, f))
+        return f
 
     h0 = config.h0 if h0 is None else h0
     lo = 0.0 if config.use_gradient_start else -config.trust * h0
     hi = config.trust * h0
-    points = [(0.0, f0)]
     failed = False
 
     if config.use_gradient_start:
         if g0 is None:
             raise ValueError("use_gradient_start requires g0")
-        slope = float(np.dot(np.asarray(g0, dtype=np.float64), r))
+        slope = float(np.asarray(g0, dtype=np.float64).dot(r))
         f1 = phi(h0)
-        points.append((h0, f1))
         a = (f1 - f0 - slope * h0) / (h0 * h0)
         tol = 1e-12 * max(abs(f0), abs(f1))
         if a <= 0.0 or abs(a) < tol:
@@ -200,25 +207,25 @@ def ls_par(oracle, x0, r, config: LsParConfig, f0: float, g0=None,
             if v is None:
                 failed = True
             else:
-                points.append((v, phi(v)))
+                phi(v)
     else:
-        points.append((-h0 / 2.0, phi(-h0 / 2.0)))
-        points.append((h0 / 2.0, phi(h0 / 2.0)))
+        phi(-h0 / 2.0)
+        phi(h0 / 2.0)
 
     if not failed:
         for _ in range(2, config.K + 1):
-            best3 = sorted(points, key=lambda p: (p[1], abs(p[0])))[:3]
-            if len({p[0] for p in best3}) < 3:
+            (x0_, f0_), (x1, f1), (x2, f2) = sorted(points, key=_rank)[:3]
+            if x0_ == x1 or x0_ == x2 or x1 == x2:
                 break
-            fit = fit_parabola(best3)
-            if fit.vertex is None:
-                break
-            v = _clamp_vertex(fit.vertex, lo, hi, points)
+            v, _ = _fit(x0_, f0_, x1, f1, x2, f2)
             if v is None:
                 break
-            points.append((v, phi(v)))
+            v = _clamp_vertex(v, lo, hi, points)
+            if v is None:
+                break
+            phi(v)
 
-    h_best, f_best = min(points, key=lambda p: (p[1], abs(p[0])))
+    h_best, f_best = min(points, key=_rank)
     if h_best != 0.0 and f_best < f0:
         return LineSearchResult(h_best, f_best, calls, FOUND)
     return LineSearchResult(0.0, f0, calls, NO_RELAXATION)
@@ -230,7 +237,13 @@ def _clamp_vertex(v, lo, hi, points):
         return None
     v = min(max(v, lo), hi)
     scale = max(1.0, abs(v))
+    # only an h within 2 * _DUP_TOL * scale of v can be a near duplicate
+    near = 2.0 * _DUP_TOL * scale
     for h, _ in points:
-        if abs(v - h) <= _DUP_TOL * max(scale, abs(h)):
+        if abs(v - h) <= near and abs(v - h) <= _DUP_TOL * max(scale, abs(h)):
             return None
     return v
+
+
+def _rank(point):  # of a sampled (h, f): the lower f, then the shorter step
+    return point[1], abs(point[0])

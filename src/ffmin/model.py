@@ -26,6 +26,7 @@ from itertools import chain
 
 import numpy as np
 
+from . import kernels
 from .kernels import TORSION_DPHI, TORSION_SIGN
 
 
@@ -290,7 +291,7 @@ class MolecularSystem:
         if c.size != 3 * self.natoms:
             raise ModelError(f"coordinates of size {c.size} do not match {self.natoms} atoms")
         c = c.reshape(self.natoms, 3)
-        if not np.isfinite(c).all():
+        if not kernels.all_finite(c):
             raise ModelError("coords must be finite")
         return c
 
@@ -320,17 +321,20 @@ class MolecularSystem:
             (every b1 = c_j - c_i, then b2 = c_k - c_j, then b3 = c_l - c_k)
             and pair (c_i - c_j for every interacting i<j pair, that is
             every pair of nonzero scale, in np.triu_indices order);
-          - per term bond_K, bond_r0, ang_K, ang_t0 and dih_V (m, 4), with
-            dih_VS = dih_V*TORSION_SIGN and dih_VD = dih_V*TORSION_DPHI;
-          - per pair pair_scale (s14 for 1-4 pairs, else 1), the pair_qq,
-            pair_sig and pair_eps of pair_parameters, and pair_seps =
-            pair_scale*pair_eps;
-          - cutoff, -1.0 when the policy has none.
+          - per pair pair_scale (s14 for 1-4 pairs, else 1) and the pair_qq,
+            pair_sig and pair_eps of pair_parameters;
+          - cutoff, -1.0 when the policy has none;
+          - terms: per term in check order ("pairs", "stretch", "bend",
+            "torsion"), its kernels' energy and gradient halves, its edge
+            section, and the parameters they take: pair_qq, pair_sig,
+            pair_scale*pair_eps and cutoff; K and r0 per bond; K and theta0
+            per angle; V (m, 4), V*TORSION_SIGN and V*TORSION_DPHI per
+            dihedral.
         """
         cached = self._cache.get("params")
         if cached is None:
             cached = self._build_plan()
-            for v in cached.values():
+            for v in chain(cached.values(), *(row[3] for row in cached["terms"].values())):
                 if isinstance(v, np.ndarray):
                     v.setflags(write=False)
             self._cache["params"] = cached
@@ -366,26 +370,31 @@ class MolecularSystem:
         edge_idx = np.stack((np.concatenate((bi, ai, ak, dj, dk, dl, iu)),
                              np.concatenate((bj, aj, aj, di, dj, dk, ju))))
         ends = np.cumsum((0, bi.size, 2 * ai.size, 3 * di.size, iu.size))
+        sec = {name: slice(int(a), int(b)) for name, a, b in
+               zip(("bond", "angle", "torsion", "pair"), ends, ends[1:])}
         dih_V = np.array([(d.V1, d.V2, d.V3, d.V4) for d in self.dihedrals],
                          dtype=np.float64).reshape(-1, 4)
         pairs = dict(zip(("pair_qq", "pair_sig", "pair_eps", "pair_scale"),
                          pair_parameters(per_atom, iu, ju, scale)))
+        cutoff = -1.0 if self.nonbonded.cutoff is None else float(self.nonbonded.cutoff)
+
+        def column(terms, attr):
+            return np.array([getattr(t, attr) for t in terms], dtype=np.float64)
+
         return {
-            **per_atom,
-            "edge_idx": edge_idx,
-            "edge_scatter": edge_idx.reshape(-1),
-            **{name: slice(int(a), int(b)) for name, a, b in
-               zip(("bond", "angle", "torsion", "pair"), ends, ends[1:])},
-            "bond_K": np.array([b.K for b in self.bonds], dtype=np.float64),
-            "bond_r0": np.array([b.r0 for b in self.bonds], dtype=np.float64),
-            "ang_K": np.array([a.K for a in self.angles], dtype=np.float64),
-            "ang_t0": np.array([a.theta0 for a in self.angles], dtype=np.float64),
-            "dih_V": dih_V,
-            "dih_VS": dih_V * TORSION_SIGN,
-            "dih_VD": dih_V * TORSION_DPHI,
-            **pairs,
-            "pair_seps": pairs["pair_scale"] * pairs["pair_eps"],
-            "cutoff": -1.0 if self.nonbonded.cutoff is None else float(self.nonbonded.cutoff),
+            **per_atom, "edge_idx": edge_idx, "edge_scatter": edge_idx.reshape(-1), **sec,
+            **pairs, "cutoff": cutoff,
+            "terms": {
+                "pairs": (kernels.nonbonded, kernels.nonbonded_grad, sec["pair"],
+                          (pairs["pair_qq"], pairs["pair_sig"],
+                           pairs["pair_scale"] * pairs["pair_eps"], cutoff)),
+                "stretch": (kernels.stretch, kernels.stretch_grad, sec["bond"],
+                            (column(self.bonds, "K"), column(self.bonds, "r0"))),
+                "bend": (kernels.bend, kernels.bend_grad, sec["angle"],
+                         (column(self.angles, "K"), column(self.angles, "theta0"))),
+                "torsion": (kernels.torsion, kernels.torsion_grad, sec["torsion"],
+                            (dih_V, dih_V * TORSION_SIGN, dih_V * TORSION_DPHI)),
+            },
         }
 
     def scale_row(self, atom):

@@ -12,8 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
+from ..linesearch import norm
 from .common import DescentRule, LineSearcher, OptimizeResult, descend
 
 VARIANTS = ("fr", "prp", "prp+", "hs", "cd", "ls", "dy")
@@ -89,7 +88,7 @@ class _CgRule(DescentRule):
         self.failures = 0
 
     def direction(self, oracle, k, x, f, g, gn):
-        if self.p is None or float(np.linalg.norm(self.p)) == 0.0:
+        if self.p is None or norm(self.p) == 0.0:
             self.p, self.since_restart = -g, 0
         return x, f, g, gn, self.p
 

@@ -192,7 +192,7 @@ class Run:
 
 
 def check_finite(f, g, where):
-    if not math.isfinite(f) or not np.all(np.isfinite(g)):
+    if not math.isfinite(f) or not np.isfinite(g).all():
         raise DivergenceError(f"non-finite objective or gradient at {where}")
 
 
@@ -259,7 +259,7 @@ def start(oracle, x0, stop, meta):
     run = Run(oracle, stop or StopCriteria(), meta)
     f, g = oracle.value_and_gradient(x)
     check_finite(f, g, "the start point")
-    gn = float(np.linalg.norm(g))
+    gn = norm(g)
     run.threshold = run.stop.threshold(gn)
     run.update_best(x, f, gn)
     run.record(0, f, gn, 0.0)
@@ -392,10 +392,10 @@ def iterate(oracle, x0, stop, meta, step, horizon=None, diverged=None) -> Optimi
                 check_finite(f_new, g_new, f"iteration {k + 1}")
             elif (not math.isfinite(f_new)
                   or f_new > DIVERGENCE_FACTOR * max(1.0, abs(f0))
-                  or not np.all(np.isfinite(g_new))):
+                  or not np.isfinite(g_new).all()):
                 raise DivergenceError(diverged.format(k=k + 1, f=f_new, f0=f0))
             x_prev, x, f, g = x, x_new, f_new, g_new
-            gn = float(np.linalg.norm(g))
+            gn = norm(g)
             k += 1
             run.update_best(x, f)
             run.record(k, f, gn, h)

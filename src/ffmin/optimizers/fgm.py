@@ -8,6 +8,7 @@ import math
 
 import numpy as np
 
+from ..linesearch import norm
 from .common import (
     NO_RELAXATION,
     DescentRule,
@@ -36,7 +37,7 @@ class _FgmRule(DescentRule):
         self.x_prev, self.theta_prev = x, theta
         f_w, g_w = (f, g) if k == 0 else oracle.value_and_gradient(w)
         check_finite(f_w, g_w, f"iteration {k}")
-        return w, f_w, g_w, float(np.linalg.norm(g_w)), -g_w
+        return w, f_w, g_w, norm(g_w), -g_w
 
 
 def fgm(oracle, x0, linesearch: LineSearcher, stop=None) -> OptimizeResult:
@@ -107,7 +108,7 @@ def ofgm(oracle, x0, N, L=None, linesearch=None, stop=None) -> OptimizeResult:
             return (x, *oracle.value_and_gradient(x), 1.0 / L)
         # a zero d or a failed search keeps x_{k+1} = y_k
         x, h, f = y, 0.0, oracle.value(y)
-        dn = float(np.linalg.norm(d))
+        dn = norm(d)
         if dn != 0.0:
             r = -d / dn
             g_y = oracle.gradient(y) if linesearch.needs_gradient else None

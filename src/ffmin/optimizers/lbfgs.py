@@ -6,13 +6,15 @@ from collections import deque
 
 import numpy as np
 
+from ..linesearch import norm
 from .common import DescentRule, LineSearcher, OptimizeResult, descend
 
 CURVATURE_RTOL = 1e-12
 
 
 class LbfgsMemory:
-    """Ring buffer of the last m curvature pairs (s, y, rho), oldest first."""
+    """Ring buffer of the last m curvature pairs (s, y, rho, gamma), oldest
+    first: rho = 1/<s,y>, and gamma = <s,y>/<y,y> scales H0 after the pair."""
 
     def __init__(self, m: int):
         if m < 1:
@@ -27,13 +29,12 @@ class LbfgsMemory:
         self.pairs.clear()
 
     def push(self, s, y) -> bool:
-        """Store the pair unless its curvature is too small; True if stored."""
-        sy = float(s @ y)
-        guard = CURVATURE_RTOL * float(np.linalg.norm(s)) * float(np.linalg.norm(y))
-        if sy <= guard:
+        """Store the pair, not a copy, unless its curvature is too small; True if stored."""
+        s, y = np.asarray(s, dtype=np.float64), np.asarray(y, dtype=np.float64)
+        sy = float(s.dot(y))
+        if sy <= CURVATURE_RTOL * norm(s) * norm(y):
             return False
-        self.pairs.append((np.array(s, dtype=np.float64, copy=True),
-                           np.array(y, dtype=np.float64, copy=True), 1.0 / sy))
+        self.pairs.append((s, y, 1.0 / sy, sy / float(y.dot(y))))
         return True
 
 
@@ -42,19 +43,19 @@ def lbfgs_direction(memory: LbfgsMemory, g) -> np.ndarray:
     otherwise the raw (unscaled) quasi-Newton direction is returned.
     """
     g = np.asarray(g, dtype=np.float64)
-    if len(memory) == 0:
-        gn = float(np.linalg.norm(g))
+    pairs = memory.pairs
+    if not pairs:
+        gn = norm(g)
         return -g if gn == 0.0 else -g / gn
     q = g.copy()
     alphas = []
-    for s, y, rho in reversed(memory.pairs):
-        alphas.append(rho * float(s @ q))
-        q -= alphas[-1] * y
-    s_last, y_last, _ = memory.pairs[-1]
-    q *= float(s_last @ y_last) / float(y_last @ y_last)
-    for (s, y, rho), alpha in zip(memory.pairs, reversed(alphas)):
-        beta = rho * float(y @ q)
-        q += (alpha - beta) * s
+    for s, y, rho, _ in reversed(pairs):
+        alpha = rho * float(s.dot(q))
+        alphas.append(alpha)
+        q -= alpha * y
+    q *= pairs[-1][3]
+    for (s, y, rho, _), alpha in zip(pairs, reversed(alphas)):
+        q += (alpha - rho * float(y.dot(q))) * s
     return -q
 
 

@@ -176,3 +176,15 @@ def dense_bfgs_direction(pairs, g):
         V = np.eye(n) - rho * np.outer(y, s)
         H = V.T @ H @ V + rho * np.outer(s, s)
     return -H @ g
+
+
+def scatter(rows, index, natoms):
+    """Atom gradient of edge-gradient rows: rows[k] belongs to atom index[k].
+
+    Each atom's rows are added in index order, every sum starting from 0.0.
+    """
+    g = [[0.0, 0.0, 0.0] for _ in range(natoms)]
+    for k, atom in enumerate(index):
+        for axis in range(3):
+            g[atom][axis] += float(rows[k][axis])
+    return np.array(g, dtype=np.float64)

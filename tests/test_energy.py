@@ -771,3 +771,55 @@ def test_repeated_calls_are_bit_identical_across_allocations():
         junk = [np.empty(size), np.ones((size, 3))]
         assert evaluate() == first
         del junk
+
+
+# ------------------------------------------------- kernel bookkeeping
+
+@settings(max_examples=60, deadline=None)
+@given(natoms=st.integers(1, 7), data=st.data())
+def test_scatter_adds_each_atoms_rows_in_index_order(natoms, data):
+    from ffmin import kernels
+
+    m = data.draw(st.integers(0, 12))
+    ends = st.lists(st.integers(0, natoms - 1), min_size=m, max_size=m)
+    ea, eb = data.draw(ends), data.draw(ends)
+    value = st.one_of(st.sampled_from([0.0, -0.0, 1e-300, -1e300, 1.0]),
+                      st.floats(-1e6, 1e6, allow_nan=False))
+    rows = np.array(data.draw(st.lists(st.lists(value, min_size=3, max_size=3),
+                                       min_size=m, max_size=m)), dtype=np.float64).reshape(m, 3)
+    W = np.empty((3, 2 * m))
+    W[:, :m] = rows.T
+    got = kernels.scatter(W, np.array(ea + eb, dtype=np.intp), natoms)
+    want = naive.scatter(np.concatenate((rows, -rows)), ea + eb, natoms)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("call", ["energy_and_gradient", "linearize_farfield_coulomb",
+                                  "oracle value then gradient"])
+def test_a_fused_call_computes_the_pair_terms_once(call, monkeypatch):
+    from ffmin import kernels
+
+    computed = []
+    pair_terms = kernels._pair_terms
+
+    def counted(*args):
+        computed.append(args[0].size)
+        return pair_terms(*args)
+
+    s = make_chain_system(12, seed=0, strain=0.3)
+    s.arrays()
+    monkeypatch.setattr(kernels, "_pair_terms", counted)
+    if call == "energy_and_gradient":
+        energy_and_gradient(s)
+        assert len(computed) == 1
+    elif call == "linearize_farfield_coulomb":
+        lin = linearize_farfield_coulomb(s, 0, 3.0)
+        assert len(computed) == 1 and computed[0] == s.natoms - 1 - lin.near_idx.size
+    else:
+        # a sweep kept for a later gradient holds no pair terms: the
+        # gradient at the kept point computes them again
+        oracle = MolecularOracle(s)
+        x = s.coords.ravel()
+        oracle.value(x)
+        oracle.gradient(x)
+        assert len(computed) == 2

@@ -199,6 +199,17 @@ def test_ls_par_clamps_vertex_to_trust_region():
     assert res.f_at_step == 8100.0
 
 
+@settings(max_examples=300, deadline=None)
+@given(v=st.one_of(st.sampled_from([0.0, 1.0, -1.0, 1e9]), st.floats(-1e12, 1e12)),
+       offsets=st.lists(st.one_of(st.floats(-3e-13, 3e-13), st.floats(-10.0, 10.0)),
+                        min_size=1, max_size=6))
+def test_clamp_vertex_rejects_exactly_the_near_duplicates(v, offsets):
+    from ffmin.linesearch import _DUP_TOL, _clamp_vertex
+    points = [(v + o * max(1.0, abs(v)), 0.0) for o in offsets]
+    near = any(abs(v - h) <= _DUP_TOL * max(1.0, abs(v), abs(h)) for h, _ in points)
+    assert _clamp_vertex(v, -math.inf, math.inf, points) == (None if near else v)
+
+
 def test_ls_par_requires_g0_with_gradient_start():
     phi = Phi(lambda h: h * h)
     with pytest.raises(ValueError, match="g0"):

@@ -278,3 +278,28 @@ def test_plan_edge_table_layout(n, seed, cutoff):
     assert [k for k, (i, j) in enumerate(pairs) if p["pair_scale"][k] != 1.0] == [
         k for k, (i, j) in enumerate(pairs) if (i, j) in s.nonbonded.scaled14]
     assert p["pair"].stop == ea.size
+
+    # the term table: check order, each term's kernels, its section, and the
+    # parameters its kernels take, read-only like every plan array
+    from ffmin import kernels
+    from ffmin.kernels import TORSION_DPHI, TORSION_SIGN
+    V = np.array([[t.V1, t.V2, t.V3, t.V4] for t in d]).reshape(-1, 4)
+    want = {
+        "pairs": (kernels.nonbonded, kernels.nonbonded_grad, "pair",
+                  (p["pair_qq"], p["pair_sig"], p["pair_scale"] * p["pair_eps"],
+                   -1.0 if cutoff is None else cutoff)),
+        "stretch": (kernels.stretch, kernels.stretch_grad, "bond",
+                    ([b.K for b in s.bonds], [b.r0 for b in s.bonds])),
+        "bend": (kernels.bend, kernels.bend_grad, "angle",
+                 ([a.K for a in s.angles], [a.theta0 for a in s.angles])),
+        "torsion": (kernels.torsion, kernels.torsion_grad, "torsion",
+                    (V, V * TORSION_SIGN, V * TORSION_DPHI)),
+    }
+    assert list(p["terms"]) == list(want) and p["cutoff"] == want["pairs"][3][3]
+    for term, (energy, grad, sec, args) in want.items():
+        assert p["terms"][term][:3] == (energy, grad, p[sec])
+        got = p["terms"][term][3]
+        assert len(got) == len(args)
+        for a, b in zip(got, args):
+            assert np.asarray(a).tobytes() == np.asarray(b, dtype=np.float64).tobytes()
+            assert not np.ndim(a) or (a.dtype == np.float64 and not a.flags.writeable)
