@@ -25,6 +25,11 @@ atom's rows (the single-atom deltas) or its far partners
 Every public function leaves through one exit: no NumPy warning escapes,
 and degenerate geometry or a NaN or inf result raises EnergyEvaluationError
 naming the term row, the term, the delta or the far-field coefficient.
+
+A value call at desk scale costs little more than its kernels: the exit sets
+NumPy's error state through its context variable in one frame, the sweep
+builds its EnergyBreakdown with the total summed once, and MolecularOracle
+calls energy_total and energy_and_gradient from its public methods.
 """
 
 from __future__ import annotations
@@ -34,6 +39,7 @@ import math
 from dataclasses import dataclass, fields
 
 import numpy as np
+from numpy._core.umath import _extobj_contextvar as _errstate, _make_extobj as _make_errstate
 
 from . import kernels
 from .model import MolecularSystem, pair_parameters
@@ -43,18 +49,20 @@ class EnergyEvaluationError(ValueError):
     """Degenerate or invalid geometry in a named interaction term."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class EnergyBreakdown:
+    """Per-term energies, and their sum total, taken once when it is built."""
+
     stretch: float
     bend: float
     torsion: float
     coulomb: float
     vdw: float
 
-    @property
-    def total(self):
-        # computed as the sum, never stored separately
-        return self.stretch + self.bend + self.torsion + self.coulomb + self.vdw
+    def __init__(self, stretch, bend, torsion, coulomb, vdw):
+        # one dict update in place of a frozen dataclass's five object.__setattr__ calls
+        self.__dict__.update(stretch=stretch, bend=bend, torsion=torsion, coulomb=coulomb,
+                             vdw=vdw, total=stretch + bend + torsion + coulomb + vdw)
 
 
 @dataclass(frozen=True)
@@ -134,10 +142,12 @@ class _Sweep:
         p = system.arrays()
         self.D, self.R = D, R = kernels.edges(c, p["edge_idx"])
         self.short = short = kernels.too_short(R)
-        self.parts = parts = [energy(D[sec], R[sec], *args, short)
-                              for energy, _, sec, args in p["terms"].values()]
-        (ec, ev, *_), (es, *_), (eb, *_), (et, *_) = parts
-        self.breakdown = EnergyBreakdown(float(es), float(eb), float(et), float(ec), float(ev))
+        self.parts = parts = []
+        for energy, _, sec, args in p["terms"].values():
+            parts.append(energy(D[sec], R[sec], *args, short))
+        pairs, bonds, angles, dihedrals = parts
+        self.breakdown = EnergyBreakdown(float(bonds[0]), float(angles[0]), float(dihedrals[0]),
+                                         float(pairs[0]), float(pairs[1]))
 
     def finish(self, system):
         """The breakdown and flat gradient: each term's gradient half, in
@@ -207,11 +217,15 @@ def _checked(what):
     """The one exit of every public function here: NumPy warnings silenced,
     a non-finite result part raised as EnergyEvaluationError (see _nonfinite)."""
     def decorate(fn):
-        quiet = np.errstate(all="ignore")(fn)
-
         @functools.wraps(fn)
         def checked(*args, **kwargs):
-            out = quiet(*args, **kwargs)
+            # what np.errstate(all="ignore") does around a call, without
+            # building its Python object on every call
+            token = _errstate.set(_make_errstate(all="ignore"))
+            try:
+                out = fn(*args, **kwargs)
+            finally:
+                _errstate.reset(token)
             bad = _nonfinite(out, what)
             if bad:
                 raise EnergyEvaluationError(bad)

@@ -24,8 +24,14 @@ transpose of a (3, 2M) block W: scatter() reads each axis's weights
 contiguously and adds +G at ea and -G at eb to give the atom gradient.
 Leading axes of D and R hold independent coordinate sets (a single-atom
 delta evaluates the current and the moved position in one call; gradient
-halves take one set); energies are summed over the rows only. Summation
-order is fixed, so repeated calls on the same inputs are bit-identical.
+halves take one set); energies are summed over the rows only, so each set's
+energies are those it gets alone. Summation order is fixed, so repeated
+calls on the same inputs are bit-identical.
+
+At desk scale a call costs its NumPy dispatches and Python frames more than
+its arithmetic. So the halves call NumPy's C entry points directly, reuse a
+temporary in place where the operation and its operands stay the same (the
+bits do too), and a clean check costs one count_nonzero and no frame.
 
 Kernels do not raise. Degenerate geometry is reported as the first bad row
 of the section, counting a row bad when it is bad in any coordinate set (-1
@@ -39,6 +45,10 @@ checks for it; collinear bend arms are likewise checked by bend_grad.
 from __future__ import annotations
 
 import numpy as np
+# np.einsum (as it runs with optimize off, as here), np.count_nonzero and np.clip
+# without the Python-level dispatch that at desk scale outweighs the arithmetic
+from numpy._core.multiarray import c_einsum as _einsum, count_nonzero as _count
+from numpy._core.umath import clip as _clip
 
 from .constants import COULOMB_KJ_ANGSTROM, DEGENERATE_EPS, MIN_PAIR_DISTANCE
 
@@ -57,22 +67,9 @@ TORSION_DPHI = -0.5 * _K * TORSION_SIGN
 # x[..., _ROT] = (x[..., [1, 2, 0]], x[..., [2, 0, 1]]): a cross product's terms
 _ROT = np.array([1, 2, 0, 2, 0, 1])
 _sum = np.add.reduce  # np.sum without its Python-level dispatch
-try:
-    # np.einsum (as it runs with optimize off, as here), np.count_nonzero and np.clip
-    # without the Python-level dispatch that at desk scale outweighs the arithmetic
-    from numpy._core.multiarray import c_einsum as _einsum, count_nonzero as _count
-    from numpy._core.umath import clip as _clip
-except ImportError:  # a NumPy that keeps them elsewhere
-    _einsum, _count, _clip = np.einsum, np.count_nonzero, np.clip
-
-
-def _dot(a, b):
-    """Row dot products over the last axis.
-
-    The operands must be C-ordered rows: einsum sums an F-ordered operand
-    in another order.
-    """
-    return _einsum("...j,...j->...", a, b)
+# row dot products over the last axis; the operands must be C-ordered rows,
+# as einsum sums an F-ordered operand in another order
+_ROWS = "...j,...j->..."
 
 
 def all_finite(a):
@@ -91,7 +88,7 @@ def edges(c, idx):
     """Difference vectors D = c[idx[0]] - c[idx[1]] and their lengths R."""
     d = c.take(idx[0], axis=-2)
     d -= c.take(idx[1], axis=-2)
-    return d, np.sqrt(_dot(d, d))
+    return d, np.sqrt(_einsum(_ROWS, d, d))
 
 
 def too_short(R):
@@ -111,8 +108,9 @@ def scatter(W, index, n):
     m = W.shape[1] // 2
     np.negative(W[:, :m], out=W[:, m:])
     g = np.empty((n, 3))
-    for axis in range(3):
-        g[:, axis] = np.bincount(index, weights=W[axis], minlength=n)
+    g[:, 0] = np.bincount(index, W[0], n)
+    g[:, 1] = np.bincount(index, W[1], n)
+    g[:, 2] = np.bincount(index, W[2], n)
     return g
 
 
@@ -120,7 +118,8 @@ def stretch(D, R, K, r0, short):
     """Harmonic bonds: (energy, -1, K*(r - r0))."""
     dev = R - r0
     kdev = K * dev
-    return _sum(kdev * dev, axis=-1), -1, kdev
+    dev *= kdev
+    return _sum(dev, axis=-1), -1, kdev
 
 
 def stretch_grad(D, R, kdev, G, short):
@@ -129,38 +128,44 @@ def stretch_grad(D, R, kdev, G, short):
         bad = _first(R < _RMIN)
         if bad >= 0:
             return bad
-    np.multiply((2.0 * kdev / R)[..., None], D, out=G)
+    np.multiply((2.0 * kdev / R)[:, None], D, out=G)
     return -1
 
 
 def bend(D, R, K, t0, short):
     """Harmonic angles: (energy, bad for a zero-length arm, intermediates)."""
     m = K.size
-    D = D.reshape(D.shape[:-2] + (2, m, 3))
     if short:
         bad = _first(R.reshape(R.shape[:-1] + (2, m)) < _EPS)
         if bad >= 0:
             return 0.0, bad, None
     nab = R[..., :m] * R[..., m:]
-    u = _dot(D[..., 0, :, :], D[..., 1, :, :]) / nab
+    u = _einsum(_ROWS, D[..., :m, :], D[..., m:, :])
+    u /= nab
     _clip(u, -1.0, 1.0, out=u)
-    dev = np.arccos(u) - t0
+    dev = np.arccos(u)
+    dev -= t0
     kdev = K * dev
-    return _sum(kdev * dev, axis=-1), -1, (D, R, nab, u, kdev)
+    dev *= kdev
+    return _sum(dev, axis=-1), -1, (nab, u, kdev)
 
 
 def bend_grad(D, R, mid, G, short):
     """dE/d(arm) into G; the bad row for collinear arms, else -1."""
-    D, R, nab, u, kdev = mid
-    sin_th = np.sqrt(1.0 - u * u)
-    bad = _first(sin_th < _EPS)
-    if bad >= 0:
-        return bad
+    nab, u, kdev = mid
+    sin_th = u * u
+    np.subtract(1.0, sin_th, out=sin_th)
+    np.sqrt(sin_th, out=sin_th)
+    bad = sin_th < _EPS
+    if _count(bad):
+        return _first(bad)
     pref = -2.0 * kdev / sin_th
     # dE/da = pref*(b/(|a||b|) - u*a/|a|^2), and the same with a, b swapped
-    G = G.reshape(D.shape)
+    m = u.size
+    D = D.reshape(2, m, 3)
+    G = G.reshape(2, m, 3)
     np.multiply((pref / nab)[:, None], D[::-1], out=G)
-    G -= ((pref * u) / (R * R).reshape(D.shape[:2]))[..., None] * D
+    G -= ((pref * u) / (R * R).reshape(2, m))[:, :, None] * D
     return -1
 
 
@@ -175,29 +180,33 @@ def torsion(D, R, V, VS, VD, short):
     PQ = D.take(_ROT, axis=-1)
     N = PQ[..., :2, :, :3] * PQ[..., 1:, :, 3:]
     N -= PQ[..., :2, :, 3:] * PQ[..., 1:, :, :3]
-    nn = _dot(N, N)
+    nn = _einsum(_ROWS, N, N)
     bad = nn < _EPS * _EPS
     if short:
         bad |= (b2n < _EPS)[..., None, :]
-    bad = _first(bad)
-    if bad >= 0:
-        return 0.0, bad, None
+    if _count(bad):
+        return 0.0, _first(bad), None
     n2 = N[..., 1, :, :]
-    phi = np.arctan2(b2n * _dot(D[..., 0, :, :], n2), _dot(N[..., 0, :, :], n2))
+    phi = np.arctan2(b2n * _einsum(_ROWS, D[..., 0, :, :], n2),
+                     _einsum(_ROWS, N[..., 0, :, :], n2))
     kphi = phi[..., None] * _K
-    e = 0.5 * _sum(V + VS * np.cos(kphi), axis=(-2, -1))
-    return e, -1, (D, N, nn, b2n, kphi, VD)
+    t = np.cos(kphi)
+    t *= VS
+    t += V
+    return 0.5 * _sum(t, axis=(-2, -1)), -1, (D, N, nn, b2n, kphi, VD)
 
 
 def torsion_grad(D, R, mid, G, short):
     """dE/d(b1, b2, b3) into G; always -1."""
     D, N, nn, b2n, kphi, VD = mid
-    dedphi = _dot(VD, np.sin(kphi))
+    dedphi = _einsum(_ROWS, VD, np.sin(kphi))
     G = G.reshape(D.shape)
     # dE/db1 = w*|b2|/|n1|^2 n1 and dE/db3 = w*|b2|/|n2|^2 n2, w = dE/dphi
-    np.multiply((dedphi * b2n / nn)[..., None], N, out=G[::2])
+    dedphi *= b2n
+    np.multiply((dedphi / nn)[:, :, None], N, out=G[::2])
     # dE/db2 = -(p dE/db1 + s dE/db3), p = b1.b2/|b2|^2, s = b3.b2/|b2|^2
-    ps = _dot(D[::2], D[1]) / (b2n * b2n)
+    ps = _einsum(_ROWS, D[::2], D[1])
+    ps /= b2n * b2n
     _einsum("km,kmj->mj", ps, G[::2], out=G[1])
     np.negative(G[1], out=G[1])
     return -1
@@ -206,7 +215,7 @@ def torsion_grad(D, R, mid, G, short):
 def _pair_terms(R, qq, sig, cutoff):
     """Per pair 1/r (0 beyond a cutoff > 0), qq/r, x6 = (sig/r)^6 and x12 - x6."""
     # in place where it saves a pair-sized temporary
-    inv = 1.0 / R
+    inv = np.reciprocal(R)
     if cutoff > 0.0:
         # a zero 1/r zeroes every energy and gradient term of the pair
         inv[R > cutoff] = 0.0
@@ -253,5 +262,5 @@ def nonbonded_grad(D, R, mid, G, short):
     f += qinv
     f *= inv
     f *= inv
-    np.multiply(f[..., None], D, out=G)
+    np.multiply(f[:, None], D, out=G)
     return -1

@@ -5,18 +5,25 @@ Two procedures with hard oracle-call budgets:
   ls_h    probe/expand/contract on raw function values. At most
           2 + ceil(log_{1/k_minus}(h0/eps_h)) calls.
   ls_par  parabolic interpolation, optionally seeded with the directional
-          derivative at the start point. At most K + 2 calls. Its refits
-          run fit_parabola's arithmetic (_fit) without building its record.
+          derivative at the start point. At most K + 2 calls. It keeps its
+          samples ranked as it takes them (bisect.insort on tuples whose
+          order is the ranking), and its refits run fit_parabola's
+          arithmetic (_fit) without building its record.
 
 Both either find a strictly relaxing step or report no_relaxation with
 h = 0. The step returned by ls_par may be negative when the search sampled
 behind the start point (the G0 = false branch does so by construction);
 ls_h steps are always positive.
+
+A NaN value never relaxes: ls_h contracts past it, and ls_par stops at it
+and decides from its finite samples. (MolecularOracle raises instead of
+returning NaN; the rule matters for FunctionOracle objectives.)
 """
 
 from __future__ import annotations
 
 import math
+from bisect import insort
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,18 +70,20 @@ class LsParConfig:
             raise ValueError(f"trust must be > 0, got {self.trust}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class LineSearchResult:
     h: float
     f_at_step: float
     oracle_calls: int
     status: str
 
-    def __post_init__(self):
-        if self.status not in (FOUND, NO_RELAXATION):
-            raise ValueError(f"bad status {self.status!r}")
-        if self.status == NO_RELAXATION and self.h != 0.0:
+    def __init__(self, h, f_at_step, oracle_calls, status):
+        if status not in (FOUND, NO_RELAXATION):
+            raise ValueError(f"bad status {status!r}")
+        if status == NO_RELAXATION and h != 0.0:
             raise ValueError("no_relaxation implies h = 0")
+        # one dict update in place of object.__setattr__ per field
+        self.__dict__.update(h=h, f_at_step=f_at_step, oracle_calls=oracle_calls, status=status)
 
 
 @dataclass(frozen=True)
@@ -133,8 +142,9 @@ def ls_h(oracle, x0, r, config: LsHConfig, f0: float, h0=None) -> LineSearchResu
     """Step-halving search: probe h0, expand once if it relaxes, else contract.
 
     Contraction keeps halving (factor k_minus) until a strictly relaxing
-    step appears or the step falls to eps_h, which reports no_relaxation.
-    h0 (default config.h0) is a warm start's first step.
+    step appears or the step falls to eps_h, which reports no_relaxation;
+    a NaN probe does not relax, so contraction goes on past it. h0
+    (default config.h0) is a warm start's first step.
     """
     r = _check_direction(r)
     x0 = np.asarray(x0, dtype=np.float64)
@@ -156,7 +166,7 @@ def ls_h(oracle, x0, r, config: LsHConfig, f0: float, h0=None) -> LineSearchResu
 
     h = config.k_minus * h0
     f_c = phi(h)
-    while f_c >= f0:  # relaxation must be strict
+    while not f_c < f0:  # relaxation must be strict, and NaN never relaxes
         h = config.k_minus * h
         if h <= config.eps_h:
             return LineSearchResult(0.0, f0, calls, NO_RELAXATION)
@@ -171,79 +181,79 @@ def ls_par(oracle, x0, r, config: LsParConfig, f0: float, g0=None,
     With use_gradient_start the first parabola comes from the directional
     derivative at h = 0 plus the sample at h0, and all steps stay forward.
     Without it the search samples +-h0/2 and may return a negative step.
-    Each refinement fits the current best three points and evaluates the
-    clamped vertex; a degenerate fit stops refining and the best sampled
-    point decides the outcome. h0 (default config.h0) is a warm start's
-    first step; the trust interval scales with it.
+    Each refinement fits the best three samples, ranked by the lower f, then
+    the shorter step, then the earlier sample, and evaluates the clamped
+    vertex; a degenerate fit stops refining. A NaN probe stops the search
+    where it is and is left out of the samples. The best sample then decides
+    the outcome. h0 (default config.h0) is a warm start's first step; the
+    trust interval scales with it.
     """
     r = _check_direction(r)
     x0 = np.asarray(x0, dtype=np.float64)
-    calls = 0
-    points = [(0.0, f0)]
+    hs = [0.0]  # every abscissa sampled, h = 0 included
+    # the finite samples as (f, |h|, sample number, h), kept sorted: tuple
+    # order is the ranking, with no key function to call
+    points = [(f0, 0.0, 0, 0.0)]
 
     def phi(h):
-        nonlocal calls
-        calls += 1
+        """The value at step h, or None when it is NaN."""
         f = oracle.value(x0 + h * r)
-        points.append((h, f))
+        hs.append(h)
+        if f != f:
+            return None
+        insort(points, (f, abs(h), len(hs), h))
         return f
 
     h0 = config.h0 if h0 is None else h0
     lo = 0.0 if config.use_gradient_start else -config.trust * h0
     hi = config.trust * h0
-    failed = False
 
     if config.use_gradient_start:
         if g0 is None:
             raise ValueError("use_gradient_start requires g0")
         slope = float(np.asarray(g0, dtype=np.float64).dot(r))
         f1 = phi(h0)
-        a = (f1 - f0 - slope * h0) / (h0 * h0)
-        tol = 1e-12 * max(abs(f0), abs(f1))
-        if a <= 0.0 or abs(a) < tol:
+        if f1 is None:
             failed = True
         else:
-            v = _clamp_vertex(-slope / (2.0 * a), lo, hi, points)
-            if v is None:
-                failed = True
-            else:
-                phi(v)
+            a = (f1 - f0 - slope * h0) / (h0 * h0)
+            tol = 1e-12 * max(abs(f0), abs(f1))
+            v = None if a <= 0.0 or abs(a) < tol else _clamp_vertex(-slope / (2.0 * a), lo, hi,
+                                                                      hs)
+            failed = v is None or phi(v) is None
     else:
-        phi(-h0 / 2.0)
-        phi(h0 / 2.0)
+        failed = phi(-h0 / 2.0) is None or phi(h0 / 2.0) is None
 
     if not failed:
         for _ in range(2, config.K + 1):
-            (x0_, f0_), (x1, f1), (x2, f2) = sorted(points, key=_rank)[:3]
+            (f0_, _, _, x0_), (f1, _, _, x1), (f2, _, _, x2) = points[:3]
             if x0_ == x1 or x0_ == x2 or x1 == x2:
                 break
             v, _ = _fit(x0_, f0_, x1, f1, x2, f2)
             if v is None:
                 break
-            v = _clamp_vertex(v, lo, hi, points)
-            if v is None:
+            v = _clamp_vertex(v, lo, hi, hs)
+            if v is None or phi(v) is None:
                 break
-            phi(v)
 
-    h_best, f_best = min(points, key=_rank)
+    f_best, _, _, h_best = points[0]
+    calls = len(hs) - 1
     if h_best != 0.0 and f_best < f0:
         return LineSearchResult(h_best, f_best, calls, FOUND)
     return LineSearchResult(0.0, f0, calls, NO_RELAXATION)
 
 
-def _clamp_vertex(v, lo, hi, points):
-    """Clamp to the trust interval; reject near-duplicate abscissae."""
+def _clamp_vertex(v, lo, hi, hs):
+    """Clamp to the trust interval; None for a near duplicate of a sampled
+    abscissa in hs."""
     if not math.isfinite(v):
         return None
     v = min(max(v, lo), hi)
     scale = max(1.0, abs(v))
     # only an h within 2 * _DUP_TOL * scale of v can be a near duplicate
     near = 2.0 * _DUP_TOL * scale
-    for h, _ in points:
-        if abs(v - h) <= near and abs(v - h) <= _DUP_TOL * max(scale, abs(h)):
+    for h in hs:
+        d = abs(v - h)
+        if d <= near and d <= _DUP_TOL * max(scale, abs(h)):
             return None
     return v
-
-
-def _rank(point):  # of a sampled (h, f): the lower f, then the shorter step
-    return point[1], abs(point[0])

@@ -287,10 +287,11 @@ class MolecularSystem:
         x may be flat (length 3n) or already (n, 3). Raises ModelError when
         it does not hold 3n values or holds a non-finite one.
         """
+        n = len(self.atoms)
         c = np.asarray(x, dtype=np.float64)
-        if c.size != 3 * self.natoms:
-            raise ModelError(f"coordinates of size {c.size} do not match {self.natoms} atoms")
-        c = c.reshape(self.natoms, 3)
+        if c.size != 3 * n:
+            raise ModelError(f"coordinates of size {c.size} do not match {n} atoms")
+        c = c.reshape(n, 3)
         if not kernels.all_finite(c):
             raise ModelError("coords must be finite")
         return c

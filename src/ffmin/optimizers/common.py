@@ -30,6 +30,7 @@ from ..linesearch import (
     ls_par,
     norm,
 )
+from ..kernels import all_finite
 from ..oracle import _BudgetExhausted
 
 CONVERGED = "converged"
@@ -81,7 +82,7 @@ class StopCriteria:
         return max(self.gradient_norm_tol, self.gradient_norm_rtol * max(1.0, g0_norm))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)  # slots: a long run holds one per iteration
 class TraceRecord:
     iteration: int
     f: float
@@ -138,18 +139,9 @@ class Run:
             self.best = (np.array(x, dtype=np.float64, copy=True), grad_norm, step)
 
     def record(self, iteration, f, grad_norm, step):
-        self.trace.records.append(
-            TraceRecord(
-                iteration=int(iteration),
-                f=float(f),
-                grad_norm=float(grad_norm),
-                step=float(step),
-                value_calls=self.oracle.value_calls,
-                grad_calls=self.oracle.grad_calls,
-                wall_seconds=self.elapsed(),
-                best_f=self.best_f,
-            )
-        )
+        self.trace.records.append(TraceRecord(
+            int(iteration), float(f), float(grad_norm), float(step), self.oracle.value_calls,
+            self.oracle.grad_calls, time.perf_counter() - self.t0, self.best_f))
 
     def budget_status(self, iterations_done):
         """Status if the iteration or time budget is exhausted, else None.
@@ -191,8 +183,11 @@ class Run:
         return self.finish(status, fallback_x, fallback_f, grad_norm)
 
 
-def check_finite(f, g, where):
-    if not math.isfinite(f) or not np.isfinite(g).all():
+def check_finite(f, g, k=None):
+    """Raise DivergenceError unless f and g are finite; k is the iteration,
+    None for the start point."""
+    if not (math.isfinite(f) and all_finite(g)):
+        where = "the start point" if k is None else f"iteration {k}"
         raise DivergenceError(f"non-finite objective or gradient at {where}")
 
 
@@ -258,7 +253,7 @@ def start(oracle, x0, stop, meta):
         raise ValueError(f"x0 has {x.size} entries, oracle expects {oracle.n}")
     run = Run(oracle, stop or StopCriteria(), meta)
     f, g = oracle.value_and_gradient(x)
-    check_finite(f, g, "the start point")
+    check_finite(f, g)
     gn = norm(g)
     run.threshold = run.stop.threshold(gn)
     run.update_best(x, f, gn)
@@ -348,7 +343,7 @@ def descend(oracle, x0, stop, meta, rule, linesearch) -> OptimizeResult:
                 x_new, f_new = y + res.h * r, res.f_at_step
                 if rule.takes_gradient:
                     g_new = oracle.gradient(x_new)
-                    check_finite(f_new, g_new, f"iteration {k + 1}")
+                    check_finite(f_new, g_new, k + 1)
                     rule.advance(x, g, x_new, g_new)
                     g, gn = g_new, norm(g_new)
                 x, f = x_new, f_new
@@ -389,10 +384,10 @@ def iterate(oracle, x0, stop, meta, step, horizon=None, diverged=None) -> Optimi
                 break
             x_new, f_new, g_new, h = step(k, x, x_prev, g)
             if diverged is None:
-                check_finite(f_new, g_new, f"iteration {k + 1}")
+                check_finite(f_new, g_new, k + 1)
             elif (not math.isfinite(f_new)
                   or f_new > DIVERGENCE_FACTOR * max(1.0, abs(f0))
-                  or not np.isfinite(g_new).all()):
+                  or not all_finite(g_new)):
                 raise DivergenceError(diverged.format(k=k + 1, f=f_new, f0=f0))
             x_prev, x, f, g = x, x_new, f_new, g_new
             gn = norm(g)

@@ -36,7 +36,7 @@ class _FgmRule(DescentRule):
         # the next iterate is either the searched point or w itself
         self.x_prev, self.theta_prev = x, theta
         f_w, g_w = (f, g) if k == 0 else oracle.value_and_gradient(w)
-        check_finite(f_w, g_w, f"iteration {k}")
+        check_finite(f_w, g_w, k)
         return w, f_w, g_w, norm(g_w), -g_w
 
 

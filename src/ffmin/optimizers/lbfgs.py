@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from collections import deque
 
 import numpy as np
@@ -31,10 +32,11 @@ class LbfgsMemory:
     def push(self, s, y) -> bool:
         """Store the pair, not a copy, unless its curvature is too small; True if stored."""
         s, y = np.asarray(s, dtype=np.float64), np.asarray(y, dtype=np.float64)
-        sy = float(s.dot(y))
-        if sy <= CURVATURE_RTOL * norm(s) * norm(y):
+        sy, yy = float(s.dot(y)), float(y.dot(y))
+        # math.sqrt(yy) is norm(y)
+        if sy <= CURVATURE_RTOL * norm(s) * math.sqrt(yy):
             return False
-        self.pairs.append((s, y, 1.0 / sy, sy / float(y.dot(y))))
+        self.pairs.append((s, y, 1.0 / sy, sy / yy))
         return True
 
 

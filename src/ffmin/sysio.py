@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 import os
 from operator import attrgetter, itemgetter
+from operator import call as _call
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -36,13 +37,6 @@ from .model import (
     NonbondedPolicy,
     build_default_exclusions,
 )
-
-try:
-    from operator import call as _call  # Python 3.11+
-except ImportError:
-    def _call(f, *args):
-        return f(*args)
-
 
 FORMAT_VERSION = 1
 _PAIR_SECTIONS = ("excluded_pairs", "scaled14_pairs")

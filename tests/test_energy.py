@@ -794,6 +794,41 @@ def test_scatter_adds_each_atoms_rows_in_index_order(natoms, data):
     assert got.tobytes() == want.tobytes()
 
 
+@settings(max_examples=80, deadline=None)
+@given(chain=st.booleans(), natoms=st.integers(4, 16), seed=st.integers(0, 2**16),
+       cutoff=st.sampled_from([None, 7.0]), scale=st.sampled_from([0.0, 0.05, 0.5, 2.0]),
+       clashes=st.lists(st.tuples(st.integers(0, 1), st.integers(0, 39), st.integers(0, 39)),
+                        max_size=2))
+def test_energy_halves_treat_stacked_sets_as_sets_alone(chain, natoms, seed, cutoff, scale,
+                                                        clashes):
+    """Each energy half on two stacked coordinate sets gives, byte for byte,
+    each set's energies, and as its bad row the first row bad in either set."""
+    import dataclasses
+
+    from ffmin import kernels
+
+    if chain:
+        s = make_chain_system(natoms, seed % 7, 0.3, cutoff=cutoff)
+    else:
+        s = dataclasses.replace(two_cluster_system(seed % 5),
+                                nonbonded=NonbondedPolicy.no_exclusions(cutoff))
+    rng = np.random.default_rng(seed)
+    both = s.coords + scale * rng.standard_normal((2, s.natoms, 3))
+    for k, i, j in clashes:
+        # set k puts one atom onto another: a zero-length edge, arm or plane
+        both[k, j % s.natoms] = both[k, i % s.natoms]
+    p = s.arrays()
+    for term, (energy, _, sec, args) in p["terms"].items():
+        D, R = kernels.edges(both, p["edge_idx"][:, sec])
+        *stacked, bad, _ = energy(D, R, *args, True)
+        alone = [energy(D[k], R[k], *args, True) for k in (0, 1)]
+        bads = [a[-2] for a in alone if a[-2] >= 0]
+        assert bad == (min(bads) if bads else -1), term
+        if bad < 0:
+            for e, *each in zip(stacked, *(a[:-2] for a in alone)):
+                assert np.asarray(e).tobytes() == np.array(each).tobytes(), term
+
+
 @pytest.mark.parametrize("call", ["energy_and_gradient", "linearize_farfield_coulomb",
                                   "oracle value then gradient"])
 def test_a_fused_call_computes_the_pair_terms_once(call, monkeypatch):

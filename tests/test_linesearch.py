@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ffmin.linesearch import (
+    _DUP_TOL,
     FOUND,
     NO_RELAXATION,
     LineSearchResult,
@@ -16,6 +17,8 @@ from ffmin.linesearch import (
     ls_par,
     parabola_min,
 )
+from ffmin.optimizers import StopCriteria, make_linesearch, steepest_descent
+from ffmin.oracle import FunctionOracle
 
 
 class Phi:
@@ -204,10 +207,10 @@ def test_ls_par_clamps_vertex_to_trust_region():
        offsets=st.lists(st.one_of(st.floats(-3e-13, 3e-13), st.floats(-10.0, 10.0)),
                         min_size=1, max_size=6))
 def test_clamp_vertex_rejects_exactly_the_near_duplicates(v, offsets):
-    from ffmin.linesearch import _DUP_TOL, _clamp_vertex
-    points = [(v + o * max(1.0, abs(v)), 0.0) for o in offsets]
-    near = any(abs(v - h) <= _DUP_TOL * max(1.0, abs(v), abs(h)) for h, _ in points)
-    assert _clamp_vertex(v, -math.inf, math.inf, points) == (None if near else v)
+    from ffmin.linesearch import _clamp_vertex
+    hs = [v + o * max(1.0, abs(v)) for o in offsets]
+    near = any(abs(v - h) <= _DUP_TOL * max(1.0, abs(v), abs(h)) for h in hs)
+    assert _clamp_vertex(v, -math.inf, math.inf, hs) == (None if near else v)
 
 
 def test_ls_par_requires_g0_with_gradient_start():
@@ -249,6 +252,120 @@ def test_ls_par_invariants(t, a, b, k, g0_mode):
             assert res.h > 0.0
     else:
         assert res.h == 0.0 and res.f_at_step == f0
+
+
+# -------------------------------------------------------------- NaN probes
+
+def nan_on(lo, hi, fn):
+    """A 1-D FunctionOracle objective, fn(x) outside (lo, hi) and NaN inside."""
+    def f(x):
+        t = float(x[0])
+        return math.nan if lo < t < hi else fn(t)
+    return f
+
+
+def test_ls_h_contracts_past_a_nan_probe():
+    # h = 2 does not relax, h = 1 lands on NaN, h = 0.5 relaxes
+    oracle = FunctionOracle(1, nan_on(0.5, 1.0, lambda t: t * t))
+    res = ls_h(oracle, np.array([-0.3]), R, LsHConfig(h0=2.0), f0=0.09)
+    assert res == LineSearchResult(0.5, 0.2 * 0.2, 3, FOUND)
+
+
+def test_steepest_descent_steps_past_a_nan_probe():
+    oracle = FunctionOracle(1, nan_on(0.5, 1.0, lambda t: t * t), lambda x: 2.0 * x)
+    res = steepest_descent(oracle, np.array([-0.3]), make_linesearch("h", h0=2.0),
+                           StopCriteria(max_iterations=3))
+    assert res.trace.records[1].step == 0.5
+    assert res.trace.records[1].f == 0.2 * 0.2
+
+
+def test_ls_par_stops_at_a_nan_first_probe():
+    oracle = FunctionOracle(1, nan_on(0.5, 1.5, lambda t: (t - 0.2) ** 2))
+    res = ls_par(oracle, X0, R, LsParConfig(h0=1.0), f0=0.04, g0=np.array([-0.4]))
+    assert res == LineSearchResult(0.0, 0.04, 1, NO_RELAXATION)
+    # without the gradient start the search stops before its second sample
+    oracle = FunctionOracle(1, nan_on(-1.0, -0.1, lambda t: (t - 0.2) ** 2))
+    res = ls_par(oracle, X0, R, LsParConfig(h0=1.0, use_gradient_start=False), f0=0.04)
+    assert res == LineSearchResult(0.0, 0.04, 1, NO_RELAXATION)
+
+
+def test_ls_par_keeps_its_best_finite_probe_at_a_nan_vertex():
+    # the gradient-started vertex is h = 1, inside the NaN interval
+    oracle = FunctionOracle(1, nan_on(0.9, 1.2, lambda t: (t - 1.0) ** 2))
+    res = ls_par(oracle, X0, R, LsParConfig(h0=0.5), f0=1.0, g0=np.array([-2.0]))
+    assert res == LineSearchResult(0.5, 0.25, 2, FOUND)
+
+
+def _ls_par_reference(oracle, x0, r, config, f0, g0, h0):
+    """ls_par as a plain loop: every sample in one list, re-sorted by (f, |h|)
+    for each refit. Finite objectives only."""
+    calls, points = 0, [(0.0, f0)]
+
+    def phi(h):
+        nonlocal calls
+        calls += 1
+        f = oracle.value(x0 + h * r)
+        points.append((h, f))
+        return f
+
+    def clamp(v):
+        v = min(max(v, lo), hi)
+        near = any(abs(v - h) <= _DUP_TOL * max(1.0, abs(v), abs(h)) for h, _ in points)
+        return None if near or not math.isfinite(v) else v
+
+    def rank(p):
+        return p[1], abs(p[0])
+
+    lo = 0.0 if config.use_gradient_start else -config.trust * h0
+    hi = config.trust * h0
+    refine = True
+    if config.use_gradient_start:
+        slope = float(g0 @ r)
+        f1 = phi(h0)
+        a = (f1 - f0 - slope * h0) / (h0 * h0)
+        v = None if a <= 0.0 or abs(a) < 1e-12 * max(abs(f0), abs(f1)) else clamp(-slope / (2 * a))
+        refine = v is not None
+        if refine:
+            phi(v)
+    else:
+        phi(-h0 / 2.0)
+        phi(h0 / 2.0)
+    for _ in range(2, config.K + 1 if refine else 2):
+        best3 = sorted(points, key=rank)[:3]
+        if len({h for h, _ in best3}) < 3:
+            break
+        v = fit_parabola(best3).vertex
+        v = None if v is None else clamp(v)
+        if v is None:
+            break
+        phi(v)
+    h, f = sorted(points, key=rank)[0]
+    if h != 0.0 and f < f0:
+        return LineSearchResult(h, f, calls, FOUND)
+    return LineSearchResult(0.0, f0, calls, NO_RELAXATION)
+
+
+@settings(max_examples=300, deadline=None)
+@given(t=st.floats(-4.0, 4.0), a=st.floats(-2.0, 10.0), b=st.floats(-3.0, 3.0),
+       w=st.floats(0.1, 5.0), quantum=st.sampled_from([0.0, 0.5, 0.05, 1e-3]),
+       even=st.booleans(), k=st.integers(2, 8), gradient_start=st.booleans(),
+       h0=st.one_of(st.none(), st.floats(1e-3, 4.0)), slope=st.floats(-20.0, 5.0))
+def test_ls_par_equals_a_re_sorting_reference(t, a, b, w, quantum, even, k, gradient_start,
+                                              h0, slope):
+    # quantized and even objectives give exact ties in f, at equal and at
+    # different |h|
+    def fn(h):
+        h = abs(h) if even else h
+        f = a * (h - t) ** 2 + b * math.sin(w * h)
+        return math.floor(f / quantum) * quantum if quantum else f
+
+    cfg = LsParConfig(h0=1.0, K=k, use_gradient_start=gradient_start)
+    f0, g0 = fn(0.0), np.array([slope])
+    got, want = Phi(fn), Phi(fn)
+    res = ls_par(got, X0, R, cfg, f0, g0, h0=h0)
+    ref = _ls_par_reference(want, X0, R, cfg, f0, g0, cfg.h0 if h0 is None else h0)
+    assert res == ref
+    assert [x.tobytes() for x in got.seen] == [x.tobytes() for x in want.seen]
 
 
 # ------------------------------------------------------------------ result
