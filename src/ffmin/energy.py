@@ -26,10 +26,9 @@ Every public function leaves through one exit: no NumPy warning escapes,
 and degenerate geometry or a NaN or inf result raises EnergyEvaluationError
 naming the term row, the term, the delta or the far-field coefficient.
 
-A value call at desk scale costs little more than its kernels: the exit sets
-NumPy's error state through its context variable in one frame, the sweep
-builds its EnergyBreakdown with the total summed once, and MolecularOracle
-calls energy_total and energy_and_gradient from its public methods.
+The exit sets NumPy's error state through its context variable, to what
+np.errstate(all="ignore") would set, in its own frame: errstate's decorator
+adds a frame and builds its object on every call.
 """
 
 from __future__ import annotations
@@ -51,7 +50,9 @@ class EnergyEvaluationError(ValueError):
 
 @dataclass(frozen=True, init=False)
 class EnergyBreakdown:
-    """Per-term energies, and their sum total, taken once when it is built."""
+    """Per-term energies, and their sum total, taken once when it is built;
+    total is derived, so it is no field: not in repr or equality, and
+    replace computes it anew."""
 
     stretch: float
     bend: float
@@ -60,7 +61,9 @@ class EnergyBreakdown:
     vdw: float
 
     def __init__(self, stretch, bend, torsion, coulomb, vdw):
-        # one dict update in place of a frozen dataclass's five object.__setattr__ calls
+        # one dict update where the generated frozen __init__ makes five
+        # object.__setattr__ calls, about 1.5 us a breakdown on CPython 3.11;
+        # assignment after __init__ still raises FrozenInstanceError
         self.__dict__.update(stretch=stretch, bend=bend, torsion=torsion, coulomb=coulomb,
                              vdw=vdw, total=stretch + bend + torsion + coulomb + vdw)
 

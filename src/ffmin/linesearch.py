@@ -70,20 +70,18 @@ class LsParConfig:
             raise ValueError(f"trust must be > 0, got {self.trust}")
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class LineSearchResult:
     h: float
     f_at_step: float
     oracle_calls: int
     status: str
 
-    def __init__(self, h, f_at_step, oracle_calls, status):
-        if status not in (FOUND, NO_RELAXATION):
-            raise ValueError(f"bad status {status!r}")
-        if status == NO_RELAXATION and h != 0.0:
+    def __post_init__(self):
+        if self.status not in (FOUND, NO_RELAXATION):
+            raise ValueError(f"bad status {self.status!r}")
+        if self.status == NO_RELAXATION and self.h != 0.0:
             raise ValueError("no_relaxation implies h = 0")
-        # one dict update in place of object.__setattr__ per field
-        self.__dict__.update(h=h, f_at_step=f_at_step, oracle_calls=oracle_calls, status=status)
 
 
 @dataclass(frozen=True)

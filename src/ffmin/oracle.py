@@ -107,16 +107,13 @@ class MolecularOracle(ObjectiveOracle):
         self.system = system
         self._kept = KeptSweeps()
 
-    # the public calls themselves, one frame each above the energy layer
-    def value(self, x) -> float:
-        self._count(1, 0)
-        return energy_total(self.system, np.asarray(x, dtype=np.float64), self._kept).total
+    def _value(self, x):
+        return energy_total(self.system, x, self._kept).total
 
-    def gradient(self, x):
-        self._count(0, 1)
-        return energy_and_gradient(self.system, np.asarray(x, dtype=np.float64), self._kept)[1]
+    def _gradient(self, x):
+        _, g = energy_and_gradient(self.system, x, self._kept)
+        return g
 
-    def value_and_gradient(self, x):
-        self._count(1, 1)
-        bd, g = energy_and_gradient(self.system, np.asarray(x, dtype=np.float64), self._kept)
+    def _value_and_gradient(self, x):
+        bd, g = energy_and_gradient(self.system, x, self._kept)
         return bd.total, g

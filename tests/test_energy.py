@@ -592,6 +592,54 @@ def test_far_field_overflow_raises_named_error():
             linearize_farfield_coulomb(pair, 0, 7.0)
 
 
+def test_exit_sets_the_error_state_errstate_would():
+    # the exit sets NumPy's error-state variable itself; inside it NumPy must
+    # see what np.errstate(all="ignore") gives, and after it the caller's state
+    from ffmin.energy import _checked
+
+    seen = []
+
+    @_checked("probe")
+    def probe():
+        seen.append((np.geterr(), np.geterrcall()))
+        return float(np.float64(1.0) / np.float64(0.0))
+
+    def call(err, flag):
+        pass
+
+    system = make_chain_system(6, seed=1)
+    x = system.coords.ravel() * 1e100
+    with np.errstate(all="raise", call=call):
+        outer = np.geterr()
+        with np.errstate(all="ignore"):
+            expected = (np.geterr(), np.geterrcall())
+        with pytest.raises(EnergyEvaluationError, match="probe is not finite: inf"):
+            probe()
+        assert seen == [expected]
+        assert (np.geterr(), np.geterrcall()) == (outer, call)
+        # the kernels' overflow is silenced even where the caller raises
+        with pytest.raises(EnergyEvaluationError, match="torsion energy is not finite"):
+            energy_total(system, x)
+        assert np.geterr() == outer
+
+
+
+def test_breakdown_is_frozen_and_its_total_follows_its_fields():
+    import dataclasses
+
+    bd = energy_total(make_chain_system(6, seed=1))
+    assert [f.name for f in dataclasses.fields(bd)] == [
+        "stretch", "bend", "torsion", "coulomb", "vdw"]
+    assert bd.total == bd.stretch + bd.bend + bd.torsion + bd.coulomb + bd.vdw
+    assert "total" not in repr(bd)
+    for name in ("stretch", "total"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(bd, name, 0.0)
+    moved = dataclasses.replace(bd, vdw=bd.vdw + 1.0)
+    assert moved.total == bd.stretch + bd.bend + bd.torsion + bd.coulomb + (bd.vdw + 1.0)
+    assert moved != bd and dataclasses.replace(moved, vdw=bd.vdw) == bd
+    assert hash(dataclasses.replace(moved, vdw=bd.vdw)) == hash(bd)
+
 # ----------------------------------------------------- the edge-table plan
 
 def with_pair_on_cutoff(system, x, cutoff=7.0):

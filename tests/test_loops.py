@@ -203,6 +203,7 @@ def test_oracle_budget_keeps_the_lowest_probe(name, ls):
         stop = StopCriteria(max_iterations=None, max_oracle_calls=cap, **NO_TOL)
         res = LS_METHODS[name](oracle, x0, make_linesearch(ls), stop)
         assert res.status == ORACLE_BUDGET, cap
+        assert oracle.lowest < np.inf, cap  # the hooks above saw every value
         assert res.f <= oracle.lowest, cap
         assert energy_total(system, res.x).total == res.f, cap
         # the returned point is always a recorded one
