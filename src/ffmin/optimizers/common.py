@@ -42,6 +42,8 @@ HORIZON_COMPLETE = "horizon_complete"
 
 # fixed-step runs abort once f exceeds this multiple of max(1, |f(x0)|)
 DIVERGENCE_FACTOR = 1e3
+# Armijo's sufficient-decrease constant for a rule's natural step
+ARMIJO_C1 = 1e-4
 
 
 class DivergenceError(RuntimeError):
@@ -267,12 +269,15 @@ class DescentRule:
 
     # False: an accepted step is recorded without a gradient at the new point
     takes_gradient = True
+    # True while |d| is a step worth trying before the line search
+    natural_step = False
 
     def direction(self, oracle, k, x, f, g, gn):
         """(origin, f, g, |g| at the origin, d) for iteration k + 1.
 
-        descend() searches from the origin along d / |d|; it stops as
-        converged when |g| meets the tolerance or d is zero.
+        descend() searches from the origin along d / |d|, after trying the
+        step |d| when natural_step is set; it stops as converged when |g|
+        meets the tolerance or d is zero.
         """
         return x, f, g, gn, -g
 
@@ -302,14 +307,20 @@ class _LowestProbe:
 def descend(oracle, x0, stop, meta, rule, linesearch) -> OptimizeResult:
     """The line-search loop: direction, search, failure policy, record.
 
+    When the rule has a natural step (LBFGS with a non-empty memory), the
+    full step |d| is probed first, with one value call inside the oracle
+    budget. It is taken if it lowers f and meets Armijo's condition with
+    ARMIJO_C1, and leaves the line search's warm start as it is; otherwise
+    the line search runs as it would have.
+
     A failed search that the rule does not retry ends the run, or with
     stop_on_linesearch_failure=False is recorded as a step of 0 from the
     search origin. Returns the best point seen unless the run converged; a
     run that converges at a search origin other than its iterate (fgm's
     extrapolated point) records that origin as one more iteration, with step
-    0, and returns it. When the oracle budget interrupts a search that probed
-    below every point seen, the lowest probe is that best point, with no
-    gradient (nan).
+    0, and returns it. When the oracle budget interrupts an iteration that
+    probed below every point seen, the lowest probe is that best point, with
+    no gradient (nan).
     """
     run, x, f, g, gn = start(oracle, x0, stop, meta)
     probes = _LowestProbe(oracle)
@@ -331,7 +342,12 @@ def descend(oracle, x0, stop, meta, rule, linesearch) -> OptimizeResult:
                     run.record(k, f, gn, 0.0)
                 break
             r = d / dn
-            res = linesearch.search(probes, y, r, f_y, g_y)
+            # the searches' y + h * r, so a kept sweep finishes the gradient
+            f_t = probes.value(y + dn * r) if rule.natural_step else math.nan
+            if f_t < f_y and f_t <= f_y + ARMIJO_C1 * dn * float(g_y.dot(r)):
+                res = LineSearchResult(dn, f_t, 1, FOUND)
+            else:
+                res = linesearch.search(probes, y, r, f_y, g_y)
             if res.status == NO_RELAXATION:
                 if rule.retry(g_y):
                     continue

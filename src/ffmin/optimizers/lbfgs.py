@@ -1,4 +1,5 @@
-"""Limited-memory BFGS with a two-loop direction and inexact line search."""
+"""Limited-memory BFGS with a two-loop direction: its natural step first,
+then an inexact line search when that step misses Armijo's condition."""
 
 from __future__ import annotations
 
@@ -66,6 +67,11 @@ class _LbfgsRule(DescentRule):
 
     def __init__(self, m: int):
         self.memory = LbfgsMemory(m)
+
+    @property
+    def natural_step(self):
+        # the two-loop direction is scaled; the normalized antigradient is not
+        return len(self.memory) > 0
 
     def direction(self, oracle, k, x, f, g, gn):
         return x, f, g, gn, lbfgs_direction(self.memory, g)
