@@ -343,8 +343,8 @@ def descend(oracle, x0, stop, meta, rule, linesearch) -> OptimizeResult:
                 break
             r = d / dn
             # the searches' y + h * r, so a kept sweep finishes the gradient
-            f_t = probes.value(y + dn * r) if rule.natural_step else math.nan
-            if f_t < f_y and f_t <= f_y + ARMIJO_C1 * dn * float(g_y.dot(r)):
+            if rule.natural_step and (f_t := probes.value(y + dn * r)) < f_y \
+                    and f_t <= f_y + ARMIJO_C1 * dn * float(g_y.dot(r)):
                 res = LineSearchResult(dn, f_t, 1, FOUND)
             else:
                 res = linesearch.search(probes, y, r, f_y, g_y)

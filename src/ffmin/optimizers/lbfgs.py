@@ -85,7 +85,10 @@ class _LbfgsRule(DescentRule):
         return True
 
     def advance(self, x, g, x_new, g_new):
-        self.memory.push(x_new - x, g_new - g)
+        # a step without positive curvature leaves no pair; the memory that
+        # chose it goes too, so its direction cannot repeat
+        if not self.memory.push(x_new - x, g_new - g):
+            self.memory.clear()
 
 
 def lbfgs(oracle, x0, m: int = 3, linesearch: LineSearcher | None = None,

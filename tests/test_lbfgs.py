@@ -6,6 +6,7 @@ import pytest
 import naive_oracles as naive
 from ffmin import energy
 from ffmin.bench import QuadraticInstance
+from ffmin.cli import main
 from ffmin.linesearch import NO_RELAXATION, FOUND, LineSearchResult
 from ffmin.optimizers import (
     CONVERGED,
@@ -18,9 +19,10 @@ from ffmin.optimizers import (
     steepest_descent,
 )
 from ffmin.optimizers.common import ARMIJO_C1, DescentRule, LineSearcher, descend
-from ffmin.optimizers.lbfgs import LbfgsMemory, lbfgs_direction
+from ffmin.optimizers.lbfgs import LbfgsMemory, _LbfgsRule, lbfgs_direction
 from ffmin.oracle import FunctionOracle, MolecularOracle
 from ffmin.synth import make_chain_system
+from ffmin.sysio import load_system
 
 NO_TOL = dict(gradient_norm_rtol=0.0)
 
@@ -113,6 +115,16 @@ def test_memory_rejects_flat_and_negative_curvature():
     mem.push(s, s)
     mem.clear()
     assert len(mem) == 0
+
+
+def test_a_rejected_pair_clears_the_memory():
+    rule = _LbfgsRule(3)
+    rule.advance(np.zeros(2), np.array([-1.0, 0.0]), np.array([1.0, 0.0]), np.zeros(2))
+    assert len(rule.memory) == 1 and rule.natural_step
+    # negative curvature along the step: no pair, and the memory goes
+    rule.advance(np.array([1.0, 0.0]), np.zeros(2), np.array([2.0, 0.0]),
+                 np.array([-1.0, 0.0]))
+    assert len(rule.memory) == 0 and not rule.natural_step
 
 
 def test_memory_depth_validation():
@@ -354,3 +366,18 @@ def test_budget_landing_on_the_natural_probe_returns_the_lowest_point():
     assert res.f == second.f < first.f
     assert res.x.tobytes() == free.x.tobytes()
     assert math.isnan(res.grad_norm)
+
+
+def test_lbfgs_leaves_a_negative_curvature_region(tmp_path, capsys):
+    # make-demo seed 4's cand_03, a scrambled start, with the CLI's defaults.
+    # A memory that outlives a rejected pair traps this run: every natural
+    # step misses, ls_par meets negative curvature at its warm start (3.85e-6)
+    # and returns that step, the pair is rejected, and the direction never
+    # changes, so the run crawls to max_iters at f = +64 instead of -76.19
+    assert main(["make-demo", str(tmp_path), "--candidates", "4", "--seed", "4"]) == 0
+    capsys.readouterr()
+    system = load_system(tmp_path / "candidates" / "cand_03.ffs")
+    res = lbfgs(MolecularOracle(system), system.coords.ravel(), m=3,
+                linesearch=make_linesearch("par"), stop=StopCriteria(max_iterations=1000))
+    assert res.status == CONVERGED
+    assert res.f < -76.0
