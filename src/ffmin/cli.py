@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
@@ -312,21 +311,6 @@ def cmd_worstcase(args):
     return EXIT_OK
 
 
-def cmd_bench_kernels(args):
-    sizes = tuple(int(s) for s in args.sizes.split(","))
-    print("n,energy_grad_ms")
-    for n in sizes:
-        system = make_chain_system(n, seed=1, strain=0.2)
-        energy_and_gradient(system)  # warmup
-        best = math.inf
-        for _ in range(args.repeats):
-            t0 = time.perf_counter()
-            energy_and_gradient(system)
-            best = min(best, time.perf_counter() - t0)
-        print(f"{n},{best * 1e3:.3f}")
-    return EXIT_OK
-
-
 def cmd_make_demo(args):
     out = Path(args.dir)
     cand_dir = out / "candidates"
@@ -392,13 +376,6 @@ def build_parser():
     p.add_argument("--R", type=float, default=1.0)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_worstcase)
-
-    p = sub.add_parser("bench-kernels",
-                       help="time one fused energy+gradient call on chain "
-                            "systems of each size")
-    p.add_argument("--sizes", default="100,300")
-    p.add_argument("--repeats", type=int, default=5)
-    p.set_defaults(fn=cmd_bench_kernels)
 
     p = sub.add_parser("make-demo",
                        help="write a synthetic reference + candidate set for "

@@ -148,8 +148,8 @@ class Run:
     def budget_status(self, iterations_done):
         """Status if the iteration or time budget is exhausted, else None.
 
-        The oracle budget needs no check here: the oracle's call_limit (or
-        wiggle's counter) refuses the call that would pass it.
+        The oracle budget needs no check here: the oracle's call_limit
+        refuses the call that would pass it.
         """
         s = self.stop
         if s.max_iterations is not None and iterations_done >= s.max_iterations:

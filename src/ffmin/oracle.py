@@ -3,7 +3,9 @@
 An oracle owns the call counters. Every optimizer trace snapshots
 value_calls/grad_calls, so the accounting must flow through value(),
 gradient() and value_and_gradient() and nothing else. A fused
-value_and_gradient call increments both counters by one.
+value_and_gradient call increments both counters by one. atom_wiggle, whose
+evaluations are energy deltas rather than values at an x, counts each one
+with _count(1, 0) on a base ObjectiveOracle.
 
 While an optimizer runs, call_limit caps value_calls + grad_calls: a call
 that would pass it raises before evaluating, and the optimizer ends the run

@@ -5,12 +5,29 @@ import numpy as np
 import pytest
 
 import ffmin.cli
-from ffmin.cli import main
+from ffmin.cli import METHODS, main
 from ffmin.energy import energy_total
 from ffmin.model import AtomSpec, BondTerm, MolecularSystem, NonbondedPolicy
+from ffmin.oracle import MolecularOracle
+from ffmin.optimizers import (
+    CgVariant,
+    StopCriteria,
+    WiggleConfig,
+    atom_wiggle,
+    cg,
+    fgm,
+    gradient_descent_fixed,
+    heavy_ball,
+    lbfgs,
+    make_linesearch,
+    nesterov_momentum,
+    nesterov_strongly_convex,
+    ofgm,
+    steepest_descent,
+)
 from ffmin.synth import make_chain_system
 from ffmin.sysio import load_system, save_system
-from ffmin.tracefile import read_trace, strip_wall_column
+from ffmin.tracefile import read_trace, strip_wall_column, trace_text
 
 
 def write_chain(tmp_path, n=8, seed=0, strain=0.3, name="sys.ffs"):
@@ -181,6 +198,95 @@ def test_minimize_wiggle_budget_status(tmp_path, capsys):
     assert energy_total(load_system(out_file)).total < f0
 
 
+def test_minimize_wiggle_trace_records_its_status(tmp_path, capsys):
+    path = write_chain(tmp_path, n=6, seed=5)
+    trace = tmp_path / "w.trace"
+    assert main(["minimize", str(path), "--method", "wiggle", "--max-iters", "20",
+                 "--trace", str(trace)]) == 4
+    grab(capsys)
+    assert "# status: iteration_budget\n" in trace.read_text()
+    assert read_trace(trace)[0]["status"] == "iteration_budget"
+
+
+def on_chain(system):
+    return MolecularOracle(system), system.coords.ravel()
+
+
+# each case's CLI flags, and the library call those flags must dispatch to
+DISPATCH = {
+    "gd": (["--L", "2000"],
+           lambda s, stop: gradient_descent_fixed(*on_chain(s), 2000.0, stop)),
+    "sd": (["--ls", "h", "--h0", "0.5"],
+           lambda s, stop: steepest_descent(*on_chain(s), make_linesearch("h", h0=0.5), stop)),
+    "hb": (["--alpha", "5e-4", "--beta", "0.5"],
+           lambda s, stop: heavy_ball(*on_chain(s), 5e-4, 0.5, stop)),
+    "nag": (["--L", "2000"],
+            lambda s, stop: nesterov_momentum(*on_chain(s), 2000.0, stop)),
+    "nag-sc": (["--L", "2000", "--mu", "1"],
+               lambda s, stop: nesterov_strongly_convex(*on_chain(s), 2000.0, 1.0, stop)),
+    "fgm": (["--ls-budget", "4", "--no-gradient-start"],
+            lambda s, stop: fgm(*on_chain(s), make_linesearch(
+                "par", K=4, use_gradient_start=False), stop)),
+    "ofgm": (["--horizon", "10", "--L", "2000"],
+             lambda s, stop: ofgm(*on_chain(s), 10, L=2000.0, stop=stop)),
+    "ofgm-ls": (["--horizon", "10", "--ls", "h"],
+                lambda s, stop: ofgm(*on_chain(s), 10, linesearch=make_linesearch("h"),
+                                     stop=stop)),
+    "cg": (["--cg-variant", "hs", "--restart", "5"],
+           lambda s, stop: cg(*on_chain(s), CgVariant("hs", restart_period=5),
+                              make_linesearch("par"), stop)),
+    "lbfgs": (["--m", "5", "--h0", "0.5"],
+              lambda s, stop: lbfgs(*on_chain(s), m=5, linesearch=make_linesearch(
+                  "par", h0=0.5), stop=stop)),
+    "wiggle": (["--wiggle-h", "0.04", "--epoch", "7", "--full-recompute"],
+               lambda s, stop: atom_wiggle(s, WiggleConfig(
+                   h=0.04, seed=3, epoch_iterations=7, use_incremental_coulomb=False), stop)),
+}
+
+
+def test_dispatch_covers_every_method():
+    assert {case.split("-ls")[0] for case in DISPATCH} == set(METHODS)
+
+
+@pytest.mark.parametrize("case", list(DISPATCH))
+def test_minimize_dispatches_each_method(tmp_path, capsys, case):
+    flags, library = DISPATCH[case]
+    path = write_chain(tmp_path, n=8, seed=1)
+    trace = tmp_path / "run.trace"
+    out_file = tmp_path / "min.ffs"
+    code = main(["minimize", str(path), "--method", case.split("-ls")[0], *flags,
+                 "--max-iters", "20", "--seed", "3", "--trace", str(trace),
+                 "--out", str(out_file)])
+    out, _ = grab(capsys)
+    res = library(load_system(path), StopCriteria(max_iterations=20))
+    assert code == (0 if res.status in ("converged", "horizon_complete") else 4)
+    assert f"status   {res.status}\n" in out
+    assert strip_wall_column(trace.read_text()) == strip_wall_column(
+        trace_text(res.trace, seed=3))
+    assert np.array_equal(load_system(out_file).coords.ravel(), res.x)
+
+
+@pytest.mark.parametrize("flags,msg", [
+    (["--method", "hb"], "hb requires --alpha"),
+    (["--method", "nag"], "nag requires --L"),
+    (["--method", "nag-sc", "--L", "2000"], "nag-sc requires --L and --mu"),
+    (["--method", "nag-sc", "--mu", "1"], "nag-sc requires --L and --mu"),
+    (["--method", "ofgm", "--L", "2000"], "ofgm requires --horizon"),
+])
+def test_minimize_missing_method_flag_exits_2(tmp_path, capsys, flags, msg):
+    path = write_diatomic(tmp_path)
+    assert main(["minimize", str(path), *flags]) == 2
+    assert grab(capsys) == ("", f"ffmin: error: {msg}\n")
+
+
+def test_minimize_time_budget_exits_4(tmp_path, capsys):
+    path = write_chain(tmp_path, n=8, seed=1)
+    assert main(["minimize", str(path), "--max-time", "0"]) == 4
+    out, _ = grab(capsys)
+    assert "status   time_budget" in out
+    assert "iters    0" in out
+
+
 def test_minimize_divergence_exits_2(tmp_path, capsys):
     path = write_chain(tmp_path, n=8, seed=6)
     code = main(["minimize", str(path), "--method", "gd", "--L", "1e-6",
@@ -313,15 +419,6 @@ def test_worstcase_cli(capsys):
     assert code == 0
     fields = dict(l.split() for l in out.splitlines())
     assert 0.4 <= float(fields["ratio"]) <= 1.05
-
-
-def test_bench_kernels_cli(capsys):
-    code = main(["bench-kernels", "--sizes", "16", "--repeats", "1"])
-    out, _ = grab(capsys)
-    assert code == 0
-    assert out.splitlines()[0].startswith("n,")
-    assert "_ms" in out.splitlines()[0]
-    assert out.splitlines()[1].startswith("16,")
 
 
 # ---------------------------------------------------------------- script

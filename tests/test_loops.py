@@ -13,7 +13,10 @@ from ffmin.optimizers import (
     ITERATION_BUDGET,
     LINESEARCH_FAILURE,
     ORACLE_BUDGET,
+    TIME_BUDGET,
     StopCriteria,
+    WiggleConfig,
+    atom_wiggle,
     cg,
     fgm,
     gradient_descent_fixed,
@@ -210,3 +213,37 @@ def test_oracle_budget_keeps_the_lowest_probe(name, ls):
         assert res.f == min(r.f for r in res.trace.records), cap
         best = [r.best_f for r in res.trace.records]
         assert all(b2 <= b1 for b1, b2 in zip(best, best[1:])), cap
+
+
+# ------------------------------------------------ status and the time budget
+
+def run_method(name, system, stop):
+    """Run one of the CLI's methods on system: wiggle, or LS_METHODS with ls_par,
+    or FIXED_METHODS."""
+    if name == "wiggle":
+        return atom_wiggle(system, WiggleConfig(seed=1), stop)
+    oracle, x0 = MolecularOracle(system), system.coords.ravel()
+    if name in LS_METHODS:
+        return LS_METHODS[name](oracle, x0, make_linesearch("par"), stop)
+    return FIXED_METHODS[name](oracle, x0, stop)
+
+
+@pytest.mark.parametrize("name", ["gd", "sd", "hb", "nag", "nag-sc", "fgm", "ofgm", "cg",
+                                  "lbfgs", "wiggle"])
+def test_trace_status_is_the_result_status(name):
+    system = make_chain_system(12, seed=0, strain=0.3)
+    for stop in (StopCriteria(max_iterations=20),
+                 StopCriteria(max_iterations=None, max_oracle_calls=9, **NO_TOL)):
+        res = run_method(name, system, stop)
+        assert res.status is not None
+        assert res.trace.status == res.status
+
+
+@pytest.mark.parametrize("name", ["sd", "lbfgs", "gd", "wiggle"])
+def test_time_budget_ends_at_the_start_point(name):
+    system = make_chain_system(12, seed=0, strain=0.3)
+    res = run_method(name, system, StopCriteria(max_iterations=None, max_wall_time=0.0))
+    assert res.status == res.trace.status == TIME_BUDGET
+    assert len(res.trace.records) == 1
+    assert np.array_equal(res.x, system.coords.ravel())
+    assert res.f == res.trace.records[0].f == energy_total(system).total

@@ -1,13 +1,21 @@
 import numpy as np
 import pytest
 
-from ffmin.energy import energy_total
+from ffmin.energy import EnergyEvaluationError, energy_total
 from ffmin.model import AtomSpec, BondTerm, MolecularSystem, NonbondedPolicy
 from ffmin.optimizers import StopCriteria
 from ffmin.optimizers.wiggle import WiggleConfig, WiggleResult, atom_wiggle
 from ffmin.synth import make_chain_system
 
 NO_TOL = dict(gradient_norm_rtol=0.0)
+
+
+def counted(made, fn):
+    """fn, appending its name to made at every call."""
+    def call(*args, **kwargs):
+        made.append(fn.__name__)
+        return fn(*args, **kwargs)
+    return call
 
 
 def diatomic(r, K=300.0, r0=1.5):
@@ -83,7 +91,8 @@ def test_full_recompute_mode_handles_cutoff_systems():
     assert res.f < energy_total(s).total
 
 
-def test_colliding_probe_is_discarded_not_fatal():
+@pytest.mark.parametrize("incremental", [True, False], ids=["incremental", "full"])
+def test_colliding_probe_is_discarded_not_fatal(incremental):
     # the +x probe of either atom lands exactly on the other one; that probe
     # must be dropped while the rest still drive the atoms apart
     s = MolecularSystem(
@@ -91,11 +100,32 @@ def test_colliding_probe_is_discarded_not_fatal():
         coords=np.array([[0.0, 0.0, 0.0], [0.05, 0.0, 0.0]]),
         nonbonded=NonbondedPolicy.no_exclusions(),
     )
-    res = atom_wiggle(s, WiggleConfig(h=0.05, seed=0),
+    res = atom_wiggle(s, WiggleConfig(h=0.05, seed=0, use_incremental_coulomb=incremental),
                       StopCriteria(max_iterations=50, **NO_TOL))
     d = np.linalg.norm(res.system.coords[1] - res.system.coords[0])
     assert d > 1.0
     assert res.f < res.trace.records[0].f
+
+
+def test_exact_delta_that_raises_is_counted_and_moves_nothing(monkeypatch):
+    import ffmin.optimizers.wiggle as wiggle
+
+    made = []
+
+    def degenerate(*args):
+        made.append("exact_delta_atom_move")
+        raise EnergyEvaluationError("energy delta: degenerate geometry")
+
+    for name in ("energy_total", "delta_energy_atom_move"):
+        monkeypatch.setattr(wiggle, name, counted(made, getattr(wiggle, name)))
+    monkeypatch.setattr(wiggle, "exact_delta_atom_move", degenerate)
+    s = make_chain_system(12, seed=0, strain=0.3)
+    res = atom_wiggle(s, WiggleConfig(seed=1), StopCriteria(max_iterations=20, **NO_TOL))
+    assert "exact_delta_atom_move" in made
+    assert np.array_equal(res.system.coords, s.coords)
+    assert all(r.step == 0.0 and r.f == res.f for r in res.trace.records)
+    assert res.f == energy_total(s).total
+    assert res.trace.records[-1].value_calls == len(made)
 
 
 def test_incremental_and_full_agree_without_far_field():
@@ -138,14 +168,8 @@ def test_oracle_budget_is_never_exceeded(incremental, monkeypatch):
 
     made = []
 
-    def counted(fn):
-        def call(*args, **kwargs):
-            made.append(fn.__name__)
-            return fn(*args, **kwargs)
-        return call
-
     for name in ("energy_total", "delta_energy_atom_move", "exact_delta_atom_move"):
-        monkeypatch.setattr(wiggle, name, counted(getattr(wiggle, name)))
+        monkeypatch.setattr(wiggle, name, counted(made, getattr(wiggle, name)))
     s = make_chain_system(12, seed=0, strain=0.3)
     # epoch 3: some caps fall on a resync
     config = WiggleConfig(seed=1, epoch_iterations=3, use_incremental_coulomb=incremental)
