@@ -8,8 +8,9 @@ Every driver in this package follows the same bookkeeping contract:
     oracle's own counters at the moment the record is appended,
   * best-so-far f is non-increasing along the records,
   * identical inputs give identical traces except for wall-clock columns,
-  * max_oracle_calls is hard: the oracle refuses any call past it, and the
-    run ends with status oracle_budget.
+  * max_oracle_calls and max_wall_time are hard: after the start point the
+    oracle refuses any call past either, and the run ends with status
+    oracle_budget or time_budget.
 """
 
 from __future__ import annotations
@@ -36,8 +37,6 @@ from ..oracle import _BudgetExhausted
 CONVERGED = "converged"
 ITERATION_BUDGET = "iteration_budget"
 LINESEARCH_FAILURE = "linesearch_failure"
-TIME_BUDGET = "time_budget"
-ORACLE_BUDGET = "oracle_budget"
 HORIZON_COMPLETE = "horizon_complete"
 
 # fixed-step runs abort once f exceeds this multiple of max(1, |f(x0)|)
@@ -52,13 +51,14 @@ class DivergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class StopCriteria:
-    """Termination bounds. At least one budget must be finite.
+    """Termination bounds: at least one budget finite, none negative or NaN.
 
     The gradient test is ||g|| <= max(gradient_norm_tol,
     gradient_norm_rtol * max(1, ||g(x0)||)); pass gradient_norm_rtol=0 to
     disable the relative part (useful when running to a fixed horizon).
     max_oracle_calls counts value plus gradient calls (a fused call is two)
-    and must be at least 2, the cost of the start point.
+    and must be at least 2, the cost of the start point. Both it and
+    max_wall_time (seconds from the run's start) bind each later call.
     """
 
     max_iterations: int | None = 10_000
@@ -69,13 +69,14 @@ class StopCriteria:
     stop_on_linesearch_failure: bool = True
 
     def __post_init__(self):
-        if (
-            self.max_iterations is None
-            and self.max_oracle_calls is None
-            and self.max_wall_time is None
-        ):
-            raise ValueError("at least one of the iteration/oracle/time budgets must be set")
-        if self.max_oracle_calls is not None and self.max_oracle_calls < 2:
+        t = self.max_wall_time
+        if t is not None and not t >= 0:
+            raise ValueError(f"max_wall_time must be >= 0 seconds, got {t}")
+        if self.max_iterations is not None and not self.max_iterations >= 0:
+            raise ValueError(f"max_iterations must be >= 0, got {self.max_iterations}")
+        if all(b in (None, math.inf) for b in (self.max_iterations, self.max_oracle_calls, t)):
+            raise ValueError("at least one of the iteration/oracle/time budgets must be finite")
+        if self.max_oracle_calls is not None and not self.max_oracle_calls >= 2:
             raise ValueError("max_oracle_calls must be >= 2 (the start point costs 2 calls)")
         if self.gradient_norm_tol < 0 or self.gradient_norm_rtol < 0:
             raise ValueError("gradient tolerances must be >= 0")
@@ -132,9 +133,6 @@ class Run:
         self.best = None  # (x, |g| at x or nan, the step that reached x)
         self.threshold = 0.0
 
-    def elapsed(self):
-        return time.perf_counter() - self.t0
-
     def update_best(self, x, f, grad_norm=math.nan, step=0.0):
         if f < self.best_f:
             self.best_f = f
@@ -146,17 +144,16 @@ class Run:
             self.oracle.grad_calls, time.perf_counter() - self.t0, self.best_f))
 
     def budget_status(self, iterations_done):
-        """Status if the iteration or time budget is exhausted, else None.
+        """ITERATION_BUDGET once max_iterations are done, else None; the
+        oracle holds the call and time budgets (arm_budgets)."""
+        m = self.stop.max_iterations
+        return ITERATION_BUDGET if m is not None and iterations_done >= m else None
 
-        The oracle budget needs no check here: the oracle's call_limit
-        refuses the call that would pass it.
-        """
-        s = self.stop
-        if s.max_iterations is not None and iterations_done >= s.max_iterations:
-            return ITERATION_BUDGET
-        if s.max_wall_time is not None and self.elapsed() >= s.max_wall_time:
-            return TIME_BUDGET
-        return None
+    def arm_budgets(self):
+        """Hand the call and time budgets to the oracle (the caller clears them)."""
+        t = self.stop.max_wall_time
+        self.oracle.call_limit = self.stop.max_oracle_calls
+        self.oracle.deadline = None if t is None else self.t0 + t
 
     def finish(self, status, x, f, grad_norm) -> OptimizeResult:
         self.trace.status = status
@@ -249,7 +246,7 @@ def make_linesearch(kind: str, **overrides) -> LineSearcher:
 
 
 def start(oracle, x0, stop, meta):
-    """Record the start point, then arm oracle.call_limit (the caller clears it)."""
+    """Record the start point, then arm the oracle's budgets (the caller clears them)."""
     x = np.array(x0, dtype=np.float64).reshape(-1)
     if x.size != oracle.n:
         raise ValueError(f"x0 has {x.size} entries, oracle expects {oracle.n}")
@@ -260,7 +257,7 @@ def start(oracle, x0, stop, meta):
     run.threshold = run.stop.threshold(gn)
     run.update_best(x, f, gn)
     run.record(0, f, gn, 0.0)
-    oracle.call_limit = run.stop.max_oracle_calls
+    run.arm_budgets()
     return run, x, f, g, gn
 
 
@@ -318,7 +315,7 @@ def descend(oracle, x0, stop, meta, rule, linesearch) -> OptimizeResult:
     search origin. Returns the best point seen unless the run converged; a
     run that converges at a search origin other than its iterate (fgm's
     extrapolated point) records that origin as one more iteration, with step
-    0, and returns it. When the oracle budget interrupts an iteration that
+    0, and returns it. When a budget refusal interrupts an iteration that
     probed below every point seen, the lowest probe is that best point, with
     no gradient (nan).
     """
@@ -370,12 +367,12 @@ def descend(oracle, x0, stop, meta, rule, linesearch) -> OptimizeResult:
             run.record(k, f, gn, res.h)
             if gn <= run.threshold:
                 status = CONVERGED
-    except _BudgetExhausted:
-        status = ORACLE_BUDGET
+    except _BudgetExhausted as refusal:
+        status = refusal.args[0]
         if probes.f < run.best_f:
             run.update_best(probes.x, probes.f, step=float((probes.x - y) @ r))
     finally:
-        oracle.call_limit = None
+        oracle.call_limit = oracle.deadline = None
     return run.finish_best(status, x, f, gn)
 
 
@@ -412,8 +409,8 @@ def iterate(oracle, x0, stop, meta, step, horizon=None, diverged=None) -> Optimi
             run.record(k, f, gn, h)
             if gn <= run.threshold:
                 status = CONVERGED
-    except _BudgetExhausted:
-        status = ORACLE_BUDGET
+    except _BudgetExhausted as refusal:
+        status = refusal.args[0]
     finally:
-        oracle.call_limit = None
+        oracle.call_limit = oracle.deadline = None
     return run.finish(status, x, f, gn)

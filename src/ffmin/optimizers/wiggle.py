@@ -13,9 +13,10 @@ is re-checked with an exact O(n) delta before the move is accepted. The
 running energy is resynced against a full recompute every epoch.
 
 Every probe, exact delta and resync counts as one value call of an
-ObjectiveOracle, whose call_limit is max_oracle_calls: an evaluation that
-would pass it is not made, and the run ends with status oracle_budget at
-its last accepted configuration.
+ObjectiveOracle, armed after the start energy with the run's call and time
+budgets (Run.arm_budgets): an evaluation past max_oracle_calls, or starting
+past max_wall_time, is not made, and the run ends with status oracle_budget
+or time_budget at its last accepted configuration.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from ..energy import (
 from ..linesearch import parabola_min
 from ..model import ModelError
 from ..oracle import ObjectiveOracle, _BudgetExhausted
-from .common import ORACLE_BUDGET, OptimizeResult, Run, StopCriteria
+from .common import OptimizeResult, Run, StopCriteria
 
 # accepted moves must beat the current energy by this margin so the
 # strict-decrease audit survives resummation noise
@@ -82,21 +83,21 @@ def atom_wiggle(system, config: WiggleConfig, stop=None) -> WiggleResult:
         "use_incremental_coulomb": config.use_incremental_coulomb,
         "cutoff": config.cutoff,
     })
-    oracle.call_limit = run.stop.max_oracle_calls
     rng = np.random.default_rng(config.seed)
     h = config.h
     steps = h * _PROBE_STEPS
     sys_cur = system
-    oracle._count(1, 0)
+    oracle.charge(1, 0)
     e_run = energy_total(sys_cur).total
     run.update_best(sys_cur.coords.ravel(), e_run)
     run.record(0, e_run, math.nan, 0.0)
+    run.arm_budgets()
     status = None
     k = 0
 
     def evaluate(fn, *args):
         """One counted value call; degenerate geometry reads as inf."""
-        oracle._count(1, 0)
+        oracle.charge(1, 0)
         try:
             return fn(*args)
         except EnergyEvaluationError:
@@ -151,14 +152,14 @@ def atom_wiggle(system, config: WiggleConfig, stop=None) -> WiggleResult:
             if config.use_incremental_coulomb and k % config.epoch_iterations == 0:
                 # a refused resync still records the move this iteration made
                 try:
-                    oracle._count(1, 0)
+                    oracle.charge(1, 0)
                     e_run = energy_total(sys_cur).total
-                except _BudgetExhausted:
-                    status = ORACLE_BUDGET
+                except _BudgetExhausted as refusal:
+                    status = refusal.args[0]
             run.update_best(sys_cur.coords.ravel(), e_run)
             run.record(k, e_run, math.nan, step_norm)
-    except _BudgetExhausted:
+    except _BudgetExhausted as refusal:
         # the interrupted iteration moved nothing: the run ends where it stands
-        status = ORACLE_BUDGET
+        status = refusal.args[0]
     result = run.finish(status, sys_cur.coords.ravel(), e_run, math.nan)
     return WiggleResult(**vars(result), system=sys_cur)

@@ -1,15 +1,16 @@
 """Objective oracles: the only interface optimizers see.
 
 An oracle owns the call counters. Every optimizer trace snapshots
-value_calls/grad_calls, so the accounting must flow through value(),
-gradient() and value_and_gradient() and nothing else. A fused
+value_calls/grad_calls, so the accounting must flow through charge(), which
+value(), gradient() and value_and_gradient() call, and nothing else. A fused
 value_and_gradient call increments both counters by one. atom_wiggle, whose
 evaluations are energy deltas rather than values at an x, counts each one
-with _count(1, 0) on a base ObjectiveOracle.
+with charge(1, 0) on a base ObjectiveOracle.
 
-While an optimizer runs, call_limit caps value_calls + grad_calls: a call
-that would pass it raises before evaluating, and the optimizer ends the run
-with status oracle_budget.
+While an optimizer runs, call_limit caps value_calls + grad_calls and no
+call may start at or after deadline (a time.perf_counter() time): charge()
+refuses such a call before evaluating, and the optimizer ends the run with
+the refusal's status, oracle_budget or time_budget.
 
 An oracle may reuse work between calls (MolecularOracle finishes the value
 sweep of a point it has just valued when asked for the gradient there), but
@@ -18,20 +19,27 @@ never so that a result, a count or a refusal differs from plain evaluation.
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 
 from .energy import KeptSweeps, energy_and_gradient, energy_total
 
 
+ORACLE_BUDGET = "oracle_budget"
+TIME_BUDGET = "time_budget"
+
+
 class _BudgetExhausted(Exception):
-    """A call would take the oracle past its call_limit."""
+    """A call would pass a budget; args[0] is ORACLE_BUDGET or TIME_BUDGET."""
 
 
 class ObjectiveOracle:
     """Base class; subclasses implement _value/_gradient/_value_and_gradient."""
 
-    # total calls allowed, or None; set for the span of one optimizer run
+    # total calls allowed and perf_counter() deadline, or None; set for one run
     call_limit = None
+    deadline = None
 
     def __init__(self, n):
         self.n = int(n)
@@ -42,23 +50,26 @@ class ObjectiveOracle:
         self.value_calls = 0
         self.grad_calls = 0
 
-    def _count(self, values, grads):
+    def charge(self, values, grads):
+        """Count a call about to be made, or refuse it past a budget."""
         if (self.call_limit is not None
                 and self.value_calls + self.grad_calls + values + grads > self.call_limit):
-            raise _BudgetExhausted
+            raise _BudgetExhausted(ORACLE_BUDGET)
+        if self.deadline is not None and time.perf_counter() >= self.deadline:
+            raise _BudgetExhausted(TIME_BUDGET)
         self.value_calls += values
         self.grad_calls += grads
 
     def value(self, x) -> float:
-        self._count(1, 0)
+        self.charge(1, 0)
         return float(self._value(np.asarray(x, dtype=np.float64)))
 
     def gradient(self, x):
-        self._count(0, 1)
+        self.charge(0, 1)
         return np.asarray(self._gradient(np.asarray(x, dtype=np.float64)), dtype=np.float64)
 
     def value_and_gradient(self, x):
-        self._count(1, 1)
+        self.charge(1, 1)
         f, g = self._value_and_gradient(np.asarray(x, dtype=np.float64))
         return float(f), np.asarray(g, dtype=np.float64)
 

@@ -60,3 +60,9 @@ def assert_systems_equal(a, b):
     assert a.nonbonded.scaled14 == b.nonbonded.scaled14
     assert a.nonbonded.s14 == b.nonbonded.s14
     assert a.nonbonded.cutoff == b.nonbonded.cutoff
+
+
+def record_rows(res):
+    """Every trace record field but wall_seconds, one row per record."""
+    return np.array([(r.iteration, r.f, r.grad_norm, r.step, r.value_calls, r.grad_calls,
+                      r.best_f) for r in res.trace.records])

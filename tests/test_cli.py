@@ -272,6 +272,7 @@ def test_minimize_dispatches_each_method(tmp_path, capsys, case):
     (["--method", "nag-sc", "--L", "2000"], "nag-sc requires --L and --mu"),
     (["--method", "nag-sc", "--mu", "1"], "nag-sc requires --L and --mu"),
     (["--method", "ofgm", "--L", "2000"], "ofgm requires --horizon"),
+    (["--max-time", "nan"], "max_wall_time must be >= 0 seconds, got nan"),
 ])
 def test_minimize_missing_method_flag_exits_2(tmp_path, capsys, flags, msg):
     path = write_diatomic(tmp_path)

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import record_rows
 from ffmin.energy import energy_total, gradient_total
 from ffmin.oracle import FunctionOracle, MolecularOracle
 from ffmin.optimizers import (
@@ -69,13 +70,26 @@ def test_oracle_budget_is_never_exceeded(name, ls):
         last = res.trace.records[-1]
         assert last.value_calls + last.grad_calls <= cap, cap
         assert oracle.call_limit is None
+        assert oracle.deadline is None
         # the reused oracle is unlimited again
         oracle.value_and_gradient(x0)
 
 
-def test_oracle_budget_below_two_calls_is_rejected():
-    with pytest.raises(ValueError, match="max_oracle_calls"):
-        StopCriteria(max_oracle_calls=1)
+@pytest.mark.parametrize("budgets,match", [
+    (dict(max_oracle_calls=1), "max_oracle_calls"),
+    (dict(max_iterations=None, max_wall_time=math.nan), "max_wall_time"),
+    (dict(max_wall_time=math.nan), "max_wall_time"),
+    (dict(max_wall_time=-1.0), "max_wall_time"),
+    (dict(max_iterations=None, max_wall_time=math.inf), "must be finite"),
+    (dict(max_iterations=-5), "max_iterations"),
+    (dict(max_iterations=math.nan), "max_iterations"),
+    (dict(max_iterations=math.inf), "must be finite"),
+    (dict(max_oracle_calls=math.nan), "max_oracle_calls"),
+], ids=["calls=1", "time=nan-alone", "time=nan", "time=-1", "time=inf-alone", "iters=-5",
+        "iters=nan", "iters=inf", "calls=nan"])
+def test_oracle_budget_below_two_calls_is_rejected(budgets, match):
+    with pytest.raises(ValueError, match=match):
+        StopCriteria(**budgets)
 
 
 def test_oracle_budget_returns_best_point_seen():
@@ -247,3 +261,93 @@ def test_time_budget_ends_at_the_start_point(name):
     assert len(res.trace.records) == 1
     assert np.array_equal(res.x, system.coords.ravel())
     assert res.f == res.trace.records[0].f == energy_total(system).total
+
+
+# ----------------------------------- a deadline that falls inside an iteration
+
+# the deadline is an hour off; DeadlineOracle moves it into the past itself
+TIMED = StopCriteria(max_iterations=None, max_wall_time=3600.0, **NO_TOL)
+
+
+class DeadlineOracle(LowestValueOracle):
+    """Moves its own deadline into the past on its k-th evaluation (the start
+    point is the first), so the time budget runs out at a chosen call
+    without waiting on a clock."""
+
+    def __init__(self, system, k):
+        super().__init__(system)
+        self.k = k
+        self.evaluations = 0
+        self.made = [0, 0]  # the value and gradient calls evaluated
+
+    def _evaluated(self, values, grads):
+        self.evaluations += 1
+        self.made[0] += values
+        self.made[1] += grads
+        if self.evaluations == self.k:
+            self.deadline = -math.inf
+
+    def _value(self, x):
+        f = super()._value(x)
+        self._evaluated(1, 0)
+        return f
+
+    def _gradient(self, x):
+        g = super()._gradient(x)
+        self._evaluated(0, 1)
+        return g
+
+    def _value_and_gradient(self, x):
+        fg = super()._value_and_gradient(x)
+        self._evaluated(1, 1)
+        return fg
+
+
+def run_to_deadline(name, ls, system, k):
+    oracle = DeadlineOracle(system, k)
+    x0 = system.coords.ravel()
+    if ls is None:
+        res = FIXED_METHODS[name](oracle, x0, TIMED)
+    else:
+        res = LS_METHODS[name](oracle, x0, make_linesearch(ls), TIMED)
+    assert res.status == res.trace.status == TIME_BUDGET, k
+    # the refused call was neither evaluated nor counted, and no call followed
+    assert oracle.evaluations == k, k
+    assert [oracle.value_calls, oracle.grad_calls] == oracle.made, k
+    last = res.trace.records[-1]
+    assert last.value_calls + last.grad_calls <= sum(oracle.made), k
+    assert oracle.deadline is None and oracle.call_limit is None
+    return res, oracle
+
+
+@pytest.mark.parametrize("name,ls", [(n, ls) for n in ("lbfgs", "sd", "cg")
+                                     for ls in ("par", "h")])
+def test_deadline_inside_a_line_search_returns_the_lowest_probe(name, ls):
+    system = make_chain_system(12, seed=0, strain=0.3)
+    ends = set()
+    for k in range(2, 41):
+        res, oracle = run_to_deadline(name, ls, system, k)
+        assert res.f == oracle.lowest == energy_total(system, res.x).total, k
+        last = res.trace.records[-1]
+        assert last.f == res.f and last.iteration == res.iterations, k
+        assert np.array_equal(last.grad_norm, res.grad_norm, equal_nan=True), k
+        # nan: the lowest probe of the search the deadline interrupted
+        ends.add("probe" if math.isnan(res.grad_norm) else "iterate")
+    assert ends == {"probe", "iterate"}
+
+
+@pytest.mark.parametrize("name,ls", [("gd", None), ("ofgm", "par"), ("ofgm", "h")])
+def test_deadline_inside_an_iteration_returns_the_last_iterate(name, ls):
+    system = make_chain_system(12, seed=0, strain=0.3)
+    for k in range(2, 31):
+        res, _ = run_to_deadline(name, ls, system, k)
+        stop = StopCriteria(max_iterations=res.iterations, **NO_TOL)
+        if ls is None:
+            ref = FIXED_METHODS[name](MolecularOracle(system), system.coords.ravel(), stop)
+        else:
+            ref = LS_METHODS[name](MolecularOracle(system), system.coords.ravel(),
+                                   make_linesearch(ls), stop)
+        assert ref.status == ITERATION_BUDGET, k
+        assert (res.x.tobytes(), res.f, res.grad_norm) == (ref.x.tobytes(), ref.f,
+                                                            ref.grad_norm), k
+        assert np.array_equal(record_rows(res), record_rows(ref)), k

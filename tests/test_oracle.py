@@ -4,6 +4,7 @@ check that nothing outside the oracle can tell: every gradient is the bytes
 of a fresh energy_and_gradient, and counts and budgets are unchanged."""
 
 import contextlib
+import time
 
 import numpy as np
 import pytest
@@ -14,7 +15,13 @@ from conftest import two_cluster_system
 from ffmin import energy
 from ffmin.energy import energy_and_gradient, energy_total, gradient_total
 from ffmin.optimizers import cg, lbfgs, make_linesearch, StopCriteria
-from ffmin.oracle import FunctionOracle, MolecularOracle, _BudgetExhausted
+from ffmin.oracle import (
+    ORACLE_BUDGET,
+    TIME_BUDGET,
+    FunctionOracle,
+    MolecularOracle,
+    _BudgetExhausted,
+)
 from ffmin.synth import make_chain_system
 from ffmin.tracefile import strip_wall_column, trace_text
 
@@ -98,13 +105,18 @@ def test_kept_sweeps_give_the_bytes_of_a_fresh_sweep(name, seed, k, scale):
     low[0] += 0.01
     gradient(low, reuses=False)
     assert fresh_gradient(system, low) != fresh_gradient(system, edited)
-    # a call the budget refuses evaluates nothing and keeps the kept sweeps
+    # a call either budget refuses (a spent cap, a past deadline) evaluates
+    # nothing, counts nothing and keeps the kept sweeps
     value_all()
-    oracle.call_limit = oracle.value_calls + oracle.grad_calls
-    with counted_sweeps() as started, pytest.raises(_BudgetExhausted):
-        oracle.gradient(low)
-    assert started == []
-    oracle.call_limit = None
+    for budget, spent, status in (
+            ("call_limit", oracle.value_calls + oracle.grad_calls, ORACLE_BUDGET),
+            ("deadline", time.perf_counter(), TIME_BUDGET)):
+        setattr(oracle, budget, spent)
+        with counted_sweeps() as started, pytest.raises(_BudgetExhausted, match=status):
+            oracle.gradient(low)
+        assert started == []
+        assert (oracle.value_calls, oracle.grad_calls) == (values, grads)
+        setattr(oracle, budget, None)
     gradient(low, reuses=True)
     assert (oracle.value_calls, oracle.grad_calls) == (values, grads)
 

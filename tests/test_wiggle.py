@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
+from conftest import record_rows
 from ffmin.energy import EnergyEvaluationError, energy_total
 from ffmin.model import AtomSpec, BondTerm, MolecularSystem, NonbondedPolicy
-from ffmin.optimizers import StopCriteria
+from ffmin.optimizers import TIME_BUDGET, StopCriteria
 from ffmin.optimizers.wiggle import WiggleConfig, WiggleResult, atom_wiggle
 from ffmin.synth import make_chain_system
 
@@ -184,3 +187,54 @@ def test_oracle_budget_is_never_exceeded(incremental, monkeypatch):
         assert np.array_equal(res.x, res.system.coords.ravel()), cap
         assert res.f == res.trace.records[-1].f, cap
         assert res.f == pytest.approx(energy_total(res.system).total, rel=1e-12, abs=1e-9), cap
+
+
+@pytest.mark.parametrize("incremental", [True, False], ids=["incremental", "full"])
+def test_deadline_ends_the_run_at_its_last_accepted_configuration(incremental, monkeypatch):
+    import ffmin.optimizers.wiggle as wiggle
+
+    made = []
+
+    for name in ("energy_total", "delta_energy_atom_move", "exact_delta_atom_move"):
+        monkeypatch.setattr(wiggle, name, counted(made, getattr(wiggle, name)))
+
+    class DeadlineOracle(wiggle.ObjectiveOracle):
+        """Moves its deadline into the past once it has counted k calls, so
+        the time budget runs out at a chosen call without waiting on a clock."""
+
+        def charge(self, values, grads):
+            super().charge(values, grads)
+            if self.value_calls == k:
+                self.deadline = -math.inf
+
+    s = make_chain_system(12, seed=0, strain=0.3)
+    # epoch 3: some deadlines fall just before a resync
+    config = WiggleConfig(seed=1, epoch_iterations=3, use_incremental_coulomb=incremental)
+    ends = set()
+    for k in range(2, 61):
+        made.clear()
+        with monkeypatch.context() as mp:
+            mp.setattr(wiggle, "ObjectiveOracle", DeadlineOracle)
+            res = atom_wiggle(s, config, StopCriteria(max_iterations=None, max_wall_time=3600.0,
+                                                      **NO_TOL))
+        assert res.status == res.trace.status == TIME_BUDGET, k
+        assert len(made) == k, k  # no evaluation after the refusal
+        # the run ends at its last accepted configuration: that of a run
+        # stopped after as many iterations
+        ref = atom_wiggle(s, config, StopCriteria(max_iterations=res.iterations, **NO_TOL))
+        assert np.array_equal(res.x, ref.x), k
+        assert np.array_equal(res.x, res.system.coords.ravel()), k
+        assert res.f == res.trace.records[-1].f, k
+        rows, ref_rows = record_rows(res), record_rows(ref)
+        assert np.array_equal(rows[:-1], ref_rows[:-1], equal_nan=True), k
+        if rows[-1, 4] == ref_rows[-1, 4]:
+            ends.add("iteration")
+            assert np.array_equal(rows[-1], ref_rows[-1], equal_nan=True), k
+        else:
+            # a refused resync still records the iteration's move, at the
+            # running energy
+            ends.add("resync")
+            assert rows[-1, 4] == ref_rows[-1, 4] - 1 == k, k
+            assert (rows[-1, 0], rows[-1, 3]) == (ref_rows[-1, 0], ref_rows[-1, 3]), k
+            assert res.f == pytest.approx(ref.f, rel=1e-12, abs=1e-9), k
+    assert ends == ({"iteration", "resync"} if incremental else {"iteration"})
