@@ -74,7 +74,8 @@ def _add_method_options(p):
     p.add_argument("--h0", type=float, default=1.0,
                    help="initial line-search step (default: %(default)s)")
     p.add_argument("--ls-budget", type=int, default=6, metavar="K",
-                   help="parabolic search oracle budget K (default: %(default)s)")
+                   help="parabolic search cap K: at most K + 2 value calls "
+                        "(default: %(default)s)")
     p.add_argument("--no-gradient-start", action="store_true",
                    help="seed the parabolic search from two probes instead of "
                         "the directional derivative")

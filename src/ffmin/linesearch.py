@@ -5,10 +5,12 @@ Two procedures with hard oracle-call budgets:
   ls_h    probe/expand/contract on raw function values. At most
           2 + ceil(log_{1/k_minus}(h0/eps_h)) calls.
   ls_par  parabolic interpolation, optionally seeded with the directional
-          derivative at the start point. At most K + 2 calls. It keeps its
-          samples ranked as it takes them (bisect.insort on tuples whose
-          order is the ranking), and its refits run fit_parabola's
-          arithmetic (_fit) without building its record.
+          derivative at the start point. At most K + 2 calls; seeded so,
+          it stops refining once its best sample meets Armijo's condition
+          with ARMIJO_C1. It keeps its samples ranked as it takes them
+          (bisect.insort on tuples whose order is the ranking), and its
+          refits run fit_parabola's arithmetic (_fit) without building its
+          record.
 
 Both either find a strictly relaxing step or report no_relaxation with
 h = 0. The step returned by ls_par may be negative when the search sampled
@@ -34,6 +36,8 @@ NO_RELAXATION = "no_relaxation"
 # vertices this close to an already-sampled abscissa are treated as
 # duplicates: refitting through them can only reproduce the same parabola
 _DUP_TOL = 1e-13
+# Armijo's sufficient-decrease constant: LBFGS's natural step and ls_par's stop
+ARMIJO_C1 = 1e-4
 
 
 @dataclass(frozen=True)
@@ -177,14 +181,16 @@ def ls_par(oracle, x0, r, config: LsParConfig, f0: float, g0=None,
     """Parabolic-interpolation search with at most K + 2 oracle calls.
 
     With use_gradient_start the first parabola comes from the directional
-    derivative at h = 0 plus the sample at h0, and all steps stay forward.
-    Without it the search samples +-h0/2 and may return a negative step.
-    Each refinement fits the best three samples, ranked by the lower f, then
-    the shorter step, then the earlier sample, and evaluates the clamped
-    vertex; a degenerate fit stops refining. A NaN probe stops the search
-    where it is and is left out of the samples. The best sample then decides
-    the outcome. h0 (default config.h0) is a warm start's first step; the
-    trust interval scales with it.
+    derivative at h = 0 plus the sample at h0, all steps stay forward, and
+    refining stops once the best sample h meets Armijo's condition
+    f <= f0 + ARMIJO_C1 * h * (g0 . r). Without it the search samples +-h0/2
+    and may return a negative step. Each refinement fits the best three
+    samples, ranked by the lower f, then the shorter step, then the earlier
+    sample, and evaluates the clamped vertex; a degenerate fit stops
+    refining. A NaN probe stops the search where it is and is left out of
+    the samples. The best sample then decides the outcome. h0 (default
+    config.h0) is a warm start's first step; the trust interval scales with
+    it.
     """
     r = _check_direction(r)
     x0 = np.asarray(x0, dtype=np.float64)
@@ -225,6 +231,9 @@ def ls_par(oracle, x0, r, config: LsParConfig, f0: float, g0=None,
     if not failed:
         for _ in range(2, config.K + 1):
             (f0_, _, _, x0_), (f1, _, _, x1), (f2, _, _, x2) = points[:3]
+            if config.use_gradient_start and f0_ < f0 \
+                    and f0_ <= f0 + ARMIJO_C1 * x0_ * slope:
+                break
             if x0_ == x1 or x0_ == x2 or x1 == x2:
                 break
             v, _ = _fit(x0_, f0_, x1, f1, x2, f2)

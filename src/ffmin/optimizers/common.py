@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..linesearch import (
+    ARMIJO_C1,
     FOUND,
     NO_RELAXATION,
     LineSearchResult,
@@ -41,8 +42,6 @@ HORIZON_COMPLETE = "horizon_complete"
 
 # fixed-step runs abort once f exceeds this multiple of max(1, |f(x0)|)
 DIVERGENCE_FACTOR = 1e3
-# Armijo's sufficient-decrease constant for a rule's natural step
-ARMIJO_C1 = 1e-4
 
 
 class DivergenceError(RuntimeError):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ffmin.bench import QuadraticInstance
-from ffmin.oracle import FunctionOracle
+from ffmin.oracle import FunctionOracle, MolecularOracle
 from ffmin.optimizers import (
     CONVERGED,
     ITERATION_BUDGET,
@@ -16,6 +16,7 @@ from ffmin.optimizers import (
     steepest_descent,
 )
 from ffmin.optimizers.cg import VARIANTS, canonical_variant, cg_beta
+from ffmin.synth import make_chain_system
 
 NO_TOL = dict(gradient_norm_rtol=0.0)
 
@@ -224,3 +225,14 @@ def test_single_failure_recovers_by_restarting():
     want = -g0 / np.linalg.norm(g0)
     assert np.allclose(searcher.directions[1], want, atol=1e-15)
     assert inst.gap(res.x) <= 1e-10 * max(1.0, inst.gap(inst.x0))
+
+
+def test_cg_prp_with_ls_par_counts_on_a_chain():
+    # ls_par stops at the first sample that meets Armijo's condition; refining
+    # every search to its cap took 327 iterations and 2071 + 328 calls here
+    system = make_chain_system(12, seed=0, strain=0.3)
+    res = cg(MolecularOracle(system), system.coords.ravel(), "prp", make_linesearch("par"),
+             StopCriteria(gradient_norm_tol=1e-4, max_iterations=10_000, **NO_TOL))
+    last = res.trace.records[-1]
+    assert res.status == CONVERGED and res.grad_norm <= 1e-4
+    assert (res.iterations, last.value_calls, last.grad_calls) == (454, 909, 455)

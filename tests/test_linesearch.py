@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from ffmin.linesearch import (
     _DUP_TOL,
+    ARMIJO_C1,
     FOUND,
     NO_RELAXATION,
     LineSearchResult,
@@ -164,7 +165,28 @@ def test_ls_par_gradient_start_nails_quadratic_vertex():
     assert res.status == FOUND
     assert res.h == pytest.approx(0.3, rel=1e-10)
     assert res.f_at_step == pytest.approx(7.0, rel=1e-10)
-    assert res.oracle_calls == 2  # vertex found once, refit only duplicates
+    assert res.oracle_calls == 2  # the vertex meets Armijo's condition: no refit
+
+
+def test_ls_par_stops_at_a_first_vertex_that_meets_armijo():
+    # not a quadratic: the line minimum is near h = 0.5003, and refining
+    # towards it took 7 calls before the search stopped at sufficient decrease
+    fn = lambda h: (h - 0.4) ** 2 + 0.05 * math.sin(5.0 * h)
+    phi, f0, slope = Phi(fn), fn(0.0), -0.55  # slope = fn'(0)
+    res = ls_par(phi, X0, R, LsParConfig(h0=1.0, K=6), f0=f0, g0=np.array([slope]))
+    a = fn(1.0) - f0 - slope
+    assert res == LineSearchResult(-slope / (2.0 * a), phi.fn(-slope / (2.0 * a)), 2, FOUND)
+    assert res.f_at_step <= f0 + ARMIJO_C1 * res.h * slope
+    assert fn(0.5) < res.f_at_step
+
+
+def test_ls_par_refines_while_its_best_sample_fails_armijo():
+    # g0 far steeper than fn'(0) = -1.5 asks for f <= f0 - 10 at h = 1, which
+    # no sample meets, so the search refines as it did without the stop
+    fn = lambda h: (h - 1.0) ** 2 + 0.1 * math.sin(5.0 * h)
+    phi = Phi(fn)
+    res = ls_par(phi, X0, R, LsParConfig(h0=1.0, K=6), f0=fn(0.0), g0=np.array([-1e5]))
+    assert res == LineSearchResult(0.9680767612020627, -0.09816289074501029, 7, FOUND)
 
 
 def test_ls_par_without_gradient_hand_trace():
@@ -298,7 +320,8 @@ def test_ls_par_keeps_its_best_finite_probe_at_a_nan_vertex():
 
 def _ls_par_reference(oracle, x0, r, config, f0, g0, h0):
     """ls_par as a plain loop: every sample in one list, re-sorted by (f, |h|)
-    for each refit. Finite objectives only."""
+    for each refit, until a gradient-started search's best sample meets
+    Armijo's condition. Finite objectives only."""
     calls, points = 0, [(0.0, f0)]
 
     def phi(h):
@@ -332,6 +355,9 @@ def _ls_par_reference(oracle, x0, r, config, f0, g0, h0):
         phi(h0 / 2.0)
     for _ in range(2, config.K + 1 if refine else 2):
         best3 = sorted(points, key=rank)[:3]
+        h, f = best3[0]
+        if config.use_gradient_start and f < f0 and f <= f0 + ARMIJO_C1 * h * slope:
+            break
         if len({h for h, _ in best3}) < 3:
             break
         v = fit_parabola(best3).vertex
