@@ -34,7 +34,6 @@ from .linesearch import (
     LineSearchResult,
     LsHConfig,
     LsParConfig,
-    fit_parabola,
     ls_h,
     ls_par,
     parabola_min,

@@ -1,16 +1,18 @@
 """Inexact one-dimensional searches along a normalized descent direction.
 
-Two procedures with hard oracle-call budgets:
+Two procedures with hard oracle-call budgets, whose constants are class
+attributes of LsHConfig and LsParConfig:
 
-  ls_h    probe/expand/contract on raw function values. At most
-          2 + ceil(log_{1/k_minus}(h0/eps_h)) calls.
+  ls_h    probe/expand/contract on raw function values: it expands by
+          k_plus = 2 and contracts by k_minus = 0.5 down to the floor
+          eps_h = 1e-12. At most 2 + ceil(log_2(h0/eps_h)) calls.
   ls_par  parabolic interpolation, optionally seeded with the directional
-          derivative at the start point. At most K + 2 calls; seeded so,
-          it stops refining once its best sample meets Armijo's condition
-          with ARMIJO_C1. It keeps its samples ranked as it takes them
+          derivative at the start point, with vertices clamped to
+          trust * h0 = 10 h0. At most K + 2 calls; seeded so, it stops
+          refining once its best sample meets Armijo's condition with
+          ARMIJO_C1. It keeps its samples ranked as it takes them
           (bisect.insort on tuples whose order is the ranking), and its
-          refits run fit_parabola's arithmetic (_fit) without building its
-          record.
+          refits run parabola_min's arithmetic (_fit) without its check.
 
 Both either find a strictly relaxing step or report no_relaxation with
 h = 0. The step returned by ls_par may be negative when the search sampled
@@ -27,6 +29,7 @@ from __future__ import annotations
 import math
 from bisect import insort
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -42,36 +45,32 @@ ARMIJO_C1 = 1e-4
 
 @dataclass(frozen=True)
 class LsHConfig:
+    kind: ClassVar[str] = "h"
+    eps_h: ClassVar[float] = 1e-12  # contraction floor
+    k_plus: ClassVar[float] = 2.0  # expansion factor
+    k_minus: ClassVar[float] = 0.5  # contraction factor
+
     h0: float = 1.0
-    eps_h: float = 1e-12
-    k_plus: float = 2.0
-    k_minus: float = 0.5
 
     def __post_init__(self):
         if not self.h0 > 0:
             raise ValueError(f"h0 must be > 0, got {self.h0}")
-        if not 0 < self.eps_h < 1:
-            raise ValueError(f"eps_h must be in (0,1), got {self.eps_h}")
-        if not self.k_plus > 1:
-            raise ValueError(f"k_plus must be > 1, got {self.k_plus}")
-        if not 0 < self.k_minus < 1:
-            raise ValueError(f"k_minus must be in (0,1), got {self.k_minus}")
 
 
 @dataclass(frozen=True)
 class LsParConfig:
+    kind: ClassVar[str] = "par"
+    trust: ClassVar[float] = 10.0  # vertex steps clamped to trust*h0
+
     h0: float = 1.0
     K: int = 6
     use_gradient_start: bool = True
-    trust: float = 10.0  # vertex steps clamped to trust*h0
 
     def __post_init__(self):
         if not self.h0 > 0:
             raise ValueError(f"h0 must be > 0, got {self.h0}")
         if self.K < 2:
             raise ValueError(f"K must be >= 2, got {self.K}")
-        if not self.trust > 0:
-            raise ValueError(f"trust must be > 0, got {self.trust}")
 
 
 @dataclass(frozen=True)
@@ -88,42 +87,29 @@ class LineSearchResult:
             raise ValueError("no_relaxation implies h = 0")
 
 
-@dataclass(frozen=True)
-class ParabolaFit:
-    points: tuple  # three (h, f) pairs
-    vertex: float | None
-    curvature_positive: bool
-
-
 def _fit(x0, f0, x1, f1, x2, f2):
-    """fit_parabola's (vertex, a) without its checks and record."""
+    """parabola_min's vertex, or None, without its check of the abscissae."""
     # Newton divided differences: a is half the second derivative
     d01 = (f1 - f0) / (x1 - x0)
     d12 = (f2 - f1) / (x2 - x1)
     a = (d12 - d01) / (x2 - x0)
     tol = 1e-12 * max(abs(f0), abs(f1), abs(f2))
     if a <= 0.0 or abs(a) < tol:
-        return None, a
+        return None
     # vertex of f0 + d01 (x-x0) + a (x-x0)(x-x1)
-    return (x0 + x1) / 2.0 - d01 / (2.0 * a), a
-
-
-def fit_parabola(points) -> ParabolaFit:
-    """Interpolating parabola through three points with distinct abscissae."""
-    (x0, f0), (x1, f1), (x2, f2) = points
-    if x0 == x1 or x0 == x2 or x1 == x2:
-        raise ValueError("parabola fit needs pairwise distinct abscissae")
-    vertex, a = _fit(x0, f0, x1, f1, x2, f2)
-    return ParabolaFit(tuple(points), vertex, vertex is not None or a > 0.0)
+    return (x0 + x1) / 2.0 - d01 / (2.0 * a)
 
 
 def parabola_min(points):
-    """Vertex abscissa of the interpolating parabola, or None on failure.
+    """Vertex of the parabola through three (h, f) points, or None on failure.
 
     Failure means non-positive or numerically negligible curvature.
     Duplicate abscissae are an input error.
     """
-    return fit_parabola(points).vertex
+    (x0, f0), (x1, f1), (x2, f2) = points
+    if x0 == x1 or x0 == x2 or x1 == x2:
+        raise ValueError("parabola fit needs pairwise distinct abscissae")
+    return _fit(x0, f0, x1, f1, x2, f2)
 
 
 def norm(v):
@@ -236,7 +222,7 @@ def ls_par(oracle, x0, r, config: LsParConfig, f0: float, g0=None,
                 break
             if x0_ == x1 or x0_ == x2 or x1 == x2:
                 break
-            v, _ = _fit(x0_, f0_, x1, f1, x2, f2)
+            v = _fit(x0_, f0_, x1, f1, x2, f2)
             if v is None:
                 break
             v = _clamp_vertex(v, lo, hi, hs)

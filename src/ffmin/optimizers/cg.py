@@ -3,8 +3,8 @@
 The running direction p is kept unnormalized; the line search always
 receives a unit-norm copy. Restarts (p <- -g) happen every restart_period
 iterations, whenever the updated direction fails the descent test
-<p, -g> > 0, and once after a line-search failure; a second consecutive
-line-search failure ends the run.
+<p, -g> > 0, and after a line-search failure along a conjugate direction,
+whose search is retried along -g. A failed search along -g ends the run.
 """
 
 from __future__ import annotations
@@ -79,13 +79,12 @@ def cg_beta(kind, g_new, g_old, p):
 
 
 class _CgRule(DescentRule):
-    """The running direction p, its restarts and the retry after one failure."""
+    """The running direction p, its restarts and the retry along -g."""
 
     def __init__(self, variant: CgVariant):
         self.variant = variant
         self.p = None
         self.since_restart = 0
-        self.failures = 0
 
     def direction(self, oracle, k, x, f, g, gn):
         if self.p is None or norm(self.p) == 0.0:
@@ -93,15 +92,13 @@ class _CgRule(DescentRule):
         return x, f, g, gn, self.p
 
     def retry(self, g):
+        # right after a restart p already is -g, and its search would repeat
+        if self.since_restart == 0:
+            return False
         self.p, self.since_restart = -g, 0
-        self.failures += 1
-        if self.failures < 2:
-            return True
-        self.failures = 0
-        return False
+        return True
 
     def advance(self, x, g, x_new, g_new):
-        self.failures = 0
         self.since_restart += 1
         beta = (cg_beta(self.variant.kind, g_new, g, self.p)
                 if self.since_restart < self.variant.restart_period else math.nan)

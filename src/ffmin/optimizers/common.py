@@ -57,7 +57,8 @@ class StopCriteria:
     disable the relative part (useful when running to a fixed horizon).
     max_oracle_calls counts value plus gradient calls (a fused call is two)
     and must be at least 2, the cost of the start point. Both it and
-    max_wall_time (seconds from the run's start) bind each later call.
+    max_wall_time (seconds from the run's start) bind each later call. A
+    failed line search that the method does not retry ends the run.
     """
 
     max_iterations: int | None = 10_000
@@ -65,7 +66,6 @@ class StopCriteria:
     gradient_norm_tol: float = 0.0
     gradient_norm_rtol: float = 1e-6
     max_wall_time: float | None = None
-    stop_on_linesearch_failure: bool = True
 
     def __post_init__(self):
         t = self.max_wall_time
@@ -190,34 +190,26 @@ def check_finite(f, g, k=None):
 
 
 class LineSearcher:
-    """Warm-started wrapper around ls_h / ls_par.
+    """Warm-started wrapper around ls_h / ls_par, chosen by the config's kind.
 
     Keeps the accepted step of the previous iteration as the next h0. On
     no_relaxation it retries once from the configured initial h0 before
     reporting failure, and resets its warm start either way.
     """
 
-    def __init__(self, kind: str, config=None):
-        if kind not in ("h", "par"):
-            raise ValueError(f"line search kind must be 'h' or 'par', got {kind!r}")
-        self.kind = kind
-        if config is None:
-            config = LsHConfig() if kind == "h" else LsParConfig()
+    def __init__(self, config: LsHConfig | LsParConfig):
         self.config = config
         self.h = config.h0
 
     @property
     def needs_gradient(self):
-        return self.kind == "par" and self.config.use_gradient_start
-
-    def reset(self):
-        self.h = self.config.h0
+        return self.config.kind == "par" and self.config.use_gradient_start
 
     def describe(self):
-        return {"kind": self.kind, **vars(self.config)}
+        return {"kind": self.config.kind, **vars(self.config)}
 
     def _invoke(self, oracle, x, r, f0, g0, h0):
-        if self.kind == "h":
+        if self.config.kind == "h":
             return ls_h(oracle, x, r, self.config, f0, h0=h0)
         return ls_par(oracle, x, r, self.config, f0, g0, h0=h0)
 
@@ -232,7 +224,7 @@ class LineSearcher:
         if res.status == FOUND:
             self.h = abs(res.h)
         else:
-            self.reset()
+            self.h = self.config.h0
         return res
 
 
@@ -241,7 +233,7 @@ def make_linesearch(kind: str, **overrides) -> LineSearcher:
     configs = {"h": LsHConfig, "par": LsParConfig}
     if kind not in configs:
         raise ValueError(f"unknown line search kind {kind!r}")
-    return LineSearcher(kind, configs[kind](**overrides))
+    return LineSearcher(configs[kind](**overrides))
 
 
 def start(oracle, x0, stop, meta):
@@ -309,9 +301,8 @@ def descend(oracle, x0, stop, meta, rule, linesearch) -> OptimizeResult:
     ARMIJO_C1, and leaves the line search's warm start as it is; otherwise
     the line search runs as it would have.
 
-    A failed search that the rule does not retry ends the run, or with
-    stop_on_linesearch_failure=False is recorded as a step of 0 from the
-    search origin. Returns the best point seen unless the run converged; a
+    A failed search that the rule does not retry ends the run with status
+    linesearch_failure. Returns the best point seen unless the run converged; a
     run that converges at a search origin other than its iterate (fgm's
     extrapolated point) records that origin as one more iteration, with step
     0, and returns it. When a budget refusal interrupts an iteration that
@@ -347,22 +338,18 @@ def descend(oracle, x0, stop, meta, rule, linesearch) -> OptimizeResult:
             if res.status == NO_RELAXATION:
                 if rule.retry(g_y):
                     continue
-                if run.stop.stop_on_linesearch_failure:
-                    status = LINESEARCH_FAILURE
-                    break
-                x, f = y, f_y
-            else:
-                x_new, f_new = y + res.h * r, res.f_at_step
-                if rule.takes_gradient:
-                    g_new = oracle.gradient(x_new)
-                    check_finite(f_new, g_new, k + 1)
-                    rule.advance(x, g, x_new, g_new)
-                    g, gn = g_new, norm(g_new)
-                x, f = x_new, f_new
+                status = LINESEARCH_FAILURE
+                break
+            x_new, f_new = y + res.h * r, res.f_at_step
+            if rule.takes_gradient:
+                g_new = oracle.gradient(x_new)
+                check_finite(f_new, g_new, k + 1)
+                rule.advance(x, g, x_new, g_new)
+                g, gn = g_new, norm(g_new)
+            x, f = x_new, f_new
             k += 1
             # gn is |g| at x unless the rule stepped there without a gradient
-            at_x = rule.takes_gradient or res.status == NO_RELAXATION
-            run.update_best(x, f, gn if at_x else math.nan, res.h)
+            run.update_best(x, f, gn if rule.takes_gradient else math.nan, res.h)
             run.record(k, f, gn, res.h)
             if gn <= run.threshold:
                 status = CONVERGED
@@ -404,7 +391,7 @@ def iterate(oracle, x0, stop, meta, step, horizon=None, diverged=None) -> Optimi
             x_prev, x, f, g = x, x_new, f_new, g_new
             gn = norm(g)
             k += 1
-            run.update_best(x, f)
+            run.best_f = min(run.best_f, f)
             run.record(k, f, gn, h)
             if gn <= run.threshold:
                 status = CONVERGED

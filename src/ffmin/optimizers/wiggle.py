@@ -89,7 +89,7 @@ def atom_wiggle(system, config: WiggleConfig, stop=None) -> WiggleResult:
     sys_cur = system
     oracle.charge(1, 0)
     e_run = energy_total(sys_cur).total
-    run.update_best(sys_cur.coords.ravel(), e_run)
+    run.best_f = min(run.best_f, e_run)
     run.record(0, e_run, math.nan, 0.0)
     run.arm_budgets()
     status = None
@@ -156,7 +156,7 @@ def atom_wiggle(system, config: WiggleConfig, stop=None) -> WiggleResult:
                     e_run = energy_total(sys_cur).total
                 except _BudgetExhausted as refusal:
                     status = refusal.args[0]
-            run.update_best(sys_cur.coords.ravel(), e_run)
+            run.best_f = min(run.best_f, e_run)
             run.record(k, e_run, math.nan, step_norm)
     except _BudgetExhausted as refusal:
         # the interrupted iteration moved nothing: the run ends where it stands

@@ -178,17 +178,7 @@ def flat_oracle():
 def test_second_consecutive_failure_stops_the_run():
     res = cg(flat_oracle(), np.zeros(2), CgVariant("prp"), make_linesearch("h"))
     assert res.status == LINESEARCH_FAILURE
-    assert res.iterations == 0  # restart retry happens between records
-    assert np.array_equal(res.x, np.zeros(2))
-
-
-def test_failures_consume_iterations_when_not_fatal():
-    stop = StopCriteria(max_iterations=3, stop_on_linesearch_failure=False,
-                        **NO_TOL)
-    res = cg(flat_oracle(), np.zeros(2), CgVariant("prp"), make_linesearch("h"),
-             stop)
-    assert res.status == ITERATION_BUDGET
-    assert res.iterations == 3
+    assert res.iterations == 0  # the failed search ran along -g: no retry
     assert np.array_equal(res.x, np.zeros(2))
 
 
@@ -196,34 +186,38 @@ def test_single_failure_recovers_by_restarting():
     from ffmin.linesearch import NO_RELAXATION as NR
     from ffmin.linesearch import LineSearchResult
 
-    class FailOnce:
-        """Fails its first search, then defers to a real searcher."""
+    class FailSecond:
+        """Fails its second search, the first along a conjugate direction,
+        and defers every other search to a real searcher."""
 
         needs_gradient = True
 
         def __init__(self, inner):
             self.inner = inner
-            self.failed = False
+            self.origins = []
             self.directions = []
 
         def describe(self):
-            return {"kind": "fail-once"}
+            return {"kind": "fail-second"}
 
         def search(self, oracle, x, r, f0, g0=None):
+            self.origins.append(np.array(x, copy=True))
             self.directions.append(np.array(r, copy=True))
-            if not self.failed:
-                self.failed = True
+            if len(self.directions) == 2:
                 return LineSearchResult(0.0, f0, 1, NR)
             return self.inner.search(oracle, x, r, f0, g0)
 
     inst = QuadraticInstance.random(6, 10.0, seed=13)
-    searcher = FailOnce(inst.exact_linesearch())
+    searcher = FailSecond(inst.exact_linesearch())
     res = cg(inst.oracle(), inst.x0, CgVariant("prp"), searcher)
     assert res.status == CONVERGED
-    # the retry after the lone failure goes along the restart direction -g
-    g0 = inst.gradient(inst.x0)
-    want = -g0 / np.linalg.norm(g0)
-    assert np.allclose(searcher.directions[1], want, atol=1e-15)
+    # the failed search ran along a conjugate direction, not -g; the retry
+    # goes from the same point along the restart direction -g
+    g1 = inst.gradient(searcher.origins[1])
+    want = -g1 / np.linalg.norm(g1)
+    assert not np.allclose(searcher.directions[1], want, atol=1e-3)
+    assert np.array_equal(searcher.origins[2], searcher.origins[1])
+    assert np.allclose(searcher.directions[2], want, atol=1e-15)
     assert inst.gap(res.x) <= 1e-10 * max(1.0, inst.gap(inst.x0))
 
 

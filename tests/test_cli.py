@@ -147,6 +147,21 @@ def test_minimize_writes_trace_and_system(tmp_path, capsys):
     assert rows[-1]["f"] == pytest.approx(f1, rel=1e-9)
 
 
+@pytest.mark.parametrize("ls,config", [
+    ("h", '{"linesearch": {"h0": 1.0, "kind": "h"}, "m": 3}'),
+    ("par", '{"linesearch": {"K": 6, "h0": 1.0, "kind": "par", "use_gradient_start": true},'
+            ' "m": 3}'),
+], ids=["h", "par"])
+def test_minimize_trace_config_lists_the_search_fields(tmp_path, capsys, ls, config):
+    # the search's settable fields, and none of its constants
+    path = write_chain(tmp_path, n=6, seed=0)
+    trace = tmp_path / "run.trace"
+    main(["minimize", str(path), "--method", "lbfgs", "--ls", ls, "--max-iters", "5",
+          "--trace", str(trace)])
+    grab(capsys)
+    assert f"# config: {config}\n" in trace.read_text()
+
+
 def test_minimize_trace_deterministic(tmp_path, capsys):
     path = write_chain(tmp_path, n=8, seed=2)
     texts = []

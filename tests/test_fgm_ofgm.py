@@ -13,7 +13,6 @@ from ffmin.oracle import FunctionOracle
 from ffmin.optimizers import (
     CONVERGED,
     HORIZON_COMPLETE,
-    ITERATION_BUDGET,
     LINESEARCH_FAILURE,
     StopCriteria,
     fgm,
@@ -61,16 +60,6 @@ def test_fgm_stops_on_linesearch_failure():
     orc = FunctionOracle(2, lambda x: 1.0, lambda x: np.array([1.0, 0.0]))
     res = fgm(orc, np.zeros(2), make_linesearch("h"))
     assert res.status == LINESEARCH_FAILURE
-
-
-def test_fgm_can_outlast_linesearch_failure():
-    orc = FunctionOracle(2, lambda x: 1.0, lambda x: np.array([1.0, 0.0]))
-    stop = StopCriteria(max_iterations=4, stop_on_linesearch_failure=False,
-                        **NO_TOL)
-    res = fgm(orc, np.zeros(2), make_linesearch("h"), stop)
-    assert res.status == ITERATION_BUDGET
-    assert res.iterations == 4
-    assert np.array_equal(res.x, np.zeros(2))
 
 
 def test_fgm_stationary_start_converges_immediately():

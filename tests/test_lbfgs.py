@@ -206,16 +206,6 @@ def test_lbfgs_clears_memory_once_then_reports_failure():
     assert np.allclose(stub.directions[2], want, atol=1e-12)
 
 
-def test_lbfgs_failure_can_be_nonfatal():
-    orc = FunctionOracle(2, lambda x: 1.0, lambda x: np.array([1.0, 0.0]))
-    stop = StopCriteria(max_iterations=2, stop_on_linesearch_failure=False,
-                        **NO_TOL)
-    res = lbfgs(orc, np.zeros(2), m=2, linesearch=make_linesearch("h"),
-                stop=stop)
-    assert res.status == "iteration_budget"
-    assert res.iterations == 2
-
-
 def test_lbfgs_stationary_start():
     inst = QuadraticInstance.random(4, 5.0, seed=9)
     res = lbfgs(inst.oracle(), inst.x_star, m=3, linesearch=make_linesearch("par"))
@@ -229,7 +219,7 @@ class CountingSearch(LineSearcher):
     """A line searcher that logs the value calls of each search it runs."""
 
     def __init__(self, kind):
-        super().__init__(kind)
+        super().__init__(make_linesearch(kind).config)
         self.calls = []
 
     def search(self, oracle, x, r, f0, g0=None):

@@ -138,16 +138,6 @@ def test_sd_reports_linesearch_failure_on_flat_objective():
     assert res.status == LINESEARCH_FAILURE
 
 
-def test_sd_can_continue_past_linesearch_failure():
-    orc = FunctionOracle(2, lambda x: 1.0, lambda x: np.array([1.0, 0.0]))
-    stop = StopCriteria(max_iterations=3, stop_on_linesearch_failure=False,
-                        **NO_TOL)
-    res = steepest_descent(orc, np.zeros(2), make_linesearch("h"), stop)
-    assert res.status == ITERATION_BUDGET
-    assert res.iterations == 3
-    assert np.array_equal(res.x, np.zeros(2))
-
-
 # -------------------------------------------------------------- heavy ball
 
 def test_heavy_ball_zero_momentum_matches_gd_bitwise():
