@@ -16,11 +16,14 @@ energy_and_gradient finishes it with each term's gradient half, which
 reuses the pair terms, and one scatter, so a fault is named in the same
 order either way. A KeptSweeps lets a caller that values several points and
 then wants the gradient at one of them (an oracle under a line search) keep
-the sweeps, without their pair terms: the gradient at a kept x then runs
-only the gradient halves, with the same bits. _term runs one term's energy
-half over other edge rows: one section alone (energy_stretch ...), one
-atom's rows (the single-atom deltas) or its far partners
-(linearize_farfield_coulomb).
+the sweeps: the gradient at a kept x then runs only the gradient halves,
+with the same bits. A kept sweep holds its pair terms until the next sweep
+starts, so the gradient at the point valued last (an accepted natural
+step) reuses them too, while a call still holds one sweep's pair terms at
+most. Every gather, here and in the kernels, reads the plan's flat edge
+index (kernels.flat_index). _term runs one term's energy half over other
+edge rows: one section alone (energy_stretch ...), one atom's rows (the
+single-atom deltas) or its far partners (linearize_farfield_coulomb).
 
 Every public function leaves through one exit: no NumPy warning escapes,
 and degenerate geometry or a NaN or inf result raises EnergyEvaluationError
@@ -93,15 +96,16 @@ _TERMS = {
 
 
 def _plan_rows(p, term, rows=None):
-    """The edge endpoints (2, k) and kernel parameters of a term's rows in the
-    plan p: its whole section, or the given bonded term rows."""
+    """The flat edge index (2, 3k) and kernel parameters of a term's rows in
+    the plan p: its whole section, or the given bonded term rows."""
     _, _, sec, args = p["terms"][term]
+    edge = p["edge_flat"].reshape(2, -1, 3)
     if rows is None:
-        return p["edge_idx"][:, sec], args
+        return edge[:, sec].reshape(2, -1), args
     # the rows' edges, in the section's layout
     width = _TERMS[term][0]
     ids = (sec.start + rows + (sec.stop - sec.start) // width * np.arange(width)[:, None]).ravel()
-    return p["edge_idx"][:, ids], [a[rows] for a in args]
+    return edge[:, ids].reshape(2, -1), [a[rows] for a in args]
 
 
 def _raise(system, term, bad, rows=None, gradient=False):
@@ -109,8 +113,10 @@ def _raise(system, term, bad, rows=None, gradient=False):
     rows other than the whole plan section: (2, k) pair atoms, or term rows."""
     what = _TERMS[term][1]
     if term == "pairs":
-        p = system.arrays()
-        i, j = (p["edge_idx"][:, p["pair"]] if rows is None else rows)[:, bad]
+        if rows is None:
+            p = system.arrays()
+            rows = p["edge_flat"][:, 3 * p["pair"].start::3] // 3
+        i, j = rows[:, bad]
         raise EnergyEvaluationError(f"nonbonded pair ({i},{j}): {what}")
     if term == "bend" and gradient:
         what = "zero-length arm or collinear geometry"
@@ -134,20 +140,25 @@ class _Sweep:
     """The value sweep at x (default: system.coords): one gather of the plan's
     edges and each term's energy half on its section, in check order.
 
-    parts holds each term's (energies..., bad row, intermediates); the
-    breakdown is read before any bad row is raised.
+    sections holds each term's (D, R) section views and parts its
+    (energies..., bad row, intermediates); the breakdown is read before any
+    bad row is raised.
     """
 
-    __slots__ = ("D", "R", "short", "parts", "breakdown")
+    __slots__ = ("m", "short", "sections", "parts", "breakdown")
 
     def __init__(self, system, x):
         c = system.coords if x is None else system.coords_at(x)
         p = system.arrays()
-        self.D, self.R = D, R = kernels.edges(c, p["edge_idx"])
+        D, R = kernels.edges(c, p["edge_flat"])
+        self.m = R.size
         self.short = short = kernels.too_short(R)
+        self.sections = sections = []
         self.parts = parts = []
         for energy, _, sec, args in p["terms"].values():
-            parts.append(energy(D[sec], R[sec], *args, short))
+            section = D[sec], R[sec]
+            sections.append(section)
+            parts.append(energy(*section, *args, short))
         pairs, bonds, angles, dihedrals = parts
         self.breakdown = EnergyBreakdown(float(bonds[0]), float(angles[0]), float(dihedrals[0]),
                                          float(pairs[0]), float(pairs[1]))
@@ -156,19 +167,19 @@ class _Sweep:
         """The breakdown and flat gradient: each term's gradient half, in
         check order, then one scatter. Consumes the sweep."""
         p = system.arrays()
-        D, R, short, parts = self.D, self.R, self.short, self.parts
-        # the edge gradients G = W.T[:M]; scatter() fills W[:, M:] with -G
-        W = np.empty((3, 2 * R.size))
-        G = W.T
+        short, sections, parts = self.short, self.sections, self.parts
+        # the edge gradients G = W[:M]; scatter() fills W[M:] with -G
+        W = np.empty((2 * self.m, 3))
         for term, (_, grad, sec, _) in p["terms"].items():
-            # popped, so each term's intermediates are freed once used
-            part = parts.pop(0)
-            bad = part[-2]
+            # popped, not named, so each term's edge rows and intermediates
+            # are freed once used: the scatter runs with W alone, which at a
+            # few hundred atoms spares the allocator fresh pages on each call
+            bad = parts[0][-2]
             if bad < 0:
-                bad = grad(D[sec], R[sec], part[-1], G[sec], short)
+                bad = grad(*sections.pop(0), parts.pop(0)[-1], W[sec], short)
             if bad >= 0:
                 _raise(system, term, bad, gradient=True)
-        return self.breakdown, kernels.scatter(W, p["edge_scatter"], system.natoms).reshape(-1)
+        return self.breakdown, kernels.scatter(W, p["edge_flat"], system.natoms)
 
 
 class KeptSweeps:
@@ -176,9 +187,11 @@ class KeptSweeps:
 
     Holds the sweeps tied at the lowest total kept since the store was last
     emptied, one per x, keyed on a copy of x's bytes: an x edited in place
-    afterwards no longer matches. energy_total keeps its sweep here, and
-    energy_and_gradient takes the sweep kept at its x, if any, and empties
-    the store.
+    afterwards no longer matches. energy_total sheds the kept sweeps' pair
+    terms, then keeps its own sweep here, pair terms and all; so the sweep
+    valued last finishes without recomputing them, and a call never holds
+    the pair terms of two sweeps. energy_and_gradient takes the sweep kept
+    at its x, if any, and empties the store.
     """
 
     def __init__(self):
@@ -190,8 +203,12 @@ class KeptSweeps:
         if total < self.total:
             self.total, self.by_x = total, {}
         if total == self.total:
-            sweep.parts[0] = kernels.without_pair_terms(sweep.parts[0])
             self.by_x[np.asarray(x, dtype=np.float64).tobytes()] = sweep
+
+    def shed(self):
+        """Drop the kept sweeps' pair terms; their gradients recompute them."""
+        for sweep in self.by_x.values():
+            sweep.parts[0] = kernels.without_pair_terms(sweep.parts[0])
 
     def take(self, x):
         """The sweep kept at x, or None; empties the store either way."""
@@ -275,9 +292,11 @@ def energy_total(system: MolecularSystem, x=None, kept=None) -> EnergyBreakdown:
     value sweep.
 
     With a KeptSweeps kept, the sweep is kept there for a gradient at the
-    same x. Raises ModelError for an x of the wrong size or with a
-    non-finite entry.
+    same x, after the sweeps kept before it shed their pair terms. Raises
+    ModelError for an x of the wrong size or with a non-finite entry.
     """
+    if kept is not None:
+        kept.shed()
     sweep = _Sweep(system, x)
     for term, part in zip(_TERMS, sweep.parts):
         if part[-2] >= 0:
@@ -342,7 +361,7 @@ def linearize_farfield_coulomb(system: MolecularSystem, atom: int,
         raise ValueError(f"cutoff must be > 0, got {cutoff}")
     p = system.arrays()
     pairs = np.stack((np.full(system.natoms, atom), np.arange(system.natoms)))
-    D, R = kernels.edges(system.coords, pairs)
+    D, R = kernels.edges(system.coords, kernels.flat_index(pairs))
     # the atom's own row has scale 0: near, and dropped from near_idx below
     near = (R <= cutoff) | (system.scale_row(atom) != 1.0)
     far = np.flatnonzero(~near)
@@ -371,7 +390,7 @@ def _atom_delta(system, atom, delta, partners=None):
                                    *system.atom_terms(atom))):
         if term == "pairs":
             qq, sig, eps, s = pair_parameters(p, atom, j, scale[j])
-            idx, args = rows, (qq, sig, s * eps, p["cutoff"])
+            idx, args = kernels.flat_index(rows), (qq, sig, s * eps, p["cutoff"])
         else:
             idx, args = _plan_rows(p, term, rows)
         energies, _ = _term(system, term, *kernels.edges(both, idx), args, rows=rows)

@@ -1,9 +1,11 @@
 """Vectorized NumPy kernels for the force-field terms, in float64.
 
 The evaluation plan, MolecularSystem.arrays(), lists every difference vector
-any term needs in one edge table: edge e is c[ea[e]] - c[eb[e]]. edges()
-gathers them and their lengths in one pass, and each term kernel reads its
-own section of those rows and gathers nothing itself:
+any term needs in one edge table: edge e is c[ea[e]] - c[eb[e]]. The table
+is held as a flat index (flat_index): entries 3*atom + axis into the
+flattened coordinates, ea's three in the first row and eb's in the second.
+edges() gathers the vectors and their lengths in one pass, and each term
+kernel reads its own section of those rows and gathers nothing itself:
 
   stretch    d = c_i - c_j for each bond;
   bend       a = c_i - c_j for each angle, then b = c_k - c_j for each;
@@ -18,15 +20,16 @@ nonbonded) returns the term energies, a bad row, and the intermediates its
 derivative needs; the gradient half (stretch_grad ...) takes those
 intermediates and writes dE/d(edge vector) into the term's rows of an
 output block G, so each formula exists once. nonbonded hands on its pair
-terms too, and a value sweep kept for a later gradient drops them
-(without_pair_terms), so it holds no pair-sized array but D and R. G is the
-transpose of a (3, 2M) block W: scatter() reads each axis's weights
-contiguously and adds +G at ea and -G at eb to give the atom gradient.
-Leading axes of D and R hold independent coordinate sets (a single-atom
-delta evaluates the current and the moved position in one call; gradient
-halves take one set); energies are summed over the rows only, so each set's
-energies are those it gets alone. Summation order is fixed, so repeated
-calls on the same inputs are bit-identical.
+terms too, so the gradient half reuses them; without_pair_terms drops them
+from a result kept for later, and nonbonded_grad then recomputes them. G
+is the first M rows of a C-ordered (2M, 3) block W: scatter() fills the
+other M with -G and sums all 2M rows into the flat atom gradient with one
+np.bincount on the same flat index. Leading axes of D and R hold
+independent coordinate sets (a single-atom delta evaluates the current and
+the moved position in one call; gradient halves take one set); energies
+are summed over the rows only, so each set's energies are those it gets
+alone. Summation order is fixed, so repeated calls on the same inputs are
+bit-identical.
 
 At desk scale a call costs its NumPy dispatches and Python frames more than
 its arithmetic. So the halves call NumPy's C entry points directly, reuse a
@@ -66,6 +69,7 @@ TORSION_SIGN = np.array([1.0, -1.0, 1.0, -1.0])
 TORSION_DPHI = -0.5 * _K * TORSION_SIGN
 # x[..., _ROT] = (x[..., [1, 2, 0]], x[..., [2, 0, 1]]): a cross product's terms
 _ROT = np.array([1, 2, 0, 2, 0, 1])
+_AXES = np.arange(3)
 _sum = np.add.reduce  # np.sum without its Python-level dispatch
 # row dot products over the last axis; the operands must be C-ordered rows,
 # as einsum sums an F-ordered operand in another order
@@ -84,10 +88,24 @@ def _first(bad):
     return int(np.flatnonzero(bad.reshape(-1, bad.shape[-1]).any(axis=0))[0])
 
 
+def flat_index(pairs):
+    """The flat edge index (2, 3k) of the atom pairs (2, k): for edge e, the
+    entries 3*atom + axis of its atoms, axis 0 to 2."""
+    return (3 * pairs[..., None] + _AXES).reshape(2, -1)
+
+
 def edges(c, idx):
-    """Difference vectors D = c[idx[0]] - c[idx[1]] and their lengths R."""
-    d = c.take(idx[0], axis=-2)
-    d -= c.take(idx[1], axis=-2)
+    """Difference vectors D = c[ea] - c[eb] and their lengths R, for the
+    coordinates c (..., n, 3) and a flat edge index idx (flat_index)."""
+    c = c.reshape(*c.shape[:-2], -1)
+    if c.ndim == 1:
+        # at desk scale indexing one set costs half what take does
+        d = c[idx[0]]
+        d -= c[idx[1]]
+    else:
+        d = c.take(idx[0], axis=-1)
+        d -= c.take(idx[1], axis=-1)
+    d = d.reshape(*d.shape[:-1], -1, 3)
     return d, np.sqrt(_einsum(_ROWS, d, d))
 
 
@@ -97,21 +115,20 @@ def too_short(R):
     return R.size > 0 and R.ravel()[R.argmin()] < _LMIN
 
 
-def scatter(W, index, n):
-    """The (n, 3) atom gradient of an edge-gradient table.
+def scatter(W, idx, n):
+    """The flat atom gradient (3n,) of an edge-gradient table.
 
-    W is (3, 2M) with dE/d(edge) transposed in its first M columns; the
-    last M are overwritten with their negatives, and index = [ea..., eb...]
-    places each column. One np.bincount per axis, on contiguous weights,
-    sums each atom's rows in index order from zero.
+    W is (2M, 3), C-ordered, with dE/d(edge) in its first M rows; the last
+    M are overwritten with their negatives, and the flat edge index idx
+    (2, 3M) places each entry, +G at ea and -G at eb. One np.bincount sums
+    each coordinate's entries in index order from zero.
     """
-    m = W.shape[1] // 2
-    np.negative(W[:, :m], out=W[:, m:])
-    g = np.empty((n, 3))
-    g[:, 0] = np.bincount(index, W[0], n)
-    g[:, 1] = np.bincount(index, W[1], n)
-    g[:, 2] = np.bincount(index, W[2], n)
-    return g
+    m = W.shape[0] // 2
+    if not m:
+        # np.bincount counts in integers when it has no weights to add
+        return np.zeros(3 * n)
+    np.negative(W[:m], out=W[m:])
+    return np.bincount(idx.reshape(-1), W.reshape(-1), 3 * n)
 
 
 def stretch(D, R, K, r0, short):

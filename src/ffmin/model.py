@@ -314,29 +314,36 @@ class MolecularSystem:
 
         Returns a dict with
           - charges q and LJ sigma/epsilon per atom;
-          - edge_idx (2, M): edge e is the difference vector
-            c[edge_idx[0, e]] - c[edge_idx[1, e]]; its flattened view
-            edge_scatter is the gradient scatter index;
-          - the edge sections, as slices: bond (d = c_i - c_j per bond),
-            angle (every a = c_i - c_j, then every b = c_k - c_j), torsion
-            (every b1 = c_j - c_i, then b2 = c_k - c_j, then b3 = c_l - c_k)
-            and pair (c_i - c_j for every interacting i<j pair, that is
-            every pair of nonzero scale, in np.triu_indices order);
-          - per pair pair_scale (s14 for 1-4 pairs, else 1) and the pair_qq,
-            pair_sig and pair_eps of pair_parameters;
+          - edge_flat (2, 3M), the flat edge index (kernels.flat_index):
+            edge e is the difference vector c[ea[e]] - c[eb[e]], with
+            edge_flat[0, 3e + axis] = 3*ea[e] + axis and edge_flat[1]
+            likewise for eb; the gather and the gradient scatter both read it;
+          - the edge sections, as slices of edges: bond (d = c_i - c_j per
+            bond), angle (every a = c_i - c_j, then every b = c_k - c_j),
+            torsion (every b1 = c_j - c_i, then b2 = c_k - c_j, then
+            b3 = c_l - c_k) and pair (c_i - c_j for every interacting i<j
+            pair, that is every pair of nonzero scale, in np.triu_indices
+            order);
+          - per pair pair_qq, pair_sig and pair_seps, scale*eps, from the
+            (qq, sig, eps, scale) of pair_parameters, scale being s14 for 1-4
+            pairs and else 1;
           - cutoff, -1.0 when the policy has none;
           - terms: per term in check order ("pairs", "stretch", "bend",
             "torsion"), its kernels' energy and gradient halves, its edge
             section, and the parameters they take: pair_qq, pair_sig,
-            pair_scale*pair_eps and cutoff; K and r0 per bond; K and theta0
+            pair_seps and cutoff; K and r0 per bond; K and theta0
             per angle; V (m, 4), V*TORSION_SIGN and V*TORSION_DPHI per
             dihedral.
+
+        Every array is read-only but edge_flat, which callers must not
+        write either: np.take and np.bincount copy a read-only index on
+        every call, a copy as large as the gathered edge vectors.
         """
         cached = self._cache.get("params")
         if cached is None:
             cached = self._build_plan()
             for v in chain(cached.values(), *(row[3] for row in cached["terms"].values())):
-                if isinstance(v, np.ndarray):
+                if isinstance(v, np.ndarray) and v is not cached["edge_flat"]:
                     v.setflags(write=False)
             self._cache["params"] = cached
         return cached
@@ -375,20 +382,19 @@ class MolecularSystem:
                zip(("bond", "angle", "torsion", "pair"), ends, ends[1:])}
         dih_V = np.array([(d.V1, d.V2, d.V3, d.V4) for d in self.dihedrals],
                          dtype=np.float64).reshape(-1, 4)
-        pairs = dict(zip(("pair_qq", "pair_sig", "pair_eps", "pair_scale"),
-                         pair_parameters(per_atom, iu, ju, scale)))
+        qq, sig, eps, scale = pair_parameters(per_atom, iu, ju, scale)
+        seps = scale * eps
         cutoff = -1.0 if self.nonbonded.cutoff is None else float(self.nonbonded.cutoff)
 
         def column(terms, attr):
             return np.array([getattr(t, attr) for t in terms], dtype=np.float64)
 
         return {
-            **per_atom, "edge_idx": edge_idx, "edge_scatter": edge_idx.reshape(-1), **sec,
-            **pairs, "cutoff": cutoff,
+            **per_atom, "edge_flat": kernels.flat_index(edge_idx), **sec,
+            "pair_qq": qq, "pair_sig": sig, "pair_seps": seps, "cutoff": cutoff,
             "terms": {
                 "pairs": (kernels.nonbonded, kernels.nonbonded_grad, sec["pair"],
-                          (pairs["pair_qq"], pairs["pair_sig"],
-                           pairs["pair_scale"] * pairs["pair_eps"], cutoff)),
+                          (qq, sig, seps, cutoff)),
                 "stretch": (kernels.stretch, kernels.stretch_grad, sec["bond"],
                             (column(self.bonds, "K"), column(self.bonds, "r0"))),
                 "bend": (kernels.bend, kernels.bend_grad, sec["angle"],

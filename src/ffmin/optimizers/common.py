@@ -133,9 +133,11 @@ class Run:
         self.threshold = 0.0
 
     def update_best(self, x, f, grad_norm=math.nan, step=0.0):
+        """Remember x, by reference, if f is the lowest yet: the loops never
+        write into an x in place, and finish copies the x it returns."""
         if f < self.best_f:
             self.best_f = f
-            self.best = (np.array(x, dtype=np.float64, copy=True), grad_norm, step)
+            self.best = (x, grad_norm, step)
 
     def record(self, iteration, f, grad_norm, step):
         self.trace.records.append(TraceRecord(
@@ -329,18 +331,20 @@ def descend(oracle, x0, stop, meta, rule, linesearch) -> OptimizeResult:
                     run.record(k, f, gn, 0.0)
                 break
             r = d / dn
-            # the searches' y + h * r, so a kept sweep finishes the gradient
-            if rule.natural_step and (f_t := probes.value(y + dn * r)) < f_y \
-                    and f_t <= f_y + ARMIJO_C1 * dn * float(g_y.dot(r)):
-                res = LineSearchResult(dn, f_t, 1, FOUND)
+            # the searches' y + h * r, so a kept sweep finishes the gradient;
+            # an accepted natural probe's own array is the new iterate
+            if rule.natural_step and (f_new := probes.value(x_new := y + dn * r)) < f_y \
+                    and f_new <= f_y + ARMIJO_C1 * dn * float(g_y.dot(r)):
+                h = dn
             else:
                 res = linesearch.search(probes, y, r, f_y, g_y)
-            if res.status == NO_RELAXATION:
-                if rule.retry(g_y):
-                    continue
-                status = LINESEARCH_FAILURE
-                break
-            x_new, f_new = y + res.h * r, res.f_at_step
+                if res.status == NO_RELAXATION:
+                    if rule.retry(g_y):
+                        continue
+                    status = LINESEARCH_FAILURE
+                    break
+                h, f_new = res.h, res.f_at_step
+                x_new = y + h * r
             if rule.takes_gradient:
                 g_new = oracle.gradient(x_new)
                 check_finite(f_new, g_new, k + 1)
@@ -349,8 +353,8 @@ def descend(oracle, x0, stop, meta, rule, linesearch) -> OptimizeResult:
             x, f = x_new, f_new
             k += 1
             # gn is |g| at x unless the rule stepped there without a gradient
-            run.update_best(x, f, gn if rule.takes_gradient else math.nan, res.h)
-            run.record(k, f, gn, res.h)
+            run.update_best(x, f, gn if rule.takes_gradient else math.nan, h)
+            run.record(k, f, gn, h)
             if gn <= run.threshold:
                 status = CONVERGED
     except _BudgetExhausted as refusal:

@@ -13,7 +13,8 @@ refuses such a call before evaluating, and the optimizer ends the run with
 the refusal's status, oracle_budget or time_budget.
 
 An oracle may reuse work between calls (MolecularOracle finishes the value
-sweep of a point it has just valued when asked for the gradient there), but
+sweep of a point it has just valued when asked for the gradient there, and
+reuses that sweep's pair terms when no value call came in between), but
 never so that a result, a count or a refusal differs from plain evaluation.
 """
 
@@ -112,7 +113,10 @@ class MolecularOracle(ObjectiveOracle):
     the one it accepts, its lowest. So the oracle keeps the value sweeps
     tied at its lowest value since its last gradient call (KeptSweeps), and
     a gradient at exactly such an x only finishes that sweep; every other
-    call sweeps afresh. Counts and results are the same either way.
+    call sweeps afresh. The sweep valued last also keeps its pair terms
+    until the next value call, so the gradient at an accepted natural step
+    runs the gradient halves alone. Counts and results are the same either
+    way.
     """
 
     def __init__(self, system):

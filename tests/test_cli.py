@@ -1,5 +1,10 @@
+import importlib
+import os
 import shutil
 import subprocess
+import sys
+import tomllib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -439,16 +444,35 @@ def test_worstcase_cli(capsys):
 
 # ---------------------------------------------------------------- script
 
+def _script_smoke(command, tmp_path, env=None):
+    """command runs `energy` on a diatomic and `--version` like the ffmin script."""
+    path = write_diatomic(tmp_path, r=1.5)
+    proc = subprocess.run([*command, "energy", str(path)],
+                          capture_output=True, text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert "total" in proc.stdout
+    ver = subprocess.run([*command, "--version"], capture_output=True, text=True,
+                         timeout=120, env=env)
+    assert ver.returncode == 0, ver.stderr
+    assert ver.stdout.startswith("ffmin ")
+
+
 def test_installed_script_smoke(tmp_path):
     exe = shutil.which("ffmin")
     if exe is None:
         pytest.skip("ffmin script not on PATH")
-    path = write_diatomic(tmp_path, r=1.5)
-    proc = subprocess.run([exe, "energy", str(path)],
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0
-    assert "total" in proc.stdout
-    ver = subprocess.run([exe, "--version"], capture_output=True, text=True,
-                         timeout=120)
-    assert ver.returncode == 0
-    assert ver.stdout.startswith("ffmin ")
+    _script_smoke([exe], tmp_path)
+
+
+def test_project_script_entry_point_runs(tmp_path):
+    """The entry point pyproject.toml declares for the ffmin script resolves,
+    and runs in a fresh interpreter the way an installed script calls it."""
+    root = Path(__file__).resolve().parents[1]
+    with open(root / "pyproject.toml", "rb") as fh:
+        scripts = tomllib.load(fh)["project"]["scripts"]
+    assert scripts == {"ffmin": "ffmin.cli:main"}
+    module, func = scripts["ffmin"].split(":")
+    assert getattr(importlib.import_module(module), func) is main
+    launcher = f"import sys; from {module} import {func}; sys.exit({func}())"
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    _script_smoke([sys.executable, "-c", launcher], tmp_path, env)

@@ -835,10 +835,11 @@ def test_scatter_adds_each_atoms_rows_in_index_order(natoms, data):
                       st.floats(-1e6, 1e6, allow_nan=False))
     rows = np.array(data.draw(st.lists(st.lists(value, min_size=3, max_size=3),
                                        min_size=m, max_size=m)), dtype=np.float64).reshape(m, 3)
-    W = np.empty((3, 2 * m))
-    W[:, :m] = rows.T
-    got = kernels.scatter(W, np.array(ea + eb, dtype=np.intp), natoms)
+    W = np.empty((2 * m, 3))
+    W[:m] = rows
+    got = kernels.scatter(W, kernels.flat_index(np.array([ea, eb], dtype=np.intp)), natoms)
     want = naive.scatter(np.concatenate((rows, -rows)), ea + eb, natoms)
+    assert got.dtype == np.float64 and got.shape == (3 * natoms,)
     assert got.tobytes() == want.tobytes()
 
 
@@ -867,7 +868,7 @@ def test_energy_halves_treat_stacked_sets_as_sets_alone(chain, natoms, seed, cut
         both[k, j % s.natoms] = both[k, i % s.natoms]
     p = s.arrays()
     for term, (energy, _, sec, args) in p["terms"].items():
-        D, R = kernels.edges(both, p["edge_idx"][:, sec])
+        D, R = kernels.edges(both, p["edge_flat"][:, 3 * sec.start:3 * sec.stop])
         *stacked, bad, _ = energy(D, R, *args, True)
         alone = [energy(D[k], R[k], *args, True) for k in (0, 1)]
         bads = [a[-2] for a in alone if a[-2] >= 0]
@@ -899,10 +900,42 @@ def test_a_fused_call_computes_the_pair_terms_once(call, monkeypatch):
         lin = linearize_farfield_coulomb(s, 0, 3.0)
         assert len(computed) == 1 and computed[0] == s.natoms - 1 - lin.near_idx.size
     else:
-        # a sweep kept for a later gradient holds no pair terms: the
-        # gradient at the kept point computes them again
+        # the sweep valued last keeps its pair terms for the gradient there
         oracle = MolecularOracle(s)
         x = s.coords.ravel()
         oracle.value(x)
         oracle.gradient(x)
-        assert len(computed) == 2
+        assert len(computed) == 1
+
+
+def test_a_kept_sweep_sheds_its_pair_terms_when_the_next_sweep_starts(monkeypatch):
+    """Valuing a higher point after a lower one drops the lower sweep's pair
+    terms, so the gradient at the lower point recomputes them, with the
+    bytes of a fresh call."""
+    from ffmin import kernels
+
+    computed = []
+    pair_terms = kernels._pair_terms
+
+    def counted(*args):
+        computed.append(1)
+        return pair_terms(*args)
+
+    s = make_chain_system(12, seed=0, strain=0.3)
+    x = s.coords.ravel()
+    y = x + 0.1 * np.random.default_rng(0).standard_normal(x.size)
+    lower, higher = sorted((x, y), key=lambda z: energy_total(s, z).total)
+    want = energy_and_gradient(s, lower)[1]
+    monkeypatch.setattr(kernels, "_pair_terms", counted)
+    oracle = MolecularOracle(s)
+
+    def kept_pair_terms():
+        # a kept pairs part is (coulomb, vdw, bad row, (qq, sig, seps, cutoff, terms))
+        return oracle._kept.by_x[lower.tobytes()].parts[0][-1][-1]
+
+    oracle.value(lower)
+    assert kept_pair_terms() is not None
+    oracle.value(higher)
+    assert kept_pair_terms() is None
+    assert oracle.gradient(lower).tobytes() == want.tobytes()
+    assert len(computed) == 3

@@ -190,6 +190,11 @@ def test_replace_does_not_share_the_plan():
     assert energy_total(cut) == energy_total(fresh)
 
 
+def pair_atoms(p):
+    """The plan's pair edges as atom pairs (2, k), read off its flat edge index."""
+    return p["edge_flat"][:, 3 * p["pair"].start::3] // 3
+
+
 def test_plan_pair_tables_follow_the_policy():
     # pairs listed as (j, i) count like (i, j)
     pol = NonbondedPolicy(excluded=frozenset({(0, 1), (3, 1)}),
@@ -200,14 +205,12 @@ def test_plan_pair_tables_follow_the_policy():
     p = sys0.arrays()
     # the interacting pairs, in np.triu_indices order, are the plan's pair edges
     interacting = [(i, j) for i, j in zip(*np.triu_indices(5, 1)) if scale.get((i, j), 1.0)]
-    pairs = p["edge_idx"][:, p["pair"]]
-    assert pairs.T.tolist() == [list(ij) for ij in interacting]
+    assert pair_atoms(p).T.tolist() == [list(ij) for ij in interacting]
     for k, (i, j) in enumerate(interacting):
         s = scale.get((i, j), 1.0)
-        assert p["pair_scale"][k] == s
         assert p["pair_qq"][k] == s * atoms[i].q * atoms[j].q
         assert p["pair_sig"][k] == np.sqrt(atoms[i].sigma * atoms[j].sigma)
-        assert p["pair_eps"][k] == np.sqrt(atoms[i].epsilon * atoms[j].epsilon)
+        assert p["pair_seps"][k] == s * np.sqrt(atoms[i].epsilon * atoms[j].epsilon)
     for a in range(5):
         want = [0.0 if b == a else scale.get((min(a, b), max(a, b)), 1.0) for b in range(5)]
         assert sys0.scale_row(a).tolist() == want
@@ -241,10 +244,10 @@ def test_policy_stores_reversed_pairs_canonically():
     sys0 = MolecularSystem(atoms=tuple(atom(i, q=0.1) for i in range(5)),
                            coords=np.arange(15.0).reshape(5, 3), nonbonded=pol)
     p = sys0.arrays()
-    pairs = p["edge_idx"][:, p["pair"]].T.tolist()
+    pairs = pair_atoms(p).T.tolist()
     assert [1, 3] not in pairs and [0, 4] in pairs
     for k, (i, j) in enumerate(pairs):
-        assert p["pair_scale"][k] == pol.pair_scale(i, j)
+        assert p["pair_qq"][k] == pol.pair_scale(i, j) * 0.1 * 0.1
     with pytest.raises(ModelError, match="must differ"):
         NonbondedPolicy(excluded=frozenset({(2, 2)}))
 
@@ -259,8 +262,11 @@ def test_plan_edge_table_layout(n, seed, cutoff):
     from ffmin.synth import make_chain_system
     s = make_chain_system(n, seed=seed, cutoff=cutoff)
     p = s.arrays()
-    ea, eb = p["edge_idx"]
-    assert np.array_equal(p["edge_scatter"], np.concatenate((ea, eb)))
+    # the flat edge index: entries 3*atom + axis, ea's in row 0, eb's in row 1
+    flat = p["edge_flat"]
+    ea, eb = flat[:, ::3] // 3
+    assert flat.shape == (2, 3 * ea.size) and flat.dtype == np.intp
+    assert np.array_equal(flat.reshape(2, -1, 3), 3 * np.stack((ea, eb))[..., None] + np.arange(3))
 
     def section(name):
         return list(zip(ea[p[name]].tolist(), eb[p[name]].tolist()))
@@ -275,19 +281,25 @@ def test_plan_edge_table_layout(n, seed, cutoff):
     assert pairs == [(i, j) for i, j in zip(*np.triu_indices(n, 1))
                      if s.nonbonded.pair_scale(i, j) != 0.0]
     assert len(pairs) < n * (n - 1) // 2
-    assert [k for k, (i, j) in enumerate(pairs) if p["pair_scale"][k] != 1.0] == [
-        k for k, (i, j) in enumerate(pairs) if (i, j) in s.nonbonded.scaled14]
+    # seps is scale*epsilon: s14 for the 1-4 pairs, 1 for the rest
+    seps = [s.nonbonded.pair_scale(i, j) * np.sqrt(s.atoms[i].epsilon * s.atoms[j].epsilon)
+            for i, j in pairs]
+    assert p["pair_seps"].tolist() == seps
+    assert any(s.nonbonded.pair_scale(i, j) != 1.0 for i, j in pairs)
     assert p["pair"].stop == ea.size
+    # every plan array is read-only but the flat index, which np.take and
+    # np.bincount would copy on each call if it were
+    assert [k for k, v in p.items() if isinstance(v, np.ndarray) and v.flags.writeable] == [
+        "edge_flat"]
 
     # the term table: check order, each term's kernels, its section, and the
-    # parameters its kernels take, read-only like every plan array
+    # parameters its kernels take, read-only like every plan array but edge_flat
     from ffmin import kernels
     from ffmin.kernels import TORSION_DPHI, TORSION_SIGN
     V = np.array([[t.V1, t.V2, t.V3, t.V4] for t in d]).reshape(-1, 4)
     want = {
         "pairs": (kernels.nonbonded, kernels.nonbonded_grad, "pair",
-                  (p["pair_qq"], p["pair_sig"], p["pair_scale"] * p["pair_eps"],
-                   -1.0 if cutoff is None else cutoff)),
+                  (p["pair_qq"], p["pair_sig"], seps, -1.0 if cutoff is None else cutoff)),
         "stretch": (kernels.stretch, kernels.stretch_grad, "bond",
                     ([b.K for b in s.bonds], [b.r0 for b in s.bonds])),
         "bend": (kernels.bend, kernels.bend_grad, "angle",
