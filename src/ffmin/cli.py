@@ -100,8 +100,8 @@ def _add_method_options(p):
     p.add_argument("--wiggle-cutoff", type=float, default=7.0,
                    help="wiggle near-field radius in angstrom (default: %(default)s)")
     p.add_argument("--full-recompute", action="store_true",
-                   help="wiggle probes recompute the full energy instead of "
-                        "the incremental delta")
+                   help="wiggle probes are exact single-atom deltas, O(n) each, "
+                        "instead of the far-field model")
     p.add_argument("--epoch", type=int, default=100,
                    help="wiggle iterations between full-energy resyncs "
                         "(default: %(default)s)")

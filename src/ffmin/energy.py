@@ -376,13 +376,13 @@ def linearize_farfield_coulomb(system: MolecularSystem, atom: int,
         e_far0=float(e_far0), coef=G.sum(axis=0), near_idx=np.flatnonzero(near))
 
 
-def _atom_delta(system, atom, delta, partners=None):
-    """Exact energy change of moving atom by delta over its nonbonded partners
-    (all of them when partners is None) and its bonded terms, each term at
-    the current and the moved coordinates at once, as two coordinate sets."""
+def _atom_delta(system, atom, deltas, partners=None):
+    """Exact energy changes (S,) of moving atom by each of deltas (S, 3) over
+    its nonbonded partners (all of them when partners is None) and its
+    bonded terms, each term at once on S + 1 coordinate sets, set 0 unmoved."""
     p = system.arrays()
-    both = np.array((system.coords, system.coords))
-    both[1, atom] += delta
+    sets = np.repeat(system.coords[None], len(deltas) + 1, axis=0)
+    sets[1:, atom] += deltas
     scale = system.scale_row(atom)
     j = np.flatnonzero(scale) if partners is None else partners[scale[partners] != 0.0]
     total = 0.0
@@ -393,39 +393,50 @@ def _atom_delta(system, atom, delta, partners=None):
             idx, args = kernels.flat_index(rows), (qq, sig, s * eps, p["cutoff"])
         else:
             idx, args = _plan_rows(p, term, rows)
-        energies, _ = _term(system, term, *kernels.edges(both, idx), args, rows=rows)
-        for old, new in energies:
-            total += new - old
-    return float(total)
+        energies, _ = _term(system, term, *kernels.edges(sets, idx), args, rows=rows)
+        for e in energies:
+            total += e[1:] - e[0]
+    return total
+
+
+def _per_delta(delta, changes):
+    """changes(stack) for one displacement (3,), as a float, or a stack (S, 3),
+    S >= 1; ValueError for any other shape (a flat (6,) is not two moves)."""
+    d = np.asarray(delta, dtype=np.float64)
+    if d.ndim not in (1, 2) or d.shape[-1] != 3 or not d.size:
+        raise ValueError(f"displacement of shape {d.shape}: expected (3,) or (S, 3), S >= 1")
+    out = changes(d.reshape(-1, 3))
+    return float(out[0]) if d.ndim == 1 else out
 
 
 @_checked("energy delta")
-def delta_energy_atom_move(system: MolecularSystem, lin: FarFieldLinearization,
-                           delta) -> float:
-    """Energy change for moving lin.atom by delta, using the far-field model.
+def delta_energy_atom_move(system: MolecularSystem, lin: FarFieldLinearization, delta):
+    """Energy change for moving lin.atom by delta (or by each row of an
+    (S, 3) stack), using the far-field model.
 
     Bonded terms touching the atom and near-field nonbonded pairs are
     recomputed exactly; the far Coulomb field changes by the linear form
     coef . delta; far vdW is neglected. Only valid while the system still
     holds the coordinates lin was built from.
 
-    Requires the system's own nonbonded cutoff to be "none": with a hard
-    system cutoff the far field modelled here would not be part of the
-    objective at all.
+    Requires a system without a nonbonded cutoff, whose objective holds the
+    far field modelled here.
     """
     if system.nonbonded.cutoff is not None:
         raise ValueError("incremental delta requires a system nonbonded cutoff of none")
-    delta = np.asarray(delta, dtype=np.float64).reshape(3)
-    return _atom_delta(system, lin.atom, delta, lin.near_idx) + float(lin.coef @ delta)
+    # vecdot takes each row's dot product as coef @ row would, bit for bit
+    return _per_delta(delta, lambda d: _atom_delta(system, lin.atom, d, lin.near_idx)
+                      + np.vecdot(d, lin.coef))
 
 
 @_checked("energy delta")
-def exact_delta_atom_move(system: MolecularSystem, atom: int, delta) -> float:
-    """Exact O(n) energy change for moving one atom (no linearization).
+def exact_delta_atom_move(system: MolecularSystem, atom: int, delta):
+    """Exact O(n) energy change for moving one atom by delta (or by each row
+    of an (S, 3) stack), with no linearization.
 
-    Used to confirm candidate moves and as the oracle for the far-field
-    approximation error.
+    Used to confirm candidate moves, as atom_wiggle's exact probes, and as
+    the oracle for the far-field approximation error.
     """
     if not 0 <= atom < system.natoms:
         raise ValueError(f"atom index {atom} out of range for {system.natoms} atoms")
-    return _atom_delta(system, atom, np.asarray(delta, dtype=np.float64).reshape(3))
+    return _per_delta(delta, lambda d: _atom_delta(system, atom, d))

@@ -25,11 +25,11 @@ from a result kept for later, and nonbonded_grad then recomputes them. G
 is the first M rows of a C-ordered (2M, 3) block W: scatter() fills the
 other M with -G and sums all 2M rows into the flat atom gradient with one
 np.bincount on the same flat index. Leading axes of D and R hold
-independent coordinate sets (a single-atom delta evaluates the current and
-the moved position in one call; gradient halves take one set); energies
-are summed over the rows only, so each set's energies are those it gets
-alone. Summation order is fixed, so repeated calls on the same inputs are
-bit-identical.
+independent coordinate sets (a single-atom delta evaluates the unmoved
+position and each displaced one in one call; gradient halves take one
+set); energies are summed over the rows only, so each set's energies are
+those it gets alone. Summation order is fixed, so repeated calls on the
+same inputs are bit-identical.
 
 At desk scale a call costs its NumPy dispatches and Python frames more than
 its arithmetic. So the halves call NumPy's C entry points directly, reuse a
@@ -69,7 +69,6 @@ TORSION_SIGN = np.array([1.0, -1.0, 1.0, -1.0])
 TORSION_DPHI = -0.5 * _K * TORSION_SIGN
 # x[..., _ROT] = (x[..., [1, 2, 0]], x[..., [2, 0, 1]]): a cross product's terms
 _ROT = np.array([1, 2, 0, 2, 0, 1])
-_AXES = np.arange(3)
 _sum = np.add.reduce  # np.sum without its Python-level dispatch
 # row dot products over the last axis; the operands must be C-ordered rows,
 # as einsum sums an F-ordered operand in another order
@@ -91,7 +90,12 @@ def _first(bad):
 def flat_index(pairs):
     """The flat edge index (2, 3k) of the atom pairs (2, k): for edge e, the
     entries 3*atom + axis of its atoms, axis 0 to 2."""
-    return (3 * pairs[..., None] + _AXES).reshape(2, -1)
+    # filled one axis at a time: at n=1000 twice as fast as a broadcast over 3
+    idx = np.empty(pairs.shape + (3,), dtype=pairs.dtype)
+    first = np.multiply(pairs, 3, out=idx[..., 0])
+    np.add(first, 1, out=idx[..., 1])
+    np.add(first, 2, out=idx[..., 2])
+    return idx.reshape(2, -1)
 
 
 def edges(c, idx):

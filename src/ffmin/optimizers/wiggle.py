@@ -1,22 +1,23 @@
 """Derivative-free relaxation by wiggling one random atom at a time.
 
 Each iteration probes the chosen atom at +-h along each axis (six moved
-positions plus the unmoved center), fits a parabola per axis through that
-axis's three energies, and combines the per-axis vertices into an eighth
-candidate. The atom moves to the best candidate only if the move strictly
-lowers the energy.
+positions, in one stacked call, plus the unmoved center), fits a parabola
+per axis through that axis's three energies, and combines the per-axis
+vertices into an eighth candidate. The atom moves to the best candidate
+only if an exact delta confirms that the move strictly lowers the energy.
 
-With use_incremental_coulomb the probe energies come from the cheap
-delta evaluation around a far-field linearization (exact bonded and near
-terms, linearized far Coulomb, far vdW dropped), so the winning candidate
-is re-checked with an exact O(n) delta before the move is accepted. The
-running energy is resynced against a full recompute every epoch.
+Every probe is a single-atom delta, O(n), and the branches differ only in
+its model. With use_incremental_coulomb it models the far field (exact
+bonded and near terms, linearized far Coulomb, far vdW dropped), and the
+running energy is resynced against a full recompute every epoch; without
+it, every probe is the exact delta over all partners.
 
-Every probe, exact delta and resync counts as one value call of an
-ObjectiveOracle, armed after the start energy with the run's call and time
-budgets (Run.arm_budgets): an evaluation past max_oracle_calls, or starting
-past max_wall_time, is not made, and the run ends with status oracle_budget
-or time_budget at its last accepted configuration.
+Every probe, exact delta and resync is one value call of an ObjectiveOracle
+armed after the start energy with the run's call and time budgets
+(Run.arm_budgets); the six axis probes are charged together, before they
+are made. A call past max_oracle_calls, or starting past max_wall_time, is
+not made, and the run ends with status oracle_budget or time_budget at its
+last accepted configuration.
 """
 
 from __future__ import annotations
@@ -95,18 +96,17 @@ def atom_wiggle(system, config: WiggleConfig, stop=None) -> WiggleResult:
     status = None
     k = 0
 
-    def evaluate(fn, *args):
-        """One counted value call; degenerate geometry reads as inf."""
-        oracle.charge(1, 0)
+    def evaluate(fn, args, delta, charge=True):
+        """One value call per displacement in delta, (3,) or (6, 3), charged
+        before any is made; degenerate geometry reads as inf, row by row."""
+        if charge:
+            oracle.charge(delta.size // 3, 0)
         try:
-            return fn(*args)
+            return fn(*args, delta)
         except EnergyEvaluationError:
-            return math.inf
-
-    def full_delta(atom, delta):
-        moved = sys_cur.coords.copy()
-        moved[atom] += delta
-        return energy_total(sys_cur, moved).total - e_run
+            if delta.ndim == 1:
+                return math.inf
+            return np.array([evaluate(fn, args, row, False) for row in delta])
 
     try:
         while status is None:
@@ -116,32 +116,31 @@ def atom_wiggle(system, config: WiggleConfig, stop=None) -> WiggleResult:
             atom = int(rng.integers(sys_cur.natoms))
             if config.use_incremental_coulomb:
                 lin = linearize_farfield_coulomb(sys_cur, atom, config.cutoff)
-                probe = lambda delta: evaluate(delta_energy_atom_move, sys_cur, lin, delta)
+                fn, args = delta_energy_atom_move, (sys_cur, lin)
             else:
-                probe = lambda delta: evaluate(full_delta, atom, delta)
+                fn, args = exact_delta_atom_move, (sys_cur, atom)
 
             # six displaced probes; the unmoved center has delta energy 0
-            deltas = np.array([probe(step) for step in steps])
+            deltas = evaluate(fn, args, steps)
 
             # per-axis parabola vertex, falling back to the best probe offset
-            # when the fit has no interior minimum; vertices clamped to +-10h
+            # when the fit has no interior minimum; vertices clamped to +-10h;
+            # a probe that reads inf is never the lowest candidate
             vertex = np.zeros(3)
             for axis, (dm, dp) in enumerate(deltas.reshape(3, 2)):
-                choices = [(0.0, 0.0)] + [(d, s) for d, s in ((dm, -h), (dp, h))
-                                          if math.isfinite(d)]
-                v = parabola_min([(-h, dm), (0.0, 0.0), (h, dp)]) if len(choices) == 3 else None
-                vertex[axis] = min(choices)[1] if v is None else min(max(v, -10.0 * h), 10.0 * h)
+                fit = math.isfinite(max(dm, dp))  # probes are finite or inf
+                v = parabola_min([(-h, dm), (0.0, 0.0), (h, dp)]) if fit else None
+                vertex[axis] = (min((0.0, 0.0), (dm, -h), (dp, h))[1] if v is None
+                                else min(max(v, -10.0 * h), 10.0 * h))
 
-            candidates = [(d, step) for d, step in zip(deltas, steps) if math.isfinite(d)]
+            candidates = list(zip(deltas, steps))
             if np.any(vertex != 0.0):
-                d_vertex = probe(vertex)
-                if math.isfinite(d_vertex):
-                    candidates.append((d_vertex, vertex))
+                candidates.append((evaluate(fn, args, vertex), vertex))
 
             step_norm = 0.0
-            est, delta = min(candidates, key=lambda c: c[0], default=(math.inf, None))
+            est, delta = min(candidates, key=lambda c: c[0])
             if est < -ACCEPT_MARGIN:
-                exact = evaluate(exact_delta_atom_move, sys_cur, atom, delta)
+                exact = evaluate(exact_delta_atom_move, (sys_cur, atom), delta)
                 if exact < -ACCEPT_MARGIN:
                     coords = sys_cur.coords.copy()
                     coords[atom] += delta

@@ -5,7 +5,7 @@ value_calls/grad_calls, so the accounting must flow through charge(), which
 value(), gradient() and value_and_gradient() call, and nothing else. A fused
 value_and_gradient call increments both counters by one. atom_wiggle, whose
 evaluations are energy deltas rather than values at an x, counts each one
-with charge(1, 0) on a base ObjectiveOracle.
+as a value call on a base ObjectiveOracle, its six axis probes at once.
 
 While an optimizer runs, call_limit caps value_calls + grad_calls and no
 call may start at or after deadline (a time.perf_counter() time): charge()

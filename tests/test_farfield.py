@@ -219,3 +219,54 @@ def test_exact_delta_respects_system_cutoff():
     far = cloud([[0, 0, 0], [10, 0, 0]], q=1.0, cutoff=7.0)
     d = exact_delta_atom_move(far, 0, [1.0, 0, 0])
     assert d == 0.0  # still outside cutoff after the move
+
+
+# ------------------------------------------------------- stacked displacements
+
+@pytest.mark.parametrize("kind", ["chain", "clusters", "far only"])
+@pytest.mark.parametrize("seed", range(3))
+def test_a_stack_of_displacements_is_its_single_calls(kind, seed):
+    # a far field (cutoff 7) and bonded, scaled and excluded partners; with
+    # far partners only, the change is the linear term alone, bit for bit;
+    # the stack's rows are general vectors, not just axis probes
+    rng = np.random.default_rng(seed + 800)
+    if kind == "far only":
+        s = cloud(np.vstack([np.zeros(3), rng.uniform(15, 25, (3, 3))]), q=0.4)
+        atom = 0
+    else:
+        s = make_chain_system(14, seed, 0.3) if kind == "chain" else two_cluster_system(seed)
+        atom = int(rng.integers(s.natoms))
+    lin = linearize_farfield_coulomb(s, atom, 7.0)
+    for size in (1, 2, 6, 7):
+        stack = rng.uniform(-0.3, 0.3, (size, 3))
+        for stacked, alone in ((delta_energy_atom_move(s, lin, stack),
+                                [delta_energy_atom_move(s, lin, d) for d in stack]),
+                               (exact_delta_atom_move(s, atom, stack),
+                                [exact_delta_atom_move(s, atom, d) for d in stack])):
+            assert isinstance(stacked, np.ndarray) and stacked.shape == (size,)
+            assert all(isinstance(a, float) for a in alone)
+            assert stacked.tobytes() == np.array(alone).tobytes()
+
+
+def test_a_stack_with_one_colliding_row_raises():
+    s = cloud([[0, 0, 0], [1.5, 0, 0], [0, 4, 0]], q=0.5)
+    lin = linearize_farfield_coulomb(s, 0, 7.0)
+    stack = np.array([[0.1, 0, 0], [1.5, 0, 0], [0, 0.1, 0]])
+    with pytest.raises(EnergyEvaluationError, match="coincident"):
+        delta_energy_atom_move(s, lin, stack)
+    with pytest.raises(EnergyEvaluationError, match="coincident"):
+        exact_delta_atom_move(s, 0, stack)
+    # the clean rows alone are fine
+    assert np.isfinite(exact_delta_atom_move(s, 0, stack[[0, 2]])).all()
+
+
+@pytest.mark.parametrize("shape", [(), (2,), (6,), (0, 3), (2, 2), (1, 3, 1), (2, 3, 3)])
+def test_a_displacement_of_another_shape_is_refused(shape):
+    # a flat (6,) must not read as two moves
+    s = cloud([[0, 0, 0], [3, 0, 0]])
+    lin = linearize_farfield_coulomb(s, 0, 7.0)
+    delta = np.full(shape, 0.1)
+    with pytest.raises(ValueError, match="displacement of shape"):
+        delta_energy_atom_move(s, lin, delta)
+    with pytest.raises(ValueError, match="displacement of shape"):
+        exact_delta_atom_move(s, 0, delta)

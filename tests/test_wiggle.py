@@ -14,9 +14,11 @@ NO_TOL = dict(gradient_norm_rtol=0.0)
 
 
 def counted(made, fn):
-    """fn, appending its name to made at every call."""
+    """fn, appending its name to made once per evaluation it makes: once a
+    call, or once per displacement of a single-atom delta's (S, 3) stack."""
     def call(*args, **kwargs):
-        made.append(fn.__name__)
+        evaluations = np.size(args[-1]) // 3 if "delta" in fn.__name__ else 1
+        made.extend([fn.__name__] * evaluations)
         return fn(*args, **kwargs)
     return call
 
@@ -108,6 +110,10 @@ def test_colliding_probe_is_discarded_not_fatal(incremental):
     d = np.linalg.norm(res.system.coords[1] - res.system.coords[0])
     assert d > 1.0
     assert res.f < res.trace.records[0].f
+    # six probes, a vertex and an exact delta at most per iteration: the
+    # probes of a stack that raised are evaluated again uncharged
+    calls = np.diff([r.value_calls for r in res.trace.records])
+    assert calls.min() >= 6 and calls.max() <= 8
 
 
 def test_exact_delta_that_raises_is_counted_and_moves_nothing(monkeypatch):
@@ -132,15 +138,33 @@ def test_exact_delta_that_raises_is_counted_and_moves_nothing(monkeypatch):
 
 
 def test_incremental_and_full_agree_without_far_field():
-    # all atoms inside the cutoff: both probe modes see the same energies,
-    # so seeded runs walk identical paths
+    # all atoms inside the cutoff: both probe models are the exact delta over
+    # the same partners, so seeded runs walk bit-identical paths
     s = make_chain_system(6, seed=9, strain=0.3)
     stop = StopCriteria(max_iterations=80, **NO_TOL)
     a = atom_wiggle(s, WiggleConfig(h=0.05, seed=11, cutoff=1e6), stop)
     b = atom_wiggle(s, WiggleConfig(h=0.05, seed=11,
                                     use_incremental_coulomb=False), stop)
-    assert np.allclose(a.system.coords, b.system.coords, atol=1e-9)
-    assert a.f == pytest.approx(b.f, rel=1e-9)
+    assert np.array_equal(a.system.coords, b.system.coords)
+    assert a.f == b.f
+    assert [r.step for r in a.trace.records] == [r.step for r in b.trace.records]
+    assert any(r.step > 0.0 for r in a.trace.records)
+
+
+def test_exact_branch_sweeps_the_whole_system_only_for_its_start(monkeypatch):
+    import ffmin.optimizers.wiggle as wiggle
+
+    made = []
+    for name in ("energy_total", "delta_energy_atom_move", "exact_delta_atom_move"):
+        monkeypatch.setattr(wiggle, name, counted(made, getattr(wiggle, name)))
+    s = make_chain_system(12, seed=0, strain=0.3)
+    res = atom_wiggle(s, WiggleConfig(seed=1, epoch_iterations=3, use_incremental_coulomb=False),
+                      StopCriteria(max_iterations=20, **NO_TOL))
+    assert made.count("energy_total") == 1
+    assert "delta_energy_atom_move" not in made
+    # six axis probes per iteration, each an exact single-atom delta
+    assert made.count("exact_delta_atom_move") >= 6 * 20
+    assert res.trace.records[-1].value_calls == len(made)
 
 
 def test_wiggle_config_validation():
@@ -204,8 +228,11 @@ def test_deadline_ends_the_run_at_its_last_accepted_configuration(incremental, m
 
         def charge(self, values, grads):
             super().charge(values, grads)
-            if self.value_calls == k:
+            # the six axis probes are charged at once, so the count can
+            # step past k
+            if self.value_calls >= k:
                 self.deadline = -math.inf
+                fired.append(self.value_calls)
 
     s = make_chain_system(12, seed=0, strain=0.3)
     # epoch 3: some deadlines fall just before a resync
@@ -213,12 +240,16 @@ def test_deadline_ends_the_run_at_its_last_accepted_configuration(incremental, m
     ends = set()
     for k in range(2, 61):
         made.clear()
+        fired = []
         with monkeypatch.context() as mp:
             mp.setattr(wiggle, "ObjectiveOracle", DeadlineOracle)
-            res = atom_wiggle(s, config, StopCriteria(max_iterations=None, max_wall_time=3600.0,
+            # every iteration makes a call, so a deadline that never fires
+            # ends the run at the iteration budget, not the wall budget
+            res = atom_wiggle(s, config, StopCriteria(max_iterations=k, max_wall_time=3600.0,
                                                       **NO_TOL))
         assert res.status == res.trace.status == TIME_BUDGET, k
-        assert len(made) == k, k  # no evaluation after the refusal
+        assert fired and k <= fired[0] < k + 6, k
+        assert len(made) == fired[0], k  # no evaluation after the refusal
         # the run ends at its last accepted configuration: that of a run
         # stopped after as many iterations
         ref = atom_wiggle(s, config, StopCriteria(max_iterations=res.iterations, **NO_TOL))
@@ -234,7 +265,7 @@ def test_deadline_ends_the_run_at_its_last_accepted_configuration(incremental, m
             # a refused resync still records the iteration's move, at the
             # running energy
             ends.add("resync")
-            assert rows[-1, 4] == ref_rows[-1, 4] - 1 == k, k
+            assert rows[-1, 4] == ref_rows[-1, 4] - 1 == fired[0], k
             assert (rows[-1, 0], rows[-1, 3]) == (ref_rows[-1, 0], ref_rows[-1, 3]), k
             assert res.f == pytest.approx(ref.f, rel=1e-12, abs=1e-9), k
     assert ends == ({"iteration", "resync"} if incremental else {"iteration"})
