@@ -14,13 +14,12 @@ term's kernels.py energy half on its section, in the check order of the
 plan's term table (pairs, stretch, bend, torsion): energy_total.
 energy_and_gradient finishes it with each term's gradient half, which
 reuses the pair terms, and one scatter, so a fault is named in the same
-order either way. A KeptSweeps lets a caller that values several points and
-then wants the gradient at one of them (an oracle under a line search) keep
-the sweeps: the gradient at a kept x then runs only the gradient halves,
-with the same bits. A kept sweep holds its pair terms until the next sweep
-starts, so the gradient at the point valued last (an accepted natural
-step) reuses them too, while a call still holds one sweep's pair terms at
-most. Every gather, here and in the kernels, reads the plan's flat edge
+order either way. A KeptSweep lets a caller that values a point and then
+wants the gradient there (an oracle whose line search accepts its last
+probe) keep that sweep: the gradient at the kept x then runs only the
+gradient halves, pair terms included, with the same bits. The store holds
+the sweep valued last and nothing else, so a call never holds two sweeps.
+Every gather, here and in the kernels, reads the plan's flat edge
 index (kernels.flat_index). _term runs one term's energy half over other
 edge rows: one section alone (energy_stretch ...), one atom's rows (the
 single-atom deltas) or its far partners (linearize_farfield_coulomb).
@@ -73,14 +72,13 @@ class EnergyBreakdown:
 
 @dataclass(frozen=True)
 class FarFieldLinearization:
-    """First-order model of one atom's far-field Coulomb sum: e_far0 at
-    ref_pos, and its gradient coef there, so moving the atom by delta changes
-    it by about coef . delta. near_idx lists the partners evaluated exactly.
+    """First-order model of one atom's far-field Coulomb sum: e_far0 at the
+    atom's position, and its gradient coef there, so moving the atom by delta
+    changes it by about coef . delta. near_idx lists the partners evaluated
+    exactly.
     """
 
     atom: int
-    cutoff: float
-    ref_pos: np.ndarray
     e_far0: float
     coef: np.ndarray
     near_idx: np.ndarray
@@ -182,38 +180,22 @@ class _Sweep:
         return self.breakdown, kernels.scatter(W, p["edge_flat"], system.natoms)
 
 
-class KeptSweeps:
-    """Value sweeps kept for a gradient at the same coordinates.
+class KeptSweep:
+    """The value sweep valued last, kept for a gradient at the same x.
 
-    Holds the sweeps tied at the lowest total kept since the store was last
-    emptied, one per x, keyed on a copy of x's bytes: an x edited in place
-    afterwards no longer matches. energy_total sheds the kept sweeps' pair
-    terms, then keeps its own sweep here, pair terms and all; so the sweep
-    valued last finishes without recomputing them, and a call never holds
-    the pair terms of two sweeps. energy_and_gradient takes the sweep kept
-    at its x, if any, and empties the store.
+    One slot, keyed on a copy of x's bytes: an x edited in place afterwards
+    no longer matches. energy_total empties it before it sweeps, then keeps
+    its own sweep there; energy_and_gradient takes the sweep if it was kept
+    at its x, and empties the slot either way.
     """
 
     def __init__(self):
-        self.total = math.inf
-        self.by_x = {}
-
-    def keep(self, x, sweep):
-        total = sweep.breakdown.total
-        if total < self.total:
-            self.total, self.by_x = total, {}
-        if total == self.total:
-            self.by_x[np.asarray(x, dtype=np.float64).tobytes()] = sweep
-
-    def shed(self):
-        """Drop the kept sweeps' pair terms; their gradients recompute them."""
-        for sweep in self.by_x.values():
-            sweep.parts[0] = kernels.without_pair_terms(sweep.parts[0])
+        self.slot = None  # (x's bytes, sweep), or None when empty
 
     def take(self, x):
         """The sweep kept at x, or None; empties the store either way."""
-        by_x, self.total, self.by_x = self.by_x, math.inf, {}
-        return by_x.get(np.asarray(x, dtype=np.float64).tobytes()) if by_x else None
+        slot, self.slot = self.slot, None
+        return slot[1] if slot and slot[0] == np.asarray(x, dtype=np.float64).tobytes() else None
 
 
 def _nonfinite(out, what):
@@ -291,18 +273,18 @@ def energy_total(system: MolecularSystem, x=None, kept=None) -> EnergyBreakdown:
     """Per-term energies at flat coordinates x (default: system.coords): the
     value sweep.
 
-    With a KeptSweeps kept, the sweep is kept there for a gradient at the
-    same x, after the sweeps kept before it shed their pair terms. Raises
-    ModelError for an x of the wrong size or with a non-finite entry.
+    With a KeptSweep kept, it is emptied first, and the sweep is kept there
+    for a gradient at the same x. Raises ModelError for an x of the wrong
+    size or with a non-finite entry.
     """
     if kept is not None:
-        kept.shed()
+        kept.slot = None
     sweep = _Sweep(system, x)
     for term, part in zip(_TERMS, sweep.parts):
         if part[-2] >= 0:
             _raise(system, term, part[-2])
     if kept is not None:
-        kept.keep(x, sweep)
+        kept.slot = np.asarray(x, dtype=np.float64).tobytes(), sweep
     return sweep.breakdown
 
 
@@ -312,7 +294,7 @@ def energy_and_gradient(system: MolecularSystem, x=None, kept=None):
     or at system.coords when x is None: the value sweep finished by its
     gradient halves.
 
-    With a KeptSweeps kept, a sweep kept at this x is finished in place of a
+    With a KeptSweep kept, a sweep kept at this x is finished in place of a
     new one (the same bits), and the store is emptied. Callers needing both
     quantities should use this instead of two separate calls.
     """
@@ -372,8 +354,7 @@ def linearize_farfield_coulomb(system: MolecularSystem, atom: int,
     G = np.empty((far.size, 3))
     kernels.nonbonded_grad(D, R, mid, G, True)
     return FarFieldLinearization(
-        atom=atom, cutoff=float(cutoff), ref_pos=system.coords[atom].copy(),
-        e_far0=float(e_far0), coef=G.sum(axis=0), near_idx=np.flatnonzero(near))
+        atom=atom, e_far0=float(e_far0), coef=G.sum(axis=0), near_idx=np.flatnonzero(near))
 
 
 def _atom_delta(system, atom, deltas, partners=None):

@@ -20,16 +20,14 @@ nonbonded) returns the term energies, a bad row, and the intermediates its
 derivative needs; the gradient half (stretch_grad ...) takes those
 intermediates and writes dE/d(edge vector) into the term's rows of an
 output block G, so each formula exists once. nonbonded hands on its pair
-terms too, so the gradient half reuses them; without_pair_terms drops them
-from a result kept for later, and nonbonded_grad then recomputes them. G
-is the first M rows of a C-ordered (2M, 3) block W: scatter() fills the
-other M with -G and sums all 2M rows into the flat atom gradient with one
-np.bincount on the same flat index. Leading axes of D and R hold
-independent coordinate sets (a single-atom delta evaluates the unmoved
-position and each displaced one in one call; gradient halves take one
-set); energies are summed over the rows only, so each set's energies are
-those it gets alone. Summation order is fixed, so repeated calls on the
-same inputs are bit-identical.
+terms too, so the gradient half reuses them. G is the first M rows of a
+C-ordered (2M, 3) block W: scatter() fills the other M with -G and sums all
+2M rows into the flat atom gradient with one np.bincount on the same flat
+index. Leading axes of D and R hold independent coordinate sets (a
+single-atom delta evaluates the unmoved position and each displaced one in
+one call; gradient halves take one set); energies are summed over the rows
+only, so each set's energies are those it gets alone. Summation order is
+fixed, so repeated calls on the same inputs are bit-identical.
 
 At desk scale a call costs its NumPy dispatches and Python frames more than
 its arithmetic. So the halves call NumPy's C entry points directly, reuse a
@@ -250,7 +248,7 @@ def _pair_terms(R, qq, sig, cutoff):
 
 def nonbonded(D, R, qq, sig, seps, cutoff, short):
     """Coulomb and LJ over interacting pairs: (coulomb, vdw, bad for r = 0,
-    the parameters and pair terms); seps is scale*epsilon.
+    (seps, *pair terms)); seps is scale*epsilon.
 
     With cutoff > 0 only pairs with r <= cutoff count.
     """
@@ -260,20 +258,12 @@ def nonbonded(D, R, qq, sig, seps, cutoff, short):
             return 0.0, 0.0, bad, None
     terms = _pair_terms(R, qq, sig, cutoff)
     return (_C * _sum(terms[1], axis=-1), 4.0 * _sum(terms[3] * seps, axis=-1), -1,
-            (qq, sig, seps, cutoff, terms))
-
-
-def without_pair_terms(out):
-    """nonbonded's result with no pair-sized array: nonbonded_grad then
-    recomputes the pair terms."""
-    coulomb, vdw, bad, mid = out
-    return coulomb, vdw, bad, mid[:4] + (None,)
+            (seps, *terms))
 
 
 def nonbonded_grad(D, R, mid, G, short):
     """dE/d(pair) into G; always -1."""
-    qq, sig, seps, cutoff, terms = mid
-    inv, qinv, x6, f = terms or _pair_terms(R, qq, sig, cutoff)
+    seps, inv, qinv, x6, f = mid
     # dE/dr / r = -(C qq/r + 24 s eps (2 x12 - x6)) / r^2, 2 x12 - x6 = 2 lj + x6
     f += f
     f += x6

@@ -4,13 +4,14 @@ Each iteration probes the chosen atom at +-h along each axis (six moved
 positions, in one stacked call, plus the unmoved center), fits a parabola
 per axis through that axis's three energies, and combines the per-axis
 vertices into an eighth candidate. The atom moves to the best candidate
-only if an exact delta confirms that the move strictly lowers the energy.
+only if its exact delta strictly lowers the energy.
 
 Every probe is a single-atom delta, O(n), and the branches differ only in
 its model. With use_incremental_coulomb it models the far field (exact
-bonded and near terms, linearized far Coulomb, far vdW dropped), and the
-running energy is resynced against a full recompute every epoch; without
-it, every probe is the exact delta over all partners.
+bonded and near terms, linearized far Coulomb, far vdW dropped), so one more
+exact delta confirms the best candidate, and the running energy is resynced
+against a full recompute every epoch; without it, every probe is the exact
+delta over all partners, so the best candidate's value is already exact.
 
 Every probe, exact delta and resync is one value call of an ObjectiveOracle
 armed after the start energy with the run's call and time budgets
@@ -140,7 +141,9 @@ def atom_wiggle(system, config: WiggleConfig, stop=None) -> WiggleResult:
             step_norm = 0.0
             est, delta = min(candidates, key=lambda c: c[0])
             if est < -ACCEPT_MARGIN:
-                exact = evaluate(exact_delta_atom_move, (sys_cur, atom), delta)
+                exact = float(est)
+                if config.use_incremental_coulomb:
+                    exact = evaluate(exact_delta_atom_move, (sys_cur, atom), delta)
                 if exact < -ACCEPT_MARGIN:
                     coords = sys_cur.coords.copy()
                     coords[atom] += delta

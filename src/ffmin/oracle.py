@@ -13,8 +13,7 @@ refuses such a call before evaluating, and the optimizer ends the run with
 the refusal's status, oracle_budget or time_budget.
 
 An oracle may reuse work between calls (MolecularOracle finishes the value
-sweep of a point it has just valued when asked for the gradient there, and
-reuses that sweep's pair terms when no value call came in between), but
+sweep of the point it valued last when asked for the gradient there), but
 never so that a result, a count or a refusal differs from plain evaluation.
 """
 
@@ -24,7 +23,7 @@ import time
 
 import numpy as np
 
-from .energy import KeptSweeps, energy_and_gradient, energy_total
+from .energy import KeptSweep, energy_and_gradient, energy_total
 
 
 ORACLE_BUDGET = "oracle_budget"
@@ -109,20 +108,17 @@ class MolecularOracle(ObjectiveOracle):
     kJ/(mol*angstrom). Every call evaluates the system's plan at x directly;
     an x of the wrong length or with a non-finite entry raises ModelError.
 
-    A line search values several probes and then asks for the gradient at
-    the one it accepts, its lowest. So the oracle keeps the value sweeps
-    tied at its lowest value since its last gradient call (KeptSweeps), and
-    a gradient at exactly such an x only finishes that sweep; every other
-    call sweeps afresh. The sweep valued last also keeps its pair terms
-    until the next value call, so the gradient at an accepted natural step
-    runs the gradient halves alone. Counts and results are the same either
-    way.
+    An optimizer nearly always asks for the gradient at the point it valued
+    last: its accepted natural step, or the probe its line search stopped
+    at. So the oracle keeps the sweep valued last (KeptSweep), and a
+    gradient at exactly that x only runs its gradient halves; every other
+    call sweeps afresh. Counts and results are the same either way.
     """
 
     def __init__(self, system):
         super().__init__(3 * system.natoms)
         self.system = system
-        self._kept = KeptSweeps()
+        self._kept = KeptSweep()
 
     def _value(self, x):
         return energy_total(self.system, x, self._kept).total

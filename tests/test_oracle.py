@@ -87,37 +87,40 @@ def test_kept_sweeps_give_the_bytes_of_a_fresh_sweep(name, seed, k, scale):
         assert len(started) == (0 if reuses else 1)
 
     fs = value_all()
-    low = xs[int(np.argmin(fs))]
+    low, last = xs[int(np.argmin(fs))], xs[-1]
     # every coordinate and difference is exact, so a shift by 1.0 ties in f
     twin = low + 1.0
     assert energy_total(system, twin) == energy_total(system, low)
 
-    # the lowest probe, then (the store emptied) a probe tied with it
-    gradient(low, reuses=True)
+    # the probe valued last, then (the store emptied) the lowest probe valued
+    # before a tie with it: only the x valued last reuses its sweep
+    gradient(last, reuses=True)
+    value_all((twin,))
+    gradient(low, reuses=False)
     value_all((twin,))
     gradient(twin, reuses=True)
     # a point never valued
     value_all()
     gradient(on_grid(low + 0.01), reuses=False)
-    # the lowest probe's own array, edited in place after it was valued
+    # the last probe's own array, edited in place after it was valued
     value_all()
-    edited = low.copy()
-    low[0] += 0.01
-    gradient(low, reuses=False)
-    assert fresh_gradient(system, low) != fresh_gradient(system, edited)
+    edited = last.copy()
+    last[0] += 0.01
+    gradient(last, reuses=False)
+    assert fresh_gradient(system, last) != fresh_gradient(system, edited)
     # a call either budget refuses (a spent cap, a past deadline) evaluates
-    # nothing, counts nothing and keeps the kept sweeps
+    # nothing, counts nothing and keeps the kept sweep
     value_all()
     for budget, spent, status in (
             ("call_limit", oracle.value_calls + oracle.grad_calls, ORACLE_BUDGET),
             ("deadline", time.perf_counter(), TIME_BUDGET)):
         setattr(oracle, budget, spent)
         with counted_sweeps() as started, pytest.raises(_BudgetExhausted, match=status):
-            oracle.gradient(low)
+            oracle.gradient(last)
         assert started == []
         assert (oracle.value_calls, oracle.grad_calls) == (values, grads)
         setattr(oracle, budget, None)
-    gradient(low, reuses=True)
+    gradient(last, reuses=True)
     assert (oracle.value_calls, oracle.grad_calls) == (values, grads)
 
 
@@ -156,3 +159,25 @@ def test_kept_sweeps_are_invisible_to_the_optimizers(method):
     assert strip_wall_column(trace_text(kept.trace)) == strip_wall_column(trace_text(ref.trace))
     assert kept.x.tobytes() == ref.x.tobytes()
     assert (kept.f, kept.status) == (ref.f, ref.status)
+
+
+@pytest.mark.parametrize("method", sorted(RUNS))
+def test_no_sweep_starts_while_the_store_holds_one(method, monkeypatch):
+    system = make_chain_system(12, seed=0, strain=0.3)
+    oracle = MolecularOracle(system)
+    held = []
+    init = energy._Sweep.__init__
+
+    def checked(self, *args):
+        held.append(oracle._kept.slot is not None)
+        init(self, *args)
+
+    monkeypatch.setattr(energy._Sweep, "__init__", checked)
+    stop = StopCriteria(max_iterations=200, gradient_norm_tol=1e-4, gradient_norm_rtol=0.0)
+    x0 = system.coords.ravel()
+    RUNS[method](oracle, x0, stop)
+    # and a gradient at an earlier probe, which sweeps afresh
+    oracle.value(x0)
+    oracle.value(on_grid(x0 + 0.01))
+    oracle.gradient(x0)
+    assert len(held) > oracle.value_calls and not any(held)

@@ -151,6 +151,17 @@ def test_incremental_and_full_agree_without_far_field():
     assert any(r.step > 0.0 for r in a.trace.records)
 
 
+def test_exact_branch_makes_at_most_seven_value_calls_an_iteration():
+    # six axis probes and the vertex, each already an exact delta: the best
+    # candidate is accepted on its own value, with no second exact delta
+    s = make_chain_system(30, seed=0, strain=0.3)
+    res = atom_wiggle(s, WiggleConfig(seed=1, use_incremental_coulomb=False),
+                      StopCriteria(max_iterations=60, **NO_TOL))
+    calls = np.diff([r.value_calls for r in res.trace.records])
+    assert calls.max() <= 7
+    assert any(r.step > 0.0 for r in res.trace.records)
+
+
 def test_exact_branch_sweeps_the_whole_system_only_for_its_start(monkeypatch):
     import ffmin.optimizers.wiggle as wiggle
 
