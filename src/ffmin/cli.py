@@ -19,6 +19,7 @@ from .energy import EnergyEvaluationError, energy_and_gradient, energy_total
 from .model import ModelError
 from .oracle import MolecularOracle
 from .optimizers import (
+    CG_VARIANTS,
     CONVERGED,
     HORIZON_COMPLETE,
     LINESEARCH_FAILURE,
@@ -82,8 +83,7 @@ def _add_method_options(p):
     p.add_argument("--m", type=int, default=3,
                    help="lbfgs memory depth (default: %(default)s)")
     p.add_argument("--cg-variant", default="prp",
-                   help="cg beta formula: fr|prp|prp+|hs|cd|ls|dy "
-                        "(default: %(default)s)")
+                   help=f"cg beta formula: {'|'.join(CG_VARIANTS)} (default: %(default)s)")
     p.add_argument("--restart", type=int, default=100, metavar="K",
                    help="cg restart period (default: %(default)s)")
     p.add_argument("--L", type=float, default=None,
@@ -192,7 +192,6 @@ def _run_method(args, system):
     if m == "lbfgs":
         return lbfgs(oracle, x0, m=args.m, linesearch=_build_linesearch(args),
                      stop=stop)
-    _fail(f"unknown method {m!r}")
 
 
 def _print_breakdown(bd, grad_max, out=None):

@@ -113,7 +113,7 @@ def _raise(system, term, bad, rows=None, gradient=False):
     if term == "pairs":
         if rows is None:
             p = system.arrays()
-            rows = p["edge_flat"][:, 3 * p["pair"].start::3] // 3
+            rows = p["edge_flat"][:, 3 * p["terms"]["pairs"][2].start::3] // 3
         i, j = rows[:, bad]
         raise EnergyEvaluationError(f"nonbonded pair ({i},{j}): {what}")
     if term == "bend" and gradient:
@@ -348,7 +348,7 @@ def linearize_farfield_coulomb(system: MolecularSystem, atom: int,
     near = (R <= cutoff) | (system.scale_row(atom) != 1.0)
     far = np.flatnonzero(~near)
     near[atom] = False
-    qq, sig, _, _ = pair_parameters(p, atom, far, 1.0)
+    qq, sig, _ = pair_parameters(p, atom, far, 1.0)
     D, R = D[far], R[far]
     (e_far0, _), mid = _term(system, "pairs", D, R, (qq, sig, 0.0, -1.0), rows=pairs[:, far])
     G = np.empty((far.size, 3))
@@ -370,8 +370,8 @@ def _atom_delta(system, atom, deltas, partners=None):
     for term, rows in zip(_TERMS, (np.stack((np.full_like(j, atom), j)),
                                    *system.atom_terms(atom))):
         if term == "pairs":
-            qq, sig, eps, s = pair_parameters(p, atom, j, scale[j])
-            idx, args = kernels.flat_index(rows), (qq, sig, s * eps, p["cutoff"])
+            idx = kernels.flat_index(rows)
+            args = (*pair_parameters(p, atom, j, scale[j]), p["terms"]["pairs"][3][-1])
         else:
             idx, args = _plan_rows(p, term, rows)
         energies, _ = _term(system, term, *kernels.edges(sets, idx), args, rows=rows)

@@ -220,8 +220,6 @@ def ls_par(oracle, x0, r, config: LsParConfig, f0: float, g0=None,
             if config.use_gradient_start and f0_ < f0 \
                     and f0_ <= f0 + ARMIJO_C1 * x0_ * slope:
                 break
-            if x0_ == x1 or x0_ == x2 or x1 == x2:
-                break
             v = _fit(x0_, f0_, x1, f1, x2, f2)
             if v is None:
                 break

@@ -168,20 +168,15 @@ class NonbondedPolicy:
             return self.s14
         return 1.0
 
-    @staticmethod
-    def no_exclusions(cutoff=None):
-        """Literal all-pairs policy (every distinct pair at scale 1)."""
-        return NonbondedPolicy(frozenset(), frozenset(), 0.5, cutoff)
-
 
 def pair_parameters(p, i, j, scale):
-    """The combination rule: (qq, sig, eps, scale) for the pairs (i, j) from
-    the per-atom q, sigma, epsilon in p, qq = scale*q_i*q_j, sig =
-    sqrt(sigma_i*sigma_j) and eps = sqrt(epsilon_i*epsilon_j);
-    kernels.nonbonded takes qq, sig and scale*eps."""
+    """The combination rule: kernels.nonbonded's (qq, sig, seps) for the
+    pairs (i, j) at the given scale, from the per-atom q, sigma, epsilon in
+    p: qq = scale*q_i*q_j, sig = sqrt(sigma_i*sigma_j) and seps =
+    scale*sqrt(epsilon_i*epsilon_j)."""
     q, sigma, epsilon = p["q"], p["sigma"], p["epsilon"]
     return (scale * q[i] * q[j], np.sqrt(sigma[i] * sigma[j]),
-            np.sqrt(epsilon[i] * epsilon[j]), scale)
+            scale * np.sqrt(epsilon[i] * epsilon[j]))
 
 
 def _pair_index(n, i, j):
@@ -318,22 +313,18 @@ class MolecularSystem:
             edge e is the difference vector c[ea[e]] - c[eb[e]], with
             edge_flat[0, 3e + axis] = 3*ea[e] + axis and edge_flat[1]
             likewise for eb; the gather and the gradient scatter both read it;
-          - the edge sections, as slices of edges: bond (d = c_i - c_j per
-            bond), angle (every a = c_i - c_j, then every b = c_k - c_j),
-            torsion (every b1 = c_j - c_i, then b2 = c_k - c_j, then
-            b3 = c_l - c_k) and pair (c_i - c_j for every interacting i<j
-            pair, that is every pair of nonzero scale, in np.triu_indices
-            order);
-          - per pair pair_qq, pair_sig and pair_seps, scale*eps, from the
-            (qq, sig, eps, scale) of pair_parameters, scale being s14 for 1-4
-            pairs and else 1;
-          - cutoff, -1.0 when the policy has none;
           - terms: per term in check order ("pairs", "stretch", "bend",
             "torsion"), its kernels' energy and gradient halves, its edge
-            section, and the parameters they take: pair_qq, pair_sig,
-            pair_seps and cutoff; K and r0 per bond; K and theta0
-            per angle; V (m, 4), V*TORSION_SIGN and V*TORSION_DPHI per
-            dihedral.
+            section as a slice of edges, and the parameters they take.
+            The sections: pairs (c_i - c_j for every interacting i<j pair,
+            that is every pair of nonzero scale, in np.triu_indices order),
+            stretch (d = c_i - c_j per bond), bend (every a = c_i - c_j,
+            then every b = c_k - c_j) and torsion (every b1 = c_j - c_i,
+            then b2 = c_k - c_j, then b3 = c_l - c_k). The parameters: per
+            pair the (qq, sig, seps) of pair_parameters, scale being s14
+            for 1-4 pairs and else 1, then the cutoff, -1.0 when the policy
+            has none; K and r0 per bond; K and theta0 per angle; V (m, 4),
+            V*TORSION_SIGN and V*TORSION_DPHI per dihedral.
 
         Every array is read-only but edge_flat, which callers must not
         write either: np.take and np.bincount copy a read-only index on
@@ -378,28 +369,24 @@ class MolecularSystem:
         edge_idx = np.stack((np.concatenate((bi, ai, ak, dj, dk, dl, iu)),
                              np.concatenate((bj, aj, aj, di, dj, dk, ju))))
         ends = np.cumsum((0, bi.size, 2 * ai.size, 3 * di.size, iu.size))
-        sec = {name: slice(int(a), int(b)) for name, a, b in
-               zip(("bond", "angle", "torsion", "pair"), ends, ends[1:])}
+        bond, angle, torsion, pair = (slice(int(a), int(b)) for a, b in zip(ends, ends[1:]))
         dih_V = np.array([(d.V1, d.V2, d.V3, d.V4) for d in self.dihedrals],
                          dtype=np.float64).reshape(-1, 4)
-        qq, sig, eps, scale = pair_parameters(per_atom, iu, ju, scale)
-        seps = scale * eps
         cutoff = -1.0 if self.nonbonded.cutoff is None else float(self.nonbonded.cutoff)
 
         def column(terms, attr):
             return np.array([getattr(t, attr) for t in terms], dtype=np.float64)
 
         return {
-            **per_atom, "edge_flat": kernels.flat_index(edge_idx), **sec,
-            "pair_qq": qq, "pair_sig": sig, "pair_seps": seps, "cutoff": cutoff,
+            **per_atom, "edge_flat": kernels.flat_index(edge_idx),
             "terms": {
-                "pairs": (kernels.nonbonded, kernels.nonbonded_grad, sec["pair"],
-                          (qq, sig, seps, cutoff)),
-                "stretch": (kernels.stretch, kernels.stretch_grad, sec["bond"],
+                "pairs": (kernels.nonbonded, kernels.nonbonded_grad, pair,
+                          (*pair_parameters(per_atom, iu, ju, scale), cutoff)),
+                "stretch": (kernels.stretch, kernels.stretch_grad, bond,
                             (column(self.bonds, "K"), column(self.bonds, "r0"))),
-                "bend": (kernels.bend, kernels.bend_grad, sec["angle"],
+                "bend": (kernels.bend, kernels.bend_grad, angle,
                          (column(self.angles, "K"), column(self.angles, "theta0"))),
-                "torsion": (kernels.torsion, kernels.torsion_grad, sec["torsion"],
+                "torsion": (kernels.torsion, kernels.torsion_grad, torsion,
                             (dih_V, dih_V * TORSION_SIGN, dih_V * TORSION_DPHI)),
             },
         }

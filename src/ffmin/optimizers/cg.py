@@ -17,22 +17,10 @@ from .common import DescentRule, LineSearcher, OptimizeResult, descend
 
 VARIANTS = ("fr", "prp", "prp+", "hs", "cd", "ls", "dy")
 
-_NAMES = {
-    "fletcher-reeves": "fr",
-    "polak-ribiere-polyak": "prp",
-    "polak-ribiere-plus": "prp+",
-    "hestenes-stiefel": "hs",
-    "conjugate-descent": "cd",
-    "liu-storey": "ls",
-    "dai-yuan": "dy",
-}
-# each full name is accepted with or without its hyphens
-_ALIASES = {**_NAMES, **{name.replace("-", ""): kind for name, kind in _NAMES.items()}}
-
 
 def canonical_variant(kind: str) -> str:
+    """kind stripped and lower-cased; ValueError unless it is one of VARIANTS."""
     k = kind.strip().lower()
-    k = _ALIASES.get(k, k)
     if k not in VARIANTS:
         raise ValueError(f"unknown cg variant {kind!r}; expected one of {VARIANTS}")
     return k

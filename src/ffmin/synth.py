@@ -15,12 +15,11 @@ from .model import (
     BondTerm,
     DihedralTerm,
     MolecularSystem,
-    NonbondedPolicy,
     build_default_exclusions,
 )
 
 
-def make_chain_system(natoms, seed=0, strain=0.3, s14=0.5, cutoff=None) -> MolecularSystem:
+def make_chain_system(natoms, seed=0, strain=0.3, cutoff=None) -> MolecularSystem:
     """Alkane-like chain with every term type present (for natoms >= 4)."""
     if natoms < 2:
         raise ValueError("need at least 2 atoms")
@@ -65,7 +64,7 @@ def make_chain_system(natoms, seed=0, strain=0.3, s14=0.5, cutoff=None) -> Molec
     coords[:, 0] = np.arange(natoms) * 1.5
     coords += rng.normal(scale=strain, size=(natoms, 3)) if strain > 0 else 0.0
 
-    nonbonded = build_default_exclusions(natoms, bonds, s14=s14, cutoff=cutoff)
+    nonbonded = build_default_exclusions(natoms, bonds, cutoff=cutoff)
     return MolecularSystem(
         atoms=tuple(atoms),
         coords=coords,

@@ -5,6 +5,8 @@ holds ``section <name>`` blocks: atoms, coords, bonds, angles, dihedrals,
 nonbonded, and (for mode: explicit) excluded_pairs / scaled14_pairs. Blank
 lines and ``#`` comments are ignored. The nonbonded section holds ``key:
 value`` lines; every other section is a table of whitespace-separated rows.
+The reader takes either mode (auto rebuilds the pair sets from the bond
+graph); the writer always lists them, as mode: explicit.
 
 ``TABLES`` declares each table section once, for the reader and the writer
 alike: the row it builds and its columns in file order, each with its field,
@@ -267,15 +269,9 @@ def load_system(path) -> MolecularSystem:
         raise SystemFileError(f"{path}: {exc}") from exc
 
 
-def save_system(system: MolecularSystem, path, mode="explicit"):
-    """Write a system file. mode: explicit lists the pair sets verbatim.
-
-    mode: auto writes only s14/cutoff and relies on the loader to rebuild
-    the exclusions from the bond graph; only safe when the policy actually
-    came from build_default_exclusions.
-    """
-    if mode not in ("auto", "explicit"):
-        raise ValueError(f"save mode must be auto or explicit, got {mode!r}")
+def save_system(system: MolecularSystem, path):
+    """Write a system file in mode: explicit, which lists the pair sets
+    verbatim, so any policy round-trips."""
     nb = system.nonbonded
     out = [f"format_version: {FORMAT_VERSION}"]
     _write_table(out, "atoms", system.atoms)
@@ -284,11 +280,10 @@ def save_system(system: MolecularSystem, path, mode="explicit"):
     _write_table(out, "angles", system.angles)
     _write_table(out, "dihedrals", system.dihedrals)
     out.append("section nonbonded")
-    out.append(f"mode: {mode}")
+    out.append("mode: explicit")
     out.append(f"s14: {FLOAT.spec % nb.s14}")
     out.append("cutoff: none" if nb.cutoff is None else f"cutoff: {FLOAT.spec % nb.cutoff}")
-    if mode == "explicit":
-        _write_table(out, "excluded_pairs", sorted(nb.excluded))
-        _write_table(out, "scaled14_pairs", sorted(nb.scaled14))
+    _write_table(out, "excluded_pairs", sorted(nb.excluded))
+    _write_table(out, "scaled14_pairs", sorted(nb.scaled14))
     with open(os.fspath(path), "w", encoding="utf-8") as fh:
         fh.write("\n".join(out) + "\n")

@@ -41,7 +41,7 @@ def two_cluster_system(seed, n=40, gap=40.0, radius=3.5):
         for i in range(n)
     )
     return MolecularSystem(atoms=atoms, coords=np.array(pts),
-                           nonbonded=NonbondedPolicy.no_exclusions())
+                           nonbonded=NonbondedPolicy())
 
 
 def assert_systems_equal(a, b):

@@ -15,6 +15,7 @@ from ffmin.energy import energy_total
 from ffmin.model import AtomSpec, BondTerm, MolecularSystem, NonbondedPolicy
 from ffmin.oracle import MolecularOracle
 from ffmin.optimizers import (
+    CG_VARIANTS,
     CgVariant,
     StopCriteria,
     WiggleConfig,
@@ -293,6 +294,9 @@ def test_minimize_dispatches_each_method(tmp_path, capsys, case):
     (["--method", "nag-sc", "--mu", "1"], "nag-sc requires --L and --mu"),
     (["--method", "ofgm", "--L", "2000"], "ofgm requires --horizon"),
     (["--max-time", "nan"], "max_wall_time must be >= 0 seconds, got nan"),
+    (["--method", "cg", "--cg-variant", "bogus"],
+     f"unknown cg variant 'bogus'; expected one of {CG_VARIANTS}"),
+    (["--method", "cg", "--restart", "0"], "restart_period must be >= 1"),
 ])
 def test_minimize_missing_method_flag_exits_2(tmp_path, capsys, flags, msg):
     path = write_diatomic(tmp_path)

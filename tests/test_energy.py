@@ -43,7 +43,7 @@ def atom(i, q=0.0, sigma=3.0, epsilon=0.1):
 
 def pair_system(r, q=0.0, sigma=3.0, epsilon=0.1, excluded=False, **kw):
     pol = (NonbondedPolicy(excluded=frozenset({(0, 1)}))
-           if excluded else NonbondedPolicy.no_exclusions(kw.get("cutoff")))
+           if excluded else NonbondedPolicy(cutoff=kw.get("cutoff")))
     return MolecularSystem(
         atoms=(atom(0, q, sigma, epsilon), atom(1, q, sigma, epsilon)),
         coords=np.array([[0.0, 0.0, 0.0], [r, 0.0, 0.0]]),
@@ -585,7 +585,7 @@ def test_far_field_overflow_raises_named_error():
     # overflows to inf while 1/r is 0, so the edge gradient is 0 * inf
     pair = MolecularSystem(atoms=(atom(0, q=0.5), atom(1, q=-0.5)),
                            coords=np.array([[-1.5e308, 0.0, 0.0], [1.5e308, 0.0, 0.0]]),
-                           nonbonded=NonbondedPolicy.no_exclusions())
+                           nonbonded=NonbondedPolicy())
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(EnergyEvaluationError, match="far-field coefficient is not finite"):
@@ -691,7 +691,7 @@ def test_plan_gradient_counts_a_pair_on_the_cutoff():
     g_on = energy_and_gradient(s, x)[1].reshape(-1, 3)
     g_below = energy_and_gradient(with_cutoff(s, np.nextafter(7.0, 0.0)), x)[1].reshape(-1, 3)
     pair = MolecularSystem(atoms=s.atoms[:2], coords=x.reshape(-1, 3)[:2],
-                           nonbonded=NonbondedPolicy.no_exclusions())
+                           nonbonded=NonbondedPolicy())
     g_pair = gradient_total(pair).reshape(-1, 3)
     assert np.all(g_pair[:, 0] != 0.0)  # the pair lies along x
     # the pair adds its whole gradient to its atoms and nothing elsewhere
@@ -860,7 +860,7 @@ def test_energy_halves_treat_stacked_sets_as_sets_alone(chain, natoms, seed, cut
         s = make_chain_system(natoms, seed % 7, 0.3, cutoff=cutoff)
     else:
         s = dataclasses.replace(two_cluster_system(seed % 5),
-                                nonbonded=NonbondedPolicy.no_exclusions(cutoff))
+                                nonbonded=NonbondedPolicy(cutoff=cutoff))
     rng = np.random.default_rng(seed)
     both = s.coords + scale * rng.standard_normal((2, s.natoms, 3))
     for k, i, j in clashes:

@@ -20,7 +20,7 @@ def cloud(coords, q=0.3, cutoff=None):
     coords = np.asarray(coords, dtype=float)
     atoms = tuple(AtomSpec(i, f"A{i}", q, 3.0, 0.2) for i in range(len(coords)))
     return MolecularSystem(atoms=atoms, coords=coords,
-                           nonbonded=NonbondedPolicy.no_exclusions(cutoff))
+                           nonbonded=NonbondedPolicy(cutoff=cutoff))
 
 
 # ----------------------------------------------------------- linearization

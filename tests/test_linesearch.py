@@ -236,6 +236,11 @@ def test_ls_par_config_validation():
         LsParConfig(K=1)
 
 
+def test_make_linesearch_rejects_an_unknown_kind():
+    with pytest.raises(ValueError, match="unknown line search kind 'bogus'"):
+        make_linesearch("bogus")
+
+
 @given(
     t=st.floats(-3.0, 3.0),
     a=st.floats(0.1, 10.0),
@@ -260,6 +265,26 @@ def test_ls_par_invariants(t, a, b, k, g0_mode):
             assert res.h > 0.0
     else:
         assert res.h == 0.0 and res.f_at_step == f0
+
+
+@settings(max_examples=300, deadline=None)
+@given(t=st.floats(-4.0, 4.0), a=st.floats(-2.0, 10.0), nan_at=st.floats(-4.0, 4.0),
+       nan_width=st.sampled_from([0.0, 0.05, 0.5, 2.0]), k=st.integers(2, 8),
+       gradient_start=st.booleans(), h0=st.one_of(st.none(), st.floats(1e-3, 4.0)),
+       slope=st.floats(-20.0, 5.0))
+def test_ls_par_probes_each_abscissa_once(t, a, nan_at, nan_width, k, gradient_start, h0,
+                                         slope):
+    # a vertex near any sampled h, 0 included, is rejected, so the best three
+    # samples of a refit never share an h
+    def fn(h):
+        return math.nan if nan_at < h < nan_at + nan_width else a * (h - t) ** 2
+
+    phi = Phi(fn)
+    cfg = LsParConfig(h0=1.0, K=k, use_gradient_start=gradient_start)
+    ls_par(phi, X0, R, cfg, a * t * t, np.array([slope]), h0=h0)
+    hs = [float(x[0]) for x in phi.seen]  # x0 = 0 and r = 1, so x is h
+    assert 0.0 not in hs
+    assert len(set(hs)) == len(hs)
 
 
 # -------------------------------------------------------------- NaN probes

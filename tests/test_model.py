@@ -122,6 +122,12 @@ def test_default_exclusions_ring4_matches_bfs_oracle():
                 assert (i, j) not in pol.scaled14
 
 
+def test_chain_needs_two_atoms():
+    from ffmin.synth import make_chain_system
+    with pytest.raises(ValueError, match="at least 2 atoms"):
+        make_chain_system(1)
+
+
 def test_system_validation():
     atoms = (atom(0), atom(1))
     coords = np.zeros((2, 3))
@@ -192,7 +198,7 @@ def test_replace_does_not_share_the_plan():
 
 def pair_atoms(p):
     """The plan's pair edges as atom pairs (2, k), read off its flat edge index."""
-    return p["edge_flat"][:, 3 * p["pair"].start::3] // 3
+    return p["edge_flat"][:, 3 * p["terms"]["pairs"][2].start::3] // 3
 
 
 def test_plan_pair_tables_follow_the_policy():
@@ -206,11 +212,12 @@ def test_plan_pair_tables_follow_the_policy():
     # the interacting pairs, in np.triu_indices order, are the plan's pair edges
     interacting = [(i, j) for i, j in zip(*np.triu_indices(5, 1)) if scale.get((i, j), 1.0)]
     assert pair_atoms(p).T.tolist() == [list(ij) for ij in interacting]
+    qq, sig, seps, _ = p["terms"]["pairs"][3]
     for k, (i, j) in enumerate(interacting):
         s = scale.get((i, j), 1.0)
-        assert p["pair_qq"][k] == s * atoms[i].q * atoms[j].q
-        assert p["pair_sig"][k] == np.sqrt(atoms[i].sigma * atoms[j].sigma)
-        assert p["pair_seps"][k] == s * np.sqrt(atoms[i].epsilon * atoms[j].epsilon)
+        assert qq[k] == s * atoms[i].q * atoms[j].q
+        assert sig[k] == np.sqrt(atoms[i].sigma * atoms[j].sigma)
+        assert seps[k] == s * np.sqrt(atoms[i].epsilon * atoms[j].epsilon)
     for a in range(5):
         want = [0.0 if b == a else scale.get((min(a, b), max(a, b)), 1.0) for b in range(5)]
         assert sys0.scale_row(a).tolist() == want
@@ -247,7 +254,7 @@ def test_policy_stores_reversed_pairs_canonically():
     pairs = pair_atoms(p).T.tolist()
     assert [1, 3] not in pairs and [0, 4] in pairs
     for k, (i, j) in enumerate(pairs):
-        assert p["pair_qq"][k] == pol.pair_scale(i, j) * 0.1 * 0.1
+        assert p["terms"]["pairs"][3][0][k] == pol.pair_scale(i, j) * 0.1 * 0.1
     with pytest.raises(ModelError, match="must differ"):
         NonbondedPolicy(excluded=frozenset({(2, 2)}))
 
@@ -268,48 +275,55 @@ def test_plan_edge_table_layout(n, seed, cutoff):
     assert flat.shape == (2, 3 * ea.size) and flat.dtype == np.intp
     assert np.array_equal(flat.reshape(2, -1, 3), 3 * np.stack((ea, eb))[..., None] + np.arange(3))
 
-    def section(name):
-        return list(zip(ea[p[name]].tolist(), eb[p[name]].tolist()))
+    def section(term):
+        sec = p["terms"][term][2]
+        return list(zip(ea[sec].tolist(), eb[sec].tolist()))
 
-    assert section("bond") == [(b.i, b.j) for b in s.bonds]
-    assert section("angle") == [(a.i, a.j) for a in s.angles] + [(a.k, a.j) for a in s.angles]
+    # the plan holds these five entries and nothing else
+    assert list(p) == ["q", "sigma", "epsilon", "edge_flat", "terms"]
+    # the sections tile the edges: bonds, angles, dihedrals, then pairs
+    secs = [p["terms"][term][2] for term in ("stretch", "bend", "torsion", "pairs")]
+    assert [sec.start for sec in secs] == [0] + [sec.stop for sec in secs[:-1]]
+    assert secs[-1].stop == ea.size
+    assert section("stretch") == [(b.i, b.j) for b in s.bonds]
+    assert section("bend") == [(a.i, a.j) for a in s.angles] + [(a.k, a.j) for a in s.angles]
     d = s.dihedrals
     assert section("torsion") == ([(t.j, t.i) for t in d] + [(t.k, t.j) for t in d]
                                   + [(t.l, t.k) for t in d])
     # each nonzero-scale i<j pair exactly once, in np.triu_indices order, and no other
-    pairs = section("pair")
+    pairs = section("pairs")
     assert pairs == [(i, j) for i, j in zip(*np.triu_indices(n, 1))
                      if s.nonbonded.pair_scale(i, j) != 0.0]
     assert len(pairs) < n * (n - 1) // 2
-    # seps is scale*epsilon: s14 for the 1-4 pairs, 1 for the rest
-    seps = [s.nonbonded.pair_scale(i, j) * np.sqrt(s.atoms[i].epsilon * s.atoms[j].epsilon)
-            for i, j in pairs]
-    assert p["pair_seps"].tolist() == seps
-    assert any(s.nonbonded.pair_scale(i, j) != 1.0 for i, j in pairs)
-    assert p["pair"].stop == ea.size
+    # qq and seps carry the scale: s14 for the 1-4 pairs, 1 for the rest
+    scale, at = [s.nonbonded.pair_scale(i, j) for i, j in pairs], s.atoms
+    qq = [c * at[i].q * at[j].q for c, (i, j) in zip(scale, pairs)]
+    sig = [np.sqrt(at[i].sigma * at[j].sigma) for i, j in pairs]
+    seps = [c * np.sqrt(at[i].epsilon * at[j].epsilon) for c, (i, j) in zip(scale, pairs)]
+    assert any(c != 1.0 for c in scale)
     # every plan array is read-only but the flat index, which np.take and
     # np.bincount would copy on each call if it were
     assert [k for k, v in p.items() if isinstance(v, np.ndarray) and v.flags.writeable] == [
         "edge_flat"]
 
-    # the term table: check order, each term's kernels, its section, and the
+    # the term table: check order, each term's kernels, and the
     # parameters its kernels take, read-only like every plan array but edge_flat
     from ffmin import kernels
     from ffmin.kernels import TORSION_DPHI, TORSION_SIGN
     V = np.array([[t.V1, t.V2, t.V3, t.V4] for t in d]).reshape(-1, 4)
     want = {
-        "pairs": (kernels.nonbonded, kernels.nonbonded_grad, "pair",
-                  (p["pair_qq"], p["pair_sig"], seps, -1.0 if cutoff is None else cutoff)),
-        "stretch": (kernels.stretch, kernels.stretch_grad, "bond",
+        "pairs": (kernels.nonbonded, kernels.nonbonded_grad,
+                  (qq, sig, seps, -1.0 if cutoff is None else cutoff)),
+        "stretch": (kernels.stretch, kernels.stretch_grad,
                     ([b.K for b in s.bonds], [b.r0 for b in s.bonds])),
-        "bend": (kernels.bend, kernels.bend_grad, "angle",
+        "bend": (kernels.bend, kernels.bend_grad,
                  ([a.K for a in s.angles], [a.theta0 for a in s.angles])),
-        "torsion": (kernels.torsion, kernels.torsion_grad, "torsion",
+        "torsion": (kernels.torsion, kernels.torsion_grad,
                     (V, V * TORSION_SIGN, V * TORSION_DPHI)),
     }
-    assert list(p["terms"]) == list(want) and p["cutoff"] == want["pairs"][3][3]
-    for term, (energy, grad, sec, args) in want.items():
-        assert p["terms"][term][:3] == (energy, grad, p[sec])
+    assert list(p["terms"]) == list(want)
+    for term, (energy, grad, args) in want.items():
+        assert p["terms"][term][:2] == (energy, grad)
         got = p["terms"][term][3]
         assert len(got) == len(args)
         for a, b in zip(got, args):

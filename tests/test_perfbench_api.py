@@ -60,6 +60,22 @@ def test_tracing_rebinds_and_restores_the_names_it_traces(perfbench):
     assert res.iterations == 3
 
 
+def test_the_gated_workloads_set_up_and_replay(perfbench, tmp_path):
+    # the set-up of chain_solve and rank_demo, which runs outside their timed
+    # loops and which no other test runs
+    _, workloads = perfbench
+    chain = workloads.ChainSolve(0, tmp_path)
+    chain.setup()
+    assert chain.system.natoms == chain.natoms
+    assert (chain.oracle.value_calls, chain.oracle.grad_calls) == (0, 0)
+    demo = workloads.RankDemo(0, tmp_path, None)
+    demo.setup()  # make-demo, written with save_system
+    paths = sorted((demo.pool / "candidates").iterdir())
+    assert len(paths) == demo.candidates
+    _, counts = demo.replay(paths[:2])
+    assert [status for _, _, status, _ in counts] == ["converged", "converged"]
+
+
 def test_the_cli_parser_has_what_the_rank_demo_replay_reads(perfbench):
     _, workloads = perfbench
     args = workloads.build_parser().parse_args(["batch-rank", "candidates", "--ref", "ref.ffs"])

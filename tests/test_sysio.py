@@ -54,13 +54,17 @@ def test_comments_and_blank_lines_ignored(tmp_path):
 
 def test_round_trip_explicit(tmp_path, chain10):
     p = tmp_path / "out.ffs"
-    save_system(chain10, p, mode="explicit")
+    save_system(chain10, p)
+    assert "mode: explicit\n" in p.read_text()
     assert_systems_equal(chain10, load_system(p))
 
 
 def test_round_trip_auto(tmp_path, chain10):
+    # chain10's policy comes from the bond graph, so mode: auto rebuilds it
     p = tmp_path / "out.ffs"
-    save_system(chain10, p, mode="auto")
+    save_system(chain10, p)
+    text = p.read_text().replace("mode: explicit", "mode: auto")
+    write(tmp_path, text[:text.index("section excluded_pairs")], "out.ffs")
     assert_systems_equal(chain10, load_system(p))
 
 
@@ -120,6 +124,14 @@ def test_duplicate_section_rejected(tmp_path):
         load_system(p)
 
 
+@pytest.mark.parametrize("text", ["", "# only a comment\n\n"], ids=["empty", "comment-only"])
+def test_file_without_content_is_empty(tmp_path, text):
+    p = write(tmp_path, text)
+    with pytest.raises(SystemFileError) as exc:
+        load_system(p)
+    assert str(exc.value) == f"{p}:1: empty file"
+
+
 def test_missing_required_section(tmp_path):
     p = write(tmp_path, MINIMAL.replace("section nonbonded\nmode: auto\n", ""))
     with pytest.raises(SystemFileError, match="nonbonded"):
@@ -150,11 +162,6 @@ def test_atom_coord_count_mismatch(tmp_path):
     p = write(tmp_path, MINIMAL.replace("1.09 0.0 0.0\n", ""))
     with pytest.raises(SystemFileError, match="coordinate rows"):
         load_system(p)
-
-
-def test_save_mode_validated(tmp_path, chain10):
-    with pytest.raises(ValueError, match="save mode"):
-        save_system(chain10, tmp_path / "x.ffs", mode="compact")
 
 
 def test_unwritable_path_is_io_error(tmp_path, chain10):
@@ -306,14 +313,13 @@ def test_error_message_golden(tmp_path, lineno, repl, at, msg):
 # ------------------------------------------------ round trip property
 
 @settings(max_examples=40, deadline=None)
-@given(n=st.integers(2, 24), seed=st.integers(0, 2**16), cutoff=st.sampled_from([None, 7.0]),
-       mode=st.sampled_from(["explicit", "auto"]))
-def test_save_load_save_round_trip(tmp_path_factory, n, seed, cutoff, mode):
+@given(n=st.integers(2, 24), seed=st.integers(0, 2**16), cutoff=st.sampled_from([None, 7.0]))
+def test_save_load_save_round_trip(tmp_path_factory, n, seed, cutoff):
     system = make_chain_system(n, seed=seed, cutoff=cutoff)
     d = tmp_path_factory.mktemp("rt")
     texts = []
     for k in range(3):
-        save_system(system, d / f"{k}.ffs", mode=mode)
+        save_system(system, d / f"{k}.ffs")
         texts.append((d / f"{k}.ffs").read_text())
         loaded = load_system(d / f"{k}.ffs")
         assert_systems_equal(system, loaded)

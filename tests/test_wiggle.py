@@ -103,7 +103,7 @@ def test_colliding_probe_is_discarded_not_fatal(incremental):
     s = MolecularSystem(
         atoms=(AtomSpec(0, "A0", 0.5, 3.0, 0.2), AtomSpec(1, "A1", 0.5, 3.0, 0.2)),
         coords=np.array([[0.0, 0.0, 0.0], [0.05, 0.0, 0.0]]),
-        nonbonded=NonbondedPolicy.no_exclusions(),
+        nonbonded=NonbondedPolicy(),
     )
     res = atom_wiggle(s, WiggleConfig(h=0.05, seed=0, use_incremental_coulomb=incremental),
                       StopCriteria(max_iterations=50, **NO_TOL))
