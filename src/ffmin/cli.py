@@ -7,6 +7,7 @@ failure, 4 budget exhausted (iterations, oracle calls, or wall time).
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from pathlib import Path
@@ -312,6 +313,9 @@ def cmd_worstcase(args):
 
 
 def cmd_make_demo(args):
+    if args.candidates < 1 or args.atoms < 2:
+        _fail(f"make-demo needs --candidates >= 1 and --atoms >= 2, "
+              f"got {args.candidates} and {args.atoms}")
     out = Path(args.dir)
     cand_dir = out / "candidates"
     cand_dir.mkdir(parents=True, exist_ok=True)
@@ -327,7 +331,10 @@ def cmd_make_demo(args):
     return EXIT_OK
 
 
+@functools.cache
 def build_parser():
+    """The CLI's parser, built once: parse_args returns a fresh namespace,
+    and each subcommand's fn looks up what it calls when it runs."""
     parser = argparse.ArgumentParser(
         prog="ffmin",
         description="Force-field energy evaluation and minimization toolkit.",

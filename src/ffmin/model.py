@@ -12,9 +12,10 @@ new coordinates, since the topology it shares was checked already.
 
 ``MolecularSystem.arrays()`` is the system's evaluation plan: one edge table
 of every difference vector a term needs, with the term and pair parameters,
-built once on first use and shared by every system that ``with_coords``
-derives, so energies evaluate on flat coordinates without building a new
-system per call.
+built once on first use, so energies evaluate on flat coordinates without
+building a new system per call. It is kept in the system's topology cache,
+one dict that every system ``with_coords`` derives shares (a plan built on a
+derived system serves its parent too), as is ``save_system``'s file text.
 """
 
 from __future__ import annotations
@@ -237,8 +238,9 @@ class MolecularSystem:
     angles: tuple = ()
     dihedrals: tuple = ()
     nonbonded: NonbondedPolicy = field(default_factory=NonbondedPolicy)
-    # not an init field, so dataclasses.replace() starts from an empty cache
-    # instead of sharing a plan built for other parameters
+    # the topology cache: each entry depends on every field but coords. Not
+    # an init field, so dataclasses.replace() starts from an empty cache
+    # instead of sharing entries built for other parameters
     _cache: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
@@ -294,13 +296,10 @@ class MolecularSystem:
     def with_coords(self, coords):
         """New system sharing all parameters, with replaced coordinates.
 
-        Only the coordinates are checked; the topology is this system's.
+        Only the coordinates are checked; the topology is this system's, and
+        so is its topology cache: both systems share the one _cache dict.
         """
-        new = copy.copy(self)
-        # parameter-side caches stay valid when only coordinates change
-        object.__setattr__(new, "_cache", {
-            key: self._cache[key] for key in ("params", "atom_terms") if key in self._cache
-        })
+        new = copy.copy(self)  # shallow, so _cache is the same dict
         new._set_coords(np.array(coords, dtype=np.float64))
         return new
 

@@ -271,19 +271,23 @@ def load_system(path) -> MolecularSystem:
 
 def save_system(system: MolecularSystem, path):
     """Write a system file in mode: explicit, which lists the pair sets
-    verbatim, so any policy round-trips."""
-    nb = system.nonbonded
-    out = [f"format_version: {FORMAT_VERSION}"]
-    _write_table(out, "atoms", system.atoms)
-    _write_table(out, "coords", system.coords.tolist())
-    _write_table(out, "bonds", system.bonds)
-    _write_table(out, "angles", system.angles)
-    _write_table(out, "dihedrals", system.dihedrals)
-    out.append("section nonbonded")
-    out.append("mode: explicit")
-    out.append(f"s14: {FLOAT.spec % nb.s14}")
-    out.append("cutoff: none" if nb.cutoff is None else f"cutoff: {FLOAT.spec % nb.cutoff}")
-    _write_table(out, "excluded_pairs", sorted(nb.excluded))
-    _write_table(out, "scaled14_pairs", sorted(nb.scaled14))
+    verbatim, so any policy round-trips. The text around the coordinate rows
+    depends on the topology alone, so it is formatted once and kept in the
+    topology cache that the systems derived by with_coords share."""
+    around = system._cache.get("file_text")
+    if around is None:
+        nb = system.nonbonded
+        head, tail = [f"format_version: {FORMAT_VERSION}"], []
+        _write_table(head, "atoms", system.atoms)
+        _write_table(tail, "bonds", system.bonds)
+        _write_table(tail, "angles", system.angles)
+        _write_table(tail, "dihedrals", system.dihedrals)
+        tail += ["section nonbonded", "mode: explicit", f"s14: {FLOAT.spec % nb.s14}",
+                 "cutoff: none" if nb.cutoff is None else f"cutoff: {FLOAT.spec % nb.cutoff}"]
+        _write_table(tail, "excluded_pairs", sorted(nb.excluded))
+        _write_table(tail, "scaled14_pairs", sorted(nb.scaled14))
+        around = system._cache["file_text"] = ("\n".join(head), "\n".join(tail))
+    coords = []
+    _write_table(coords, "coords", system.coords.tolist())
     with open(os.fspath(path), "w", encoding="utf-8") as fh:
-        fh.write("\n".join(out) + "\n")
+        fh.write("\n".join((around[0], *coords, around[1])) + "\n")

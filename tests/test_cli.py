@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import ffmin.cli
-from ffmin.cli import METHODS, main
+from ffmin.cli import METHODS, build_parser, main
 from ffmin.energy import energy_total
 from ffmin.model import AtomSpec, BondTerm, MolecularSystem, NonbondedPolicy
 from ffmin.oracle import MolecularOracle
@@ -349,6 +349,17 @@ def test_make_demo_then_batch_rank(tmp_path, capsys):
     assert report.read_text() == out
 
 
+@pytest.mark.parametrize("flags", [["--candidates", "-3"], ["--candidates", "0"],
+                                   ["--atoms", "1"]])
+def test_make_demo_rejects_bad_sizes_before_writing(tmp_path, capsys, flags):
+    demo = tmp_path / "demo"
+    assert main(["make-demo", str(demo), *flags]) == 2
+    out, err = grab(capsys)
+    assert out == ""
+    assert err.startswith("ffmin: error: make-demo needs --candidates >= 1 and --atoms >= 2")
+    assert not demo.exists()
+
+
 def test_batch_rank_empty_dir_exits_2(tmp_path, capsys):
     ref = write_diatomic(tmp_path)
     empty = tmp_path / "empty"
@@ -425,6 +436,38 @@ def test_batch_rank_does_not_hide_programming_errors(tmp_path, capsys, monkeypat
     assert code == 2
     assert "ffmin: error: solver bug" in err
     assert "rank,id" not in out
+
+
+# ---------------------------------------------------------------- parser
+
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+def test_parser_reuse_after_an_error_matches_a_fresh_process(tmp_path, capsys):
+    path = write_chain(tmp_path)
+    with pytest.raises(SystemExit) as e:
+        main(["minimize", "--bogus"])
+    assert e.value.code == 2
+    grab(capsys)
+    assert main(["energy", str(path)]) == 0
+    out, err = grab(capsys)
+    root = Path(__file__).resolve().parents[1]
+    launcher = "import sys; from ffmin.cli import main; sys.exit(main())"
+    proc = subprocess.run([sys.executable, "-c", launcher, "energy", str(path)],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": str(root / "src")})
+    assert proc.returncode == 0, proc.stderr
+    assert (out, err) == (proc.stdout, proc.stderr)
+
+
+def test_parses_do_not_share_values():
+    parser = build_parser()
+    a = parser.parse_args(["batch-rank", "c", "--ref", "r.ffs", "--m", "7"])
+    b = parser.parse_args(["batch-rank", "d", "--ref", "s.ffs"])
+    assert a is not b
+    assert (a.dir, a.ref, a.m) == ("c", "r.ffs", 7)
+    assert (b.dir, b.ref, b.m) == ("d", "s.ffs", 3)
 
 
 # ---------------------------------------------------------------- bench

@@ -160,6 +160,18 @@ def test_with_coords_shares_parameters():
     # accepts flattened coordinate vectors too
     flat = sys0.with_coords(sys0.coords.ravel())
     assert np.array_equal(flat.coords, sys0.coords)
+    # the cache is shared both ways: a plan built first on a derived system
+    # is its parent's plan, and on every other system derived from either
+    parent = make_chain_system(6, seed=1)
+    child = parent.with_coords(parent.coords + 1.0)
+    grandchild = child.with_coords(child.coords + 1.0)
+    assert child.arrays() is parent.arrays() is grandchild.arrays()
+    assert child.atom_terms(2)[0] is parent.atom_terms(2)[0]
+    # a dataclasses.replace copy starts from an empty cache
+    from dataclasses import replace
+    copied = replace(parent)
+    assert copied._cache == {}
+    assert copied.arrays() is not parent.arrays()
 
 
 def test_with_coords_checks_only_coordinates(monkeypatch):

@@ -1,5 +1,8 @@
+import contextlib
 import dataclasses
+import io
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -9,6 +12,8 @@ from hypothesis import strategies as st
 from conftest import assert_systems_equal
 from ffmin.model import MolecularSystem, NonbondedPolicy
 from ffmin.synth import make_chain_system
+import ffmin.sysio
+from ffmin.cli import main
 from ffmin.sysio import TABLES, SystemFileError, load_system, save_system
 
 MINIMAL = """\
@@ -336,3 +341,83 @@ def test_save_load_save_round_trip(tmp_path_factory, n, seed, cutoff):
         if a != b:
             assert section == "angles" and a.split()[:4] == b.split()[:4]
             assert float(a.split()[4]) == pytest.approx(float(b.split()[4]), rel=1e-15)
+
+
+# ------------------------------------------------ the writer's topology text
+
+def fresh_copy(system, coords):
+    """A newly constructed system with system's fields and coordinates coords,
+    so with an empty cache."""
+    return MolecularSystem(atoms=system.atoms, coords=coords, bonds=system.bonds,
+                           angles=system.angles, dihedrals=system.dihedrals,
+                           nonbonded=system.nonbonded)
+
+
+def saved_text(system, path):
+    save_system(system, path)
+    return path.read_bytes()
+
+
+# edge values of %.17g: signed zero, subnormals, the extremes of the normals
+EDGE_FLOATS = st.sampled_from([-0.0, 0.0, 5e-324, -2.5e-320, 1e-310, 2.2250738585072014e-308,
+                               1e-300, -1e-300, 1e300, -1.7976931348623157e308])
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(2, 10), seed=st.integers(0, 2**16), cutoff=st.sampled_from([None, 7.0]),
+       data=st.data())
+def test_derived_system_saves_like_a_fresh_one(tmp_path_factory, n, seed, cutoff, data):
+    system = make_chain_system(n, seed=seed, cutoff=cutoff)
+    values = st.one_of(EDGE_FLOATS, st.floats(allow_nan=False, allow_infinity=False))
+    coords = np.array(data.draw(st.lists(values, min_size=3 * n, max_size=3 * n))).reshape(n, 3)
+    d = tmp_path_factory.mktemp("cache")
+    first = saved_text(system, d / "parent.ffs")  # fills the cache
+    derived = saved_text(system.with_coords(coords), d / "derived.ffs")
+    assert derived == saved_text(fresh_copy(system, coords), d / "fresh.ffs")
+    assert saved_text(system, d / "again.ffs") == first
+    assert np.array_equal(load_system(d / "derived.ffs").coords, coords)
+
+
+def test_replace_writes_the_new_policy(tmp_path):
+    system = make_chain_system(8, seed=2)
+    before = saved_text(system, tmp_path / "before.ffs")
+    nb = system.nonbonded
+    policy = NonbondedPolicy(nb.excluded, frozenset(), 0.25, cutoff=5.0)
+    replaced = dataclasses.replace(system, nonbonded=policy)
+    text = saved_text(replaced, tmp_path / "replaced.ffs")
+    assert text == saved_text(fresh_copy(replaced, system.coords), tmp_path / "fresh.ffs")
+    assert text != before
+    assert load_system(tmp_path / "replaced.ffs").nonbonded == policy
+    assert saved_text(system, tmp_path / "after.ffs") == before
+
+
+def make_demo(directory, *flags):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["make-demo", str(directory), *flags]) == 0
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_make_demo_files_equal_fresh_saves(tmp_path, seed):
+    make_demo(tmp_path / "demo", "--seed", str(seed))
+    ref = make_chain_system(12, seed=seed, strain=0.15)
+    files = [tmp_path / "demo" / "reference.ffs",
+             *sorted((tmp_path / "demo" / "candidates").iterdir())]
+    assert len(files) == 21
+    for k, path in enumerate(files):
+        # coordinates survive a save and load bit for bit
+        fresh = fresh_copy(ref, load_system(path).coords)
+        assert path.read_bytes() == saved_text(fresh, tmp_path / f"fresh_{k}.ffs")
+
+
+def test_make_demo_formats_the_topology_once(tmp_path, monkeypatch):
+    calls = Counter()
+    write_table = ffmin.sysio._write_table
+
+    def counting(out, name, rows):
+        calls[name] += 1
+        write_table(out, name, rows)
+
+    monkeypatch.setattr(ffmin.sysio, "_write_table", counting)
+    make_demo(tmp_path / "demo", "--candidates", "20")
+    assert calls == {"atoms": 1, "bonds": 1, "angles": 1, "dihedrals": 1,
+                     "excluded_pairs": 1, "scaled14_pairs": 1, "coords": 21}
