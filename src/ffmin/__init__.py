@@ -53,12 +53,9 @@ from .optimizers import (
     cg_beta,
     fgm,
     gradient_descent_fixed,
-    heavy_ball,
     lbfgs,
     lbfgs_direction,
     make_linesearch,
-    nesterov_momentum,
-    nesterov_strongly_convex,
     ofgm,
     ofgm_schedule,
     steepest_descent,

@@ -32,11 +32,8 @@ from .optimizers import (
     cg,
     fgm,
     gradient_descent_fixed,
-    heavy_ball,
     lbfgs,
     make_linesearch,
-    nesterov_momentum,
-    nesterov_strongly_convex,
     ofgm,
     steepest_descent,
 )
@@ -45,7 +42,7 @@ from .synth import make_chain_system, perturbed_copy
 from .sysio import SystemFileError, load_system, save_system
 from .tracefile import write_trace
 
-METHODS = ("gd", "sd", "hb", "nag", "nag-sc", "fgm", "ofgm", "cg", "lbfgs", "wiggle")
+METHODS = ("gd", "sd", "fgm", "ofgm", "cg", "lbfgs", "wiggle")
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -88,12 +85,7 @@ def _add_method_options(p):
     p.add_argument("--restart", type=int, default=100, metavar="K",
                    help="cg restart period (default: %(default)s)")
     p.add_argument("--L", type=float, default=None,
-                   help="smoothness constant for gd/nag/nag-sc/ofgm")
-    p.add_argument("--mu", type=float, default=None,
-                   help="strong convexity constant for nag-sc")
-    p.add_argument("--alpha", type=float, default=None, help="hb step size")
-    p.add_argument("--beta", type=float, default=0.9,
-                   help="hb momentum (default: %(default)s)")
+                   help="smoothness constant for gd/ofgm")
     p.add_argument("--horizon", type=int, default=None, metavar="N",
                    help="ofgm horizon")
     p.add_argument("--wiggle-h", type=float, default=0.05,
@@ -163,18 +155,6 @@ def _run_method(args, system):
         return gradient_descent_fixed(oracle, x0, args.L, stop)
     if m == "sd":
         return steepest_descent(oracle, x0, _build_linesearch(args), stop)
-    if m == "hb":
-        if args.alpha is None:
-            _fail("hb requires --alpha")
-        return heavy_ball(oracle, x0, args.alpha, args.beta, stop)
-    if m == "nag":
-        if args.L is None:
-            _fail("nag requires --L")
-        return nesterov_momentum(oracle, x0, args.L, stop)
-    if m == "nag-sc":
-        if args.L is None or args.mu is None:
-            _fail("nag-sc requires --L and --mu")
-        return nesterov_strongly_convex(oracle, x0, args.L, args.mu, stop)
     if m == "fgm":
         return fgm(oracle, x0, _build_linesearch(args), stop)
     if m == "ofgm":
@@ -318,6 +298,8 @@ def cmd_make_demo(args):
               f"got {args.candidates} and {args.atoms}")
     out = Path(args.dir)
     cand_dir = out / "candidates"
+    if (out / "reference.ffs").exists() or (cand_dir.is_dir() and any(cand_dir.iterdir())):
+        _fail(f"make-demo: {out} already holds a pool; use a new or empty directory")
     cand_dir.mkdir(parents=True, exist_ok=True)
     ref = make_chain_system(args.atoms, seed=args.seed, strain=0.15)
     save_system(ref, out / "reference.ffs")

@@ -12,13 +12,7 @@ from .common import (
     TraceRecord,
     make_linesearch,
 )
-from .gradient import (
-    gradient_descent_fixed,
-    heavy_ball,
-    nesterov_momentum,
-    nesterov_strongly_convex,
-    steepest_descent,
-)
+from .gradient import gradient_descent_fixed, steepest_descent
 from .fgm import fgm, ofgm, ofgm_schedule
 from .cg import CgVariant, VARIANTS as CG_VARIANTS, cg, cg_beta
 from .lbfgs import LbfgsMemory, lbfgs, lbfgs_direction
@@ -39,9 +33,6 @@ __all__ = [
     "TraceRecord",
     "make_linesearch",
     "gradient_descent_fixed",
-    "heavy_ball",
-    "nesterov_momentum",
-    "nesterov_strongly_convex",
     "steepest_descent",
     "fgm",
     "ofgm",

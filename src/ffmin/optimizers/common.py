@@ -40,7 +40,8 @@ ITERATION_BUDGET = "iteration_budget"
 LINESEARCH_FAILURE = "linesearch_failure"
 HORIZON_COMPLETE = "horizon_complete"
 
-# fixed-step runs abort once f exceeds this multiple of max(1, |f(x0)|)
+# iterate() aborts once f exceeds this multiple of max(1, |f(x0)|), for a
+# caller that passes diverged= (ofgm does; gd checks only for non-finite values)
 DIVERGENCE_FACTOR = 1e3
 
 
@@ -367,16 +368,16 @@ def descend(oracle, x0, stop, meta, rule, linesearch) -> OptimizeResult:
 
 
 def iterate(oracle, x0, stop, meta, step, horizon=None, diverged=None) -> OptimizeResult:
-    """The fixed-schedule loop: x_{k+1} from step(k, x_k, x_{k-1}, g_k).
+    """The fixed-schedule loop: x_{k+1} from step(k, x_k, g_k).
 
     step returns (x_new, f_new, g_new, step_size); the trace reports |g_new|
     and the next step receives g_new. DivergenceError is raised for
-    non-finite values, and with a message template diverged ({k}, {f},
-    {f0}) also once f exceeds DIVERGENCE_FACTOR * max(1, |f0|). Returns the
+    non-finite values, and with a message template diverged ({k}, {f})
+    also once f exceeds DIVERGENCE_FACTOR * max(1, |f0|). Returns the
     final iterate, after at most horizon steps when one is given.
     """
     run, x, f, g, gn = start(oracle, x0, stop, meta)
-    f0, x_prev = f, x
+    f0 = f
     status = CONVERGED if gn <= run.threshold else None
     k = 0
     try:
@@ -385,14 +386,14 @@ def iterate(oracle, x0, stop, meta, step, horizon=None, diverged=None) -> Optimi
                       else run.budget_status(k))
             if status:
                 break
-            x_new, f_new, g_new, h = step(k, x, x_prev, g)
+            x_new, f_new, g_new, h = step(k, x, g)
             if diverged is None:
                 check_finite(f_new, g_new, k + 1)
             elif (not math.isfinite(f_new)
                   or f_new > DIVERGENCE_FACTOR * max(1.0, abs(f0))
                   or not all_finite(g_new)):
-                raise DivergenceError(diverged.format(k=k + 1, f=f_new, f0=f0))
-            x_prev, x, f, g = x, x_new, f_new, g_new
+                raise DivergenceError(diverged.format(k=k + 1, f=f_new))
+            x, f, g = x_new, f_new, g_new
             gn = norm(g)
             k += 1
             run.best_f = min(run.best_f, f)

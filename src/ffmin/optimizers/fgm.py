@@ -97,7 +97,7 @@ def ofgm(oracle, x0, N, L=None, linesearch=None, stop=None) -> OptimizeResult:
     anchor = np.array(x0, dtype=np.float64).reshape(-1)
     grad_sum = np.zeros_like(anchor)
 
-    def step(k, x, x_prev, g):
+    def step(k, x, g):
         nonlocal grad_sum
         grad_sum += t[k] * g
         tk1 = t[k + 1]

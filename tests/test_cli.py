@@ -23,11 +23,8 @@ from ffmin.optimizers import (
     cg,
     fgm,
     gradient_descent_fixed,
-    heavy_ball,
     lbfgs,
     make_linesearch,
-    nesterov_momentum,
-    nesterov_strongly_convex,
     ofgm,
     steepest_descent,
 )
@@ -239,12 +236,6 @@ DISPATCH = {
            lambda s, stop: gradient_descent_fixed(*on_chain(s), 2000.0, stop)),
     "sd": (["--ls", "h", "--h0", "0.5"],
            lambda s, stop: steepest_descent(*on_chain(s), make_linesearch("h", h0=0.5), stop)),
-    "hb": (["--alpha", "5e-4", "--beta", "0.5"],
-           lambda s, stop: heavy_ball(*on_chain(s), 5e-4, 0.5, stop)),
-    "nag": (["--L", "2000"],
-            lambda s, stop: nesterov_momentum(*on_chain(s), 2000.0, stop)),
-    "nag-sc": (["--L", "2000", "--mu", "1"],
-               lambda s, stop: nesterov_strongly_convex(*on_chain(s), 2000.0, 1.0, stop)),
     "fgm": (["--ls-budget", "4", "--no-gradient-start"],
             lambda s, stop: fgm(*on_chain(s), make_linesearch(
                 "par", K=4, use_gradient_start=False), stop)),
@@ -288,10 +279,10 @@ def test_minimize_dispatches_each_method(tmp_path, capsys, case):
 
 
 @pytest.mark.parametrize("flags,msg", [
-    (["--method", "hb"], "hb requires --alpha"),
-    (["--method", "nag"], "nag requires --L"),
-    (["--method", "nag-sc", "--L", "2000"], "nag-sc requires --L and --mu"),
-    (["--method", "nag-sc", "--mu", "1"], "nag-sc requires --L and --mu"),
+    (["--method", "gd"], "gd requires --L"),
+    (["--method", "gd", "--L", "0"], "L must be positive"),
+    (["--method", "ofgm", "--horizon", "5", "--L", "0"], "L must be positive"),
+    (["--method", "ofgm", "--horizon", "0", "--L", "1"], "horizon N must be >= 1"),
     (["--method", "ofgm", "--L", "2000"], "ofgm requires --horizon"),
     (["--max-time", "nan"], "max_wall_time must be >= 0 seconds, got nan"),
     (["--method", "cg", "--cg-variant", "bogus"],
@@ -358,6 +349,31 @@ def test_make_demo_rejects_bad_sizes_before_writing(tmp_path, capsys, flags):
     assert out == ""
     assert err.startswith("ffmin: error: make-demo needs --candidates >= 1 and --atoms >= 2")
     assert not demo.exists()
+
+
+def pool_bytes(demo):
+    return {p.relative_to(demo): p.read_bytes() for p in demo.rglob("*") if p.is_file()}
+
+
+def test_make_demo_refuses_a_directory_that_holds_a_pool(tmp_path, capsys):
+    demo = tmp_path / "demo"
+    assert main(["make-demo", str(demo), "--candidates", "6", "--atoms", "6"]) == 0
+    grab(capsys)
+    first = pool_bytes(demo)
+    assert main(["make-demo", str(demo), "--candidates", "2", "--atoms", "8"]) == 2
+    assert grab(capsys) == ("", f"ffmin: error: make-demo: {demo} already holds a pool; "
+                                "use a new or empty directory\n")
+    assert pool_bytes(demo) == first
+    assert main(["batch-rank", str(demo / "candidates"),
+                 "--ref", str(demo / "reference.ffs")]) == 0
+    rows = grab(capsys)[0].splitlines()[3:]
+    assert sorted(row.split(",")[1] for row in rows) == [f"cand_{i:02d}" for i in range(6)]
+    assert "inf" not in {row.split(",")[2] for row in rows}
+    # a candidate file alone is a pool too
+    (demo / "reference.ffs").unlink()
+    assert main(["make-demo", str(demo), "--candidates", "2", "--atoms", "8"]) == 2
+    assert "already holds a pool" in grab(capsys)[1]
+    assert not (demo / "reference.ffs").exists()
 
 
 def test_batch_rank_empty_dir_exits_2(tmp_path, capsys):

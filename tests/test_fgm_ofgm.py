@@ -14,6 +14,7 @@ from ffmin.optimizers import (
     CONVERGED,
     HORIZON_COMPLETE,
     LINESEARCH_FAILURE,
+    DivergenceError,
     StopCriteria,
     fgm,
     make_linesearch,
@@ -190,6 +191,15 @@ def test_ofgm_stationary_start():
     res = ofgm(inst.oracle(), inst.x_star, 10, L=inst.L)
     assert res.status == CONVERGED
     assert res.iterations == 0
+
+
+def test_ofgm_raises_on_a_finite_blow_up():
+    # the guard's finite branch: f is finite but past DIVERGENCE_FACTOR * max(1, |f0|)
+    inst = QuadraticInstance.isotropic(4, seed=11)
+    with pytest.raises(DivergenceError, match="ofgm diverged at iteration 1") as exc:
+        ofgm(inst.oracle(), inst.x0, 50, L=inst.L / 50.0,
+             stop=StopCriteria(max_iterations=2000, **NO_TOL))
+    assert math.isfinite(float(str(exc.value).split("f=")[1]))
 
 
 # -------------------------------------------------------- worst-case family

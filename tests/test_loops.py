@@ -21,11 +21,8 @@ from ffmin.optimizers import (
     cg,
     fgm,
     gradient_descent_fixed,
-    heavy_ball,
     lbfgs,
     make_linesearch,
-    nesterov_momentum,
-    nesterov_strongly_convex,
     ofgm,
     steepest_descent,
 )
@@ -45,9 +42,6 @@ LS_METHODS = {
 L_CHAIN = 2000.0
 FIXED_METHODS = {
     "gd": lambda o, x0, stop: gradient_descent_fixed(o, x0, L_CHAIN, stop),
-    "hb": lambda o, x0, stop: heavy_ball(o, x0, 1.0 / L_CHAIN, 0.5, stop),
-    "nag": lambda o, x0, stop: nesterov_momentum(o, x0, L_CHAIN, stop),
-    "nag-sc": lambda o, x0, stop: nesterov_strongly_convex(o, x0, L_CHAIN, 1.0, stop),
     "ofgm-L": lambda o, x0, stop: ofgm(o, x0, 100, L=L_CHAIN, stop=stop),
 }
 CASES = ([(name, ls) for name in LS_METHODS for ls in ("h", "par")]
@@ -229,8 +223,7 @@ def run_method(name, system, stop):
     return FIXED_METHODS[name](oracle, x0, stop)
 
 
-@pytest.mark.parametrize("name", ["gd", "sd", "hb", "nag", "nag-sc", "fgm", "ofgm", "cg",
-                                  "lbfgs", "wiggle"])
+@pytest.mark.parametrize("name", ["gd", "sd", "fgm", "ofgm", "cg", "lbfgs", "wiggle"])
 def test_trace_status_is_the_result_status(name):
     system = make_chain_system(12, seed=0, strain=0.3)
     for stop in (StopCriteria(max_iterations=20),
