@@ -114,8 +114,6 @@ class ExactQuadraticLineSearch:
     objective at the accepted step so traces stay honest.
     """
 
-    needs_gradient = True
-
     def __init__(self, instance: QuadraticInstance):
         self.instance = instance
 
@@ -211,8 +209,17 @@ def bench_quadratic_rows(n=50, chi=1000.0, horizons=(8, 16, 32, 64),
     gd and cg run on random chi-conditioned instances; ofgm runs on
     isotropic instances (its horizon schedule contracts too fast for the
     bound to be meaningful on ill-conditioned spectra; see notes in docs).
-    Each row reports the worst actual/bound ratio across seeds.
+    Each row reports the worst actual/bound ratio across seeds. Bad sizes,
+    methods and horizons raise ValueError before any run.
     """
+    for method in methods:
+        if method not in ("gd", "cg", "ofgm"):
+            raise ValueError(f"unknown method {method!r}")
+    if n < 1 or len(seeds) < 1 or min(horizons, default=0) < 1:
+        raise ValueError(f"bench-quadratic needs n >= 1, at least one seed and horizons "
+                         f">= 1, got n = {n}, {len(seeds)} seeds, horizons {tuple(horizons)}")
+    if "ofgm" in methods:
+        ofgm_schedule(max(horizons))  # refuses a horizon whose theta_N overflows
     rows = []
     for N in horizons:
         for method in methods:
@@ -234,12 +241,10 @@ def bench_quadratic_rows(n=50, chi=1000.0, horizons=(8, 16, 32, 64),
                     res = cg(inst.oracle(), inst.x0,
                              CgVariant("fr", restart_period=10**9),
                              inst.exact_linesearch(), stop)
-                elif method == "ofgm":
+                else:
                     _, theta = ofgm_schedule(N)
                     bound = ofgm_bound(inst.L, inst.R, float(theta[-1]))
                     res = ofgm(inst.oracle(), inst.x0, N, L=inst.L, stop=stop)
-                else:
-                    raise ValueError(f"unknown method {method!r}")
                 gap = inst.gap(res.x)
                 worst = max(worst, gap / bound)
             if bound is None:
@@ -258,6 +263,8 @@ def bench_quadratic_rows(n=50, chi=1000.0, horizons=(8, 16, 32, 64),
 
 def worstcase_report(n=64, N=16, L=1.0, R=1.0, seed=0):
     """Run the fixed-horizon method on the tight instance; report the ratio."""
+    if n < 1:
+        raise ValueError(f"worstcase needs n >= 1, got {n}")
     wc = WorstCaseFunction(L=L, R=R, N=N)
     x0 = wc.start_point(n, seed=seed)
     stop = StopCriteria(max_iterations=N, gradient_norm_rtol=0.0)

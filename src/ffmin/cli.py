@@ -68,8 +68,8 @@ def _add_method_options(p):
     p.add_argument("--method", choices=METHODS, default="lbfgs",
                    help="minimization method (default: %(default)s)")
     p.add_argument("--ls", choices=("h", "par"), default="par",
-                   help="line search for sd/fgm/cg/lbfgs and ofgm without --L "
-                        "(default: %(default)s)")
+                   help="line search for sd/fgm/cg/lbfgs; gd and ofgm step 1/L "
+                        "instead (default: %(default)s)")
     p.add_argument("--h0", type=float, default=1.0,
                    help="initial line-search step (default: %(default)s)")
     p.add_argument("--ls-budget", type=int, default=6, metavar="K",
@@ -85,7 +85,8 @@ def _add_method_options(p):
     p.add_argument("--restart", type=int, default=100, metavar="K",
                    help="cg restart period (default: %(default)s)")
     p.add_argument("--L", type=float, default=None,
-                   help="smoothness constant for gd/ofgm")
+                   help="smoothness constant; gd and ofgm need it, and ofgm "
+                        "also --horizon")
     p.add_argument("--horizon", type=int, default=None, metavar="N",
                    help="ofgm horizon")
     p.add_argument("--wiggle-h", type=float, default=0.05,
@@ -149,9 +150,9 @@ def _run_method(args, system):
     oracle = MolecularOracle(system)
     x0 = system.coords.ravel()
     m = args.method
+    if m in ("gd", "ofgm") and args.L is None:
+        _fail(f"{m} requires --L")
     if m == "gd":
-        if args.L is None:
-            _fail("gd requires --L")
         return gradient_descent_fixed(oracle, x0, args.L, stop)
     if m == "sd":
         return steepest_descent(oracle, x0, _build_linesearch(args), stop)
@@ -160,10 +161,7 @@ def _run_method(args, system):
     if m == "ofgm":
         if args.horizon is None:
             _fail("ofgm requires --horizon")
-        if args.L is not None:
-            return ofgm(oracle, x0, args.horizon, L=args.L, stop=stop)
-        return ofgm(oracle, x0, args.horizon,
-                    linesearch=_build_linesearch(args), stop=stop)
+        return ofgm(oracle, x0, args.horizon, args.L, stop)
     if m == "cg":
         try:
             variant = CgVariant(args.cg_variant, restart_period=args.restart)

@@ -97,8 +97,6 @@ class _CgRule(DescentRule):
 
 
 def cg(oracle, x0, variant: CgVariant, linesearch: LineSearcher, stop=None) -> OptimizeResult:
-    if isinstance(variant, str):
-        variant = CgVariant(kind=variant)
     meta = {"method": "cg", "variant": variant.kind,
             "restart_period": variant.restart_period,
             "linesearch": linesearch.describe()}

@@ -204,10 +204,6 @@ class LineSearcher:
         self.config = config
         self.h = config.h0
 
-    @property
-    def needs_gradient(self):
-        return self.config.kind == "par" and self.config.use_gradient_start
-
     def describe(self):
         return {"kind": self.config.kind, **vars(self.config)}
 
@@ -367,16 +363,19 @@ def descend(oracle, x0, stop, meta, rule, linesearch) -> OptimizeResult:
     return run.finish_best(status, x, f, gn)
 
 
-def iterate(oracle, x0, stop, meta, step, horizon=None, diverged=None) -> OptimizeResult:
-    """The fixed-schedule loop: x_{k+1} from step(k, x_k, g_k).
+def iterate(oracle, x0, stop, meta, L, step, horizon=None, diverged=None) -> OptimizeResult:
+    """The fixed-step loop: x_{k+1} = step(k, x_k, g_k), then one fused
+    value_and_gradient call there; meta gains L, and every record's step
+    is 1/L.
 
-    step returns (x_new, f_new, g_new, step_size); the trace reports |g_new|
-    and the next step receives g_new. DivergenceError is raised for
-    non-finite values, and with a message template diverged ({k}, {f})
-    also once f exceeds DIVERGENCE_FACTOR * max(1, |f0|). Returns the
-    final iterate, after at most horizon steps when one is given.
+    DivergenceError is raised for non-finite values, and with a message
+    template diverged ({k}, {f}) also once f exceeds
+    DIVERGENCE_FACTOR * max(1, |f0|). Returns the final iterate, after at
+    most horizon steps when one is given.
     """
-    run, x, f, g, gn = start(oracle, x0, stop, meta)
+    if not L > 0:
+        raise ValueError("L must be positive")
+    run, x, f, g, gn = start(oracle, x0, stop, {**meta, "L": L})
     f0 = f
     status = CONVERGED if gn <= run.threshold else None
     k = 0
@@ -386,7 +385,8 @@ def iterate(oracle, x0, stop, meta, step, horizon=None, diverged=None) -> Optimi
                       else run.budget_status(k))
             if status:
                 break
-            x_new, f_new, g_new, h = step(k, x, g)
+            x_new = step(k, x, g)
+            f_new, g_new = oracle.value_and_gradient(x_new)
             if diverged is None:
                 check_finite(f_new, g_new, k + 1)
             elif (not math.isfinite(f_new)
@@ -397,7 +397,7 @@ def iterate(oracle, x0, stop, meta, step, horizon=None, diverged=None) -> Optimi
             gn = norm(g)
             k += 1
             run.best_f = min(run.best_f, f)
-            run.record(k, f, gn, h)
+            run.record(k, f, gn, 1.0 / L)
             if gn <= run.threshold:
                 status = CONVERGED
     except _BudgetExhausted as refusal:

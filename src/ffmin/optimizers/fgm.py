@@ -9,15 +9,7 @@ import math
 import numpy as np
 
 from ..linesearch import norm
-from .common import (
-    NO_RELAXATION,
-    DescentRule,
-    LineSearcher,
-    OptimizeResult,
-    check_finite,
-    descend,
-    iterate,
-)
+from .common import DescentRule, LineSearcher, OptimizeResult, check_finite, descend, iterate
 
 
 class _FgmRule(DescentRule):
@@ -55,6 +47,10 @@ def fgm(oracle, x0, linesearch: LineSearcher, stop=None) -> OptimizeResult:
     return descend(oracle, x0, stop, meta, _FgmRule(), linesearch)
 
 
+# theta_1020 overflows a float64 (theta grows by about sqrt(2) a step)
+OFGM_MAX_HORIZON = 1019
+
+
 def ofgm_schedule(N: int):
     """(t, theta) arrays of length N+1 with t[N] tied to theta[N].
 
@@ -64,6 +60,9 @@ def ofgm_schedule(N: int):
     """
     if N < 1:
         raise ValueError("horizon N must be >= 1")
+    if N > OFGM_MAX_HORIZON:
+        raise ValueError(f"horizon N = {N} overflows theta_N; "
+                         f"the largest horizon is {OFGM_MAX_HORIZON}")
     t = np.empty(N + 1)
     theta = np.empty(N + 1)
     t[0] = theta[0] = 1.0
@@ -75,25 +74,12 @@ def ofgm_schedule(N: int):
     return t, theta
 
 
-def ofgm(oracle, x0, N, L=None, linesearch=None, stop=None) -> OptimizeResult:
-    """Fixed-horizon accelerated method with a weighted gradient sum.
-
-    Exactly one of L / linesearch selects the step rule. With L the update
-    is x_{k+1} = y_k - (1/L) d_{k+1}; in line-search mode the 1/L factor is
-    replaced by a search along the normalized -d_{k+1} starting from y_k
-    (a failed search keeps x_{k+1} = y_k and the schedule continues).
-    Returns the final iterate x_N, not the best-so-far.
+def ofgm(oracle, x0, N, L, stop=None) -> OptimizeResult:
+    """Fixed-horizon accelerated method with a weighted gradient sum:
+    x_{k+1} = y_k - (1/L) d_{k+1}. Returns the final iterate x_N, not the
+    best-so-far.
     """
-    if (L is None) == (linesearch is None):
-        raise ValueError("pass exactly one of L or linesearch")
-    if L is not None and not L > 0:
-        raise ValueError("L must be positive")
     t, _ = ofgm_schedule(N)
-    meta = {"method": "ofgm", "N": N}
-    if L is not None:
-        meta["L"] = L
-    else:
-        meta["linesearch"] = linesearch.describe()
     anchor = np.array(x0, dtype=np.float64).reshape(-1)
     grad_sum = np.zeros_like(anchor)
 
@@ -103,19 +89,7 @@ def ofgm(oracle, x0, N, L=None, linesearch=None, stop=None) -> OptimizeResult:
         tk1 = t[k + 1]
         d = (1.0 - 1.0 / tk1) * g + (2.0 / tk1) * grad_sum
         y = (1.0 - 1.0 / tk1) * x + (1.0 / tk1) * anchor
-        if L is not None:
-            x = y - (1.0 / L) * d
-            return (x, *oracle.value_and_gradient(x), 1.0 / L)
-        # a zero d or a failed search keeps x_{k+1} = y_k
-        x, h, f = y, 0.0, oracle.value(y)
-        dn = norm(d)
-        if dn != 0.0:
-            r = -d / dn
-            g_y = oracle.gradient(y) if linesearch.needs_gradient else None
-            res = linesearch.search(oracle, y, r, f, g_y)
-            if res.status != NO_RELAXATION:
-                x, h, f = y + res.h * r, res.h, res.f_at_step
-        return x, f, oracle.gradient(x), h
+        return y - (1.0 / L) * d
 
-    return iterate(oracle, x0, stop, meta, step, horizon=N,
+    return iterate(oracle, x0, stop, {"method": "ofgm", "N": N}, L, step, horizon=N,
                    diverged="ofgm diverged at iteration {k}: f={f!r}")

@@ -7,14 +7,7 @@ from .common import DescentRule, LineSearcher, OptimizeResult, descend, iterate
 
 def gradient_descent_fixed(oracle, x0, L, stop=None) -> OptimizeResult:
     """x_{k+1} = x_k - (1/L) grad f(x_k)."""
-    if not L > 0:
-        raise ValueError("L must be positive")
-
-    def step(k, x, g):
-        x_new = x - (1.0 / L) * g
-        return (x_new, *oracle.value_and_gradient(x_new), 1.0 / L)
-
-    return iterate(oracle, x0, stop, {"method": "gd", "L": L}, step)
+    return iterate(oracle, x0, stop, {"method": "gd"}, L, lambda k, x, g: x - (1.0 / L) * g)
 
 
 def steepest_descent(oracle, x0, linesearch: LineSearcher, stop=None) -> OptimizeResult:

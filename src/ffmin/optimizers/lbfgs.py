@@ -91,10 +91,7 @@ class _LbfgsRule(DescentRule):
             self.memory.clear()
 
 
-def lbfgs(oracle, x0, m: int = 3, linesearch: LineSearcher | None = None,
-          stop=None) -> OptimizeResult:
-    if linesearch is None:
-        raise ValueError("lbfgs requires a configured line search")
+def lbfgs(oracle, x0, m: int = 3, *, linesearch: LineSearcher, stop=None) -> OptimizeResult:
     rule = _LbfgsRule(m)
     meta = {"method": "lbfgs", "m": m, "linesearch": linesearch.describe()}
     return descend(oracle, x0, stop, meta, rule, linesearch)

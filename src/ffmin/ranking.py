@@ -2,8 +2,7 @@
 the first near-native one.
 
 RMSD is the direct formula over matched atom order with the 3 * natoms
-normalization; no superposition is applied (a --superpose alignment flag
-is a documented extension and stays off).
+normalization; no superposition is applied.
 """
 
 from __future__ import annotations

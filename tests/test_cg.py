@@ -137,7 +137,7 @@ def test_cg_beats_steepest_descent_when_ill_conditioned():
 
 def test_cg_string_variant_shorthand():
     inst = QuadraticInstance.random(6, 10.0, seed=11)
-    res = cg(inst.oracle(), inst.x0, "dy", inst.exact_linesearch())
+    res = cg(inst.oracle(), inst.x0, CgVariant("dy"), inst.exact_linesearch())
     assert res.status == CONVERGED
     assert res.trace.meta["variant"] == "dy"
 
@@ -191,8 +191,6 @@ def test_single_failure_recovers_by_restarting():
         """Fails its second search, the first along a conjugate direction,
         and defers every other search to a real searcher."""
 
-        needs_gradient = True
-
         def __init__(self, inner):
             self.inner = inner
             self.origins = []
@@ -226,7 +224,8 @@ def test_cg_prp_with_ls_par_counts_on_a_chain():
     # ls_par stops at the first sample that meets Armijo's condition; refining
     # every search to its cap took 327 iterations and 2071 + 328 calls here
     system = make_chain_system(12, seed=0, strain=0.3)
-    res = cg(MolecularOracle(system), system.coords.ravel(), "prp", make_linesearch("par"),
+    res = cg(MolecularOracle(system), system.coords.ravel(), CgVariant("prp"),
+             make_linesearch("par"),
              StopCriteria(gradient_norm_tol=1e-4, max_iterations=10_000, **NO_TOL))
     last = res.trace.records[-1]
     assert res.status == CONVERGED and res.grad_norm <= 1e-4

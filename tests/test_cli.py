@@ -1,14 +1,17 @@
 import importlib
 import os
+import re
 import shutil
 import subprocess
 import sys
 import tomllib
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ffmin.bench
 import ffmin.cli
 from ffmin.cli import METHODS, build_parser, main
 from ffmin.energy import energy_total
@@ -241,9 +244,6 @@ DISPATCH = {
                 "par", K=4, use_gradient_start=False), stop)),
     "ofgm": (["--horizon", "10", "--L", "2000"],
              lambda s, stop: ofgm(*on_chain(s), 10, L=2000.0, stop=stop)),
-    "ofgm-ls": (["--horizon", "10", "--ls", "h"],
-                lambda s, stop: ofgm(*on_chain(s), 10, linesearch=make_linesearch("h"),
-                                     stop=stop)),
     "cg": (["--cg-variant", "hs", "--restart", "5"],
            lambda s, stop: cg(*on_chain(s), CgVariant("hs", restart_period=5),
                               make_linesearch("par"), stop)),
@@ -257,7 +257,7 @@ DISPATCH = {
 
 
 def test_dispatch_covers_every_method():
-    assert {case.split("-ls")[0] for case in DISPATCH} == set(METHODS)
+    assert set(DISPATCH) == set(METHODS)
 
 
 @pytest.mark.parametrize("case", list(DISPATCH))
@@ -266,7 +266,7 @@ def test_minimize_dispatches_each_method(tmp_path, capsys, case):
     path = write_chain(tmp_path, n=8, seed=1)
     trace = tmp_path / "run.trace"
     out_file = tmp_path / "min.ffs"
-    code = main(["minimize", str(path), "--method", case.split("-ls")[0], *flags,
+    code = main(["minimize", str(path), "--method", case, *flags,
                  "--max-iters", "20", "--seed", "3", "--trace", str(trace),
                  "--out", str(out_file)])
     out, _ = grab(capsys)
@@ -288,6 +288,7 @@ def test_minimize_dispatches_each_method(tmp_path, capsys, case):
     (["--method", "cg", "--cg-variant", "bogus"],
      f"unknown cg variant 'bogus'; expected one of {CG_VARIANTS}"),
     (["--method", "cg", "--restart", "0"], "restart_period must be >= 1"),
+    (["--method", "ofgm", "--horizon", "10"], "ofgm requires --L"),
 ])
 def test_minimize_missing_method_flag_exits_2(tmp_path, capsys, flags, msg):
     path = write_diatomic(tmp_path)
@@ -503,6 +504,57 @@ def test_worstcase_cli(capsys):
     assert code == 0
     fields = dict(l.split() for l in out.splitlines())
     assert 0.4 <= float(fields["ratio"]) <= 1.05
+
+
+BIG_HORIZON = "horizon N = 2000 overflows theta_N; the largest horizon is 1019"
+BAD_BENCH_SIZES = "bench-quadratic needs n >= 1, at least one seed and horizons >= 1, got "
+
+
+@pytest.mark.parametrize("argv,msg", [
+    (["bench-quadratic", "--horizons", "0"], BAD_BENCH_SIZES + "n = 50, 20 seeds, horizons (0,)"),
+    (["bench-quadratic", "--horizons", "8,-1"],
+     BAD_BENCH_SIZES + "n = 50, 20 seeds, horizons (8, -1)"),
+    (["bench-quadratic", "--n", "0"], BAD_BENCH_SIZES + "n = 0, 20 seeds, horizons (8, 16, 32, 64)"),
+    (["bench-quadratic", "--seeds", "0"],
+     BAD_BENCH_SIZES + "n = 50, 0 seeds, horizons (8, 16, 32, 64)"),
+    (["bench-quadratic", "--horizons", "8,2000"], BIG_HORIZON),
+    (["bench-quadratic", "--methods", "gd,bogus"], "unknown method 'bogus'"),
+    (["worstcase", "--n", "0"], "worstcase needs n >= 1, got 0"),
+    (["worstcase", "--horizon", "2000"], BIG_HORIZON),
+], ids=["horizon-0", "horizon-negative", "n-0", "seeds-0", "horizon-2000", "method",
+        "worstcase-n-0", "worstcase-horizon-2000"])
+def test_bench_commands_reject_bad_sizes_before_any_run(capsys, monkeypatch, argv, msg):
+    def no_run(*args, **kwargs):
+        raise AssertionError("a run started")
+
+    for name in ("gradient_descent_fixed", "cg", "ofgm"):
+        monkeypatch.setattr(ffmin.bench, name, no_run)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 2
+    assert grab(capsys) == ("", f"ffmin: error: {msg}\n")
+
+
+# ---------------------------------------------------------------- docs
+
+def readme_section(title):
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    return text.split(f"\n## {title}\n", 1)[1].split("\n## ", 1)[0]
+
+
+def test_readme_methods_line_names_every_method():
+    line = re.search(r"^Methods: (.*?)\.\s", readme_section("CLI"), re.M | re.S).group(1)
+    named = {name for name in re.findall(r"`([^`]+)`", line) if not name.startswith("--")}
+    assert named == set(METHODS)
+
+
+def test_readme_cli_flags_parse():
+    parser = build_parser()
+    known = set(parser._option_string_actions)
+    for sub in parser._subparsers._group_actions[0].choices.values():
+        known |= set(sub._option_string_actions)
+    flags = set(re.findall(r"(?<![\w-])--[A-Za-z][\w-]*", readme_section("CLI")))
+    assert flags and flags <= known, sorted(flags - known)
 
 
 # ---------------------------------------------------------------- script

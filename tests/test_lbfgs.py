@@ -12,6 +12,7 @@ from ffmin.optimizers import (
     CONVERGED,
     LINESEARCH_FAILURE,
     ORACLE_BUDGET,
+    CgVariant,
     StopCriteria,
     cg,
     lbfgs,
@@ -136,7 +137,7 @@ def test_memory_depth_validation():
 
 def test_lbfgs_requires_a_linesearch():
     inst = QuadraticInstance.isotropic(3)
-    with pytest.raises(ValueError, match="line search"):
+    with pytest.raises(TypeError, match="linesearch"):
         lbfgs(inst.oracle(), inst.x0, m=3)
 
 
@@ -173,8 +174,6 @@ def pseudo_huber_oracle(n):
 
 def test_lbfgs_clears_memory_once_then_reports_failure():
     class SucceedThenFail:
-        needs_gradient = False
-
         def __init__(self):
             self.calls = 0
             self.directions = []
@@ -318,7 +317,7 @@ def test_nan_natural_probe_falls_back_to_the_search():
 SEARCH_METHODS = {
     "lbfgs": lambda o, x0, ls, stop: lbfgs(o, x0, m=3, linesearch=ls, stop=stop),
     "sd": lambda o, x0, ls, stop: steepest_descent(o, x0, ls, stop),
-    "cg": lambda o, x0, ls, stop: cg(o, x0, "prp", ls, stop),
+    "cg": lambda o, x0, ls, stop: cg(o, x0, CgVariant("prp"), ls, stop),
 }
 
 

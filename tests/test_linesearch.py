@@ -407,16 +407,15 @@ def test_ls_par_equals_a_re_sorting_reference(t, a, b, w, quantum, even, k, grad
 
 # ---------------------------------------------------------------- searcher
 
-@pytest.mark.parametrize("config,described,needs_gradient", [
-    (LsHConfig(), {"kind": "h", "h0": 1.0}, False),
+@pytest.mark.parametrize("config,described", [
+    (LsHConfig(), {"kind": "h", "h0": 1.0}),
     (LsParConfig(K=3, use_gradient_start=False),
-     {"kind": "par", "h0": 1.0, "K": 3, "use_gradient_start": False}, False),
-    (LsParConfig(), {"kind": "par", "h0": 1.0, "K": 6, "use_gradient_start": True}, True),
+     {"kind": "par", "h0": 1.0, "K": 3, "use_gradient_start": False}),
+    (LsParConfig(), {"kind": "par", "h0": 1.0, "K": 6, "use_gradient_start": True}),
 ], ids=["h", "par-K3-no-g0", "par"])
-def test_line_searcher_takes_its_kind_from_the_config(config, described, needs_gradient):
+def test_line_searcher_takes_its_kind_from_the_config(config, described):
     searcher = LineSearcher(config)
     assert searcher.describe() == described
-    assert searcher.needs_gradient is needs_gradient
     overrides = {k: v for k, v in described.items() if k != "kind"}
     assert make_linesearch(described["kind"], **overrides).describe() == described
 

@@ -10,11 +10,11 @@ from conftest import record_rows
 from ffmin.energy import energy_total, gradient_total
 from ffmin.oracle import FunctionOracle, MolecularOracle
 from ffmin.optimizers import (
-    HORIZON_COMPLETE,
     ITERATION_BUDGET,
     LINESEARCH_FAILURE,
     ORACLE_BUDGET,
     TIME_BUDGET,
+    CgVariant,
     StopCriteria,
     WiggleConfig,
     atom_wiggle,
@@ -35,9 +35,8 @@ NO_TOL = dict(gradient_norm_rtol=0.0)
 LS_METHODS = {
     "sd": lambda o, x0, ls, stop: steepest_descent(o, x0, ls, stop),
     "lbfgs": lambda o, x0, ls, stop: lbfgs(o, x0, m=3, linesearch=ls, stop=stop),
-    "cg": lambda o, x0, ls, stop: cg(o, x0, "prp", ls, stop),
+    "cg": lambda o, x0, ls, stop: cg(o, x0, CgVariant("prp"), ls, stop),
     "fgm": lambda o, x0, ls, stop: fgm(o, x0, ls, stop),
-    "ofgm": lambda o, x0, ls, stop: ofgm(o, x0, 100, linesearch=ls, stop=stop),
 }
 L_CHAIN = 2000.0
 FIXED_METHODS = {
@@ -152,27 +151,12 @@ def test_sd_stops_at_first_failed_search():
 def test_cg_stops_at_first_failed_search_along_the_antigradient():
     # the first search runs along p = -g: a retry would repeat it exactly
     oracle = uphill_oracle()
-    res = cg(oracle, X0, "prp", make_linesearch("h"))
+    res = cg(oracle, X0, CgVariant("prp"), make_linesearch("h"))
     assert res.status == LINESEARCH_FAILURE
     assert res.iterations == 0
     assert np.array_equal(res.x, X0)
     assert counts(res) == [(1, 1)]
     assert (oracle.value_calls, oracle.grad_calls) == (1 + LS_H_FAIL_CALLS, 1)
-
-
-def test_ofgm_failed_searches_keep_y_and_finish_the_horizon():
-    oracle = uphill_oracle()
-    N = 3
-    res = ofgm(oracle, X0, N, linesearch=make_linesearch("h"),
-               stop=StopCriteria(max_iterations=100, **NO_TOL))
-    assert res.status == HORIZON_COMPLETE
-    assert res.iterations == N
-    assert all(r.step == 0.0 for r in res.trace.records)
-    # y_k mixes x_k and the anchor x0, which are equal up to rounding
-    assert np.allclose(res.x, X0, rtol=0.0, atol=1e-15)
-    assert res.f == 0.5 * float(res.x @ res.x)
-    # per step: f(y), the failed search, then the gradient at x_{k+1} = y
-    assert counts(res) == [(1 + (1 + LS_H_FAIL_CALLS) * k, 1 + k) for k in range(N + 1)]
 
 
 class LowestValueOracle(MolecularOracle):
@@ -223,7 +207,8 @@ def run_method(name, system, stop):
     return FIXED_METHODS[name](oracle, x0, stop)
 
 
-@pytest.mark.parametrize("name", ["gd", "sd", "fgm", "ofgm", "cg", "lbfgs", "wiggle"])
+@pytest.mark.parametrize("name", ["gd", "sd", "fgm", pytest.param("ofgm-L", id="ofgm"),
+                                  "cg", "lbfgs", "wiggle"])
 def test_trace_status_is_the_result_status(name):
     system = make_chain_system(12, seed=0, strain=0.3)
     for stop in (StopCriteria(max_iterations=20),
@@ -316,17 +301,13 @@ def test_deadline_inside_a_line_search_returns_the_lowest_probe(name, ls):
     assert ends == {"probe", "iterate"}
 
 
-@pytest.mark.parametrize("name,ls", [("gd", None), ("ofgm", "par"), ("ofgm", "h")])
+@pytest.mark.parametrize("name,ls", [("gd", None), ("ofgm-L", None)])
 def test_deadline_inside_an_iteration_returns_the_last_iterate(name, ls):
     system = make_chain_system(12, seed=0, strain=0.3)
     for k in range(2, 31):
         res, _ = run_to_deadline(name, ls, system, k)
         stop = StopCriteria(max_iterations=res.iterations, **NO_TOL)
-        if ls is None:
-            ref = FIXED_METHODS[name](MolecularOracle(system), system.coords.ravel(), stop)
-        else:
-            ref = LS_METHODS[name](MolecularOracle(system), system.coords.ravel(),
-                                   make_linesearch(ls), stop)
+        ref = FIXED_METHODS[name](MolecularOracle(system), system.coords.ravel(), stop)
         assert ref.status == ITERATION_BUDGET, k
         assert (res.x.tobytes(), res.f, res.grad_norm) == (ref.x.tobytes(), ref.f,
                                                             ref.grad_norm), k

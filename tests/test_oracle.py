@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from conftest import two_cluster_system
 from ffmin import energy
 from ffmin.energy import energy_and_gradient, energy_total, gradient_total
-from ffmin.optimizers import cg, lbfgs, make_linesearch, StopCriteria
+from ffmin.optimizers import CgVariant, cg, lbfgs, make_linesearch, StopCriteria
 from ffmin.oracle import (
     ORACLE_BUDGET,
     TIME_BUDGET,
@@ -143,7 +143,8 @@ RUNS = {
                                              stop=stop),
     "lbfgs-h": lambda orc, x0, stop: lbfgs(orc, x0, m=5, linesearch=make_linesearch("h"),
                                            stop=stop),
-    "cg-prp": lambda orc, x0, stop: cg(orc, x0, "prp", make_linesearch("par"), stop=stop),
+    "cg-prp": lambda orc, x0, stop: cg(orc, x0, CgVariant("prp"), make_linesearch("par"),
+                                       stop=stop),
 }
 
 
