@@ -142,14 +142,13 @@ class WorstCaseFunction:
     L: float
     R: float
     N: int
-    theta_N: float = field(default=None)
+    theta_N: float = field(init=False)
 
     def __post_init__(self):
         if self.L <= 0 or self.R <= 0 or self.N < 1:
             raise ValueError("L, R must be positive and N >= 1")
-        if self.theta_N is None:
-            _, theta = ofgm_schedule(self.N)
-            object.__setattr__(self, "theta_N", float(theta[-1]))
+        _, theta = ofgm_schedule(self.N)
+        object.__setattr__(self, "theta_N", float(theta[-1]))
 
     @property
     def seam(self):
@@ -160,14 +159,15 @@ class WorstCaseFunction:
         return 0.0
 
     def bound(self):
-        return 2.0 * self.L * self.R**2 / self.theta_N**2
+        return ofgm_bound(self.L, self.R, self.theta_N)
 
     def value(self, x):
         nx = float(np.linalg.norm(x))
         if nx < self.seam:
             return 0.5 * self.L * nx * nx
         slope = self.L * self.R / self.theta_N**2
-        return slope * nx - 0.5 * self.L * self.R**2 / self.theta_N**4
+        # seam**2, not R**2 / theta_N**4: theta_N**4 overflows from N = 510
+        return slope * nx - 0.5 * self.L * self.seam**2
 
     def gradient(self, x):
         x = np.asarray(x, dtype=np.float64)
@@ -209,8 +209,9 @@ def bench_quadratic_rows(n=50, chi=1000.0, horizons=(8, 16, 32, 64),
     gd and cg run on random chi-conditioned instances; ofgm runs on
     isotropic instances (its horizon schedule contracts too fast for the
     bound to be meaningful on ill-conditioned spectra; see notes in docs).
-    Each row reports the worst actual/bound ratio across seeds. Bad sizes,
-    methods and horizons raise ValueError before any run.
+    Each row reports the worst actual/bound ratio across seeds; cg makes
+    rows only for horizons <= n. Bad sizes, methods and horizons, and a
+    table of cg alone with no such horizon, raise ValueError before any run.
     """
     for method in methods:
         if method not in ("gd", "cg", "ofgm"):
@@ -218,6 +219,8 @@ def bench_quadratic_rows(n=50, chi=1000.0, horizons=(8, 16, 32, 64),
     if n < 1 or len(seeds) < 1 or min(horizons, default=0) < 1:
         raise ValueError(f"bench-quadratic needs n >= 1, at least one seed and horizons "
                          f">= 1, got n = {n}, {len(seeds)} seeds, horizons {tuple(horizons)}")
+    if set(methods) == {"cg"} and min(horizons) > n:
+        raise ValueError(f"cg needs a horizon <= n = {n}, got horizons {tuple(horizons)}")
     if "ofgm" in methods:
         ofgm_schedule(max(horizons))  # refuses a horizon whose theta_N overflows
     rows = []

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,7 +34,7 @@ from ..linesearch import (
     norm,
 )
 from ..kernels import all_finite
-from ..oracle import _BudgetExhausted
+from ..oracle import ORACLE_BUDGET, TIME_BUDGET, _BudgetExhausted
 
 CONVERGED = "converged"
 ITERATION_BUDGET = "iteration_budget"
@@ -122,7 +123,9 @@ class OptimizeResult:
 
 
 class Run:
-    """Per-run bookkeeping shared by all drivers."""
+    """A run's lifecycle, shared by all drivers: begin() records the start
+    point, budgets() arms the oracle, steps() counts the iterations, and
+    finish() or finish_best() reports the status that ended the run."""
 
     def __init__(self, oracle, stop: StopCriteria, meta: dict):
         self.oracle = oracle
@@ -132,6 +135,17 @@ class Run:
         self.best_f = math.inf
         self.best = None  # (x, |g| at x or nan, the step that reached x)
         self.threshold = 0.0
+        self.status = None
+
+    def begin(self, x, f, grad_norm):
+        """Record iteration 0 at x, set the gradient threshold from |g| there
+        (wiggle passes nan, which never meets it), and the status converged
+        if x already meets it."""
+        self.threshold = self.stop.threshold(grad_norm)
+        self.update_best(x, f, grad_norm)
+        self.record(0, f, grad_norm, 0.0)
+        if grad_norm <= self.threshold:
+            self.status = CONVERGED
 
     def update_best(self, x, f, grad_norm=math.nan, step=0.0):
         """Remember x, by reference, if f is the lowest yet: the loops never
@@ -141,33 +155,52 @@ class Run:
             self.best = (x, grad_norm, step)
 
     def record(self, iteration, f, grad_norm, step):
+        self.best_f = min(self.best_f, f)
         self.trace.records.append(TraceRecord(
             int(iteration), float(f), float(grad_norm), float(step), self.oracle.value_calls,
             self.oracle.grad_calls, time.perf_counter() - self.t0, self.best_f))
 
-    def budget_status(self, iterations_done):
-        """ITERATION_BUDGET once max_iterations are done, else None; the
-        oracle holds the call and time budgets (arm_budgets)."""
-        m = self.stop.max_iterations
-        return ITERATION_BUDGET if m is not None and iterations_done >= m else None
-
-    def arm_budgets(self):
-        """Hand the call and time budgets to the oracle (the caller clears them)."""
+    @contextmanager
+    def budgets(self):
+        """Hand the call and time budgets to the oracle for the block; a
+        refusal inside it ends the block and becomes the status, and the
+        oracle is disarmed however the block ends."""
         t = self.stop.max_wall_time
         self.oracle.call_limit = self.stop.max_oracle_calls
         self.oracle.deadline = None if t is None else self.t0 + t
+        try:
+            yield
+        except _BudgetExhausted as refusal:
+            self.status = refusal.args[0]
+        finally:
+            self.oracle.call_limit = self.oracle.deadline = None
 
-    def finish(self, status, x, f, grad_norm) -> OptimizeResult:
-        self.trace.status = status
+    def steps(self, horizon=None):
+        """Yield k, the iterations recorded so far, until the status is set,
+        or set it to horizon_complete or iteration_budget once k reaches the
+        horizon or max_iterations; a pass that records nothing (a retried
+        search) yields the same k again."""
+        m = self.stop.max_iterations
+        while self.status is None:
+            k = self.trace.iterations
+            if horizon is not None and k >= horizon:
+                self.status = HORIZON_COMPLETE
+            elif m is not None and k >= m:
+                self.status = ITERATION_BUDGET
+            else:
+                yield k
+
+    def finish(self, x, f, grad_norm) -> OptimizeResult:
+        self.trace.status = self.status
         return OptimizeResult(
             x=np.array(x, dtype=np.float64, copy=True),
             f=float(f),
             grad_norm=float(grad_norm),
-            status=status,
+            status=self.status,
             trace=self.trace,
         )
 
-    def finish_best(self, status, fallback_x, fallback_f, grad_norm) -> OptimizeResult:
+    def finish_best(self, fallback_x, fallback_f, grad_norm) -> OptimizeResult:
         """Like finish, but report the best-so-far point and |g| there, after
         recording it as one more iteration if it lies below every record (a
         search's lowest probe, fgm's extrapolated point).
@@ -176,12 +209,12 @@ class Run:
         gradient satisfied the stop test, and near machine precision the
         lowest recorded f can belong to an earlier, less stationary point.
         """
-        if status != CONVERGED and self.best is not None and self.best_f <= fallback_f:
+        if self.status != CONVERGED and self.best is not None and self.best_f <= fallback_f:
             x, best_grad_norm, step = self.best
             if self.best_f < min(r.f for r in self.trace.records):
                 self.record(self.trace.iterations + 1, self.best_f, best_grad_norm, step)
-            return self.finish(status, x, self.best_f, best_grad_norm)
-        return self.finish(status, fallback_x, fallback_f, grad_norm)
+            return self.finish(x, self.best_f, best_grad_norm)
+        return self.finish(fallback_x, fallback_f, grad_norm)
 
 
 def check_finite(f, g, k=None):
@@ -236,7 +269,7 @@ def make_linesearch(kind: str, **overrides) -> LineSearcher:
 
 
 def start(oracle, x0, stop, meta):
-    """Record the start point, then arm the oracle's budgets (the caller clears them)."""
+    """Make the run and begin it at x0, with one fused call there."""
     x = np.array(x0, dtype=np.float64).reshape(-1)
     if x.size != oracle.n:
         raise ValueError(f"x0 has {x.size} entries, oracle expects {oracle.n}")
@@ -244,10 +277,7 @@ def start(oracle, x0, stop, meta):
     f, g = oracle.value_and_gradient(x)
     check_finite(f, g)
     gn = norm(g)
-    run.threshold = run.stop.threshold(gn)
-    run.update_best(x, f, gn)
-    run.record(0, f, gn, 0.0)
-    run.arm_budgets()
+    run.begin(x, f, gn)
     return run, x, f, g, gn
 
 
@@ -310,22 +340,16 @@ def descend(oracle, x0, stop, meta, rule, linesearch) -> OptimizeResult:
     """
     run, x, f, g, gn = start(oracle, x0, stop, meta)
     probes = _LowestProbe(oracle)
-    status = CONVERGED if gn <= run.threshold else None
-    k = 0
-    try:
-        while status is None:
-            status = run.budget_status(k)
-            if status:
-                break
+    with run.budgets():
+        for k in run.steps():
             y, f_y, g_y, gn, d = rule.direction(oracle, k, x, f, g, gn)
             run.update_best(y, f_y, gn)
             dn = norm(d)
             if gn <= run.threshold or dn == 0.0:
-                status = CONVERGED
+                run.status = CONVERGED
                 if not np.array_equal(y, x):
-                    k += 1
                     x, f = y, f_y
-                    run.record(k, f, gn, 0.0)
+                    run.record(k + 1, f, gn, 0.0)
                 break
             r = d / dn
             # the searches' y + h * r, so a kept sweep finishes the gradient;
@@ -338,7 +362,7 @@ def descend(oracle, x0, stop, meta, rule, linesearch) -> OptimizeResult:
                 if res.status == NO_RELAXATION:
                     if rule.retry(g_y):
                         continue
-                    status = LINESEARCH_FAILURE
+                    run.status = LINESEARCH_FAILURE
                     break
                 h, f_new = res.h, res.f_at_step
                 x_new = y + h * r
@@ -348,19 +372,14 @@ def descend(oracle, x0, stop, meta, rule, linesearch) -> OptimizeResult:
                 rule.advance(x, g, x_new, g_new)
                 g, gn = g_new, norm(g_new)
             x, f = x_new, f_new
-            k += 1
             # gn is |g| at x unless the rule stepped there without a gradient
             run.update_best(x, f, gn if rule.takes_gradient else math.nan, h)
-            run.record(k, f, gn, h)
+            run.record(k + 1, f, gn, h)
             if gn <= run.threshold:
-                status = CONVERGED
-    except _BudgetExhausted as refusal:
-        status = refusal.args[0]
-        if probes.f < run.best_f:
-            run.update_best(probes.x, probes.f, step=float((probes.x - y) @ r))
-    finally:
-        oracle.call_limit = oracle.deadline = None
-    return run.finish_best(status, x, f, gn)
+                run.status = CONVERGED
+    if run.status in (ORACLE_BUDGET, TIME_BUDGET) and probes.f < run.best_f:
+        run.update_best(probes.x, probes.f, step=float((probes.x - y) @ r))
+    return run.finish_best(x, f, gn)
 
 
 def iterate(oracle, x0, stop, meta, L, step, horizon=None, diverged=None) -> OptimizeResult:
@@ -377,14 +396,8 @@ def iterate(oracle, x0, stop, meta, L, step, horizon=None, diverged=None) -> Opt
         raise ValueError("L must be positive")
     run, x, f, g, gn = start(oracle, x0, stop, {**meta, "L": L})
     f0 = f
-    status = CONVERGED if gn <= run.threshold else None
-    k = 0
-    try:
-        while status is None:
-            status = (HORIZON_COMPLETE if horizon is not None and k >= horizon
-                      else run.budget_status(k))
-            if status:
-                break
+    with run.budgets():
+        for k in run.steps(horizon):
             x_new = step(k, x, g)
             f_new, g_new = oracle.value_and_gradient(x_new)
             if diverged is None:
@@ -395,13 +408,7 @@ def iterate(oracle, x0, stop, meta, L, step, horizon=None, diverged=None) -> Opt
                 raise DivergenceError(diverged.format(k=k + 1, f=f_new))
             x, f, g = x_new, f_new, g_new
             gn = norm(g)
-            k += 1
-            run.best_f = min(run.best_f, f)
-            run.record(k, f, gn, 1.0 / L)
+            run.record(k + 1, f, gn, 1.0 / L)
             if gn <= run.threshold:
-                status = CONVERGED
-    except _BudgetExhausted as refusal:
-        status = refusal.args[0]
-    finally:
-        oracle.call_limit = oracle.deadline = None
-    return run.finish(status, x, f, gn)
+                run.status = CONVERGED
+    return run.finish(x, f, gn)

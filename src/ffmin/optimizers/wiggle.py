@@ -15,7 +15,7 @@ delta over all partners, so the best candidate's value is already exact.
 
 Every probe, exact delta and resync is one value call of an ObjectiveOracle
 armed after the start energy with the run's call and time budgets
-(Run.arm_budgets); the six axis probes are charged together, before they
+(Run.budgets); the six axis probes are charged together, before they
 are made. A call past max_oracle_calls, or starting past max_wall_time, is
 not made, and the run ends with status oracle_budget or time_budget at its
 last accepted configuration.
@@ -91,11 +91,7 @@ def atom_wiggle(system, config: WiggleConfig, stop=None) -> WiggleResult:
     sys_cur = system
     oracle.charge(1, 0)
     e_run = energy_total(sys_cur).total
-    run.best_f = min(run.best_f, e_run)
-    run.record(0, e_run, math.nan, 0.0)
-    run.arm_budgets()
-    status = None
-    k = 0
+    run.begin(sys_cur.coords.ravel(), e_run, math.nan)
 
     def evaluate(fn, args, delta, charge=True):
         """One value call per displacement in delta, (3,) or (6, 3), charged
@@ -109,11 +105,8 @@ def atom_wiggle(system, config: WiggleConfig, stop=None) -> WiggleResult:
                 return math.inf
             return np.array([evaluate(fn, args, row, False) for row in delta])
 
-    try:
-        while status is None:
-            status = run.budget_status(k)
-            if status:
-                break
+    with run.budgets():
+        for k in run.steps():
             atom = int(rng.integers(sys_cur.natoms))
             if config.use_incremental_coulomb:
                 lin = linearize_farfield_coulomb(sys_cur, atom, config.cutoff)
@@ -150,18 +143,14 @@ def atom_wiggle(system, config: WiggleConfig, stop=None) -> WiggleResult:
                     sys_cur = sys_cur.with_coords(coords)
                     e_run += exact
                     step_norm = float(np.linalg.norm(delta))
-            k += 1
-            if config.use_incremental_coulomb and k % config.epoch_iterations == 0:
+            if config.use_incremental_coulomb and (k + 1) % config.epoch_iterations == 0:
                 # a refused resync still records the move this iteration made
                 try:
                     oracle.charge(1, 0)
                     e_run = energy_total(sys_cur).total
                 except _BudgetExhausted as refusal:
-                    status = refusal.args[0]
-            run.best_f = min(run.best_f, e_run)
-            run.record(k, e_run, math.nan, step_norm)
-    except _BudgetExhausted as refusal:
-        # the interrupted iteration moved nothing: the run ends where it stands
-        status = refusal.args[0]
-    result = run.finish(status, sys_cur.coords.ravel(), e_run, math.nan)
+                    run.status = refusal.args[0]
+            run.record(k + 1, e_run, math.nan, step_norm)
+    # a refusal elsewhere moved nothing: the run ends where it stands
+    result = run.finish(sys_cur.coords.ravel(), e_run, math.nan)
     return WiggleResult(**vars(result), system=sys_cur)

@@ -521,8 +521,10 @@ BAD_BENCH_SIZES = "bench-quadratic needs n >= 1, at least one seed and horizons 
     (["bench-quadratic", "--methods", "gd,bogus"], "unknown method 'bogus'"),
     (["worstcase", "--n", "0"], "worstcase needs n >= 1, got 0"),
     (["worstcase", "--horizon", "2000"], BIG_HORIZON),
+    (["bench-quadratic", "--n", "8", "--horizons", "16", "--methods", "cg", "--seeds", "2"],
+     "cg needs a horizon <= n = 8, got horizons (16,)"),
 ], ids=["horizon-0", "horizon-negative", "n-0", "seeds-0", "horizon-2000", "method",
-        "worstcase-n-0", "worstcase-horizon-2000"])
+        "worstcase-n-0", "worstcase-horizon-2000", "cg-no-row"])
 def test_bench_commands_reject_bad_sizes_before_any_run(capsys, monkeypatch, argv, msg):
     def no_run(*args, **kwargs):
         raise AssertionError("a run started")
@@ -548,13 +550,27 @@ def test_readme_methods_line_names_every_method():
     assert named == set(METHODS)
 
 
+def readme_cli_flags():
+    return set(re.findall(r"(?<![\w-])--[A-Za-z][\w-]*", readme_section("CLI")))
+
+
+def subcommand_parsers():
+    return build_parser()._subparsers._group_actions[0].choices
+
+
 def test_readme_cli_flags_parse():
-    parser = build_parser()
-    known = set(parser._option_string_actions)
-    for sub in parser._subparsers._group_actions[0].choices.values():
+    known = set(build_parser()._option_string_actions)
+    for sub in subcommand_parsers().values():
         known |= set(sub._option_string_actions)
-    flags = set(re.findall(r"(?<![\w-])--[A-Za-z][\w-]*", readme_section("CLI")))
+    flags = readme_cli_flags()
     assert flags and flags <= known, sorted(flags - known)
+
+
+def test_readme_cli_section_names_every_flag():
+    documented = readme_cli_flags()
+    for name, sub in subcommand_parsers().items():
+        missing = {o for o in sub._option_string_actions if o.startswith("--")} - documented
+        assert not missing, (name, sorted(missing))
 
 
 # ---------------------------------------------------------------- script

@@ -68,6 +68,28 @@ def test_oracle_budget_is_never_exceeded(name, ls):
         oracle.value_and_gradient(x0)
 
 
+@pytest.mark.parametrize("name", [*LS_METHODS, *FIXED_METHODS])
+def test_an_exception_inside_a_run_leaves_the_oracle_disarmed(name):
+    d = np.array([1.0, 10.0, 100.0])
+    calls = []
+
+    def gradient(x):
+        calls.append(x)
+        if len(calls) == 3:
+            raise ZeroDivisionError("third gradient")
+        return d * x
+
+    oracle = FunctionOracle(3, lambda x: 0.5 * float(x @ (d * x)), gradient)
+    stop = StopCriteria(max_oracle_calls=10_000, max_wall_time=3600.0, **NO_TOL)
+    with pytest.raises(ZeroDivisionError, match="third gradient"):
+        if name in LS_METHODS:
+            LS_METHODS[name](oracle, np.ones(3), make_linesearch("par"), stop)
+        else:
+            FIXED_METHODS[name](oracle, np.ones(3), stop)
+    assert oracle.call_limit is None
+    assert oracle.deadline is None
+
+
 @pytest.mark.parametrize("budgets,match", [
     (dict(max_oracle_calls=1), "max_oracle_calls"),
     (dict(max_iterations=None, max_wall_time=math.nan), "max_wall_time"),
