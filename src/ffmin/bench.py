@@ -17,14 +17,7 @@ import numpy as np
 
 from .linesearch import FOUND, NO_RELAXATION, LineSearchResult
 from .oracle import FunctionOracle
-from .optimizers import (
-    CgVariant,
-    StopCriteria,
-    cg,
-    gradient_descent_fixed,
-    ofgm,
-    ofgm_schedule,
-)
+from .optimizers import StopCriteria, ofgm, ofgm_schedule
 
 
 @dataclass(frozen=True)
@@ -202,82 +195,14 @@ def ofgm_bound(L, R, theta_N):
 BOUND_SLACK = 1.05
 
 
-def bench_quadratic_rows(n=50, chi=1000.0, horizons=(8, 16, 32, 64),
-                         seeds=range(20), methods=("gd", "cg", "ofgm")):
-    """Bound-vs-actual rows for the rate table.
-
-    gd and cg run on random chi-conditioned instances; ofgm runs on
-    isotropic instances (its horizon schedule contracts too fast for the
-    bound to be meaningful on ill-conditioned spectra; see notes in docs).
-    Each row reports the worst actual/bound ratio across seeds; cg makes
-    rows only for horizons <= n. Bad sizes, methods and horizons, and a
-    table of cg alone with no such horizon, raise ValueError before any run.
-    """
-    for method in methods:
-        if method not in ("gd", "cg", "ofgm"):
-            raise ValueError(f"unknown method {method!r}")
-    if n < 1 or len(seeds) < 1 or min(horizons, default=0) < 1:
-        raise ValueError(f"bench-quadratic needs n >= 1, at least one seed and horizons "
-                         f">= 1, got n = {n}, {len(seeds)} seeds, horizons {tuple(horizons)}")
-    if set(methods) == {"cg"} and min(horizons) > n:
-        raise ValueError(f"cg needs a horizon <= n = {n}, got horizons {tuple(horizons)}")
-    if "ofgm" in methods:
-        ofgm_schedule(max(horizons))  # refuses a horizon whose theta_N overflows
-    rows = []
-    for N in horizons:
-        for method in methods:
-            worst = 0.0
-            bound = None
-            for seed in seeds:
-                if method == "ofgm":
-                    inst = QuadraticInstance.isotropic(n, seed=seed)
-                else:
-                    inst = QuadraticInstance.random(n, chi, seed=seed)
-                stop = StopCriteria(max_iterations=N, gradient_norm_rtol=0.0)
-                if method == "gd":
-                    bound = gd_bound(inst.L, inst.R, N, inst.chi)
-                    res = gradient_descent_fixed(inst.oracle(), inst.x0, inst.L, stop)
-                elif method == "cg":
-                    if N > n:
-                        continue
-                    bound = cg_bound(inst.L, inst.R, N)
-                    res = cg(inst.oracle(), inst.x0,
-                             CgVariant("fr", restart_period=10**9),
-                             inst.exact_linesearch(), stop)
-                else:
-                    _, theta = ofgm_schedule(N)
-                    bound = ofgm_bound(inst.L, inst.R, float(theta[-1]))
-                    res = ofgm(inst.oracle(), inst.x0, N, L=inst.L, stop=stop)
-                gap = inst.gap(res.x)
-                worst = max(worst, gap / bound)
-            if bound is None:
-                continue
-            rows.append({
-                "method": method,
-                "n": n,
-                "chi": 1.0 if method == "ofgm" else chi,
-                "N": N,
-                "bound": bound,
-                "worst_ratio": worst,
-                "ok": worst <= BOUND_SLACK,
-            })
-    return rows
-
-
 def worstcase_report(n=64, N=16, L=1.0, R=1.0, seed=0):
     """Run the fixed-horizon method on the tight instance; report the ratio."""
     if n < 1:
-        raise ValueError(f"worstcase needs n >= 1, got {n}")
+        raise ValueError(f"worstcase_report needs n >= 1, got {n}")
     wc = WorstCaseFunction(L=L, R=R, N=N)
     x0 = wc.start_point(n, seed=seed)
     stop = StopCriteria(max_iterations=N, gradient_norm_rtol=0.0)
     res = ofgm(wc.oracle(n), x0, N, L=L, stop=stop)
     gap = wc.value(res.x) - wc.f_star
     bound = wc.bound()
-    return {
-        "n": n, "N": N, "L": L, "R": R,
-        "theta_N": wc.theta_N,
-        "gap": gap,
-        "bound": bound,
-        "ratio": gap / bound,
-    }
+    return {"theta_N": wc.theta_N, "gap": gap, "bound": bound, "ratio": gap / bound}

@@ -15,7 +15,6 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bench import bench_quadratic_rows, worstcase_report
 from .energy import EnergyEvaluationError, energy_and_gradient, energy_total
 from .model import ModelError
 from .oracle import MolecularOracle
@@ -263,37 +262,12 @@ def cmd_batch_rank(args):
     return EXIT_OK
 
 
-def cmd_bench_quadratic(args):
-    horizons = tuple(int(s) for s in args.horizons.split(","))
-    methods = tuple(s.strip() for s in args.methods.split(","))
-    rows = bench_quadratic_rows(
-        n=args.n, chi=args.chi, horizons=horizons,
-        seeds=range(args.seeds), methods=methods,
-    )
-    print("method,n,chi,N,bound,worst_ratio,pass")
-    all_ok = True
-    for r in rows:
-        all_ok = all_ok and r["ok"]
-        print(f"{r['method']},{r['n']},{r['chi']:g},{r['N']},"
-              f"{r['bound']:.6g},{r['worst_ratio']:.6g},"
-              f"{'pass' if r['ok'] else 'FAIL'}")
-    print(f"# all bounds hold: {'true' if all_ok else 'false'}")
-    return EXIT_OK
-
-
-def cmd_worstcase(args):
-    rep = worstcase_report(n=args.n, N=args.horizon, L=args.L, R=args.R,
-                           seed=args.seed)
-    for key in ("n", "N", "L", "R", "theta_N", "gap", "bound", "ratio"):
-        val = rep[key]
-        print(f"{key:<8} {val:.10g}" if isinstance(val, float) else f"{key:<8} {val}")
-    return EXIT_OK
-
-
 def cmd_make_demo(args):
     if args.candidates < 1 or args.atoms < 2:
         _fail(f"make-demo needs --candidates >= 1 and --atoms >= 2, "
               f"got {args.candidates} and {args.atoms}")
+    if args.seed < 0:
+        _fail(f"make-demo needs --seed >= 0, got {args.seed}")
     out = Path(args.dir)
     cand_dir = out / "candidates"
     if (out / "reference.ffs").exists() or (cand_dir.is_dir() and any(cand_dir.iterdir())):
@@ -344,25 +318,6 @@ def build_parser():
     p.add_argument("--report", default=None, metavar="CSV",
                    help="also write the ranking table here")
     p.set_defaults(fn=cmd_batch_rank)
-
-    p = sub.add_parser("bench-quadratic",
-                       help="verify convergence-rate bounds on synthetic quadratics")
-    p.add_argument("--n", type=int, default=50)
-    p.add_argument("--chi", type=float, default=1000.0)
-    p.add_argument("--horizons", default="8,16,32,64")
-    p.add_argument("--seeds", type=int, default=20)
-    p.add_argument("--methods", default="gd,cg,ofgm")
-    p.set_defaults(fn=cmd_bench_quadratic)
-
-    p = sub.add_parser("worstcase",
-                       help="tightness of the fixed-horizon bound on the "
-                            "piecewise worst-case function")
-    p.add_argument("--n", type=int, default=64)
-    p.add_argument("--horizon", type=int, default=16)
-    p.add_argument("--L", type=float, default=1.0)
-    p.add_argument("--R", type=float, default=1.0)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(fn=cmd_worstcase)
 
     p = sub.add_parser("make-demo",
                        help="write a synthetic reference + candidate set for "

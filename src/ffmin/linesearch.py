@@ -53,8 +53,8 @@ class LsHConfig:
     h0: float = 1.0
 
     def __post_init__(self):
-        if not self.h0 > 0:
-            raise ValueError(f"h0 must be > 0, got {self.h0}")
+        if not 0 < self.h0 < math.inf:
+            raise ValueError(f"h0 must be finite and > 0, got {self.h0}")
 
 
 @dataclass(frozen=True)
@@ -67,8 +67,8 @@ class LsParConfig:
     use_gradient_start: bool = True
 
     def __post_init__(self):
-        if not self.h0 > 0:
-            raise ValueError(f"h0 must be > 0, got {self.h0}")
+        if not 0 < self.h0 < math.inf:
+            raise ValueError(f"h0 must be finite and > 0, got {self.h0}")
         if self.K < 2:
             raise ValueError(f"K must be >= 2, got {self.K}")
 

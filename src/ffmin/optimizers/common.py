@@ -79,8 +79,9 @@ class StopCriteria:
             raise ValueError("at least one of the iteration/oracle/time budgets must be finite")
         if self.max_oracle_calls is not None and not self.max_oracle_calls >= 2:
             raise ValueError("max_oracle_calls must be >= 2 (the start point costs 2 calls)")
-        if self.gradient_norm_tol < 0 or self.gradient_norm_rtol < 0:
-            raise ValueError("gradient tolerances must be >= 0")
+        for name in ("gradient_norm_tol", "gradient_norm_rtol"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
 
     def threshold(self, g0_norm: float) -> float:
         return max(self.gradient_norm_tol, self.gradient_norm_rtol * max(1.0, g0_norm))

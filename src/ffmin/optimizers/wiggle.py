@@ -64,6 +64,8 @@ class WiggleConfig:
     def __post_init__(self):
         if not self.h > 0:
             raise ValueError(f"probe step h must be > 0, got {self.h}")
+        if self.seed < 0:
+            raise ValueError(f"wiggle seed must be >= 0, got {self.seed}")
         if self.epoch_iterations < 1:
             raise ValueError("epoch_iterations must be >= 1")
         if not self.cutoff > 0:

@@ -7,13 +7,13 @@ from ffmin.bench import (
     BOUND_SLACK,
     ExactQuadraticLineSearch,
     QuadraticInstance,
-    bench_quadratic_rows,
     cg_bound,
     gd_bound,
     ofgm_bound,
     worstcase_report,
 )
 from ffmin.linesearch import FOUND, NO_RELAXATION
+from ffmin.optimizers import CgVariant, StopCriteria, cg
 
 
 def test_instance_construction_invariants():
@@ -90,20 +90,15 @@ def test_exact_linesearch_reports_no_relaxation_at_stationarity():
     assert res.h == 0.0
 
 
-def test_bench_rows_all_meet_bounds():
-    rows = bench_quadratic_rows(n=8, chi=100.0, horizons=(4, 8),
-                                seeds=range(3))
-    assert {r["method"] for r in rows} == {"gd", "cg", "ofgm"}
-    assert len(rows) == 6
-    for row in rows:
-        assert row["ok"], row
-        assert 0.0 <= row["worst_ratio"] <= BOUND_SLACK
-        assert row["bound"] > 0.0
-
-
-def test_bench_rows_skip_cg_past_finite_termination():
-    rows = bench_quadratic_rows(n=8, chi=10.0, horizons=(16,), seeds=range(2))
-    assert all(r["method"] != "cg" for r in rows)
+def test_cg_meets_its_bound_with_the_exact_linesearch():
+    for N in (4, 8):
+        for seed in range(3):
+            inst = QuadraticInstance.random(8, 100.0, seed=seed)
+            res = cg(inst.oracle(), inst.x0, CgVariant("fr", restart_period=10**9),
+                     inst.exact_linesearch(),
+                     StopCriteria(max_iterations=N, gradient_norm_rtol=0.0))
+            ratio = inst.gap(res.x) / cg_bound(inst.L, inst.R, N)
+            assert ratio <= BOUND_SLACK, (N, seed, ratio)
 
 
 def test_worstcase_report_fields():

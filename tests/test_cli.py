@@ -5,13 +5,11 @@ import shutil
 import subprocess
 import sys
 import tomllib
-import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-import ffmin.bench
 import ffmin.cli
 from ffmin.cli import METHODS, build_parser, main
 from ffmin.energy import energy_total
@@ -289,6 +287,11 @@ def test_minimize_dispatches_each_method(tmp_path, capsys, case):
      f"unknown cg variant 'bogus'; expected one of {CG_VARIANTS}"),
     (["--method", "cg", "--restart", "0"], "restart_period must be >= 1"),
     (["--method", "ofgm", "--horizon", "10"], "ofgm requires --L"),
+    (["--tol", "nan"], "gradient_norm_tol must be >= 0, got nan"),
+    (["--rtol", "nan"], "gradient_norm_rtol must be >= 0, got nan"),
+    (["--method", "wiggle", "--seed", "-1"], "wiggle seed must be >= 0, got -1"),
+    (["--h0", "inf"], "h0 must be finite and > 0, got inf"),
+    (["--ls", "h", "--h0", "inf"], "h0 must be finite and > 0, got inf"),
 ])
 def test_minimize_missing_method_flag_exits_2(tmp_path, capsys, flags, msg):
     path = write_diatomic(tmp_path)
@@ -349,6 +352,13 @@ def test_make_demo_rejects_bad_sizes_before_writing(tmp_path, capsys, flags):
     out, err = grab(capsys)
     assert out == ""
     assert err.startswith("ffmin: error: make-demo needs --candidates >= 1 and --atoms >= 2")
+    assert not demo.exists()
+
+
+def test_make_demo_rejects_a_negative_seed_before_writing(tmp_path, capsys):
+    demo = tmp_path / "demo"
+    assert main(["make-demo", str(demo), "--seed", "-1"]) == 2
+    assert grab(capsys) == ("", "ffmin: error: make-demo needs --seed >= 0, got -1\n")
     assert not demo.exists()
 
 
@@ -487,56 +497,6 @@ def test_parses_do_not_share_values():
     assert (b.dir, b.ref, b.m) == ("d", "s.ffs", 3)
 
 
-# ---------------------------------------------------------------- bench
-
-def test_bench_quadratic_cli(capsys):
-    code = main(["bench-quadratic", "--n", "6", "--chi", "10",
-                 "--horizons", "4,8", "--seeds", "2", "--methods", "gd,cg"])
-    out, _ = grab(capsys)
-    assert code == 0
-    assert out.splitlines()[0] == "method,n,chi,N,bound,worst_ratio,pass"
-    assert "# all bounds hold: true" in out
-
-
-def test_worstcase_cli(capsys):
-    code = main(["worstcase", "--n", "8", "--horizon", "4"])
-    out, _ = grab(capsys)
-    assert code == 0
-    fields = dict(l.split() for l in out.splitlines())
-    assert 0.4 <= float(fields["ratio"]) <= 1.05
-
-
-BIG_HORIZON = "horizon N = 2000 overflows theta_N; the largest horizon is 1019"
-BAD_BENCH_SIZES = "bench-quadratic needs n >= 1, at least one seed and horizons >= 1, got "
-
-
-@pytest.mark.parametrize("argv,msg", [
-    (["bench-quadratic", "--horizons", "0"], BAD_BENCH_SIZES + "n = 50, 20 seeds, horizons (0,)"),
-    (["bench-quadratic", "--horizons", "8,-1"],
-     BAD_BENCH_SIZES + "n = 50, 20 seeds, horizons (8, -1)"),
-    (["bench-quadratic", "--n", "0"], BAD_BENCH_SIZES + "n = 0, 20 seeds, horizons (8, 16, 32, 64)"),
-    (["bench-quadratic", "--seeds", "0"],
-     BAD_BENCH_SIZES + "n = 50, 0 seeds, horizons (8, 16, 32, 64)"),
-    (["bench-quadratic", "--horizons", "8,2000"], BIG_HORIZON),
-    (["bench-quadratic", "--methods", "gd,bogus"], "unknown method 'bogus'"),
-    (["worstcase", "--n", "0"], "worstcase needs n >= 1, got 0"),
-    (["worstcase", "--horizon", "2000"], BIG_HORIZON),
-    (["bench-quadratic", "--n", "8", "--horizons", "16", "--methods", "cg", "--seeds", "2"],
-     "cg needs a horizon <= n = 8, got horizons (16,)"),
-], ids=["horizon-0", "horizon-negative", "n-0", "seeds-0", "horizon-2000", "method",
-        "worstcase-n-0", "worstcase-horizon-2000", "cg-no-row"])
-def test_bench_commands_reject_bad_sizes_before_any_run(capsys, monkeypatch, argv, msg):
-    def no_run(*args, **kwargs):
-        raise AssertionError("a run started")
-
-    for name in ("gradient_descent_fixed", "cg", "ofgm"):
-        monkeypatch.setattr(ffmin.bench, name, no_run)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert main(argv) == 2
-    assert grab(capsys) == ("", f"ffmin: error: {msg}\n")
-
-
 # ---------------------------------------------------------------- docs
 
 def readme_section(title):
@@ -571,6 +531,16 @@ def test_readme_cli_section_names_every_flag():
     for name, sub in subcommand_parsers().items():
         missing = {o for o in sub._option_string_actions if o.startswith("--")} - documented
         assert not missing, (name, sorted(missing))
+
+
+def test_readme_cli_section_names_every_subcommand():
+    section = readme_section("CLI")
+    count = re.search(r"entry point has (\w+) subcommands", section).group(1)
+    first_sh = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    named = re.findall(r"^ffmin ([\w-]+)", first_sh, re.M)
+    subs = list(subcommand_parsers())
+    assert named == subs
+    assert count == ("one", "two", "three", "four", "five", "six", "seven")[len(subs) - 1]
 
 
 # ---------------------------------------------------------------- script

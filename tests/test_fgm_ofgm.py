@@ -241,6 +241,8 @@ def test_worstcase_validation():
         WorstCaseFunction(L=0.0, R=1.0, N=4)
     with pytest.raises(ValueError):
         WorstCaseFunction(L=1.0, R=1.0, N=0)
+    with pytest.raises(ValueError, match="n >= 1, got 0"):
+        worstcase_report(n=0)
 
 
 def test_worstcase_ratio_is_near_one_half():

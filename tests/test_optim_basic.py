@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -153,6 +155,11 @@ def test_stop_criteria_threshold_formula():
 def test_stop_criteria_rejects_negative_tolerances():
     with pytest.raises(ValueError):
         StopCriteria(gradient_norm_tol=-1.0)
+    # NaN fails every comparison, so it would switch the gradient test off
+    with pytest.raises(ValueError, match="gradient_norm_tol must be >= 0, got nan"):
+        StopCriteria(gradient_norm_tol=math.nan)
+    with pytest.raises(ValueError, match="gradient_norm_rtol must be >= 0, got nan"):
+        StopCriteria(gradient_norm_rtol=math.nan)
 
 
 def test_oracle_call_budget_halts_run():
