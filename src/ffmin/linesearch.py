@@ -69,6 +69,8 @@ class LsParConfig:
     def __post_init__(self):
         if not 0 < self.h0 < math.inf:
             raise ValueError(f"h0 must be finite and > 0, got {self.h0}")
+        if self.h0 * self.h0 == 0.0:  # the gradient-started fit divides by it
+            raise ValueError(f"h0 = {self.h0} is too small for ls_par: h0 * h0 underflows to 0")
         if self.K < 2:
             raise ValueError(f"K must be >= 2, got {self.K}")
 

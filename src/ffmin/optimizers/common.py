@@ -41,6 +41,11 @@ ITERATION_BUDGET = "iteration_budget"
 LINESEARCH_FAILURE = "linesearch_failure"
 HORIZON_COMPLETE = "horizon_complete"
 
+# a missed natural step backtracks to the parabola's vertex, clamped to
+# these fractions of |d| (Dennis & Schnabel, Alg. A6.3.1)
+BACKTRACK_MIN = 0.1
+BACKTRACK_MAX = 0.5
+
 # iterate() aborts once f exceeds this multiple of max(1, |f(x0)|), for a
 # caller that passes diverged= (ofgm does; gd checks only for non-finite values)
 DIVERGENCE_FACTOR = 1e3
@@ -322,14 +327,38 @@ class _LowestProbe:
         return f
 
 
+def _natural_step(probes, y, f_y, g_y, r, dn):
+    """(h, f, x) of descend()'s natural step or its backtrack, whichever is
+    taken, or None when the line search must run. A miss along a descent
+    direction implies positive curvature, so the parabola's vertex exists."""
+    slope = float(g_y.dot(r))
+    h = dn
+    # the searches' y + h * r, so a kept sweep finishes the gradient; an
+    # accepted probe's own array is the new iterate
+    f = probes.value(x := y + h * r)
+    if not (f < f_y and f <= f_y + ARMIJO_C1 * h * slope):
+        curv = f - f_y - slope * dn  # a dn^2 of the parabola f_y + slope h + a h^2
+        if not 0.0 < curv < math.inf:
+            return None
+        h = dn * min(max(-slope * dn / (2.0 * curv), BACKTRACK_MIN), BACKTRACK_MAX)
+        f = probes.value(x := y + h * r)
+        if not (f < f_y and f <= f_y + ARMIJO_C1 * h * slope):
+            return None
+    return h, f, x
+
+
 def descend(oracle, x0, stop, meta, rule, linesearch) -> OptimizeResult:
     """The line-search loop: direction, search, failure policy, record.
 
     When the rule has a natural step (LBFGS with a non-empty memory), the
     full step |d| is probed first, with one value call inside the oracle
     budget. It is taken if it lowers f and meets Armijo's condition with
-    ARMIJO_C1, and leaves the line search's warm start as it is; otherwise
-    the line search runs as it would have.
+    ARMIJO_C1. A finite probe that misses is backtracked once: one more
+    value call at the vertex of the parabola through f, the slope and the
+    probe, with the step clamped to [BACKTRACK_MIN, BACKTRACK_MAX] = [0.1,
+    0.5] times |d|, taken on the same test. Either step leaves the line
+    search's warm start as it is. A probe that is not finite, or a
+    backtrack that misses, runs the line search as it would have.
 
     A failed search that the rule does not retry ends the run with status
     linesearch_failure. Returns the best point seen unless the run converged; a
@@ -353,11 +382,8 @@ def descend(oracle, x0, stop, meta, rule, linesearch) -> OptimizeResult:
                     run.record(k + 1, f, gn, 0.0)
                 break
             r = d / dn
-            # the searches' y + h * r, so a kept sweep finishes the gradient;
-            # an accepted natural probe's own array is the new iterate
-            if rule.natural_step and (f_new := probes.value(x_new := y + dn * r)) < f_y \
-                    and f_new <= f_y + ARMIJO_C1 * dn * float(g_y.dot(r)):
-                h = dn
+            if rule.natural_step and (step := _natural_step(probes, y, f_y, g_y, r, dn)):
+                h, f_new, x_new = step
             else:
                 res = linesearch.search(probes, y, r, f_y, g_y)
                 if res.status == NO_RELAXATION:
@@ -366,7 +392,7 @@ def descend(oracle, x0, stop, meta, rule, linesearch) -> OptimizeResult:
                     run.status = LINESEARCH_FAILURE
                     break
                 h, f_new = res.h, res.f_at_step
-                x_new = y + h * r
+                x_new = y + h * r  # the search's own probe, so a kept sweep is finished
             if rule.takes_gradient:
                 g_new = oracle.gradient(x_new)
                 check_finite(f_new, g_new, k + 1)
@@ -395,6 +421,8 @@ def iterate(oracle, x0, stop, meta, L, step, horizon=None, diverged=None) -> Opt
     """
     if not L > 0:
         raise ValueError("L must be positive")
+    if L == math.inf:
+        raise ValueError("L must be finite, got inf")
     run, x, f, g, gn = start(oracle, x0, stop, {**meta, "L": L})
     f0 = f
     with run.budgets():

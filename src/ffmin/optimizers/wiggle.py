@@ -62,8 +62,8 @@ class WiggleConfig:
     cutoff: float = 7.0
 
     def __post_init__(self):
-        if not self.h > 0:
-            raise ValueError(f"probe step h must be > 0, got {self.h}")
+        if not 0 < self.h < math.inf:
+            raise ValueError(f"probe step h must be finite and > 0, got {self.h}")
         if self.seed < 0:
             raise ValueError(f"wiggle seed must be >= 0, got {self.seed}")
         if self.epoch_iterations < 1:

@@ -61,6 +61,10 @@ def grab(capsys):
     return cap.out, cap.err
 
 
+def subcommand_parsers():
+    return build_parser()._subparsers._group_actions[0].choices
+
+
 # ---------------------------------------------------------------- energy
 
 def test_energy_zero_system(tmp_path, capsys):
@@ -292,6 +296,10 @@ def test_minimize_dispatches_each_method(tmp_path, capsys, case):
     (["--method", "wiggle", "--seed", "-1"], "wiggle seed must be >= 0, got -1"),
     (["--h0", "inf"], "h0 must be finite and > 0, got inf"),
     (["--ls", "h", "--h0", "inf"], "h0 must be finite and > 0, got inf"),
+    (["--h0", "1e-300"], "h0 = 1e-300 is too small for ls_par: h0 * h0 underflows to 0"),
+    (["--method", "wiggle", "--wiggle-h", "inf"], "probe step h must be finite and > 0, got inf"),
+    (["--method", "gd", "--L", "inf"], "L must be finite, got inf"),
+    (["--method", "ofgm", "--horizon", "5", "--L", "inf"], "L must be finite, got inf"),
 ])
 def test_minimize_missing_method_flag_exits_2(tmp_path, capsys, flags, msg):
     path = write_diatomic(tmp_path)
@@ -314,6 +322,38 @@ def test_minimize_divergence_exits_2(tmp_path, capsys):
     _, err = grab(capsys)
     assert code == 2
     assert err.startswith("ffmin: error:")
+
+
+# the flags that make a minimize option take effect: the methods that read it
+OPTION_METHOD = {"--L": ["--method", "gd"], "--wiggle-h": ["--method", "wiggle"],
+                 "--wiggle-cutoff": ["--method", "wiggle"]}
+ODD_FLOATS = ("nan", "inf", "-inf", "0", "-0.0", "1e-300", "1e300")
+
+
+def float_option_cases():
+    sub = subcommand_parsers()["minimize"]
+    options = sorted(a.option_strings[0] for a in sub._actions if a.type is float)
+    cases = [OPTION_METHOD.get(o, []) + [f"{o}={v}"] for o in options for v in ODD_FLOATS]
+    return cases + [["--method", "ofgm", "--horizon", "5", "--L=inf"]]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("flags", float_option_cases(), ids=" ".join)
+def test_minimize_float_options_end_in_a_result_or_one_error_line(tmp_path, capsys, flags):
+    # every float option of minimize, at each of the odd values, either runs
+    # to a documented exit or is refused with one error line; no exception
+    # or warning escapes main
+    path = write_chain(tmp_path, n=6)
+    try:
+        code = main(["minimize", str(path), "--max-iters", "20", *flags])
+    except BaseException as exc:  # noqa: BLE001 - any escape is the failure
+        pytest.fail(f"{type(exc).__name__} escaped main: {exc}")
+    _, err = grab(capsys)
+    assert code in (0, 2, 3, 4)
+    if code == 2:
+        assert len(re.findall(r"^ffmin: error:", err, re.M)) == 1 == len(err.splitlines()), err
+    if flags[-1] == "--L=inf":  # gd and ofgm
+        assert code == 2
 
 
 # ---------------------------------------------------------------- batch rank
@@ -512,10 +552,6 @@ def test_readme_methods_line_names_every_method():
 
 def readme_cli_flags():
     return set(re.findall(r"(?<![\w-])--[A-Za-z][\w-]*", readme_section("CLI")))
-
-
-def subcommand_parsers():
-    return build_parser()._subparsers._group_actions[0].choices
 
 
 def test_readme_cli_flags_parse():

@@ -19,7 +19,14 @@ from ffmin.optimizers import (
     make_linesearch,
     steepest_descent,
 )
-from ffmin.optimizers.common import ARMIJO_C1, DescentRule, LineSearcher, descend
+from ffmin.optimizers.common import (
+    ARMIJO_C1,
+    BACKTRACK_MAX,
+    BACKTRACK_MIN,
+    DescentRule,
+    LineSearcher,
+    descend,
+)
 from ffmin.optimizers.lbfgs import LbfgsMemory, _LbfgsRule, lbfgs_direction
 from ffmin.oracle import FunctionOracle, MolecularOracle
 from ffmin.synth import make_chain_system
@@ -194,12 +201,13 @@ def test_lbfgs_clears_memory_once_then_reports_failure():
     res = lbfgs(oracle, np.array([6.0, -4.0, 5.0, -7.0, 3.0]), m=3, linesearch=stub)
     assert res.status == LINESEARCH_FAILURE
     assert res.iterations == 1
-    # the natural step of iteration 2 misses Armijo's condition, so call 2
-    # runs; it fails with one stored pair -> memory cleared, call 3 retries
-    # along the plain antigradient without a natural probe, fails again,
-    # run stops
+    # the natural step of iteration 2 overshoots, and so does its backtrack
+    # (the curvature far out is small), so call 2 runs; it fails with one
+    # stored pair -> memory cleared, call 3 retries along the plain
+    # antigradient without a natural probe, fails again, run stops
     assert stub.calls == 3
-    assert oracle.value_calls == 3  # start point, call 1's probe, the natural probe
+    # start point, call 1's probe, the natural probe and its backtrack
+    assert oracle.value_calls == 4
     g1 = oracle.gradient(res.x)
     want = -g1 / np.linalg.norm(g1)
     assert np.allclose(stub.directions[2], want, atol=1e-12)
@@ -215,13 +223,16 @@ def test_lbfgs_stationary_start():
 # ------------------------------------------------------------- natural step
 
 class CountingSearch(LineSearcher):
-    """A line searcher that logs the value calls of each search it runs."""
+    """A line searcher that logs the warm start and the value calls of each
+    search it runs."""
 
     def __init__(self, kind):
         super().__init__(make_linesearch(kind).config)
+        self.starts = []
         self.calls = []
 
     def search(self, oracle, x, r, f0, g0=None):
+        self.starts.append(self.h)
         res = super().search(oracle, x, r, f0, g0)
         self.calls.append(res.oracle_calls)
         return res
@@ -282,33 +293,70 @@ def half_square_oracle(nan_below=0.0):
 X0 = np.array([1.0, -2.0, 0.5])
 
 
+def one_step(t, ls, stop=None):
+    """One descend() iteration with d = -t g on f = |x|^2 / 2 from X0."""
+    return descend(half_square_oracle(), X0, stop or StopCriteria(max_iterations=1, **NO_TOL),
+                   {}, ScaledAntigradient(t), ls)
+
+
 @pytest.mark.parametrize("t, natural", [(1.0, True), (2.0 - ARMIJO_C1, False)])
 def test_natural_step_needs_armijo(t, natural):
     # on f = |x|^2 / 2 the step |d| with d = -t g lowers f for 0 < t < 2,
     # and meets Armijo's condition only for t <= 2 - 2 * ARMIJO_C1
-    oracle = half_square_oracle()
     ls = CountingSearch("h")
-    res = descend(oracle, X0, StopCriteria(max_iterations=1, **NO_TOL), {},
-                  ScaledAntigradient(t), ls)
+    res = one_step(t, ls)
     (cost,) = iteration_costs(res)
     step = res.trace.records[1].step
+    dn = t * np.linalg.norm(X0)
     if natural:
         assert (cost, ls.calls) == ((1, 1), [])
-        assert step == t * np.linalg.norm(X0)
+        assert step == dn
     else:
-        # a miss costs the natural probe plus the search, which still relaxes
-        assert cost == (1 + ls.calls[0], 1)
-        assert step != t * np.linalg.norm(X0)
+        # a miss costs the natural probe plus one backtrack to the vertex,
+        # which lies at |d| / t, past the upper clamp: no search runs
+        assert (cost, ls.calls) == ((2, 1), [])
+        assert step == BACKTRACK_MAX * dn
+    assert res.f < 0.5 * float(X0 @ X0)
+
+
+@pytest.mark.parametrize("t, fraction", [(2.0 - ARMIJO_C1, BACKTRACK_MAX), (4.0, 0.25),
+                                         (12.0, BACKTRACK_MIN)])
+def test_a_missed_natural_step_backtracks_to_the_clamped_vertex(t, fraction):
+    # the parabola through f(0), the slope and the probe at |d| = t |g| is f
+    # itself, so its vertex is the minimizer at |g| = |d| / t, clamped to
+    # [BACKTRACK_MIN, BACKTRACK_MAX] |d|; each step meets Armijo's condition
+    ls = CountingSearch("h")
+    ls.h = 0.37  # a warm start left by an earlier search
+    res = one_step(t, ls)
+    assert iteration_costs(res) == [(2, 1)]
+    assert res.trace.records[1].step == pytest.approx(fraction * t * np.linalg.norm(X0),
+                                                      rel=1e-12)
+    # no search ran, and its warm start is where it was
+    assert ls.calls == [] and ls.h == 0.37
+    assert res.f < 0.5 * float(X0 @ X0)
+
+
+def test_a_missed_backtrack_runs_the_search_from_its_warm_start():
+    # t = 30 puts the vertex at |d| / 30, below the lower clamp, and the
+    # clamped step 3 |g| lands above f(X0)
+    ls = CountingSearch("h")
+    ls.h = 0.37
+    res = one_step(30.0, ls)
+    (cost,) = iteration_costs(res)
+    assert ls.starts == [0.37]
+    assert cost == (2 + ls.calls[0], 1)
     assert res.f < 0.5 * float(X0 @ X0)
 
 
 def test_nan_natural_probe_falls_back_to_the_search():
-    # the natural step lands on 0, where f is NaN; ls_h's probes stay clear
+    # the natural step lands on 0, where f is NaN; ls_h's probes stay clear.
+    # A NaN probe makes no backtrack: the search runs at once
     oracle = half_square_oracle(nan_below=1e-3)
     ls = CountingSearch("h")
     res = descend(oracle, X0, StopCriteria(max_iterations=1, **NO_TOL), {},
                   ScaledAntigradient(1.0), ls)
     (cost,) = iteration_costs(res)
+    assert len(ls.calls) == 1
     assert cost == (1 + ls.calls[0], 1)
     assert math.isfinite(res.f) and res.f < 0.5 * float(X0 @ X0)
     assert all(math.isfinite(r.f) for r in res.trace.records)
@@ -328,9 +376,17 @@ def test_only_a_nonempty_lbfgs_memory_makes_a_natural_probe(method):
     res = SEARCH_METHODS[method](MolecularOracle(system), system.coords.ravel(), ls,
                                  StopCriteria(max_iterations=20, **NO_TOL))
     value_costs = [v for v, _ in iteration_costs(res)]
-    natural = 0 if method != "lbfgs" else res.iterations - 1  # no retry on this chain
     assert value_costs[0] == ls.calls[0]  # the first iteration only searches
-    assert sum(value_costs) == sum(ls.calls) + natural
+    if method != "lbfgs":
+        assert sum(value_costs) == sum(ls.calls)
+        return
+    # no retry on this chain: every later iteration probes its natural step,
+    # and each miss (a cost above 1) adds one backtrack; a search runs only
+    # where that misses too (a cost above 2)
+    backtracks = sum(1 for v in value_costs[1:] if v > 1)
+    assert backtracks > 0
+    assert sum(value_costs) == sum(ls.calls) + res.iterations - 1 + backtracks
+    assert len(ls.calls) == 1 + sum(1 for v in value_costs[1:] if v > 2)
 
 
 def test_budget_landing_on_the_natural_probe_returns_the_lowest_point():
@@ -355,6 +411,24 @@ def test_budget_landing_on_the_natural_probe_returns_the_lowest_point():
     assert res.f == second.f < first.f
     assert res.x.tobytes() == free.x.tobytes()
     assert math.isnan(res.grad_norm)
+
+
+@pytest.mark.parametrize("t, probe_is_lowest", [(2.0 - ARMIJO_C1, True), (3.0, False)])
+def test_budget_refusing_the_backtrack_returns_the_lowest_point(t, probe_is_lowest):
+    # the start point's fused call and the natural probe use the cap of 3.
+    # With t just under 2 the missed probe lies below f(X0) and is returned,
+    # without |g|; with t = 3 it lies above, and X0 is returned with its |g|
+    res = one_step(t, CountingSearch("h"),
+                   StopCriteria(max_iterations=None, max_oracle_calls=3, **NO_TOL))
+    assert res.status == ORACLE_BUDGET
+    probe = X0 - t * X0
+    if probe_is_lowest:
+        assert res.f == 0.5 * float(probe @ probe) < 0.5 * float(X0 @ X0)
+        assert np.allclose(res.x, probe, rtol=0, atol=1e-15)
+        assert math.isnan(res.grad_norm)
+    else:
+        assert res.x.tobytes() == X0.tobytes()
+        assert res.grad_norm == np.linalg.norm(X0)
 
 
 def test_lbfgs_leaves_a_negative_curvature_region(tmp_path, capsys):

@@ -234,6 +234,10 @@ def test_ls_par_config_validation():
         LsParConfig(h0=-1.0)
     with pytest.raises(ValueError):
         LsParConfig(K=1)
+    # the gradient-started fit divides by h0 * h0, which underflows to 0 here
+    with pytest.raises(ValueError, match="h0 \\* h0 underflows to 0"):
+        LsParConfig(h0=1e-300)
+    assert LsParConfig(h0=1e-154).h0 == 1e-154
 
 
 def test_make_linesearch_rejects_an_unknown_kind():
