@@ -17,6 +17,7 @@ from .energy import (
     EnergyBreakdown,
     EnergyEvaluationError,
     FarFieldLinearization,
+    NonFiniteEnergyError,
     delta_energy_atom_move,
     energy_and_gradient,
     energy_bend,

@@ -26,7 +26,8 @@ single-atom deltas) or its far partners (linearize_farfield_coulomb).
 
 Every public function leaves through one exit: no NumPy warning escapes,
 and degenerate geometry or a NaN or inf result raises EnergyEvaluationError
-naming the term row, the term, the delta or the far-field coefficient.
+naming the term row, the term, the delta or the far-field coefficient; for
+a NaN or inf result it is its subclass NonFiniteEnergyError.
 
 The exit sets NumPy's error state through its context variable, to what
 np.errstate(all="ignore") would set, in its own frame: errstate's decorator
@@ -48,6 +49,11 @@ from .model import MolecularSystem, pair_parameters
 
 class EnergyEvaluationError(ValueError):
     """Degenerate or invalid geometry in a named interaction term."""
+
+
+class NonFiniteEnergyError(EnergyEvaluationError):
+    """A NaN or inf result with no degenerate term: finite coordinates whose
+    energy overflows. A line search's probe treats it as not relaxing."""
 
 
 @dataclass(frozen=True, init=False)
@@ -217,7 +223,7 @@ def _nonfinite(out, what):
 
 def _checked(what):
     """The one exit of every public function here: NumPy warnings silenced,
-    a non-finite result part raised as EnergyEvaluationError (see _nonfinite)."""
+    a non-finite result part raised as NonFiniteEnergyError (see _nonfinite)."""
     def decorate(fn):
         @functools.wraps(fn)
         def checked(*args, **kwargs):
@@ -230,7 +236,7 @@ def _checked(what):
                 _errstate.reset(token)
             bad = _nonfinite(out, what)
             if bad:
-                raise EnergyEvaluationError(bad)
+                raise NonFiniteEnergyError(bad)
             return out
         return checked
     return decorate

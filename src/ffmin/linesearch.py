@@ -20,8 +20,11 @@ behind the start point (the G0 = false branch does so by construction);
 ls_h steps are always positive.
 
 A NaN value never relaxes: ls_h contracts past it, and ls_par stops at it
-and decides from its finite samples. (MolecularOracle raises instead of
-returning NaN; the rule matters for FunctionOracle objectives.)
+and decides from its finite samples. MolecularOracle raises instead of
+returning NaN; the descent loops (optimizers.common.descend) value every
+probe through a wrapper that turns an overflowing energy
+(NonFiniteEnergyError) into NaN, so such a probe does not relax either,
+while a degenerate term at a probe still raises.
 """
 
 from __future__ import annotations

@@ -190,37 +190,27 @@ def build_default_exclusions(natoms, bonds, s14=0.5, cutoff=None):
 
     Pairs separated by one or two bonds are excluded, pairs separated by
     exactly three bonds are scaled by s14. Separation is the graph distance
-    in the bond topology (BFS), independent of geometry.
+    in the bond topology, independent of geometry: the 1-2 pairs are the
+    bonds, the 1-3 pairs two neighbours of one atom, and the 1-4 pairs a
+    neighbour of each end of one bond, when they are two atoms and not a
+    1-2 or 1-3 pair already.
     """
-    adj = [[] for _ in range(natoms)]
+    bonded = set()
     for b in bonds:
-        if b.i >= natoms or b.j >= natoms:
+        if not (0 <= b.i < natoms and 0 <= b.j < natoms):
             raise ModelError(f"bond ({b.i},{b.j}): index out of range for {natoms} atoms")
-        adj[b.i].append(b.j)
-        adj[b.j].append(b.i)
+        bonded.add((b.i, b.j) if b.i < b.j else (b.j, b.i))
+    adj = [[] for _ in range(natoms)]
+    for i, j in bonded:
+        adj[i].append(j)
+        adj[j].append(i)
 
-    excluded = set()
-    scaled = set()
-    for src in range(natoms):
-        # BFS to depth 3 is enough; deeper pairs interact at full scale.
-        dist = {src: 0}
-        frontier = [src]
-        for depth in (1, 2, 3):
-            nxt = []
-            for u in frontier:
-                for v in adj[u]:
-                    if v not in dist:
-                        dist[v] = depth
-                        nxt.append(v)
-            frontier = nxt
-        for v, d in dist.items():
-            if v <= src:
-                continue
-            if d in (1, 2):
-                excluded.add((src, v))
-            elif d == 3:
-                scaled.add((src, v))
-    return NonbondedPolicy(frozenset(excluded), frozenset(scaled), s14, cutoff)
+    excluded = {(a, b) for nbrs in adj for a in nbrs for b in nbrs if a < b}
+    excluded |= bonded
+    scaled = {(a, b) if a < b else (b, a)
+              for i, j in bonded for a in adj[i] for b in adj[j] if a != b}
+    scaled -= excluded
+    return NonbondedPolicy(excluded, scaled, s14, cutoff)  # the policy freezes both
 
 
 @dataclass(frozen=True)

@@ -33,6 +33,7 @@ from ..linesearch import (
     ls_par,
     norm,
 )
+from ..energy import NonFiniteEnergyError
 from ..kernels import all_finite
 from ..oracle import ORACLE_BUDGET, TIME_BUDGET, _BudgetExhausted
 
@@ -313,7 +314,11 @@ class DescentRule:
 
 
 class _LowestProbe:
-    """The value calls of the line searches, remembering the lowest probe."""
+    """The value calls of the line searches, remembering the lowest probe.
+
+    A probe whose energy overflows (NonFiniteEnergyError) values as NaN, a
+    probe that does not relax; a degenerate term at a probe still raises.
+    """
 
     def __init__(self, oracle):
         self.oracle = oracle
@@ -321,7 +326,10 @@ class _LowestProbe:
         self.x = None
 
     def value(self, x):
-        f = self.oracle.value(x)
+        try:
+            f = self.oracle.value(x)
+        except NonFiniteEnergyError:
+            return math.nan
         if f < self.f:
             self.f, self.x = f, x
         return f
@@ -358,7 +366,9 @@ def descend(oracle, x0, stop, meta, rule, linesearch) -> OptimizeResult:
     probe, with the step clamped to [BACKTRACK_MIN, BACKTRACK_MAX] = [0.1,
     0.5] times |d|, taken on the same test. Either step leaves the line
     search's warm start as it is. A probe that is not finite, or a
-    backtrack that misses, runs the line search as it would have.
+    backtrack that misses, runs the line search as it would have. Every
+    probe is valued through _LowestProbe, so one whose energy overflows does
+    not relax.
 
     A failed search that the rule does not retry ends the run with status
     linesearch_failure. Returns the best point seen unless the run converged; a
@@ -414,10 +424,10 @@ def iterate(oracle, x0, stop, meta, L, step, horizon=None, diverged=None) -> Opt
     value_and_gradient call there; meta gains L, and every record's step
     is 1/L.
 
-    DivergenceError is raised for non-finite values, and with a message
-    template diverged ({k}, {f}) also once f exceeds
-    DIVERGENCE_FACTOR * max(1, |f0|). Returns the final iterate, after at
-    most horizon steps when one is given.
+    DivergenceError is raised for non-finite values, an energy that
+    overflows included, and with a message template diverged ({k}, {f})
+    also once f exceeds DIVERGENCE_FACTOR * max(1, |f0|). Returns the final
+    iterate, after at most horizon steps when one is given.
     """
     if not L > 0:
         raise ValueError("L must be positive")
@@ -428,7 +438,10 @@ def iterate(oracle, x0, stop, meta, L, step, horizon=None, diverged=None) -> Opt
     with run.budgets():
         for k in run.steps(horizon):
             x_new = step(k, x, g)
-            f_new, g_new = oracle.value_and_gradient(x_new)
+            try:
+                f_new, g_new = oracle.value_and_gradient(x_new)
+            except NonFiniteEnergyError:  # diverged, as a NaN value would have
+                f_new, g_new = math.nan, g
             if diverged is None:
                 check_finite(f_new, g_new, k + 1)
             elif (not math.isfinite(f_new)

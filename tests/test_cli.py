@@ -356,6 +356,89 @@ def test_minimize_float_options_end_in_a_result_or_one_error_line(tmp_path, caps
         assert code == 2
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("method", ["lbfgs", "sd", "cg"])
+@pytest.mark.parametrize("ls,code,status", [("par", 3, "linesearch_failure"),
+                                            ("h", 4, "iteration_budget")])
+def test_minimize_overflowing_first_step_is_a_probe_that_does_not_relax(
+        tmp_path, capsys, method, ls, code, status):
+    # h0 = 1e300 overflows the energy at the first probe: ls_par stops there
+    # and finds nothing, ls_h contracts past it; neither is an input error
+    path = write_chain(tmp_path, n=6)
+    assert main(["minimize", str(path), "--method", method, "--ls", ls, "--h0", "1e300",
+                 "--max-iters", "20"]) == code
+    out, err = grab(capsys)
+    assert err == ""
+    assert f"status   {status}" in out
+
+
+@pytest.mark.parametrize("flags,msg", [
+    (["--method", "gd"], "non-finite objective or gradient at iteration 1"),
+    (["--method", "ofgm", "--horizon", "5"], "ofgm diverged at iteration 1: f=nan"),
+])
+def test_minimize_overflowing_fixed_step_is_a_divergence(tmp_path, capsys, flags, msg):
+    path = write_chain(tmp_path, n=6)
+    assert main(["minimize", str(path), *flags, "--L", "1e-300", "--max-iters", "20"]) == 2
+    assert grab(capsys) == ("", f"ffmin: error: {msg}\n")
+
+
+# the flags that make an int option of minimize or batch-rank take effect
+INT_OPTION_METHOD = {"--restart": ["--method", "cg"],
+                     "--horizon": ["--method", "ofgm", "--L", "2000"],
+                     "--epoch": ["--method", "wiggle"], "--seed": ["--method", "wiggle"]}
+ODD_INTS = (-1, 0, 1, 2, 3)
+
+
+def int_option_cases():
+    cases = []
+    for command, sub in subcommand_parsers().items():
+        options = sorted(a.option_strings[0] for a in sub._actions if a.type is int)
+        method = INT_OPTION_METHOD if command != "make-demo" else {}
+        cases += [(command, method.get(o, []) + [f"{o}={v}"]) for o in options for v in ODD_INTS]
+    return cases
+
+
+@pytest.fixture(scope="module")
+def small_pool(tmp_path_factory):
+    pool = tmp_path_factory.mktemp("pool")
+    assert main(["make-demo", str(pool), "--candidates", "2", "--atoms", "6"]) == 0
+    return pool
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command,flags", int_option_cases(),
+                         ids=[" ".join([c, *f]) for c, f in int_option_cases()])
+def test_int_options_end_in_a_result_or_one_error_line(tmp_path, capsys, small_pool,
+                                                      command, flags):
+    # every int option at -1, 0, 1, 2 and 3 either runs to a documented exit
+    # or is refused with one error line and no file written; no exception
+    # or warning escapes main
+    out = tmp_path / "out"
+    out.mkdir()
+    argv = {
+        "minimize": ["minimize", str(small_pool / "reference.ffs"), "--max-iters", "20",
+                     "--trace", str(out / "trace.csv"), "--out", str(out / "final.ffs")],
+        "batch-rank": ["batch-rank", str(small_pool / "candidates"),
+                       "--ref", str(small_pool / "reference.ffs"), "--max-iters", "20",
+                       "--report", str(out / "rank.csv")],
+        "make-demo": ["make-demo", str(out / "demo"), "--candidates", "2", "--atoms", "6"],
+    }[command]
+    try:
+        code = main([*argv, *flags])
+    except BaseException as exc:  # noqa: BLE001 - any escape is the failure
+        pytest.fail(f"{type(exc).__name__} escaped main: {exc}")
+    _, err = grab(capsys)
+    assert code in (0, 2, 3, 4)
+    if code == 2:
+        assert len(re.findall(r"^ffmin: error:", err, re.M)) == 1 == len(err.splitlines()), err
+        assert list(out.iterdir()) == []
+    elif command == "make-demo":
+        # the pool is what the command says it wrote
+        wanted = int(flags[-1].split("=")[1]) if flags[-1].startswith("--candidates") else 2
+        assert len(list((out / "demo" / "candidates").iterdir())) == wanted
+        assert (out / "demo" / "reference.ffs").is_file()
+
+
 # ---------------------------------------------------------------- batch rank
 
 def test_make_demo_then_batch_rank(tmp_path, capsys):

@@ -362,6 +362,25 @@ def test_nan_natural_probe_falls_back_to_the_search():
     assert all(math.isfinite(r.f) for r in res.trace.records)
 
 
+def test_overflowing_natural_probe_falls_back_to_the_search():
+    # |d| = 1e150: the natural probe overflows the chain's torsion energy,
+    # which MolecularOracle raises; in descend() it is a probe that does not
+    # relax, so, as for a NaN, no backtrack is made and the search runs at once
+    system = make_chain_system(6)
+    x0 = system.coords.ravel()
+    g = energy.gradient_total(system)
+    t = 1e150 / np.linalg.norm(g)
+    with pytest.raises(energy.NonFiniteEnergyError, match="torsion energy is not finite"):
+        MolecularOracle(system).value(x0 - t * g)
+    ls = CountingSearch("h")
+    res = descend(MolecularOracle(system), x0, StopCriteria(max_iterations=1, **NO_TOL), {},
+                  ScaledAntigradient(t), ls)
+    (cost,) = iteration_costs(res)
+    assert len(ls.calls) == 1
+    assert cost == (1 + ls.calls[0], 1)
+    assert res.f < energy.energy_total(system).total
+
+
 SEARCH_METHODS = {
     "lbfgs": lambda o, x0, ls, stop: lbfgs(o, x0, m=3, linesearch=ls, stop=stop),
     "sd": lambda o, x0, ls, stop: steepest_descent(o, x0, ls, stop),

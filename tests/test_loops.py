@@ -7,7 +7,13 @@ import numpy as np
 import pytest
 
 from conftest import record_rows
-from ffmin.energy import energy_total, gradient_total
+from ffmin.energy import (
+    EnergyEvaluationError,
+    NonFiniteEnergyError,
+    energy_total,
+    gradient_total,
+)
+from ffmin.model import AtomSpec, MolecularSystem
 from ffmin.oracle import FunctionOracle, MolecularOracle
 from ffmin.optimizers import (
     ITERATION_BUDGET,
@@ -15,6 +21,7 @@ from ffmin.optimizers import (
     ORACLE_BUDGET,
     TIME_BUDGET,
     CgVariant,
+    DivergenceError,
     StopCriteria,
     WiggleConfig,
     atom_wiggle,
@@ -335,3 +342,66 @@ def test_deadline_inside_an_iteration_returns_the_last_iterate(name, ls):
         assert (res.x.tobytes(), res.f, res.grad_norm) == (ref.x.tobytes(), ref.f,
                                                             ref.grad_norm), k
         assert np.array_equal(record_rows(res), record_rows(ref)), k
+
+
+# ------------------------------------------------------- overflowing probes
+
+H0_OVERFLOW = 1e300  # a first probe of this length overflows the chain's energy
+
+
+@pytest.mark.parametrize("name,ls", [(n, ls) for n in ("lbfgs", "sd", "cg")
+                                     for ls in ("par", "h")])
+def test_an_overflowing_probe_does_not_relax(name, ls):
+    system = make_chain_system(6)
+    x0 = system.coords.ravel()
+    f0 = energy_total(system).total
+    oracle = MolecularOracle(system)
+    res = LS_METHODS[name](oracle, x0, make_linesearch(ls, h0=H0_OVERFLOW),
+                           StopCriteria(max_iterations=20, **NO_TOL))
+    if ls == "par":
+        # ls_par stops at its first, overflowing, probe: a search that found
+        # nothing, at the cost of that one value call
+        assert res.status == LINESEARCH_FAILURE and res.iterations == 0
+        assert (oracle.value_calls, oracle.grad_calls) == (2, 1)
+        assert res.f == f0
+    else:
+        # ls_h contracts past the overflowing probes to a relaxing step
+        assert res.status == ITERATION_BUDGET
+        assert res.f < f0
+    assert all(math.isfinite(r.f) for r in res.trace.records)
+
+
+def test_an_overflowing_energy_still_raises_outside_a_probe():
+    system = make_chain_system(6)
+    g = gradient_total(system)
+    x = system.coords.ravel() - H0_OVERFLOW * g / np.linalg.norm(g)
+    oracle = MolecularOracle(system)
+    for call in (oracle.value, oracle.gradient, oracle.value_and_gradient,
+                 lambda x: energy_total(system, x)):
+        with pytest.raises(NonFiniteEnergyError, match="energy is not finite"):
+            call(x)
+
+
+@pytest.mark.parametrize("name,match", [("gd", r"non-finite objective or gradient at iteration 1"),
+                                        ("ofgm-L", r"ofgm diverged at iteration 1: f=nan")])
+def test_an_overflowing_fixed_step_diverges(name, match):
+    system = make_chain_system(6)
+    run = {"gd": lambda o, x0, stop: gradient_descent_fixed(o, x0, 1e-300, stop),
+           "ofgm-L": lambda o, x0, stop: ofgm(o, x0, 5, L=1e-300, stop=stop)}[name]
+    with pytest.raises(DivergenceError, match=match):
+        run(MolecularOracle(system), system.coords.ravel(), StopCriteria(max_iterations=20))
+
+
+def test_a_degenerate_probe_still_raises():
+    # two opposite charges 2 A apart: the first probe of ls_h puts them on
+    # top of each other, a named fault of the geometry, not an overflow
+    pair = MolecularSystem(
+        atoms=(AtomSpec(0, "A", 1.0, 3.0, 0.0), AtomSpec(1, "B", -1.0, 3.0, 0.0)),
+        coords=np.array([[-1.0, 0.0, 0.0], [1.0, 0.0, 0.0]]))
+    x0 = pair.coords.ravel()
+    g = gradient_total(pair)
+    h0 = 1.0 / (-g[0] / np.linalg.norm(g))  # the step that closes the 2 A gap
+    with pytest.raises(EnergyEvaluationError, match=r"nonbonded pair \(0,1\): coincident") as exc:
+        steepest_descent(MolecularOracle(pair), x0, make_linesearch("h", h0=h0),
+                         StopCriteria(max_iterations=5))
+    assert not isinstance(exc.value, NonFiniteEnergyError)

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ffmin.model import (
     AngleTerm,
@@ -120,6 +124,55 @@ def test_default_exclusions_ring4_matches_bfs_oracle():
             else:
                 assert (i, j) not in pol.excluded
                 assert (i, j) not in pol.scaled14
+
+
+def floyd_warshall(n, edges):
+    """All-pairs bond-graph distances, math.inf between components."""
+    dist = [[0 if i == j else math.inf for j in range(n)] for i in range(n)]
+    for i, j in edges:
+        dist[i][j] = dist[j][i] = 1
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                dist[i][j] = min(dist[i][j], dist[i][k] + dist[k][j])
+    return dist
+
+
+@st.composite
+def bond_graphs(draw):
+    """(n, edges) with n <= 16: random bonds, which leave isolated atoms and
+    make branches, a ring through some atoms (a triangle at length 3), and
+    repeats of some bonds, reversed or not."""
+    n = draw(st.integers(1, 16))
+    atom_ = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(atom_, atom_).filter(lambda e: e[0] != e[1]),
+                          max_size=2 * n))
+    if n >= 3:
+        ring = draw(st.lists(atom_, max_size=n, unique=True))
+        if len(ring) >= 3:
+            edges += zip(ring, ring[1:] + ring[:1])
+    if edges:
+        for i, j in draw(st.lists(st.sampled_from(edges), max_size=4)):
+            edges.append(draw(st.sampled_from([(i, j), (j, i)])))
+    return n, draw(st.permutations(edges))
+
+
+@settings(max_examples=200, deadline=None)
+@given(graph=bond_graphs())
+def test_default_exclusions_match_a_floyd_warshall_reference(graph):
+    n, edges = graph
+    dist = floyd_warshall(n, edges)
+    pol = build_default_exclusions(n, tuple(BondTerm(i, j, 1.0, 1.5) for i, j in edges))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    assert pol.excluded == {(i, j) for i, j in pairs if dist[i][j] in (1, 2)}
+    assert pol.scaled14 == {(i, j) for i, j in pairs if dist[i][j] == 3}
+
+
+@pytest.mark.parametrize("i,j", [(0, 3), (3, 1), (7, 9), (-1, 1), (2, -3)])
+def test_default_exclusions_refuse_a_bond_out_of_range(i, j):
+    bonds = (BondTerm(0, 1, 1.0, 1.5), BondTerm(i, j, 1.0, 1.5))
+    with pytest.raises(ModelError, match=rf"^bond \({i},{j}\): index out of range for 3 atoms$"):
+        build_default_exclusions(3, bonds)
 
 
 def test_chain_needs_two_atoms():
