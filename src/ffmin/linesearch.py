@@ -21,8 +21,8 @@ ls_h steps are always positive.
 
 A NaN value never relaxes: ls_h contracts past it, and ls_par stops at it
 and decides from its finite samples. MolecularOracle raises instead of
-returning NaN; the descent loops (optimizers.common.descend) value every
-probe through a wrapper that turns an overflowing energy
+returning NaN; the descent loops (optimizers.common.descend) hand the
+searches their Run, whose value() turns an overflowing energy
 (NonFiniteEnergyError) into NaN, so such a probe does not relax either,
 while a degenerate term at a probe still raises.
 """

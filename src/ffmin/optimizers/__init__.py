@@ -1,9 +1,10 @@
-from ..oracle import ORACLE_BUDGET, TIME_BUDGET
 from .common import (
     CONVERGED,
     HORIZON_COMPLETE,
     ITERATION_BUDGET,
     LINESEARCH_FAILURE,
+    ORACLE_BUDGET,
+    TIME_BUDGET,
     DivergenceError,
     LineSearcher,
     OptimizeResult,

@@ -74,7 +74,7 @@ class _CgRule(DescentRule):
         self.p = None
         self.since_restart = 0
 
-    def direction(self, oracle, k, x, f, g, gn):
+    def direction(self, run, k, x, f, g, gn):
         if self.p is None or norm(self.p) == 0.0:
             self.p, self.since_restart = -g, 0
         return x, f, g, gn, self.p

@@ -8,9 +8,9 @@ Every driver in this package follows the same bookkeeping contract:
     oracle's own counters at the moment the record is appended,
   * best-so-far f is non-increasing along the records,
   * identical inputs give identical traces except for wall-clock columns,
-  * max_oracle_calls and max_wall_time are hard: after the start point the
-    oracle refuses any call past either, and the run ends with status
-    oracle_budget or time_budget.
+  * a Run makes every oracle call and owns max_oracle_calls and
+    max_wall_time: after the start point it refuses any call past either,
+    and the run ends with status oracle_budget or time_budget.
 """
 
 from __future__ import annotations
@@ -35,9 +35,10 @@ from ..linesearch import (
 )
 from ..energy import NonFiniteEnergyError
 from ..kernels import all_finite
-from ..oracle import ORACLE_BUDGET, TIME_BUDGET, _BudgetExhausted
 
 CONVERGED = "converged"
+ORACLE_BUDGET = "oracle_budget"
+TIME_BUDGET = "time_budget"
 ITERATION_BUDGET = "iteration_budget"
 LINESEARCH_FAILURE = "linesearch_failure"
 HORIZON_COMPLETE = "horizon_complete"
@@ -54,6 +55,10 @@ DIVERGENCE_FACTOR = 1e3
 
 class DivergenceError(RuntimeError):
     """Objective blew up or became non-finite during a fixed-step run."""
+
+
+class _BudgetExhausted(Exception):
+    """A call would pass a budget; args[0] is ORACLE_BUDGET or TIME_BUDGET."""
 
 
 @dataclass(frozen=True)
@@ -130,9 +135,11 @@ class OptimizeResult:
 
 
 class Run:
-    """A run's lifecycle, shared by all drivers: begin() records the start
-    point, budgets() arms the oracle, steps() counts the iterations, and
-    finish() or finish_best() reports the status that ended the run."""
+    """A run's lifecycle and the maker of all its oracle calls, shared by all
+    methods: begin() records the start point and arms the budgets, which
+    each call method enforces, budgets() turns a refusal into the status,
+    steps() counts the iterations, and finish() or finish_best() reports
+    the status that ended the run."""
 
     def __init__(self, oracle, stop: StopCriteria, meta: dict):
         self.oracle = oracle
@@ -141,13 +148,20 @@ class Run:
         self.t0 = time.perf_counter()
         self.best_f = math.inf
         self.best = None  # (x, |g| at x or nan, the step that reached x)
+        self.probe_f, self.probe_x = math.inf, None  # the lowest value() and its x
+        # value + gradient calls allowed and the perf_counter() deadline,
+        # armed by begin(): the start point lies outside the budgets
+        self.call_limit = self.deadline = None
         self.threshold = 0.0
         self.status = None
 
     def begin(self, x, f, grad_norm):
         """Record iteration 0 at x, set the gradient threshold from |g| there
         (wiggle passes nan, which never meets it), and the status converged
-        if x already meets it."""
+        if x already meets it; then arm the budgets."""
+        t = self.stop.max_wall_time
+        self.call_limit = self.stop.max_oracle_calls
+        self.deadline = None if t is None else self.t0 + t
         self.threshold = self.stop.threshold(grad_norm)
         self.update_best(x, f, grad_norm)
         self.record(0, f, grad_norm, 0.0)
@@ -167,20 +181,47 @@ class Run:
             int(iteration), float(f), float(grad_norm), float(step), self.oracle.value_calls,
             self.oracle.grad_calls, time.perf_counter() - self.t0, self.best_f))
 
+    def _admit(self, calls):
+        """Refuse a call of `calls` evaluations that would pass a budget."""
+        if (self.call_limit is not None and self.oracle.value_calls
+                + self.oracle.grad_calls + calls > self.call_limit):
+            raise _BudgetExhausted(ORACLE_BUDGET)
+        if self.deadline is not None and time.perf_counter() >= self.deadline:
+            raise _BudgetExhausted(TIME_BUDGET)
+
+    def value(self, x):
+        """A probe: an overflowing energy (NonFiniteEnergyError) values as NaN,
+        which does not relax, and a degenerate term raises. The lowest probe is
+        kept by reference, as its array becomes the next iterate (KeptSweep)."""
+        self._admit(1)
+        try:
+            f = self.oracle.value(x)
+        except NonFiniteEnergyError:
+            return math.nan
+        if f < self.probe_f:
+            self.probe_f, self.probe_x = f, x
+        return f
+
+    def gradient(self, x):
+        self._admit(1)
+        return self.oracle.gradient(x)
+
+    def value_and_gradient(self, x):
+        self._admit(2)
+        return self.oracle.value_and_gradient(x)
+
+    def charge(self, values):
+        """Count wiggle's delta evaluations, before they are made."""
+        self._admit(values)
+        self.oracle.charge(values, 0)
+
     @contextmanager
     def budgets(self):
-        """Hand the call and time budgets to the oracle for the block; a
-        refusal inside it ends the block and becomes the status, and the
-        oracle is disarmed however the block ends."""
-        t = self.stop.max_wall_time
-        self.oracle.call_limit = self.stop.max_oracle_calls
-        self.oracle.deadline = None if t is None else self.t0 + t
+        """A budget refusal inside the block ends it and becomes the status."""
         try:
             yield
         except _BudgetExhausted as refusal:
             self.status = refusal.args[0]
-        finally:
-            self.oracle.call_limit = self.oracle.deadline = None
 
     def steps(self, horizon=None):
         """Yield k, the iterations recorded so far, until the status is set,
@@ -281,7 +322,7 @@ def start(oracle, x0, stop, meta):
     if x.size != oracle.n:
         raise ValueError(f"x0 has {x.size} entries, oracle expects {oracle.n}")
     run = Run(oracle, stop or StopCriteria(), meta)
-    f, g = oracle.value_and_gradient(x)
+    f, g = run.value_and_gradient(x)
     check_finite(f, g)
     gn = norm(g)
     run.begin(x, f, gn)
@@ -296,7 +337,7 @@ class DescentRule:
     # True while |d| is a step worth trying before the line search
     natural_step = False
 
-    def direction(self, oracle, k, x, f, g, gn):
+    def direction(self, run, k, x, f, g, gn):
         """(origin, f, g, |g| at the origin, d) for iteration k + 1.
 
         descend() searches from the origin along d / |d|, after trying the
@@ -313,29 +354,7 @@ class DescentRule:
         """Update the rule's state after an accepted step from x to x_new."""
 
 
-class _LowestProbe:
-    """The value calls of the line searches, remembering the lowest probe.
-
-    A probe whose energy overflows (NonFiniteEnergyError) values as NaN, a
-    probe that does not relax; a degenerate term at a probe still raises.
-    """
-
-    def __init__(self, oracle):
-        self.oracle = oracle
-        self.f = math.inf
-        self.x = None
-
-    def value(self, x):
-        try:
-            f = self.oracle.value(x)
-        except NonFiniteEnergyError:
-            return math.nan
-        if f < self.f:
-            self.f, self.x = f, x
-        return f
-
-
-def _natural_step(probes, y, f_y, g_y, r, dn):
+def _natural_step(run, y, f_y, g_y, r, dn):
     """(h, f, x) of descend()'s natural step or its backtrack, whichever is
     taken, or None when the line search must run. A miss along a descent
     direction implies positive curvature, so the parabola's vertex exists."""
@@ -343,13 +362,13 @@ def _natural_step(probes, y, f_y, g_y, r, dn):
     h = dn
     # the searches' y + h * r, so a kept sweep finishes the gradient; an
     # accepted probe's own array is the new iterate
-    f = probes.value(x := y + h * r)
+    f = run.value(x := y + h * r)
     if not (f < f_y and f <= f_y + ARMIJO_C1 * h * slope):
         curv = f - f_y - slope * dn  # a dn^2 of the parabola f_y + slope h + a h^2
         if not 0.0 < curv < math.inf:
             return None
         h = dn * min(max(-slope * dn / (2.0 * curv), BACKTRACK_MIN), BACKTRACK_MAX)
-        f = probes.value(x := y + h * r)
+        f = run.value(x := y + h * r)
         if not (f < f_y and f <= f_y + ARMIJO_C1 * h * slope):
             return None
     return h, f, x
@@ -367,7 +386,7 @@ def descend(oracle, x0, stop, meta, rule, linesearch) -> OptimizeResult:
     0.5] times |d|, taken on the same test. Either step leaves the line
     search's warm start as it is. A probe that is not finite, or a
     backtrack that misses, runs the line search as it would have. Every
-    probe is valued through _LowestProbe, so one whose energy overflows does
+    probe is valued through Run.value, so one whose energy overflows does
     not relax.
 
     A failed search that the rule does not retry ends the run with status
@@ -379,10 +398,9 @@ def descend(oracle, x0, stop, meta, rule, linesearch) -> OptimizeResult:
     no gradient (nan).
     """
     run, x, f, g, gn = start(oracle, x0, stop, meta)
-    probes = _LowestProbe(oracle)
     with run.budgets():
         for k in run.steps():
-            y, f_y, g_y, gn, d = rule.direction(oracle, k, x, f, g, gn)
+            y, f_y, g_y, gn, d = rule.direction(run, k, x, f, g, gn)
             run.update_best(y, f_y, gn)
             dn = norm(d)
             if gn <= run.threshold or dn == 0.0:
@@ -392,10 +410,10 @@ def descend(oracle, x0, stop, meta, rule, linesearch) -> OptimizeResult:
                     run.record(k + 1, f, gn, 0.0)
                 break
             r = d / dn
-            if rule.natural_step and (step := _natural_step(probes, y, f_y, g_y, r, dn)):
+            if rule.natural_step and (step := _natural_step(run, y, f_y, g_y, r, dn)):
                 h, f_new, x_new = step
             else:
-                res = linesearch.search(probes, y, r, f_y, g_y)
+                res = linesearch.search(run, y, r, f_y, g_y)
                 if res.status == NO_RELAXATION:
                     if rule.retry(g_y):
                         continue
@@ -404,7 +422,7 @@ def descend(oracle, x0, stop, meta, rule, linesearch) -> OptimizeResult:
                 h, f_new = res.h, res.f_at_step
                 x_new = y + h * r  # the search's own probe, so a kept sweep is finished
             if rule.takes_gradient:
-                g_new = oracle.gradient(x_new)
+                g_new = run.gradient(x_new)
                 check_finite(f_new, g_new, k + 1)
                 rule.advance(x, g, x_new, g_new)
                 g, gn = g_new, norm(g_new)
@@ -414,8 +432,8 @@ def descend(oracle, x0, stop, meta, rule, linesearch) -> OptimizeResult:
             run.record(k + 1, f, gn, h)
             if gn <= run.threshold:
                 run.status = CONVERGED
-    if run.status in (ORACLE_BUDGET, TIME_BUDGET) and probes.f < run.best_f:
-        run.update_best(probes.x, probes.f, step=float((probes.x - y) @ r))
+    if run.status in (ORACLE_BUDGET, TIME_BUDGET) and run.probe_f < run.best_f:
+        run.update_best(run.probe_x, run.probe_f, step=float((run.probe_x - y) @ r))
     return run.finish_best(x, f, gn)
 
 
@@ -439,7 +457,7 @@ def iterate(oracle, x0, stop, meta, L, step, horizon=None, diverged=None) -> Opt
         for k in run.steps(horizon):
             x_new = step(k, x, g)
             try:
-                f_new, g_new = oracle.value_and_gradient(x_new)
+                f_new, g_new = run.value_and_gradient(x_new)
             except NonFiniteEnergyError:  # diverged, as a NaN value would have
                 f_new, g_new = math.nan, g
             if diverged is None:

@@ -19,7 +19,7 @@ class _FgmRule(DescentRule):
     theta_prev = 1.0
     x_prev = None
 
-    def direction(self, oracle, k, x, f, g, gn):
+    def direction(self, run, k, x, f, g, gn):
         tp = self.theta_prev
         theta = 0.5 * tp * (math.sqrt(tp * tp + 4.0) - tp)
         assert 0.0 < theta < 1.0 and theta < tp
@@ -27,7 +27,7 @@ class _FgmRule(DescentRule):
         w = x + beta * (x - (x if self.x_prev is None else self.x_prev))
         # the next iterate is either the searched point or w itself
         self.x_prev, self.theta_prev = x, theta
-        f_w, g_w = (f, g) if k == 0 else oracle.value_and_gradient(w)
+        f_w, g_w = (f, g) if k == 0 else run.value_and_gradient(w)
         check_finite(f_w, g_w, k)
         return w, f_w, g_w, norm(g_w), -g_w
 

@@ -73,7 +73,7 @@ class _LbfgsRule(DescentRule):
         # the two-loop direction is scaled; the normalized antigradient is not
         return len(self.memory) > 0
 
-    def direction(self, oracle, k, x, f, g, gn):
+    def direction(self, run, k, x, f, g, gn):
         return x, f, g, gn, lbfgs_direction(self.memory, g)
 
     def retry(self, g):

@@ -13,12 +13,11 @@ exact delta confirms the best candidate, and the running energy is resynced
 against a full recompute every epoch; without it, every probe is the exact
 delta over all partners, so the best candidate's value is already exact.
 
-Every probe, exact delta and resync is one value call of an ObjectiveOracle
-armed after the start energy with the run's call and time budgets
-(Run.budgets); the six axis probes are charged together, before they
-are made. A call past max_oracle_calls, or starting past max_wall_time, is
-not made, and the run ends with status oracle_budget or time_budget at its
-last accepted configuration.
+Every probe, exact delta and resync is one value call that the run charges
+(Run.charge) to a counting ObjectiveOracle, the six axis probes together,
+before they are made. After the start energy, a call past max_oracle_calls
+or starting past max_wall_time is not made, and the run ends with status
+oracle_budget or time_budget at its last accepted configuration.
 """
 
 from __future__ import annotations
@@ -37,8 +36,8 @@ from ..energy import (
 )
 from ..linesearch import parabola_min
 from ..model import ModelError
-from ..oracle import ObjectiveOracle, _BudgetExhausted
-from .common import OptimizeResult, Run, StopCriteria
+from ..oracle import ObjectiveOracle
+from .common import OptimizeResult, Run, StopCriteria, _BudgetExhausted
 
 # accepted moves must beat the current energy by this margin so the
 # strict-decrease audit survives resummation noise
@@ -80,8 +79,7 @@ class WiggleResult(OptimizeResult):
 def atom_wiggle(system, config: WiggleConfig, stop=None) -> WiggleResult:
     if config.use_incremental_coulomb and system.nonbonded.cutoff is not None:
         raise ModelError("incremental probes require a system without a nonbonded cutoff")
-    oracle = ObjectiveOracle(3 * system.natoms)
-    run = Run(oracle, stop or StopCriteria(), {
+    run = Run(ObjectiveOracle(3 * system.natoms), stop or StopCriteria(), {
         "method": "wiggle", "h": config.h, "seed": config.seed,
         "epoch_iterations": config.epoch_iterations,
         "use_incremental_coulomb": config.use_incremental_coulomb,
@@ -91,7 +89,7 @@ def atom_wiggle(system, config: WiggleConfig, stop=None) -> WiggleResult:
     h = config.h
     steps = h * _PROBE_STEPS
     sys_cur = system
-    oracle.charge(1, 0)
+    run.charge(1)
     e_run = energy_total(sys_cur).total
     run.begin(sys_cur.coords.ravel(), e_run, math.nan)
 
@@ -99,7 +97,7 @@ def atom_wiggle(system, config: WiggleConfig, stop=None) -> WiggleResult:
         """One value call per displacement in delta, (3,) or (6, 3), charged
         before any is made; degenerate geometry reads as inf, row by row."""
         if charge:
-            oracle.charge(delta.size // 3, 0)
+            run.charge(delta.size // 3)
         try:
             return fn(*args, delta)
         except EnergyEvaluationError:
@@ -148,7 +146,7 @@ def atom_wiggle(system, config: WiggleConfig, stop=None) -> WiggleResult:
             if config.use_incremental_coulomb and (k + 1) % config.epoch_iterations == 0:
                 # a refused resync still records the move this iteration made
                 try:
-                    oracle.charge(1, 0)
+                    run.charge(1)
                     e_run = energy_total(sys_cur).total
                 except _BudgetExhausted as refusal:
                     run.status = refusal.args[0]

@@ -1,45 +1,30 @@
 """Objective oracles: the only interface optimizers see.
 
-An oracle owns the call counters. Every optimizer trace snapshots
-value_calls/grad_calls, so the accounting must flow through charge(), which
-value(), gradient() and value_and_gradient() call, and nothing else. A fused
-value_and_gradient call increments both counters by one. atom_wiggle, whose
-evaluations are energy deltas rather than values at an x, counts each one
-as a value call on a base ObjectiveOracle, its six axis probes at once.
+An oracle evaluates and counts, and nothing else. Every optimizer trace
+snapshots value_calls/grad_calls, and value(), gradient() and
+value_and_gradient() each count the call they make: a fused call increments
+both counters by one. atom_wiggle, whose evaluations are energy deltas
+rather than values at an x, counts each one as a value call on a base
+ObjectiveOracle through charge(), its six axis probes at once.
 
-While an optimizer runs, call_limit caps value_calls + grad_calls and no
-call may start at or after deadline (a time.perf_counter() time): charge()
-refuses such a call before evaluating, and the optimizer ends the run with
-the refusal's status, oracle_budget or time_budget.
+The budgets of a run (its call cap and deadline) belong to the run, not the
+oracle: optimizers.common.Run makes every call of a run and refuses one
+past either budget before the oracle sees it.
 
 An oracle may reuse work between calls (MolecularOracle finishes the value
 sweep of the point it valued last when asked for the gradient there), but
-never so that a result, a count or a refusal differs from plain evaluation.
+never so that a result or a count differs from plain evaluation.
 """
 
 from __future__ import annotations
-
-import time
 
 import numpy as np
 
 from .energy import KeptSweep, energy_and_gradient, energy_total
 
 
-ORACLE_BUDGET = "oracle_budget"
-TIME_BUDGET = "time_budget"
-
-
-class _BudgetExhausted(Exception):
-    """A call would pass a budget; args[0] is ORACLE_BUDGET or TIME_BUDGET."""
-
-
 class ObjectiveOracle:
     """Base class; subclasses implement _value/_gradient/_value_and_gradient."""
-
-    # total calls allowed and perf_counter() deadline, or None; set for one run
-    call_limit = None
-    deadline = None
 
     def __init__(self, n):
         self.n = int(n)
@@ -51,25 +36,21 @@ class ObjectiveOracle:
         self.grad_calls = 0
 
     def charge(self, values, grads):
-        """Count a call about to be made, or refuse it past a budget."""
-        if (self.call_limit is not None
-                and self.value_calls + self.grad_calls + values + grads > self.call_limit):
-            raise _BudgetExhausted(ORACLE_BUDGET)
-        if self.deadline is not None and time.perf_counter() >= self.deadline:
-            raise _BudgetExhausted(TIME_BUDGET)
+        """Count evaluations made outside value/gradient (wiggle's deltas)."""
         self.value_calls += values
         self.grad_calls += grads
 
     def value(self, x) -> float:
-        self.charge(1, 0)
+        self.value_calls += 1
         return float(self._value(np.asarray(x, dtype=np.float64)))
 
     def gradient(self, x):
-        self.charge(0, 1)
+        self.grad_calls += 1
         return np.asarray(self._gradient(np.asarray(x, dtype=np.float64)), dtype=np.float64)
 
     def value_and_gradient(self, x):
-        self.charge(1, 1)
+        self.value_calls += 1
+        self.grad_calls += 1
         f, g = self._value_and_gradient(np.asarray(x, dtype=np.float64))
         return float(f), np.asarray(g, dtype=np.float64)
 

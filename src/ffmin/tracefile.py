@@ -20,6 +20,7 @@ COLUMNS = (
     "oracle_value_calls",
     "oracle_grad_calls",
 )
+_KINDS = (int, float, float, float, float, int, int)  # each column's type
 
 
 def _fmt(x):
@@ -59,31 +60,32 @@ def read_trace(path):
     """Parse a trace file back into (header dict, list of row dicts).
 
     Every "# key: value" line lands in the header dict, so files written
-    before the "# precision:" line was dropped still parse.
+    before the "# precision:" line was dropped still parse. A column row
+    other than COLUMNS, or a row without one number per column, raises
+    ValueError naming the path and the line.
     """
     header = {}
     rows = []
     with open(path) as fh:
-        reader = None
-        for line in fh:
+        columns_seen = False
+        for lineno, line in enumerate(fh, 1):
             if line.startswith("#"):
                 key, _, val = line[1:].partition(":")
                 header[key.strip()] = val.strip()
                 continue
-            if reader is None:
-                cols = next(csv.reader([line]))
-                if tuple(cols) != COLUMNS:
-                    raise ValueError(f"unexpected trace columns {cols}")
-                reader = cols
-                continue
             vals = next(csv.reader([line]))
-            rec = dict(zip(COLUMNS, vals))
-            rec["iteration"] = int(rec["iteration"])
-            rec["oracle_value_calls"] = int(rec["oracle_value_calls"])
-            rec["oracle_grad_calls"] = int(rec["oracle_grad_calls"])
-            for k in ("wall_seconds", "f", "grad_norm", "step"):
-                rec[k] = float(rec[k])
-            rows.append(rec)
+            if not columns_seen:
+                if tuple(vals) != COLUMNS:
+                    raise ValueError(f"{path}:{lineno}: unexpected trace columns {vals}")
+                columns_seen = True
+                continue
+            if len(vals) != len(COLUMNS):
+                raise ValueError(f"{path}:{lineno}: trace row has {len(vals)} fields, "
+                                 f"expected {len(COLUMNS)}")
+            try:
+                rows.append({name: kind(v) for name, kind, v in zip(COLUMNS, _KINDS, vals)})
+            except ValueError as e:
+                raise ValueError(f"{path}:{lineno}: {e}") from None
     return header, rows
 
 

@@ -1,6 +1,11 @@
+import contextlib
+import time
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+import ffmin.optimizers.common as common
 from ffmin.synth import make_chain_system
 
 
@@ -66,3 +71,14 @@ def record_rows(res):
     """Every trace record field but wall_seconds, one row per record."""
     return np.array([(r.iteration, r.f, r.grad_norm, r.step, r.value_calls, r.grad_calls,
                       r.best_f) for r in res.trace.records])
+
+
+@contextlib.contextmanager
+def shifted_clock(shift):
+    """Run the block with the runs' clock (common.time.perf_counter) reading
+    shift() seconds ahead of the real one, so a test can move a run past
+    its deadline at a chosen call without waiting on a clock."""
+    clock = SimpleNamespace(perf_counter=lambda: time.perf_counter() + shift())
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(common, "time", clock)
+        yield

@@ -1,12 +1,15 @@
 """The two optimizer loops: the hard oracle-call budget and the failure
 branches of the line-search methods."""
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import record_rows
+import ffmin.optimizers.common as common
+from conftest import record_rows, shifted_clock
 from ffmin.energy import (
     EnergyEvaluationError,
     NonFiniteEnergyError,
@@ -36,6 +39,61 @@ from ffmin.optimizers import (
 from ffmin.synth import make_chain_system
 
 NO_TOL = dict(gradient_norm_rtol=0.0)
+
+# ------------------------------------------------- one maker of oracle calls
+
+ORACLE_METHODS = {"value", "gradient", "value_and_gradient", "charge"}
+
+
+def oracle_calls_outside_run(source):
+    """(line, method) of each call of an oracle method on the name `oracle`
+    or on `self.oracle` outside class Run."""
+    found = []
+
+    def is_oracle(node):
+        return (isinstance(node, ast.Name) and node.id == "oracle"
+                or isinstance(node, ast.Attribute) and node.attr == "oracle"
+                and isinstance(node.value, ast.Name) and node.value.id == "self")
+
+    def visit(node, in_run):
+        in_run = in_run or isinstance(node, ast.ClassDef) and node.name == "Run"
+        if (not in_run and isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ORACLE_METHODS and is_oracle(node.func.value)):
+            found.append((node.lineno, node.func.attr))
+        for child in ast.iter_child_nodes(node):
+            visit(child, in_run)
+
+    visit(ast.parse(source), False)
+    return found
+
+
+def test_only_run_calls_the_oracle():
+    # the budgets are the run's, so a call made past the run is never refused
+    modules = sorted(Path(common.__file__).parent.glob("*.py"))
+    assert len(modules) >= 7
+    found = {m.name: calls for m in modules
+             if (calls := oracle_calls_outside_run(m.read_text()))}
+    assert found == {}
+
+
+def test_the_oracle_call_finder_sees_calls_outside_run():
+    source = """
+class Run:
+    def value(self, x):
+        return self.oracle.value(x)
+
+class Probe:
+    def value(self, x):
+        return self.oracle.value(x)
+
+def loop(oracle, run, x):
+    oracle.charge(1, 0)
+    run.gradient(x)
+    return oracle.value_and_gradient(x)
+"""
+    assert oracle_calls_outside_run(source) == [(8, "value"), (11, "charge"),
+                                               (13, "value_and_gradient")]
+
 
 # ------------------------------------------------------ hard oracle budget
 
@@ -69,9 +127,7 @@ def test_oracle_budget_is_never_exceeded(name, ls):
         assert oracle.value_calls + oracle.grad_calls <= cap, cap
         last = res.trace.records[-1]
         assert last.value_calls + last.grad_calls <= cap, cap
-        assert oracle.call_limit is None
-        assert oracle.deadline is None
-        # the reused oracle is unlimited again
+        # the cap was the run's: the reused oracle takes a further call
         oracle.value_and_gradient(x0)
 
 
@@ -86,15 +142,27 @@ def test_an_exception_inside_a_run_leaves_the_oracle_disarmed(name):
             raise ZeroDivisionError("third gradient")
         return d * x
 
-    oracle = FunctionOracle(3, lambda x: 0.5 * float(x @ (d * x)), gradient)
-    stop = StopCriteria(max_oracle_calls=10_000, max_wall_time=3600.0, **NO_TOL)
-    with pytest.raises(ZeroDivisionError, match="third gradient"):
+    def solve(oracle, stop):
         if name in LS_METHODS:
-            LS_METHODS[name](oracle, np.ones(3), make_linesearch("par"), stop)
-        else:
-            FIXED_METHODS[name](oracle, np.ones(3), stop)
-    assert oracle.call_limit is None
-    assert oracle.deadline is None
+            return LS_METHODS[name](oracle, np.ones(3), make_linesearch("par"), stop)
+        return FIXED_METHODS[name](oracle, np.ones(3), stop)
+
+    def quadratic(grad):
+        return FunctionOracle(3, lambda x: 0.5 * float(x @ (d * x)), grad)
+
+    # every method reaches its third gradient within `cap` calls, and then
+    # spends more than that in 40 iterations
+    cap = 12
+    oracle = quadratic(gradient)
+    with pytest.raises(ZeroDivisionError, match="third gradient"):
+        solve(oracle, StopCriteria(max_oracle_calls=cap, max_wall_time=3600.0, **NO_TOL))
+    # the same oracle then runs an uncapped solve that spends more calls than
+    # that cap, exactly as a fresh oracle does
+    spent = oracle.value_calls + oracle.grad_calls
+    free = StopCriteria(max_iterations=40, **NO_TOL)
+    res, ref = solve(oracle, free), solve(quadratic(lambda x: d * x), free)
+    assert oracle.value_calls + oracle.grad_calls - spent > cap
+    assert (res.x.tobytes(), res.f, res.status) == (ref.x.tobytes(), ref.f, ref.status)
 
 
 @pytest.mark.parametrize("budgets,match", [
@@ -260,12 +328,15 @@ def test_time_budget_ends_at_the_start_point(name):
 
 # ----------------------------------- a deadline that falls inside an iteration
 
-# the deadline is an hour off; DeadlineOracle moves it into the past itself
-TIMED = StopCriteria(max_iterations=None, max_wall_time=3600.0, **NO_TOL)
+# the deadline is an hour off, and DeadlineOracle moves the clock past it;
+# the call cap, far above the k <= 40 evaluations a case makes, ends a run
+# whose clock never moves in about a second instead of never
+TIMED = StopCriteria(max_iterations=None, max_oracle_calls=10_000, max_wall_time=3600.0,
+                     **NO_TOL)
 
 
 class DeadlineOracle(LowestValueOracle):
-    """Moves its own deadline into the past on its k-th evaluation (the start
+    """Moves the runs' clock two hours on at its k-th evaluation (the start
     point is the first), so the time budget runs out at a chosen call
     without waiting on a clock."""
 
@@ -274,13 +345,14 @@ class DeadlineOracle(LowestValueOracle):
         self.k = k
         self.evaluations = 0
         self.made = [0, 0]  # the value and gradient calls evaluated
+        self.late = 0.0  # seconds the clock reads ahead, for shifted_clock
 
     def _evaluated(self, values, grads):
         self.evaluations += 1
         self.made[0] += values
         self.made[1] += grads
         if self.evaluations == self.k:
-            self.deadline = -math.inf
+            self.late = 7200.0
 
     def _value(self, x):
         f = super()._value(x)
@@ -301,17 +373,17 @@ class DeadlineOracle(LowestValueOracle):
 def run_to_deadline(name, ls, system, k):
     oracle = DeadlineOracle(system, k)
     x0 = system.coords.ravel()
-    if ls is None:
-        res = FIXED_METHODS[name](oracle, x0, TIMED)
-    else:
-        res = LS_METHODS[name](oracle, x0, make_linesearch(ls), TIMED)
+    with shifted_clock(lambda: oracle.late):
+        if ls is None:
+            res = FIXED_METHODS[name](oracle, x0, TIMED)
+        else:
+            res = LS_METHODS[name](oracle, x0, make_linesearch(ls), TIMED)
     assert res.status == res.trace.status == TIME_BUDGET, k
     # the refused call was neither evaluated nor counted, and no call followed
     assert oracle.evaluations == k, k
     assert [oracle.value_calls, oracle.grad_calls] == oracle.made, k
     last = res.trace.records[-1]
     assert last.value_calls + last.grad_calls <= sum(oracle.made), k
-    assert oracle.deadline is None and oracle.call_limit is None
     return res, oracle
 
 

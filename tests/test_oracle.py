@@ -1,10 +1,11 @@
 """MolecularOracle's kept value sweeps: a gradient at a point the oracle has
 just valued finishes that value sweep instead of sweeping again. These tests
 check that nothing outside the oracle can tell: every gradient is the bytes
-of a fresh energy_and_gradient, and counts and budgets are unchanged."""
+of a fresh energy_and_gradient, and counts and a run's budget refusals are
+unchanged."""
 
 import contextlib
-import time
+import math
 
 import numpy as np
 import pytest
@@ -14,14 +15,17 @@ from hypothesis import strategies as st
 from conftest import two_cluster_system
 from ffmin import energy
 from ffmin.energy import energy_and_gradient, energy_total, gradient_total
-from ffmin.optimizers import CgVariant, cg, lbfgs, make_linesearch, StopCriteria
-from ffmin.oracle import (
+from ffmin.optimizers import (
     ORACLE_BUDGET,
     TIME_BUDGET,
-    FunctionOracle,
-    MolecularOracle,
-    _BudgetExhausted,
+    CgVariant,
+    StopCriteria,
+    cg,
+    lbfgs,
+    make_linesearch,
 )
+from ffmin.optimizers.common import Run
+from ffmin.oracle import FunctionOracle, MolecularOracle
 from ffmin.synth import make_chain_system
 from ffmin.tracefile import strip_wall_column, trace_text
 
@@ -108,18 +112,19 @@ def test_kept_sweeps_give_the_bytes_of_a_fresh_sweep(name, seed, k, scale):
     last[0] += 0.01
     gradient(last, reuses=False)
     assert fresh_gradient(system, last) != fresh_gradient(system, edited)
-    # a call either budget refuses (a spent cap, a past deadline) evaluates
-    # nothing, counts nothing and keeps the kept sweep
+    # a call a run refuses past either budget (a spent cap, a past deadline)
+    # evaluates nothing, counts nothing and keeps the kept sweep
     value_all()
-    for budget, spent, status in (
-            ("call_limit", oracle.value_calls + oracle.grad_calls, ORACLE_BUDGET),
-            ("deadline", time.perf_counter(), TIME_BUDGET)):
-        setattr(oracle, budget, spent)
-        with counted_sweeps() as started, pytest.raises(_BudgetExhausted, match=status):
-            oracle.gradient(last)
+    spent = oracle.value_calls + oracle.grad_calls
+    for budget, status in ((dict(max_oracle_calls=spent), ORACLE_BUDGET),
+                           (dict(max_wall_time=0.0), TIME_BUDGET)):
+        run = Run(oracle, StopCriteria(**budget), {})
+        run.begin(last, 0.0, math.nan)
+        with counted_sweeps() as started, run.budgets():
+            run.gradient(last)
+        assert run.status == status
         assert started == []
         assert (oracle.value_calls, oracle.grad_calls) == (values, grads)
-        setattr(oracle, budget, None)
     gradient(last, reuses=True)
     assert (oracle.value_calls, oracle.grad_calls) == (values, grads)
 

@@ -1,4 +1,7 @@
+import re
+
 import numpy as np
+import pytest
 
 from ffmin.bench import QuadraticInstance
 from ffmin.optimizers import StopCriteria, gradient_descent_fixed
@@ -67,6 +70,21 @@ def test_read_trace_rejects_unknown_columns(tmp_path):
         assert "columns" in str(exc)
     else:
         raise AssertionError("expected ValueError")
+
+
+@pytest.mark.parametrize("row,match", [
+    ("3,0.1,1.5,2.0\n", "trace row has 4 fields, expected 7"),
+    ("3,0.1,1.5,2.0,0.5,4,2,9\n", "trace row has 8 fields, expected 7"),
+    ("3,0.1,1.5,abc,0.5,4,2\n", "could not convert string to float: 'abc'"),
+    ("3,0.1,1.5,2.0,0.5,4.5,2\n", "invalid literal for int\\(\\) with base 10: '4.5'"),
+], ids=["short", "long", "float", "int"])
+def test_read_trace_names_the_line_of_a_malformed_row(tmp_path, row, match):
+    lines = trace_text(small_trace(), seed=3).splitlines(keepends=True)
+    path = tmp_path / "bad.trace"
+    # the third record, on line 8 (four header lines, the column row, records)
+    path.write_text("".join(lines[:7] + [row] + lines[8:]))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:8: {match}"):
+        read_trace(path)
 
 
 def test_strip_wall_column_makes_reruns_byte_identical():
