@@ -103,8 +103,8 @@ class QuadraticInstance:
 class ExactQuadraticLineSearch:
     """Analytic argmin along a ray for a known quadratic: h = -<g,r>/<r,Ar>.
 
-    Drop-in for the inexact searchers; spends one value call to report the
-    objective at the accepted step so traces stay honest.
+    Drop-in for the inexact searchers, warm start h aside; spends one value
+    call to report the objective at the accepted step so traces stay honest.
     """
 
     def __init__(self, instance: QuadraticInstance):
@@ -113,7 +113,7 @@ class ExactQuadraticLineSearch:
     def describe(self):
         return {"kind": "exact-quadratic"}
 
-    def search(self, oracle, x, r, f0, g0=None) -> LineSearchResult:
+    def search(self, oracle, x, r, f0, g0=None, h=None) -> LineSearchResult:
         g = self.instance.gradient(x) if g0 is None else g0
         curv = float(r @ (self.instance.A @ r))
         slope = float(g @ r)

@@ -193,7 +193,7 @@ def _breakdown_and_gradient(system):
 def cmd_energy(args):
     system = load_system(args.file)
     bd, g = _breakdown_and_gradient(system)
-    _print_breakdown(bd, float(np.max(np.abs(g))))
+    _print_breakdown(bd, float(np.max(np.abs(g), initial=0.0)))
     return EXIT_OK
 
 
@@ -205,7 +205,7 @@ def cmd_minimize(args):
     print(f"method   {args.method}")
     print(f"status   {result.status}")
     print(f"iters    {result.trace.iterations}")
-    _print_breakdown(bd, float(np.max(np.abs(g))))
+    _print_breakdown(bd, float(np.max(np.abs(g), initial=0.0)))
     if args.out:
         save_system(final, args.out)
     if args.trace:

@@ -4,13 +4,14 @@ and the two loops of the gradient methods, descend() and iterate().
 Every driver in this package follows the same bookkeeping contract:
 
   * one trace record per iteration (plus record 0 at the start point),
-  * the record's cumulative oracle-call counts are snapshots of the
-    oracle's own counters at the moment the record is appended,
+  * the record's cumulative oracle-call counts are snapshots of the run's
+    own counters, which start at 0, at the moment the record is appended,
   * best-so-far f is non-increasing along the records,
   * identical inputs give identical traces except for wall-clock columns,
-  * a Run makes every oracle call and owns max_oracle_calls and
+  * a Run makes and counts every oracle call and owns max_oracle_calls and
     max_wall_time: after the start point it refuses any call past either,
-    and the run ends with status oracle_budget or time_budget.
+    and the run ends with status oracle_budget or time_budget; so a reused
+    oracle or line searcher carries nothing from one run to the next.
 """
 
 from __future__ import annotations
@@ -18,13 +19,12 @@ from __future__ import annotations
 import math
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from ..linesearch import (
     ARMIJO_C1,
-    FOUND,
     NO_RELAXATION,
     LineSearchResult,
     LsHConfig,
@@ -135,15 +135,17 @@ class OptimizeResult:
 
 
 class Run:
-    """A run's lifecycle and the maker of all its oracle calls, shared by all
-    methods: begin() records the start point and arms the budgets, which
-    each call method enforces, budgets() turns a refusal into the status,
-    steps() counts the iterations, and finish() or finish_best() reports
-    the status that ended the run."""
+    """A run's lifecycle and the maker and counter of all its oracle calls,
+    shared by all methods: begin() records the start point and arms the
+    budgets, which each call method enforces on the run's counts, budgets()
+    turns a refusal into the status, steps() counts the iterations, and
+    finish() or finish_best() reports the status that ended the run. A call
+    counts once admitted, before it is made, so one that raises counts too."""
 
     def __init__(self, oracle, stop: StopCriteria, meta: dict):
         self.oracle = oracle
         self.stop = stop
+        self.value_calls = self.grad_calls = 0
         self.trace = OptimizerTrace(meta=dict(meta))
         self.t0 = time.perf_counter()
         self.best_f = math.inf
@@ -178,13 +180,13 @@ class Run:
     def record(self, iteration, f, grad_norm, step):
         self.best_f = min(self.best_f, f)
         self.trace.records.append(TraceRecord(
-            int(iteration), float(f), float(grad_norm), float(step), self.oracle.value_calls,
-            self.oracle.grad_calls, time.perf_counter() - self.t0, self.best_f))
+            int(iteration), float(f), float(grad_norm), float(step), self.value_calls,
+            self.grad_calls, time.perf_counter() - self.t0, self.best_f))
 
     def _admit(self, calls):
         """Refuse a call of `calls` evaluations that would pass a budget."""
-        if (self.call_limit is not None and self.oracle.value_calls
-                + self.oracle.grad_calls + calls > self.call_limit):
+        if (self.call_limit is not None
+                and self.value_calls + self.grad_calls + calls > self.call_limit):
             raise _BudgetExhausted(ORACLE_BUDGET)
         if self.deadline is not None and time.perf_counter() >= self.deadline:
             raise _BudgetExhausted(TIME_BUDGET)
@@ -194,6 +196,7 @@ class Run:
         which does not relax, and a degenerate term raises. The lowest probe is
         kept by reference, as its array becomes the next iterate (KeptSweep)."""
         self._admit(1)
+        self.value_calls += 1
         try:
             f = self.oracle.value(x)
         except NonFiniteEnergyError:
@@ -204,16 +207,19 @@ class Run:
 
     def gradient(self, x):
         self._admit(1)
+        self.grad_calls += 1
         return self.oracle.gradient(x)
 
     def value_and_gradient(self, x):
         self._admit(2)
+        self.value_calls += 1
+        self.grad_calls += 1
         return self.oracle.value_and_gradient(x)
 
     def charge(self, values):
         """Count wiggle's delta evaluations, before they are made."""
         self._admit(values)
-        self.oracle.charge(values, 0)
+        self.value_calls += values
 
     @contextmanager
     def budgets(self):
@@ -274,16 +280,15 @@ def check_finite(f, g, k=None):
 
 
 class LineSearcher:
-    """Warm-started wrapper around ls_h / ls_par, chosen by the config's kind.
+    """Wrapper around ls_h / ls_par, chosen by the config's kind.
 
-    Keeps the accepted step of the previous iteration as the next h0. On
-    no_relaxation it retries once from the configured initial h0 before
-    reporting failure, and resets its warm start either way.
+    search() starts from the warm start h its caller passes (descend()'s
+    last accepted |h|), or from the configured h0 when h is None. A
+    warm-started search that fails retries once from h0 before reporting it.
     """
 
     def __init__(self, config: LsHConfig | LsParConfig):
         self.config = config
-        self.h = config.h0
 
     def describe(self):
         return {"kind": self.config.kind, **vars(self.config)}
@@ -293,18 +298,12 @@ class LineSearcher:
             return ls_h(oracle, x, r, self.config, f0, h0=h0)
         return ls_par(oracle, x, r, self.config, f0, g0, h0=h0)
 
-    def search(self, oracle, x, r, f0, g0=None) -> LineSearchResult:
-        res = self._invoke(oracle, x, r, f0, g0, self.h)
-        if res.status == NO_RELAXATION and self.h != self.config.h0:
-            retry = self._invoke(oracle, x, r, f0, g0, self.config.h0)
-            res = LineSearchResult(
-                retry.h, retry.f_at_step, res.oracle_calls + retry.oracle_calls,
-                retry.status,
-            )
-        if res.status == FOUND:
-            self.h = abs(res.h)
-        else:
-            self.h = self.config.h0
+    def search(self, oracle, x, r, f0, g0=None, h=None) -> LineSearchResult:
+        h0 = self.config.h0
+        res = self._invoke(oracle, x, r, f0, g0, h0 if h is None else h)
+        if res.status == NO_RELAXATION and h not in (None, h0):
+            retry = self._invoke(oracle, x, r, f0, g0, h0)
+            return replace(retry, oracle_calls=res.oracle_calls + retry.oracle_calls)
         return res
 
 
@@ -383,8 +382,9 @@ def descend(oracle, x0, stop, meta, rule, linesearch) -> OptimizeResult:
     ARMIJO_C1. A finite probe that misses is backtracked once: one more
     value call at the vertex of the parabola through f, the slope and the
     probe, with the step clamped to [BACKTRACK_MIN, BACKTRACK_MAX] = [0.1,
-    0.5] times |d|, taken on the same test. Either step leaves the line
-    search's warm start as it is. A probe that is not finite, or a
+    0.5] times |d|, taken on the same test. Either step leaves the warm
+    start, the run's last accepted |h| (h0 at first and after a failed
+    search), as it is. A probe that is not finite, or a
     backtrack that misses, runs the line search as it would have. Every
     probe is valued through Run.value, so one whose energy overflows does
     not relax.
@@ -398,6 +398,7 @@ def descend(oracle, x0, stop, meta, rule, linesearch) -> OptimizeResult:
     no gradient (nan).
     """
     run, x, f, g, gn = start(oracle, x0, stop, meta)
+    warm = None  # the search's warm start; None: the configured h0
     with run.budgets():
         for k in run.steps():
             y, f_y, g_y, gn, d = rule.direction(run, k, x, f, g, gn)
@@ -413,13 +414,15 @@ def descend(oracle, x0, stop, meta, rule, linesearch) -> OptimizeResult:
             if rule.natural_step and (step := _natural_step(run, y, f_y, g_y, r, dn)):
                 h, f_new, x_new = step
             else:
-                res = linesearch.search(run, y, r, f_y, g_y)
+                res = linesearch.search(run, y, r, f_y, g_y, warm)
                 if res.status == NO_RELAXATION:
+                    warm = None
                     if rule.retry(g_y):
                         continue
                     run.status = LINESEARCH_FAILURE
                     break
                 h, f_new = res.h, res.f_at_step
+                warm = abs(h)
                 x_new = y + h * r  # the search's own probe, so a kept sweep is finished
             if rule.takes_gradient:
                 g_new = run.gradient(x_new)

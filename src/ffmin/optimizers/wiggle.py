@@ -13,9 +13,9 @@ exact delta confirms the best candidate, and the running energy is resynced
 against a full recompute every epoch; without it, every probe is the exact
 delta over all partners, so the best candidate's value is already exact.
 
-Every probe, exact delta and resync is one value call that the run charges
-(Run.charge) to a counting ObjectiveOracle, the six axis probes together,
-before they are made. After the start energy, a call past max_oracle_calls
+Every probe, exact delta and resync is one value call that the run counts
+(Run.charge), the six axis probes together, before they are made; the run
+has no oracle. After the start energy, a call past max_oracle_calls
 or starting past max_wall_time is not made, and the run ends with status
 oracle_budget or time_budget at its last accepted configuration.
 """
@@ -36,7 +36,6 @@ from ..energy import (
 )
 from ..linesearch import parabola_min
 from ..model import ModelError
-from ..oracle import ObjectiveOracle
 from .common import OptimizeResult, Run, StopCriteria, _BudgetExhausted
 
 # accepted moves must beat the current energy by this margin so the
@@ -79,7 +78,9 @@ class WiggleResult(OptimizeResult):
 def atom_wiggle(system, config: WiggleConfig, stop=None) -> WiggleResult:
     if config.use_incremental_coulomb and system.nonbonded.cutoff is not None:
         raise ModelError("incremental probes require a system without a nonbonded cutoff")
-    run = Run(ObjectiveOracle(3 * system.natoms), stop or StopCriteria(), {
+    if system.natoms == 0:
+        raise ModelError("atom_wiggle needs a system with at least one atom")
+    run = Run(None, stop or StopCriteria(), {
         "method": "wiggle", "h": config.h, "seed": config.seed,
         "epoch_iterations": config.epoch_iterations,
         "use_incremental_coulomb": config.use_incremental_coulomb,

@@ -1,15 +1,13 @@
 """Objective oracles: the only interface optimizers see.
 
-An oracle evaluates and counts, and nothing else. Every optimizer trace
-snapshots value_calls/grad_calls, and value(), gradient() and
-value_and_gradient() each count the call they make: a fused call increments
-both counters by one. atom_wiggle, whose evaluations are energy deltas
-rather than values at an x, counts each one as a value call on a base
-ObjectiveOracle through charge(), its six axis probes at once.
+An oracle evaluates and counts, and nothing else. value(), gradient() and
+value_and_gradient() each count the call they make (a fused call increments
+both counters by one), for callers outside a run.
 
-The budgets of a run (its call cap and deadline) belong to the run, not the
-oracle: optimizers.common.Run makes every call of a run and refuses one
-past either budget before the oracle sees it.
+A run's counts and budgets (its call cap and deadline) belong to the run:
+optimizers.common.Run makes and counts every call of a run, from 0, and
+refuses one past either budget before the oracle sees it. So an oracle
+serves any number of runs, and its counters change nothing a run does.
 
 An oracle may reuse work between calls (MolecularOracle finishes the value
 sweep of the point it valued last when asked for the gradient there), but
@@ -34,11 +32,6 @@ class ObjectiveOracle:
     def reset_counters(self):
         self.value_calls = 0
         self.grad_calls = 0
-
-    def charge(self, values, grads):
-        """Count evaluations made outside value/gradient (wiggle's deltas)."""
-        self.value_calls += values
-        self.grad_calls += grads
 
     def value(self, x) -> float:
         self.value_calls += 1

@@ -17,13 +17,13 @@ SUCCESS_RANK = 30
 
 
 def rmsd(v, w) -> float:
-    """sqrt( sum_a ||v_a - w_a||^2 / (3 * natoms) )."""
+    """sqrt( sum_a ||v_a - w_a||^2 / (3 * natoms) ), and 0 without atoms."""
     v = np.asarray(v, dtype=np.float64)
     w = np.asarray(w, dtype=np.float64)
     if v.shape != w.shape or v.ndim != 2 or v.shape[1] != 3:
         raise ValueError(f"conformation shapes differ or are not (n,3): {v.shape} vs {w.shape}")
     d = v - w
-    return math.sqrt(float(np.sum(d * d)) / (3.0 * v.shape[0]))
+    return math.sqrt(float(np.sum(d * d)) / (3.0 * max(v.shape[0], 1)))
 
 
 @dataclass(frozen=True)

@@ -199,12 +199,12 @@ def test_single_failure_recovers_by_restarting():
         def describe(self):
             return {"kind": "fail-second"}
 
-        def search(self, oracle, x, r, f0, g0=None):
+        def search(self, oracle, x, r, f0, g0=None, h=None):
             self.origins.append(np.array(x, copy=True))
             self.directions.append(np.array(r, copy=True))
             if len(self.directions) == 2:
                 return LineSearchResult(0.0, f0, 1, NR)
-            return self.inner.search(oracle, x, r, f0, g0)
+            return self.inner.search(oracle, x, r, f0, g0, h)
 
     inst = QuadraticInstance.random(6, 10.0, seed=13)
     searcher = FailSecond(inst.exact_linesearch())

@@ -588,6 +588,55 @@ def test_batch_rank_does_not_hide_programming_errors(tmp_path, capsys, monkeypat
     assert "rank,id" not in out
 
 
+# ------------------------------------------------ a system without atoms
+
+# a valid input (see test_sysio): each method family ends in a result or,
+# for wiggle, which has no atom to move, one named error
+EMPTY_METHODS = {"lbfgs": [], "gd": ["--L", "100"], "wiggle": []}
+NO_ATOM_TO_MOVE = "atom_wiggle needs a system with at least one atom"
+
+
+def write_empty(directory, name="empty.ffs"):
+    path = directory / name
+    save_system(MolecularSystem(atoms=(), coords=np.zeros((0, 3))), path)
+    return path
+
+
+def test_energy_of_a_system_without_atoms(tmp_path, capsys):
+    assert main(["energy", str(write_empty(tmp_path))]) == 0
+    out, err = grab(capsys)
+    lines = dict(l.split() for l in out.splitlines())
+    assert err == ""
+    assert float(lines["total"]) == float(lines["grad_max"]) == 0.0
+
+
+@pytest.mark.parametrize("method", sorted(EMPTY_METHODS))
+def test_minimize_a_system_without_atoms(tmp_path, capsys, method):
+    code = main(["minimize", str(write_empty(tmp_path)), "--method", method,
+                 *EMPTY_METHODS[method]])
+    out, err = grab(capsys)
+    if method == "wiggle":
+        assert (code, out, err) == (2, "", f"ffmin: error: {NO_ATOM_TO_MOVE}\n")
+        return
+    assert (code, err) == (0, "")
+    lines = dict(l.split() for l in out.splitlines())
+    assert (lines["status"], lines["iters"], lines["grad_max"]) == ("converged", "0", "0")
+
+
+@pytest.mark.parametrize("method", sorted(EMPTY_METHODS))
+def test_batch_rank_a_pool_without_atoms(tmp_path, capsys, method):
+    ref = write_empty(tmp_path)
+    (tmp_path / "candidates").mkdir()
+    write_empty(tmp_path / "candidates", "cand_00.ffs")
+    code = main(["batch-rank", str(tmp_path / "candidates"), "--ref", str(ref),
+                 "--method", method, *EMPTY_METHODS[method]])
+    out, err = grab(capsys)
+    assert (code, err) == (0, "")
+    # wiggle's refusal sinks its candidate as one error row
+    assert out.splitlines()[3:] == [f"0,cand_00,inf,inf,error: {NO_ATOM_TO_MOVE}"
+                                    if method == "wiggle" else "0,cand_00,0,0,converged"]
+
+
 # ---------------------------------------------------------------- parser
 
 def test_parser_is_built_once():

@@ -188,7 +188,7 @@ def test_lbfgs_clears_memory_once_then_reports_failure():
         def describe(self):
             return {"kind": "stub"}
 
-        def search(self, oracle, x, r, f0, g0=None):
+        def search(self, oracle, x, r, f0, g0=None, h=None):
             self.calls += 1
             self.directions.append(np.array(r, copy=True))
             if self.calls == 1:
@@ -223,17 +223,20 @@ def test_lbfgs_stationary_start():
 # ------------------------------------------------------------- natural step
 
 class CountingSearch(LineSearcher):
-    """A line searcher that logs the warm start and the value calls of each
-    search it runs."""
+    """A line searcher that logs the warm start h (None: the configured h0)
+    and the value calls of each search it runs. A planted warm start stands
+    in for h0, as one left by an earlier search would."""
 
-    def __init__(self, kind):
+    def __init__(self, kind, planted=None):
         super().__init__(make_linesearch(kind).config)
+        self.planted = planted
         self.starts = []
         self.calls = []
 
-    def search(self, oracle, x, r, f0, g0=None):
-        self.starts.append(self.h)
-        res = super().search(oracle, x, r, f0, g0)
+    def search(self, oracle, x, r, f0, g0=None, h=None):
+        h = self.planted if h is None else h
+        self.starts.append(h)
+        res = super().search(oracle, x, r, f0, g0, h)
         self.calls.append(res.oracle_calls)
         return res
 
@@ -265,11 +268,12 @@ def test_accepted_natural_step_costs_one_value_and_one_kept_gradient(monkeypatch
     # one value sweep per value call: every gradient after the start point
     # finished the sweep of the probe it was asked at
     assert len(started) == oracle.value_calls
-    # a natural step leaves the search's warm start where the last search put it
+    # a natural step leaves the warm start where the last search put it: each
+    # search starts from the step of the one before
     searched = [rec.step for rec, (values, _) in zip(res.trace.records[1:], costs)
                 if values > 1 or rec.iteration == 1]
     assert len(searched) == len(ls.calls) < res.iterations
-    assert ls.h == abs(searched[-1])
+    assert ls.starts == [None] + [abs(h) for h in searched[:-1]]
 
 
 class ScaledAntigradient(DescentRule):
@@ -325,22 +329,43 @@ def test_a_missed_natural_step_backtracks_to_the_clamped_vertex(t, fraction):
     # the parabola through f(0), the slope and the probe at |d| = t |g| is f
     # itself, so its vertex is the minimizer at |g| = |d| / t, clamped to
     # [BACKTRACK_MIN, BACKTRACK_MAX] |d|; each step meets Armijo's condition
-    ls = CountingSearch("h")
-    ls.h = 0.37  # a warm start left by an earlier search
+    ls = CountingSearch("h", planted=0.37)  # a warm start left by an earlier search
     res = one_step(t, ls)
     assert iteration_costs(res) == [(2, 1)]
     assert res.trace.records[1].step == pytest.approx(fraction * t * np.linalg.norm(X0),
                                                       rel=1e-12)
-    # no search ran, and its warm start is where it was
-    assert ls.calls == [] and ls.h == 0.37
+    # no search ran, from its warm start or any other
+    assert ls.calls == [] and ls.starts == []
     assert res.f < 0.5 * float(X0 @ X0)
+
+
+class NaturalStepAt(ScaledAntigradient):
+    """d = -t g, offered as a natural step at iteration `at` only."""
+
+    def __init__(self, t, at):
+        super().__init__(t)
+        self.at = at
+
+    def direction(self, oracle, k, x, f, g, gn):
+        self.natural_step = k + 1 == self.at
+        return super().direction(oracle, k, x, f, g, gn)
+
+
+@pytest.mark.parametrize("t", [0.5, 2.0 - ARMIJO_C1, 4.0, 12.0])
+def test_a_natural_step_leaves_the_warm_start_of_the_last_search(t):
+    # iteration 1 searches, iteration 2 takes its natural step (t = 0.5) or
+    # the backtrack, and iteration 3 searches from iteration 1's step
+    ls = CountingSearch("h")
+    res = descend(half_square_oracle(), X0, StopCriteria(max_iterations=3, **NO_TOL), {},
+                  NaturalStepAt(t, 2), ls)
+    assert iteration_costs(res)[1] == (1 if t == 0.5 else 2, 1)
+    assert ls.starts == [None, abs(res.trace.records[1].step)]
 
 
 def test_a_missed_backtrack_runs_the_search_from_its_warm_start():
     # t = 30 puts the vertex at |d| / 30, below the lower clamp, and the
     # clamped step 3 |g| lands above f(X0)
-    ls = CountingSearch("h")
-    ls.h = 0.37
+    ls = CountingSearch("h", planted=0.37)
     res = one_step(30.0, ls)
     (cost,) = iteration_costs(res)
     assert ls.starts == [0.37]
@@ -421,11 +446,11 @@ def test_budget_landing_on_the_natural_probe_returns_the_lowest_point():
     _, first, second = free.trace.records
     probe_call = first.value_calls + first.grad_calls + 1
     # the natural probe is refused: the last iterate, with its gradient
-    res = run(max_iterations=None, max_oracle_calls=probe_call - 1)
+    res = run(max_iterations=1000, max_oracle_calls=probe_call - 1)
     assert res.status == ORACLE_BUDGET
     assert (res.f, res.grad_norm) == (first.f, first.grad_norm)
     # the natural probe is the last call: it is the lowest point, without |g|
-    res = run(max_iterations=None, max_oracle_calls=probe_call)
+    res = run(max_iterations=1000, max_oracle_calls=probe_call)
     assert res.status == ORACLE_BUDGET
     assert res.f == second.f < first.f
     assert res.x.tobytes() == free.x.tobytes()
@@ -438,7 +463,7 @@ def test_budget_refusing_the_backtrack_returns_the_lowest_point(t, probe_is_lowe
     # With t just under 2 the missed probe lies below f(X0) and is returned,
     # without |g|; with t = 3 it lies above, and X0 is returned with its |g|
     res = one_step(t, CountingSearch("h"),
-                   StopCriteria(max_iterations=None, max_oracle_calls=3, **NO_TOL))
+                   StopCriteria(max_iterations=1000, max_oracle_calls=3, **NO_TOL))
     assert res.status == ORACLE_BUDGET
     probe = X0 - t * X0
     if probe_is_lowest:

@@ -97,6 +97,10 @@ def loop(oracle, run, x):
 
 # ------------------------------------------------------ hard oracle budget
 
+# every run capped by calls also gets max_iterations=1000, far above the
+# iterations that its cap of at most 60 calls pays for: a call cap that no
+# longer binds then fails the test in seconds instead of hanging it
+
 LS_METHODS = {
     "sd": lambda o, x0, ls, stop: steepest_descent(o, x0, ls, stop),
     "lbfgs": lambda o, x0, ls, stop: lbfgs(o, x0, m=3, linesearch=ls, stop=stop),
@@ -118,7 +122,7 @@ def test_oracle_budget_is_never_exceeded(name, ls):
     x0 = system.coords.ravel()
     for cap in range(2, 61):
         oracle = MolecularOracle(system)
-        stop = StopCriteria(max_iterations=None, max_oracle_calls=cap, **NO_TOL)
+        stop = StopCriteria(max_iterations=1000, max_oracle_calls=cap, **NO_TOL)
         if ls is None:
             res = FIXED_METHODS[name](oracle, x0, stop)
         else:
@@ -129,6 +133,53 @@ def test_oracle_budget_is_never_exceeded(name, ls):
         assert last.value_calls + last.grad_calls <= cap, cap
         # the cap was the run's: the reused oracle takes a further call
         oracle.value_and_gradient(x0)
+
+
+# ----------------------------------------- a run depends only on its inputs
+
+REUSE_CASES = CASES + [("wiggle", None)]
+
+
+@pytest.mark.parametrize("name,ls", REUSE_CASES,
+                         ids=[f"{n}-{ls}" if ls else n for n, ls in REUSE_CASES])
+def test_a_run_on_used_objects_matches_a_run_on_fresh_ones(name, ls):
+    # the run counts its own calls and keeps its own warm start: what an
+    # earlier run spent on the oracle, or left in the searcher, changes nothing
+    system = make_chain_system(12, seed=0, strain=0.3)
+    x0 = system.coords.ravel()
+    stop = StopCriteria(max_iterations=200, max_oracle_calls=300, gradient_norm_tol=1e-4,
+                        **NO_TOL)
+
+    def solve(oracle, searcher):
+        if name == "wiggle":
+            return atom_wiggle(system, WiggleConfig(seed=1), stop)
+        if ls is None:
+            return FIXED_METHODS[name](oracle, x0, stop)
+        return LS_METHODS[name](oracle, x0, searcher, stop)
+
+    oracle, searcher = MolecularOracle(system), make_linesearch(ls or "par")
+    solve(oracle, searcher)
+    again = solve(oracle, searcher)
+    fresh = solve(MolecularOracle(system), make_linesearch(ls or "par"))
+    assert (again.x.tobytes(), again.f, again.status) == (fresh.x.tobytes(), fresh.f,
+                                                          fresh.status)
+    assert np.array_equal(record_rows(again), record_rows(fresh), equal_nan=True)
+
+
+def test_a_used_oracle_gives_a_capped_run_its_full_budget():
+    system = make_chain_system(12, seed=0, strain=0.3)
+    x0 = system.coords.ravel()
+    oracle = MolecularOracle(system)
+    for _ in range(100):
+        oracle.value(x0)
+    stop = StopCriteria(max_iterations=1000, max_oracle_calls=50, **NO_TOL)
+    res = lbfgs(oracle, x0, m=3, linesearch=make_linesearch("par"), stop=stop)
+    assert (res.status, res.iterations) == (ORACLE_BUDGET, 23)
+    first = res.trace.records[0]
+    assert (first.value_calls, first.grad_calls) == (1, 1)
+    fresh = lbfgs(MolecularOracle(system), x0, m=3, linesearch=make_linesearch("par"),
+                  stop=stop)
+    assert np.array_equal(record_rows(res), record_rows(fresh))
 
 
 @pytest.mark.parametrize("name", [*LS_METHODS, *FIXED_METHODS])
@@ -185,7 +236,7 @@ def test_oracle_budget_below_two_calls_is_rejected(budgets, match):
 def test_oracle_budget_returns_best_point_seen():
     system = make_chain_system(12, seed=0, strain=0.3)
     oracle = MolecularOracle(system)
-    stop = StopCriteria(max_iterations=None, max_oracle_calls=37, **NO_TOL)
+    stop = StopCriteria(max_iterations=1000, max_oracle_calls=37, **NO_TOL)
     res = lbfgs(oracle, system.coords.ravel(), m=3, linesearch=make_linesearch("par"),
                 stop=stop)
     assert res.status == ORACLE_BUDGET
@@ -199,7 +250,7 @@ def test_oracle_budget_reports_the_gradient_norm_of_the_returned_point():
     system = make_chain_system(12, seed=0, strain=0.3)
     kinds = set()
     for cap in range(2, 61):
-        stop = StopCriteria(max_iterations=None, max_oracle_calls=cap, **NO_TOL)
+        stop = StopCriteria(max_iterations=1000, max_oracle_calls=cap, **NO_TOL)
         res = lbfgs(MolecularOracle(system), system.coords.ravel(), m=3,
                     linesearch=make_linesearch("par"), stop=stop)
         assert res.status == ORACLE_BUDGET, cap
@@ -280,7 +331,7 @@ def test_oracle_budget_keeps_the_lowest_probe(name, ls):
     x0 = system.coords.ravel()
     for cap in range(2, 61):
         oracle = LowestValueOracle(system)
-        stop = StopCriteria(max_iterations=None, max_oracle_calls=cap, **NO_TOL)
+        stop = StopCriteria(max_iterations=1000, max_oracle_calls=cap, **NO_TOL)
         res = LS_METHODS[name](oracle, x0, make_linesearch(ls), stop)
         assert res.status == ORACLE_BUDGET, cap
         assert oracle.lowest < np.inf, cap  # the hooks above saw every value
@@ -310,7 +361,7 @@ def run_method(name, system, stop):
 def test_trace_status_is_the_result_status(name):
     system = make_chain_system(12, seed=0, strain=0.3)
     for stop in (StopCriteria(max_iterations=20),
-                 StopCriteria(max_iterations=None, max_oracle_calls=9, **NO_TOL)):
+                 StopCriteria(max_iterations=1000, max_oracle_calls=9, **NO_TOL)):
         res = run_method(name, system, stop)
         assert res.status is not None
         assert res.trace.status == res.status

@@ -164,7 +164,7 @@ def test_stop_criteria_rejects_negative_tolerances():
 
 def test_oracle_call_budget_halts_run():
     inst = QuadraticInstance.random(6, 50.0, seed=14)
-    stop = StopCriteria(max_iterations=None, max_oracle_calls=12, **NO_TOL)
+    stop = StopCriteria(max_iterations=1000, max_oracle_calls=12, **NO_TOL)
     res = gradient_descent_fixed(inst.oracle(), inst.x0, inst.L, stop)
     assert res.status == "oracle_budget"
     assert res.trace.records[-1].value_calls + res.trace.records[-1].grad_calls >= 12

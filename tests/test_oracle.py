@@ -112,19 +112,21 @@ def test_kept_sweeps_give_the_bytes_of_a_fresh_sweep(name, seed, k, scale):
     last[0] += 0.01
     gradient(last, reuses=False)
     assert fresh_gradient(system, last) != fresh_gradient(system, edited)
-    # a call a run refuses past either budget (a spent cap, a past deadline)
-    # evaluates nothing, counts nothing and keeps the kept sweep
+    # a call a run refuses past either budget (a cap the run has spent, a
+    # past deadline) evaluates nothing, counts nothing and keeps the kept sweep
     value_all()
-    spent = oracle.value_calls + oracle.grad_calls
-    for budget, status in ((dict(max_oracle_calls=spent), ORACLE_BUDGET),
+    cap = 2
+    for budget, status in ((dict(max_oracle_calls=cap), ORACLE_BUDGET),
                            (dict(max_wall_time=0.0), TIME_BUDGET)):
         run = Run(oracle, StopCriteria(**budget), {})
+        run.charge(cap)  # spent before begin() arms the budgets
         run.begin(last, 0.0, math.nan)
         with counted_sweeps() as started, run.budgets():
             run.gradient(last)
         assert run.status == status
         assert started == []
         assert (oracle.value_calls, oracle.grad_calls) == (values, grads)
+        assert (run.value_calls, run.grad_calls) == (cap, 0)
     gradient(last, reuses=True)
     assert (oracle.value_calls, oracle.grad_calls) == (values, grads)
 

@@ -76,6 +76,20 @@ def test_the_gated_workloads_set_up_and_replay(perfbench, tmp_path):
     assert [status for _, _, status, _ in counts] == ["converged", "converged"]
 
 
+def test_a_chain_solve_on_a_used_oracle_has_the_fingerprint_of_the_first(perfbench, tmp_path):
+    # the gated calls_per_iter reads a solve's own counts, so it does not
+    # depend on the harness resetting the oracle between solves
+    _, workloads = perfbench
+    chain = workloads.ChainSolve(0, tmp_path)
+    chain.setup()
+
+    def solve():
+        return workloads._fingerprint(chain._solve("lbfgs-par", chain.oracle, lambda fn, _: fn))
+
+    first = solve()
+    assert solve() == first
+
+
 def test_the_cli_parser_has_what_the_rank_demo_replay_reads(perfbench):
     _, workloads = perfbench
     args = workloads.build_parser().parse_args(["batch-rank", "candidates", "--ref", "ref.ffs"])

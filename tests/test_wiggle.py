@@ -211,7 +211,7 @@ def test_oracle_budget_is_never_exceeded(incremental, monkeypatch):
     config = WiggleConfig(seed=1, epoch_iterations=3, use_incremental_coulomb=incremental)
     for cap in range(2, 61):
         made.clear()
-        res = atom_wiggle(s, config, StopCriteria(max_iterations=None, max_oracle_calls=cap,
+        res = atom_wiggle(s, config, StopCriteria(max_iterations=1000, max_oracle_calls=cap,
                                                   **NO_TOL))
         assert res.status == "oracle_budget", cap
         assert len(made) <= cap, cap
@@ -231,12 +231,12 @@ def test_deadline_ends_the_run_at_its_last_accepted_configuration(incremental, m
     for name in ("energy_total", "delta_energy_atom_move", "exact_delta_atom_move"):
         monkeypatch.setattr(wiggle, name, counted(made, getattr(wiggle, name)))
 
-    class DeadlineOracle(wiggle.ObjectiveOracle):
+    class DeadlineRun(wiggle.Run):
         """Moves the runs' clock two hours on once it has counted k calls, so
         the time budget runs out at a chosen call without waiting on a clock."""
 
-        def charge(self, values, grads):
-            super().charge(values, grads)
+        def charge(self, values):
+            super().charge(values)
             # the six axis probes are charged at once, so the count can
             # step past k
             if self.value_calls >= k:
@@ -250,7 +250,7 @@ def test_deadline_ends_the_run_at_its_last_accepted_configuration(incremental, m
         made.clear()
         fired = []
         with monkeypatch.context() as mp, shifted_clock(lambda: 7200.0 if fired else 0.0):
-            mp.setattr(wiggle, "ObjectiveOracle", DeadlineOracle)
+            mp.setattr(wiggle, "Run", DeadlineRun)
             # every iteration makes a call, so a deadline that never fires
             # ends the run at the iteration budget, not the wall budget
             res = atom_wiggle(s, config, StopCriteria(max_iterations=k, max_wall_time=3600.0,

@@ -97,12 +97,13 @@ def runs():
                                             inst.exact_linesearch(), stop)
 
     # every method under an oracle-call cap: refusals inside searches,
-    # natural steps, gradient finishes, fused steps and wiggle probes
+    # natural steps, gradient finishes, fused steps and wiggle probes; the
+    # iteration cap, which no run reaches, ends a run whose call cap fails
     system = make_chain_system(12, 0, 0.3)
     x0 = system.coords.ravel()
     oracle = partial(MolecularOracle, system)
     for cap in CAPS:
-        stop = StopCriteria(max_iterations=None, max_oracle_calls=cap, gradient_norm_rtol=0.0)
+        stop = StopCriteria(max_iterations=1000, max_oracle_calls=cap, gradient_norm_rtol=0.0)
         tag = f"cap={cap}"
         yield from searches(tag, oracle, x0, stop, 3)
         yield f"gd {tag}", partial(gradient_descent_fixed, oracle(), x0, L_CHAIN, stop)
@@ -114,6 +115,17 @@ def runs():
     stop = StopCriteria(max_iterations=20, gradient_norm_rtol=0.0)
     yield from searches("h0=1e300", partial(MolecularOracle, system), system.coords.ravel(),
                         stop, 3, h0=1e300)
+
+    # a nonbonded cutoff: lbfgs with each search, and cg-prp
+    stop = StopCriteria(max_iterations=300, gradient_norm_tol=1e-4, gradient_norm_rtol=0.0)
+    for s in (0, 1):
+        system = make_chain_system(30, s, 0.3, cutoff=6.0)
+        x0, tag = system.coords.ravel(), f"n=30 s={s} cutoff=6"
+        for kind in ("par", "h"):
+            yield (f"lbfgs5-{kind} {tag}", partial(lbfgs, MolecularOracle(system), x0, m=5,
+                                                   linesearch=make_linesearch(kind), stop=stop))
+        yield f"cg-prp-par {tag}", partial(cg, MolecularOracle(system), x0, CgVariant("prp"),
+                                           make_linesearch("par"), stop)
 
 
 def main(argv):
