@@ -1,5 +1,11 @@
 """Command line interface.
 
+What the library raises passes through unchanged: main prints a ValueError
+(a file, model or energy fault among them), a DivergenceError or an OSError
+as one `ffmin: error:` line and exits 2, and batch-rank makes a candidate's
+file, model, energy or divergence fault its error row. So a bad geometry
+gets the fault the energy layer names from every subcommand and method.
+
 Exit codes: 0 success, 2 input/configuration error, 3 line-search
 failure, 4 budget exhausted (iterations, oracle calls, or wall time).
 """
@@ -15,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .energy import EnergyEvaluationError, energy_and_gradient, energy_total
+from .energy import EnergyEvaluationError, energy_and_gradient
 from .model import ModelError
 from .oracle import MolecularOracle
 from .optimizers import (
@@ -114,16 +120,13 @@ def _add_method_options(p):
 
 
 def _build_stop(args):
-    try:
-        return StopCriteria(
-            max_iterations=args.max_iters,
-            max_oracle_calls=args.max_oracle_calls,
-            gradient_norm_tol=args.tol,
-            gradient_norm_rtol=args.rtol,
-            max_wall_time=args.max_time,
-        )
-    except ValueError as exc:
-        _fail(str(exc))
+    return StopCriteria(
+        max_iterations=args.max_iters,
+        max_oracle_calls=args.max_oracle_calls,
+        gradient_norm_tol=args.tol,
+        gradient_norm_rtol=args.rtol,
+        max_wall_time=args.max_time,
+    )
 
 
 def _build_linesearch(args):
@@ -162,11 +165,8 @@ def _run_method(args, system):
             _fail("ofgm requires --horizon")
         return ofgm(oracle, x0, args.horizon, args.L, stop)
     if m == "cg":
-        try:
-            variant = CgVariant(args.cg_variant, restart_period=args.restart)
-        except ValueError as exc:
-            _fail(str(exc))
-        return cg(oracle, x0, variant, _build_linesearch(args), stop)
+        return cg(oracle, x0, CgVariant(args.cg_variant, restart_period=args.restart),
+                  _build_linesearch(args), stop)
     if m == "lbfgs":
         return lbfgs(oracle, x0, m=args.m, linesearch=_build_linesearch(args),
                      stop=stop)
@@ -180,19 +180,9 @@ def _print_breakdown(bd, grad_max, out=None):
     print(f"{'grad_max':<8} {grad_max:.10g}", file=out)
 
 
-def _breakdown_and_gradient(system):
-    """energy_and_gradient(system), naming a fault of the energy before one of
-    the gradient, which the sweep can meet first (coincident bond endpoints)."""
-    try:
-        return energy_and_gradient(system)
-    except EnergyEvaluationError:
-        energy_total(system)
-        raise
-
-
 def cmd_energy(args):
     system = load_system(args.file)
-    bd, g = _breakdown_and_gradient(system)
+    bd, g = energy_and_gradient(system)
     _print_breakdown(bd, float(np.max(np.abs(g), initial=0.0)))
     return EXIT_OK
 
@@ -201,7 +191,7 @@ def cmd_minimize(args):
     system = load_system(args.file)
     result = _run_method(args, system)
     final = system.with_coords(result.x)
-    bd, g = _breakdown_and_gradient(final)
+    bd, g = energy_and_gradient(final)
     print(f"method   {args.method}")
     print(f"status   {result.status}")
     print(f"iters    {result.trace.iterations}")
@@ -336,8 +326,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (CliError, SystemFileError, ModelError, EnergyEvaluationError,
-            DivergenceError, OSError, ValueError) as exc:
+    except (CliError, DivergenceError, OSError, ValueError) as exc:
         print(f"ffmin: error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -11,14 +11,19 @@ calls are bit-identical.
 The value sweep (_Sweep) gathers every edge of the plan,
 MolecularSystem.arrays(), at flat x (or at system.coords) and runs each
 term's kernels.py energy half on its section, in the check order of the
-plan's term table (pairs, stretch, bend, torsion): energy_total.
-energy_and_gradient finishes it with each term's gradient half, which
-reuses the pair terms, and one scatter, so a fault is named in the same
-order either way. A KeptSweep lets a caller that values a point and then
-wants the gradient there (an oracle whose line search accepts its last
-probe) keep that sweep: the gradient at the kept x then runs only the
-gradient halves, pair terms included, with the same bits. The store holds
-the sweep valued last and nothing else, so a call never holds two sweeps.
+plan's term table (pairs, stretch, bend, torsion), and raises the first
+energy fault as it meets it: energy_total. energy_and_gradient finishes it
+with each term's gradient half, which reuses the pair terms, and one
+scatter; finishing raises only a fault that exists for the gradient alone
+(a zero-length bond, collinear bend arms). So energy_total,
+energy_and_gradient, an oracle's value then gradient and the single-atom
+deltas name the same fault of a geometry.
+
+A KeptSweep lets a caller that values a point and then wants the gradient
+there (an oracle whose line search accepts its last probe) keep that
+sweep: the gradient at the kept x then runs only the gradient halves, pair
+terms included, with the same bits. The store holds the sweep valued last
+and nothing else, so a call never holds two sweeps.
 Every gather, here and in the kernels, reads the plan's flat edge
 index (kernels.flat_index). _term runs one term's energy half over other
 edge rows: one section alone (energy_stretch ...), one atom's rows (the
@@ -90,12 +95,14 @@ class FarFieldLinearization:
     near_idx: np.ndarray
 
 
-# per term of the plan's term table: edges per row, what a bad row means
+# per term of the plan's term table: edges per row, and what a bad row of
+# its energy half and of its gradient half means (None: that half never
+# reports one)
 _TERMS = {
-    "pairs": (1, "coincident atoms"),
-    "stretch": (1, "coincident endpoints"),
-    "bend": (2, "zero-length arm"),
-    "torsion": (3, "degenerate plane"),
+    "pairs": (1, "coincident atoms", None),
+    "stretch": (1, None, "coincident endpoints"),
+    "bend": (2, "zero-length arm", "collinear geometry"),
+    "torsion": (3, "degenerate plane", None),
 }
 
 
@@ -112,18 +119,16 @@ def _plan_rows(p, term, rows=None):
     return edge[:, ids].reshape(2, -1), [a[rows] for a in args]
 
 
-def _raise(system, term, bad, rows=None, gradient=False):
-    """Raise the EnergyEvaluationError naming a term's bad row; rows names
-    rows other than the whole plan section: (2, k) pair atoms, or term rows."""
-    what = _TERMS[term][1]
+def _raise(system, term, what, bad, rows=None):
+    """Raise the EnergyEvaluationError naming a term's bad row and its fault
+    what; rows names rows other than the whole plan section: (2, k) pair
+    atoms, or term rows. A pair is named (lower atom, higher atom)."""
     if term == "pairs":
         if rows is None:
             p = system.arrays()
             rows = p["edge_flat"][:, 3 * p["terms"]["pairs"][2].start::3] // 3
-        i, j = rows[:, bad]
+        i, j = sorted(rows[:, bad])
         raise EnergyEvaluationError(f"nonbonded pair ({i},{j}): {what}")
-    if term == "bend" and gradient:
-        what = "zero-length arm or collinear geometry"
     row = bad if rows is None else int(rows[bad])
     t = {"stretch": system.bonds, "bend": system.angles, "torsion": system.dihedrals}[term][row]
     atoms = "-".join(str(getattr(t, a)) for a in "ijkl" if hasattr(t, a))
@@ -136,17 +141,17 @@ def _term(system, term, D, R, args, rows=None):
     intermediates of its gradient half), raising for the first bad row."""
     *energies, bad, mid = system.arrays()["terms"][term][0](D, R, *args, True)
     if bad >= 0:
-        _raise(system, term, bad, rows)
+        _raise(system, term, _TERMS[term][1], bad, rows)
     return energies, mid
 
 
 class _Sweep:
     """The value sweep at x (default: system.coords): one gather of the plan's
-    edges and each term's energy half on its section, in check order.
+    edges and each term's energy half on its section, in check order,
+    raising the first bad row it meets.
 
     sections holds each term's (D, R) section views and parts its
-    (energies..., bad row, intermediates); the breakdown is read before any
-    bad row is raised.
+    (energies..., bad row, intermediates).
     """
 
     __slots__ = ("m", "short", "sections", "parts", "breakdown")
@@ -159,17 +164,21 @@ class _Sweep:
         self.short = short = kernels.too_short(R)
         self.sections = sections = []
         self.parts = parts = []
-        for energy, _, sec, args in p["terms"].values():
+        for term, (energy, _, sec, args) in p["terms"].items():
             section = D[sec], R[sec]
+            part = energy(*section, *args, short)
+            if part[-2] >= 0:
+                _raise(system, term, _TERMS[term][1], part[-2])
             sections.append(section)
-            parts.append(energy(*section, *args, short))
+            parts.append(part)
         pairs, bonds, angles, dihedrals = parts
         self.breakdown = EnergyBreakdown(float(bonds[0]), float(angles[0]), float(dihedrals[0]),
                                          float(pairs[0]), float(pairs[1]))
 
     def finish(self, system):
         """The breakdown and flat gradient: each term's gradient half, in
-        check order, then one scatter. Consumes the sweep."""
+        check order, then one scatter, raising a gradient half's bad row.
+        Consumes the sweep."""
         p = system.arrays()
         short, sections, parts = self.short, self.sections, self.parts
         # the edge gradients G = W[:M]; scatter() fills W[M:] with -G
@@ -178,11 +187,9 @@ class _Sweep:
             # popped, not named, so each term's edge rows and intermediates
             # are freed once used: the scatter runs with W alone, which at a
             # few hundred atoms spares the allocator fresh pages on each call
-            bad = parts[0][-2]
-            if bad < 0:
-                bad = grad(*sections.pop(0), parts.pop(0)[-1], W[sec], short)
+            bad = grad(*sections.pop(0), parts.pop(0)[-1], W[sec], short)
             if bad >= 0:
-                _raise(system, term, bad, gradient=True)
+                _raise(system, term, _TERMS[term][2], bad)
         return self.breakdown, kernels.scatter(W, p["edge_flat"], system.natoms)
 
 
@@ -286,9 +293,6 @@ def energy_total(system: MolecularSystem, x=None, kept=None) -> EnergyBreakdown:
     if kept is not None:
         kept.slot = None
     sweep = _Sweep(system, x)
-    for term, part in zip(_TERMS, sweep.parts):
-        if part[-2] >= 0:
-            _raise(system, term, part[-2])
     if kept is not None:
         kept.slot = np.asarray(x, dtype=np.float64).tobytes(), sweep
     return sweep.breakdown

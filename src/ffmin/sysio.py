@@ -175,7 +175,10 @@ def load_system(path) -> MolecularSystem:
     """Parse a system file and return a validated MolecularSystem."""
     path = os.fspath(path)
     with open(path, "r", encoding="utf-8") as fh:
-        raw = fh.readlines()
+        try:
+            raw = fh.readlines()
+        except UnicodeDecodeError as exc:
+            raise SystemFileError(f"{path}: not UTF-8 text ({exc.reason})") from exc
 
     lines = []  # (lineno, text) with comments and blanks stripped
     for idx, line in enumerate(raw, start=1):

@@ -87,21 +87,40 @@ def test_energy_matches_library(tmp_path, capsys):
     assert float(lines["vdw"]) == pytest.approx(bd.vdw, rel=1e-9)
 
 
-@pytest.mark.parametrize("src,dst,msg", [
+# flags each method needs to start a run
+FAULT_FLAGS = {"gd": ["--L", "2000"], "sd": [], "fgm": [],
+               "ofgm": ["--L", "2000", "--horizon", "10"], "cg": [], "lbfgs": [], "wiggle": []}
+
+
+@pytest.mark.parametrize("seed,src,dst,msg", [
     # coincident bonded atoms: the energy's bend fault, not the gradient's stretch fault
-    (0, 1, "bend term 0 (atoms 0-1-2): zero-length arm"),
-    (2, 3, "bend term 1 (atoms 1-2-3): zero-length arm"),
+    (0, 1, 2, "bend term 0 (atoms 0-1-2): zero-length arm"),
+    (1, 0, 1, "bend term 0 (atoms 0-1-2): zero-length arm"),
+    (1, 2, 3, "bend term 1 (atoms 1-2-3): zero-length arm"),
     # coincident atoms of a pair that interacts
-    (0, 5, "nonbonded pair (0,5): coincident atoms"),
+    (1, 0, 4, "nonbonded pair (0,4): coincident atoms"),
+    (1, 0, 5, "nonbonded pair (0,5): coincident atoms"),
 ])
-def test_energy_names_the_fault_of_degenerate_geometry(tmp_path, capsys, src, dst, msg):
-    system = make_chain_system(6, seed=1)
+def test_every_entry_point_names_the_one_fault_of_degenerate_geometry(tmp_path, capsys, seed,
+                                                                      src, dst, msg):
+    system = make_chain_system(6, seed=seed)
     coords = system.coords.copy()
     coords[dst] = coords[src]
-    path = tmp_path / "degenerate.ffs"
+    pool = tmp_path / "candidates"
+    pool.mkdir()
+    path = pool / "degenerate.ffs"
     save_system(system.with_coords(coords), path)
+    ref = tmp_path / "ref.ffs"
+    save_system(system, ref)
     assert main(["energy", str(path)]) == 2
     assert grab(capsys) == ("", f"ffmin: error: {msg}\n")
+    assert set(FAULT_FLAGS) == set(METHODS)
+    for method, flags in FAULT_FLAGS.items():
+        assert main(["minimize", str(path), "--method", method, *flags]) == 2, method
+        assert grab(capsys) == ("", f"ffmin: error: {msg}\n"), method
+        assert main(["batch-rank", str(pool), "--ref", str(ref), "--method", method,
+                     *flags]) == 0, method
+        assert grab(capsys)[0].splitlines()[3:] == [f"0,degenerate,inf,inf,error: {msg}"], method
 
 
 def test_energy_names_the_gradient_fault_when_the_energy_has_none(tmp_path, capsys):
@@ -539,6 +558,32 @@ def test_batch_rank_sinks_bad_candidate(tmp_path, capsys):
     assert last[1] == "cand_99"
     assert float(last[2]) == float("inf")
     assert "error:" in body[-1]
+
+
+def write_not_utf8(directory, name="utf16.ffs"):
+    path = directory / name
+    path.write_bytes(b"\xff\xfe\x00" + "format_version: 1\n".encode("utf-16-le"))
+    return path
+
+
+def test_energy_of_a_file_that_is_not_utf8_names_the_file(tmp_path, capsys):
+    path = write_not_utf8(tmp_path)
+    assert main(["energy", str(path)]) == 2
+    assert grab(capsys) == ("", f"ffmin: error: {path}: not UTF-8 text (invalid start byte)\n")
+
+
+def test_batch_rank_sinks_a_candidate_that_is_not_utf8(tmp_path, capsys):
+    pool = tmp_path / "candidates"
+    pool.mkdir()
+    ref = write_chain(tmp_path, n=6, name="ref.ffs")
+    write_chain(pool, n=6, seed=1, name="good.ffs")
+    bad = write_not_utf8(pool)
+    code = main(["batch-rank", str(pool), "--ref", str(ref), "--max-iters", "50"])
+    out, err = grab(capsys)
+    assert (code, err) == (0, "")
+    body = out.splitlines()[3:]
+    assert [row.split(",")[1] for row in body] == ["good", "utf16"]
+    assert body[-1] == f"1,utf16,inf,inf,error: {bad}: not UTF-8 text (invalid start byte)"
 
 
 def test_batch_rank_wiggle_sinks_candidate_with_cutoff(tmp_path, capsys):

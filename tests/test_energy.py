@@ -702,29 +702,24 @@ def test_plan_gradient_counts_a_pair_on_the_cutoff():
 
 CHAIN6 = make_chain_system(6, seed=1)
 DEGENERATE = {
-    # (atom moved onto, atom moved): the parent's message for each call, None for no error
-    (0, 1): dict(total="bend term 0 (atoms 0-1-2): zero-length arm",
-                 fused="stretch term 0 (atoms 0-1): coincident endpoints",
+    # (atom moved onto, atom moved): the whole-system fault, which
+    # energy_total, energy_and_gradient, an oracle's value and gradient and
+    # exact_delta_atom_move all name, then each one-term call's message and
+    # the far-field delta's, None for no error
+    (0, 1): dict(system="bend term 0 (atoms 0-1-2): zero-length arm",
                  stretch=None, bend="bend term 0 (atoms 0-1-2): zero-length arm",
                  torsion="torsion term 0 (atoms 0-1-2-3): degenerate plane", coulomb=None,
-                 exact="bend term 0 (atoms 0-1-2): zero-length arm",
                  delta="bend term 0 (atoms 0-1-2): zero-length arm"),
-    (0, 4): dict(total="nonbonded pair (0,4): coincident atoms",
-                 fused="nonbonded pair (0,4): coincident atoms",
+    (0, 4): dict(system="nonbonded pair (0,4): coincident atoms",
                  stretch=None, bend=None, torsion=None,
-                 coulomb="nonbonded pair (0,4): coincident atoms",
-                 exact="nonbonded pair (4,0): coincident atoms", delta=None),
-    (2, 3): dict(total="bend term 1 (atoms 1-2-3): zero-length arm",
-                 fused="stretch term 2 (atoms 2-3): coincident endpoints",
+                 coulomb="nonbonded pair (0,4): coincident atoms", delta=None),
+    (2, 3): dict(system="bend term 1 (atoms 1-2-3): zero-length arm",
                  stretch=None, bend="bend term 1 (atoms 1-2-3): zero-length arm",
                  torsion="torsion term 0 (atoms 0-1-2-3): degenerate plane", coulomb=None,
-                 exact="bend term 1 (atoms 1-2-3): zero-length arm",
                  delta="bend term 1 (atoms 1-2-3): zero-length arm"),
-    (0, 5): dict(total="nonbonded pair (0,5): coincident atoms",
-                 fused="nonbonded pair (0,5): coincident atoms",
+    (0, 5): dict(system="nonbonded pair (0,5): coincident atoms",
                  stretch=None, bend=None, torsion=None,
-                 coulomb="nonbonded pair (0,5): coincident atoms",
-                 exact="nonbonded pair (5,0): coincident atoms", delta=None),
+                 coulomb="nonbonded pair (0,5): coincident atoms", delta=None),
 }
 
 
@@ -743,12 +738,18 @@ def test_degenerate_geometry_raises_the_same_messages(onto, atom):
     moved = CHAIN6.with_coords(x)
     step = CHAIN6.coords[onto] - CHAIN6.coords[atom]
     lin = linearize_farfield_coulomb(CHAIN6, atom, 2.0)
-    calls = dict(total=lambda: energy_total(moved), fused=lambda: energy_and_gradient(moved),
-                 stretch=lambda: energy_stretch(moved), bend=lambda: energy_bend(moved),
+    oracle = MolecularOracle(CHAIN6)
+    whole = dict(total=lambda: energy_total(moved), fused=lambda: energy_and_gradient(moved),
+                 value=lambda: oracle.value(x.ravel()),
+                 gradient=lambda: oracle.gradient(x.ravel()),
+                 exact=lambda: exact_delta_atom_move(CHAIN6, atom, step))
+    calls = dict(stretch=lambda: energy_stretch(moved), bend=lambda: energy_bend(moved),
                  torsion=lambda: energy_torsion(moved), coulomb=lambda: energy_coulomb(moved),
-                 exact=lambda: exact_delta_atom_move(CHAIN6, atom, step),
                  delta=lambda: delta_energy_atom_move(CHAIN6, lin, step))
-    assert {name: raised(call) for name, call in calls.items()} == DEGENERATE[(onto, atom)]
+    want = dict(DEGENERATE[(onto, atom)])
+    assert {name: raised(call) for name, call in whole.items()} == dict.fromkeys(
+        whole, want.pop("system"))
+    assert {name: raised(call) for name, call in calls.items()} == want
 
 
 def test_collinear_planar_and_coincident_bond_messages():
@@ -765,7 +766,7 @@ def test_collinear_planar_and_coincident_bond_messages():
     diatomic = pair_system(0.0, excluded=True, bonds=(BondTerm(0, 1, 300.0, 1.5),))
     assert raised(lambda: energy_total(line)) is None
     assert raised(lambda: energy_and_gradient(line)) == (
-        "bend term 0 (atoms 0-1-2): zero-length arm or collinear geometry")
+        "bend term 0 (atoms 0-1-2): collinear geometry")
     for fn in (energy_total, energy_and_gradient):
         assert raised(lambda: fn(planar)) == "torsion term 0 (atoms 0-1-2-3): degenerate plane"
     assert energy_total(diatomic).stretch == 300.0 * 1.5**2
@@ -775,14 +776,16 @@ def test_collinear_planar_and_coincident_bond_messages():
 
 def test_oracle_value_then_gradient_names_the_fused_fault():
     # a value call keeps its sweep for the gradient at the same x; finishing
-    # it must name the fused call's fault, in the fused call's check order
+    # it must name the fused call's fault, and a value call that raises
+    # keeps nothing, so the gradient names the value's fault
     atoms = tuple(atom(i) for i in range(4))
     line = MolecularSystem(
         atoms=atoms[:3], coords=np.array([[-1.5, 0.0, 0.0], [0.0, 0.0, 0.0], [1.5, 0.0, 0.0]]),
         angles=(AngleTerm(0, 1, 2, K=1.0, theta0=1.9),),
         nonbonded=NonbondedPolicy(excluded=frozenset({(0, 1), (0, 2), (1, 2)})))
     diatomic = pair_system(0.0, excluded=True, bonds=(BondTerm(0, 1, 300.0, 1.5),))
-    # the collinear angle 0-1-2 also flattens the plane of torsion 0-1-2-3
+    # the collinear angle 0-1-2 also flattens the plane of torsion 0-1-2-3,
+    # an energy fault, so it is named before the gradient's collinear arms
     flat = MolecularSystem(
         atoms=atoms,
         coords=np.array([[-1.5, 0.0, 0.0], [0.0, 0.0, 0.0], [1.5, 0.0, 0.0], [1.5, 1.5, 0.0]]),
@@ -790,10 +793,11 @@ def test_oracle_value_then_gradient_names_the_fused_fault():
         dihedrals=(DihedralTerm(0, 1, 2, 3, 1.0, 2.0, 3.0, 0.5),),
         nonbonded=NonbondedPolicy(excluded=frozenset(
             {(0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (2, 3)})))
-    collinear = "bend term 0 (atoms 0-1-2): zero-length arm or collinear geometry"
+    collinear = "bend term 0 (atoms 0-1-2): collinear geometry"
+    planar = "torsion term 0 (atoms 0-1-2-3): degenerate plane"
     cases = [(line, None, collinear),
              (diatomic, None, "stretch term 0 (atoms 0-1): coincident endpoints"),
-             (flat, "torsion term 0 (atoms 0-1-2-3): degenerate plane", collinear)]
+             (flat, planar, planar)]
     for system, value_message, fused_message in cases:
         assert raised(lambda: energy_and_gradient(system)) == fused_message
         oracle = MolecularOracle(system)

@@ -1,6 +1,8 @@
 """tools/identity.py, the digest that shows a refactor changed no result:
-its digests repeat exactly, and one ulp of input shows in them."""
+its digests repeat exactly, one ulp of input shows in them, and its
+degenerate start points hash the one fault each geometry gets."""
 
+import hashlib
 import importlib.util
 import itertools
 import sys
@@ -37,6 +39,27 @@ def test_digests_repeat_exactly(identity):
     assert len(first) == 26
     assert {status for _, (status, _, _) in first} >= {"converged", "oracle_budget"}
     assert first == again
+
+
+def test_degenerate_starts_hash_the_fault_the_energy_names(identity):
+    faults = {"n=6 s=1 x1=x0": "bend term 0 (atoms 0-1-2): zero-length arm",
+              "n=6 s=1 x4=x0": "nonbonded pair (0,4): coincident atoms",
+              "n=6 s=1 x3=x2": "bend term 1 (atoms 1-2-3): zero-length arm",
+              "n=6 s=1 x5=x0": "nonbonded pair (0,5): coincident atoms",
+              # a zero-length bond has an energy, so only wiggle, which needs
+              # no gradient, runs from it
+              "n=2 s=0 x1=x0": "stretch term 0 (atoms 0-1): coincident endpoints"}
+    seen = {}
+    for name, make in identity.runs():
+        words = name.split()
+        tag = " ".join(words[-3:])
+        if tag in faults and not (tag.startswith("n=2") and words[0] == "wiggle"):
+            text = f"EnergyEvaluationError: {faults[tag]}"
+            assert identity.outcome(make) == ("raised", -1, hashlib.sha256(
+                text.encode()).hexdigest()), name
+            seen[tag] = seen.get(tag, 0) + 1
+    # gd, ofgm, four search methods with two searches each, two wiggle branches
+    assert seen == {tag: 10 if tag.startswith("n=2") else 12 for tag in faults}
 
 
 def test_one_ulp_of_x0_changes_the_digest(identity):

@@ -6,10 +6,11 @@ imports ffmin from <src dir>, makes a fixed list of runs and prints one line
 per run (name, status, iterations, the head of its sha256), then the run
 count and one sha256 over every run's digest. A run's digest covers the
 bytes of x, f, |g|, the status, the trace metadata and every TraceRecord
-field but wall_seconds; a run that raises hashes its exception's type and
-text instead. Two trees that print the same total returned the same bits on
-every run, so a refactor that must change no result is checked by running
-this on a `git archive` of the parent and on the change.
+field but wall_seconds; a run that raises (the degenerate start points at
+the end of the list) hashes its exception's type and text instead. Two
+trees that print the same total returned the same bits and raised the same
+errors on every run, so a refactor that must change no result is checked by
+running this on a `git archive` of the parent and on the change.
 """
 
 from __future__ import annotations
@@ -126,6 +127,23 @@ def runs():
                                                    linesearch=make_linesearch(kind), stop=stop))
         yield f"cg-prp-par {tag}", partial(cg, MolecularOracle(system), x0, CgVariant("prp"),
                                            make_linesearch("par"), stop)
+
+    # degenerate start points: one atom of the n=6 chain moved onto another,
+    # where every run raises the fault the energy names, and a zero-length
+    # bond, which has an energy, so only the gradient runs raise
+    starts = [(6, 1, move) for move in ((0, 1), (0, 4), (2, 3), (0, 5))] + [(2, 0, (0, 1))]
+    stop = StopCriteria(max_iterations=20, gradient_norm_rtol=0.0)
+    for n, s, (onto, atom) in starts:
+        system = make_chain_system(n, s)
+        coords = system.coords.copy()
+        coords[atom] = coords[onto]
+        system = system.with_coords(coords)
+        x0, tag = coords.ravel(), f"n={n} s={s} x{atom}=x{onto}"
+        oracle = partial(MolecularOracle, system)
+        yield f"gd {tag}", partial(gradient_descent_fixed, oracle(), x0, L_CHAIN, stop)
+        yield f"ofgm-L {tag}", partial(ofgm, oracle(), x0, 10, L=L_CHAIN, stop=stop)
+        yield from searches(tag, oracle, x0, stop, 3)
+        yield from wiggles(tag, system, stop, 1, 3)
 
 
 def main(argv):
