@@ -18,8 +18,10 @@ from __future__ import annotations
 
 import math
 import time
+from array import array
+from collections.abc import Sequence
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -98,7 +100,7 @@ class StopCriteria:
         return max(self.gradient_norm_tol, self.gradient_norm_rtol * max(1.0, g0_norm))
 
 
-@dataclass(frozen=True, slots=True)  # slots: a long run holds one per iteration
+@dataclass(frozen=True, slots=True)
 class TraceRecord:
     iteration: int
     f: float
@@ -110,15 +112,54 @@ class TraceRecord:
     best_f: float
 
 
+# values stored per record: TraceRecord's fields, in order, as float64; the
+# ints (iteration and call counts) stay below 2**53, so each reads back exactly
+RECORD_WIDTH = len(fields(TraceRecord))
+
+
+class TraceRecords(Sequence):
+    """A read-only sequence of a trace's records, the rows `rows` of its flat
+    storage: indexing and iteration build each TraceRecord when it is read,
+    and a slice is another view of the same storage."""
+
+    __slots__ = ("_values", "_rows")
+
+    def __init__(self, values, rows):
+        self._values = values
+        self._rows = rows
+
+    def __len__(self):
+        return len(self._rows)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return TraceRecords(self._values, self._rows[i])
+        return self._build(self._rows[i])
+
+    def __iter__(self):
+        return map(self._build, self._rows)
+
+    def _build(self, row):
+        j = row * RECORD_WIDTH
+        it, f, gn, step, vc, gc, wall, best = self._values[j:j + RECORD_WIDTH]
+        return TraceRecord(int(it), f, gn, step, int(vc), int(gc), wall, best)
+
+
 @dataclass
 class OptimizerTrace:
     meta: dict = field(default_factory=dict)
-    records: list = field(default_factory=list)
     status: str | None = None
+    # RECORD_WIDTH values per record, appended by Run.record
+    _values: array = field(default_factory=lambda: array("d"), init=False, repr=False)
+
+    @property
+    def records(self) -> TraceRecords:
+        """The records stored so far, in order."""
+        return TraceRecords(self._values, range(len(self._values) // RECORD_WIDTH))
 
     @property
     def iterations(self):
-        return self.records[-1].iteration if self.records else 0
+        return int(self._values[-RECORD_WIDTH]) if self._values else 0
 
 
 @dataclass
@@ -179,9 +220,8 @@ class Run:
 
     def record(self, iteration, f, grad_norm, step):
         self.best_f = min(self.best_f, f)
-        self.trace.records.append(TraceRecord(
-            int(iteration), float(f), float(grad_norm), float(step), self.value_calls,
-            self.grad_calls, time.perf_counter() - self.t0, self.best_f))
+        self.trace._values.extend((iteration, f, grad_norm, step, self.value_calls,
+                                   self.grad_calls, time.perf_counter() - self.t0, self.best_f))
 
     def _admit(self, calls):
         """Refuse a call of `calls` evaluations that would pass a budget."""
@@ -265,7 +305,7 @@ class Run:
         """
         if self.status != CONVERGED and self.best is not None and self.best_f <= fallback_f:
             x, best_grad_norm, step = self.best
-            if self.best_f < min(r.f for r in self.trace.records):
+            if self.best_f < min(self.trace._values[1::RECORD_WIDTH]):  # every record's f
                 self.record(self.trace.iterations + 1, self.best_f, best_grad_norm, step)
             return self.finish(x, self.best_f, best_grad_norm)
         return self.finish(fallback_x, fallback_f, grad_norm)

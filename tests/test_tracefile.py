@@ -1,10 +1,20 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import ffmin.optimizers.common as common
 from ffmin.bench import QuadraticInstance
-from ffmin.optimizers import StopCriteria, gradient_descent_fixed
+from ffmin.oracle import FunctionOracle, MolecularOracle
+from ffmin.optimizers import (
+    StopCriteria,
+    TraceRecord,
+    gradient_descent_fixed,
+    lbfgs,
+    make_linesearch,
+)
+from ffmin.synth import make_chain_system
 from ffmin.tracefile import (
     COLUMNS,
     read_trace,
@@ -20,6 +30,13 @@ def small_trace():
     return gradient_descent_fixed(inst.oracle(), inst.x0, inst.L, stop).trace
 
 
+def lbfgs_trace():
+    system = make_chain_system(8, 0, 0.3)
+    stop = StopCriteria(max_iterations=20, gradient_norm_rtol=0.0)
+    return lbfgs(MolecularOracle(system), system.coords.ravel(), m=5,
+                 linesearch=make_linesearch("par"), stop=stop).trace
+
+
 def test_trace_header_lines():
     text = trace_text(small_trace(), seed=17)
     lines = text.splitlines()
@@ -33,21 +50,77 @@ def test_trace_header_lines():
 
 
 def test_trace_round_trip(tmp_path):
-    trace = small_trace()
-    path = tmp_path / "run.trace"
-    write_trace(path, trace, seed=3)
-    header, rows = read_trace(path)
-    assert header["method"] == "gd"
-    assert header["seed"] == "3"
-    assert header["status"] == "iteration_budget"
-    assert len(rows) == len(trace.records)
-    for rec, row in zip(trace.records, rows):
-        assert row["iteration"] == rec.iteration
-        assert row["f"] == rec.f  # .17g round-trips float64 exactly
-        assert row["grad_norm"] == rec.grad_norm
-        assert row["step"] == rec.step
-        assert row["oracle_value_calls"] == rec.value_calls
-        assert row["oracle_grad_calls"] == rec.grad_calls
+    for method, trace in (("gd", small_trace()), ("lbfgs", lbfgs_trace())):
+        path = tmp_path / "run.trace"
+        write_trace(path, trace, seed=3)
+        header, rows = read_trace(path)
+        assert header["method"] == method
+        assert header["seed"] == "3"
+        assert header["status"] == "iteration_budget"
+        assert len(rows) == len(trace.records)
+        for rec, row in zip(trace.records, rows):
+            assert row["iteration"] == rec.iteration
+            assert row["f"] == rec.f  # .17g round-trips float64 exactly
+            assert row["grad_norm"] == rec.grad_norm
+            assert row["step"] == rec.step
+            assert row["oracle_value_calls"] == rec.value_calls
+            assert row["oracle_grad_calls"] == rec.grad_calls
+
+
+def test_trace_records_read_back_what_the_run_recorded(monkeypatch):
+    recorded = []  # each record's fields but wall_seconds, as Run.record saw them
+    original = common.Run.record
+
+    def spy(run, iteration, f, grad_norm, step):
+        recorded.append((iteration, float(f), float(grad_norm), float(step), run.value_calls,
+                         run.grad_calls, min(run.best_f, f)))
+        original(run, iteration, f, grad_norm, step)
+
+    monkeypatch.setattr(common.Run, "record", spy)
+    recs = lbfgs_trace().records
+    n = len(recs)
+    assert n == len(recorded) == 21
+    assert all(isinstance(r, TraceRecord) for r in recs)
+    got = [(r.iteration, r.f, r.grad_norm, r.step, r.value_calls, r.grad_calls, r.best_f)
+           for r in recs]
+    assert got == recorded
+    assert all(type(v) is int for r in recs for v in (r.iteration, r.value_calls, r.grad_calls))
+    walls = [r.wall_seconds for r in recs]
+    assert walls == sorted(walls) and walls[0] >= 0.0
+    # indexing as a list does, and nothing else
+    assert recs[0] == next(iter(recs)) and recs[0].iteration == 0
+    assert recs[-1] == recs[n - 1] and recs[-1].iteration == 20
+    for past in (n, -n - 1):
+        with pytest.raises(IndexError):
+            recs[past]
+    assert not hasattr(recs, "append")
+    with pytest.raises(TypeError):
+        recs[0] = recs[1]
+    # a slice is a view of the same records
+    tail = recs[1:]
+    assert type(tail) is type(recs) and len(tail) == n - 1
+    assert tail[0] == recs[1] and tail[-1] == recs[-1]
+    assert list(recs[::5]) == [recs[k] for k in range(0, n, 5)]
+    # perfbench's fast_path_seconds pairs each record with the next one
+    pairs = list(zip(recs, recs[1:]))
+    assert len(pairs) == n - 1
+    assert all(b.iteration == a.iteration + 1 for a, b in pairs)
+
+
+def test_a_run_holds_at_most_80_bytes_of_trace_per_iteration():
+    d = np.array([1.0, 1e-3])
+    oracle = FunctionOracle(2, lambda x: 0.5 * float(x @ (d * x)), lambda x: d * x)
+    stop = StopCriteria(max_iterations=20_000, gradient_norm_rtol=0.0)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        res = gradient_descent_fixed(oracle, np.ones(2), 1.0, stop)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(res.trace.records) == 20_001
+    # eight float64 values per record, plus the storage's growth slack
+    assert held / len(res.trace.records) <= 80
 
 
 def test_read_trace_accepts_legacy_precision_header(tmp_path):
