@@ -13,7 +13,9 @@ failure, 4 budget exhausted (iterations, oracle calls, or wall time).
 from __future__ import annotations
 
 import argparse
+import csv
 import functools
+import io
 import math
 import sys
 from pathlib import Path
@@ -233,18 +235,18 @@ def cmd_batch_rank(args):
                 status=f"error: {exc}",
             ))
     report = RankingReport.build(results)
-    lines = ["rank,id,energy,rmsd,status"]
-    for rank, cand in enumerate(report.candidates):
-        lines.append(
-            f"{rank},{cand.id},{cand.energy:.10g},{cand.rmsd:.6g},"
-            f"{cand.status}"
-        )
-    summary = [
+    out = io.StringIO()
+    out.write(
         f"# first_near_native: "
-        f"{report.first_near_native if report.first_near_native is not None else 'none'}",
-        f"# success: {'true' if report.success else 'false'}",
-    ]
-    text = "\n".join(summary + lines) + "\n"
+        f"{report.first_near_native if report.first_near_native is not None else 'none'}\n"
+        f"# success: {'true' if report.success else 'false'}\n")
+    # minimal quoting: a status that holds a comma, as a pair fault's
+    # "(i,j)" does, is quoted, so every row has the header's five fields
+    rows = csv.writer(out, lineterminator="\n")
+    rows.writerow(("rank", "id", "energy", "rmsd", "status"))
+    rows.writerows((rank, cand.id, f"{cand.energy:.10g}", f"{cand.rmsd:.6g}", cand.status)
+                   for rank, cand in enumerate(report.candidates))
+    text = out.getvalue()
     print(text, end="")
     if args.report:
         with open(args.report, "w") as fh:

@@ -23,7 +23,8 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import accumulate, chain
+from operator import attrgetter
 
 import numpy as np
 
@@ -33,6 +34,18 @@ from .kernels import TORSION_DPHI, TORSION_SIGN
 
 class ModelError(ValueError):
     """Raised when a system or term fails validation."""
+
+
+# The term classes below (AtomSpec, BondTerm, AngleTerm, DihedralTerm) are
+# frozen dataclasses with an __init__ of their own, as EnergyBreakdown is: it
+# checks its arguments, then fills the instance with one dict update. The
+# generated frozen __init__ makes one object.__setattr__ call per field and
+# then runs __post_init__, which reads the fields back; this builds a term in
+# 55-65 % of that time. The dict it gives each term costs about 140 bytes;
+# storing through a bound object.__setattr__ would save them, but builds a
+# term in about 85 % of the time. Equality, hashing, repr, replace, copy and
+# pickle are the dataclass's, and assignment still raises
+# FrozenInstanceError.
 
 
 @dataclass(frozen=True)
@@ -49,13 +62,14 @@ class AtomSpec:
     sigma: float
     epsilon: float
 
-    def __post_init__(self):
-        if self.id < 0:
-            raise ModelError(f"atom id must be >= 0, got {self.id}")
-        if not (self.sigma > 0.0):
-            raise ModelError(f"atom {self.id}: sigma must be > 0, got {self.sigma}")
-        if self.epsilon < 0.0:
-            raise ModelError(f"atom {self.id}: epsilon must be >= 0, got {self.epsilon}")
+    def __init__(self, id, label, q, sigma, epsilon):
+        if id < 0:
+            raise ModelError(f"atom id must be >= 0, got {id}")
+        if not (sigma > 0.0):
+            raise ModelError(f"atom {id}: sigma must be > 0, got {sigma}")
+        if epsilon < 0.0:
+            raise ModelError(f"atom {id}: epsilon must be >= 0, got {epsilon}")
+        self.__dict__.update(id=id, label=label, q=q, sigma=sigma, epsilon=epsilon)
 
 
 @dataclass(frozen=True)
@@ -67,13 +81,14 @@ class BondTerm:
     K: float
     r0: float
 
-    def __post_init__(self):
-        if self.i == self.j:
-            raise ModelError(f"bond ({self.i},{self.j}): endpoints must differ")
-        if self.K < 0.0:
-            raise ModelError(f"bond ({self.i},{self.j}): K must be >= 0")
-        if not (self.r0 > 0.0):
-            raise ModelError(f"bond ({self.i},{self.j}): r0 must be > 0")
+    def __init__(self, i, j, K, r0):
+        if i == j:
+            raise ModelError(f"bond ({i},{j}): endpoints must differ")
+        if K < 0.0:
+            raise ModelError(f"bond ({i},{j}): K must be >= 0")
+        if not (r0 > 0.0):
+            raise ModelError(f"bond ({i},{j}): r0 must be > 0")
+        self.__dict__.update(i=i, j=j, K=K, r0=r0)
 
 
 @dataclass(frozen=True)
@@ -89,16 +104,14 @@ class AngleTerm:
     K: float
     theta0: float
 
-    def __post_init__(self):
-        if len({self.i, self.j, self.k}) != 3:
-            raise ModelError(f"angle ({self.i},{self.j},{self.k}): atoms must be distinct")
-        if self.K < 0.0:
-            raise ModelError(f"angle ({self.i},{self.j},{self.k}): K must be >= 0")
-        if not (0.0 < self.theta0 < math.pi):
-            raise ModelError(
-                f"angle ({self.i},{self.j},{self.k}): theta0 must lie in (0, pi), "
-                f"got {self.theta0}"
-            )
+    def __init__(self, i, j, k, K, theta0):
+        if len({i, j, k}) != 3:
+            raise ModelError(f"angle ({i},{j},{k}): atoms must be distinct")
+        if K < 0.0:
+            raise ModelError(f"angle ({i},{j},{k}): K must be >= 0")
+        if not (0.0 < theta0 < math.pi):
+            raise ModelError(f"angle ({i},{j},{k}): theta0 must lie in (0, pi), got {theta0}")
+        self.__dict__.update(i=i, j=j, k=k, K=K, theta0=theta0)
 
 
 @dataclass(frozen=True)
@@ -118,20 +131,23 @@ class DihedralTerm:
     V3: float
     V4: float
 
-    def __post_init__(self):
-        if len({self.i, self.j, self.k, self.l}) != 4:
-            raise ModelError(
-                f"dihedral ({self.i},{self.j},{self.k},{self.l}): atoms must be distinct"
-            )
+    def __init__(self, i, j, k, l, V1, V2, V3, V4):
+        if len({i, j, k, l}) != 4:
+            raise ModelError(f"dihedral ({i},{j},{k},{l}): atoms must be distinct")
+        self.__dict__.update(i=i, j=j, k=k, l=l, V1=V1, V2=V2, V3=V3, V4=V4)
 
 
 def _canonical_pairs(pairs, what):
     """The set of (i, j) pairs with each stored as (min, max); i == j is an error."""
     out = set()
+    add = out.add
     for i, j in pairs:
-        if i == j:
+        if i < j:
+            add((i, j))
+        elif i == j:
             raise ModelError(f"{what} pair ({i},{j}): indices must differ")
-        out.add((i, j) if i < j else (j, i))
+        else:
+            add((j, i))
     return frozenset(out)
 
 
@@ -180,6 +196,15 @@ def pair_parameters(p, i, j, scale):
             scale * np.sqrt(epsilon[i] * epsilon[j]))
 
 
+def _columns(terms, names, dtype):
+    """Per attribute name, its values over the terms as one array of dtype."""
+    # a list: tuple() of a generator shrinks a tuple of a guessed length, and
+    # a small tuple shrunk so is freed onto the free list of its final length
+    # though none was taken from it, so each plan built would leave a few
+    # tuples there, up to that list's limit of 2000
+    return [np.fromiter(map(attrgetter(name), terms), dtype, len(terms)) for name in names]
+
+
 def _pair_index(n, i, j):
     """Position of the pair (i, j), i < j, in np.triu_indices(n, 1) order."""
     return i * (2 * n - i - 1) // 2 + (j - i - 1)
@@ -197,18 +222,20 @@ def build_default_exclusions(natoms, bonds, s14=0.5, cutoff=None):
     """
     bonded = set()
     for b in bonds:
-        if not (0 <= b.i < natoms and 0 <= b.j < natoms):
-            raise ModelError(f"bond ({b.i},{b.j}): index out of range for {natoms} atoms")
-        bonded.add((b.i, b.j) if b.i < b.j else (b.j, b.i))
+        i, j = b.i, b.j
+        if not (0 <= i < natoms and 0 <= j < natoms):
+            raise ModelError(f"bond ({i},{j}): index out of range for {natoms} atoms")
+        bonded.add((i, j) if i < j else (j, i))
     adj = [[] for _ in range(natoms)]
     for i, j in bonded:
         adj[i].append(j)
         adj[j].append(i)
 
-    excluded = {(a, b) for nbrs in adj for a in nbrs for b in nbrs if a < b}
+    excluded = {(a, b) for nbrs in adj if len(nbrs) > 1 for a in nbrs for b in nbrs if a < b}
     excluded |= bonded
+    # a == j or b == i would make a bonded pair, which is excluded anyway
     scaled = {(a, b) if a < b else (b, a)
-              for i, j in bonded for a in adj[i] for b in adj[j] if a != b}
+              for i, j in bonded for a in adj[i] if a != j for b in adj[j] if b != i and a != b}
     scaled -= excluded
     return NonbondedPolicy(excluded, scaled, s14, cutoff)  # the policy freezes both
 
@@ -249,10 +276,10 @@ class MolecularSystem:
             if not (0 <= b.i < n and 0 <= b.j < n):
                 raise ModelError(f"bond ({b.i},{b.j}): index out of range")
         for a in self.angles:
-            if not all(0 <= t < n for t in (a.i, a.j, a.k)):
+            if not (0 <= a.i < n and 0 <= a.j < n and 0 <= a.k < n):
                 raise ModelError(f"angle ({a.i},{a.j},{a.k}): index out of range")
         for d in self.dihedrals:
-            if not all(0 <= t < n for t in (d.i, d.j, d.k, d.l)):
+            if not (0 <= d.i < n and 0 <= d.j < n and 0 <= d.k < n and 0 <= d.l < n):
                 raise ModelError(f"dihedral ({d.i},{d.j},{d.k},{d.l}): index out of range")
         for what in ("excluded", "scaled14"):
             for i, j in getattr(self.nonbonded, what):
@@ -330,41 +357,38 @@ class MolecularSystem:
 
     def _build_plan(self):
         n = self.natoms
-        per_atom = {key: np.array([getattr(a, key) for a in self.atoms], dtype=np.float64)
-                    for key in ("q", "sigma", "epsilon")}
-
-        def table(rows, width):
-            return np.array(rows, dtype=np.intp).reshape(-1, width).T
-
-        bi, bj = table([(b.i, b.j) for b in self.bonds], 2)
-        ai, aj, ak = table([(a.i, a.j, a.k) for a in self.angles], 3)
-        di, dj, dk, dl = table([(d.i, d.j, d.k, d.l) for d in self.dihedrals], 4)
+        nb = self.nonbonded
+        keys = ("q", "sigma", "epsilon")
+        per_atom = dict(zip(keys, _columns(self.atoms, keys, np.float64)))
+        bi, bj = _columns(self.bonds, "ij", np.intp)
+        ai, aj, ak = _columns(self.angles, "ijk", np.intp)
+        di, dj, dk, dl = _columns(self.dihedrals, "ijkl", np.intp)
 
         # every i<j pair in np.triu_indices(n, 1) order, built without its n x n mask
         first = np.arange(n, dtype=np.intp)
         counts = n - 1 - first
         iu = np.repeat(first, counts)
-        # within row i, j runs from i + 1 up
-        ju = np.arange(iu.size) - np.repeat(_pair_index(n, first, first + 1) - first - 1, counts)
+        # within row i, j runs from i + 1 up: row i starts at pair cumsum[i] - counts[i],
+        # so j = k - (cumsum[i] - counts[i]) + i + 1 = k - (cumsum[i] - n) at pair k
+        ju = np.arange(iu.size) - np.repeat(np.cumsum(counts) - n, counts)
         scale = np.ones(iu.size, dtype=np.float64)
-        for pairs, value in ((self.nonbonded.excluded, 0.0),
-                             (self.nonbonded.scaled14, self.nonbonded.s14)):
-            lo, hi = np.fromiter(chain.from_iterable(pairs), dtype=np.intp,
-                                 count=2 * len(pairs)).reshape(-1, 2).T
-            scale[_pair_index(n, lo, hi)] = value
+        # the excluded pairs, then the 1-4 pairs, read in one pass
+        lo, hi = np.fromiter(chain.from_iterable(chain(nb.excluded, nb.scaled14)), np.intp,
+                             2 * (len(nb.excluded) + len(nb.scaled14))).reshape(-1, 2).T
+        at = _pair_index(n, lo, hi)
+        scale[at[:len(nb.excluded)]] = 0.0
+        scale[at[len(nb.excluded):]] = nb.s14
         keep = scale != 0.0
         iu, ju, scale = iu[keep], ju[keep], scale[keep]
 
         edge_idx = np.stack((np.concatenate((bi, ai, ak, dj, dk, dl, iu)),
                              np.concatenate((bj, aj, aj, di, dj, dk, ju))))
-        ends = np.cumsum((0, bi.size, 2 * ai.size, 3 * di.size, iu.size))
-        bond, angle, torsion, pair = (slice(int(a), int(b)) for a, b in zip(ends, ends[1:]))
-        dih_V = np.array([(d.V1, d.V2, d.V3, d.V4) for d in self.dihedrals],
-                         dtype=np.float64).reshape(-1, 4)
-        cutoff = -1.0 if self.nonbonded.cutoff is None else float(self.nonbonded.cutoff)
-
-        def column(terms, attr):
-            return np.array([getattr(t, attr) for t in terms], dtype=np.float64)
+        ends = list(accumulate((bi.size, 2 * ai.size, 3 * di.size, iu.size), initial=0))
+        bond, angle, torsion, pair = map(slice, ends, ends[1:])
+        dih_V = np.fromiter(chain.from_iterable(map(attrgetter("V1", "V2", "V3", "V4"),
+                                                    self.dihedrals)),
+                            np.float64, 4 * len(self.dihedrals)).reshape(-1, 4)
+        cutoff = -1.0 if nb.cutoff is None else float(nb.cutoff)
 
         return {
             **per_atom, "edge_flat": kernels.flat_index(edge_idx),
@@ -372,9 +396,9 @@ class MolecularSystem:
                 "pairs": (kernels.nonbonded, kernels.nonbonded_grad, pair,
                           (*pair_parameters(per_atom, iu, ju, scale), cutoff)),
                 "stretch": (kernels.stretch, kernels.stretch_grad, bond,
-                            (column(self.bonds, "K"), column(self.bonds, "r0"))),
+                            tuple(_columns(self.bonds, ("K", "r0"), np.float64))),
                 "bend": (kernels.bend, kernels.bend_grad, angle,
-                         (column(self.angles, "K"), column(self.angles, "theta0"))),
+                         tuple(_columns(self.angles, ("K", "theta0"), np.float64))),
                 "torsion": (kernels.torsion, kernels.torsion_grad, torsion,
                             (dih_V, dih_V * TORSION_SIGN, dih_V * TORSION_DPHI)),
             },

@@ -7,6 +7,8 @@ free of coincident pairs by construction.
 
 from __future__ import annotations
 
+from itertools import accumulate
+
 import numpy as np
 
 from .model import (
@@ -19,48 +21,51 @@ from .model import (
 )
 
 
+# per term kind in draw order, the (lo, hi) of each uniform column: per
+# atom |q|, sigma, epsilon; per bond K, r0; per angle K, theta0; per
+# dihedral V1, V2, V3. Each kind's lo and hi - lo as arrays, for its rows
+# to broadcast against
+_RANGES = (((0.5, 1.5), (2.8, 3.6), (0.3, 0.8)),
+           ((250.0, 350.0), (1.4, 1.6)),
+           ((30.0, 60.0), (1.8, 2.0)),
+           ((0.5, 3.0), (0.0, 1.5), (0.0, 1.0)))
+_LO_SPAN = tuple((np.array([lo for lo, _ in kind]), np.array([hi - lo for lo, hi in kind]))
+                 for kind in _RANGES)
+
+
 def make_chain_system(natoms, seed=0, strain=0.3, cutoff=None) -> MolecularSystem:
     """Alkane-like chain with every term type present (for natoms >= 4).
 
     The draw order is part of the contract, since benchmarks, demo pools and
-    tests name their systems by (natoms, seed, strain, cutoff). One
-    generator call per term kind draws its uniforms row by row, per atom q,
-    sigma, epsilon; per bond K, r0; per angle K, theta0; per dihedral V1,
-    V2, V3. Then the coordinate noise is drawn. A golden digest in the tests
-    pins the systems this builds.
+    tests name their systems by (natoms, seed, strain, cutoff). The
+    uniforms are drawn row by row, per atom q, sigma, epsilon; per bond K,
+    r0; per angle K, theta0; per dihedral V1, V2, V3. Then the coordinate
+    noise is drawn. A golden digest in the tests pins the systems this
+    builds.
     """
     if natoms < 2:
         raise ValueError("need at least 2 atoms")
     rng = np.random.default_rng(seed)
+    # one draw for every uniform, split by kind: lo + (hi - lo) * u is
+    # Generator.uniform(lo, hi)'s own formula, so each value is the one a
+    # scalar uniform call at that place draws
+    rows = (natoms, natoms - 1, natoms - 2, max(natoms - 3, 0))
+    ends = list(accumulate((r * lo.size for r, (lo, _) in zip(rows, _LO_SPAN)), initial=0))
+    u = rng.random(ends[-1])
+    params, bond_p, angle_p, dih_p = (
+        (lo + span * u[a:b].reshape(-1, lo.size)).tolist()
+        for (lo, span), a, b in zip(_LO_SPAN, ends, ends[1:]))
 
-    def uniform(rows, *ranges):
-        # rows x len(ranges) uniforms, one column per (lo, hi): lo + (hi -
-        # lo) * u is Generator.uniform(lo, hi)'s own formula, so each value
-        # is the one a scalar uniform call at that place draws
-        lo, hi = np.array(ranges).T
-        return (lo + (hi - lo) * rng.random((max(rows, 0), len(ranges)))).tolist()
-
-    params = uniform(natoms, (0.5, 1.5), (2.8, 3.6), (0.3, 0.8))
     q = [p[0] * (0.2 if i % 2 == 0 else -0.2) for i, p in enumerate(params)]
     # bring total charge to zero so far fields stay mild
     shift = sum(q) / natoms
-    atoms = tuple(
-        AtomSpec(i, f"C{i}", qi - shift, sigma, epsilon)
-        for i, (qi, (_, sigma, epsilon)) in enumerate(zip(q, params))
-    )
-    bonds = tuple(
-        BondTerm(i, i + 1, K=K, r0=r0)
-        for i, (K, r0) in enumerate(uniform(natoms - 1, (250.0, 350.0), (1.4, 1.6)))
-    )
-    angles = tuple(
-        AngleTerm(i, i + 1, i + 2, K=K, theta0=theta0)
-        for i, (K, theta0) in enumerate(uniform(natoms - 2, (30.0, 60.0), (1.8, 2.0)))
-    )
-    dihedrals = tuple(
-        DihedralTerm(i, i + 1, i + 2, i + 3, V1=V1, V2=V2, V3=V3, V4=0.0)
-        for i, (V1, V2, V3) in enumerate(
-            uniform(natoms - 3, (0.5, 3.0), (0.0, 1.5), (0.0, 1.0)))
-    )
+    atoms = tuple(AtomSpec(i, f"C{i}", qi - shift, sigma, epsilon)
+                  for i, (qi, (_, sigma, epsilon)) in enumerate(zip(q, params)))
+    bonds = tuple(BondTerm(i, i + 1, K, r0) for i, (K, r0) in enumerate(bond_p))
+    angles = tuple(AngleTerm(i, i + 1, i + 2, K, theta0)
+                   for i, (K, theta0) in enumerate(angle_p))
+    dihedrals = tuple(DihedralTerm(i, i + 1, i + 2, i + 3, V1, V2, V3, 0.0)
+                      for i, (V1, V2, V3) in enumerate(dih_p))
 
     coords = np.zeros((natoms, 3))
     coords[:, 0] = np.arange(natoms) * 1.5

@@ -1,3 +1,4 @@
+import csv
 import importlib
 import os
 import re
@@ -120,7 +121,16 @@ def test_every_entry_point_names_the_one_fault_of_degenerate_geometry(tmp_path, 
         assert grab(capsys) == ("", f"ffmin: error: {msg}\n"), method
         assert main(["batch-rank", str(pool), "--ref", str(ref), "--method", method,
                      *flags]) == 0, method
-        assert grab(capsys)[0].splitlines()[3:] == [f"0,degenerate,inf,inf,error: {msg}"], method
+        # the rows are CSV: a fault with a comma in it is one quoted status field
+        out = grab(capsys)[0]
+        assert list(csv.reader(out.splitlines()[2:])) == [
+            ["rank", "id", "energy", "rmsd", "status"],
+            ["0", "degenerate", "inf", "inf", f"error: {msg}"]], method
+    report = tmp_path / "report.csv"
+    assert main(["batch-rank", str(pool), "--ref", str(ref), "--report", str(report)]) == 0
+    assert report.read_text() == grab(capsys)[0]
+    assert list(csv.reader(report.read_text().splitlines()[3:])) == [
+        ["0", "degenerate", "inf", "inf", f"error: {msg}"]]
 
 
 def test_energy_names_the_gradient_fault_when_the_energy_has_none(tmp_path, capsys):

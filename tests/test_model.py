@@ -1,4 +1,9 @@
+import copy
+import dataclasses
 import math
+import pickle
+import re
+from functools import partial
 
 import numpy as np
 import pytest
@@ -15,6 +20,7 @@ from ffmin.model import (
     NonbondedPolicy,
     build_default_exclusions,
 )
+from ffmin.synth import make_chain_system
 
 
 def atom(i, q=0.0, sigma=3.0, epsilon=0.1):
@@ -57,6 +63,84 @@ def test_dihedral_term_validation():
     DihedralTerm(0, 1, 2, 3, V1=1.0, V2=0.0, V3=0.5, V4=0.0)
     with pytest.raises(ModelError):
         DihedralTerm(0, 1, 2, 1, V1=1.0, V2=0.0, V3=0.0, V4=0.0)
+
+
+# per term class: its fields in order, and valid values for them
+TERM_CLASSES = {
+    AtomSpec: (("id", "label", "q", "sigma", "epsilon"), (3, "C3", -0.25, 3.1, 0.4)),
+    BondTerm: (("i", "j", "K", "r0"), (2, 5, 300.0, 1.5)),
+    AngleTerm: (("i", "j", "k", "K", "theta0"), (4, 2, 7, 40.0, 1.9)),
+    DihedralTerm: (("i", "j", "k", "l", "V1", "V2", "V3", "V4"), (0, 1, 2, 3, 1.0, 0.5, 0.25, 0.0)),
+}
+
+
+@pytest.mark.parametrize("cls", list(TERM_CLASSES), ids=lambda c: c.__name__)
+def test_term_classes_keep_their_dataclass_contract(cls):
+    names, values = TERM_CLASSES[cls]
+    assert tuple(f.name for f in dataclasses.fields(cls)) == names
+    term = cls(*values)
+    # keyword, positional and mixed calls build equal objects, field by field
+    mixed = cls(values[0], **dict(zip(names[1:], values[1:])))
+    assert cls(**dict(zip(names, values))) == term == mixed
+    assert dataclasses.astuple(term) == values
+    assert hash(cls(*values)) == hash(term)
+    other = cls(*values[:-1], values[-1] + 0.5)
+    assert other != term and dataclasses.astuple(other)[-1] == values[-1] + 0.5
+    assert repr(term) == f"{cls.__name__}({', '.join(f'{n}={v!r}' for n, v in zip(names, values))})"
+    for name in names:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(term, name, values[0])
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(term, name)
+    assert dataclasses.replace(term, **{names[-1]: values[-1] + 0.5}) == other
+    assert dataclasses.replace(term) == term
+    for twin in (copy.copy(term), copy.deepcopy(term), pickle.loads(pickle.dumps(term))):
+        assert twin == term and twin is not term and type(twin) is cls
+        assert dataclasses.astuple(twin) == values
+
+
+# one row per invalid value of each term class, with today's exact message;
+# a value that breaks two checks names the first of them
+INVALID_TERMS = [
+    (AtomSpec, (-1, "x", 0.0, 3.0, 0.1), "atom id must be >= 0, got -1"),
+    (AtomSpec, (-1, "x", 0.0, 0.0, -0.1), "atom id must be >= 0, got -1"),
+    (AtomSpec, (2, "x", 0.0, 0.0, 0.1), "atom 2: sigma must be > 0, got 0.0"),
+    (AtomSpec, (2, "x", 0.0, -1.5, 0.1), "atom 2: sigma must be > 0, got -1.5"),
+    (AtomSpec, (2, "x", 0.0, math.nan, 0.1), "atom 2: sigma must be > 0, got nan"),
+    (AtomSpec, (2, "x", 0.0, 0.0, -0.1), "atom 2: sigma must be > 0, got 0.0"),
+    (AtomSpec, (2, "x", 0.0, 3.0, -0.1), "atom 2: epsilon must be >= 0, got -0.1"),
+    (BondTerm, (1, 1, 100.0, 1.5), "bond (1,1): endpoints must differ"),
+    (BondTerm, (1, 1, -1.0, 0.0), "bond (1,1): endpoints must differ"),
+    (BondTerm, (0, 1, -1.0, 1.5), "bond (0,1): K must be >= 0"),
+    (BondTerm, (0, 1, -1.0, 0.0), "bond (0,1): K must be >= 0"),
+    (BondTerm, (0, 1, 1.0, 0.0), "bond (0,1): r0 must be > 0"),
+    (BondTerm, (0, 1, 1.0, math.nan), "bond (0,1): r0 must be > 0"),
+    (AngleTerm, (0, 1, 0, 50.0, 1.9), "angle (0,1,0): atoms must be distinct"),
+    (AngleTerm, (0, 0, 2, 50.0, 1.9), "angle (0,0,2): atoms must be distinct"),
+    (AngleTerm, (0, 2, 2, -1.0, 0.0), "angle (0,2,2): atoms must be distinct"),
+    (AngleTerm, (0, 1, 2, -1.0, 1.9), "angle (0,1,2): K must be >= 0"),
+    (AngleTerm, (0, 1, 2, -1.0, 0.0), "angle (0,1,2): K must be >= 0"),
+    (AngleTerm, (0, 1, 2, 50.0, 0.0), "angle (0,1,2): theta0 must lie in (0, pi), got 0.0"),
+    (AngleTerm, (0, 1, 2, 50.0, math.pi),
+     "angle (0,1,2): theta0 must lie in (0, pi), got 3.141592653589793"),
+    (AngleTerm, (0, 1, 2, 50.0, math.nan), "angle (0,1,2): theta0 must lie in (0, pi), got nan"),
+    (DihedralTerm, (0, 1, 2, 1, 1.0, 0.0, 0.0, 0.0), "dihedral (0,1,2,1): atoms must be distinct"),
+    (DihedralTerm, (3, 1, 2, 3, 1.0, 0.0, 0.0, 0.0), "dihedral (3,1,2,3): atoms must be distinct"),
+    (DihedralTerm, (0, 0, 0, 0, 1.0, 0.0, 0.0, 0.0), "dihedral (0,0,0,0): atoms must be distinct"),
+]
+
+
+@pytest.mark.parametrize("cls,values,msg", INVALID_TERMS)
+def test_term_classes_refuse_invalid_values_with_their_messages(cls, values, msg):
+    names = TERM_CLASSES[cls][0]
+    with pytest.raises(ModelError, match=f"^{re.escape(msg)}$"):
+        cls(*values)
+    with pytest.raises(ModelError, match=f"^{re.escape(msg)}$"):
+        cls(**dict(zip(names, values)))
+    # replace builds through the same checks
+    valid = cls(*TERM_CLASSES[cls][1])
+    with pytest.raises(ModelError, match=f"^{re.escape(msg)}$"):
+        dataclasses.replace(valid, **dict(zip(names, values)))
 
 
 def test_policy_validation():
@@ -203,6 +287,40 @@ def test_system_validation():
                         nonbonded=NonbondedPolicy(excluded=frozenset({(0, 5)})))
 
 
+def three_atoms(**terms):
+    return MolecularSystem(atoms=(atom(0), atom(1), atom(2)), coords=np.arange(9.0).reshape(3, 3),
+                           **terms)
+
+
+@pytest.mark.parametrize("terms,msg", [
+    ({"bonds": (BondTerm(0, 1, 1.0, 1.5), BondTerm(1, 3, 1.0, 1.5))},
+     "bond (1,3): index out of range"),
+    ({"bonds": (BondTerm(-1, 2, 1.0, 1.5),)}, "bond (-1,2): index out of range"),
+    ({"angles": (AngleTerm(0, 1, 2, 1.0, 1.9), AngleTerm(0, 1, 3, 1.0, 1.9))},
+     "angle (0,1,3): index out of range"),
+    ({"angles": (AngleTerm(-1, 0, 1, 1.0, 1.9),)}, "angle (-1,0,1): index out of range"),
+    ({"dihedrals": (DihedralTerm(0, 1, 2, -1, 1.0, 0.0, 0.0, 0.0),)},
+     "dihedral (0,1,2,-1): index out of range"),
+    ({"dihedrals": (DihedralTerm(3, 0, 1, 2, 1.0, 0.0, 0.0, 0.0),)},
+     "dihedral (3,0,1,2): index out of range"),
+    ({"nonbonded": NonbondedPolicy(scaled14=frozenset({(2, 3)}))},
+     "scaled14 pair (2,3): index out of range for 3 atoms"),
+    # two faults at once: the system names the first in its check order
+    # (atom ids, bonds, angles, dihedrals, then the policy's pairs)
+    ({"bonds": (BondTerm(0, 5, 1.0, 1.5),),
+      "nonbonded": NonbondedPolicy(excluded=frozenset({(0, 7)}))},
+     "bond (0,5): index out of range"),
+    ({"dihedrals": (DihedralTerm(0, 1, 2, 4, 1.0, 0.0, 0.0, 0.0),),
+      "angles": (AngleTerm(0, 1, 9, 1.0, 1.9),)},
+     "angle (0,1,9): index out of range"),
+    ({"nonbonded": NonbondedPolicy(excluded=frozenset({(0, 7)}), scaled14=frozenset({(0, 4)}))},
+     "excluded pair (0,7): index out of range for 3 atoms"),
+])
+def test_system_names_its_first_topology_fault(terms, msg):
+    with pytest.raises(ModelError, match=f"^{re.escape(msg)}$"):
+        three_atoms(**terms)
+
+
 def test_with_coords_shares_parameters():
     from ffmin.synth import make_chain_system
     sys0 = make_chain_system(6, seed=1)
@@ -329,10 +447,34 @@ def test_policy_overlap_check_sees_reversed_pairs():
         NonbondedPolicy(excluded=frozenset({(1, 3)}), scaled14=frozenset({(3, 1)}))
 
 
-@pytest.mark.parametrize("n,seed,cutoff", [(8, 2, None), (12, 4, 7.0)])
-def test_plan_edge_table_layout(n, seed, cutoff):
-    from ffmin.synth import make_chain_system
-    s = make_chain_system(n, seed=seed, cutoff=cutoff)
+def hand_built_system():
+    """Six atoms in a bent chain, with an explicit policy that lists pairs
+    reversed and a cutoff; its terms do not follow the atom order."""
+    atoms = tuple(atom(i, q=0.1 * (i - 2.5), sigma=2.5 + 0.1 * i, epsilon=0.05 * (i + 1))
+                  for i in range(6))
+    coords = np.array([[0.0, 0.0, 0.0], [1.5, 0.2, 0.0], [2.4, 1.4, 0.1],
+                       [3.9, 1.5, 0.3], [4.8, 2.7, 0.2], [6.3, 2.6, 0.5]])
+    bonds = tuple(BondTerm(i + 1, i, 300.0 + i, 1.5) for i in range(5))
+    angles = (AngleTerm(2, 1, 0, 40.0, 1.9), AngleTerm(1, 2, 3, 45.0, 2.0),
+              AngleTerm(5, 4, 3, 50.0, 1.8))
+    dihedrals = (DihedralTerm(3, 2, 1, 0, 1.0, 0.5, 0.25, 0.1),
+                 DihedralTerm(2, 3, 4, 5, 2.0, 0.0, 0.75, 0.0))
+    policy = NonbondedPolicy(
+        excluded=frozenset({(1, 0), (2, 1), (3, 2), (4, 3), (5, 4), (2, 0), (3, 1), (5, 3)}),
+        scaled14=frozenset({(3, 0), (5, 2)}), s14=0.25, cutoff=4.5)
+    return MolecularSystem(atoms=atoms, coords=coords, bonds=bonds, angles=angles,
+                           dihedrals=dihedrals, nonbonded=policy)
+
+
+@pytest.mark.parametrize("make", [
+    partial(make_chain_system, 8, seed=2), partial(make_chain_system, 12, seed=4, cutoff=7.0),
+    # no angles or dihedrals, then no dihedrals
+    partial(make_chain_system, 2), partial(make_chain_system, 3, seed=1),
+    hand_built_system,
+], ids=["8-2-None", "12-4-7.0", "2-0-None", "3-1-None", "hand-built"])
+def test_plan_edge_table_layout(make):
+    s = make()
+    n, cutoff = s.natoms, s.nonbonded.cutoff
     p = s.arrays()
     # the flat edge index: entries 3*atom + axis, ea's in row 0, eb's in row 1
     flat = p["edge_flat"]
@@ -365,7 +507,7 @@ def test_plan_edge_table_layout(n, seed, cutoff):
     qq = [c * at[i].q * at[j].q for c, (i, j) in zip(scale, pairs)]
     sig = [np.sqrt(at[i].sigma * at[j].sigma) for i, j in pairs]
     seps = [c * np.sqrt(at[i].epsilon * at[j].epsilon) for c, (i, j) in zip(scale, pairs)]
-    assert any(c != 1.0 for c in scale)
+    assert any(c != 1.0 for c in scale) == bool(s.nonbonded.scaled14)
     # every plan array is read-only but the flat index, which np.take and
     # np.bincount would copy on each call if it were
     assert [k for k, v in p.items() if isinstance(v, np.ndarray) and v.flags.writeable] == [
