@@ -63,14 +63,6 @@ _STATUS_EXIT = {
 }
 
 
-class CliError(Exception):
-    """Input or configuration problem; maps to exit code 2."""
-
-
-def _fail(msg):
-    raise CliError(msg)
-
-
 def _add_method_options(p):
     p.add_argument("--method", choices=METHODS, default="lbfgs",
                    help="minimization method (default: %(default)s)")
@@ -155,7 +147,7 @@ def _run_method(args, system):
     x0 = system.coords.ravel()
     m = args.method
     if m in ("gd", "ofgm") and args.L is None:
-        _fail(f"{m} requires --L")
+        raise ValueError(f"{m} requires --L")
     if m == "gd":
         return gradient_descent_fixed(oracle, x0, args.L, stop)
     if m == "sd":
@@ -164,7 +156,7 @@ def _run_method(args, system):
         return fgm(oracle, x0, _build_linesearch(args), stop)
     if m == "ofgm":
         if args.horizon is None:
-            _fail("ofgm requires --horizon")
+            raise ValueError("ofgm requires --horizon")
         return ofgm(oracle, x0, args.horizon, args.L, stop)
     if m == "cg":
         return cg(oracle, x0, CgVariant(args.cg_variant, restart_period=args.restart),
@@ -209,7 +201,7 @@ def cmd_batch_rank(args):
     ref = load_system(args.ref)
     paths = sorted(p for p in Path(args.dir).iterdir() if p.is_file())
     if not paths:
-        _fail(f"no candidate files in {args.dir}")
+        raise ValueError(f"no candidate files in {args.dir}")
     results = []
     for path in paths:
         cid = path.stem
@@ -256,14 +248,14 @@ def cmd_batch_rank(args):
 
 def cmd_make_demo(args):
     if args.candidates < 1 or args.atoms < 2:
-        _fail(f"make-demo needs --candidates >= 1 and --atoms >= 2, "
-              f"got {args.candidates} and {args.atoms}")
+        raise ValueError(f"make-demo needs --candidates >= 1 and --atoms >= 2, "
+                         f"got {args.candidates} and {args.atoms}")
     if args.seed < 0:
-        _fail(f"make-demo needs --seed >= 0, got {args.seed}")
+        raise ValueError(f"make-demo needs --seed >= 0, got {args.seed}")
     out = Path(args.dir)
     cand_dir = out / "candidates"
     if (out / "reference.ffs").exists() or (cand_dir.is_dir() and any(cand_dir.iterdir())):
-        _fail(f"make-demo: {out} already holds a pool; use a new or empty directory")
+        raise ValueError(f"make-demo: {out} already holds a pool; use a new or empty directory")
     cand_dir.mkdir(parents=True, exist_ok=True)
     ref = make_chain_system(args.atoms, seed=args.seed, strain=0.15)
     save_system(ref, out / "reference.ffs")
@@ -328,7 +320,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (CliError, DivergenceError, OSError, ValueError) as exc:
+    except (DivergenceError, OSError, ValueError) as exc:
         print(f"ffmin: error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

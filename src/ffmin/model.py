@@ -176,15 +176,6 @@ class NonbondedPolicy:
         if self.cutoff is not None and not (self.cutoff > 0.0):
             raise ModelError(f"nonbonded policy: cutoff must be > 0, got {self.cutoff}")
 
-    def pair_scale(self, i, j):
-        """Interaction scale for the unordered pair (i, j)."""
-        key = (i, j) if i < j else (j, i)
-        if key in self.excluded:
-            return 0.0
-        if key in self.scaled14:
-            return self.s14
-        return 1.0
-
 
 def pair_parameters(p, i, j, scale):
     """The combination rule: kernels.nonbonded's (qq, sig, seps) for the

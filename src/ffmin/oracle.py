@@ -1,7 +1,8 @@
 """Objective oracles: the only interface optimizers see.
 
-An oracle evaluates and counts, and nothing else. value(), gradient() and
-value_and_gradient() each count the call they make (a fused call increments
+An oracle evaluates and counts, and nothing else: it subclasses
+ObjectiveOracle and defines value(x), gradient(x) and value_and_gradient(x),
+each of which counts its call before it evaluates (a fused call increments
 both counters by one), for callers outside a run.
 
 A run's counts and budgets (its call cap and deadline) belong to the run:
@@ -22,7 +23,8 @@ from .energy import KeptSweep, energy_and_gradient, energy_total
 
 
 class ObjectiveOracle:
-    """Base class; subclasses implement _value/_gradient/_value_and_gradient."""
+    """Base class: the dimension n and the two call counters. A subclass
+    defines value, gradient and value_and_gradient, each counting first."""
 
     def __init__(self, n):
         self.n = int(n)
@@ -33,29 +35,9 @@ class ObjectiveOracle:
         self.value_calls = 0
         self.grad_calls = 0
 
-    def value(self, x) -> float:
-        self.value_calls += 1
-        return float(self._value(np.asarray(x, dtype=np.float64)))
 
-    def gradient(self, x):
-        self.grad_calls += 1
-        return np.asarray(self._gradient(np.asarray(x, dtype=np.float64)), dtype=np.float64)
-
-    def value_and_gradient(self, x):
-        self.value_calls += 1
-        self.grad_calls += 1
-        f, g = self._value_and_gradient(np.asarray(x, dtype=np.float64))
-        return float(f), np.asarray(g, dtype=np.float64)
-
-    # default fused path; subclasses with a cheaper joint evaluation override
-    def _value_and_gradient(self, x):
-        return self._value(x), self._gradient(x)
-
-    def _value(self, x):
-        raise NotImplementedError
-
-    def _gradient(self, x):
-        raise NotImplementedError
+def _no_gradient(x):
+    raise NotImplementedError("no gradient supplied for this oracle")
 
 
 class FunctionOracle(ObjectiveOracle):
@@ -64,15 +46,21 @@ class FunctionOracle(ObjectiveOracle):
     def __init__(self, n, f, grad=None):
         super().__init__(n)
         self._f = f
-        self._g = grad
+        self._g = _no_gradient if grad is None else grad
 
-    def _value(self, x):
-        return self._f(x)
+    def value(self, x) -> float:
+        self.value_calls += 1
+        return float(self._f(np.asarray(x, dtype=np.float64)))
 
-    def _gradient(self, x):
-        if self._g is None:
-            raise NotImplementedError("no gradient supplied for this oracle")
-        return self._g(x)
+    def gradient(self, x):
+        self.grad_calls += 1
+        return np.asarray(self._g(np.asarray(x, dtype=np.float64)), dtype=np.float64)
+
+    def value_and_gradient(self, x):
+        self.value_calls += 1
+        self.grad_calls += 1
+        x = np.asarray(x, dtype=np.float64)
+        return float(self._f(x)), np.asarray(self._g(x), dtype=np.float64)
 
 
 class MolecularOracle(ObjectiveOracle):
@@ -94,13 +82,16 @@ class MolecularOracle(ObjectiveOracle):
         self.system = system
         self._kept = KeptSweep()
 
-    def _value(self, x):
+    def value(self, x) -> float:
+        self.value_calls += 1
         return energy_total(self.system, x, self._kept).total
 
-    def _gradient(self, x):
-        _, g = energy_and_gradient(self.system, x, self._kept)
-        return g
+    def gradient(self, x):
+        self.grad_calls += 1
+        return energy_and_gradient(self.system, x, self._kept)[1]
 
-    def _value_and_gradient(self, x):
+    def value_and_gradient(self, x):
+        self.value_calls += 1
+        self.grad_calls += 1
         bd, g = energy_and_gradient(self.system, x, self._kept)
         return bd.total, g

@@ -59,13 +59,15 @@ def make_chain_system(natoms, seed=0, strain=0.3, cutoff=None) -> MolecularSyste
     q = [p[0] * (0.2 if i % 2 == 0 else -0.2) for i, p in enumerate(params)]
     # bring total charge to zero so far fields stay mild
     shift = sum(q) / natoms
-    atoms = tuple(AtomSpec(i, f"C{i}", qi - shift, sigma, epsilon)
-                  for i, (qi, (_, sigma, epsilon)) in enumerate(zip(q, params)))
-    bonds = tuple(BondTerm(i, i + 1, K, r0) for i, (K, r0) in enumerate(bond_p))
-    angles = tuple(AngleTerm(i, i + 1, i + 2, K, theta0)
-                   for i, (K, theta0) in enumerate(angle_p))
-    dihedrals = tuple(DihedralTerm(i, i + 1, i + 2, i + 3, V1, V2, V3, 0.0)
-                      for i, (V1, V2, V3) in enumerate(dih_p))
+    # tuples from lists: one from a generator is allocated at a guess and
+    # shrunk, which grows CPython's free lists on every build
+    atoms = tuple([AtomSpec(i, f"C{i}", qi - shift, sigma, epsilon)
+                   for i, (qi, (_, sigma, epsilon)) in enumerate(zip(q, params))])
+    bonds = tuple([BondTerm(i, i + 1, K, r0) for i, (K, r0) in enumerate(bond_p)])
+    angles = tuple([AngleTerm(i, i + 1, i + 2, K, theta0)
+                    for i, (K, theta0) in enumerate(angle_p)])
+    dihedrals = tuple([DihedralTerm(i, i + 1, i + 2, i + 3, V1, V2, V3, 0.0)
+                       for i, (V1, V2, V3) in enumerate(dih_p)])
 
     coords = np.zeros((natoms, 3))
     coords[:, 0] = np.arange(natoms) * 1.5

@@ -154,7 +154,9 @@ def _read_table(path, sections, name):
             names = " ".join(c.what if c.kind is DEG else c.field for c in columns)
             _fail(path, lineno, f"{noun} rows need: {names}")
         try:
-            values = map(_call, parses, toks, whats)  # parse(tok, what) per column
+            # parse(tok, what) per column, into a list: a tuple built from a map is
+            # allocated at a guess and shrunk, which grows CPython's free lists
+            values = list(map(_call, parses, toks, whats))
             rows.append(tuple(values) if make is None else make(*values))
         except ValueError as exc:  # a bad token, or the row's ModelError
             _fail(path, lineno, str(exc))

@@ -90,6 +90,21 @@ def test_exact_linesearch_reports_no_relaxation_at_stationarity():
     assert res.h == 0.0
 
 
+def test_exact_linesearch_reports_no_relaxation_without_positive_curvature():
+    # an indefinite A, built directly: the ray has zero or negative curvature
+    # and no minimum, so the search makes no call
+    A = np.diag([1.0, 0.0, -1.0])
+    inst = QuadraticInstance(np.diag(A), A, np.ones(3), np.zeros(3), 0.0, np.ones(3))
+    ls = inst.exact_linesearch()
+    x = inst.x0
+    for r in (np.array([0.0, 1.0, 0.0]), np.array([0.0, 0.0, 1.0])):
+        oracle = inst.oracle()
+        res = ls.search(oracle, x, r, inst.value(x), inst.gradient(x))
+        assert (res.h, res.f_at_step, res.oracle_calls, res.status) == (
+            0.0, inst.value(x), 0, NO_RELAXATION)
+        assert oracle.value_calls == 0
+
+
 def test_cg_meets_its_bound_with_the_exact_linesearch():
     for N in (4, 8):
         for seed in range(3):

@@ -15,7 +15,7 @@ from ffmin.optimizers import (
     make_linesearch,
     steepest_descent,
 )
-from ffmin.optimizers.cg import VARIANTS, canonical_variant, cg_beta
+from ffmin.optimizers.cg import VARIANTS, _CgRule, canonical_variant, cg_beta
 from ffmin.synth import make_chain_system
 
 NO_TOL = dict(gradient_norm_rtol=0.0)
@@ -114,6 +114,16 @@ def test_fr_and_prp_betas_agree_on_quadratics():
         assert abs(b_fr - b_prp) <= 1e-10 * max(1.0, abs(b_fr))
         p = -g_new + b_fr * p
         g = g_new
+
+
+def test_an_update_orthogonal_to_the_gradient_restarts_along_it():
+    # FR's beta = |g_new|^2 / |g|^2 = 2 gives p = -g_new + 2 p = (-1, -1), and
+    # <p, -g_new> = 0 exactly fails the descent test <p, -g_new> > 0
+    rule = _CgRule(CgVariant("fr"))
+    rule.p, rule.since_restart = np.array([-1.0, 0.0]), 0
+    g, g_new = np.array([1.0, 0.0]), np.array([-1.0, 1.0])
+    rule.advance(np.zeros(2), g, np.ones(2), g_new)
+    assert rule.p.tolist() == [1.0, -1.0] and rule.since_restart == 0
 
 
 def test_restart_every_iteration_reduces_to_steepest_descent():

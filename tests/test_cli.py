@@ -2,6 +2,7 @@ import csv
 import importlib
 import os
 import re
+import runpy
 import shutil
 import subprocess
 import sys
@@ -786,6 +787,20 @@ def test_installed_script_smoke(tmp_path):
     if exe is None:
         pytest.skip("ffmin script not on PATH")
     _script_smoke([exe], tmp_path)
+
+
+def test_running_the_module_as_main_exits_with_main_s_code(tmp_path, capsys, monkeypatch):
+    """python -m ffmin.cli runs main on sys.argv and exits with its code."""
+    path = write_chain(tmp_path)
+    assert main(["energy", str(path)]) == 0
+    want = grab(capsys)
+    monkeypatch.setattr(sys, "argv", ["ffmin", "energy", str(path)])
+    # this module imported ffmin.cli already, so runpy warns it runs a second copy
+    with pytest.warns(RuntimeWarning, match="found in sys.modules"), \
+            pytest.raises(SystemExit) as stop:
+        runpy.run_module("ffmin.cli", run_name="__main__")
+    assert stop.value.code == 0
+    assert grab(capsys) == want
 
 
 def test_project_script_entry_point_runs(tmp_path):

@@ -98,7 +98,8 @@ def test_linearization_matches_plain_loop_far_sum(kind, seed, data):
     # a dyadic cutoff and coordinates: the on-cutoff distance below is exact
     cutoff = data.draw(st.integers(8, 320), label="cutoff16") / 16.0
     c = np.round(s.coords * 2.0**20) / 2.0**20
-    full = [j for j in range(s.natoms) if j != atom and s.nonbonded.pair_scale(atom, j) == 1.0]
+    full = [j for j in range(s.natoms)
+            if j != atom and naive.pair_scale(s.nonbonded, atom, j) == 1.0]
     on = data.draw(st.sampled_from(full), label="on_cutoff") if full else None
     if on is not None:
         c[on] = c[atom] + np.array([cutoff, 0.0, 0.0])

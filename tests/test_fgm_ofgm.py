@@ -89,13 +89,14 @@ def test_fgm_records_the_gradient_norm_at_each_search_origin():
     # first is the start point); the converged run's last record is w itself
     inst = QuadraticInstance.random(8, 10.0, seed=1)
     origins = []
+    oracle = inst.oracle()
+    fused = oracle.value_and_gradient
 
     def value_and_gradient(x):
         origins.append(np.array(x, copy=True))
-        return inst.value(x), inst.gradient(x)
+        return fused(x)
 
-    oracle = inst.oracle()
-    oracle._value_and_gradient = value_and_gradient
+    oracle.value_and_gradient = value_and_gradient
     res = fgm(oracle, inst.x0, inst.exact_linesearch())
     assert res.status == CONVERGED
     records = res.trace.records[1:]

@@ -119,6 +119,8 @@ def test_memory_rejects_flat_and_negative_curvature():
     s = np.array([1.0, 0.0])
     assert not mem.push(s, np.array([0.0, 1.0]))  # <s,y> = 0
     assert not mem.push(s, np.array([-1.0, 0.0]))  # negative curvature
+    # <s,y> = 1e-9 > 0, but below CURVATURE_RTOL * |s| * |y| ~ 1e-12 * 1 * 1e6
+    assert not mem.push(s, np.array([1e-9, 1e6]))
     assert len(mem) == 0
     mem.push(s, s)
     mem.clear()

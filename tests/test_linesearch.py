@@ -156,6 +156,15 @@ def test_ls_par_gradient_start_nails_quadratic_vertex():
     assert res.oracle_calls == 2  # the vertex meets Armijo's condition: no refit
 
 
+def test_ls_par_fits_a_first_parabola_whose_curvature_is_the_flatness_tolerance():
+    # phi(1) = f0, so a = (f1 - f0 - slope * h0) / h0^2 = 1e-12 equals
+    # tol = 1e-12 * max(|f0|, |f1|) exactly: only a curvature below tol is
+    # too flat to fit, so the vertex -slope / (2a) = 0.5 is probed
+    phi = Phi(lambda h: 1.0 + h * (h - 1.0))
+    res = ls_par(phi, X0, R, LsParConfig(h0=1.0, K=6), f0=1.0, g0=np.array([-1e-12]))
+    assert res == LineSearchResult(0.5, 0.75, 2, FOUND)
+
+
 def test_ls_par_stops_at_a_first_vertex_that_meets_armijo():
     # not a quadratic: the line minimum is near h = 0.5003, and refining
     # towards it took 7 calls before the search stopped at sufficient decrease
@@ -221,6 +230,12 @@ def test_clamp_vertex_rejects_exactly_the_near_duplicates(v, offsets):
     hs = [v + o * max(1.0, abs(v)) for o in offsets]
     near = any(abs(v - h) <= _DUP_TOL * max(1.0, abs(v), abs(h)) for h in hs)
     assert _clamp_vertex(v, -math.inf, math.inf, hs) == (None if near else v)
+
+
+def test_clamp_vertex_rejects_a_non_finite_vertex():
+    from ffmin.linesearch import _clamp_vertex
+    for v in (math.nan, math.inf, -math.inf):
+        assert _clamp_vertex(v, 0.0, 10.0, [0.0]) is None
 
 
 def test_ls_par_requires_g0_with_gradient_start():

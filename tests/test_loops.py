@@ -313,13 +313,13 @@ class LowestValueOracle(MolecularOracle):
 
     lowest = np.inf
 
-    def _value(self, x):
-        f = super()._value(x)
+    def value(self, x):
+        f = super().value(x)
         self.lowest = min(self.lowest, f)
         return f
 
-    def _value_and_gradient(self, x):
-        f, g = super()._value_and_gradient(x)
+    def value_and_gradient(self, x):
+        f, g = super().value_and_gradient(x)
         self.lowest = min(self.lowest, f)
         return f, g
 
@@ -334,7 +334,7 @@ def test_oracle_budget_keeps_the_lowest_probe(name, ls):
         stop = StopCriteria(max_iterations=1000, max_oracle_calls=cap, **NO_TOL)
         res = LS_METHODS[name](oracle, x0, make_linesearch(ls), stop)
         assert res.status == ORACLE_BUDGET, cap
-        assert oracle.lowest < np.inf, cap  # the hooks above saw every value
+        assert oracle.lowest < np.inf, cap  # the overrides above saw every value
         assert res.f <= oracle.lowest, cap
         assert energy_total(system, res.x).total == res.f, cap
         # the returned point is always a recorded one
@@ -405,18 +405,18 @@ class DeadlineOracle(LowestValueOracle):
         if self.evaluations == self.k:
             self.late = 7200.0
 
-    def _value(self, x):
-        f = super()._value(x)
+    def value(self, x):
+        f = super().value(x)
         self._evaluated(1, 0)
         return f
 
-    def _gradient(self, x):
-        g = super()._gradient(x)
+    def gradient(self, x):
+        g = super().gradient(x)
         self._evaluated(0, 1)
         return g
 
-    def _value_and_gradient(self, x):
-        fg = super()._value_and_gradient(x)
+    def value_and_gradient(self, x):
+        fg = super().value_and_gradient(x)
         self._evaluated(1, 1)
         return fg
 

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import naive_oracles as naive
 from ffmin.model import (
     AngleTerm,
     AtomSpec,
@@ -155,11 +156,16 @@ def test_policy_validation():
 def test_pair_scale_lookup():
     pol = NonbondedPolicy(
         excluded=frozenset({(0, 1)}), scaled14=frozenset({(1, 2)}), s14=0.5)
-    assert pol.pair_scale(0, 1) == 0.0
-    assert pol.pair_scale(1, 0) == 0.0
-    assert pol.pair_scale(1, 2) == 0.5
-    assert pol.pair_scale(2, 1) == 0.5
-    assert pol.pair_scale(0, 2) == 1.0
+    sys0 = MolecularSystem(atoms=tuple(atom(i) for i in range(3)),
+                           coords=np.arange(9.0).reshape(3, 3), nonbonded=pol)
+    # row a holds the scale of (a, j) for every j, and 0 at a itself
+    assert sys0.scale_row(0).tolist() == [0.0, 0.0, 1.0]
+    assert sys0.scale_row(1).tolist() == [0.0, 0.0, 0.5]
+    assert sys0.scale_row(2).tolist() == [1.0, 0.5, 0.0]
+    for i in range(3):
+        for j in range(3):
+            if i != j:
+                assert sys0.scale_row(i)[j] == naive.pair_scale(pol, i, j)
 
 
 def test_default_exclusions_linear_chain():
@@ -429,15 +435,15 @@ def test_policy_stores_reversed_pairs_canonically():
     pol = NonbondedPolicy(excluded=frozenset({(3, 1)}), scaled14=frozenset({(4, 0)}))
     assert pol.excluded == frozenset({(1, 3)})
     assert pol.scaled14 == frozenset({(0, 4)})
-    assert pol.pair_scale(1, 3) == pol.pair_scale(3, 1) == 0.0
-    assert pol.pair_scale(0, 4) == pol.pair_scale(4, 0) == 0.5
     sys0 = MolecularSystem(atoms=tuple(atom(i, q=0.1) for i in range(5)),
                            coords=np.arange(15.0).reshape(5, 3), nonbonded=pol)
+    assert sys0.scale_row(1)[3] == sys0.scale_row(3)[1] == 0.0
+    assert sys0.scale_row(0)[4] == sys0.scale_row(4)[0] == 0.5
     p = sys0.arrays()
     pairs = pair_atoms(p).T.tolist()
     assert [1, 3] not in pairs and [0, 4] in pairs
     for k, (i, j) in enumerate(pairs):
-        assert p["terms"]["pairs"][3][0][k] == pol.pair_scale(i, j) * 0.1 * 0.1
+        assert p["terms"]["pairs"][3][0][k] == naive.pair_scale(pol, i, j) * 0.1 * 0.1
     with pytest.raises(ModelError, match="must differ"):
         NonbondedPolicy(excluded=frozenset({(2, 2)}))
 
@@ -500,10 +506,10 @@ def test_plan_edge_table_layout(make):
     # each nonzero-scale i<j pair exactly once, in np.triu_indices order, and no other
     pairs = section("pairs")
     assert pairs == [(i, j) for i, j in zip(*np.triu_indices(n, 1))
-                     if s.nonbonded.pair_scale(i, j) != 0.0]
+                     if naive.pair_scale(s.nonbonded, i, j) != 0.0]
     assert len(pairs) < n * (n - 1) // 2
     # qq and seps carry the scale: s14 for the 1-4 pairs, 1 for the rest
-    scale, at = [s.nonbonded.pair_scale(i, j) for i, j in pairs], s.atoms
+    scale, at = [naive.pair_scale(s.nonbonded, i, j) for i, j in pairs], s.atoms
     qq = [c * at[i].q * at[j].q for c, (i, j) in zip(scale, pairs)]
     sig = [np.sqrt(at[i].sigma * at[j].sigma) for i, j in pairs]
     seps = [c * np.sqrt(at[i].epsilon * at[j].epsilon) for c, (i, j) in zip(scale, pairs)]

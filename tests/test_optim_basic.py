@@ -44,6 +44,7 @@ def test_gd_isotropic_converges_in_one_exact_step():
     assert res.f == 0.0
     assert len(res.trace.records) == 2
     assert res.trace.records[0].f == pytest.approx(10.0)
+    assert [r.step for r in res.trace.records] == [0.0, 0.25]  # 0, then 1/L
 
 
 def test_gd_meets_its_rate_bound():
@@ -65,6 +66,18 @@ def test_gd_stops_immediately_inside_tolerance():
     assert res.status == CONVERGED
     assert res.iterations == 0
     assert np.array_equal(res.x, np.array([1.0, 2.0]))
+
+
+def test_gd_converges_at_a_start_whose_gradient_norm_is_the_tolerance():
+    # the test is |g| <= tol: g(x0) = 4 * (0.75, 1) = (3, 4), |g| = 5 exactly
+    orc = iso_oracle()
+    x0 = np.array([0.75, 1.0])
+    res = gradient_descent_fixed(
+        orc, x0, L=4.0, stop=StopCriteria(gradient_norm_tol=5.0, gradient_norm_rtol=0.0))
+    assert res.status == CONVERGED
+    assert res.iterations == 0 and res.grad_norm == 5.0
+    assert np.array_equal(res.x, x0)
+    assert (orc.value_calls, orc.grad_calls) == (1, 1)
 
 
 def test_gd_input_validation():

@@ -2,7 +2,7 @@
 just valued finishes that value sweep instead of sweeping again. These tests
 check that nothing outside the oracle can tell: every gradient is the bytes
 of a fresh energy_and_gradient, and counts and a run's budget refusals are
-unchanged."""
+unchanged. The last test checks how a FunctionOracle counts and converts."""
 
 import contextlib
 import math
@@ -189,3 +189,19 @@ def test_no_sweep_starts_while_the_store_holds_one(method, monkeypatch):
     oracle.value(on_grid(x0 + 0.01))
     oracle.gradient(x0)
     assert len(held) > oracle.value_calls and not any(held)
+
+
+def test_a_function_oracle_counts_each_call_first_and_converts_its_results():
+    oracle = FunctionOracle(2, lambda x: x @ x, lambda x: [int(v) for v in 2 * x])
+    f, g = oracle.value_and_gradient([1, 2])
+    assert (type(f), f) == (float, 5.0)
+    assert g.dtype == np.float64 and g.tolist() == [2.0, 4.0]
+    assert oracle.gradient([0.5, 1.0]).tolist() == [1.0, 2.0]
+    assert (oracle.value_calls, oracle.grad_calls) == (1, 2)
+    # without a gradient, a gradient call is counted and then refused
+    oracle = FunctionOracle(2, lambda x: x @ x)
+    assert oracle.value([1.0, 2.0]) == 5.0
+    for call in (oracle.gradient, oracle.value_and_gradient):
+        with pytest.raises(NotImplementedError, match="no gradient supplied"):
+            call(np.zeros(2))
+    assert (oracle.value_calls, oracle.grad_calls) == (2, 2)
