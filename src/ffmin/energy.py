@@ -61,11 +61,10 @@ class NonFiniteEnergyError(EnergyEvaluationError):
     energy overflows. A line search's probe treats it as not relaxing."""
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class EnergyBreakdown:
-    """Per-term energies, and their sum total, taken once when it is built;
-    total is derived, so it is no field: not in repr or equality, and
-    replace computes it anew."""
+    """Per-term energies; total is their sum, derived, so it is no field:
+    not in repr or equality, and replace computes it anew."""
 
     stretch: float
     bend: float
@@ -73,12 +72,9 @@ class EnergyBreakdown:
     coulomb: float
     vdw: float
 
-    def __init__(self, stretch, bend, torsion, coulomb, vdw):
-        # one dict update where the generated frozen __init__ makes five
-        # object.__setattr__ calls, about 1.5 us a breakdown on CPython 3.11;
-        # assignment after __init__ still raises FrozenInstanceError
-        self.__dict__.update(stretch=stretch, bend=bend, torsion=torsion, coulomb=coulomb,
-                             vdw=vdw, total=stretch + bend + torsion + coulomb + vdw)
+    @property
+    def total(self):
+        return self.stretch + self.bend + self.torsion + self.coulomb + self.vdw
 
 
 @dataclass(frozen=True)

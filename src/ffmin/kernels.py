@@ -39,8 +39,10 @@ of the section, counting a row bad when it is bad in any coordinate set (-1
 means clean); the energy layer turns it into a typed error naming the term.
 Length checks run only when short is true: too_short(R) is false when no
 gathered length could trip one, so a clean sweep pays one argmin for all
-of them. The energy at a zero-length bond exists, so only stretch_grad
-checks for it; collinear bend arms are likewise checked by bend_grad.
+of them. At n=12 that saves 5-7 % of an oracle's value + gradient pair and
+about 5 % of a fused call, against checking every length on every call.
+The energy at a zero-length bond exists, so only stretch_grad checks for
+it; collinear bend arms are likewise checked by bend_grad.
 """
 
 from __future__ import annotations
@@ -88,7 +90,8 @@ def _first(bad):
 def flat_index(pairs):
     """The flat edge index (2, 3k) of the atom pairs (2, k): for edge e, the
     entries 3*atom + axis of its atoms, axis 0 to 2."""
-    # filled one axis at a time: at n=1000 twice as fast as a broadcast over 3
+    # filled one axis at a time: slower than a broadcast over 3 under about
+    # 150 edges, and 3.6-3.8x faster at 3000
     idx = np.empty(pairs.shape + (3,), dtype=pairs.dtype)
     first = np.multiply(pairs, 3, out=idx[..., 0])
     np.add(first, 1, out=idx[..., 1])
@@ -100,13 +103,8 @@ def edges(c, idx):
     """Difference vectors D = c[ea] - c[eb] and their lengths R, for the
     coordinates c (..., n, 3) and a flat edge index idx (flat_index)."""
     c = c.reshape(*c.shape[:-2], -1)
-    if c.ndim == 1:
-        # at desk scale indexing one set costs half what take does
-        d = c[idx[0]]
-        d -= c[idx[1]]
-    else:
-        d = c.take(idx[0], axis=-1)
-        d -= c.take(idx[1], axis=-1)
+    d = c.take(idx[0], axis=-1)
+    d -= c.take(idx[1], axis=-1)
     d = d.reshape(*d.shape[:-1], -1, 3)
     return d, np.sqrt(_einsum(_ROWS, d, d))
 

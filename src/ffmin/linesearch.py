@@ -246,10 +246,7 @@ def _clamp_vertex(v, lo, hi, hs):
         return None
     v = min(max(v, lo), hi)
     scale = max(1.0, abs(v))
-    # only an h within 2 * _DUP_TOL * scale of v can be a near duplicate
-    near = 2.0 * _DUP_TOL * scale
     for h in hs:
-        d = abs(v - h)
-        if d <= near and d <= _DUP_TOL * max(scale, abs(h)):
+        if abs(v - h) <= _DUP_TOL * max(scale, abs(h)):
             return None
     return v

@@ -37,10 +37,10 @@ class ModelError(ValueError):
 
 
 # The term classes below (AtomSpec, BondTerm, AngleTerm, DihedralTerm) are
-# frozen dataclasses with an __init__ of their own, as EnergyBreakdown is: it
-# checks its arguments, then fills the instance with one dict update. The
-# generated frozen __init__ makes one object.__setattr__ call per field and
-# then runs __post_init__, which reads the fields back; this builds a term in
+# frozen dataclasses with an __init__ of their own: it checks its arguments,
+# then fills the instance with one dict update. The generated frozen
+# __init__ makes one object.__setattr__ call per field and then runs
+# __post_init__, which reads the fields back; this builds a term in
 # 55-65 % of that time. The dict it gives each term costs about 140 bytes;
 # storing through a bound object.__setattr__ would save them, but builds a
 # term in about 85 % of the time. Equality, hashing, repr, replace, copy and

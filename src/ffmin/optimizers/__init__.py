@@ -18,34 +18,3 @@ from .fgm import fgm, ofgm, ofgm_schedule
 from .cg import CgVariant, VARIANTS as CG_VARIANTS, cg, cg_beta
 from .lbfgs import LbfgsMemory, lbfgs, lbfgs_direction
 from .wiggle import WiggleConfig, WiggleResult, atom_wiggle
-
-__all__ = [
-    "CONVERGED",
-    "HORIZON_COMPLETE",
-    "ITERATION_BUDGET",
-    "LINESEARCH_FAILURE",
-    "ORACLE_BUDGET",
-    "TIME_BUDGET",
-    "DivergenceError",
-    "LineSearcher",
-    "OptimizeResult",
-    "OptimizerTrace",
-    "StopCriteria",
-    "TraceRecord",
-    "make_linesearch",
-    "gradient_descent_fixed",
-    "steepest_descent",
-    "fgm",
-    "ofgm",
-    "ofgm_schedule",
-    "CgVariant",
-    "CG_VARIANTS",
-    "cg",
-    "cg_beta",
-    "LbfgsMemory",
-    "lbfgs",
-    "lbfgs_direction",
-    "WiggleConfig",
-    "WiggleResult",
-    "atom_wiggle",
-]

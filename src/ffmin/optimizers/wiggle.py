@@ -80,12 +80,7 @@ def atom_wiggle(system, config: WiggleConfig, stop=None) -> WiggleResult:
         raise ModelError("incremental probes require a system without a nonbonded cutoff")
     if system.natoms == 0:
         raise ModelError("atom_wiggle needs a system with at least one atom")
-    run = Run(None, stop or StopCriteria(), {
-        "method": "wiggle", "h": config.h, "seed": config.seed,
-        "epoch_iterations": config.epoch_iterations,
-        "use_incremental_coulomb": config.use_incremental_coulomb,
-        "cutoff": config.cutoff,
-    })
+    run = Run(None, stop or StopCriteria(), {"method": "wiggle", **vars(config)})
     rng = np.random.default_rng(config.seed)
     h = config.h
     steps = h * _PROBE_STEPS

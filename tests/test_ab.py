@@ -1,6 +1,6 @@
-"""tools/ab.py, the A/B of the gated benchmark: its table and its refusals,
-on canned results with the benchmark runner stubbed, so no benchmark runs
-here."""
+"""tools/ab.py, the A/B of the gated benchmark: its identity diff, its
+table and its refusals, on canned results with the identity and benchmark
+runners stubbed, so neither runs here."""
 
 import importlib.util
 import json
@@ -64,6 +64,23 @@ class Stub:
         return (self.code if res is None else 0), res
 
 
+# canned tools/identity.py outcomes: the change moves one run's digest
+IDENTITY = {
+    "base": {"gd a": ["converged", 3, "aa"], "lbfgs3-par b": ["oracle_budget", 9, "bb"],
+             "wiggle c": ["raised", -1, "cc"]},
+    "change": {"gd a": ["converged", 3, "aa"], "lbfgs3-par b": ["oracle_budget", 9, "bd"],
+               "wiggle c": ["raised", -1, "cc"]},
+}
+IDENTITY_OUT = "identity: 1 of 3 runs differ\n  lbfgs3-par b\n"
+
+
+def canned_identity(tree, out):
+    """The identity runner, writing a side's canned outcomes as --write does."""
+    side = (Path(tree) / "SIDE").read_text()
+    Path(out).write_text(json.dumps({"numpy": "2", "total": "t", "runs": IDENTITY[side]}))
+    return 0
+
+
 def no_archive(rev, dest):
     assert rev == "HEAD~1"
     Path(dest).mkdir()
@@ -80,8 +97,9 @@ ARGS = ["--base", "HEAD~1", "--workload", "chain_solve", "--pairs", "3", "--seed
 
 def test_ab_prints_the_table_of_canned_runs_in_alternating_order(ab, capsys):
     run = Stub(CANNED)
-    assert ab.main(ARGS + ["--seconds", "2"], run=run, extract=no_archive, copy=no_copy) == 0
-    assert capsys.readouterr().out == TABLE
+    assert ab.main(ARGS + ["--seconds", "2"], run=run, extract=no_archive, copy=no_copy,
+                   identify=canned_identity) == 0
+    assert capsys.readouterr().out == IDENTITY_OUT + TABLE
     # each pair alternates which side runs first; every run gets the options
     assert [side for side, *_ in run.calls] == ["base", "change", "change", "base",
                                                 "base", "change"]
@@ -107,10 +125,11 @@ def test_ab_reads_the_gated_metrics_from_the_benchmark(ab):
 def test_ab_refuses_seed_7919_unless_final(ab, capsys, final):
     run = Stub(CANNED)
     args = ARGS[:-1] + ["7919"] + (["--final"] if final else [])
-    code = ab.main(args, run=run, extract=no_archive, copy=no_copy)
+    code = ab.main(args, run=run, extract=no_archive, copy=no_copy,
+                   identify=canned_identity)
     out, err = capsys.readouterr()
     if final:
-        assert code == 0 and out == TABLE and len(run.calls) == 6
+        assert code == 0 and out == IDENTITY_OUT + TABLE and len(run.calls) == 6
         assert {seed for _, _, seed, _ in run.calls} == {7919}
     else:
         assert code == 2 and out == "" and run.calls == []
@@ -124,12 +143,42 @@ def test_ab_refuses_seed_7919_unless_final(ab, capsys, final):
 def test_ab_stops_at_a_run_that_fails(ab, capsys, code, bad, want):
     canned = {"base": CANNED["base"], "change": [CANNED["change"][0], bad, CANNED["change"][2]]}
     run = Stub(canned, code=code)
-    assert ab.main(ARGS, run=run, extract=no_archive, copy=no_copy) == want
+    assert ab.main(ARGS, run=run, extract=no_archive, copy=no_copy,
+                   identify=canned_identity) == want
     out, err = capsys.readouterr()
-    assert out == ""
+    assert out == IDENTITY_OUT
     assert err.splitlines()[-1].startswith(f"ab: change run failed (exit {want}): ")
     # the second pair runs the change first, and nothing runs after it
     assert [side for side, *_ in run.calls] == ["base", "change", "change"]
+
+
+def test_ab_diffs_identity_before_it_times_anything(ab, capsys):
+    # the same outcomes on both sides: no run differs
+    same = {"base": IDENTITY["base"], "change": IDENTITY["base"]}
+
+    def identify(tree, out):
+        assert run.calls == []
+        side = (Path(tree) / "SIDE").read_text()
+        Path(out).write_text(json.dumps({"runs": same[side]}))
+        return 0
+
+    run = Stub(CANNED)
+    assert ab.main(ARGS, run=run, extract=no_archive, copy=no_copy, identify=identify) == 0
+    assert capsys.readouterr().out == "identity: 0 of 3 runs differ\n" + TABLE
+    # a run present on one side only differs too
+    same["change"] = {**IDENTITY["base"], "ofgm d": ["converged", 1, "dd"]}
+    run = Stub(CANNED)
+    assert ab.main(ARGS, run=run, extract=no_archive, copy=no_copy, identify=identify) == 0
+    assert capsys.readouterr().out == "identity: 1 of 4 runs differ\n  ofgm d\n" + TABLE
+
+
+def test_ab_stops_when_identity_fails_on_a_tree(ab, capsys):
+    run = Stub(CANNED)
+    failing = lambda tree, out: 3 if (Path(tree) / "SIDE").read_text() == "base" else 0
+    assert ab.main(ARGS, run=run, extract=no_archive, copy=no_copy, identify=failing) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and run.calls == []
+    assert err == "ab: identity failed on the base tree (exit 3)\n"
 
 
 def test_ab_copies_the_checkout_s_files_without_caches(ab, tmp_path):

@@ -1,4 +1,5 @@
 import math
+import pickle
 import warnings
 
 import numpy as np
@@ -639,6 +640,10 @@ def test_breakdown_is_frozen_and_its_total_follows_its_fields():
     assert moved.total == bd.stretch + bd.bend + bd.torsion + bd.coulomb + (bd.vdw + 1.0)
     assert moved != bd and dataclasses.replace(moved, vdw=bd.vdw) == bd
     assert hash(dataclasses.replace(moved, vdw=bd.vdw)) == hash(bd)
+    # total is derived on each read, not stored beside the fields
+    assert "total" not in vars(bd)
+    again = pickle.loads(pickle.dumps(bd))
+    assert again == bd and again.total == bd.total and vars(again) == vars(bd)
 
 # ----------------------------------------------------- the edge-table plan
 
@@ -880,6 +885,23 @@ def test_energy_halves_treat_stacked_sets_as_sets_alone(chain, natoms, seed, cut
         if bad < 0:
             for e, *each in zip(stacked, *(a[:-2] for a in alone)):
                 assert np.asarray(e).tobytes() == np.array(each).tobytes(), term
+
+
+@pytest.mark.parametrize("natoms,cutoff", [(2, None), (12, None), (30, 6.0)])
+def test_edges_gathers_one_set_alike_flat_as_rows_and_stacked(natoms, cutoff):
+    """One coordinate set gathers the same D and R bytes given flat (3n,), as
+    (n, 3) and stacked as (1, n, 3), and D is the plain indexed difference."""
+    from ffmin import kernels
+
+    s = make_chain_system(natoms, 1, 0.3, cutoff=cutoff)
+    idx = s.arrays()["edge_flat"]
+    flat = s.coords.ravel()
+    D, R = kernels.edges(s.coords, idx)
+    assert D.tobytes() == (flat[idx[0]] - flat[idx[1]]).tobytes()
+    for c in (flat, s.coords[None]):
+        Dc, Rc = kernels.edges(c, idx)
+        assert Dc.shape[-2:] == D.shape and Rc.shape[-1:] == R.shape
+        assert Dc.tobytes() == D.tobytes() and Rc.tobytes() == R.tobytes()
 
 
 @pytest.mark.parametrize("call", ["energy_and_gradient", "linearize_farfield_coulomb",

@@ -1,11 +1,15 @@
 """tools/identity.py, the digest that shows a refactor changed no result:
-its digests repeat exactly, one ulp of input shows in them, and its
-degenerate start points hash the one fault each geometry gets."""
+its digests repeat exactly, one ulp of input shows in them, its degenerate
+start points hash the one fault each geometry gets, and a fixed subset of
+runs still gives the digests committed in tools/identity.json."""
 
 import hashlib
 import importlib.util
 import itertools
+import json
+import re
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -77,13 +81,68 @@ def test_one_ulp_of_x0_changes_the_digest(identity):
     assert digest(nudged) != digest(x0)
 
 
-def test_main_prints_a_line_per_run_and_the_total(identity, monkeypatch, capsys):
+def test_main_prints_a_line_per_run_and_the_total(identity, monkeypatch, capsys, tmp_path):
     selected = some_runs(identity)[:3]
     monkeypatch.setattr(identity, "runs", lambda: iter(selected))
     monkeypatch.setattr(sys, "path", list(sys.path))  # main puts the src dir first
-    identity.main(["identity.py", str(ROOT / "src")])
+    identity.main(["identity.py", str(ROOT / "src"), "--write", str(tmp_path / "id.json")])
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 4
     assert lines[0].startswith("gd n=8 s=0 L=20000.0")
     assert lines[-1].startswith("3 runs, total ")
     assert len(lines[-1].split()[-1]) == 64
+    # --write stores what it printed, one run a line
+    written = (tmp_path / "id.json").read_text()
+    stored = json.loads(written)
+    assert stored["numpy"] == np.__version__ and stored["total"] == lines[-1].split()[-1]
+    assert list(stored["runs"]) == [name for name, _ in selected]
+    for line, (status, iterations, d) in zip(lines, stored["runs"].values()):
+        assert line.endswith(f" {status:18s} it={iterations:5d} {d[:16]}")
+    assert len(written.splitlines()) == 5 + 3 + 2
+
+
+def test_differing_names_each_run_that_moved_or_is_missing(identity):
+    a = {"x": ["converged", 3, "aa"], "y": ["raised", -1, "bb"], "z": ["converged", 1, "cc"]}
+    b = {"x": ["converged", 3, "aa"], "y": ["raised", -1, "bd"], "w": ["converged", 1, "cc"]}
+    assert identity.differing(a, b) == ["y", "z", "w"]
+    assert identity.differing(a, a) == []
+
+
+# the committed-digest check runs every run but the grid's n=30 and s=1
+# rows and most of the call caps, so that it takes at most 3 s; it keeps the
+# quadratics, whose lbfgs runs are the ones a change to the curvature test moves
+PINNED_CAPS = {2, 3, 5, 8, 13, 21, 34, 55}
+
+
+def pinned(name):
+    grid = re.search(r" n=(\d+) s=(\d)( L=\S+)?$", name)
+    if grid:
+        return grid[1] in ("8", "12") and grid[2] == "0"
+    cap = re.search(r" cap=(\d+)$", name)
+    return not cap or int(cap[1]) in PINNED_CAPS
+
+
+def test_committed_digests_hold_on_a_fixed_subset(identity):
+    committed = json.loads((ROOT / "tools" / "identity.json").read_text())
+    runs = list(identity.runs())
+    # the file lists every run, and its total is the one main prints
+    assert list(committed["runs"]) == [name for name, _ in runs]
+    total = hashlib.sha256()
+    for _, _, d in committed["runs"].values():
+        total.update(d.encode())
+    assert committed["total"] == total.hexdigest()
+
+    start = time.perf_counter()
+    got = {name: list(identity.outcome(make)) for name, make in runs if pinned(name)}
+    took = time.perf_counter() - start
+    moved = identity.differing({name: committed["runs"][name] for name in got}, got)
+    problems = [f"{len(moved)} of {len(got)} runs differ from tools/identity.json: "
+                + ", ".join(moved)] if moved else []
+    if committed["numpy"] != np.__version__:
+        problems.append(f"tools/identity.json was written under NumPy {committed['numpy']} "
+                        f"and this is NumPy {np.__version__}, whose summation order may differ")
+    assert not problems, "; ".join(problems) + (
+        "; a change that means to change results rewrites the file with "
+        "`python tools/identity.py src --write tools/identity.json`")
+    assert len(got) == 219
+    print(f"{len(got)} pinned runs in {took:.2f} s")

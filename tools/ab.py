@@ -5,7 +5,9 @@
 extracts `git archive <rev>` into a temporary directory (no network is
 needed), and copies this checkout's files (tracked, or untracked and not
 ignored) into another, so both trees start alike, without caches or
-earlier results. Then it runs `python3 perfbench/run.py --workload <w> --seed S
+earlier results. It first runs tools/identity.py on both trees' src and
+prints how many of its runs differ and their names. Then it runs
+`python3 perfbench/run.py --workload <w> --seed S
 --seconds T --trace 0` N times on each tree, alternating which tree runs
 first in a pair. Each run's last line of standard output is its JSON
 result. A run that fails, or is not correct, stops the A/B with that
@@ -46,10 +48,7 @@ class RunFailed(Exception):
 
 def _quantile():
     """perfbench/run.py's quantile, so the table reads as its samples do."""
-    spec = importlib.util.spec_from_file_location("perfbench_run", ROOT / "perfbench" / "run.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.quantile
+    return _tool("perfbench_run", ROOT / "perfbench" / "run.py").quantile
 
 
 def end_to_end():
@@ -75,6 +74,30 @@ def snapshot(dest, root=ROOT):
         if name and src.is_file():  # a deleted file stays listed until it is staged
             (Path(dest) / name).parent.mkdir(parents=True, exist_ok=True)
             shutil.copy2(src, Path(dest) / name)
+
+
+def _tool(name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def run_identity(tree, out):
+    """Exit code of this checkout's tools/identity.py on tree's src, which
+    writes its outcomes to out."""
+    return subprocess.run([sys.executable, str(ROOT / "tools" / "identity.py"),
+                           str(Path(tree) / "src"), "--write", str(out)],
+                          capture_output=True).returncode
+
+
+def identity_diff(outs):
+    """The lines that say how many identity runs differ between the sides'
+    outcome files, and name each."""
+    base, change = (json.loads(Path(outs[side]).read_text())["runs"] for side in SIDES)
+    moved = _tool("identity", ROOT / "tools" / "identity.py").differing(base, change)
+    return [f"identity: {len(moved)} of {len({**base, **change})} runs differ",
+            *(f"  {name}" for name in moved)]
 
 
 def run_bench(tree, workload, seed, seconds):
@@ -142,7 +165,7 @@ def parse_args(argv):
     return p.parse_args(argv)
 
 
-def main(argv=None, run=run_bench, extract=archive, copy=snapshot):
+def main(argv=None, run=run_bench, extract=archive, copy=snapshot, identify=run_identity):
     args = parse_args(argv)
     if args.seed == FINAL_SEED and not args.final:
         print(f"ab: seed {FINAL_SEED} is kept for a final check; pass --final to use it",
@@ -155,6 +178,13 @@ def main(argv=None, run=run_bench, extract=archive, copy=snapshot):
         trees = {side: str(Path(tmp) / side) for side in SIDES}
         extract(args.base, trees["base"])
         copy(trees["change"])
+        outs = {side: Path(tmp) / f"{side}.json" for side in SIDES}
+        for side in SIDES:
+            code = identify(trees[side], outs[side])
+            if code:
+                print(f"ab: identity failed on the {side} tree (exit {code})", file=sys.stderr)
+                return code
+        print("\n".join(identity_diff(outs)), flush=True)
         try:
             samples = run_pairs(trees, args.workload, args.seed, args.seconds, args.pairs, run)
         except RunFailed as exc:

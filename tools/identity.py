@@ -1,6 +1,6 @@
 """Identity digest of the optimizers' results.
 
-    python tools/identity.py <src dir>
+    python tools/identity.py <src dir> [--write <file>]
 
 imports ffmin from <src dir>, makes a fixed list of runs and prints one line
 per run (name, status, iterations, the head of its sha256), then the run
@@ -11,14 +11,26 @@ the end of the list) hashes its exception's type and text instead. Two
 trees that print the same total returned the same bits and raised the same
 errors on every run, so a refactor that must change no result is checked by
 running this on a `git archive` of the parent and on the change.
+
+--write stores each run's status, iterations and digest, the total, and
+the NumPy and Python versions as JSON, one run a line. tools/identity.json
+is that file for this tree; Tier-1 recomputes a subset of it. A change that
+means to change results rewrites it:
+
+    python tools/identity.py src --write tools/identity.json
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
+import json
+import platform
 import struct
 import sys
 from functools import partial
+
+import numpy
 
 CAPS = range(2, 61)
 L_CHAIN = 2000.0
@@ -146,21 +158,40 @@ def runs():
         yield from wiggles(tag, system, stop, 1, 3)
 
 
+def differing(a, b):
+    """The names of the runs whose outcomes differ between two {name:
+    outcome} maps, a run missing from one side included, in run order."""
+    return [name for name in {**a, **b} if a.get(name) != b.get(name)]
+
+
+def write(path, outcomes, total):
+    """Store outcomes {name: (status, iterations, digest)} as JSON, one run a line."""
+    head = {"numpy": numpy.__version__, "python": platform.python_version(), "total": total}
+    head = "".join(f" {json.dumps(k)}: {json.dumps(v)},\n" for k, v in head.items())
+    rows = ",\n".join(f"  {json.dumps(name)}: {json.dumps(list(o))}"
+                      for name, o in outcomes.items())
+    with open(path, "w") as f:
+        f.write(f'{{\n{head} "runs": {{\n{rows}\n }}\n}}\n')
+
+
 def main(argv):
-    if len(argv) != 2:
-        sys.exit(f"usage: {argv[0]} <src dir>")
-    sys.path.insert(0, argv[1])
+    p = argparse.ArgumentParser(prog=argv[0], description=__doc__.split("\n\n")[0])
+    p.add_argument("src", help="the directory ffmin is imported from")
+    p.add_argument("--write", metavar="FILE", help="store every outcome as JSON")
+    args = p.parse_args(argv[1:])
+    sys.path.insert(0, args.src)
     import ffmin
 
     print(f"ffmin from {ffmin.__file__}", file=sys.stderr)
     total = hashlib.sha256()
-    count = 0
+    outcomes = {}
     for name, make in runs():
-        status, iterations, d = outcome(make)
+        status, iterations, d = outcomes[name] = outcome(make)
         total.update(d.encode())
-        count += 1
         print(f"{name:28s} {status:18s} it={iterations:5d} {d[:16]}")
-    print(f"{count} runs, total {total.hexdigest()}")
+    print(f"{len(outcomes)} runs, total {total.hexdigest()}")
+    if args.write:
+        write(args.write, outcomes, total.hexdigest())
 
 
 if __name__ == "__main__":
