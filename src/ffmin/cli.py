@@ -90,14 +90,6 @@ def _add_method_options(p):
                    help="ofgm horizon")
     p.add_argument("--wiggle-h", type=float, default=0.05,
                    help="wiggle probe step in angstrom (default: %(default)s)")
-    p.add_argument("--wiggle-cutoff", type=float, default=7.0,
-                   help="wiggle near-field radius in angstrom (default: %(default)s)")
-    p.add_argument("--full-recompute", action="store_true",
-                   help="wiggle probes are exact single-atom deltas, O(n) each, "
-                        "instead of the far-field model")
-    p.add_argument("--epoch", type=int, default=100,
-                   help="wiggle iterations between full-energy resyncs "
-                        "(default: %(default)s)")
     p.add_argument("--max-iters", type=int, default=10_000,
                    help="iteration budget (default: %(default)s)")
     p.add_argument("--max-oracle-calls", type=int, default=None,
@@ -135,13 +127,9 @@ def _build_linesearch(args):
 def _run_method(args, system):
     stop = _build_stop(args)
     if args.method == "wiggle":
-        cfg = WiggleConfig(
-            h=args.wiggle_h,
-            seed=args.seed,
-            epoch_iterations=args.epoch,
-            use_incremental_coulomb=not args.full_recompute,
-            cutoff=args.wiggle_cutoff,
-        )
+        # exact single-atom probes: faster than the far-field model at every
+        # n measured, and they take systems with a cutoff
+        cfg = WiggleConfig(h=args.wiggle_h, seed=args.seed, use_incremental_coulomb=False)
         return atom_wiggle(system, cfg, stop)
     oracle = MolecularOracle(system)
     x0 = system.coords.ravel()

@@ -8,10 +8,11 @@ only if its exact delta strictly lowers the energy.
 
 Every probe is a single-atom delta, O(n), and the branches differ only in
 its model. With use_incremental_coulomb it models the far field (exact
-bonded and near terms, linearized far Coulomb, far vdW dropped), so one more
-exact delta confirms the best candidate, and the running energy is resynced
-against a full recompute every epoch; without it, every probe is the exact
-delta over all partners, so the best candidate's value is already exact.
+bonded terms and partners within FARFIELD_CUTOFF, linearized far Coulomb,
+far vdW dropped), so one more exact delta confirms the best candidate, and
+the running energy is resynced against a full recompute every epoch;
+without it, every probe is the exact delta over all partners, so the best
+candidate's value is already exact.
 
 Every probe, exact delta and resync is one value call that the run counts
 (Run.charge), the six axis probes together, before they are made; the run
@@ -42,6 +43,10 @@ from .common import OptimizeResult, Run, StopCriteria, _BudgetExhausted
 # strict-decrease audit survives resummation noise
 ACCEPT_MARGIN = 1e-9
 
+# the far-field model's near radius in angstrom: partners within it are
+# exact, the Coulomb sum beyond it is linearized
+FARFIELD_CUTOFF = 7.0
+
 # the six probe displacements in units of h, in probe order -x, +x, -y, +y,
 # -z, +z; written out, as np.eye times signs would hold -0.0 entries
 _PROBE_STEPS = np.array([
@@ -57,7 +62,6 @@ class WiggleConfig:
     seed: int = 0
     epoch_iterations: int = 100
     use_incremental_coulomb: bool = True
-    cutoff: float = 7.0
 
     def __post_init__(self):
         if not 0 < self.h < math.inf:
@@ -66,8 +70,6 @@ class WiggleConfig:
             raise ValueError(f"wiggle seed must be >= 0, got {self.seed}")
         if self.epoch_iterations < 1:
             raise ValueError("epoch_iterations must be >= 1")
-        if not self.cutoff > 0:
-            raise ValueError("cutoff must be > 0")
 
 
 @dataclass
@@ -105,7 +107,7 @@ def atom_wiggle(system, config: WiggleConfig, stop=None) -> WiggleResult:
         for k in run.steps():
             atom = int(rng.integers(sys_cur.natoms))
             if config.use_incremental_coulomb:
-                lin = linearize_farfield_coulomb(sys_cur, atom, config.cutoff)
+                lin = linearize_farfield_coulomb(sys_cur, atom, FARFIELD_CUTOFF)
                 fn, args = delta_energy_atom_move, (sys_cur, lin)
             else:
                 fn, args = exact_delta_atom_move, (sys_cur, atom)

@@ -1,10 +1,12 @@
-"""tools/ab.py, the A/B of the gated benchmark: its identity diff, its
-table and its refusals, on canned results with the identity and benchmark
-runners stubbed, so neither runs here."""
+"""tools/ab.py, the A/B of the gated benchmark: its identity diff, its call
+counts, its table and its refusals, on canned results with the identity,
+call-count and benchmark runners stubbed, so none runs here; and
+tools/callcount.py on this tree, whose counts repeat exactly."""
 
 import importlib.util
 import json
 import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -81,6 +83,26 @@ def canned_identity(tree, out):
     return 0
 
 
+# canned tools/callcount.py outcomes: the change makes one call fewer an iteration
+COUNTS = {
+    "base": {"iterations": 500, "calls": {"setup": [227, 558],
+                                          "lbfgs-par per iteration": [57.79, 114.488]}},
+    "change": {"iterations": 500, "calls": {"setup": [227, 558],
+                                            "lbfgs-par per iteration": [56.79, 114.488]}},
+}
+COUNTS_OUT = """\
+calls, base -> change, over 500 -> 500 lbfgs-par iterations:
+  setup: python 227 -> 227, builtin 558 -> 558
+  lbfgs-par per iteration: python 57.79 -> 56.79, builtin 114.488 -> 114.488
+"""
+
+
+def canned_counts(tree, seed):
+    """The call-count runner, returning a side's canned counts."""
+    assert seed in (0, 7919)
+    return 0, COUNTS[(Path(tree) / "SIDE").read_text()]
+
+
 def no_archive(rev, dest):
     assert rev == "HEAD~1"
     Path(dest).mkdir()
@@ -98,8 +120,8 @@ ARGS = ["--base", "HEAD~1", "--workload", "chain_solve", "--pairs", "3", "--seed
 def test_ab_prints_the_table_of_canned_runs_in_alternating_order(ab, capsys):
     run = Stub(CANNED)
     assert ab.main(ARGS + ["--seconds", "2"], run=run, extract=no_archive, copy=no_copy,
-                   identify=canned_identity) == 0
-    assert capsys.readouterr().out == IDENTITY_OUT + TABLE
+                   identify=canned_identity, count=canned_counts) == 0
+    assert capsys.readouterr().out == IDENTITY_OUT + COUNTS_OUT + TABLE
     # each pair alternates which side runs first; every run gets the options
     assert [side for side, *_ in run.calls] == ["base", "change", "change", "base",
                                                 "base", "change"]
@@ -126,10 +148,10 @@ def test_ab_refuses_seed_7919_unless_final(ab, capsys, final):
     run = Stub(CANNED)
     args = ARGS[:-1] + ["7919"] + (["--final"] if final else [])
     code = ab.main(args, run=run, extract=no_archive, copy=no_copy,
-                   identify=canned_identity)
+                   identify=canned_identity, count=canned_counts)
     out, err = capsys.readouterr()
     if final:
-        assert code == 0 and out == IDENTITY_OUT + TABLE and len(run.calls) == 6
+        assert code == 0 and out == IDENTITY_OUT + COUNTS_OUT + TABLE and len(run.calls) == 6
         assert {seed for _, _, seed, _ in run.calls} == {7919}
     else:
         assert code == 2 and out == "" and run.calls == []
@@ -144,9 +166,9 @@ def test_ab_stops_at_a_run_that_fails(ab, capsys, code, bad, want):
     canned = {"base": CANNED["base"], "change": [CANNED["change"][0], bad, CANNED["change"][2]]}
     run = Stub(canned, code=code)
     assert ab.main(ARGS, run=run, extract=no_archive, copy=no_copy,
-                   identify=canned_identity) == want
+                   identify=canned_identity, count=canned_counts) == want
     out, err = capsys.readouterr()
-    assert out == IDENTITY_OUT
+    assert out == IDENTITY_OUT + COUNTS_OUT
     assert err.splitlines()[-1].startswith(f"ab: change run failed (exit {want}): ")
     # the second pair runs the change first, and nothing runs after it
     assert [side for side, *_ in run.calls] == ["base", "change", "change"]
@@ -163,19 +185,23 @@ def test_ab_diffs_identity_before_it_times_anything(ab, capsys):
         return 0
 
     run = Stub(CANNED)
-    assert ab.main(ARGS, run=run, extract=no_archive, copy=no_copy, identify=identify) == 0
-    assert capsys.readouterr().out == "identity: 0 of 3 runs differ\n" + TABLE
+    assert ab.main(ARGS, run=run, extract=no_archive, copy=no_copy, identify=identify,
+                   count=canned_counts) == 0
+    assert capsys.readouterr().out == "identity: 0 of 3 runs differ\n" + COUNTS_OUT + TABLE
     # a run present on one side only differs too
     same["change"] = {**IDENTITY["base"], "ofgm d": ["converged", 1, "dd"]}
     run = Stub(CANNED)
-    assert ab.main(ARGS, run=run, extract=no_archive, copy=no_copy, identify=identify) == 0
-    assert capsys.readouterr().out == "identity: 1 of 4 runs differ\n  ofgm d\n" + TABLE
+    assert ab.main(ARGS, run=run, extract=no_archive, copy=no_copy, identify=identify,
+                   count=canned_counts) == 0
+    assert capsys.readouterr().out == ("identity: 1 of 4 runs differ\n  ofgm d\n"
+                                       + COUNTS_OUT + TABLE)
 
 
 def test_ab_stops_when_identity_fails_on_a_tree(ab, capsys):
     run = Stub(CANNED)
     failing = lambda tree, out: 3 if (Path(tree) / "SIDE").read_text() == "base" else 0
-    assert ab.main(ARGS, run=run, extract=no_archive, copy=no_copy, identify=failing) == 3
+    assert ab.main(ARGS, run=run, extract=no_archive, copy=no_copy, identify=failing,
+                   count=canned_counts) == 3
     out, err = capsys.readouterr()
     assert out == "" and run.calls == []
     assert err == "ab: identity failed on the base tree (exit 3)\n"
@@ -198,3 +224,68 @@ def test_ab_copies_the_checkout_s_files_without_caches(ab, tmp_path):
                     for p in (tmp_path / "copy").rglob("*") if p.is_file())
     assert copied == [".gitignore", "new.py", "src/m.py"]
     assert (tmp_path / "copy" / "src" / "m.py").read_text() == "edited\n"
+
+
+def test_ab_stops_when_call_counts_fail_on_a_tree(ab, capsys):
+    run = Stub(CANNED)
+    counted = []
+
+    def failing(tree, seed):
+        side = (Path(tree) / "SIDE").read_text()
+        counted.append(side)
+        return (4, None) if side == "change" else canned_counts(tree, seed)
+
+    assert ab.main(ARGS, run=run, extract=no_archive, copy=no_copy,
+                   identify=canned_identity, count=failing) == 4
+    out, err = capsys.readouterr()
+    assert out == IDENTITY_OUT and run.calls == [] and counted == ["base", "change"]
+    assert err == "ab: call counts failed on the change tree (exit 4)\n"
+
+
+def test_callcount_on_this_tree_repeats_exactly(ab):
+    first, again = ab.run_counts(ROOT, 0), ab.run_counts(ROOT, 0)
+    assert first == again
+    code, counts = first
+    assert code == 0 and counts["iterations"] > 0
+    assert list(counts["calls"]) == ["setup", "lbfgs-par per iteration"]
+    assert all(py > 0 and builtin > 0 for py, builtin in counts["calls"].values())
+    # its lines name each operation once, with the same counts on both sides
+    lines = ab.counts_lines({"base": counts, "change": counts})
+    assert len(lines) == 3 and lines[1].startswith("  setup: python ")
+
+
+@pytest.fixture
+def callcount():
+    spec = importlib.util.spec_from_file_location("callcount", ROOT / "tools" / "callcount.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_callcount_counts_python_and_builtin_calls_apart(callcount):
+    def leaf():
+        return 1
+
+    def calls(python, builtin):
+        def fn():
+            for _ in range(python):
+                leaf()
+            for _ in range(builtin):
+                len(())
+            return "done"
+        return fn
+
+    result, py0, c0 = callcount.profiled(calls(0, 0))
+    assert result == "done"
+    # each extra Python call and each extra builtin call counts once, apart
+    assert callcount.profiled(calls(3, 0))[1:] == (py0 + 3, c0)
+    assert callcount.profiled(calls(0, 5))[1:] == (py0, c0 + 5)
+
+
+def test_callcount_removes_its_hook_when_the_call_raises(callcount):
+    def fails():
+        raise RuntimeError("boom")
+
+    with pytest.raises(RuntimeError, match="boom"):
+        callcount.profiled(fails)
+    assert sys.getprofile() is None

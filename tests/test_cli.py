@@ -1,5 +1,6 @@
 import csv
 import importlib
+import math
 import os
 import re
 import runpy
@@ -15,7 +16,7 @@ import pytest
 import ffmin.cli
 from ffmin.cli import METHODS, build_parser, main
 from ffmin.energy import energy_total
-from ffmin.model import AtomSpec, BondTerm, MolecularSystem, NonbondedPolicy
+from ffmin.model import AtomSpec, BondTerm, ModelError, MolecularSystem, NonbondedPolicy
 from ffmin.oracle import MolecularOracle
 from ffmin.optimizers import (
     CG_VARIANTS,
@@ -282,9 +283,9 @@ DISPATCH = {
     "lbfgs": (["--m", "5", "--h0", "0.5"],
               lambda s, stop: lbfgs(*on_chain(s), m=5, linesearch=make_linesearch(
                   "par", h0=0.5), stop=stop)),
-    "wiggle": (["--wiggle-h", "0.04", "--epoch", "7", "--full-recompute"],
+    "wiggle": (["--wiggle-h", "0.04"],
                lambda s, stop: atom_wiggle(s, WiggleConfig(
-                   h=0.04, seed=3, epoch_iterations=7, use_incremental_coulomb=False), stop)),
+                   h=0.04, seed=3, use_incremental_coulomb=False), stop)),
 }
 
 
@@ -308,6 +309,40 @@ def test_minimize_dispatches_each_method(tmp_path, capsys, case):
     assert strip_wall_column(trace.read_text()) == strip_wall_column(
         trace_text(res.trace, seed=3))
     assert np.array_equal(load_system(out_file).coords.ravel(), res.x)
+
+
+@pytest.mark.parametrize("cutoff", [3.0, 7.0, 12.0])
+def test_minimize_wiggle_takes_a_system_with_cutoff(tmp_path, capsys, cutoff):
+    # the CLI's wiggle probes with exact single-atom deltas, which take the
+    # cutoff the library's far-field model refuses
+    system = make_chain_system(8, seed=5, strain=0.3, cutoff=cutoff)
+    path = tmp_path / "cut.ffs"
+    save_system(system, path)
+    out_file = tmp_path / "min.ffs"
+    assert main(["minimize", str(path), "--method", "wiggle", "--max-iters", "30",
+                 "--out", str(out_file)]) == 4
+    grab(capsys)
+    res = atom_wiggle(load_system(path), WiggleConfig(use_incremental_coulomb=False),
+                      StopCriteria(max_iterations=30))
+    assert np.array_equal(load_system(out_file).coords.ravel(), res.x)
+    assert res.f < energy_total(system).total
+    with pytest.raises(ModelError, match="cutoff"):
+        atom_wiggle(load_system(path), WiggleConfig(), StopCriteria(max_iterations=1))
+
+
+@pytest.mark.parametrize("flag", ["--full-recompute", "--wiggle-cutoff=7", "--epoch=7"])
+@pytest.mark.parametrize("command", ["minimize", "batch-rank"])
+def test_dropped_wiggle_flags_are_refused(tmp_path, capsys, command, flag):
+    # the CLI's wiggle has one probe model, so the flags that chose or tuned
+    # the far-field one are unknown options, refused before any file is read
+    target = tmp_path / "missing"
+    ref = ["--ref", str(tmp_path / "ref.ffs")] if command == "batch-rank" else []
+    with pytest.raises(SystemExit) as e:
+        main([command, str(target), *ref, "--method", "wiggle", flag])
+    assert e.value.code == 2
+    out, err = grab(capsys)
+    assert out == "" and f"unrecognized arguments: {flag}" in err
+    assert not target.exists()
 
 
 @pytest.mark.parametrize("flags,msg", [
@@ -355,8 +390,7 @@ def test_minimize_divergence_exits_2(tmp_path, capsys):
 
 
 # the flags that make a minimize option take effect: the methods that read it
-OPTION_METHOD = {"--L": ["--method", "gd"], "--wiggle-h": ["--method", "wiggle"],
-                 "--wiggle-cutoff": ["--method", "wiggle"]}
+OPTION_METHOD = {"--L": ["--method", "gd"], "--wiggle-h": ["--method", "wiggle"]}
 ODD_FLOATS = ("nan", "inf", "-inf", "0", "-0.0", "1e-300", "1e300")
 
 
@@ -415,7 +449,7 @@ def test_minimize_overflowing_fixed_step_is_a_divergence(tmp_path, capsys, flags
 # the flags that make an int option of minimize or batch-rank take effect
 INT_OPTION_METHOD = {"--restart": ["--method", "cg"],
                      "--horizon": ["--method", "ofgm", "--L", "2000"],
-                     "--epoch": ["--method", "wiggle"], "--seed": ["--method", "wiggle"]}
+                     "--seed": ["--method", "wiggle"]}
 ODD_INTS = (-1, 0, 1, 2, 3)
 
 
@@ -597,13 +631,13 @@ def test_batch_rank_sinks_a_candidate_that_is_not_utf8(tmp_path, capsys):
     assert body[-1] == f"1,utf16,inf,inf,error: {bad}: not UTF-8 text (invalid start byte)"
 
 
-def test_batch_rank_wiggle_sinks_candidate_with_cutoff(tmp_path, capsys):
+def test_batch_rank_wiggle_ranks_candidate_with_cutoff(tmp_path, capsys):
     demo = tmp_path / "demo"
     assert main(["make-demo", str(demo), "--candidates", "2",
                  "--atoms", "6", "--seed", "1"]) == 0
     grab(capsys)
-    # incremental wiggle probes reject a system cutoff; that must sink only
-    # this candidate, not end the batch
+    # the CLI's wiggle probes with exact single-atom deltas, which take a
+    # system cutoff, so this candidate is ranked like the other
     cut = demo / "candidates" / "cand_01.ffs"
     text = cut.read_text()
     assert "cutoff: none" in text
@@ -615,12 +649,15 @@ def test_batch_rank_wiggle_sinks_candidate_with_cutoff(tmp_path, capsys):
     ])
     out, _ = grab(capsys)
     assert code == 0
-    body = out.splitlines()[3:]
-    assert len(body) == 2
-    first, last = (row.split(",") for row in body)
-    assert first[1] == "cand_00" and float(first[2]) < float("inf")
-    assert last[1] == "cand_01" and float(last[2]) == float("inf")
-    assert "error:" in body[-1]
+    rows = {row[1]: row for row in (line.split(",") for line in out.splitlines()[3:])}
+    assert sorted(rows) == ["cand_00", "cand_01"]
+    assert {rows[c][0] for c in rows} == {"0", "1"}
+    _, _, energy, rmsd, status = rows["cand_01"]
+    assert math.isfinite(float(energy)) and math.isfinite(float(rmsd))
+    assert status == "iteration_budget"
+    res = atom_wiggle(load_system(cut), WiggleConfig(use_incremental_coulomb=False),
+                      StopCriteria(max_iterations=50))
+    assert energy == f"{res.f:.10g}"
 
 
 def test_batch_rank_does_not_hide_programming_errors(tmp_path, capsys, monkeypatch):

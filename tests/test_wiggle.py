@@ -1,11 +1,13 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from conftest import record_rows, shifted_clock
-from ffmin.energy import EnergyEvaluationError, energy_total
-from ffmin.model import AtomSpec, BondTerm, MolecularSystem, NonbondedPolicy
+from ffmin.energy import EnergyEvaluationError, energy_total, linearize_farfield_coulomb
+from ffmin.model import AtomSpec, BondTerm, ModelError, MolecularSystem, NonbondedPolicy
 from ffmin.optimizers import TIME_BUDGET, StopCriteria
-from ffmin.optimizers.wiggle import WiggleConfig, WiggleResult, atom_wiggle
+from ffmin.optimizers.wiggle import FARFIELD_CUTOFF, WiggleConfig, WiggleResult, atom_wiggle
 from ffmin.synth import make_chain_system
 
 NO_TOL = dict(gradient_norm_rtol=0.0)
@@ -83,7 +85,7 @@ def test_wiggle_is_deterministic_per_seed():
 
 def test_incremental_mode_rejects_cutoff_systems():
     s = make_chain_system(8, seed=5, cutoff=7.0)
-    with pytest.raises(ValueError, match="cutoff"):
+    with pytest.raises(ModelError, match="cutoff"):
         atom_wiggle(s, WiggleConfig())
 
 
@@ -135,18 +137,62 @@ def test_exact_delta_that_raises_is_counted_and_moves_nothing(monkeypatch):
     assert res.trace.records[-1].value_calls == len(made)
 
 
+def max_pair_distance(coords):
+    return np.linalg.norm(coords[:, None] - coords[None], axis=-1).max()
+
+
 def test_incremental_and_full_agree_without_far_field():
-    # all atoms inside the cutoff: both probe models are the exact delta over
-    # the same partners, so seeded runs walk bit-identical paths
-    s = make_chain_system(6, seed=9, strain=0.3)
+    # a chain short enough to lie inside the far-field radius: both probe
+    # models are the exact delta over the same partners, so seeded runs walk
+    # bit-identical paths
+    s = make_chain_system(5, seed=9, strain=0.3)
+    assert max_pair_distance(s.coords) < FARFIELD_CUTOFF
     stop = StopCriteria(max_iterations=80, **NO_TOL)
-    a = atom_wiggle(s, WiggleConfig(h=0.05, seed=11, cutoff=1e6), stop)
+    a = atom_wiggle(s, WiggleConfig(h=0.05, seed=11), stop)
     b = atom_wiggle(s, WiggleConfig(h=0.05, seed=11,
                                     use_incremental_coulomb=False), stop)
+    assert max_pair_distance(a.system.coords) < FARFIELD_CUTOFF
     assert np.array_equal(a.system.coords, b.system.coords)
     assert a.f == b.f
     assert [r.step for r in a.trace.records] == [r.step for r in b.trace.records]
     assert any(r.step > 0.0 for r in a.trace.records)
+
+
+def test_far_field_model_reads_farfield_cutoff(monkeypatch):
+    import ffmin.optimizers.wiggle as wiggle
+
+    radii = []
+
+    def linearize(system, atom, cutoff):
+        radii.append(cutoff)
+        return linearize_farfield_coulomb(system, atom, cutoff)
+
+    monkeypatch.setattr(wiggle, "linearize_farfield_coulomb", linearize)
+    atom_wiggle(make_chain_system(12, seed=0, strain=0.3), WiggleConfig(seed=1),
+                StopCriteria(max_iterations=10, **NO_TOL))
+    assert FARFIELD_CUTOFF == 7.0
+    assert radii == [FARFIELD_CUTOFF] * 10
+
+
+@pytest.mark.parametrize("epoch", [1, 7, 1000])
+def test_exact_branch_ignores_the_epoch(epoch):
+    # exact probes keep the running energy exact, so there is nothing to
+    # resync: any epoch walks the default's path, bit for bit
+    s = make_chain_system(12, seed=2, strain=0.3)
+    stop = StopCriteria(max_iterations=40, **NO_TOL)
+    a = atom_wiggle(s, WiggleConfig(seed=4, epoch_iterations=epoch,
+                                    use_incremental_coulomb=False), stop)
+    b = atom_wiggle(s, WiggleConfig(seed=4, use_incremental_coulomb=False), stop)
+    assert np.array_equal(a.system.coords, b.system.coords)
+    assert a.f == b.f and a.status == b.status
+    assert np.array_equal(record_rows(a), record_rows(b), equal_nan=True)
+
+
+def test_wiggle_config_has_no_cutoff_field():
+    # the far-field radius is FARFIELD_CUTOFF, not a per-run setting
+    assert "cutoff" not in {f.name for f in fields(WiggleConfig)}
+    with pytest.raises(TypeError, match="cutoff"):
+        WiggleConfig(cutoff=9.0)
 
 
 def test_exact_branch_makes_at_most_seven_value_calls_an_iteration():
@@ -181,8 +227,6 @@ def test_wiggle_config_validation():
         WiggleConfig(h=0.0)
     with pytest.raises(ValueError, match="epoch"):
         WiggleConfig(epoch_iterations=0)
-    with pytest.raises(ValueError, match="cutoff"):
-        WiggleConfig(cutoff=-1.0)
 
 
 def test_wiggle_trace_bookkeeping():

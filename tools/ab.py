@@ -6,9 +6,12 @@ extracts `git archive <rev>` into a temporary directory (no network is
 needed), and copies this checkout's files (tracked, or untracked and not
 ignored) into another, so both trees start alike, without caches or
 earlier results. It first runs tools/identity.py on both trees' src and
-prints how many of its runs differ and their names. Then it runs
-`python3 perfbench/run.py --workload <w> --seed S
---seconds T --trace 0` N times on each tree, alternating which tree runs
+prints how many of its runs differ and their names. It runs
+tools/callcount.py on both and prints each tree's Python-level and
+builtin call counts of chain_solve's set-up and of an lbfgs-par solve,
+per iteration, which repeat exactly. Then it runs `python3
+perfbench/run.py --workload <w> --seed S --seconds T --trace 0` N
+times on each tree, alternating which tree runs
 first in a pair. Each run's last line of standard output is its JSON
 result. A run that fails, or is not correct, stops the A/B with that
 run's exit code (1 if it exited 0). Then it prints one table row per
@@ -100,6 +103,26 @@ def identity_diff(outs):
             *(f"  {name}" for name in moved)]
 
 
+def run_counts(tree, seed):
+    """(exit code, the counts as JSON or None) of this checkout's
+    tools/callcount.py on tree's src."""
+    proc = subprocess.run([sys.executable, str(ROOT / "tools" / "callcount.py"),
+                           str(Path(tree) / "src"), "--seed", str(seed)],
+                          capture_output=True, text=True)
+    return proc.returncode, json.loads(proc.stdout) if proc.returncode == 0 else None
+
+
+def counts_lines(counts):
+    """The lines that give each side's call counts, base -> change."""
+    base, change = (counts[side] for side in SIDES)
+    lines = [f"calls, base -> change, over {base['iterations']} -> "
+             f"{change['iterations']} lbfgs-par iterations:"]
+    for op, (py, c) in base["calls"].items():
+        py2, c2 = change["calls"][op]
+        lines.append(f"  {op}: python {py:.6g} -> {py2:.6g}, builtin {c:.6g} -> {c2:.6g}")
+    return lines
+
+
 def run_bench(tree, workload, seed, seconds):
     """(exit code, the last stdout line as JSON or None) of one untraced run."""
     proc = subprocess.run(
@@ -165,7 +188,8 @@ def parse_args(argv):
     return p.parse_args(argv)
 
 
-def main(argv=None, run=run_bench, extract=archive, copy=snapshot, identify=run_identity):
+def main(argv=None, run=run_bench, extract=archive, copy=snapshot, identify=run_identity,
+         count=run_counts):
     args = parse_args(argv)
     if args.seed == FINAL_SEED and not args.final:
         print(f"ab: seed {FINAL_SEED} is kept for a final check; pass --final to use it",
@@ -185,6 +209,14 @@ def main(argv=None, run=run_bench, extract=archive, copy=snapshot, identify=run_
                 print(f"ab: identity failed on the {side} tree (exit {code})", file=sys.stderr)
                 return code
         print("\n".join(identity_diff(outs)), flush=True)
+        counts = {}
+        for side in SIDES:
+            code, counts[side] = count(trees[side], args.seed)
+            if code:
+                print(f"ab: call counts failed on the {side} tree (exit {code})",
+                      file=sys.stderr)
+                return code
+        print("\n".join(counts_lines(counts)), flush=True)
         try:
             samples = run_pairs(trees, args.workload, args.seed, args.seconds, args.pairs, run)
         except RunFailed as exc:
