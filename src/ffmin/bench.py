@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linesearch import FOUND, NO_RELAXATION, LineSearchResult
+from .linesearch import FOUND, NO_RELAXATION, LineSearchResult, probe_point
 from .oracle import FunctionOracle
 from .optimizers import StopCriteria, ofgm, ofgm_schedule
 
@@ -117,14 +117,11 @@ class ExactQuadraticLineSearch:
         g = self.instance.gradient(x) if g0 is None else g0
         curv = float(r @ (self.instance.A @ r))
         slope = float(g @ r)
-        if curv <= 0.0:
-            return LineSearchResult(0.0, f0, 0, NO_RELAXATION)
-        h = -slope / curv
-        if h == 0.0:
+        if curv <= 0.0 or (h := -slope / curv) == 0.0:
             return LineSearchResult(0.0, f0, 0, NO_RELAXATION)
         # h is the analytic argmin, so it is reported even when roundoff
         # makes the evaluated decrease vanish near machine precision
-        f_new = oracle.value(x + h * r)
+        f_new = oracle.value(probe_point(x, h, r))
         return LineSearchResult(h, f_new, 1, FOUND)
 
 

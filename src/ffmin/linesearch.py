@@ -9,15 +9,16 @@ attributes of LsHConfig and LsParConfig:
   ls_par  parabolic interpolation, optionally seeded with the directional
           derivative at the start point, with vertices clamped to
           trust * h0 = 10 h0. At most K + 2 calls; seeded so, it stops
-          refining once its best sample meets Armijo's condition with
-          ARMIJO_C1. It keeps its samples ranked as it takes them
+          refining once its best sample passes armijo(), as LBFGS's natural
+          step must. It keeps its samples ranked as it takes them
           (bisect.insort on tuples whose order is the ranking), and its
           refits run parabola_min's arithmetic (_fit) without its check.
 
-Both either find a strictly relaxing step or report no_relaxation with
-h = 0. The step returned by ls_par may be negative when the search sampled
-behind the start point (the G0 = false branch does so by construction);
-ls_h steps are always positive.
+Both value the points probe_point() builds, as descend() does, and either
+find a strictly relaxing step or report no_relaxation with h = 0. The step
+returned by ls_par may be negative when the search sampled behind the start
+point (the G0 = false branch does so by construction); ls_h steps are
+always positive.
 
 A NaN value never relaxes: ls_h contracts past it, and ls_par stops at it
 and decides from its finite samples. MolecularOracle raises instead of
@@ -46,32 +47,43 @@ _DUP_TOL = 1e-13
 ARMIJO_C1 = 1e-4
 
 
+def armijo(f, f0, h, slope):
+    """Armijo's test: f at step h, slope `slope` at 0, relaxes f0 enough."""
+    return f < f0 and f <= f0 + ARMIJO_C1 * h * slope
+
+
+def probe_point(x0, h, r):
+    """The point a probe at step h values, and descend() rebuilds bit for bit."""
+    return x0 + h * r
+
+
 @dataclass(frozen=True)
-class LsHConfig:
+class _SearchConfig:
+    h0: float = 1.0  # the first step of both searches, checked alike
+
+    def __post_init__(self):
+        if not 0 < self.h0 < math.inf:
+            raise ValueError(f"h0 must be finite and > 0, got {self.h0}")
+
+
+@dataclass(frozen=True)
+class LsHConfig(_SearchConfig):
     kind: ClassVar[str] = "h"
     eps_h: ClassVar[float] = 1e-12  # contraction floor
     k_plus: ClassVar[float] = 2.0  # expansion factor
     k_minus: ClassVar[float] = 0.5  # contraction factor
 
-    h0: float = 1.0
-
-    def __post_init__(self):
-        if not 0 < self.h0 < math.inf:
-            raise ValueError(f"h0 must be finite and > 0, got {self.h0}")
-
 
 @dataclass(frozen=True)
-class LsParConfig:
+class LsParConfig(_SearchConfig):
     kind: ClassVar[str] = "par"
     trust: ClassVar[float] = 10.0  # vertex steps clamped to trust*h0
 
-    h0: float = 1.0
     K: int = 6
     use_gradient_start: bool = True
 
     def __post_init__(self):
-        if not 0 < self.h0 < math.inf:
-            raise ValueError(f"h0 must be finite and > 0, got {self.h0}")
+        super().__post_init__()
         if self.h0 * self.h0 == 0.0:  # the gradient-started fit divides by it
             raise ValueError(f"h0 = {self.h0} is too small for ls_par: h0 * h0 underflows to 0")
         if self.K < 2:
@@ -123,12 +135,13 @@ def norm(v):
     return math.sqrt(float(v.dot(v)))
 
 
-def _check_direction(r):
+def _search_inputs(x0, r):
+    """x0 and r as float64 arrays, once r is checked to be unit length."""
     r = np.asarray(r, dtype=np.float64)
     nrm = norm(r.reshape(-1))
     if abs(nrm - 1.0) > 1e-8:
         raise ValueError(f"direction must be unit length, got norm {nrm}")
-    return r
+    return np.asarray(x0, dtype=np.float64), r
 
 
 def ls_h(oracle, x0, r, config: LsHConfig, f0: float, h0=None) -> LineSearchResult:
@@ -139,31 +152,23 @@ def ls_h(oracle, x0, r, config: LsHConfig, f0: float, h0=None) -> LineSearchResu
     a NaN probe does not relax, so contraction goes on past it. h0
     (default config.h0) is a warm start's first step.
     """
-    r = _check_direction(r)
-    x0 = np.asarray(x0, dtype=np.float64)
-    calls = 0
-
-    def phi(h):
-        nonlocal calls
-        calls += 1
-        return oracle.value(x0 + h * r)
-
+    x0, r = _search_inputs(x0, r)
     h0 = config.h0 if h0 is None else h0
-    f_probe = phi(h0)
+    f_probe = oracle.value(probe_point(x0, h0, r))
     if f_probe < f0:
         h_up = config.k_plus * h0
-        f_up = phi(h_up)
+        f_up = oracle.value(probe_point(x0, h_up, r))
         if f_up < f_probe:
-            return LineSearchResult(h_up, f_up, calls, FOUND)
-        return LineSearchResult(h0, f_probe, calls, FOUND)
+            return LineSearchResult(h_up, f_up, 2, FOUND)
+        return LineSearchResult(h0, f_probe, 2, FOUND)
 
-    h = config.k_minus * h0
-    f_c = phi(h)
+    h, f_c, calls = h0, f_probe, 1
     while not f_c < f0:  # relaxation must be strict, and NaN never relaxes
         h = config.k_minus * h
-        if h <= config.eps_h:
+        if calls > 1 and h <= config.eps_h:  # the first contraction is always probed
             return LineSearchResult(0.0, f0, calls, NO_RELAXATION)
-        f_c = phi(h)
+        f_c = oracle.value(probe_point(x0, h, r))
+        calls += 1
     return LineSearchResult(h, f_c, calls, FOUND)
 
 
@@ -183,8 +188,7 @@ def ls_par(oracle, x0, r, config: LsParConfig, f0: float, g0=None,
     config.h0) is a warm start's first step; the trust interval scales with
     it.
     """
-    r = _check_direction(r)
-    x0 = np.asarray(x0, dtype=np.float64)
+    x0, r = _search_inputs(x0, r)
     hs = [0.0]  # every abscissa sampled, h = 0 included
     # the finite samples as (f, |h|, sample number, h), kept sorted: tuple
     # order is the ranking, with no key function to call
@@ -192,7 +196,7 @@ def ls_par(oracle, x0, r, config: LsParConfig, f0: float, g0=None,
 
     def phi(h):
         """The value at step h, or None when it is NaN."""
-        f = oracle.value(x0 + h * r)
+        f = oracle.value(probe_point(x0, h, r))
         hs.append(h)
         if f != f:
             return None
@@ -213,8 +217,7 @@ def ls_par(oracle, x0, r, config: LsParConfig, f0: float, g0=None,
         else:
             a = (f1 - f0 - slope * h0) / (h0 * h0)
             tol = 1e-12 * max(abs(f0), abs(f1))
-            v = None if a <= 0.0 or abs(a) < tol else _clamp_vertex(-slope / (2.0 * a), lo, hi,
-                                                                      hs)
+            v = _clamp_vertex(None if a <= 0.0 or abs(a) < tol else -slope / (2.0 * a), lo, hi, hs)
             failed = v is None or phi(v) is None
     else:
         failed = phi(-h0 / 2.0) is None or phi(h0 / 2.0) is None
@@ -222,13 +225,9 @@ def ls_par(oracle, x0, r, config: LsParConfig, f0: float, g0=None,
     if not failed:
         for _ in range(2, config.K + 1):
             (f0_, _, _, x0_), (f1, _, _, x1), (f2, _, _, x2) = points[:3]
-            if config.use_gradient_start and f0_ < f0 \
-                    and f0_ <= f0 + ARMIJO_C1 * x0_ * slope:
+            if config.use_gradient_start and armijo(f0_, f0, x0_, slope):
                 break
-            v = _fit(x0_, f0_, x1, f1, x2, f2)
-            if v is None:
-                break
-            v = _clamp_vertex(v, lo, hi, hs)
+            v = _clamp_vertex(_fit(x0_, f0_, x1, f1, x2, f2), lo, hi, hs)
             if v is None or phi(v) is None:
                 break
 
@@ -240,9 +239,9 @@ def ls_par(oracle, x0, r, config: LsParConfig, f0: float, g0=None,
 
 
 def _clamp_vertex(v, lo, hi, hs):
-    """Clamp to the trust interval; None for a near duplicate of a sampled
-    abscissa in hs."""
-    if not math.isfinite(v):
+    """v clamped to the trust interval; None for no vertex (None or not
+    finite) or for a near duplicate of a sampled abscissa in hs."""
+    if v is None or not math.isfinite(v):
         return None
     v = min(max(v, lo), hi)
     scale = max(1.0, abs(v))

@@ -137,6 +137,11 @@ class DihedralTerm:
         self.__dict__.update(i=i, j=j, k=k, l=l, V1=V1, V2=V2, V3=V3, V4=V4)
 
 
+def _out_of_range(what, indices, n):
+    """The ModelError for a term or pair whose indices leave 0..n-1."""
+    return ModelError(f"{what} ({','.join(map(str, indices))}): index out of range for {n} atoms")
+
+
 def _canonical_pairs(pairs, what):
     """The set of (i, j) pairs with each stored as (min, max); i == j is an error."""
     out = set()
@@ -215,7 +220,7 @@ def build_default_exclusions(natoms, bonds, s14=0.5, cutoff=None):
     for b in bonds:
         i, j = b.i, b.j
         if not (0 <= i < natoms and 0 <= j < natoms):
-            raise ModelError(f"bond ({i},{j}): index out of range for {natoms} atoms")
+            raise _out_of_range("bond", (i, j), natoms)
         bonded.add((i, j) if i < j else (j, i))
     adj = [[] for _ in range(natoms)]
     for i, j in bonded:
@@ -265,17 +270,17 @@ class MolecularSystem:
                 raise ModelError(f"atom ids must be 0..n-1 in order; position {idx} has id {a.id}")
         for b in self.bonds:
             if not (0 <= b.i < n and 0 <= b.j < n):
-                raise ModelError(f"bond ({b.i},{b.j}): index out of range")
+                raise _out_of_range("bond", (b.i, b.j), n)
         for a in self.angles:
             if not (0 <= a.i < n and 0 <= a.j < n and 0 <= a.k < n):
-                raise ModelError(f"angle ({a.i},{a.j},{a.k}): index out of range")
+                raise _out_of_range("angle", (a.i, a.j, a.k), n)
         for d in self.dihedrals:
             if not (0 <= d.i < n and 0 <= d.j < n and 0 <= d.k < n and 0 <= d.l < n):
-                raise ModelError(f"dihedral ({d.i},{d.j},{d.k},{d.l}): index out of range")
+                raise _out_of_range("dihedral", (d.i, d.j, d.k, d.l), n)
         for what in ("excluded", "scaled14"):
             for i, j in getattr(self.nonbonded, what):
                 if i < 0 or j >= n:
-                    raise ModelError(f"{what} pair ({i},{j}): index out of range for {n} atoms")
+                    raise _out_of_range(f"{what} pair", (i, j), n)
 
     def _set_coords(self, coords):
         coords = self.coords_at(coords)

@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ..linesearch import norm
 from .common import DescentRule, LineSearcher, OptimizeResult, descend
 
 VARIANTS = ("fr", "prp", "prp+", "hs", "cd", "ls", "dy")
@@ -75,7 +74,8 @@ class _CgRule(DescentRule):
         self.since_restart = 0
 
     def direction(self, run, k, x, f, g, gn):
-        if self.p is None or norm(self.p) == 0.0:
+        # p is zero only where g is, where descend() has stopped as converged
+        if self.p is None:
             self.p, self.since_restart = -g, 0
         return x, f, g, gn, self.p
 

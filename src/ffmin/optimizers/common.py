@@ -3,7 +3,8 @@ and the two loops of the gradient methods, descend() and iterate().
 
 Every driver in this package follows the same bookkeeping contract:
 
-  * one trace record per iteration (plus record 0 at the start point),
+  * one trace record per iteration (plus record 0 at the start point), so
+    a record's iteration is its position in the trace,
   * the record's cumulative oracle-call counts are snapshots of the run's
     own counters, which start at 0, at the moment the record is appended,
   * best-so-far f is non-increasing along the records,
@@ -26,14 +27,15 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from ..linesearch import (
-    ARMIJO_C1,
     NO_RELAXATION,
     LineSearchResult,
     LsHConfig,
     LsParConfig,
+    armijo,
     ls_h,
     ls_par,
     norm,
+    probe_point,
 )
 from ..energy import NonFiniteEnergyError
 from ..kernels import all_finite
@@ -112,9 +114,9 @@ class TraceRecord:
     best_f: float
 
 
-# values stored per record: TraceRecord's fields, in order, as float64; the
-# ints (iteration and call counts) stay below 2**53, so each reads back exactly
-RECORD_WIDTH = len(fields(TraceRecord))
+# values stored per record: TraceRecord's fields but the iteration, its
+# position, as float64; call counts stay below 2**53 and read back exactly
+RECORD_WIDTH = len(fields(TraceRecord)) - 1
 
 
 class TraceRecords(Sequence):
@@ -141,8 +143,8 @@ class TraceRecords(Sequence):
 
     def _build(self, row):
         j = row * RECORD_WIDTH
-        it, f, gn, step, vc, gc, wall, best = self._values[j:j + RECORD_WIDTH]
-        return TraceRecord(int(it), f, gn, step, int(vc), int(gc), wall, best)
+        f, gn, step, vc, gc, wall, best = self._values[j:j + RECORD_WIDTH]
+        return TraceRecord(row, f, gn, step, int(vc), int(gc), wall, best)
 
 
 @dataclass
@@ -159,7 +161,7 @@ class OptimizerTrace:
 
     @property
     def iterations(self):
-        return int(self._values[-RECORD_WIDTH]) if self._values else 0
+        return len(self._values) // RECORD_WIDTH - 1 if self._values else 0
 
 
 @dataclass
@@ -207,7 +209,7 @@ class Run:
         self.deadline = None if t is None else self.t0 + t
         self.threshold = self.stop.threshold(grad_norm)
         self.update_best(x, f, grad_norm)
-        self.record(0, f, grad_norm, 0.0)
+        self.record(f, grad_norm, 0.0)
         if grad_norm <= self.threshold:
             self.status = CONVERGED
 
@@ -218,10 +220,10 @@ class Run:
             self.best_f = f
             self.best = (x, grad_norm, step)
 
-    def record(self, iteration, f, grad_norm, step):
+    def record(self, f, grad_norm, step):
         self.best_f = min(self.best_f, f)
-        self.trace._values.extend((iteration, f, grad_norm, step, self.value_calls,
-                                   self.grad_calls, time.perf_counter() - self.t0, self.best_f))
+        self.trace._values.extend((f, grad_norm, step, self.value_calls, self.grad_calls,
+                                   time.perf_counter() - self.t0, self.best_f))
 
     def _admit(self, calls):
         """Refuse a call of `calls` evaluations that would pass a budget."""
@@ -270,13 +272,13 @@ class Run:
             self.status = refusal.args[0]
 
     def steps(self, horizon=None):
-        """Yield k, the iterations recorded so far, until the status is set,
+        """Yield k, the last record's iteration, until the status is set,
         or set it to horizon_complete or iteration_budget once k reaches the
         horizon or max_iterations; a pass that records nothing (a retried
         search) yields the same k again."""
         m = self.stop.max_iterations
         while self.status is None:
-            k = self.trace.iterations
+            k = len(self.trace._values) // RECORD_WIDTH - 1  # trace.iterations, without a call
             if horizon is not None and k >= horizon:
                 self.status = HORIZON_COMPLETE
             elif m is not None and k >= m:
@@ -305,8 +307,8 @@ class Run:
         """
         if self.status != CONVERGED and self.best is not None and self.best_f <= fallback_f:
             x, best_grad_norm, step = self.best
-            if self.best_f < min(self.trace._values[1::RECORD_WIDTH]):  # every record's f
-                self.record(self.trace.iterations + 1, self.best_f, best_grad_norm, step)
+            if self.best_f < min(self.trace._values[::RECORD_WIDTH]):  # every record's f
+                self.record(self.best_f, best_grad_norm, step)
             return self.finish(x, self.best_f, best_grad_norm)
         return self.finish(fallback_x, fallback_f, grad_norm)
 
@@ -381,7 +383,8 @@ class DescentRule:
 
         descend() searches from the origin along d / |d|, after trying the
         step |d| when natural_step is set; it stops as converged when |g|
-        meets the tolerance or d is zero.
+        meets the tolerance or d is zero. A rule whose origin is not x
+        offers it to run.update_best.
         """
         return x, f, g, gn, -g
 
@@ -399,16 +402,15 @@ def _natural_step(run, y, f_y, g_y, r, dn):
     direction implies positive curvature, so the parabola's vertex exists."""
     slope = float(g_y.dot(r))
     h = dn
-    # the searches' y + h * r, so a kept sweep finishes the gradient; an
-    # accepted probe's own array is the new iterate
-    f = run.value(x := y + h * r)
-    if not (f < f_y and f <= f_y + ARMIJO_C1 * h * slope):
+    # an accepted probe's own array is the new iterate
+    f = run.value(x := probe_point(y, h, r))
+    if not armijo(f, f_y, h, slope):
         curv = f - f_y - slope * dn  # a dn^2 of the parabola f_y + slope h + a h^2
         if not 0.0 < curv < math.inf:
             return None
         h = dn * min(max(-slope * dn / (2.0 * curv), BACKTRACK_MIN), BACKTRACK_MAX)
-        f = run.value(x := y + h * r)
-        if not (f < f_y and f <= f_y + ARMIJO_C1 * h * slope):
+        f = run.value(x := probe_point(y, h, r))
+        if not armijo(f, f_y, h, slope):
             return None
     return h, f, x
 
@@ -418,16 +420,15 @@ def descend(oracle, x0, stop, meta, rule, linesearch) -> OptimizeResult:
 
     When the rule has a natural step (LBFGS with a non-empty memory), the
     full step |d| is probed first, with one value call inside the oracle
-    budget. It is taken if it lowers f and meets Armijo's condition with
-    ARMIJO_C1. A finite probe that misses is backtracked once: one more
-    value call at the vertex of the parabola through f, the slope and the
-    probe, with the step clamped to [BACKTRACK_MIN, BACKTRACK_MAX] = [0.1,
-    0.5] times |d|, taken on the same test. Either step leaves the warm
-    start, the run's last accepted |h| (h0 at first and after a failed
-    search), as it is. A probe that is not finite, or a
-    backtrack that misses, runs the line search as it would have. Every
-    probe is valued through Run.value, so one whose energy overflows does
-    not relax.
+    budget. It is taken if it passes linesearch.armijo. A finite probe
+    that misses is backtracked once: one more value call at the vertex of
+    the parabola through f, the slope and the probe, with the step clamped
+    to [BACKTRACK_MIN, BACKTRACK_MAX] = [0.1, 0.5] times |d|, taken on the
+    same test. Either step leaves the warm start, the run's last accepted
+    |h| (h0 at first and after a failed search), as it is. A probe that is
+    not finite, or a backtrack that misses, runs the line search as it
+    would have. Every probe is linesearch.probe_point's, valued through
+    Run.value, so one whose energy overflows does not relax.
 
     A failed search that the rule does not retry ends the run with status
     linesearch_failure. Returns the best point seen unless the run converged; a
@@ -442,13 +443,12 @@ def descend(oracle, x0, stop, meta, rule, linesearch) -> OptimizeResult:
     with run.budgets():
         for k in run.steps():
             y, f_y, g_y, gn, d = rule.direction(run, k, x, f, g, gn)
-            run.update_best(y, f_y, gn)
             dn = norm(d)
             if gn <= run.threshold or dn == 0.0:
                 run.status = CONVERGED
                 if not np.array_equal(y, x):
                     x, f = y, f_y
-                    run.record(k + 1, f, gn, 0.0)
+                    run.record(f, gn, 0.0)
                 break
             r = d / dn
             if rule.natural_step and (step := _natural_step(run, y, f_y, g_y, r, dn)):
@@ -463,7 +463,7 @@ def descend(oracle, x0, stop, meta, rule, linesearch) -> OptimizeResult:
                     break
                 h, f_new = res.h, res.f_at_step
                 warm = abs(h)
-                x_new = y + h * r  # the search's own probe, so a kept sweep is finished
+                x_new = probe_point(y, h, r)  # the search's own probe
             if rule.takes_gradient:
                 g_new = run.gradient(x_new)
                 check_finite(f_new, g_new, k + 1)
@@ -472,7 +472,7 @@ def descend(oracle, x0, stop, meta, rule, linesearch) -> OptimizeResult:
             x, f = x_new, f_new
             # gn is |g| at x unless the rule stepped there without a gradient
             run.update_best(x, f, gn if rule.takes_gradient else math.nan, h)
-            run.record(k + 1, f, gn, h)
+            run.record(f, gn, h)
             if gn <= run.threshold:
                 run.status = CONVERGED
     if run.status in (ORACLE_BUDGET, TIME_BUDGET) and run.probe_f < run.best_f:
@@ -511,7 +511,7 @@ def iterate(oracle, x0, stop, meta, L, step, horizon=None, diverged=None) -> Opt
                 raise DivergenceError(diverged.format(k=k + 1, f=f_new))
             x, f, g = x_new, f_new, g_new
             gn = norm(g)
-            run.record(k + 1, f, gn, 1.0 / L)
+            run.record(f, gn, 1.0 / L)
             if gn <= run.threshold:
                 run.status = CONVERGED
     return run.finish(x, f, gn)

@@ -29,7 +29,8 @@ class _FgmRule(DescentRule):
         self.x_prev, self.theta_prev = x, theta
         f_w, g_w = (f, g) if k == 0 else run.value_and_gradient(w)
         check_finite(f_w, g_w, k)
-        return w, f_w, g_w, norm(g_w), -g_w
+        run.update_best(w, f_w, gn_w := norm(g_w))
+        return w, f_w, g_w, gn_w, -g_w
 
 
 def fgm(oracle, x0, linesearch: LineSearcher, stop=None) -> OptimizeResult:

@@ -71,7 +71,7 @@ class _LbfgsRule(DescentRule):
     @property
     def natural_step(self):
         # the two-loop direction is scaled; the normalized antigradient is not
-        return len(self.memory) > 0
+        return bool(self.memory.pairs)
 
     def direction(self, run, k, x, f, g, gn):
         return x, f, g, gn, lbfgs_direction(self.memory, g)

@@ -148,7 +148,7 @@ def atom_wiggle(system, config: WiggleConfig, stop=None) -> WiggleResult:
                     e_run = energy_total(sys_cur).total
                 except _BudgetExhausted as refusal:
                     run.status = refusal.args[0]
-            run.record(k + 1, e_run, math.nan, step_norm)
+            run.record(e_run, math.nan, step_norm)
     # a refusal elsewhere moved nothing: the run ends where it stands
     result = run.finish(sys_cur.coords.ravel(), e_run, math.nan)
     return WiggleResult(**vars(result), system=sys_cur)

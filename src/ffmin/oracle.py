@@ -36,17 +36,13 @@ class ObjectiveOracle:
         self.grad_calls = 0
 
 
-def _no_gradient(x):
-    raise NotImplementedError("no gradient supplied for this oracle")
-
-
 class FunctionOracle(ObjectiveOracle):
-    """Wrap plain callables f(x) and optionally g(x) as an oracle."""
+    """Wrap plain callables f(x) and its gradient g(x) as an oracle."""
 
-    def __init__(self, n, f, grad=None):
+    def __init__(self, n, f, grad):
         super().__init__(n)
         self._f = f
-        self._g = _no_gradient if grad is None else grad
+        self._g = grad
 
     def value(self, x) -> float:
         self.value_calls += 1

@@ -40,11 +40,13 @@ def make_chain_system(natoms, seed=0, strain=0.3, cutoff=None) -> MolecularSyste
     tests name their systems by (natoms, seed, strain, cutoff). The
     uniforms are drawn row by row, per atom q, sigma, epsilon; per bond K,
     r0; per angle K, theta0; per dihedral V1, V2, V3. Then the coordinate
-    noise is drawn. A golden digest in the tests pins the systems this
-    builds.
+    noise, N(0, strain) with strain >= 0, is drawn. A golden digest in the
+    tests pins the systems this builds.
     """
     if natoms < 2:
         raise ValueError("need at least 2 atoms")
+    if not strain >= 0:  # before any draw, so every valid system keeps its bytes
+        raise ValueError(f"strain must be >= 0, got {strain}")
     rng = np.random.default_rng(seed)
     # one draw for every uniform, split by kind: lo + (hi - lo) * u is
     # Generator.uniform(lo, hi)'s own formula, so each value is the one a

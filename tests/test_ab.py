@@ -83,17 +83,24 @@ def canned_identity(tree, out):
     return 0
 
 
-# canned tools/callcount.py outcomes: the change makes one call fewer an iteration
+# canned tools/callcount.py outcomes: the change makes one call fewer an
+# iteration in each solve
+ITERATIONS = {"chain_solve lbfgs-par": 500, "rank_demo lbfgs": 285}
 COUNTS = {
-    "base": {"iterations": 500, "calls": {"setup": [227, 558],
-                                          "lbfgs-par per iteration": [57.79, 114.488]}},
-    "change": {"iterations": 500, "calls": {"setup": [227, 558],
-                                            "lbfgs-par per iteration": [56.79, 114.488]}},
+    "base": {"iterations": ITERATIONS,
+             "calls": {"chain_solve setup": [227, 558],
+                       "chain_solve lbfgs-par per iteration": [57.79, 114.488],
+                       "rank_demo lbfgs per iteration": [58.2175, 109.302]}},
+    "change": {"iterations": ITERATIONS,
+               "calls": {"chain_solve setup": [227, 558],
+                         "chain_solve lbfgs-par per iteration": [56.79, 114.488],
+                         "rank_demo lbfgs per iteration": [57.2175, 109.302]}},
 }
 COUNTS_OUT = """\
-calls, base -> change, over 500 -> 500 lbfgs-par iterations:
-  setup: python 227 -> 227, builtin 558 -> 558
-  lbfgs-par per iteration: python 57.79 -> 56.79, builtin 114.488 -> 114.488
+calls, base -> change, over iterations chain_solve lbfgs-par 500 -> 500, rank_demo lbfgs 285 -> 285:
+  chain_solve setup: python 227 -> 227, builtin 558 -> 558
+  chain_solve lbfgs-par per iteration: python 57.79 -> 56.79, builtin 114.488 -> 114.488
+  rank_demo lbfgs per iteration: python 58.2175 -> 57.2175, builtin 109.302 -> 109.302
 """
 
 
@@ -246,12 +253,15 @@ def test_callcount_on_this_tree_repeats_exactly(ab):
     first, again = ab.run_counts(ROOT, 0), ab.run_counts(ROOT, 0)
     assert first == again
     code, counts = first
-    assert code == 0 and counts["iterations"] > 0
-    assert list(counts["calls"]) == ["setup", "lbfgs-par per iteration"]
+    assert code == 0
+    assert list(counts["iterations"]) == ["chain_solve lbfgs-par", "rank_demo lbfgs"]
+    assert all(n > 0 for n in counts["iterations"].values())
+    assert list(counts["calls"]) == ["chain_solve setup", "chain_solve lbfgs-par per iteration",
+                                     "rank_demo lbfgs per iteration"]
     assert all(py > 0 and builtin > 0 for py, builtin in counts["calls"].values())
     # its lines name each operation once, with the same counts on both sides
     lines = ab.counts_lines({"base": counts, "change": counts})
-    assert len(lines) == 3 and lines[1].startswith("  setup: python ")
+    assert len(lines) == 4 and lines[3].startswith("  rank_demo lbfgs per iteration: python ")
 
 
 @pytest.fixture

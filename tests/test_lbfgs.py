@@ -7,7 +7,7 @@ import naive_oracles as naive
 from ffmin import energy
 from ffmin.bench import QuadraticInstance
 from ffmin.cli import main
-from ffmin.linesearch import NO_RELAXATION, FOUND, LineSearchResult
+from ffmin.linesearch import ARMIJO_C1, NO_RELAXATION, FOUND, LineSearchResult
 from ffmin.optimizers import (
     CONVERGED,
     LINESEARCH_FAILURE,
@@ -20,7 +20,6 @@ from ffmin.optimizers import (
     steepest_descent,
 )
 from ffmin.optimizers.common import (
-    ARMIJO_C1,
     BACKTRACK_MAX,
     BACKTRACK_MIN,
     DescentRule,

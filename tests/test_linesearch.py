@@ -129,6 +129,13 @@ def test_ls_h_config_validation():
         LsHConfig(h0=0.0)
 
 
+@pytest.mark.parametrize("h0", [0.0, -1.0, math.inf, math.nan])
+def test_both_configs_refuse_a_bad_h0_with_one_message(h0):
+    for config in (LsHConfig, LsParConfig):
+        with pytest.raises(ValueError, match=f"^h0 must be finite and > 0, got {h0}$"):
+            config(h0=h0)
+
+
 @given(t=st.floats(-3.0, 3.0), a=st.floats(0.1, 10.0))
 @settings(max_examples=60, deadline=None)
 def test_ls_h_invariants(t, a):
@@ -318,7 +325,7 @@ def nan_on(lo, hi, fn):
 
 def test_ls_h_contracts_past_a_nan_probe():
     # h = 2 does not relax, h = 1 lands on NaN, h = 0.5 relaxes
-    oracle = FunctionOracle(1, nan_on(0.5, 1.0, lambda t: t * t))
+    oracle = FunctionOracle(1, nan_on(0.5, 1.0, lambda t: t * t), lambda x: 2.0 * x)
     res = ls_h(oracle, np.array([-0.3]), R, LsHConfig(h0=2.0), f0=0.09)
     assert res == LineSearchResult(0.5, 0.2 * 0.2, 3, FOUND)
 
@@ -332,18 +339,21 @@ def test_steepest_descent_steps_past_a_nan_probe():
 
 
 def test_ls_par_stops_at_a_nan_first_probe():
-    oracle = FunctionOracle(1, nan_on(0.5, 1.5, lambda t: (t - 0.2) ** 2))
+    oracle = FunctionOracle(1, nan_on(0.5, 1.5, lambda t: (t - 0.2) ** 2),
+                            lambda x: 2.0 * (x - 0.2))
     res = ls_par(oracle, X0, R, LsParConfig(h0=1.0), f0=0.04, g0=np.array([-0.4]))
     assert res == LineSearchResult(0.0, 0.04, 1, NO_RELAXATION)
     # without the gradient start the search stops before its second sample
-    oracle = FunctionOracle(1, nan_on(-1.0, -0.1, lambda t: (t - 0.2) ** 2))
+    oracle = FunctionOracle(1, nan_on(-1.0, -0.1, lambda t: (t - 0.2) ** 2),
+                            lambda x: 2.0 * (x - 0.2))
     res = ls_par(oracle, X0, R, LsParConfig(h0=1.0, use_gradient_start=False), f0=0.04)
     assert res == LineSearchResult(0.0, 0.04, 1, NO_RELAXATION)
 
 
 def test_ls_par_keeps_its_best_finite_probe_at_a_nan_vertex():
     # the gradient-started vertex is h = 1, inside the NaN interval
-    oracle = FunctionOracle(1, nan_on(0.9, 1.2, lambda t: (t - 1.0) ** 2))
+    oracle = FunctionOracle(1, nan_on(0.9, 1.2, lambda t: (t - 1.0) ** 2),
+                            lambda x: 2.0 * (x - 1.0))
     res = ls_par(oracle, X0, R, LsParConfig(h0=0.5), f0=1.0, g0=np.array([-2.0]))
     assert res == LineSearchResult(0.5, 0.25, 2, FOUND)
 

@@ -10,6 +10,7 @@ import pytest
 
 import ffmin.optimizers.common as common
 from conftest import record_rows, shifted_clock
+from ffmin.bench import QuadraticInstance
 from ffmin.energy import (
     EnergyEvaluationError,
     NonFiniteEnergyError,
@@ -19,6 +20,7 @@ from ffmin.energy import (
 from ffmin.model import AtomSpec, MolecularSystem
 from ffmin.oracle import FunctionOracle, MolecularOracle
 from ffmin.optimizers import (
+    CONVERGED,
     ITERATION_BUDGET,
     LINESEARCH_FAILURE,
     ORACLE_BUDGET,
@@ -365,6 +367,56 @@ def test_trace_status_is_the_result_status(name):
         res = run_method(name, system, stop)
         assert res.status is not None
         assert res.trace.status == res.status
+
+
+# ------------------------------------------- a record's iteration is its position
+
+def assert_iteration_is_position(res):
+    recs = res.trace.records
+    assert [r.iteration for r in recs] == list(range(len(recs)))
+    assert res.trace.iterations == res.iterations == len(recs) - 1
+
+
+def test_a_budget_refused_lbfgs_par_run_appends_its_lowest_probe_in_position():
+    system = make_chain_system(12, seed=0, strain=0.3)
+    appended = []
+    for cap in range(3, 31):
+        stop = StopCriteria(max_iterations=1000, max_oracle_calls=cap, **NO_TOL)
+        res = run_method("lbfgs", system, stop)
+        assert res.status == ORACLE_BUDGET, cap
+        assert_iteration_is_position(res)
+        # finish_best appended the lowest probe, which has no gradient
+        if math.isnan(res.trace.records[-1].grad_norm):
+            appended.append(cap)
+    assert appended[:3] == [3, 4, 6]
+
+
+def test_an_fgm_run_converging_at_its_extrapolated_point_appends_it_in_position():
+    inst = QuadraticInstance.random(8, 10.0, seed=1)
+    res = fgm(inst.oracle(), inst.x0, inst.exact_linesearch())
+    assert res.status == CONVERGED and res.trace.records[-1].step == 0.0
+    assert_iteration_is_position(res)
+
+
+@pytest.mark.parametrize("name", ["gd", "wiggle"])
+def test_fixed_step_and_wiggle_records_sit_at_their_iteration(name):
+    res = run_method(name, make_chain_system(12, seed=0, strain=0.3),
+                     StopCriteria(max_iterations=25))
+    assert res.iterations == 25
+    assert_iteration_is_position(res)
+
+
+def test_no_record_call_passes_an_iteration_and_armijo_c1_stays_in_linesearch():
+    # Run.record takes (f, grad_norm, step): the iteration is the position
+    package = Path(common.__file__).parents[1]
+    for module in sorted(package.rglob("*.py")):
+        source = module.read_text()
+        for node in ast.walk(ast.parse(source)):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "record"):
+                assert len(node.args) == 3 and not node.keywords, (module.name, node.lineno)
+        if module.name != "linesearch.py":
+            assert "ARMIJO_C1" not in source, module.name
 
 
 @pytest.mark.parametrize("name", ["sd", "lbfgs", "gd", "wiggle"])

@@ -300,31 +300,41 @@ def three_atoms(**terms):
 
 @pytest.mark.parametrize("terms,msg", [
     ({"bonds": (BondTerm(0, 1, 1.0, 1.5), BondTerm(1, 3, 1.0, 1.5))},
-     "bond (1,3): index out of range"),
-    ({"bonds": (BondTerm(-1, 2, 1.0, 1.5),)}, "bond (-1,2): index out of range"),
+     "bond (1,3): index out of range for 3 atoms"),
+    ({"bonds": (BondTerm(-1, 2, 1.0, 1.5),)}, "bond (-1,2): index out of range for 3 atoms"),
     ({"angles": (AngleTerm(0, 1, 2, 1.0, 1.9), AngleTerm(0, 1, 3, 1.0, 1.9))},
-     "angle (0,1,3): index out of range"),
-    ({"angles": (AngleTerm(-1, 0, 1, 1.0, 1.9),)}, "angle (-1,0,1): index out of range"),
+     "angle (0,1,3): index out of range for 3 atoms"),
+    ({"angles": (AngleTerm(-1, 0, 1, 1.0, 1.9),)},
+     "angle (-1,0,1): index out of range for 3 atoms"),
     ({"dihedrals": (DihedralTerm(0, 1, 2, -1, 1.0, 0.0, 0.0, 0.0),)},
-     "dihedral (0,1,2,-1): index out of range"),
+     "dihedral (0,1,2,-1): index out of range for 3 atoms"),
     ({"dihedrals": (DihedralTerm(3, 0, 1, 2, 1.0, 0.0, 0.0, 0.0),)},
-     "dihedral (3,0,1,2): index out of range"),
+     "dihedral (3,0,1,2): index out of range for 3 atoms"),
     ({"nonbonded": NonbondedPolicy(scaled14=frozenset({(2, 3)}))},
      "scaled14 pair (2,3): index out of range for 3 atoms"),
     # two faults at once: the system names the first in its check order
     # (atom ids, bonds, angles, dihedrals, then the policy's pairs)
     ({"bonds": (BondTerm(0, 5, 1.0, 1.5),),
       "nonbonded": NonbondedPolicy(excluded=frozenset({(0, 7)}))},
-     "bond (0,5): index out of range"),
+     "bond (0,5): index out of range for 3 atoms"),
     ({"dihedrals": (DihedralTerm(0, 1, 2, 4, 1.0, 0.0, 0.0, 0.0),),
       "angles": (AngleTerm(0, 1, 9, 1.0, 1.9),)},
-     "angle (0,1,9): index out of range"),
+     "angle (0,1,9): index out of range for 3 atoms"),
     ({"nonbonded": NonbondedPolicy(excluded=frozenset({(0, 7)}), scaled14=frozenset({(0, 4)}))},
      "excluded pair (0,7): index out of range for 3 atoms"),
 ])
 def test_system_names_its_first_topology_fault(terms, msg):
     with pytest.raises(ModelError, match=f"^{re.escape(msg)}$"):
         three_atoms(**terms)
+
+
+def test_a_bond_out_of_range_reads_alike_on_both_paths():
+    bond = BondTerm(1, 3, 1.0, 1.5)
+    with pytest.raises(ModelError) as derived:
+        build_default_exclusions(3, (bond,))
+    with pytest.raises(ModelError) as built:
+        three_atoms(bonds=(bond,))
+    assert str(derived.value) == str(built.value) == "bond (1,3): index out of range for 3 atoms"
 
 
 def test_with_coords_shares_parameters():

@@ -1,9 +1,12 @@
 """make_chain_system builds the same systems from the same arguments: a
-golden digest pins them, and a scalar-draw reference pins the draw order."""
+golden digest pins them, and a scalar-draw reference pins the draw order.
+It refuses a negative or NaN strain before it draws."""
 
 import hashlib
+import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -85,3 +88,9 @@ def test_chain_system_matches_the_scalar_draw_reference(natoms, seed, strain, cu
     got = (s.atoms, s.bonds, s.angles, s.dihedrals, s.nonbonded.excluded,
            s.nonbonded.scaled14, s.nonbonded.cutoff, s.coords.tobytes())
     assert got == scalar_draw_chain(natoms, seed, strain, cutoff)
+
+
+@pytest.mark.parametrize("strain", [-0.3, -1e-300, -math.inf, math.nan])
+def test_chain_refuses_a_negative_or_nan_strain(strain):
+    with pytest.raises(ValueError, match=f"^strain must be >= 0, got {strain}$"):
+        make_chain_system(12, 0, strain)

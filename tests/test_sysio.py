@@ -251,7 +251,7 @@ GOLDEN = [
     (13, "0 1 1422.56 nan", 13, "bond r0 must be finite, got 'nan'"),
     (13, "1 1 1422.56 1.5", 13, "bond (1,1): endpoints must differ"),
     (13, "0 1 -1 1.5", 13, "bond (0,1): K must be >= 0"),
-    (13, "0 9 1422.56 1.5", None, "bond (0,9): index out of range"),
+    (13, "0 9 1422.56 1.5", None, "bond (0,9): index out of range for 4 atoms"),
     # angles
     (17, "0 1 2 300.0", 17, "angle rows need: i j k K theta0_deg"),
     (17, "0 b 2 300.0 109.5", 17, "bad angle index 'b'"),
@@ -260,14 +260,14 @@ GOLDEN = [
     (17, "0 1 2 300.0 nan", 17, "theta0_deg must be finite, got 'nan'"),
     (17, "0 1 2 300.0 180", 17,
      "angle (0,1,2): theta0 must lie in (0, pi), got 3.141592653589793"),
-    (17, "0 1 7 300.0 109.5", None, "angle (0,1,7): index out of range"),
+    (17, "0 1 7 300.0 109.5", None, "angle (0,1,7): index out of range for 4 atoms"),
     # dihedrals
     (19, "0 1 2 3 1.0 0.5 0.25", 19, "dihedral rows need: i j k l V1 V2 V3 V4"),
     (19, "0 1 2.0 3 1.0 0.5 0.25 0.0", 19, "bad dihedral index '2.0'"),
     (19, "0 1 2 3 1.0 0.5 v 0.0", 19, "bad V3 value 'v'"),
     (19, "0 1 2 3 inf 0.5 0.25 0.0", 19, "V1 must be finite, got 'inf'"),
     (19, "0 1 1 3 1.0 0.5 0.25 0.0", 19, "dihedral (0,1,1,3): atoms must be distinct"),
-    (19, "0 1 2 8 1.0 0.5 0.25 0.0", None, "dihedral (0,1,2,8): index out of range"),
+    (19, "0 1 2 8 1.0 0.5 0.25 0.0", None, "dihedral (0,1,2,8): index out of range for 4 atoms"),
     # nonbonded
     (21, "mode: sometimes", 21, "nonbonded mode must be auto or explicit, got 'sometimes'"),
     (21, "mode: auto", 25, "section 'excluded_pairs' is only valid with mode: explicit"),

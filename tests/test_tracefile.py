@@ -68,13 +68,15 @@ def test_trace_round_trip(tmp_path):
 
 
 def test_trace_records_read_back_what_the_run_recorded(monkeypatch):
-    recorded = []  # each record's fields but wall_seconds, as Run.record saw them
+    # each record's fields but wall_seconds, as Run.record saw them; a
+    # record's iteration is the number of records before it
+    recorded = []
     original = common.Run.record
 
-    def spy(run, iteration, f, grad_norm, step):
-        recorded.append((iteration, float(f), float(grad_norm), float(step), run.value_calls,
-                         run.grad_calls, min(run.best_f, f)))
-        original(run, iteration, f, grad_norm, step)
+    def spy(run, f, grad_norm, step):
+        recorded.append((len(recorded), float(f), float(grad_norm), float(step),
+                         run.value_calls, run.grad_calls, min(run.best_f, f)))
+        original(run, f, grad_norm, step)
 
     monkeypatch.setattr(common.Run, "record", spy)
     recs = lbfgs_trace().records
@@ -107,7 +109,7 @@ def test_trace_records_read_back_what_the_run_recorded(monkeypatch):
     assert all(b.iteration == a.iteration + 1 for a, b in pairs)
 
 
-def test_a_run_holds_at_most_80_bytes_of_trace_per_iteration():
+def test_a_run_stores_56_bytes_of_trace_per_iteration():
     d = np.array([1.0, 1e-3])
     oracle = FunctionOracle(2, lambda x: 0.5 * float(x @ (d * x)), lambda x: d * x)
     stop = StopCriteria(max_iterations=20_000, gradient_norm_rtol=0.0)
@@ -118,9 +120,12 @@ def test_a_run_holds_at_most_80_bytes_of_trace_per_iteration():
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert len(res.trace.records) == 20_001
-    # eight float64 values per record, plus the storage's growth slack
-    assert held / len(res.trace.records) <= 80
+    n = len(res.trace.records)
+    assert n == 20_001
+    # seven float64 values per record, the iteration being its position
+    assert res.trace._values.itemsize * len(res.trace._values) == 56 * n
+    # and the storage's growth slack on top
+    assert held / n <= 64
 
 
 def test_read_trace_accepts_legacy_precision_header(tmp_path):

@@ -8,8 +8,9 @@ ignored) into another, so both trees start alike, without caches or
 earlier results. It first runs tools/identity.py on both trees' src and
 prints how many of its runs differ and their names. It runs
 tools/callcount.py on both and prints each tree's Python-level and
-builtin call counts of chain_solve's set-up and of an lbfgs-par solve,
-per iteration, which repeat exactly. Then it runs `python3
+builtin call counts, which repeat exactly: of chain_solve's set-up, and
+per iteration of chain_solve's lbfgs-par solve and of rank_demo's lbfgs
+solve. Then it runs `python3
 perfbench/run.py --workload <w> --seed S --seconds T --trace 0` N
 times on each tree, alternating which tree runs
 first in a pair. Each run's last line of standard output is its JSON
@@ -115,8 +116,9 @@ def run_counts(tree, seed):
 def counts_lines(counts):
     """The lines that give each side's call counts, base -> change."""
     base, change = (counts[side] for side in SIDES)
-    lines = [f"calls, base -> change, over {base['iterations']} -> "
-             f"{change['iterations']} lbfgs-par iterations:"]
+    solves = ", ".join(f"{solve} {n} -> {change['iterations'][solve]}"
+                       for solve, n in base["iterations"].items())
+    lines = [f"calls, base -> change, over iterations {solves}:"]
     for op, (py, c) in base["calls"].items():
         py2, c2 = change["calls"][op]
         lines.append(f"  {op}: python {py:.6g} -> {py2:.6g}, builtin {c:.6g} -> {c2:.6g}")
